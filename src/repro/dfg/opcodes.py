@@ -148,8 +148,8 @@ OP_ARITY: Dict[OpCode, int] = {
 
 
 #: Python expression templates mirroring :data:`OP_SEMANTICS` (positional
-#: placeholders are operand expressions).  Compiled evaluation plans
-#: (:class:`repro.kernels.reference.BlockEvaluator`) inline these instead of
+#: placeholders are operand expressions).  Compiled stream evaluators
+#: (:class:`repro.kernels.reference.StreamEvaluator`) inline these instead of
 #: calling :meth:`OpCode.evaluate` per step; ``tests/test_opcodes.py``
 #: asserts the two tables agree on every opcode and operand pattern.
 OP_EXPRESSIONS: Dict["OpCode", str] = {}

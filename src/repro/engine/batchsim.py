@@ -4,10 +4,11 @@
 magnitude faster than the cycle simulator, but its inner loop is still
 interpreted Python: every tick walks ``_FastFU.tick`` through attribute
 loads, per-slot tuple unpacking and method dispatch, and the functional
-output reconstruction evaluates the DFG one block at a time.  This module
-removes both costs behind a new ``engine="batched"`` backend while keeping
-the results **bit-identical** to the fast engine (and therefore to the cycle
-simulator — the equivalence suite asserts the full chain):
+output reconstruction runs one Python statement per DFG node and block.
+This module removes both costs behind a new ``engine="batched"`` backend
+while keeping the results **bit-identical** to the fast engine (and
+therefore to the cycle simulator — the equivalence suite asserts the full
+chain):
 
 1. **Whole-loop codegen.**  :func:`generate_loop_source` exec-compiles the
    *entire* steady-state tick loop of one schedule — FU slot advance, FIFO
@@ -18,7 +19,7 @@ simulator — the equivalence suite asserts the full chain):
    capacities inlined as literals, and structurally impossible branches
    (stages without loads, slots or write-backs) are simply not emitted.
    This is the same per-artifact codegen strategy as the exec-compiled
-   :class:`~repro.kernels.reference.BlockEvaluator` plan, extended from
+   :class:`~repro.kernels.reference.StreamEvaluator`, extended from
    output reconstruction to the whole engine, exactly as the roadmap asks.
    The generated loop is a statement-for-statement transcription of
    ``_FastFU.tick`` / ``FastSimulator._run_single_lane``; it reuses the
@@ -40,8 +41,8 @@ simulator — the equivalence suite asserts the full chain):
    whole input stream at once on a numpy ``int64`` array with a block axis,
    one vectorized expression per DFG node
    (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`) followed by an exact
-   32-bit two's-complement wrap, replacing the per-block scalar plan on the
-   hot path.  Inputs or constants outside the signed 32-bit range (where
+   32-bit two's-complement wrap, replacing the scalar stream evaluator on
+   the hot path.  Inputs or constants outside the signed 32-bit range (where
    ``int64`` intermediates could overflow) fall back to the scalar
    evaluator, so results are bit-identical in every case.
 
@@ -56,12 +57,12 @@ layout and the correctness argument.
 from __future__ import annotations
 
 import importlib
-import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..dfg.opcodes import OP_VECTOR_EXPRESSIONS
 from ..errors import ConfigurationError, SimulationError
+from ..kernels.reference import IdentityMemo
 from ..schedule.types import OverlaySchedule, SlotKind
 from ..sim.fu import FUStats
 from ..sim.overlay import (
@@ -105,16 +106,17 @@ _WRAP_TEMPLATE = "(({0} & 4294967295) ^ 2147483648) - 2147483648"
 class VectorBlockEvaluator:
     """Evaluate a DFG over a whole input stream with one expression per node.
 
-    The scalar :class:`~repro.kernels.reference.BlockEvaluator` runs its
-    generated plan once per block; this evaluator runs a generated plan once
-    per *stream*, with every node value a numpy ``int64`` array over the
-    block axis and an exact 32-bit wrap after every operation.  Exactness
-    needs every operand in signed 32-bit range (then the worst ``int64``
-    intermediate, a MULADD, is bounded by ``2**62 + 2**31``): constants are
-    checked at build time, input arrays at evaluation time, and
-    :meth:`evaluate` returns ``None`` whenever vectorized evaluation cannot
-    be used (numpy absent, out-of-range values, unsupported opcode) so the
-    caller can fall back to the scalar path.
+    The scalar :class:`~repro.kernels.reference.StreamEvaluator` runs one
+    Python statement per node and block; this evaluator runs one numpy
+    expression per node and *stream*, with every node value an ``int64``
+    array over the block axis and an exact 32-bit wrap after every
+    operation.  Exactness needs every operand in signed 32-bit range (then
+    the worst ``int64`` intermediate, a MULADD, is bounded by
+    ``2**62 + 2**31``): constants are checked at build time, input arrays
+    at evaluation time, and :meth:`evaluate` returns ``None`` whenever
+    vectorized evaluation cannot be used (numpy absent, out-of-range
+    values, unsupported opcode) so the caller can fall back to the scalar
+    path.
     """
 
     def __init__(self, dfg: Any):
@@ -631,27 +633,14 @@ class BatchPlan:
         self.vector_evaluator = VectorBlockEvaluator(schedule.dfg)
 
 
-#: id(schedule) -> (weakref, plan).  ``OverlaySchedule`` is an unhashable
-#: (eq, non-frozen) dataclass, so a WeakKeyDictionary cannot hold it; the
-#: weakref death callback evicts the entry instead, and the identity check
-#: on hit guards against id reuse.  Entries are only ever replaced whole,
-#: so concurrent builders at worst duplicate work (both plans are valid).
-_PLAN_MEMO: Dict[int, Tuple[Any, BatchPlan]] = {}
+#: One plan per live schedule object, keyed by identity (see
+#: :class:`~repro.kernels.reference.IdentityMemo`).
+_PLANS: IdentityMemo[OverlaySchedule, BatchPlan] = IdentityMemo(BatchPlan)
 
 
 def plan_for(schedule: OverlaySchedule) -> BatchPlan:
     """Memoised :class:`BatchPlan` for a live schedule object."""
-    key = id(schedule)
-    entry = _PLAN_MEMO.get(key)
-    if entry is not None and entry[0]() is schedule:
-        return entry[1]
-    plan = BatchPlan(schedule)
-
-    def _evict(_ref: Any, _key: int = key) -> None:
-        _PLAN_MEMO.pop(_key, None)
-
-    _PLAN_MEMO[key] = (weakref.ref(schedule, _evict), plan)
-    return plan
+    return _PLANS(schedule)
 
 
 # ---------------------------------------------------------------------------

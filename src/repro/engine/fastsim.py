@@ -57,7 +57,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError, SimulationError
-from ..kernels.reference import BlockEvaluator
+from ..kernels.reference import stream_evaluator
 from ..schedule.types import OverlaySchedule, SlotKind
 from ..sim.alu import _wrap
 from ..sim.fu import FUStats
@@ -1157,20 +1157,14 @@ def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:
     reach the output FIFO through at least one PASS slot, whose ALU applies
     the 32-bit wrap.
     """
-    evaluator = BlockEvaluator(dfg)
-    needs_wrap = [
-        dfg.node(source).is_input or dfg.node(source).is_const
-        for source in evaluator.output_sources
-    ]
-    if not any(needs_wrap):
-        return [evaluator.evaluate(block) for block in blocks]
-    return [
-        [
-            _wrap(value) if wrap else value
-            for value, wrap in zip(evaluator.evaluate(block), needs_wrap)
-        ]
-        for block in blocks
-    ]
+    evaluator = stream_evaluator(dfg)
+    rows = evaluator.run(blocks)
+    unwrapped = evaluator.unwrapped_outputs
+    if unwrapped:
+        for row in rows:
+            for index in unwrapped:
+                row[index] = _wrap(row[index])
+    return rows
 
 
 def simulate_fast(

@@ -5,12 +5,33 @@ output stream against :func:`evaluate_dfg` on the same inputs: the DFG *is*
 the functional specification, so evaluating it directly (in topological
 order, with the same 32-bit wrap-around semantics as the FU ALU) gives the
 golden result for any kernel, hand-written or generated.
+
+Streams of positional blocks go through :class:`StreamEvaluator` instead:
+one generated function per DFG that evaluates the whole stream.  The
+interpretive :func:`evaluate_dfg` stays as the independent oracle it is
+tested against.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+import weakref
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+    cast,
+)
 
 from ..dfg.analysis import asap_levels
 from ..dfg.graph import DFG
@@ -18,6 +39,9 @@ from ..dfg.opcodes import OP_EXPRESSIONS, OP_SEMANTICS, _to_signed32
 from ..errors import KernelError
 
 InputBlock = Union[Sequence[int], Mapping[str, int]]
+
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 def _resolve_inputs(dfg: DFG, inputs: InputBlock) -> Dict[int, int]:
@@ -56,11 +80,13 @@ def _resolve_inputs(dfg: DFG, inputs: InputBlock) -> Dict[int, int]:
     return values
 
 
-def evaluate_dfg(dfg: DFG, inputs: InputBlock) -> List[int]:
-    """Evaluate a kernel DFG on one block of input samples.
+def intermediate_values(dfg: DFG, inputs: InputBlock) -> Dict[int, int]:
+    """Evaluate a kernel and return *every* node's value keyed by node id.
 
-    Returns the list of output values in output-declaration order, computed
-    with the same signed 32-bit wrap-around arithmetic the FU ALU model uses.
+    This is the interpretive oracle: one :meth:`OpCode.evaluate` call per
+    node, in topological order.  Useful for debugging simulator mismatches:
+    the trace renderer can join these against the per-cycle FU activity to
+    show where a value diverged.
     """
     values = _resolve_inputs(dfg, inputs)
     for node_id in dfg.topological_order():
@@ -68,116 +94,175 @@ def evaluate_dfg(dfg: DFG, inputs: InputBlock) -> List[int]:
         if node.is_input:
             continue
         if node.is_const:
-            values[node_id] = int(node.value)
+            values[node_id] = int(cast(int, node.value))
         elif node.is_output:
             values[node_id] = values[node.operands[0]]
         else:
-            operand_values = [values[o] for o in node.operands]
-            values[node_id] = node.opcode.evaluate(*operand_values)
+            values[node_id] = node.opcode.evaluate(*(values[o] for o in node.operands))
+    return values
+
+
+def evaluate_dfg(dfg: DFG, inputs: InputBlock) -> List[int]:
+    """Evaluate a kernel DFG on one block of input samples.
+
+    Returns the list of output values in output-declaration order, computed
+    with the same signed 32-bit wrap-around arithmetic the FU ALU model uses.
+    """
+    values = intermediate_values(dfg, inputs)
     return [values[o.node_id] for o in dfg.outputs()]
 
 
-class BlockEvaluator:
-    """Precompiled evaluation of one DFG over many input blocks.
+class IdentityMemo(Generic[K, V]):
+    """One value built per live object, keyed by the object's identity.
 
-    :func:`evaluate_dfg` re-derives the topological order and re-resolves
-    node records on every call, which dominates the wall-clock of streaming
-    workloads (the fast simulation engine evaluates thousands of blocks per
-    run).  This class compiles the evaluation plan once — dense value slots,
-    constant preloading, and one *generated Python function* with every
-    operation inlined as an expression (:data:`repro.dfg.opcodes.
-    OP_EXPRESSIONS`), so a block evaluates without any per-step dispatch:
-    no enum hashing, no arity checks, no bound-method calls.  The 32-bit
-    wrap is a range test per step with the actual wrap out of line, since
-    values almost always stay in range.  Results are identical to
-    :func:`evaluate_dfg` by construction (same order, same semantics;
-    ``tests/test_opcodes.py`` pins the expression table to
-    :meth:`OpCode.evaluate` and the reference suite compares whole kernels).
-
-    Only positional (sequence) input blocks are supported; mapping-style
-    blocks should go through :func:`evaluate_dfg`.
+    For keys a ``WeakKeyDictionary`` cannot hold: a :class:`DFG` is mutable
+    and an ``OverlaySchedule`` is an unhashable (eq, non-frozen) dataclass.
+    The memo keeps only a weak reference to each key, whose death callback
+    evicts the entry, so values must not reference their key either.  The
+    identity check on a hit guards against id reuse.  ``version``, when
+    given, is read on every lookup, and a changed version rebuilds the
+    value.  Entries are only ever replaced whole, so concurrent builders at
+    worst duplicate work (every built value is valid).
     """
 
+    def __init__(
+        self, build: Callable[[K], V], version: Optional[Callable[[K], Hashable]] = None
+    ):
+        self._build = build
+        self._version = version
+        self._entries: Dict[int, Tuple["weakref.ref[Any]", Hashable, V]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __call__(self, key: K) -> V:
+        ident = id(key)
+        version = self._version(key) if self._version is not None else None
+        entry = self._entries.get(ident)
+        if entry is not None and entry[0]() is key and entry[1] == version:
+            return entry[2]
+        value = self._build(key)
+        # The callback binds the dict itself: at interpreter exit it can run
+        # after this module's globals have been cleared.
+        entries = self._entries
+
+        def evict(_ref: Any, _ident: int = ident) -> None:
+            entries.pop(_ident, None)
+
+        entries[ident] = (weakref.ref(key, evict), version, value)
+        return value
+
+
+class StreamEvaluator:
+    """One DFG compiled to a function that evaluates a whole input stream.
+
+    :func:`evaluate_dfg` re-derives the topological order and dispatches
+    every node through :meth:`OpCode.evaluate` on every block.  This class
+    generates, once per DFG, one Python function that loops over the
+    stream with every node value in a local variable and every operation
+    inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`; an
+    opcode without one calls its :data:`~repro.dfg.opcodes.OP_SEMANTICS`
+    entry).  Every input goes through ``int()`` and every operation result
+    through the 32-bit wrap, a range test with the wrap itself out of line
+    since values almost always stay in range, so results equal
+    :func:`evaluate_dfg`'s (``tests/test_kernels_reference.py`` checks this
+    on random graphs over every opcode and the wrap edges).
+
+    The evaluator holds no reference to its DFG, so a memo entry
+    (:data:`stream_evaluator`) dies with the graph.  Only positional
+    (sequence) blocks are supported; mapping-style blocks go through
+    :func:`evaluate_dfg`.
+    """
+
+    __slots__ = ("run", "unwrapped_outputs")
+
     def __init__(self, dfg: DFG):
-        self.dfg = dfg
-        slot_of: Dict[int, int] = {}
-        template: List[int] = []
-
-        def slot(node_id: int) -> int:
-            index = slot_of.get(node_id)
-            if index is None:
-                index = slot_of[node_id] = len(template)
-                template.append(0)
-            return index
-
-        self._input_slots = [slot(node.node_id) for node in dfg.inputs()]
-        lines = ["def _plan(values):"]
-        fallbacks: List = []
+        inputs = [node.node_id for node in dfg.inputs()]
+        sources = [node.operands[0] for node in dfg.outputs()]
+        boundary = {node.node_id for node in dfg.nodes() if node.is_input or node.is_const}
+        #: Output positions fed directly by an input or a constant, whose
+        #: values leave :attr:`run` unwrapped (as in :func:`evaluate_dfg`).
+        self.unwrapped_outputs = tuple(
+            index for index, source in enumerate(sources) if source in boundary
+        )
+        constants: List[str] = []
+        body: List[str] = []
+        fallbacks: List[Callable[..., int]] = []
         for node_id in dfg.topological_order():
             node = dfg.node(node_id)
-            if node.is_input:
-                slot(node_id)
-            elif node.is_const:
-                template[slot(node_id)] = int(node.value)
-            elif node.is_output:
+            if node.is_input or node.is_output:
                 continue
+            if node.is_const:
+                constants.append(f"    v{node_id} = {int(cast(int, node.value))}")
+                continue
+            operands = [f"v{o}" for o in node.operands]
+            expression = OP_EXPRESSIONS.get(node.opcode)
+            if expression is not None:
+                value = expression.format(*operands)
             else:
-                operands = [f"values[{slot(o)}]" for o in node.operands]
-                expression = OP_EXPRESSIONS.get(node.opcode)
-                if expression is not None:
-                    value = expression.format(*operands)
-                else:
-                    # Opcode without an expression template: fall back to its
-                    # prebound raw semantics (same wrap applied below).
-                    fallbacks.append(OP_SEMANTICS[node.opcode])
-                    value = f"_fallbacks[{len(fallbacks) - 1}]({', '.join(operands)})"
-                destination = slot(node_id)
-                lines.append(f"    v = {value}")
-                lines.append(
-                    f"    values[{destination}] = "
-                    "v if -2147483648 <= v <= 2147483647 else wrap(v)"
-                )
-        lines.append("    return values")
-        namespace = {
+                # Opcode without an expression template: call its raw
+                # semantics (same wrap applied below).
+                fallbacks.append(OP_SEMANTICS[node.opcode])
+                value = f"_fallbacks[{len(fallbacks) - 1}]({', '.join(operands)})"
+            body += [
+                f"        v{node_id} = {value}",
+                f"        if not -2147483648 <= v{node_id} <= 2147483647:",
+                f"            v{node_id} = wrap(v{node_id})",
+            ]
+        width = len(inputs)
+        lines = ["def _stream(blocks):", "    rows = []", "    append = rows.append"]
+        lines += constants
+        lines += [
+            "    for block in blocks:",
+            f"        if len(block) != {width}:",
+            "            raise KernelError(",
+            f'                f"kernel {{_name!r}} has {width} inputs, "',
+            '                f"got {len(block)} values"',
+            "            )",
+        ]
+        if inputs:
+            targets = ", ".join(f"v{i}" for i in inputs) + ("," if width == 1 else "")
+            lines.append(f"        {targets} = block")
+            lines += [f"        v{i} = int(v{i})" for i in inputs]
+        lines += body
+        lines += [
+            "        append([" + ", ".join(f"v{source}" for source in sources) + "])",
+            "    return rows",
+        ]
+        namespace: Dict[str, Any] = {
             "wrap": _to_signed32,
             "_fallbacks": fallbacks,
+            "_name": dfg.name,
+            "KernelError": KernelError,
             "min": min,
             "max": max,
             "abs": abs,
         }
         exec(  # noqa: S102 - generated from the DFG, no external input
-            compile("\n".join(lines), f"<plan:{dfg.name}>", "exec"), namespace
+            compile("\n".join(lines), f"<stream:{dfg.name}>", "exec"), namespace
         )
-        self._plan = namespace["_plan"]
-        self._template = template
-        #: Output source node for every output port, in declaration order.
-        self.output_sources = [node.operands[0] for node in dfg.outputs()]
-        self._output_slots = [slot_of[source] for source in self.output_sources]
+        #: ``run(blocks)``: the output rows of a stream of positional blocks.
+        self.run: Callable[[Iterable[Sequence[int]]], List[List[int]]] = namespace["_stream"]
 
-    def node_values(self, block: Sequence[int]) -> List[int]:
-        """Evaluate one block; returns the dense value-slot array."""
-        if len(block) != len(self._input_slots):
-            raise KernelError(
-                f"kernel {self.dfg.name!r} has {len(self._input_slots)} inputs, "
-                f"got {len(block)} values"
-            )
-        values = self._template[:]
-        for index, value in zip(self._input_slots, block):
-            values[index] = int(value)
-        return self._plan(values)
 
-    def evaluate(self, block: Sequence[int]) -> List[int]:
-        """Output values of one block (identical to :func:`evaluate_dfg`)."""
-        values = self.node_values(block)
-        return [values[index] for index in self._output_slots]
+#: The compiled :class:`StreamEvaluator` of a live DFG, built on first use
+#: and rebuilt when the DFG gains nodes.
+stream_evaluator: IdentityMemo[DFG, StreamEvaluator] = IdentityMemo(StreamEvaluator, version=len)
 
 
 def reference_outputs(dfg: DFG, blocks: Iterable[InputBlock]) -> List[List[int]]:
-    """Evaluate a kernel on a stream of input blocks (one result per block)."""
+    """Evaluate a kernel on a stream of input blocks (one result per block).
+
+    A stream of positional blocks runs through the DFG's memoised
+    :class:`StreamEvaluator`; a stream with any mapping block is evaluated
+    block by block with :func:`evaluate_dfg`.
+    """
     blocks = list(blocks)
-    if blocks and all(not isinstance(block, Mapping) for block in blocks):
-        evaluator = BlockEvaluator(dfg)
-        return [evaluator.evaluate(block) for block in blocks]
+    # One subclass check per distinct block type: an ``isinstance`` check
+    # against the ``Mapping`` ABC per block costs about as much as
+    # evaluating a small block.
+    if blocks and not any(issubclass(kind, Mapping) for kind in set(map(type, blocks))):
+        return stream_evaluator(dfg).run(cast(List[Sequence[int]], blocks))
     return [evaluate_dfg(dfg, block) for block in blocks]
 
 
@@ -199,26 +284,6 @@ def random_input_blocks(
     rng = random.Random(seed)
     width = dfg.num_inputs
     return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
-
-
-def intermediate_values(dfg: DFG, inputs: InputBlock) -> Dict[int, int]:
-    """Evaluate a kernel and return *every* node's value keyed by node id.
-
-    Useful for debugging simulator mismatches: the trace renderer can join
-    these against the per-cycle FU activity to show where a value diverged.
-    """
-    values = _resolve_inputs(dfg, inputs)
-    for node_id in dfg.topological_order():
-        node = dfg.node(node_id)
-        if node.is_input:
-            continue
-        if node.is_const:
-            values[node_id] = int(node.value)
-        elif node.is_output:
-            values[node_id] = values[node.operands[0]]
-        else:
-            values[node_id] = node.opcode.evaluate(*(values[o] for o in node.operands))
-    return values
 
 
 def level_ordered_values(dfg: DFG, inputs: InputBlock) -> List[List[int]]:

@@ -27,6 +27,7 @@ SCOPE = [
     os.path.join(SRC, "service"),
     os.path.join(SRC, "verify"),
     os.path.join(SRC, "engine", "batchsim.py"),
+    os.path.join(SRC, "kernels", "reference.py"),
 ]
 
 
