@@ -13,25 +13,27 @@ Three ablations, matching the design decisions called out in DESIGN.md:
 
 import pytest
 
+from repro.api import default_toolchain
 from repro.kernels import TABLE3_BENCHMARKS, get_kernel
 from repro.metrics.comparison import average_reduction, geometric_mean
-from repro.metrics.performance import evaluate_kernel
 from repro.metrics.tables import format_table
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import V3, V4, V5
 from repro.overlay.resources import overlay_fmax_mhz
 from repro.schedule import analytic_ii, schedule_kernel
+from repro.specs import OverlaySpec
 
 
 # ---------------------------------------------------------------------------
 # ablation 1: load/execute overlap
 # ---------------------------------------------------------------------------
 def _overlap_ablation():
+    toolchain = default_toolchain()
     reference, overlapped = {}, {}
     for name in TABLE3_BENCHMARKS:
         dfg = get_kernel(name)
-        reference[name] = evaluate_kernel(dfg, "baseline").ii
-        overlapped[name] = evaluate_kernel(dfg, "v1").ii
+        reference[name] = toolchain.evaluate(dfg, OverlaySpec("baseline")).ii
+        overlapped[name] = toolchain.evaluate(dfg, OverlaySpec("v1")).ii
     return reference, overlapped
 
 

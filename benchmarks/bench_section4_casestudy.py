@@ -11,21 +11,25 @@ Paper claims covered here:
 
 import pytest
 
+from repro.api import default_toolchain
 from repro.baseline.spatial import evaluate_spatial
 from repro.kernels import get_kernel
-from repro.metrics.performance import evaluate_kernel
 from repro.metrics.tables import format_table
+from repro.specs import OverlaySpec, SimSpec
 
 
 def _case_study():
     gradient = get_kernel("gradient")
+    toolchain = default_toolchain()
     rows = []
     results = {}
     for label in ("baseline", "v1", "v2"):
         # Analytic metrics (the paper's reporting) ...
-        result = evaluate_kernel(gradient, label, simulate=False)
+        result = toolchain.evaluate(gradient, OverlaySpec(label))
         # ... plus an independent functional/timing verification in the simulator.
-        verified = evaluate_kernel(gradient, label, simulate=True, num_blocks=12)
+        verified = toolchain.evaluate(
+            gradient, OverlaySpec(label), sim=SimSpec(num_blocks=12)
+        )
         result.reference_match = verified.reference_match
         result.measured_ii = verified.measured_ii
         results[label] = result

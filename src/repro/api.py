@@ -14,9 +14,8 @@ through typed spec objects (:mod:`repro.specs`):
 >>> tc.simulate(handle, SimSpec(num_blocks=6)).matches_reference
 True
 
-Everything the historical entry points did — ``map_kernel``,
-``evaluate_kernel``, ``OverlayRuntime.register``, ``run_point``, the CLI —
-is now a thin adapter over this facade; knobs travel exclusively inside
+The runtime (``OverlayRuntime.register``), the service and the CLI compile
+and evaluate through this facade; knobs travel exclusively inside
 :class:`~repro.specs.OverlaySpec` / :class:`~repro.specs.SimSpec` /
 :class:`~repro.specs.SweepSpec` objects.
 
@@ -28,7 +27,6 @@ artifacts are all scoped to the session's cache.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
@@ -451,8 +449,8 @@ class Toolchain:
 
         Schedule-only handles simulate too: the simulator runs from the
         schedule, so a kernel whose codegen overflows the overlay's memories
-        can still be measured (exactly what the analytic sweeps and the
-        historical ``evaluate_kernel(simulate=True)`` path rely on).
+        can still be measured (exactly what the analytic sweeps and
+        ``evaluate(..., sim=SimSpec())`` rely on).
         """
         if not isinstance(handle, CompiledHandle):
             raise ConfigurationError("simulate() takes a handle from compile()")
@@ -562,8 +560,7 @@ class Toolchain:
 
 
 def _merge_measured(result: PerformanceResult, measured: SimulationResult) -> None:
-    """Fold a simulation into an analytic result (the one simulate+evaluate
-    merge, shared by :meth:`Toolchain.evaluate` and :func:`map_kernel`)."""
+    """Fold a simulation into an analytic result (:meth:`Toolchain.evaluate`)."""
     from .metrics.performance import latency_ns
 
     result.measured_ii = measured.measured_ii
@@ -574,122 +571,21 @@ def _merge_measured(result: PerformanceResult, measured: SimulationResult) -> No
 
 
 # ---------------------------------------------------------------------------
-# the default session + compatibility shims
+# the default session
 # ---------------------------------------------------------------------------
 _DEFAULT_TOOLCHAIN: Optional[Toolchain] = None
 _DEFAULT_TC_LOCK = threading.Lock()
 
 
 def default_toolchain() -> Toolchain:
-    """The process-wide session used by the compatibility shims.
+    """The process-wide session (the CLI, the tuner and the evaluation
+    helpers of :mod:`repro.metrics.performance` use it by default).
 
-    It wraps :func:`~repro.engine.cache.default_cache`, so shim calls and
-    explicit ``Toolchain()`` sessions share compiled artifacts.
+    It wraps :func:`~repro.engine.cache.default_cache`, so it and explicit
+    ``Toolchain()`` sessions share compiled artifacts.
     """
     global _DEFAULT_TOOLCHAIN
     with _DEFAULT_TC_LOCK:
         if _DEFAULT_TOOLCHAIN is None:
             _DEFAULT_TOOLCHAIN = Toolchain()
         return _DEFAULT_TOOLCHAIN
-
-
-@dataclass
-class MappingResult:
-    """Everything produced by :func:`map_kernel` for one kernel/overlay pair."""
-
-    dfg: DFG
-    overlay: LinearOverlay
-    schedule: OverlaySchedule
-    program: OverlayProgram
-    configuration: ConfigurationImage
-    performance: PerformanceResult
-    simulation: Optional[SimulationResult] = None
-
-    @property
-    def ii(self) -> float:
-        return self.performance.ii
-
-    def summary(self) -> str:
-        lines = [
-            f"kernel {self.dfg.name!r} on {self.overlay.name}",
-            f"  II                : {self.performance.ii}",
-            f"  fmax              : {self.performance.fmax_mhz:.0f} MHz",
-            f"  throughput        : {self.performance.throughput_gops:.2f} GOPS",
-            f"  latency           : {self.performance.latency_ns:.1f} ns",
-            f"  configuration size: {self.configuration.size_bytes} bytes",
-        ]
-        if self.simulation is not None:
-            ii = self.simulation.measured_ii
-            lines.append(
-                f"  simulation        : II={'n/a' if ii is None else format(ii, '.2f')}, "
-                f"reference match={self.simulation.matches_reference}"
-            )
-        return "\n".join(lines)
-
-
-def map_kernel(
-    kernel: Union[str, DFG],
-    variant: Union[str, object] = "v1",
-    depth: Optional[int] = None,
-    simulate: bool = False,
-    num_blocks: int = 12,
-    engine: str = "cycle",
-) -> MappingResult:
-    """Run the full tool flow for one kernel on one overlay variant.
-
-    Compatibility adapter over :class:`Toolchain` (the session API): it
-    builds an :class:`~repro.specs.OverlaySpec`/:class:`~repro.specs.SimSpec`
-    and delegates, sharing the process-wide default session and cache.
-
-    Parameters
-    ----------
-    kernel:
-        A benchmark kernel name (see :func:`repro.kernels.kernel_names`) or a
-        ready-made :class:`~repro.dfg.graph.DFG`.
-    variant:
-        FU variant name (``"baseline"``, ``"v1"`` ... ``"v5"``) or a
-        :class:`~repro.overlay.fu.FUVariant`.
-    depth:
-        Overlay depth override.  By default, write-back variants use the
-        paper's fixed depth of 8 and the other variants match the kernel's
-        critical path.  The reported performance now always describes the
-        overlay that was actually compiled (a depth override on V1/V2
-        historically evaluated the critical-path overlay instead).
-    simulate:
-        Also run the simulator (verifies functional correctness and measures
-        II / latency).
-    engine:
-        Simulation engine for ``simulate=True``: ``"cycle"`` (the
-        cycle-accurate reference), ``"fast"`` (the event-driven engine of
-        :mod:`repro.engine.fastsim`, identical results) or ``"batched"``
-        (the codegen/vectorized engine of :mod:`repro.engine.batchsim`,
-        identical results; needs the optional numpy ``[batch]`` extra).
-    """
-    toolchain = default_toolchain()
-    spec = OverlaySpec(variant=variant, depth=depth)
-    if depth is not None and not spec.is_fixed:
-        warnings.warn(
-            "map_kernel(depth=N) on a non-write-back variant now reports the "
-            "performance of the depth-N overlay it compiles (it used to "
-            "evaluate the critical-path overlay instead); construct an "
-            "OverlaySpec and use Toolchain.compile/evaluate directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    handle = toolchain.compile(kernel, spec)
-    performance = toolchain.evaluate(handle)
-    simulation: Optional[SimulationResult] = None
-    if simulate:
-        simulation = toolchain.simulate(
-            handle, SimSpec(engine=engine, num_blocks=num_blocks)
-        )
-        _merge_measured(performance, simulation)
-    return MappingResult(
-        dfg=handle.dfg,
-        overlay=handle.overlay,
-        schedule=handle.schedule,
-        program=handle.program,
-        configuration=handle.configuration,
-        performance=performance,
-        simulation=simulation,
-    )

@@ -11,10 +11,8 @@ identical, which is why the same scheduler and simulator are reused with the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..dfg.graph import DFG
-from ..metrics.performance import PerformanceResult, evaluate_kernel
+from ..metrics.performance import PerformanceResult
 from ..overlay.architecture import LinearOverlay
 from ..overlay.fu import BASELINE
 
@@ -26,7 +24,11 @@ def baseline_overlay_for(dfg: DFG) -> LinearOverlay:
 
 def evaluate_baseline(dfg: DFG, simulate: bool = False) -> PerformanceResult:
     """Map and evaluate a kernel on the [14] baseline overlay."""
-    return evaluate_kernel(dfg, BASELINE, simulate=simulate)
+    from ..api import default_toolchain
+    from ..specs import OverlaySpec, SimSpec
+
+    sim = SimSpec() if simulate else None
+    return default_toolchain().evaluate(dfg, OverlaySpec(variant=BASELINE), sim=sim)
 
 
 def expected_ii(num_loads: int, num_ops: int) -> int:

@@ -89,8 +89,6 @@ def add_sim_args(
     verify_flag: bool = False,
 ) -> None:
     """Declare the simulation knobs (parsed by :func:`sim_spec_from_args`)."""
-    from .engine.fastsim import DETECTORS
-
     parser.add_argument("--blocks", type=int, default=12)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -99,14 +97,6 @@ def add_sim_args(
         choices=ENGINES,
         help="simulation core: cycle-accurate reference, the fast event-driven "
         "engine, or the batched codegen engine (needs the numpy [batch] extra)",
-    )
-    parser.add_argument(
-        "--detector",
-        default="occupancy",
-        choices=DETECTORS,
-        help="fast-engine steady-state detector (ignored by --engine cycle; "
-        "occupancy locks early on fixed-depth overlays, legacy is the "
-        "PR-1 detector kept for A/B)",
     )
     if trace:
         parser.add_argument(
@@ -132,7 +122,6 @@ def sim_spec_from_args(args: argparse.Namespace) -> SimSpec:
     """The :class:`SimSpec` an :func:`add_sim_args` parse describes."""
     return SimSpec(
         engine=args.engine,
-        detector=args.detector,
         num_blocks=args.blocks,
         seed=args.seed,
         trace=bool(getattr(args, "trace", False)),

@@ -30,7 +30,6 @@ sweeps:
 
 from .cache import CacheKey, CompiledKernel, ScheduleCache, default_cache, dfg_content_hash
 from .fastsim import (
-    DETECTORS,
     FastSimulator,
     simulate_fast,
     steady_state_warmup_bound,
@@ -53,7 +52,6 @@ __all__ = [
     "ScheduleCache",
     "default_cache",
     "dfg_content_hash",
-    "DETECTORS",
     "FastSimulator",
     "simulate_fast",
     "steady_state_warmup_bound",

@@ -25,9 +25,8 @@ chain):
    ``_FastFU.tick`` / ``FastSimulator._run_single_lane``; it reuses the
    fast engine's ``_FastFU``/``_FastChannel`` objects as state containers
    and synchronizes locals with them only around steady-state detector
-   events, so the (unchanged) occupancy/legacy detectors observe exactly
-   the state the fast engine would have shown them and their fast-forward
-   skips stay exact.
+   events, so the (unchanged) detector observes exactly the state the fast
+   engine would have shown it and its fast-forward skips stay exact.
 
 2. **Lane batching.**  Fast-engine timing is *value independent* — a lane's
    control evolution depends only on how many blocks it receives (see the
@@ -72,11 +71,9 @@ from ..sim.overlay import (
     split_lane_blocks,
 )
 from .fastsim import (
-    DETECTORS,
     _FastChannel,
     _FastFU,
     _functional_outputs,
-    _LegacyDetector,
     _OccupancyDetector,
     default_max_cycles,
     warmup_bound_blocks,
@@ -218,7 +215,7 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
     The ``_FastFU`` / ``_FastChannel`` objects are used purely as state
     containers: locals are flushed to them (the nested RF re-flattened to
     the fast engine's exact layout) before every ``detector.observe`` call
-    and reloaded after (the detectors mutate and *rebind* dicts/deques
+    and reloaded after (the detector mutates and *rebinds* dicts/deques
     during a skip), and flushed once more before returning so the caller
     reads final stats and high-water marks off the objects exactly as the
     fast engine does.
@@ -594,8 +591,6 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
     emit(3, "if _skip is not None:")
     emit(4, "cycle = _skip[0]")
     emit(4, "completed = _skip[1]")
-    emit(3, "if detector.done:")
-    emit(4, "detector = None")
     emit_sync_in(3)
     emit_sync_out(1)
     emit(1, "return cycle, completed")
@@ -676,7 +671,6 @@ class BatchSimulator:
         max_cycles: Optional[int] = None,
         enforce_rf_capacity: bool = True,
         fast_forward: bool = True,
-        detector: str = "occupancy",
         plan: Optional[BatchPlan] = None,
     ):
         if np is None:
@@ -685,16 +679,10 @@ class BatchSimulator:
                 "install the '[batch]' extra (pip install 'repro-overlay[batch]') "
                 "or use engine='fast'"
             )
-        if detector not in DETECTORS:
-            raise ConfigurationError(
-                f"unknown steady-state detector {detector!r}; "
-                f"available: {', '.join(DETECTORS)}"
-            )
         self.schedule = schedule
         self.max_cycles = max_cycles
         self.enforce_rf_capacity = enforce_rf_capacity
         self.fast_forward = fast_forward
-        self.detector = detector
         self.fast_forward_events: List[dict] = []
         self.plan = plan if plan is not None else plan_for(schedule)
 
@@ -787,18 +775,13 @@ class BatchSimulator:
 
         detector = None
         if self.fast_forward:
-            if self.detector == "legacy":
-                detector = _LegacyDetector(
-                    fus, channels, num_blocks, self.fast_forward_events
-                )
-            else:
-                detector = _OccupancyDetector(
-                    fus,
-                    channels,
-                    num_blocks,
-                    max_events=warmup_bound_blocks(schedule) + 64,
-                    log=self.fast_forward_events,
-                )
+            detector = _OccupancyDetector(
+                fus,
+                channels,
+                num_blocks,
+                max_events=warmup_bound_blocks(schedule) + 64,
+                log=self.fast_forward_events,
+            )
 
         total_cycles, _completed = self.plan.loop(
             fus, channels, detector, num_blocks, max_cycles, received, completion
@@ -847,7 +830,6 @@ def simulate_batched(
     max_cycles: Optional[int] = None,
     enforce_rf_capacity: bool = True,
     fast_forward: bool = True,
-    detector: str = "occupancy",
     plan: Optional[BatchPlan] = None,
 ) -> SimulationResult:
     """Run the batched engine on a stream of input blocks."""
@@ -856,7 +838,6 @@ def simulate_batched(
         max_cycles=max_cycles,
         enforce_rf_capacity=enforce_rf_capacity,
         fast_forward=fast_forward,
-        detector=detector,
         plan=plan,
     )
     return simulator.run(input_blocks)

@@ -320,8 +320,8 @@ class ScheduleCache:
     ) -> OverlaySchedule:
         """Return the schedule, even for kernels whose codegen fails.
 
-        The analytic evaluation path (:func:`repro.metrics.performance.
-        evaluate_kernel`) needs only the schedule; kernels that schedule fine
+        Analytic evaluation (:meth:`repro.api.Toolchain.evaluate`) needs
+        only the schedule; kernels that schedule fine
         but exceed the variant's register file or instruction memory raise
         :class:`~repro.errors.CodegenError` in the *later* stages of the full
         compile.  Those schedules are memoised in a dedicated index keyed

@@ -24,25 +24,18 @@ measurements an order of magnitude faster, exploiting two observations:
    completion cycles all match the cycle simulator exactly (see
    ``docs/engine.md`` for the correctness argument).
 
-Two steady-state detectors exist (the ``detector`` knob):
-
-* ``"legacy"`` fingerprints the *whole machine* relative to the global
-  completed-block count, so it only fires once every inter-stage FIFO has
-  reached its final occupancy.  On fixed-depth overlays (V3-V5) deep kernels
-  keep filling the FIFOs for O(fifo_depth x depth) blocks before that
-  happens, which is exactly where the big sweeps need the speedup.
-* ``"occupancy"`` (the default) canonicalises each FU's state relative to
-  its *own* oldest in-flight block and each channel's content by its
-  occupancy alone.  That fingerprint recurs as soon as every stage is
-  *locally* periodic — long before the FIFO-fill transient ends — and the
-  bounded-FIFO occupancy argument (see ``docs/engine.md``) makes the skip
-  exact even while occupancies are still ramping: the engine tracks, per
-  channel and per detection window, the minimum occupancy at consumer
-  emptiness checks and the maximum pressure at producer backpressure
-  checks, and only jumps as many periods as keep every threshold outcome
-  unchanged.  The analytic warm-up bound
-  :func:`steady_state_warmup_bound` caps the fingerprint table and serves
-  as a cross-check oracle in the test suite.
+The steady-state detector canonicalises each FU's state relative to its
+*own* oldest in-flight block and each channel's content by its occupancy
+alone.  That fingerprint recurs as soon as every stage is *locally*
+periodic — long before the FIFO-fill transient of a deep kernel on a
+fixed-depth overlay ends — and the bounded-FIFO occupancy argument (see
+``docs/engine.md``) makes the skip exact even while occupancies are still
+ramping: the engine tracks, per channel and per detection window, the
+minimum occupancy at consumer emptiness checks and the maximum pressure at
+producer backpressure checks, and only jumps as many periods as keep every
+threshold outcome unchanged.  The analytic warm-up bound
+:func:`steady_state_warmup_bound` caps the fingerprint table and serves as
+a cross-check oracle in the test suite.
 
 Events that need sub-cycle ordering (ALU results whose pipeline latency
 elapsed, internal write-backs reaching the register file) are kept in
@@ -56,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..kernels.reference import stream_evaluator
 from ..schedule.types import OverlaySchedule, SlotKind
 from ..sim.alu import _wrap
@@ -225,9 +218,6 @@ class _FastChannel:
             self.high_water = occupancy
         if occupancy > self.win_push_max:
             self.win_push_max = occupancy
-
-    def shift(self, delta_blocks: int) -> None:
-        self.queue = deque((block + delta_blocks, vid) for block, vid in self.queue)
 
 
 class _FastFU:
@@ -581,11 +571,11 @@ def warmup_bound_blocks(schedule: OverlaySchedule) -> int:
 def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
     """Analytic warm-up upper bound ``W(depth, fifo_depth, II)`` in cycles.
 
-    Both steady-state detectors must have locked onto the periodic regime
+    The steady-state detector must have locked onto the periodic regime
     within this many cycles of a sufficiently long single-lane run (the
     multilane wrapper applies it per lane).  The bound is deliberately
     generous — it is a safety cap on fingerprint-table growth and a
-    cross-check oracle for the detectors, not a performance model.
+    cross-check oracle for the detector, not a performance model.
     """
     from ..schedule.ii import per_stage_ii
 
@@ -596,11 +586,8 @@ def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# steady-state detectors
+# steady-state detector
 # ---------------------------------------------------------------------------
-#: Valid values of the ``detector`` knob.
-DETECTORS = ("occupancy", "legacy")
-
 _INF = 10 ** 18
 
 
@@ -611,57 +598,8 @@ def _received_fingerprint(received: Dict[int, Set[int]], completed: int) -> tupl
     )
 
 
-class _LegacyDetector:
-    """PR-1 detector: whole-machine fingerprint relative to the completed
-    count, so it only fires once every FIFO occupancy has reached its final
-    value.  Kept verbatim for A/B comparison (``detector="legacy"``)."""
-
-    def __init__(self, fus: List[_FastFU], channels: List[_FastChannel],
-                 num_blocks: int, log: List[dict]):
-        self.fus = fus
-        self.channels = channels
-        self.num_blocks = num_blocks
-        self.log = log
-        self.seen: Dict[tuple, Tuple[int, int, List[Tuple[int, ...]]]] = {}
-        self.done = False
-
-    def observe(self, cycle: int, completed: int, received: Dict[int, Set[int]],
-                completion: List[Optional[int]]) -> Optional[Tuple[int, int]]:
-        fingerprint = FastSimulator._fingerprint(
-            self.fus, self.channels, received, cycle, completed
-        )
-        match = self.seen.get(fingerprint)
-        if match is None:
-            self.seen[fingerprint] = (
-                cycle,
-                completed,
-                [fu.stats_snapshot() for fu in self.fus],
-            )
-            return None
-        skipped_to = FastSimulator._apply_fast_forward(
-            match, self.fus, self.channels, received, completion,
-            cycle, completed, self.num_blocks,
-        )
-        # One skip captures the asymptotic win; further detection would only
-        # re-find the same period.
-        self.done = True
-        if skipped_to is not None:
-            period = cycle - match[0]
-            blocks = completed - match[1]
-            self.log.append({
-                "detector": "legacy",
-                "kind": "steady",
-                "cycle": cycle,
-                "completed": completed,
-                "period": period,
-                "blocks": blocks,
-                "periods": (skipped_to[0] - cycle) // period if period else 0,
-            })
-        return skipped_to
-
-
 class _OccupancyDetector:
-    """Occupancy-based early steady-state detector (the default).
+    """Occupancy-based early steady-state detector.
 
     Fingerprints each FU relative to its *own* oldest in-flight block and
     drops channel contents from the fingerprint entirely (a channel's
@@ -697,7 +635,6 @@ class _OccupancyDetector:
         #: per-FU stats snapshots, per-channel occupancies, per-channel
         #: threshold-check aggregates since the previous event).
         self.events: List[tuple] = []
-        self.done = False
 
     def observe(self, cycle: int, completed: int, received: Dict[int, Set[int]],
                 completion: List[Optional[int]]) -> Optional[Tuple[int, int]]:
@@ -886,7 +823,6 @@ class _OccupancyDetector:
             for t, done in enumerate(window_completions):
                 completion[base + t] = done + offset  # type: ignore[operator]
         self.log.append({
-            "detector": "occupancy",
             "kind": "ramp" if ramp else "steady",
             "cycle": cycle,
             "completed": completed,
@@ -900,13 +836,10 @@ class _OccupancyDetector:
 class FastSimulator:
     """Drop-in fast engine with the same interface as ``OverlaySimulator``.
 
-    ``detector`` selects the steady-state detector: ``"occupancy"`` (the
-    default — locks on fixed-depth overlays long before the FIFO-fill
-    transient ends) or ``"legacy"`` (the PR-1 whole-machine fingerprint,
-    kept for A/B comparison).  ``fast_forward=False`` disables the
-    steady-state skip entirely (the engine then runs every cycle, still
-    value-free); it exists for differential testing of the fast-forward
-    itself.  Every applied skip is appended to ``fast_forward_events``.
+    ``fast_forward=False`` disables the steady-state skip entirely (the
+    engine then runs every cycle, still value-free); it exists for
+    differential testing of the fast-forward itself.  Every applied skip is
+    appended to ``fast_forward_events``.
     """
 
     def __init__(
@@ -915,18 +848,11 @@ class FastSimulator:
         max_cycles: Optional[int] = None,
         enforce_rf_capacity: bool = True,
         fast_forward: bool = True,
-        detector: str = "occupancy",
     ):
-        if detector not in DETECTORS:
-            raise ConfigurationError(
-                f"unknown steady-state detector {detector!r}; "
-                f"available: {', '.join(DETECTORS)}"
-            )
         self.schedule = schedule
         self.max_cycles = max_cycles
         self.enforce_rf_capacity = enforce_rf_capacity
         self.fast_forward = fast_forward
-        self.detector = detector
         self.fast_forward_events: List[dict] = []
 
     # ------------------------------------------------------------------
@@ -994,18 +920,13 @@ class FastSimulator:
 
         detector = None
         if self.fast_forward:
-            if self.detector == "legacy":
-                detector = _LegacyDetector(
-                    fus, channels, num_blocks, self.fast_forward_events
-                )
-            else:
-                detector = _OccupancyDetector(
-                    fus,
-                    channels,
-                    num_blocks,
-                    max_events=warmup_bound_blocks(schedule) + 64,
-                    log=self.fast_forward_events,
-                )
+            detector = _OccupancyDetector(
+                fus,
+                channels,
+                num_blocks,
+                max_events=warmup_bound_blocks(schedule) + 64,
+                log=self.fast_forward_events,
+            )
 
         while completed < num_blocks:
             if cycle > max_cycles:
@@ -1042,8 +963,6 @@ class FastSimulator:
                 skipped_to = detector.observe(cycle, completed, received, completion)
                 if skipped_to is not None:
                     cycle, completed = skipped_to
-                if detector.done:
-                    detector = None
 
         total_cycles = cycle
         outputs = _functional_outputs(schedule.dfg, blocks)
@@ -1071,79 +990,6 @@ class FastSimulator:
             rf_per_block_high_water=[fu.rf.per_block_high_water for fu in fus],
             trace=None,
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fingerprint(
-        fus: List[_FastFU],
-        channels: List[_FastChannel],
-        received: Dict[int, Set[int]],
-        cycle: int,
-        completed: int,
-    ) -> tuple:
-        return (
-            tuple(fu.fingerprint(cycle, completed) for fu in fus),
-            tuple(
-                tuple((block - completed, vid) for block, vid in channel.queue)
-                for channel in channels
-            ),
-            tuple(
-                (block - completed, tuple(sorted(vids)))
-                for block, vids in sorted(received.items())
-            ),
-        )
-
-    @staticmethod
-    def _apply_fast_forward(
-        match: Tuple[int, int, List[Tuple[int, ...]]],
-        fus: List[_FastFU],
-        channels: List[_FastChannel],
-        received: Dict[int, Set[int]],
-        completion: List[Optional[int]],
-        cycle: int,
-        completed: int,
-        num_blocks: int,
-    ) -> Optional[Tuple[int, int]]:
-        """Skip ahead as many whole periods as the remaining blocks allow.
-
-        Returns the new ``(cycle, completed)`` or None when no whole period
-        fits (the drain continues cycle-accurately either way).
-        """
-        cycle_1, completed_1, stats_1 = match
-        period = cycle - cycle_1
-        blocks_per_period = completed - completed_1
-        if period <= 0 or blocks_per_period <= 0:
-            return None
-        # The periodic evolution matches the finite run only while no block
-        # pointer reaches num_blocks, so leave the last period(s) to the
-        # cycle-accurate drain.
-        frontier = 0
-        for fu in fus:
-            if fu.load_order:
-                frontier = max(frontier, fu.load_block)
-            if fu.slots:
-                frontier = max(frontier, fu.exec_block)
-        periods = (num_blocks - 1 - frontier) // blocks_per_period
-        if periods < 1:
-            return None
-
-        delta_cycles = periods * period
-        delta_blocks = periods * blocks_per_period
-        window = completion[completed_1:completed]
-        for k in range(1, periods + 1):
-            base = completed_1 + k * blocks_per_period
-            offset = k * period
-            for j, done in enumerate(window):
-                completion[base + j] = done + offset  # type: ignore[operator]
-        for fu, stats_before in zip(fus, stats_1):
-            fu.shift(delta_cycles, delta_blocks, periods, stats_before)
-        for channel in channels:
-            channel.shift(delta_blocks)
-        if received:
-            shifted = {block + delta_blocks: vids for block, vids in received.items()}
-            received.clear()
-            received.update(shifted)
-        return cycle + delta_cycles, completed + delta_blocks
 
     def _default_max_cycles(self, num_blocks: int) -> int:
         return default_max_cycles(self.schedule, num_blocks)
@@ -1173,7 +1019,6 @@ def simulate_fast(
     max_cycles: Optional[int] = None,
     enforce_rf_capacity: bool = True,
     fast_forward: bool = True,
-    detector: str = "occupancy",
 ) -> SimulationResult:
     """Run the fast engine on a stream of input blocks."""
     simulator = FastSimulator(
@@ -1181,6 +1026,5 @@ def simulate_fast(
         max_cycles=max_cycles,
         enforce_rf_capacity=enforce_rf_capacity,
         fast_forward=fast_forward,
-        detector=detector,
     )
     return simulator.run(input_blocks)

@@ -43,7 +43,7 @@ from ..kernels.library import get_kernel
 from .cache import dfg_content_hash
 
 #: Bumped when the entry layout changes; mismatching entries read as misses.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 @dataclass

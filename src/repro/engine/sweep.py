@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SweepError
 from ..kernels.library import get_kernel, kernel_names
@@ -39,9 +38,6 @@ from ..specs import OverlaySpec, SimSpec, SweepSpec
 from .cache import ScheduleCache, default_cache
 from .store import ResultStore
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: Default per-point retry budget of the fault-tolerant runner: retries
 #: *after* the first attempt, consumed only by faults (worker death, an
 #: exception out of the point function, a wall-clock timeout).
@@ -50,127 +46,17 @@ DEFAULT_RETRIES = 2
 #: Base of the per-point exponential retry backoff (seconds).
 RETRY_BACKOFF_S = 0.05
 
-#: Keyword arguments the pre-spec SweepPoint constructor accepted.
-_LEGACY_POINT_KWARGS = (
-    "variant",
-    "depth",
-    "num_blocks",
-    "seed",
-    "engine",
-    "verify",
-    "detector",
-)
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SweepPoint:
-    """One (kernel, overlay spec) grid point to compile and run.
-
-    Canonical construction is spec-keyed::
+    """One (kernel, overlay spec) grid point to compile and run::
 
         SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="fast"))
-
-    The historical flat keyword form (``variant=``, ``depth=``, ``engine=``,
-    ``detector=`` ...) keeps working as a deprecation shim that packs the
-    kwargs into specs (``depth=0`` maps to the spec's ``depth=None`` auto
-    policy), and the old field names remain readable as properties.
     """
 
     kernel: str
-    overlay: OverlaySpec
-    sim: SimSpec
-
-    def __init__(
-        self,
-        kernel: str,
-        overlay: Optional[OverlaySpec] = None,
-        sim: Optional[SimSpec] = None,
-        **legacy,
-    ):
-        unknown = sorted(set(legacy) - set(_LEGACY_POINT_KWARGS))
-        if unknown:
-            raise TypeError(
-                f"SweepPoint got unexpected keyword argument(s) {', '.join(unknown)}"
-            )
-        # Historical positional forms: SweepPoint("gradient", "v1"[, depth]).
-        if overlay is not None and not isinstance(overlay, OverlaySpec):
-            if "variant" in legacy:
-                raise ConfigurationError(
-                    "SweepPoint got a positional variant and a variant= kwarg"
-                )
-            legacy["variant"] = overlay
-            overlay = None
-        if sim is not None and not isinstance(sim, SimSpec):
-            if not isinstance(sim, int) or isinstance(sim, bool) or "depth" in legacy:
-                raise ConfigurationError(
-                    "SweepPoint's third argument must be a SimSpec "
-                    "(or the legacy positional depth)"
-                )
-            legacy["depth"] = sim
-            sim = None
-        if legacy:
-            if overlay is not None or sim is not None:
-                raise ConfigurationError(
-                    "SweepPoint takes either spec objects or the legacy flat "
-                    "kwargs, not a mix"
-                )
-            warnings.warn(
-                "flat SweepPoint kwargs (variant=, depth=, engine=, ...) are "
-                "deprecated; pass OverlaySpec/SimSpec objects",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overlay = OverlaySpec(
-                variant=legacy.get("variant", "v1"),
-                depth=legacy.get("depth", 0) or None,
-            )
-            sim = SimSpec(
-                engine=legacy.get("engine", "fast"),
-                detector=legacy.get("detector", "occupancy"),
-                num_blocks=legacy.get("num_blocks", 12),
-                seed=legacy.get("seed", 0),
-                verify=legacy.get("verify", True),
-            )
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(
-            self, "overlay", overlay if overlay is not None else OverlaySpec()
-        )
-        object.__setattr__(
-            self, "sim", sim if sim is not None else SimSpec(engine="fast")
-        )
-
-    # -- legacy flat field names (read-only views into the specs) ----------
-    @property
-    def variant(self) -> str:
-        return self.overlay.variant
-
-    @property
-    def depth(self) -> int:
-        return self.overlay.depth or 0
-
-    @property
-    def num_blocks(self) -> int:
-        return self.sim.num_blocks
-
-    @property
-    def seed(self) -> int:
-        return self.sim.seed
-
-    @property
-    def engine(self) -> str:
-        return self.sim.engine
-
-    @property
-    def verify(self) -> bool:
-        return self.sim.verify
-
-    @property
-    def detector(self) -> str:
-        return self.sim.detector
-
-    @property
-    def scheduler(self) -> str:
-        return self.overlay.scheduler
+    overlay: OverlaySpec = OverlaySpec()
+    sim: SimSpec = SimSpec(engine="fast")
 
 
 @dataclass
@@ -183,7 +69,6 @@ class SweepResult:
     overlay_depth: int
     num_blocks: int
     engine: str
-    detector: str
     scheduler: str
     analytic_ii: float
     #: None when the run completed fewer than two blocks (no measurable II);
@@ -240,78 +125,35 @@ class SweepProgress:
 
 def build_grid(
     kernels: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    depths: Optional[Sequence[int]] = None,
-    num_blocks: Optional[int] = None,
-    seed: Optional[int] = None,
-    engine: Optional[str] = None,
-    verify: Optional[bool] = None,
-    detector: Optional[str] = None,
     *,
-    overlays: Optional[Sequence[OverlaySpec]] = None,
+    overlays: Sequence[OverlaySpec],
     sim: Optional[SimSpec] = None,
     schedulers: Optional[Sequence[str]] = None,
 ) -> List[SweepPoint]:
     """Cross kernels x overlay specs into a list of spec-keyed sweep points.
 
-    Canonical usage passes ``overlays=[OverlaySpec(...), ...]`` and
-    ``sim=SimSpec(...)``.  ``schedulers=`` adds the scheduling-strategy
-    axis: every overlay spec is re-keyed with each named strategy
-    (overlay-major, scheduler innermost), exactly like
-    :attr:`~repro.specs.SweepSpec.schedulers`.  The historical flat kwargs
-    (``variants``, ``depths``, ``num_blocks``, ``engine``, ``detector``,
-    ...) keep working as a deprecation shim: ``variants x depths`` expands
-    into overlay specs (a 0 depth entry means auto sizing) and the rest
-    packs into one :class:`~repro.specs.SimSpec`.
+    ``kernels`` defaults to the whole library and ``sim`` to the sweep
+    default, ``SimSpec(engine="fast")``.  ``schedulers=`` adds the
+    scheduling-strategy axis: every overlay spec is re-keyed with each named
+    strategy (scheduler innermost), exactly like
+    :attr:`~repro.specs.SweepSpec.schedulers`.
     """
-    legacy = {
-        "variants": variants,
-        "depths": depths,
-        "num_blocks": num_blocks,
-        "seed": seed,
-        "engine": engine,
-        "verify": verify,
-        "detector": detector,
-    }
-    used_legacy = sorted(name for name, value in legacy.items() if value is not None)
-    if used_legacy:
-        if overlays is not None or sim is not None:
-            raise ConfigurationError(
-                "build_grid takes either overlays=/sim= specs or the legacy "
-                f"flat kwargs ({', '.join(used_legacy)}), not a mix"
-            )
-        warnings.warn(
-            "flat build_grid kwargs (variants=, depths=, engine=, ...) are "
-            "deprecated; pass overlays=[OverlaySpec(...)] and sim=SimSpec(...)",
-            DeprecationWarning,
-            stacklevel=2,
+    return _grid(
+        SweepSpec(
+            kernels=tuple(kernels or kernel_names()),
+            overlays=tuple(overlays),
+            sim=sim,
+            schedulers=None if schedulers is None else tuple(schedulers),
         )
-    names = list(kernels) if kernels else kernel_names()
-    if overlays is None:
-        depth_options = list(depths) if depths else [0]
-        overlays = [
-            OverlaySpec(variant=str(variant), depth=depth or None)
-            for variant in (variants if variants is not None else ("v1", "v2"))
-            for depth in depth_options
-        ]
-    if schedulers is not None:
-        overlays = [
-            spec.with_scheduler(scheduler)
-            for spec in overlays
-            for scheduler in schedulers
-        ]
-    if sim is None:
-        sim = SimSpec(
-            engine=engine if engine is not None else "fast",
-            detector=detector if detector is not None else "occupancy",
-            num_blocks=num_blocks if num_blocks is not None else 12,
-            seed=seed if seed is not None else 0,
-            verify=verify if verify is not None else True,
-        )
+    )
+
+
+def _grid(spec: SweepSpec) -> List[SweepPoint]:
+    """A sweep spec's points: kernel-major, scheduler innermost."""
     return [
-        SweepPoint(kernel=name, overlay=overlay, sim=sim)
-        for name in names
-        for overlay in overlays
+        SweepPoint(kernel, overlay, spec.sim)
+        for kernel in spec.kernels
+        for overlay in spec.grid_overlays()
     ]
 
 
@@ -339,7 +181,6 @@ def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> Sweep
         overlay_depth=overlay.depth,
         num_blocks=sim.num_blocks,
         engine=sim.engine,
-        detector=sim.detector,
         scheduler=point.overlay.scheduler,
         fmax_mhz=float(overlay_fmax_mhz(overlay.variant, overlay.depth)),
     )
@@ -386,52 +227,6 @@ def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> Sweep
     )
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    jobs: Optional[int] = None,
-    serial_fn: Optional[Callable[[T], R]] = None,
-) -> List[R]:
-    """Map ``fn`` over ``items``, in a process pool when it pays off.
-
-    Preserves input order.  Falls back to serial execution for tiny inputs,
-    ``jobs<=1`` or platforms where worker processes cannot be *created* at
-    all.  Failures after the pool exists are real and surface to the caller:
-    an exception raised by ``fn`` inside a worker propagates unchanged (it
-    must not be papered over by silently re-running every point serially,
-    which would duplicate side effects and hide the error), and a worker
-    process dying (``BrokenProcessPool``) raises :class:`SweepError` with a
-    hint to rerun serially for a readable traceback.
-
-    ``serial_fn`` (default ``fn``) replaces ``fn`` on every *in-process*
-    path — small inputs, ``jobs<=1`` and the pool-creation fallback — so
-    callers can close over unpicklable state (a session-injected cache)
-    without it ever reaching a worker process.
-    """
-    items = list(items)
-    serial = serial_fn if serial_fn is not None else fn
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
-        return [serial(item) for item in items]
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
-    except (OSError, PermissionError, ImportError):
-        # Only pool *creation* degrades gracefully (sandboxes and exotic
-        # platforms without process support).
-        return [serial(item) for item in items]
-    with pool:
-        try:
-            return list(pool.map(fn, items))
-        except BrokenProcessPool as exc:
-            raise SweepError(
-                "a sweep worker process died unexpectedly (out of memory, "
-                "killed, or crashed before returning a result); rerun with "
-                "jobs=1 to execute the grid serially and surface the "
-                "underlying error"
-            ) from exc
-
-
 def _error_result(point: SweepPoint, message: str, attempts: int) -> SweepResult:
     """A quarantined row for a point the runner gave up on.
 
@@ -458,7 +253,6 @@ def _error_result(point: SweepPoint, message: str, attempts: int) -> SweepResult
         overlay_depth=overlay_depth,
         num_blocks=point.sim.num_blocks,
         engine=point.sim.engine,
-        detector=point.sim.detector,
         scheduler=point.overlay.scheduler,
         analytic_ii=0.0,
         measured_ii=None,
@@ -503,7 +297,8 @@ _DEATH_MESSAGE = (
 class _ResilientPool:
     """submit/wait dispatcher with retry, quarantine, timeout and pool rebuild.
 
-    One instance runs one sweep's uncached points.  The dispatch loop keeps
+    One instance runs one grid's points (a sweep's uncached points, or the
+    kernels of :func:`evaluate_many`).  The dispatch loop keeps
     at most ``jobs`` futures in flight on the **main pool** (so a per-point
     deadline measured from submission approximates the point's own
     runtime) and classifies every completion:
@@ -738,9 +533,9 @@ def run_sweep(
 ) -> List[SweepResult]:
     """Run a sweep grid fault-tolerantly, fanning points out over workers.
 
-    Engine and detector names are validated by the specs at point
-    construction, so a grid can no longer hold an invalid point.  Results
-    always come back in grid order.
+    Engine names are validated by the specs at point construction, so a
+    grid cannot hold an invalid point.  Results always come back in grid
+    order.
 
     Survivability (the behaviour the fault-injection suite pins down):
 
@@ -863,11 +658,7 @@ def run_sweep_spec(
     spec's robustness knobs (``retries``, ``timeout_s``, ``store_dir`` /
     ``resume``) configure the fault-tolerant runner directly.
     """
-    points = [
-        SweepPoint(kernel=kernel, overlay=overlay, sim=spec.sim)
-        for kernel in spec.kernels
-        for overlay in spec.grid_overlays()
-    ]
+    points = _grid(spec)
     store = ResultStore(spec.store_dir) if spec.store_dir else None
     return run_sweep(
         points,
@@ -884,10 +675,27 @@ def run_sweep_spec(
 # ---------------------------------------------------------------------------
 # benchmark-harness helpers (Fig. 6 / Table III adopt these)
 # ---------------------------------------------------------------------------
-def _evaluate_kernel_worker(args) -> Dict[str, PerformanceResult]:
-    name, variants, fixed_depth, simulate = args
+class _EvaluateTask(NamedTuple):
+    """One kernel of :func:`evaluate_many` (fault rules match ``kernel``)."""
+
+    kernel: str
+    variants: Tuple[str, ...]
+    fixed_depth: Optional[int]
+    simulate: bool
+
+
+def _evaluate_task(
+    task: _EvaluateTask, cache: Optional[ScheduleCache] = None
+) -> Dict[str, PerformanceResult]:
+    from .faults import inject_faults
+
+    inject_faults(task)  # no-op unless a fault plan is installed (tests)
     return evaluate_kernel_all_overlays(
-        get_kernel(name), variants=variants, fixed_depth=fixed_depth, simulate=simulate
+        get_kernel(task.kernel),
+        variants=task.variants,
+        fixed_depth=task.fixed_depth,
+        simulate=task.simulate,
+        cache=cache,
     )
 
 
@@ -903,27 +711,51 @@ def evaluate_many(
 
     This is the engine behind the Fig. 6 / Table III harnesses: identical
     results to calling :func:`evaluate_kernel_all_overlays` in a loop, but
-    the per-kernel work fans out over the process pool.
+    the per-kernel work fans out over the fault-tolerant pool of
+    :func:`run_sweep`, without retries.  A kernel whose evaluation raises,
+    or whose worker process dies, raises :class:`~repro.errors.SweepError`
+    naming that kernel (and only the kernels that failed: a neighbour of a
+    dying worker is re-run in isolation, not blamed); on the serial path the
+    original exception is chained.
 
     ``cache`` (a session-injected compiled-schedule cache) is honored on
     every in-process path — exactly like :func:`run_sweep` — so an isolated
-    :class:`~repro.api.Toolchain` session's evaluations no longer leak
+    :class:`~repro.api.Toolchain` session's evaluations do not leak
     compilations into the process-wide default cache.  Worker processes
-    still warm their own caches (share across workers via
-    ``REPRO_CACHE_DIR``).
+    warm their own caches (share across workers via ``REPRO_CACHE_DIR``).
     """
-    tasks = [(name, tuple(variants), fixed_depth, simulate) for name in kernels]
-    serial_fn = None
-    if cache is not None:
-        serial_fn = lambda task: evaluate_kernel_all_overlays(  # noqa: E731
-            get_kernel(task[0]),
-            variants=task[1],
-            fixed_depth=task[2],
-            simulate=task[3],
-            cache=cache,
+    tasks = [_EvaluateTask(name, tuple(variants), fixed_depth, simulate) for name in kernels]
+    results: Dict[int, Dict[str, PerformanceResult]] = {}
+    failures: Dict[int, str] = {}
+
+    def record(index: int, result: Dict[str, PerformanceResult], attempts: int) -> None:
+        results[index] = result
+
+    def fail(index: int, message: str, attempts: int) -> None:
+        failures[index] = message
+
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    ran_parallel = False
+    if jobs > 1 and len(tasks) > 1:
+        runner = _ResilientPool(tasks, _evaluate_task, jobs, 0, None, record, fail)
+        ran_parallel = runner.run(range(len(tasks)))
+    if not ran_parallel:
+        for index, task in enumerate(tasks):
+            try:
+                results[index] = _evaluate_task(task, cache)
+            except Exception as exc:  # noqa: BLE001 — re-raised, naming the kernel
+                raise SweepError(
+                    f"kernel {task.kernel!r} failed: {type(exc).__name__}: {exc}"
+                ) from exc
+    if failures:
+        raise SweepError(
+            "; ".join(
+                f"kernel {tasks[index].kernel!r} failed: {failures[index]}"
+                for index in sorted(failures)
+            )
         )
-    results = parallel_map(_evaluate_kernel_worker, tasks, jobs=jobs, serial_fn=serial_fn)
-    return dict(zip(kernels, results))
+    return {task.kernel: results[index] for index, task in enumerate(tasks)}
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +770,7 @@ def render_sweep_table(results: Sequence[SweepResult]) -> str:
     """Plain-text table of sweep results (CLI output)."""
     header = (
         f"{'kernel':10s} {'overlay':8s} {'sched':9s} {'engine':7s} "
-        f"{'detector':9s} {'blocks':>6s} {'II':>7s} "
+        f"{'blocks':>6s} {'II':>7s} "
         f"{'meas II':>8s} {'lat cyc':>8s} {'GOPS':>7s} {'ref':>4s} {'sim s':>8s}"
     )
     lines = [header, "-" * len(header)]
@@ -947,14 +779,14 @@ def render_sweep_table(results: Sequence[SweepResult]) -> str:
             label = "quarantined" if r.quarantined else "infeasible"
             lines.append(
                 f"{r.kernel:10s} {r.overlay_name:8s} {r.scheduler:9s} "
-                f"{r.engine:7s} {r.detector:9s} {label} ({r.error})"
+                f"{r.engine:7s} {label} ({r.error})"
             )
             continue
         check = {True: "OK", False: "FAIL", None: "-"}[r.matches_reference]
         measured = "-" if r.measured_ii is None else f"{r.measured_ii:.2f}"
         lines.append(
             f"{r.kernel:10s} {r.overlay_name:8s} {r.scheduler:9s} "
-            f"{r.engine:7s} {r.detector:9s} "
+            f"{r.engine:7s} "
             f"{r.num_blocks:6d} {r.analytic_ii:7.2f} {measured:>8s} "
             f"{r.latency_cycles:8d} {r.throughput_gops:7.3f} {check:>4s} "
             f"{r.elapsed_s:8.4f}"

@@ -18,15 +18,13 @@ functional correctness against the golden reference.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..dfg.analysis import dfg_depth
 from ..dfg.graph import DFG
 from ..errors import ConfigurationError
 from ..overlay.architecture import LinearOverlay
-from ..overlay.fu import get_variant
 from ..schedule import analytic_ii
 from ..schedule.types import OverlaySchedule
 
@@ -135,79 +133,6 @@ def analytic_performance(
     )
 
 
-def _depth_override_changed(variant, fixed_depth: Optional[int]) -> bool:
-    """True for the historical silent-ignore case (now honored)."""
-    return fixed_depth is not None and not get_variant(variant).write_back
-
-
-def overlay_for(variant, dfg: DFG, fixed_depth: Optional[int] = None) -> LinearOverlay:
-    """Build the overlay instance the paper would use for this variant/kernel.
-
-    Compatibility adapter over :meth:`repro.specs.OverlaySpec.build_overlay`.
-    ``fixed_depth`` is now honored for *every* variant; it used to be
-    silently ignored for the critical-path-sized ([14]/V1/V2) overlays,
-    which let the reported metrics describe a different overlay than the
-    compiled schedule.
-    """
-    from ..specs import OverlaySpec
-
-    if _depth_override_changed(variant, fixed_depth):
-        warnings.warn(
-            "overlay_for(fixed_depth=N) now sizes non-write-back overlays to "
-            "N as well (it used to ignore the override); build an "
-            "OverlaySpec(variant, depth=N) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return OverlaySpec(variant=variant, depth=fixed_depth).build_overlay(dfg)
-
-
-def evaluate_kernel(
-    dfg: DFG,
-    variant,
-    fixed_depth: Optional[int] = None,
-    simulate: bool = False,
-    num_blocks: int = 12,
-    cache=None,
-) -> PerformanceResult:
-    """Map one kernel onto one overlay variant and evaluate it.
-
-    Compatibility adapter over :meth:`repro.api.Toolchain.evaluate` (which
-    memoises the analytic graph work per compiled artifact): it builds an
-    :class:`~repro.specs.OverlaySpec` (and a :class:`~repro.specs.SimSpec`
-    for ``simulate=True``) and delegates through the process-wide default
-    session, so repeated evaluations — sweeps, Table III regeneration, the
-    warm path of :func:`repro.map_kernel` — schedule and analyse exactly
-    once.
-
-    ``cache`` (a session-injected
-    :class:`~repro.engine.cache.ScheduleCache`) compiles through that cache
-    instead of the process-wide default session, so an isolated
-    :class:`~repro.api.Toolchain` never leaks compilations here.
-
-    ``fixed_depth`` on a non-write-back variant is now honored (the overlay
-    is built with that depth) instead of being silently ignored; that case
-    emits a :class:`DeprecationWarning`.
-    """
-    from ..api import Toolchain, default_toolchain
-    from ..specs import OverlaySpec, SimSpec
-
-    if _depth_override_changed(variant, fixed_depth):
-        warnings.warn(
-            "evaluate_kernel(fixed_depth=N) now evaluates the depth-N overlay "
-            "for non-write-back variants too (it used to ignore the "
-            "override); build an OverlaySpec(variant, depth=N) and use "
-            "Toolchain.evaluate directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    sim = SimSpec(num_blocks=num_blocks) if simulate else None
-    toolchain = default_toolchain() if cache is None else Toolchain(cache=cache)
-    return toolchain.evaluate(
-        dfg, OverlaySpec(variant=variant, depth=fixed_depth), sim=sim
-    )
-
-
 #: Overlay variants compared throughout the paper's evaluation section.
 EVALUATION_VARIANTS = ("baseline", "v1", "v2", "v3", "v4")
 
@@ -221,13 +146,20 @@ def evaluate_kernel_all_overlays(
 ) -> Dict[str, PerformanceResult]:
     """Evaluate one kernel on every overlay variant of the paper's comparison.
 
-    ``cache`` (a session-injected schedule cache) scopes the compilations to
-    that cache instead of the process-wide default session; see
-    :func:`evaluate_kernel`.
+    Each variant is ``Toolchain.evaluate(dfg, OverlaySpec(variant,
+    depth=fixed_depth))``; ``simulate=True`` adds a 12-block simulation
+    (``SimSpec()``).  ``cache`` (a session-injected schedule cache) scopes
+    the compilations to that cache instead of the process-wide default
+    session.
     """
+    from ..api import Toolchain, default_toolchain
+    from ..specs import OverlaySpec, SimSpec
+
+    toolchain = default_toolchain() if cache is None else Toolchain(cache=cache)
+    sim = SimSpec() if simulate else None
     return {
-        str(variant): evaluate_kernel(
-            dfg, variant, fixed_depth=fixed_depth, simulate=simulate, cache=cache
+        str(variant): toolchain.evaluate(
+            dfg, OverlaySpec(variant=variant, depth=fixed_depth), sim=sim
         )
         for variant in variants
     }

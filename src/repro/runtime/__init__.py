@@ -15,6 +15,6 @@ that management layer on top of the models in the rest of the library:
   by the multi-kernel example and the scheduling-policy bench.
 """
 
-from .manager import KernelHandle, OverlayRuntime, RuntimeManager, RuntimeStats
+from .manager import KernelHandle, OverlayRuntime, RuntimeStats
 
-__all__ = ["OverlayRuntime", "RuntimeManager", "KernelHandle", "RuntimeStats"]
+__all__ = ["OverlayRuntime", "KernelHandle", "RuntimeStats"]

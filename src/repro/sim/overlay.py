@@ -354,7 +354,6 @@ def simulate_schedule_with(schedule: OverlaySchedule, sim) -> "SimulationResult"
         record_trace=sim.trace,
         verify=sim.verify,
         engine=sim.engine,
-        detector=sim.detector,
     )
 
 
@@ -366,7 +365,6 @@ def simulate_schedule(
     record_trace: bool = False,
     verify: bool = True,
     engine: str = "cycle",
-    detector: str = "occupancy",
 ) -> SimulationResult:
     """Convenience wrapper: simulate a schedule and verify against the reference.
 
@@ -384,9 +382,7 @@ def simulate_schedule(
     :mod:`repro.engine.batchsim` (needs the optional numpy dependency),
     bit-identical to the fast engine and faster again on long streams.
     Trace recording needs per-cycle value-level events, so ``record_trace``
-    always uses the cycle engine.  ``detector`` selects the fast/batched
-    engines' steady-state detector (``"occupancy"``, the default, or
-    ``"legacy"`` for A/B comparison); the cycle engine ignores it.
+    always uses the cycle engine.
 
     Note that the fast engine reconstructs its output stream from the same
     functional DFG evaluation the reference model uses, so for
@@ -408,11 +404,11 @@ def simulate_schedule(
     if engine == "batched" and not record_trace:
         from ..engine.batchsim import BatchSimulator
 
-        result = BatchSimulator(schedule, detector=detector).run(input_blocks)
+        result = BatchSimulator(schedule).run(input_blocks)
     elif engine == "fast" and not record_trace:
         from ..engine.fastsim import FastSimulator
 
-        result = FastSimulator(schedule, detector=detector).run(input_blocks)
+        result = FastSimulator(schedule).run(input_blocks)
     else:
         result = OverlaySimulator(schedule, record_trace=record_trace).run(input_blocks)
     if verify:

@@ -1,16 +1,11 @@
 """Typed, frozen spec objects — the only way knobs travel between layers.
 
-The tool flow used to thread the same handful of knobs (variant, depth,
-engine, detector, num_blocks, seed, ...) as loose keyword arguments through
-five independent entry points (``map_kernel``, ``evaluate_kernel``,
-``SweepPoint``, the runtime manager and the CLI).  Adding one knob meant
-touching every one of them.  This module replaces that keyword soup with
-three spec dataclasses:
+A new knob lands in exactly one spec class plus its consumer:
 
 * :class:`OverlaySpec` — *which overlay*: FU variant, depth policy (explicit
   or auto-sized), fixed-depth flag, FIFO depth;
-* :class:`SimSpec` — *how to simulate*: engine, steady-state detector,
-  stream length, seed, tracing, verification;
+* :class:`SimSpec` — *how to simulate*: engine, stream length, seed,
+  tracing, verification;
 * :class:`SweepSpec` — *what grid to run*: kernels x overlay specs, one
   shared :class:`SimSpec`, worker count;
 * :class:`TuneSpec` — *what to auto-tune*: one kernel, the candidate axes
@@ -18,12 +13,12 @@ three spec dataclasses:
   that triages them, the objective and the simulation budget.  The tuner
   returns a :class:`TuneResult` holding ranked :class:`TuneCandidate` rows.
 
-All three are frozen (hashable, usable as cache keys) and JSON
+All of them are frozen (hashable, usable as cache keys) and JSON
 round-trippable (``to_json`` / ``from_json`` are exact inverses), so a spec
 can be logged, stored next to sweep results, or shipped to a worker process
-verbatim.  A future knob lands in exactly one spec class plus its consumer;
-every entry point — :class:`repro.api.Toolchain`, the compatibility shims,
-the CLI — builds or accepts these objects instead of re-declaring kwargs.
+verbatim.  Every entry point — :class:`repro.api.Toolchain`, the runtime,
+the sweep runner, the service and the CLI — builds or accepts these
+objects instead of re-declaring kwargs.
 """
 
 from __future__ import annotations
@@ -198,9 +193,6 @@ class SimSpec:
         event-driven engine, identical results) or ``"batched"`` (the
         codegen + lane-batched engine, identical results; needs the optional
         numpy ``[batch]`` extra).
-    detector:
-        Fast/batched-engine steady-state detector (``"occupancy"`` or
-        ``"legacy"``); ignored by the cycle engine.
     num_blocks:
         Data blocks in the generated input stream (when the caller does not
         provide explicit blocks).
@@ -213,7 +205,6 @@ class SimSpec:
     """
 
     engine: str = "cycle"
-    detector: str = "occupancy"
     num_blocks: int = 12
     seed: int = 0
     trace: bool = False
@@ -225,14 +216,6 @@ class SimSpec:
                 f"unknown simulation engine {self.engine!r}; "
                 f"available: {', '.join(ENGINES)}"
             )
-        # Imported lazily: the detector registry lives with the fast engine.
-        from .engine.fastsim import DETECTORS
-
-        if self.detector not in DETECTORS:
-            raise ConfigurationError(
-                f"unknown steady-state detector {self.detector!r}; "
-                f"available: {', '.join(DETECTORS)}"
-            )
         if self.num_blocks < 0:
             raise ConfigurationError("num_blocks must be non-negative")
 
@@ -240,7 +223,6 @@ class SimSpec:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "engine": self.engine,
-            "detector": self.detector,
             "num_blocks": self.num_blocks,
             "seed": self.seed,
             "trace": self.trace,
@@ -264,7 +246,7 @@ class SweepSpec:
     """A (kernels x overlays [x schedulers]) grid with one shared sim policy.
 
     The grid is the cross product ``kernels x overlays`` in that order
-    (kernel-major), matching the historical ``build_grid`` ordering.
+    (kernel-major), the order :func:`repro.engine.sweep.build_grid` uses.
     ``sim=None`` resolves to the sweep default, ``SimSpec(engine="fast")``.
 
     ``schedulers`` adds a third axis: when given, every overlay spec is

@@ -37,12 +37,10 @@ class TestSimArgParity:
         args = build_parser().parse_args(
             [
                 "simulate", "--kernel", "gradient", "--blocks", "16",
-                "--seed", "3", "--engine", "fast", "--detector", "legacy",
+                "--seed", "3", "--engine", "fast",
             ]
         )
-        assert sim_spec_from_args(args) == SimSpec(
-            engine="fast", detector="legacy", num_blocks=16, seed=3
-        )
+        assert sim_spec_from_args(args) == SimSpec(engine="fast", num_blocks=16, seed=3)
 
     def test_trace_flag_lands_in_spec(self):
         args = build_parser().parse_args(

@@ -7,7 +7,7 @@ Five layers of guarantees:
   to the fast engine's across the whole kernel library on V3/V4/V5 at
   fifo_depth in {2, 4, 8, 32} and on the critical-path overlays
   (baseline/V1/V2), including FU stats, high-water marks and the measured
-  II, under every knob (detector, fast_forward, RF enforcement);
+  II, under every knob (fast_forward, RF enforcement);
 * **multi-lane aggregation** — the PR 1 ``_run_multilane`` stats/high-water
   regression holds as a shared contract for *both* engines (parameterized
   over ``fast`` and ``batched``);
@@ -135,13 +135,28 @@ class TestLibraryBitIdentity:
         schedule = _auto_schedule(name, variant_name)
         assert_batched_identical(schedule, num_blocks=20)
 
-    def test_legacy_detector(self):
-        schedule = _fixed_schedule("qspline", "v4", 8)
-        assert_batched_identical(schedule, num_blocks=24, detector="legacy")
-
     def test_no_fast_forward(self):
         schedule = _fixed_schedule("poly6", "v3", 4)
         assert_batched_identical(schedule, num_blocks=16, fast_forward=False)
+
+    @pytest.mark.parametrize(
+        "name,variant_name,fifo_depth,num_blocks",
+        [("qspline", "v4", 8, 96), ("poly7", "v3", 32, 400)],
+        ids=["steady", "ramp"],
+    )
+    def test_fast_forward_skips_like_the_fast_engine(
+        self, name, variant_name, fifo_depth, num_blocks
+    ):
+        """Both engines share one detector: same skips, same results."""
+        from repro.engine.batchsim import BatchSimulator
+
+        schedule = _fixed_schedule(name, variant_name, fifo_depth)
+        blocks = random_input_blocks(schedule.dfg, num_blocks, seed=3)
+        fast = FastSimulator(schedule)
+        batched = BatchSimulator(schedule)
+        assert _result_fields(batched.run(blocks)) == _result_fields(fast.run(blocks))
+        assert batched.fast_forward_events, "batched engine never fast-forwarded"
+        assert batched.fast_forward_events == fast.fast_forward_events
 
     def test_rf_capacity_enforcement_off(self):
         schedule = _fixed_schedule("poly5", "v5", 2)
@@ -170,13 +185,6 @@ class TestLibraryBitIdentity:
         schedule = _auto_schedule("gradient", "v1")
         with pytest.raises(ConfigurationError):
             simulate_schedule(schedule, num_blocks=4, engine="warp")
-
-    def test_unknown_detector_rejected(self):
-        from repro.engine.batchsim import BatchSimulator
-
-        schedule = _auto_schedule("gradient", "v1")
-        with pytest.raises(ConfigurationError):
-            BatchSimulator(schedule, detector="psychic")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from repro.engine.cache import (
     default_cache,
     dfg_content_hash,
 )
+from repro.errors import ConfigurationError
 from repro.kernels import get_kernel
 from repro.overlay.architecture import LinearOverlay
 from repro.runtime.manager import OverlayRuntime
+from repro.specs import OverlaySpec, SimSpec
 
 
 @pytest.fixture
@@ -122,8 +124,8 @@ class TestScheduleCache:
 class TestRuntimeIntegration:
     def test_register_uses_shared_cache(self):
         cache = ScheduleCache(capacity=16)
-        first = OverlayRuntime("v1", depth=4, cache=cache)
-        second = OverlayRuntime("v1", depth=4, cache=cache)
+        first = OverlayRuntime(OverlaySpec("v1", depth=4), cache=cache)
+        second = OverlayRuntime(OverlaySpec("v1", depth=4), cache=cache)
         handle_a = first.register("gradient")
         handle_b = second.register("gradient")
         assert cache.stats.misses == 1
@@ -132,28 +134,30 @@ class TestRuntimeIntegration:
 
     def test_register_twice_compiles_once(self):
         cache = ScheduleCache(capacity=16)
-        runtime = OverlayRuntime("v3", depth=8, cache=cache)
+        runtime = OverlayRuntime(OverlaySpec("v3", depth=8), cache=cache)
         runtime.register("qspline")
         runtime.register("qspline")
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
 
     def test_default_cache_is_process_wide(self):
-        runtime = OverlayRuntime("v1", depth=4)
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=4))
         assert runtime.cache is default_cache()
 
     def test_cached_execution_still_verifies(self):
         cache = ScheduleCache(capacity=16)
-        runtime = OverlayRuntime("v1", depth=4, cache=cache, engine="fast")
+        runtime = OverlayRuntime(
+            OverlaySpec("v1", depth=4), SimSpec(engine="fast"), cache=cache
+        )
         runtime.register("gradient")
         result = runtime.execute_random("gradient", num_blocks=8)
         assert result.matches_reference
         # Second runtime reuses the compiled schedule and still simulates OK.
-        other = OverlayRuntime("v1", depth=4, cache=cache)
+        other = OverlayRuntime(OverlaySpec("v1", depth=4), cache=cache)
         other.register("gradient")
         result = other.execute_random("gradient", num_blocks=8)
         assert result.matches_reference
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(Exception):
-            OverlayRuntime("v1", depth=4, engine="warp")
+        with pytest.raises(ConfigurationError):
+            OverlayRuntime(OverlaySpec("v1", depth=4), SimSpec(engine="warp"))

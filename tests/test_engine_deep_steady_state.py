@@ -1,43 +1,39 @@
-"""Deep kernels on fixed-depth overlays: the occupancy detector's home turf.
+"""Deep kernels on fixed-depth overlays: the steady-state detector's home turf.
 
 The backpressure-heavy region — deep kernels folded onto fixed-depth V3-V5
-overlays at small FIFO depths — is where the legacy steady-state detector
-needs O(fifo_depth x depth) warm-up blocks before its fingerprint recurs.
+overlays at small FIFO depths — is where inter-stage FIFOs keep filling for
+O(fifo_depth x depth) warm-up blocks before the whole machine state repeats.
 This suite pins down the occupancy detector's guarantees there:
 
 * bit-identical results against the cycle-accurate golden reference across
   the *whole* kernel library on V3/V4/V5 at fifo_depth in {2, 4, 8, 32},
   including FIFO high-water marks and the measured II;
-* the occupancy detector locks onto the periodic regime much earlier than
-  the legacy detector (and within the analytic warm-up bound
+* on the deep kernels, fast-forwarded runs of the fast and the batched
+  engine equal each engine's own ``fast_forward=False`` runs field by field;
+* the detector locks onto the periodic regime while the FIFOs are still
+  filling (and within the analytic warm-up bound
   ``W(depth, fifo_depth, II)``, the cross-check oracle);
-* the ``detector`` knob is plumbed through ``simulate_schedule``, sweep
-  points and the CLI;
-* the satellite fixes: the schedule-only compile-cache path is memoised,
-  ``parallel_map`` no longer swallows worker errors, and runs too short to
-  measure an II report ``None`` instead of crashing the sweep.
+* it is the only detector: no simulator entry point, CLI flag or sweep row
+  takes or reports a ``detector``;
+* the satellite fixes: the schedule-only compile-cache path is memoised and
+  runs too short to measure an II report ``None`` instead of crashing the
+  sweep.
 """
 
-import json
-import os
+import inspect
 
 import pytest
 
+from repro.engine.batchsim import BatchSimulator, simulate_batched
 from repro.engine.cache import ScheduleCache
 from repro.engine.fastsim import (
     FastSimulator,
+    simulate_fast,
     steady_state_warmup_bound,
     warmup_bound_blocks,
 )
-from repro.engine.sweep import (
-    SweepPoint,
-    build_grid,
-    parallel_map,
-    render_sweep_table,
-    run_point,
-    run_sweep,
-)
-from repro.errors import CodegenError, ConfigurationError, SweepError
+from repro.engine.sweep import SweepPoint, render_sweep_table, run_point
+from repro.errors import CodegenError
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.kernels.generators import dfg_from_level_profile
 from repro.kernels.reference import random_input_blocks
@@ -45,6 +41,7 @@ from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import V3, V4, V5
 from repro.schedule import schedule_kernel
 from repro.sim.overlay import OverlaySimulator, simulate_schedule
+from repro.specs import OverlaySpec, SimSpec
 
 #: Everything the engines must agree on exactly (same list as the main
 #: equivalence suite; repeated here so this file stands alone).
@@ -77,10 +74,10 @@ def _fixed_schedule(name, variant, fifo_depth, depth=8):
     return schedule_kernel(dfg, overlay)
 
 
-def assert_engines_identical(schedule, num_blocks, seed=3, detector="occupancy"):
+def assert_engines_identical(schedule, num_blocks, seed=3):
     blocks = random_input_blocks(schedule.dfg, num_blocks, seed=seed)
     cycle = OverlaySimulator(schedule).run(blocks)
-    fast = FastSimulator(schedule, detector=detector).run(blocks)
+    fast = FastSimulator(schedule).run(blocks)
     for field in COMPARED_FIELDS:
         assert getattr(fast, field) == getattr(cycle, field), (
             f"{schedule.kernel_name} on {schedule.overlay.name} "
@@ -119,61 +116,52 @@ class TestFixedDepthLibraryEquivalence:
 
 
 class TestDetectorAgreement:
-    """occupancy == legacy == no-fast-forward, field by field."""
+    """occupancy == no-fast-forward, field by field."""
 
+    @pytest.mark.parametrize("engine", ["fast", "batched"])
     @pytest.mark.parametrize("variant", WRITE_BACK_VARIANTS, ids=["v3", "v4", "v5"])
-    def test_all_detectors_agree_on_deep_kernel(self, variant):
+    def test_fast_forward_agrees_with_no_fast_forward(self, variant, engine):
+        if engine == "batched":
+            pytest.importorskip("numpy")
+        simulator_class = {"fast": FastSimulator, "batched": BatchSimulator}[engine]
         schedule = _fixed_schedule("poly7", variant, 8)
         blocks = random_input_blocks(schedule.dfg, 80, seed=7)
-        results = {
-            mode: FastSimulator(schedule, detector=mode).run(blocks)
-            for mode in ("occupancy", "legacy")
-        }
-        results["off"] = FastSimulator(schedule, fast_forward=False).run(blocks)
+        simulator = simulator_class(schedule)
+        occupancy = simulator.run(blocks)
+        off = simulator_class(schedule, fast_forward=False).run(blocks)
+        assert simulator.fast_forward_events, f"{engine} engine never fast-forwarded"
         for field in COMPARED_FIELDS:
-            values = {mode: getattr(r, field) for mode, r in results.items()}
-            assert values["occupancy"] == values["legacy"] == values["off"], field
-
-    def test_unknown_detector_rejected(self):
-        schedule = _fixed_schedule("qspline", V3, 8)
-        with pytest.raises(ConfigurationError):
-            FastSimulator(schedule, detector="psychic")
-        with pytest.raises(ConfigurationError):
-            run_sweep([SweepPoint(kernel="qspline", variant="v3", detector="psychic")])
+            assert getattr(occupancy, field) == getattr(off, field), field
 
 
 class TestEarlySteadyStateSkip:
     """The tentpole claim: the occupancy detector locks before the FIFOs fill."""
 
-    def test_occupancy_locks_long_before_legacy_on_deep_fill(self):
+    def test_occupancy_locks_long_before_the_deep_fill_ends(self):
         schedule = _fixed_schedule("poly7", V3, 32)
         blocks = random_input_blocks(schedule.dfg, 400, seed=3)
         occupancy = FastSimulator(schedule)
         occupancy.run(blocks)
-        legacy = FastSimulator(schedule, detector="legacy")
-        legacy.run(blocks)
         assert occupancy.fast_forward_events, "occupancy detector never engaged"
-        assert legacy.fast_forward_events, "legacy detector never engaged"
-        first_occupancy = occupancy.fast_forward_events[0]["completed"]
-        first_legacy = legacy.fast_forward_events[0]["completed"]
-        # The legacy fingerprint cannot recur until the ~fifo_depth x depth
-        # block fill transient ends; the occupancy detector skips within a
-        # couple of dozen completions.
-        assert first_occupancy * 4 <= first_legacy
-        assert any(e["kind"] == "ramp" for e in occupancy.fast_forward_events)
+        first = occupancy.fast_forward_events[0]
+        # A whole-machine fingerprint cannot recur until the ~fifo_depth x
+        # depth block fill transient ends (near the warm-up bound); the
+        # occupancy detector skips within a couple of dozen completions,
+        # while a FIFO is still filling (a ramp skip).
+        assert first["kind"] == "ramp"
+        assert first["completed"] * 4 <= warmup_bound_blocks(schedule)
 
-    def test_occupancy_skips_where_legacy_cannot(self):
+    def test_occupancy_skips_before_full_steady_state(self):
         """poly7 on V4/fifo32 never reaches full steady state in 600 blocks."""
         schedule = _fixed_schedule("poly7", V4, 32)
         blocks = random_input_blocks(schedule.dfg, 600, seed=3)
         occupancy = FastSimulator(schedule)
         result = occupancy.run(blocks)
-        legacy = FastSimulator(schedule, detector="legacy")
-        legacy_result = legacy.run(blocks)
+        off = FastSimulator(schedule, fast_forward=False).run(blocks)
         assert occupancy.fast_forward_events
-        assert not legacy.fast_forward_events
+        assert all(e["kind"] == "ramp" for e in occupancy.fast_forward_events)
         for field in COMPARED_FIELDS:
-            assert getattr(result, field) == getattr(legacy_result, field), field
+            assert getattr(result, field) == getattr(off, field), field
 
     @pytest.mark.parametrize("fifo_depth", (8, 32))
     @pytest.mark.parametrize("variant", WRITE_BACK_VARIANTS, ids=["v3", "v4", "v5"])
@@ -205,39 +193,34 @@ class TestEarlySteadyStateSkip:
         assert compiled.warmup_bound_cycles > 0
 
 
-class TestDetectorPlumbing:
-    def test_simulate_schedule_accepts_detector(self):
-        schedule = _fixed_schedule("poly6", V3, 8)
-        fast = simulate_schedule(schedule, num_blocks=32, engine="fast",
-                                 detector="occupancy")
-        legacy = simulate_schedule(schedule, num_blocks=32, engine="fast",
-                                   detector="legacy")
-        assert fast.matches_reference and legacy.matches_reference
-        assert fast.completion_cycles == legacy.completion_cycles
+class TestDetectorRetired:
+    """The occupancy detector is the only one: no layer takes a ``detector``."""
 
-    def test_sweep_point_detector_flows_into_result(self):
-        point = SweepPoint(kernel="qspline", variant="v3", depth=8,
-                           num_blocks=24, detector="legacy")
-        result = run_point(point)
-        assert result.detector == "legacy"
-        assert result.matches_reference
+    @pytest.mark.parametrize(
+        "entry_point",
+        [FastSimulator, simulate_fast, BatchSimulator, simulate_batched, simulate_schedule],
+        ids=lambda entry_point: entry_point.__name__,
+    )
+    def test_simulators_take_no_detector_keyword(self, entry_point):
+        assert "detector" not in inspect.signature(entry_point).parameters
 
-    def test_build_grid_propagates_detector(self):
-        grid = build_grid(kernels=["qspline"], variants=("v3",), detector="legacy")
-        assert all(point.detector == "legacy" for point in grid)
-
-    def test_cli_sweep_detector_smoke(self, capsys):
+    def test_cli_rejects_detector_flag(self, capsys):
         from repro.cli import main
 
-        code = main([
-            "sweep", "--kernels", "qspline,poly7", "--variants", "v3",
-            "--depths", "8", "--blocks", "24", "--detector", "legacy",
-            "--jobs", "1", "--json",
-        ])
-        assert code == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows and all(row["detector"] == "legacy" for row in rows)
-        assert all(row["matches_reference"] for row in rows)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kernels", "qspline", "--variants", "v3",
+                  "--detector", "legacy", "--jobs", "1"])
+        assert excinfo.value.code == 2
+        assert "--detector" in capsys.readouterr().err
+
+    def test_sweep_rows_and_table_have_no_detector_column(self):
+        point = SweepPoint(
+            "qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=8)
+        )
+        result = run_point(point)
+        assert result.matches_reference
+        assert "detector" not in result.as_row()
+        assert "detector" not in render_sweep_table([result]).splitlines()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +248,9 @@ class TestScheduleOnlyMemoisation:
         assert cache.stats.schedule_hits == 1
 
     def test_evaluate_kernel_keeps_working_for_codegen_failures(self):
-        from repro.metrics.performance import evaluate_kernel
+        from repro.api import Toolchain
 
-        result = evaluate_kernel(_fat_kernel(), "v3")
+        result = Toolchain(cache=ScheduleCache()).evaluate(_fat_kernel(), OverlaySpec("v3"))
         assert result.ii > 0
         assert result.throughput_gops > 0
 
@@ -279,30 +262,6 @@ class TestScheduleOnlyMemoisation:
         assert schedule is compiled.schedule
 
 
-def _raise_oserror(_):
-    raise OSError("worker failure that must surface, not trigger a re-run")
-
-
-def _exit_hard(_):
-    os._exit(13)
-
-
-class TestParallelMapErrorSurfacing:
-    def test_worker_exception_propagates(self):
-        # Before the fix an OSError from fn silently re-executed every item
-        # serially (duplicating side effects) — now it surfaces.
-        with pytest.raises(OSError, match="must surface"):
-            parallel_map(_raise_oserror, [1, 2, 3, 4], jobs=2)
-
-    def test_dead_worker_raises_sweep_error(self):
-        with pytest.raises(SweepError, match="rerun with jobs=1"):
-            parallel_map(_exit_hard, [1, 2, 3, 4], jobs=2)
-
-    def test_serial_paths_unaffected(self):
-        assert parallel_map(lambda x: x * 2, [3], jobs=8) == [6]
-        assert parallel_map(lambda x: x * 2, [1, 2], jobs=1) == [2, 4]
-
-
 class TestUnmeasurableII:
     def test_single_block_has_no_measured_ii(self):
         schedule = _fixed_schedule("qspline", V3, 8)
@@ -312,7 +271,9 @@ class TestUnmeasurableII:
             assert result.matches_reference
 
     def test_run_point_reports_none_and_falls_back_to_analytic(self):
-        point = SweepPoint(kernel="qspline", variant="v3", depth=8, num_blocks=1)
+        point = SweepPoint(
+            "qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=1)
+        )
         result = run_point(point)
         assert result.measured_ii is None
         assert result.latency_cycles > 0
@@ -326,5 +287,7 @@ class TestUnmeasurableII:
         assert " - " in table or " -\n" in table or "- " in table
 
     def test_two_blocks_measure_again(self):
-        point = SweepPoint(kernel="qspline", variant="v3", depth=8, num_blocks=2)
+        point = SweepPoint(
+            "qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=2)
+        )
         assert run_point(point).measured_ii is not None

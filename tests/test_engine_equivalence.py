@@ -94,35 +94,13 @@ class TestSteadyStateFastForward:
     def test_long_stream_matches_cycle_engine(self, name, variant):
         assert_identical(name, variant, num_blocks=96, seed=11)
 
-    @pytest.mark.parametrize("detector", ["occupancy", "legacy"])
-    def test_fast_forward_actually_engages(self, detector):
+    def test_fast_forward_actually_engages(self):
         """At 96 blocks the engine must skip, not silently run every cycle."""
         schedule = _schedule_for("qspline", V1)
         blocks = random_input_blocks(schedule.dfg, 96, seed=11)
-        simulator = FastSimulator(schedule, detector=detector)
+        simulator = FastSimulator(schedule)
         simulator.run(blocks)
         assert simulator.fast_forward_events
-
-    def test_legacy_skip_applier_still_hooked(self):
-        """The legacy detector routes through the patchable class hook."""
-        schedule = _schedule_for("qspline", V1)
-        blocks = random_input_blocks(schedule.dfg, 96, seed=11)
-        engaged = []
-        original = FastSimulator._apply_fast_forward
-
-        def probe(match, fus, channels, received, completion, cycle, completed, num_blocks):
-            result = original(
-                match, fus, channels, received, completion, cycle, completed, num_blocks
-            )
-            engaged.append(result)
-            return result
-
-        FastSimulator._apply_fast_forward = staticmethod(probe)
-        try:
-            FastSimulator(schedule, detector="legacy").run(blocks)
-        finally:
-            FastSimulator._apply_fast_forward = staticmethod(original)
-        assert any(result is not None for result in engaged)
 
     def test_fast_forward_disabled_still_matches(self):
         schedule = _schedule_for("qspline", V1)

@@ -5,52 +5,98 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine.cache import ScheduleCache
 from repro.engine.sweep import (
     SweepPoint,
     build_grid,
     evaluate_many,
-    parallel_map,
     render_sweep_table,
     results_to_json,
     run_point,
     run_sweep,
+    run_sweep_spec,
 )
 from repro.errors import ConfigurationError
 from repro.kernels import kernel_names
 from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.kernels.library import get_kernel
+from repro.specs import OverlaySpec, SimSpec, SweepSpec
+
+V1 = [OverlaySpec("v1")]
+FAST8 = SimSpec(engine="fast", num_blocks=8)
 
 
 class TestGridConstruction:
     def test_grid_crosses_all_dimensions(self):
-        grid = build_grid(
-            kernels=["gradient", "qspline"], variants=["v1", "v2"], depths=[0, 8]
-        )
+        overlays = [
+            OverlaySpec(variant, depth=depth)
+            for variant in ("v1", "v2")
+            for depth in (None, 8)
+        ]
+        grid = build_grid(kernels=["gradient", "qspline"], overlays=overlays)
         assert len(grid) == 8
         assert {p.kernel for p in grid} == {"gradient", "qspline"}
-        assert {p.variant for p in grid} == {"v1", "v2"}
+        assert {p.overlay.variant for p in grid} == {"v1", "v2"}
+        assert [p.overlay for p in grid[:4]] == overlays  # kernel-major
 
     def test_default_grid_covers_the_library(self):
-        grid = build_grid()
+        grid = build_grid(overlays=[OverlaySpec("v1"), OverlaySpec("v2")])
         assert len(grid) == len(kernel_names()) * 2
+        assert all(p.sim == SimSpec(engine="fast") for p in grid)
+        assert [p.kernel for p in grid[::2]] == list(kernel_names())
+
+    def test_scheduler_axis_is_innermost(self):
+        grid = build_grid(
+            ["gradient", "qspline"],
+            overlays=[OverlaySpec("v3"), OverlaySpec("v4")],
+            schedulers=["clustered", "modulo"],
+        )
+        assert [(p.kernel, p.overlay.variant, p.overlay.scheduler) for p in grid] == [
+            (kernel, variant, scheduler)
+            for kernel in ("gradient", "qspline")
+            for variant in ("v3", "v4")
+            for scheduler in ("clustered", "modulo")
+        ]
+
+    def test_run_sweep_spec_runs_the_build_grid_points(self):
+        spec = SweepSpec(
+            kernels=("gradient", "qspline"),
+            overlays=(OverlaySpec("v3"),),
+            schedulers=("clustered", "modulo"),
+            sim=SimSpec(engine="fast", num_blocks=4),
+            jobs=1,
+        )
+        grid = build_grid(
+            spec.kernels, overlays=spec.overlays, sim=spec.sim, schedulers=spec.schedulers
+        )
+        assert len(grid) == len(spec)
+        by_spec = run_sweep_spec(spec, cache=ScheduleCache())
+        by_grid = run_sweep(grid, jobs=1, cache=ScheduleCache())
+        strip = lambda r: {k: v for k, v in r.as_row().items() if k != "elapsed_s"}
+        assert [strip(r) for r in by_spec] == [strip(r) for r in by_grid]
+        assert [r.scheduler for r in by_spec] == [p.overlay.scheduler for p in grid]
 
 
 class TestRunPoint:
     def test_point_measures_ii_and_verifies(self):
-        result = run_point(SweepPoint(kernel="gradient", variant="v1", num_blocks=16))
+        result = run_point(
+            SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="fast", num_blocks=16))
+        )
         assert result.overlay_name == "V1x4"
         assert result.measured_ii == pytest.approx(result.analytic_ii)
         assert result.matches_reference is True
         assert result.throughput_gops > 0
 
     def test_fixed_depth_variant_auto_depth(self):
-        result = run_point(SweepPoint(kernel="poly7", variant="v3", num_blocks=8))
+        result = run_point(SweepPoint("poly7", OverlaySpec("v3"), FAST8))
         assert result.overlay_depth == 8
 
     def test_engines_agree_on_a_point(self):
-        fast = run_point(SweepPoint(kernel="mibench", variant="v1", num_blocks=24))
+        fast = run_point(
+            SweepPoint("mibench", OverlaySpec("v1"), SimSpec(engine="fast", num_blocks=24))
+        )
         cycle = run_point(
-            SweepPoint(kernel="mibench", variant="v1", num_blocks=24, engine="cycle")
+            SweepPoint("mibench", OverlaySpec("v1"), SimSpec(engine="cycle", num_blocks=24))
         )
         assert fast.measured_ii == cycle.measured_ii
         assert fast.latency_cycles == cycle.latency_cycles
@@ -59,13 +105,13 @@ class TestRunPoint:
 
 class TestRunSweep:
     def test_serial_sweep_preserves_grid_order(self):
-        grid = build_grid(kernels=["gradient", "chebyshev"], variants=["v1"], num_blocks=8)
+        grid = build_grid(["gradient", "chebyshev"], overlays=V1, sim=FAST8)
         results = run_sweep(grid, jobs=1)
         assert [r.kernel for r in results] == ["gradient", "chebyshev"]
         assert all(r.matches_reference for r in results)
 
     def test_parallel_sweep_matches_serial(self):
-        grid = build_grid(kernels=["gradient", "chebyshev"], variants=["v1"], num_blocks=8)
+        grid = build_grid(["gradient", "chebyshev"], overlays=V1, sim=FAST8)
         serial = run_sweep(grid, jobs=1)
         parallel = run_sweep(grid, jobs=2)
         for a, b in zip(serial, parallel):
@@ -78,10 +124,7 @@ class TestRunSweep:
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sweep([SweepPoint(kernel="gradient", variant="v1", engine="warp")])
-
-    def test_parallel_map_serial_fallback(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], jobs=1) == [2, 4, 6]
+            run_sweep([SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="warp"))])
 
 
 class TestEvaluateMany:
@@ -100,7 +143,7 @@ class TestEvaluateMany:
     def test_injected_cache_scopes_the_compilations(self):
         # A session-injected cache must receive the compilations (and the
         # process-wide default cache must not silently absorb them).
-        from repro.engine.cache import ScheduleCache, default_cache
+        from repro.engine.cache import default_cache
 
         cache = ScheduleCache()
         default_misses = default_cache().stats.misses
@@ -110,6 +153,13 @@ class TestEvaluateMany:
         assert set(results["gradient"]) == {"v1", "v2"}
         assert cache.stats.misses == 2  # both compilations landed here
         assert default_cache().stats.misses == default_misses
+
+    def test_single_kernel_runs_in_process_whatever_jobs(self):
+        # One kernel never pays for a pool: it runs here, in the given cache.
+        cache = ScheduleCache()
+        results = evaluate_many(["gradient"], variants=("v1",), jobs=4, cache=cache)
+        assert set(results) == {"gradient"}
+        assert cache.stats.misses == 1
 
 
 class TestSweepCLI:
@@ -188,7 +238,7 @@ class TestSweepCLI:
 
         parser_args = argparse.Namespace(
             kernels="gradient", variants="v1", depths="", schedulers="",
-            blocks=12, seed=0, engine="fast", detector="occupancy",
+            blocks=12, seed=0, engine="fast",
             no_verify=False, jobs=1, retries=5, timeout=30.0,
             store=str(tmp_path), resume=False, no_retry=False,
         )
@@ -205,7 +255,7 @@ class TestSweepCLI:
 
         parser_args = argparse.Namespace(
             kernels="gradient", variants="v1", depths="", schedulers="",
-            blocks=12, seed=0, engine="fast", detector="occupancy",
+            blocks=12, seed=0, engine="fast",
             no_verify=False, jobs=1, retries=4, timeout=None,
             store=None, resume=True, no_retry=True,
         )
@@ -215,14 +265,14 @@ class TestSweepCLI:
 class TestRendering:
     def test_results_to_json_round_trips(self):
         results = run_sweep(
-            build_grid(kernels=["gradient"], variants=["v1"], num_blocks=8), jobs=1
+            build_grid(["gradient"], overlays=V1, sim=FAST8), jobs=1
         )
         rows = json.loads(results_to_json(results))
         assert rows[0]["kernel"] == "gradient"
 
     def test_render_table_contains_header_and_rows(self):
         results = run_sweep(
-            build_grid(kernels=["gradient"], variants=["v1"], num_blocks=8), jobs=1
+            build_grid(["gradient"], overlays=V1, sim=FAST8), jobs=1
         )
         table = render_sweep_table(results)
         assert "kernel" in table.splitlines()[0]

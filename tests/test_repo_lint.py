@@ -4,8 +4,9 @@
 (``specs.py``, ``schedule/registry.py`` and the ``verify`` package).  The
 container this suite usually runs in does not ship ruff or mypy, so those
 tests skip cleanly when the tools are missing — but the AST-based
-import-hygiene check below always runs on the same scope, so a dead import
-cannot land even without the external tools.
+import-hygiene check below always runs on the same scope plus
+``HYGIENE_ONLY``, so a dead import cannot land even without the external
+tools.
 """
 
 import ast
@@ -30,10 +31,21 @@ SCOPE = [
     os.path.join(SRC, "kernels", "reference.py"),
 ]
 
+#: Modules held to the import-hygiene check only: ruff and mypy have not
+#: been shown to run clean on them, so they stay out of ``SCOPE``.
+HYGIENE_ONLY = [
+    os.path.join(SRC, "api.py"),
+    os.path.join(SRC, "baseline", "li2016.py"),
+    os.path.join(SRC, "engine", "fastsim.py"),
+    os.path.join(SRC, "engine", "sweep.py"),
+    os.path.join(SRC, "metrics", "performance.py"),
+    os.path.join(SRC, "runtime", "manager.py"),
+]
 
-def _scoped_files():
+
+def _scoped_files(entries):
     files = []
-    for entry in SCOPE:
+    for entry in entries:
         if os.path.isdir(entry):
             for name in sorted(os.listdir(entry)):
                 if name.endswith(".py"):
@@ -76,8 +88,8 @@ class TestImportHygiene:
 
     @pytest.mark.parametrize(
         "path",
-        _scoped_files(),
-        ids=[os.path.relpath(p, SRC) for p in _scoped_files()],
+        _scoped_files(SCOPE + HYGIENE_ONLY),
+        ids=[os.path.relpath(p, SRC) for p in _scoped_files(SCOPE + HYGIENE_ONLY)],
     )
     def test_no_unused_imports(self, path):
         source = _read(path)

@@ -202,6 +202,21 @@ class TestServiceOperations:
             client.request("compile", {"kernel": "gradient", "overlay": wire})
         assert excinfo.value.code == E_PARAMS
 
+    @pytest.mark.parametrize(
+        "sim",
+        [
+            {"type": "sim", "data": {"engine": "fast", "detector": "occupancy"}},
+            {"engine": "fast", "detector": "legacy"},
+        ],
+        ids=["wire", "dict"],
+    )
+    def test_simulate_rejects_retired_detector_field(self, client, sim):
+        params = {"kernel": "gradient", "overlay": spec_to_wire(OverlaySpec()), "sim": sim}
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("simulate", params)
+        assert excinfo.value.code == E_PARAMS
+        assert "detector" in str(excinfo.value)
+
     def test_evaluate_matches_direct_call(self, client):
         spec = OverlaySpec(variant="v1")
         row = client.evaluate("gradient", spec)

@@ -88,7 +88,6 @@ class TestSimSpec:
     def test_defaults(self):
         spec = SimSpec()
         assert spec.engine == "cycle"
-        assert spec.detector == "occupancy"
         assert spec.num_blocks == 12
         assert spec.seed == 0
         assert spec.trace is False
@@ -102,14 +101,24 @@ class TestSimSpec:
         with pytest.raises(ConfigurationError):
             SimSpec(engine="warp")
 
-    def test_unknown_detector_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimSpec(detector="psychic")
+    def test_retired_detector_field_rejected(self):
+        # Specs serialised before the detector option was removed carry a
+        # "detector" field; the unknown-field check rejects them.
+        with pytest.raises(ConfigurationError, match="detector"):
+            SimSpec.from_dict({"engine": "fast", "detector": "occupancy"})
+        with pytest.raises(ConfigurationError, match="detector"):
+            SimSpec.from_json('{"engine": "fast", "detector": "legacy"}')
+
+    def test_layout_is_exactly_the_simulation_knobs(self):
+        # The dict form feeds sweep-store keys and the service wire format.
+        assert set(SimSpec().to_dict()) == {"engine", "num_blocks", "seed", "trace", "verify"}
+        with pytest.raises(TypeError):
+            SimSpec(engine="fast", detector="occupancy")
 
     def test_json_round_trip_identity(self):
         for spec in (
             SimSpec(),
-            SimSpec(engine="fast", detector="legacy", num_blocks=64, seed=7),
+            SimSpec(engine="fast", num_blocks=64, seed=7),
             SimSpec(trace=True, verify=False),
         ):
             assert SimSpec.from_json(spec.to_json()) == spec
@@ -175,6 +184,12 @@ class TestSweepSpec:
         assert parsed["timeout_s"] == 12.5
         assert parsed["store_dir"] == "/tmp/s"
         assert parsed["resume"] is False
+
+    def test_sim_with_retired_detector_field_rejected(self):
+        data = self._spec().to_dict()
+        data["sim"]["detector"] = "legacy"
+        with pytest.raises(ConfigurationError, match="detector"):
+            SweepSpec.from_json(json.dumps(data))
 
     def test_pre_robustness_json_still_loads(self):
         # Spec JSON written before the retry/store fields existed must keep

@@ -11,16 +11,11 @@ import dataclasses
 import json
 import os
 
-import pytest
-
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache
 from repro.engine.store import STORE_VERSION, ResultStore
 from repro.engine.sweep import SweepPoint, build_grid, run_sweep, run_sweep_spec
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def _grid(kernels=("gradient", "poly5"), variant="v1"):
     return build_grid(list(kernels), overlays=[OverlaySpec(variant=variant)])
@@ -118,6 +113,48 @@ class TestRoundTrip:
         point = _grid(["gradient"])[0]
         assert store.get(store.key_for(point), point) is None
         assert store.stats.corrupt == 1
+
+    def test_version_1_entries_are_recomputed_not_reused(self, tmp_path):
+        # Version 1 rows and keys carried the retired steady-state detector.
+        store = ResultStore(str(tmp_path))
+        run_sweep(_grid(["gradient"]), jobs=1, store=store)
+        [path] = store.entry_paths()
+        entry = json.loads(open(path).read())
+        entry["version"] = 1
+        entry["point"]["sim"]["detector"] = "occupancy"
+        entry["result"]["detector"] = "occupancy"
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        probe = ResultStore(str(tmp_path))
+        assert probe.results() == []
+        run_sweep(_grid(["gradient"]), jobs=1, store=probe)
+        assert (probe.stats.hits, probe.stats.writes) == (0, 1)
+
+    def test_entry_layout_carries_no_detector(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        run_sweep(_grid(["gradient"]), jobs=1, store=store)
+        [path] = store.entry_paths()
+        entry = json.loads(open(path).read())
+        assert "detector" not in entry["point"]["sim"]
+        assert "detector" not in entry["result"]
+
+    def test_unknown_row_field_is_a_miss(self, tmp_path):
+        # A current-version entry whose row no longer fits SweepResult is
+        # re-measured and rewritten, never half-loaded.
+        store = ResultStore(str(tmp_path))
+        run_sweep(_grid(["gradient"]), jobs=1, store=store)
+        [path] = store.entry_paths()
+        entry = json.loads(open(path).read())
+        entry["result"]["detector"] = "occupancy"
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        probe = ResultStore(str(tmp_path))
+        point = _grid(["gradient"])[0]
+        assert probe.get(probe.key_for(point), point) is None
+        assert probe.stats.corrupt == 1
+        run_sweep(_grid(["gradient"]), jobs=1, store=probe)
+        assert probe.stats.writes == 1
+        assert probe.get(probe.key_for(point), point) is not None
 
     def test_clear_empties_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path))

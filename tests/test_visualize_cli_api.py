@@ -3,7 +3,6 @@
 import pytest
 
 import repro
-from repro import map_kernel
 from repro.cli import build_parser, main
 from repro.kernels import get_kernel
 from repro.overlay.architecture import LinearOverlay
@@ -98,26 +97,27 @@ class TestCLI:
 
 
 class TestTopLevelAPI:
-    def test_map_kernel_by_name(self):
-        result = map_kernel("gradient", "v1", simulate=True, num_blocks=6)
-        assert result.ii == pytest.approx(6)
-        assert result.simulation.matches_reference
-        assert result.configuration.size_bytes > 0
-        assert "GOPS" in result.summary()
+    def test_compile_by_name(self):
+        tc = repro.Toolchain()
+        handle = tc.compile("gradient", repro.OverlaySpec("v1"))
+        assert tc.evaluate(handle).ii == pytest.approx(6)
+        assert tc.simulate(handle, repro.SimSpec(num_blocks=6)).matches_reference
+        assert handle.configuration.size_bytes > 0
 
-    def test_map_kernel_with_custom_dfg(self):
+    def test_compile_custom_dfg(self):
         from repro.frontend import trace_kernel
 
         dfg = trace_kernel(lambda a, b: (a + b) * (a - b), name="custom")
-        result = map_kernel(dfg, "v1", simulate=True, num_blocks=4)
-        assert result.simulation.matches_reference
+        tc = repro.Toolchain()
+        handle = tc.compile(dfg, repro.OverlaySpec("v1"))
+        assert tc.simulate(handle, repro.SimSpec(num_blocks=4)).matches_reference
 
-    def test_map_kernel_depth_override(self):
-        result = map_kernel("qspline", "v3", depth=4)
-        assert result.overlay.depth == 4
-        assert result.schedule.scheduler == "greedy"
+    def test_depth_override(self):
+        handle = repro.Toolchain().compile("qspline", repro.OverlaySpec("v3", depth=4))
+        assert handle.overlay.depth == 4
+        assert handle.schedule.scheduler == "greedy"
 
-    def test_map_kernel_default_fixed_depth_for_writeback(self):
-        result = map_kernel("poly6", "v4")
-        assert result.overlay.depth == 8
-        assert result.overlay.fixed_depth
+    def test_default_fixed_depth_for_writeback(self):
+        handle = repro.Toolchain().compile("poly6", repro.OverlaySpec("v4"))
+        assert handle.overlay.depth == 8
+        assert handle.overlay.fixed_depth
