@@ -9,7 +9,11 @@ content hash (inside ``CacheKey.for_mapping``) and one dictionary lookup.
 Both are dominated by the content hash, so the facade stays within
 ``MAX_OVERHEAD_RATIO`` (1.2x) of the raw hit — that ratio is this bench's
 acceptance gate, recorded as ``api_compile_overhead_ratio`` in
-``BENCH_results.json``.
+``BENCH_results.json``.  The gate reads the **median of ``ROUNDS``
+per-round ratios**; each round times one raw and one facade run,
+alternating which goes first, each from a collected heap.  A single
+best-of-5 ratio swung from 0.60x to 1.35x between runs on a shared 2-vCPU
+VM with the facade code unchanged.
 
 A second metric (``api_evaluate_speedup``, informational) records how much
 faster the memoised warm :meth:`~repro.api.Toolchain.evaluate` is than the
@@ -17,6 +21,8 @@ historical per-call analytic evaluation (resource estimate + ASAP levels on
 fresh graph walks every call).
 """
 
+import gc
+import statistics
 import time
 
 from repro.api import Toolchain
@@ -28,8 +34,11 @@ from repro.specs import OverlaySpec
 #: Warm-compile calls per timing sample.
 CALLS = 2000
 
-#: Timing samples per contender (the minimum is used, squeezing out noise).
+#: Timing samples per contender of the evaluate metric (the minimum is used).
 SAMPLES = 5
+
+#: Rounds of the compile gate, each one raw and one facade run.
+ROUNDS = 9
 
 #: The acceptance gate: warm facade compile vs raw warm cache hit.
 MAX_OVERHEAD_RATIO = 1.2
@@ -45,6 +54,16 @@ def _best_of(fn, calls=CALLS, samples=SAMPLES) -> float:
     return best
 
 
+def _timed_run(fn, calls=CALLS) -> float:
+    # Start every run from a collected heap: otherwise a collection of the
+    # previous run's garbage lands at random in a later run's timing.
+    gc.collect()
+    started = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return time.perf_counter() - started
+
+
 def test_warm_compile_overhead_gate(record_metric, save_result):
     """Warm ``Toolchain.compile`` stays within 1.2x of a raw cache hit."""
     cache = ScheduleCache()
@@ -53,27 +72,42 @@ def test_warm_compile_overhead_gate(record_metric, save_result):
     spec = OverlaySpec("v1")
     overlay = toolchain.compile(dfg, spec).overlay  # warm both paths
 
-    raw_s = _best_of(lambda: cache.get_or_compile(dfg, overlay))
-    api_s = _best_of(lambda: toolchain.compile(dfg, spec))
-    ratio = api_s / raw_s
+    def raw():
+        return cache.get_or_compile(dfg, overlay)
+
+    def api():
+        return toolchain.compile(dfg, spec)
+
+    ratios, raw_runs, api_runs = [], [], []
+    for round_index in range(ROUNDS):
+        order = (raw, api) if round_index % 2 == 0 else (api, raw)
+        timed = {fn: _timed_run(fn) for fn in order}
+        raw_runs.append(timed[raw])
+        api_runs.append(timed[api])
+        ratios.append(timed[api] / timed[raw])
+    ratio = statistics.median(ratios)
 
     record_metric("api_compile_overhead_ratio", ratio)
     save_result(
         "api_overhead",
         "\n".join(
             [
-                "warm compile path, best of "
-                f"{SAMPLES} x {CALLS} calls (gradient on V1x4):",
-                f"  raw ScheduleCache.get_or_compile hit : {raw_s / CALLS * 1e6:8.2f} us/call",
-                f"  Toolchain.compile (session facade)   : {api_s / CALLS * 1e6:8.2f} us/call",
-                f"  overhead ratio                       : {ratio:8.3f}x "
+                f"warm compile path, {ROUNDS} interleaved rounds x {CALLS} calls "
+                "(gradient on V1x4), medians:",
+                "  raw ScheduleCache.get_or_compile hit : "
+                f"{statistics.median(raw_runs) / CALLS * 1e6:8.2f} us/call",
+                "  Toolchain.compile (session facade)   : "
+                f"{statistics.median(api_runs) / CALLS * 1e6:8.2f} us/call",
+                "  per-round ratios                     : "
+                + ", ".join(f"{r:.2f}x" for r in ratios),
+                f"  median overhead ratio                : {ratio:8.3f}x "
                 f"(gate: <= {MAX_OVERHEAD_RATIO}x)",
             ]
         ),
     )
     assert ratio <= MAX_OVERHEAD_RATIO, (
-        f"warm Toolchain.compile is {ratio:.2f}x a raw cache hit "
-        f"(gate: {MAX_OVERHEAD_RATIO}x) — the facade grew per-call work"
+        f"warm Toolchain.compile is {ratio:.2f}x a raw cache hit (median of "
+        f"{ROUNDS} rounds, gate {MAX_OVERHEAD_RATIO}x) — the facade grew per-call work"
     )
 
 

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .opcodes import OpCode
+from .opcodes import COMPUTE_OPCODES, OpCode
+
+# Members bound once: ``OpCode.X`` goes through ``EnumType.__getattr__`` on
+# every lookup, and these checks run for every node of every pass.
+_INPUT = OpCode.INPUT
+_OUTPUT = OpCode.OUTPUT
+_CONST = OpCode.CONST
+_COMPUTE = frozenset(COMPUTE_OPCODES)
 
 
 @dataclass(frozen=True)
@@ -44,37 +51,39 @@ class DFGNode:
     value: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.opcode is OpCode.CONST and self.value is None:
-            raise ValueError("CONST node requires a value")
-        if self.opcode is not OpCode.CONST and self.value is not None:
-            raise ValueError(f"{self.opcode.name} node must not carry a constant value")
-        expected = self.opcode.arity
-        if self.opcode.is_compute or self.opcode is OpCode.OUTPUT:
+        opcode = self.opcode
+        if opcode is _CONST:
+            if self.value is None:
+                raise ValueError("CONST node requires a value")
+        elif self.value is not None:
+            raise ValueError(f"{opcode.name} node must not carry a constant value")
+        if opcode in _COMPUTE or opcode is _OUTPUT:
+            expected = opcode.arity
             if len(self.operands) != expected:
                 raise ValueError(
-                    f"{self.opcode.name} node expects {expected} operands, "
+                    f"{opcode.name} node expects {expected} operands, "
                     f"got {len(self.operands)}"
                 )
         if not self.name:
-            object.__setattr__(self, "name", default_name(self.node_id, self.opcode))
+            object.__setattr__(self, "name", default_name(self.node_id, opcode))
 
     # ------------------------------------------------------------------
     @property
     def is_input(self) -> bool:
-        return self.opcode is OpCode.INPUT
+        return self.opcode is _INPUT
 
     @property
     def is_output(self) -> bool:
-        return self.opcode is OpCode.OUTPUT
+        return self.opcode is _OUTPUT
 
     @property
     def is_const(self) -> bool:
-        return self.opcode is OpCode.CONST
+        return self.opcode is _CONST
 
     @property
     def is_operation(self) -> bool:
         """True if the node is executed by an FU (i.e. a compute node)."""
-        return self.opcode.is_compute
+        return self.opcode in _COMPUTE
 
     def with_operands(self, operands: Tuple[int, ...]) -> "DFGNode":
         """Return a copy of the node with different operand ids."""
@@ -95,14 +104,13 @@ class DFGNode:
         return self.name
 
 
+_NAME_PREFIX = {op: op.name for op in OpCode}
+_NAME_PREFIX.update({_INPUT: "I", _OUTPUT: "O", _CONST: "C"})
+
+
 def default_name(node_id: int, opcode: OpCode) -> str:
     """Build the paper-style default node name (e.g. ``SUB_N6``)."""
-    prefix = {
-        OpCode.INPUT: "I",
-        OpCode.OUTPUT: "O",
-        OpCode.CONST: "C",
-    }.get(opcode, opcode.name)
-    return f"{prefix}_N{node_id}"
+    return f"{_NAME_PREFIX[opcode]}_N{node_id}"
 
 
 @dataclass(frozen=True)

@@ -70,38 +70,44 @@ class OpCode(enum.Enum):
     MAX = "max"
     ABS = "abs"
 
-    # ------------------------------------------------------------------
+    # Members are singletons and ``==`` is identity, so they hash by identity
+    # too.  ``Enum.__hash__`` is Python code (``hash(self._name_)``); this is
+    # the C slot, so every opcode-keyed table lookup stays in C.
+    __hash__ = object.__hash__
+
+    # The properties below read flags and the arity that
+    # :func:`_set_member_flags` stores on every member once at import time:
+    # each ``OpCode.X`` lookup goes through ``EnumType.__getattr__`` on
+    # Python 3.11, far too slow for the per-node paths that ask.
+    _structural: bool
+    _control: bool
+    _compute: bool
+    _arity: int
+    _commutative: bool
+
     @property
     def is_structural(self) -> bool:
         """True for DFG boundary nodes that never become FU instructions."""
-        return self in (OpCode.INPUT, OpCode.OUTPUT, OpCode.CONST)
+        return self._structural
 
     @property
     def is_control(self) -> bool:
         """True for FU-level control opcodes (LOAD / PASS / NOP)."""
-        return self in (OpCode.LOAD, OpCode.PASS, OpCode.NOP)
+        return self._control
 
     @property
     def is_compute(self) -> bool:
         """True for operations executed by the DSP ALU datapath."""
-        return not self.is_structural and not self.is_control
+        return self._compute
 
     @property
     def arity(self) -> int:
         """Number of data operands consumed by the operation."""
-        return OP_ARITY[self]
+        return self._arity
 
     @property
     def is_commutative(self) -> bool:
-        return self in (
-            OpCode.ADD,
-            OpCode.MUL,
-            OpCode.AND,
-            OpCode.OR,
-            OpCode.XOR,
-            OpCode.MIN,
-            OpCode.MAX,
-        )
+        return self._commutative
 
     def evaluate(self, *operands: int) -> int:
         """Evaluate the operation on signed 32-bit integer operands.
@@ -229,6 +235,31 @@ OP_VECTOR_EXPRESSIONS: Dict["OpCode", str] = {
     OpCode.ABS: "np.abs({0})",
 }
 
+
+_STRUCTURAL_OPCODES = (OpCode.INPUT, OpCode.OUTPUT, OpCode.CONST)
+_CONTROL_OPCODES = (OpCode.LOAD, OpCode.PASS, OpCode.NOP)
+_COMMUTATIVE_OPCODES = (
+    OpCode.ADD,
+    OpCode.MUL,
+    OpCode.AND,
+    OpCode.OR,
+    OpCode.XOR,
+    OpCode.MIN,
+    OpCode.MAX,
+)
+
+
+def _set_member_flags() -> None:
+    """Store each member's classification flags and arity on the member."""
+    for op in OpCode:
+        op._structural = op in _STRUCTURAL_OPCODES
+        op._control = op in _CONTROL_OPCODES
+        op._compute = not op._structural and not op._control
+        op._arity = OP_ARITY[op]
+        op._commutative = op in _COMMUTATIVE_OPCODES
+
+
+_set_member_flags()
 
 #: Compute opcodes that can appear as DFG operation nodes.
 COMPUTE_OPCODES = tuple(op for op in OpCode if op.is_compute)

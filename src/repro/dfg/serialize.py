@@ -24,6 +24,10 @@ from .node import DFGNode
 from .opcodes import OpCode, parse_opcode
 from .validate import validate_dfg
 
+#: Each opcode's serialized text (``OpCode.value`` is a Python-level
+#: descriptor call; this runs for every node of every fingerprint).
+_OP_TEXT = {op: op.value for op in OpCode}
+
 
 def to_dict(dfg: DFG) -> Dict[str, Any]:
     """Convert a DFG into a JSON-serializable dictionary."""
@@ -32,7 +36,7 @@ def to_dict(dfg: DFG) -> Dict[str, Any]:
         "nodes": [
             {
                 "id": node.node_id,
-                "op": node.opcode.value,
+                "op": _OP_TEXT[node.opcode],
                 "operands": list(node.operands),
                 "name": node.name,
                 **({"value": node.value} if node.is_const else {}),

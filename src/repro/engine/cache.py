@@ -21,7 +21,10 @@ memoises the compiled artifacts:
   so the worker processes of a parallel sweep can share compilations across
   runs.  Disk writes are atomic (temp file + rename — the same discipline
   :mod:`repro.engine.store` uses — so a concurrent reader never observes a
-  truncated artifact, even with several writers racing on one key).
+  truncated artifact, even with several writers racing on one key).  File
+  names carry :data:`DISK_FORMAT`, so entries pickled by a toolchain whose
+  classes had another shape are never read, and an entry that still fails
+  to load, for any reason, is a miss counted in ``stats.disk_errors``.
 
 Concurrency
 -----------
@@ -72,6 +75,13 @@ from ..schedule import schedule_kernel
 from ..schedule.types import OverlaySchedule
 
 
+#: Format tag of the disk layer's file names.  Bump it whenever a class
+#: pickled into an entry changes shape (:class:`CompiledKernel`, the
+#: schedule, program and image classes, DFG nodes, opcode hashing): entries
+#: of another format then keep their old names and are never loaded.
+DISK_FORMAT = 2
+
+
 def dfg_content_hash(dfg: DFG) -> str:
     """Stable content hash of a DFG (alias of :func:`dfg_fingerprint`)."""
     return dfg_fingerprint(dfg)
@@ -115,13 +125,13 @@ class CacheKey:
         )
 
     def filename(self) -> str:
-        """Stable on-disk name for the pickle layer."""
+        """Stable on-disk name for the pickle layer, tagged with :data:`DISK_FORMAT`."""
         digest = hashlib.sha256(
             f"{self.kernel_name}|{self.dfg_hash}|{self.variant_name}|"
             f"{self.depth}|{self.fixed_depth}|{self.fifo_depth}|"
             f"{self.scheduler}".encode("utf-8")
         ).hexdigest()[:32]
-        return f"{self.kernel_name}-{self.variant_name}-{digest}.pkl"
+        return f"{self.kernel_name}-{self.variant_name}-{digest}.f{DISK_FORMAT}.pkl"
 
 
 @dataclass
@@ -173,6 +183,11 @@ class CacheStats:
     #: times.  Counted separately from ``hits``/``misses`` so the
     #: single-threaded accounting is unchanged.
     coalesced: int = 0
+    #: Disk entries that existed but could not be loaded (truncated or
+    #: foreign bytes, classes that no longer unpickle, a non-artifact
+    #: object).  Each is also counted in ``misses``: the key recompiles and
+    #: the entry is rewritten.
+    disk_errors: int = 0
 
     @property
     def lookups(self) -> int:
@@ -201,6 +216,7 @@ class CacheStats:
             "source_hits": self.source_hits,
             "schedule_hits": self.schedule_hits,
             "coalesced": self.coalesced,
+            "disk_errors": self.disk_errors,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
         }
@@ -217,6 +233,7 @@ class CacheStats:
             total.source_hits += part.source_hits
             total.schedule_hits += part.schedule_hits
             total.coalesced += part.coalesced
+            total.disk_errors += part.disk_errors
         return total
 
 
@@ -534,20 +551,19 @@ class ScheduleCache:
 
     def _load_from_disk(self, key: CacheKey) -> Optional[CompiledKernel]:
         path = self._disk_path(key)
-        if path is None or not os.path.exists(path):
+        if path is None:
             return None
         try:
             with open(path, "rb") as handle:
                 compiled = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except FileNotFoundError:
             return None
+        except Exception:  # noqa: BLE001 - any unreadable entry is a counted miss
+            compiled = None
         if not isinstance(compiled, CompiledKernel):
+            with self._lock:
+                self.stats.disk_errors += 1
             return None
-        if not getattr(compiled, "warmup_bound_cycles", 0):
-            # Entry pickled before warm-up bounds existed: backfill it.
-            from .fastsim import steady_state_warmup_bound
-
-            compiled.warmup_bound_cycles = steady_state_warmup_bound(compiled.schedule)
         return compiled
 
     def _save_to_disk(self, key: CacheKey, compiled: CompiledKernel) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..dfg.opcodes import OpCode
 from ..errors import EncodingError
@@ -68,6 +68,21 @@ _ALU_OPCODE_CODES: Dict[OpCode, int] = {
 
 _ALU_CODE_TO_OPCODE: Dict[int, OpCode] = {v: k for k, v in _ALU_OPCODE_CODES.items()}
 
+# Members bound once for the per-word paths below: ``X.MEMBER`` goes
+# through ``EnumType.__getattr__`` and ``InstructionKind(bits)`` through the
+# Enum constructor, both Python code, on every call.
+_NOP = InstructionKind.NOP
+_EXEC = InstructionKind.EXEC
+_PASS = InstructionKind.PASS
+_LOAD = InstructionKind.LOAD
+_NOP_OPCODE = OpCode.NOP
+_PASS_OPCODE = OpCode.PASS
+_LOAD_OPCODE = OpCode.LOAD
+#: Kinds indexed by the two kind bits.
+_KINDS = (_NOP, _EXEC, _PASS, _LOAD)
+#: The kinds that may set the WB flag (a set, so plain ints compare equal).
+_WB_KINDS = frozenset((_EXEC, _PASS))
+
 _REG_FIELD_BITS = 5
 _OPCODE_FIELD_BITS = 5
 _MAX_REG = (1 << _REG_FIELD_BITS) - 1
@@ -99,22 +114,22 @@ class Instruction:
                 )
         if self.opcode not in _ALU_OPCODE_CODES:
             raise EncodingError(f"opcode {self.opcode.name} has no ALU encoding")
-        if self.wb and not self.kind == InstructionKind.EXEC and not self.kind == InstructionKind.PASS:
+        if self.wb and self.kind not in _WB_KINDS:
             raise EncodingError("only EXEC/PASS instructions may set the WB flag")
 
     # ------------------------------------------------------------------
     @classmethod
     def nop(cls) -> "Instruction":
-        return cls(kind=InstructionKind.NOP, opcode=OpCode.NOP)
+        return cls(kind=_NOP, opcode=_NOP_OPCODE)
 
     @classmethod
     def load(cls, rd: int) -> "Instruction":
         """A baseline-FU load slot writing the next stream word to ``rd``."""
-        return cls(kind=InstructionKind.LOAD, opcode=OpCode.LOAD, rd=rd)
+        return cls(kind=_LOAD, opcode=_LOAD_OPCODE, rd=rd)
 
     @classmethod
     def passthrough(cls, ra: int, wb: bool = False, ndf: bool = False) -> "Instruction":
-        return cls(kind=InstructionKind.PASS, opcode=OpCode.PASS, ra=ra, wb=wb, ndf=ndf)
+        return cls(kind=_PASS, opcode=_PASS_OPCODE, ra=ra, wb=wb, ndf=ndf)
 
     @classmethod
     def exec(
@@ -126,13 +141,11 @@ class Instruction:
         wb: bool = False,
         ndf: bool = False,
     ) -> "Instruction":
-        return cls(
-            kind=InstructionKind.EXEC, opcode=opcode, ra=ra, rb=rb, rd=rd, wb=wb, ndf=ndf
-        )
+        return cls(kind=_EXEC, opcode=opcode, ra=ra, rb=rb, rd=rd, wb=wb, ndf=ndf)
 
     @property
     def is_nop(self) -> bool:
-        return self.kind is InstructionKind.NOP
+        return self.kind is _NOP
 
     def mnemonic(self) -> str:
         """Assembly-like rendering used in traces and the Table II harness."""
@@ -174,7 +187,7 @@ def decode_instruction(word: int) -> Instruction:
     """Decode a 32-bit word back into an :class:`Instruction`."""
     if not 0 <= word <= 0xFFFFFFFF:
         raise EncodingError(f"instruction word {word:#x} is not a 32-bit value")
-    kind = InstructionKind(word & 0x3)
+    kind = _KINDS[word & 0x3]
     opcode_code = (word >> 2) & _MAX_OPCODE
     if opcode_code not in _ALU_CODE_TO_OPCODE:
         raise EncodingError(f"unknown ALU opcode code {opcode_code} in word {word:#010x}")

@@ -21,9 +21,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dfg.graph import DFG
 from ..errors import CodegenError
-from ..overlay.isa import Instruction, InstructionKind, encode_instruction
+from ..overlay.isa import Instruction, encode_instruction
 from ..schedule.types import OverlaySchedule, ScheduledOp, SlotKind, StageSchedule
 from .regalloc import RegisterAllocation, allocate_registers
+
+# Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
+_NOP = SlotKind.NOP
+_PASS = SlotKind.PASS
 
 
 @dataclass
@@ -137,9 +141,9 @@ def _generate_stage(
 
 
 def _encode_slot(slot: ScheduledOp, allocation: RegisterAllocation) -> Instruction:
-    if slot.kind is SlotKind.NOP:
+    if slot.kind is _NOP:
         return Instruction.nop()
-    if slot.kind is SlotKind.PASS:
+    if slot.kind is _PASS:
         if slot.value_id is None:
             raise CodegenError("PASS slot without a value")
         return Instruction.passthrough(

@@ -44,6 +44,9 @@ from ..errors import RegisterAllocationError
 from ..overlay.fu import FUVariant
 from ..schedule.types import SlotKind, StageSchedule
 
+# Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
+_COMPUTE = SlotKind.COMPUTE
+
 
 @dataclass
 class RegisterAllocation:
@@ -122,7 +125,7 @@ def compute_live_intervals(stage: StageSchedule) -> List[LiveInterval]:
         )
         defined.add(value_id)
     for index, slot in enumerate(stage.slots):
-        if slot.kind is SlotKind.COMPUTE and slot.write_back and slot.value_id is not None:
+        if slot.kind is _COMPUTE and slot.write_back and slot.value_id is not None:
             if slot.value_id in defined:
                 continue
             position = num_loads + index
@@ -262,7 +265,7 @@ def allocate_registers_reference(
         next_register += 1
 
     for slot in stage.slots:
-        if slot.kind is SlotKind.COMPUTE and slot.write_back and slot.value_id is not None:
+        if slot.kind is _COMPUTE and slot.write_back and slot.value_id is not None:
             if slot.value_id not in allocation.value_registers:
                 allocation.value_registers[slot.value_id] = next_register
                 next_register += 1

@@ -17,6 +17,8 @@ Implementation:
    whenever the move lowers the maximum per-cluster II.  The per-cluster II
    is evaluated with the real cost function: loads, computes, pass-throughs
    *and* the NOPs the IWP spacing forces after intra-cluster ordering.
+   Trials are scored from their stage traffic and slot counts
+   (:func:`_stage_iis`); only the winning assignment's stages are built.
 3. **Ordering** — each cluster's instruction stream is ordered by
    :func:`repro.schedule.ordering.order_cluster`, which hides the write-back
    latency behind independent instructions and only inserts NOPs when it has
@@ -28,13 +30,13 @@ scheduling, exactly as the paper does for the depth <= 8 benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..dfg.analysis import asap_levels, dfg_depth, level_sets, stage_traffic, value_lifetimes
+from ..dfg.analysis import dfg_depth, level_sets, stage_traffic, value_lifetimes
 from ..dfg.graph import DFG
 from ..errors import InfeasibleScheduleError
 from ..overlay.architecture import LinearOverlay
-from .ii import stage_ii
+from .ii import ii_from_counts, stage_ii
 from .linear import build_stage_schedules, schedule_linear
 from .ordering import order_cluster
 from .types import OverlaySchedule, ScheduledOp, StageSchedule
@@ -111,9 +113,50 @@ def initial_cluster_assignment(dfg: DFG, num_clusters: int) -> Dict[int, int]:
 def _assignment_cost(
     dfg: DFG, assignment: Dict[int, int], overlay: LinearOverlay
 ) -> Tuple[int, List[StageSchedule]]:
+    """Max stage II of an assignment, from its fully built stages.
+
+    The oracle for :func:`_stage_iis`: the tests check that both give the
+    same cost on every legal move of random graphs.
+    """
     stages = build_clustered_stages(dfg, assignment, overlay)
     cost = max(stage_ii(stage, overlay.variant) for stage in stages)
     return cost, stages
+
+
+#: ``(compute set, pass count) -> slot count`` of ordered clusters.
+_SlotCounts = Dict[Tuple[FrozenSet[int], int], int]
+
+
+def _stage_iis(
+    dfg: DFG, assignment: Dict[int, int], overlay: LinearOverlay, slot_counts: _SlotCounts
+) -> List[int]:
+    """Per-stage II of an assignment, without building its stages.
+
+    A stage's II depends only on its load count and its slot count, and
+    :func:`order_cluster`'s slot count only on the cluster's compute set and
+    its pass count: passes are interchangeable gap fillers, and the forward
+    flags do not change the count.  ``slot_counts`` memoises those counts
+    across the trials of one refinement, so a trial costs one
+    :func:`stage_traffic` plus an ordering of each cluster it changed.
+    """
+    variant = overlay.variant
+    iis: List[int] = []
+    for entry in stage_traffic(dfg, assignment, num_stages=overlay.depth):
+        key = (frozenset(entry.computes), len(entry.passes))
+        slots = slot_counts.get(key)
+        if slots is None:
+            slots = slot_counts[key] = len(
+                order_cluster(
+                    dfg,
+                    compute_nodes=entry.computes,
+                    pass_values=entry.passes,
+                    dependence_distance=variant.dependence_distance,
+                    stage_index=entry.stage,
+                    needed_until={},
+                )
+            )
+        iis.append(ii_from_counts(entry.num_loads, slots, variant))
+    return iis
 
 
 def _legal_moves(
@@ -148,30 +191,32 @@ def refine_assignment(
 ) -> Dict[int, int]:
     """Greedily move nodes across cluster boundaries to minimise the max II."""
     assignment = dict(assignment)
-    best_cost, stages = _assignment_cost(dfg, assignment, overlay)
+    slot_counts: _SlotCounts = {}
+    contributions = _stage_iis(dfg, assignment, overlay, slot_counts)
+    best_cost = max(contributions)
     for _ in range(max_moves):
-        contributions = [stage_ii(stage, overlay.variant) for stage in stages]
         bottleneck = max(range(len(contributions)), key=lambda i: contributions[i])
         bottleneck_nodes = [
             node_id for node_id, cluster in assignment.items() if cluster == bottleneck
         ]
         best_move: Optional[Tuple[int, int]] = None
         best_move_cost = best_cost
-        best_move_stages = stages
+        best_move_contributions = contributions
         for node_id in sorted(bottleneck_nodes):
             for target in _legal_moves(dfg, assignment, node_id, overlay.depth):
                 trial = dict(assignment)
                 trial[node_id] = target
-                cost, trial_stages = _assignment_cost(dfg, trial, overlay)
+                trial_contributions = _stage_iis(dfg, trial, overlay, slot_counts)
+                cost = max(trial_contributions)
                 if cost < best_move_cost:
                     best_move_cost = cost
                     best_move = (node_id, target)
-                    best_move_stages = trial_stages
+                    best_move_contributions = trial_contributions
         if best_move is None:
             break
         assignment[best_move[0]] = best_move[1]
         best_cost = best_move_cost
-        stages = best_move_stages
+        contributions = best_move_contributions
     return assignment
 
 

@@ -52,17 +52,20 @@ def ii_equation_overlapped(
 
 def stage_ii(stage: StageSchedule, variant) -> int:
     """Per-FU (per-lane) II contribution of one stage for one FU variant."""
+    return ii_from_counts(stage.num_loads, stage.num_instructions, variant)
+
+
+def ii_from_counts(num_loads: int, num_instructions: int, variant) -> int:
+    """Per-FU II of a stage from its load and instruction-slot counts alone."""
     fu = get_variant(variant)
     if fu.overlap_load_execute:
         return ii_equation_overlapped(
-            stage.num_loads,
-            stage.num_instructions,
+            num_loads,
+            num_instructions,
             load_gap=fu.load_block_gap,
             exec_gap=fu.exec_block_gap,
         )
-    return ii_equation_baseline(
-        stage.num_loads, stage.num_instructions, flush=fu.exec_block_gap
-    )
+    return ii_equation_baseline(num_loads, num_instructions, flush=fu.exec_block_gap)
 
 
 def per_stage_ii(schedule: OverlaySchedule) -> List[int]:

@@ -23,11 +23,13 @@ from typing import Dict, List, Optional, Sequence
 
 from ..dfg.analysis import stage_traffic, value_lifetimes
 from ..dfg.graph import DFG
-from ..dfg.opcodes import OpCode
 from ..errors import InfeasibleScheduleError
 from ..overlay.architecture import LinearOverlay
 from .asap import asap_assignment, schedule_depth
 from .types import OverlaySchedule, ScheduledOp, SlotKind, StageSchedule
+
+# Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
+_COMPUTE = SlotKind.COMPUTE
 
 
 def schedule_linear(dfg: DFG, overlay: LinearOverlay) -> OverlaySchedule:
@@ -115,7 +117,7 @@ def _default_slots(
         produced, needed_until = lifetimes.get(node_id, (stage_index, stage_index))
         slots.append(
             ScheduledOp(
-                kind=SlotKind.COMPUTE,
+                kind=_COMPUTE,
                 value_id=node_id,
                 opcode=node.opcode,
                 operands=node.operands,

@@ -26,6 +26,9 @@ from ..dfg.graph import DFG
 from ..errors import ScheduleError
 from .types import ScheduledOp, SlotKind
 
+# Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
+_COMPUTE = SlotKind.COMPUTE
+
 
 def intra_cluster_dependences(
     dfg: DFG, cluster_nodes: Sequence[int]
@@ -142,7 +145,7 @@ def order_cluster(
             )
             slots.append(
                 ScheduledOp(
-                    kind=SlotKind.COMPUTE,
+                    kind=_COMPUTE,
                     value_id=node_id,
                     opcode=node.opcode,
                     operands=node.operands,
@@ -178,10 +181,10 @@ def verify_ordering(
     violations: List[str] = []
     produced_at: Dict[int, int] = {}
     for index, slot in enumerate(slots):
-        if slot.kind is SlotKind.COMPUTE and slot.value_id is not None:
+        if slot.kind is _COMPUTE and slot.value_id is not None:
             produced_at[slot.value_id] = index
     for index, slot in enumerate(slots):
-        if slot.kind is not SlotKind.COMPUTE:
+        if slot.kind is not _COMPUTE:
             continue
         for operand in slot.operands:
             if operand not in produced_at:

@@ -33,6 +33,19 @@ class SlotKind(enum.Enum):
     PASS = "pass"
     NOP = "nop"
 
+    # Singletons compared by identity: hash by identity too (the C slot, not
+    # ``Enum.__hash__``'s Python code).
+    __hash__ = object.__hash__
+
+
+# Members bound once for the per-slot checks below (``SlotKind.X`` goes
+# through ``EnumType.__getattr__`` on every lookup).
+_COMPUTE = SlotKind.COMPUTE
+_PASS = SlotKind.PASS
+_NOP = SlotKind.NOP
+_PASS_OPCODE = OpCode.PASS
+_NOP_OPCODE = OpCode.NOP
+
 
 @dataclass(frozen=True)
 class ScheduledOp:
@@ -68,27 +81,27 @@ class ScheduledOp:
     @classmethod
     def nop(cls) -> "ScheduledOp":
         """An idle slot (IWP spacing on fixed-depth overlays)."""
-        return cls(kind=SlotKind.NOP, opcode=OpCode.NOP, forward=False)
+        return cls(kind=_NOP, opcode=_NOP_OPCODE, forward=False)
 
     @classmethod
     def passthrough(cls, value_id: int) -> "ScheduledOp":
         """A slot that forwards a transiting value to the next stage."""
         return cls(
-            kind=SlotKind.PASS,
+            kind=_PASS,
             value_id=value_id,
-            opcode=OpCode.PASS,
+            opcode=_PASS_OPCODE,
             operands=(value_id,),
         )
 
     @property
     def is_nop(self) -> bool:
         """Whether this slot does nothing (no read, no emit)."""
-        return self.kind is SlotKind.NOP
+        return self.kind is _NOP
 
     @property
     def emits(self) -> bool:
         """Whether this slot pushes a value to the downstream FIFO."""
-        return self.kind is not SlotKind.NOP and self.forward
+        return self.kind is not _NOP and self.forward
 
     def describe(self, dfg: Optional[DFG] = None) -> str:
         """Human-readable rendering (used in traces / the Table II harness)."""
@@ -136,17 +149,17 @@ class StageSchedule:
     @property
     def num_computes(self) -> int:
         """Slots executing a DFG operation (the paper's per-FU ``#op``)."""
-        return sum(1 for s in self.slots if s.kind is SlotKind.COMPUTE)
+        return sum(1 for s in self.slots if s.kind is _COMPUTE)
 
     @property
     def num_passes(self) -> int:
         """Slots forwarding transiting values (linear-interconnect cost)."""
-        return sum(1 for s in self.slots if s.kind is SlotKind.PASS)
+        return sum(1 for s in self.slots if s.kind is _PASS)
 
     @property
     def num_nops(self) -> int:
         """Idle slots inserted for IWP spacing."""
-        return sum(1 for s in self.slots if s.kind is SlotKind.NOP)
+        return sum(1 for s in self.slots if s.kind is _NOP)
 
     @property
     def emission_order(self) -> List[int]:
@@ -163,7 +176,7 @@ class StageSchedule:
     def slot_of_value(self, value_id: int) -> Optional[int]:
         """Index of the slot producing ``value_id`` (None if not produced here)."""
         for index, slot in enumerate(self.slots):
-            if slot.kind is SlotKind.COMPUTE and slot.value_id == value_id:
+            if slot.kind is _COMPUTE and slot.value_id == value_id:
                 return index
         return None
 

@@ -25,13 +25,42 @@ Codes
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import EncodingError, RegisterAllocationError
-from ..overlay.isa import InstructionKind, decode_instruction, encode_instruction
+from ..overlay.isa import Instruction, InstructionKind, decode_instruction, encode_instruction
 from .diagnostics import Diagnostic, Severity
 
 _PASS = "binary"
+_LOAD = InstructionKind.LOAD
+
+
+class _Decoded(NamedTuple):
+    """One word's decode: the instruction (or why it does not decode) and
+    whether re-encoding it gives the word back."""
+
+    instruction: Optional[Instruction]
+    error: Optional[EncodingError]
+    round_trips: bool
+
+
+class _Decoder(Dict[int, _Decoded]):
+    """``word -> _Decoded``, decoding and re-encoding each distinct word once
+    per verification.
+
+    Programs repeat words (NOPs, pass-throughs) and the image carries the
+    program's words again, so every later sight of a word is a lookup.
+    """
+
+    def __missing__(self, word: int) -> _Decoded:
+        try:
+            instruction = decode_instruction(word)
+        except EncodingError as error:
+            decoded = _Decoded(None, error, False)
+        else:
+            decoded = _Decoded(instruction, None, encode_instruction(instruction) == word)
+        self[word] = decoded
+        return decoded
 
 
 def _error(code: str, message: str, **location) -> Diagnostic:
@@ -48,6 +77,7 @@ def run(ctx) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     variant = ctx.overlay.variant
     encoded_sections: List[Tuple[int, List[int]]] = []
+    decode = _Decoder()
 
     stages = ctx.schedule.stages
     for fu_program in ctx.program.fu_programs:
@@ -72,12 +102,12 @@ def run(ctx) -> List[Diagnostic]:
                     stage=index,
                 )
             )
-        out.extend(_check_words(words, variant, index))
-        loads = sum(
-            1
-            for word in words
-            if _kind_of(word) is InstructionKind.LOAD
-        )
+        out.extend(_check_words(words, variant, index, decode))
+        loads = 0
+        for word in words:
+            instruction = decode[word].instruction
+            if instruction is not None and instruction.kind is _LOAD:
+                loads += 1
         if variant.overlap_load_execute:
             if loads:
                 out.append(
@@ -100,23 +130,15 @@ def run(ctx) -> List[Diagnostic]:
             )
 
     if ctx.configuration is not None:
-        out.extend(_check_image(ctx, encoded_sections))
+        out.extend(_check_image(ctx, encoded_sections, decode))
     return out
 
 
-def _kind_of(word: int):
-    try:
-        return decode_instruction(word).kind
-    except EncodingError:
-        return None
-
-
-def _check_words(words: List[int], variant, index: int) -> List[Diagnostic]:
+def _check_words(words: List[int], variant, index: int, decode: _Decoder) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     for slot, word in enumerate(words):
-        try:
-            decoded = decode_instruction(word)
-        except EncodingError as error:
+        decoded, error, round_trips = decode[word]
+        if decoded is None:
             out.append(
                 _error(
                     "BIN001",
@@ -127,7 +149,7 @@ def _check_words(words: List[int], variant, index: int) -> List[Diagnostic]:
                 )
             )
             continue
-        if encode_instruction(decoded) != word:
+        if not round_trips:
             out.append(
                 _error(
                     "BIN001",
@@ -150,7 +172,7 @@ def _check_words(words: List[int], variant, index: int) -> List[Diagnostic]:
     return out
 
 
-def _check_image(ctx, encoded_sections) -> List[Diagnostic]:
+def _check_image(ctx, encoded_sections, decode: _Decoder) -> List[Diagnostic]:
     image = ctx.configuration
     overlay = ctx.overlay
     out: List[Diagnostic] = []
@@ -179,7 +201,7 @@ def _check_image(ctx, encoded_sections) -> List[Diagnostic]:
                     stage=index,
                 )
             )
-        out.extend(_check_words(image_words, overlay.variant, index))
+        out.extend(_check_words(image_words, overlay.variant, index, decode))
 
     for fu_program in ctx.program.fu_programs:
         index = fu_program.stage

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Set
 
-from ..dfg.opcodes import OpCode
 from .diagnostics import Diagnostic, Severity
 
 _PASS = "dfg"
@@ -40,7 +39,14 @@ def _error(code: str, message: str, **location) -> Diagnostic:
 
 
 def run(ctx) -> List[Diagnostic]:
-    dfg = ctx.dfg
+    """The ``dfg`` pass: the context's DFG verdict, which is derived once per
+    context (:attr:`~repro.verify.engine.VerifyContext.dfg_diagnostics`)
+    and shared with the ``schedule`` pass that gates on it."""
+    return list(ctx.dfg_diagnostics)
+
+
+def check(dfg) -> List[Diagnostic]:
+    """Every DFG check over one graph."""
     out: List[Diagnostic] = []
 
     if dfg.num_inputs == 0:
@@ -81,7 +87,7 @@ def run(ctx) -> List[Diagnostic]:
                         node=node.node_id,
                     )
                 )
-        if node.opcode in (OpCode.LOAD, OpCode.NOP, OpCode.PASS):
+        if node.opcode.is_control:
             out.append(
                 _error(
                     "DFG004",

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from . import dfg_checks
 from .diagnostics import Diagnostic, VerifyReport
 
 #: A verification pass: context in, diagnostics out.
@@ -45,6 +47,12 @@ class VerifyContext:
     @property
     def overlay(self):
         return self.schedule.overlay
+
+    @cached_property
+    def dfg_diagnostics(self) -> Tuple[Diagnostic, ...]:
+        """The DFG checks' findings, derived once per context: the ``dfg``
+        pass reports them and the ``schedule`` pass gates on them."""
+        return tuple(dfg_checks.check(self.dfg))
 
     @classmethod
     def from_handle(cls, handle) -> "VerifyContext":
@@ -140,7 +148,7 @@ def verify_handle(handle, passes: Optional[Sequence[str]] = None) -> VerifyRepor
 
 
 def _register_builtins() -> None:
-    from . import binary_checks, dfg_checks, regalloc_checks, schedule_checks, spec_checks
+    from . import binary_checks, regalloc_checks, schedule_checks, spec_checks
 
     register_pass("dfg", dfg_checks.run, family="DFG")
     register_pass("schedule", schedule_checks.run, family="SCHED")

@@ -27,6 +27,10 @@ from ..program.regalloc import compute_live_intervals
 from ..schedule.types import SlotKind
 from .diagnostics import Diagnostic, Severity
 
+# Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
+_COMPUTE = SlotKind.COMPUTE
+_PASS_SLOT = SlotKind.PASS
+
 _PASS = "regalloc"
 
 
@@ -127,11 +131,11 @@ def _check_stage(fu_program, stage, variant) -> List[Diagnostic]:
 
     # Every value a slot reads or produces must be addressable.
     for slot_index, slot in enumerate(stage.slots):
-        if slot.kind is SlotKind.COMPUTE:
+        if slot.kind is _COMPUTE:
             needed = list(slot.operands)
             if slot.write_back and slot.value_id is not None:
                 needed.append(slot.value_id)
-        elif slot.kind is SlotKind.PASS:
+        elif slot.kind is _PASS_SLOT:
             needed = [slot.value_id] if slot.value_id is not None else []
         else:
             continue

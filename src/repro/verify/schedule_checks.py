@@ -36,8 +36,11 @@ from typing import Dict, List
 
 from ..schedule.ii import analytic_ii, minimum_ii_bound
 from ..schedule.types import SlotKind
-from . import dfg_checks
 from .diagnostics import Diagnostic, Severity
+
+# Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
+_COMPUTE = SlotKind.COMPUTE
+_PASS_SLOT = SlotKind.PASS
 
 _PASS = "schedule"
 
@@ -53,7 +56,7 @@ def _error(code: str, message: str, **location) -> Diagnostic:
 
 
 def run(ctx) -> List[Diagnostic]:
-    if any(d.severity is Severity.ERROR for d in dfg_checks.run(ctx)):
+    if any(d.severity is Severity.ERROR for d in ctx.dfg_diagnostics):
         return []
     schedule = ctx.schedule
     dfg, overlay = schedule.dfg, schedule.overlay
@@ -113,7 +116,7 @@ def _stage_of_computes(schedule) -> Dict[int, int]:
     placed: Dict[int, int] = {}
     for index, stage in enumerate(schedule.stages):
         for slot in stage.slots:
-            if slot.kind is SlotKind.COMPUTE and slot.value_id is not None:
+            if slot.kind is _COMPUTE and slot.value_id is not None:
                 placed.setdefault(slot.value_id, index)
     return placed
 
@@ -124,7 +127,7 @@ def _check_coverage(schedule, dfg) -> List[Diagnostic]:
     seen: Dict[int, int] = {}
     for index, stage in enumerate(schedule.stages):
         for slot_index, slot in enumerate(stage.slots):
-            if slot.kind is not SlotKind.COMPUTE or slot.value_id is None:
+            if slot.kind is not _COMPUTE or slot.value_id is None:
                 continue
             value = slot.value_id
             if value in seen:
@@ -224,9 +227,9 @@ def _check_stage_ordering(schedule, dfg, variant) -> List[Diagnostic]:
                         slot=slot_index,
                     )
                 )
-            if slot.kind is SlotKind.COMPUTE:
+            if slot.kind is _COMPUTE:
                 needed = slot.operands
-            elif slot.kind is SlotKind.PASS:
+            elif slot.kind is _PASS_SLOT:
                 needed = (slot.value_id,) if slot.value_id is not None else ()
             else:
                 continue
@@ -262,7 +265,7 @@ def _check_stage_ordering(schedule, dfg, variant) -> List[Diagnostic]:
                     )
                 )
             if (
-                slot.kind is SlotKind.COMPUTE
+                slot.kind is _COMPUTE
                 and slot.write_back
                 and slot.value_id is not None
             ):

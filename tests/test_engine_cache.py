@@ -1,13 +1,17 @@
 """Tests for the compiled-schedule cache and its runtime integration."""
 
+import hashlib
 import pickle
 
 import pytest
 
 from repro.engine.cache import (
+    DISK_FORMAT,
     CacheKey,
+    CacheStats,
     CompiledKernel,
     ScheduleCache,
+    ShardedScheduleCache,
     default_cache,
     dfg_content_hash,
 )
@@ -119,6 +123,94 @@ class TestScheduleCache:
         clone = pickle.loads(pickle.dumps(compiled))
         assert isinstance(clone, CompiledKernel)
         assert clone.schedule.kernel_name == "qspline"
+
+
+def _legacy_filename(key):
+    """The disk layer's file name before it carried a format tag."""
+    digest = hashlib.sha256(
+        f"{key.kernel_name}|{key.dfg_hash}|{key.variant_name}|"
+        f"{key.depth}|{key.fixed_depth}|{key.fifo_depth}|"
+        f"{key.scheduler}".encode("utf-8")
+    ).hexdigest()[:32]
+    return f"{key.kernel_name}-{key.variant_name}-{digest}.pkl"
+
+
+#: Entries that fail to load the way stale or damaged ones do: a module or
+#: class that is gone (ImportError), a reconstructor whose signature changed
+#: (TypeError), a value a constructor now rejects (ValueError), bytes that
+#: are no pickle, and an object that is no artifact.  Protocol 0 by hand, so
+#: the bytes need nothing importable from this test module.
+UNLOADABLE_ENTRIES = [
+    pytest.param(b"cno_such_module_for_the_cache_test\nCompiledKernel\n.", ImportError, id="ImportError"),
+    pytest.param(b"cbuiltins\nlen\n(tR.", TypeError, id="TypeError"),
+    pytest.param(b"cbuiltins\nint\n(S'not a number'\ntR.", ValueError, id="ValueError"),
+    pytest.param(b"not a pickle", pickle.UnpicklingError, id="UnpicklingError"),
+    pytest.param(pickle.dumps({"schedule": None}), None, id="not-an-artifact"),
+]
+
+
+class TestDiskFormat:
+    @pytest.fixture
+    def point(self):
+        dfg = get_kernel("chebyshev")
+        overlay = LinearOverlay.for_kernel("v1", dfg)
+        return dfg, overlay, CacheKey.for_mapping(dfg, overlay)
+
+    def test_file_names_carry_the_format_tag(self, point):
+        key = point[2]
+        assert key.filename().endswith(f".f{DISK_FORMAT}.pkl")
+        assert key.filename() != _legacy_filename(key)
+
+    def test_old_format_entry_is_ignored(self, tmp_path, point):
+        dfg, overlay, key = point
+        compiled = ScheduleCache(capacity=4).get_or_compile(dfg, overlay)
+        disk = tmp_path / "cache"
+        disk.mkdir()
+        # A readable artifact under the untagged name is never loaded.
+        (disk / _legacy_filename(key)).write_bytes(pickle.dumps(compiled))
+        reader = ScheduleCache(capacity=4, disk_dir=str(disk))
+        reader.get_or_compile(get_kernel("chebyshev"), overlay)
+        assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.disk_errors) == (0, 1, 0)
+        assert (disk / key.filename()).exists()
+
+    @pytest.mark.parametrize("entry, error", UNLOADABLE_ENTRIES)
+    def test_unloadable_entry_is_a_counted_miss(self, tmp_path, point, entry, error):
+        dfg, overlay, key = point
+        if error is not None:
+            with pytest.raises(error):
+                pickle.loads(entry)
+        disk = tmp_path / "cache"
+        disk.mkdir()
+        (disk / key.filename()).write_bytes(entry)
+        reader = ScheduleCache(capacity=4, disk_dir=str(disk))
+        compiled = reader.get_or_compile(dfg, overlay)
+        assert compiled.schedule.kernel_name == "chebyshev"
+        assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.disk_errors) == (0, 1, 1)
+        assert reader.stats.as_dict()["disk_errors"] == 1
+        # The recompiled artifact replaced the entry: the next reader hits it.
+        again = ScheduleCache(capacity=4, disk_dir=str(disk))
+        again.get_or_compile(get_kernel("chebyshev"), overlay)
+        assert (again.stats.disk_hits, again.stats.disk_errors) == (1, 0)
+
+    def test_fresh_entry_round_trips_to_a_disk_hit(self, tmp_path, point):
+        dfg, overlay, key = point
+        disk = str(tmp_path / "cache")
+        written = ScheduleCache(capacity=4, disk_dir=disk).get_or_compile(dfg, overlay)
+        reader = ScheduleCache(capacity=4, disk_dir=disk)
+        loaded = reader.get_or_compile(get_kernel("chebyshev"), overlay)
+        assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.disk_errors) == (1, 0, 0)
+        assert loaded.configuration.to_bytes() == written.configuration.to_bytes()
+        assert loaded.warmup_bound_cycles == written.warmup_bound_cycles > 0
+
+    def test_sharded_stats_sum_disk_errors(self, tmp_path, point):
+        dfg, overlay, key = point
+        disk = tmp_path / "cache"
+        disk.mkdir()
+        (disk / key.filename()).write_bytes(b"not a pickle")
+        cache = ShardedScheduleCache(capacity=8, shards=2, disk_dir=str(disk))
+        cache.get_or_compile(dfg, overlay)
+        assert cache.stats.disk_errors == 1
+        assert CacheStats.merged([CacheStats(disk_errors=2), CacheStats(disk_errors=3)]).disk_errors == 5
 
 
 class TestRuntimeIntegration:

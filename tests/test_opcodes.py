@@ -1,5 +1,7 @@
 """Unit tests for repro.dfg.opcodes."""
 
+import pickle
+
 import pytest
 
 from repro.dfg.opcodes import (
@@ -10,6 +12,14 @@ from repro.dfg.opcodes import (
     OpCode,
     parse_opcode,
 )
+from repro.schedule.types import SlotKind
+
+#: The classification sets as the module docstring defines them.
+STRUCTURAL = {OpCode.INPUT, OpCode.OUTPUT, OpCode.CONST}
+CONTROL = {OpCode.LOAD, OpCode.PASS, OpCode.NOP}
+COMMUTATIVE = {
+    OpCode.ADD, OpCode.MUL, OpCode.AND, OpCode.OR, OpCode.XOR, OpCode.MIN, OpCode.MAX
+}
 
 
 class TestOpcodeClassification:
@@ -40,6 +50,44 @@ class TestOpcodeClassification:
         assert OpCode.MUL.is_commutative
         assert not OpCode.SUB.is_commutative
         assert not OpCode.SHL.is_commutative
+
+
+class TestPrecomputedFlags:
+    """The flags stored on each member equal the definitions they replace."""
+
+    @pytest.mark.parametrize("op", list(OpCode), ids=lambda op: op.name)
+    def test_flags_and_arity_match_the_definitions(self, op):
+        assert op.is_structural is (op in STRUCTURAL)
+        assert op.is_control is (op in CONTROL)
+        assert op.is_compute is (op not in STRUCTURAL and op not in CONTROL)
+        assert op.is_commutative is (op in COMMUTATIVE)
+        assert op.arity == OP_ARITY[op]
+
+    def test_compute_opcodes_are_the_remaining_members(self):
+        assert set(COMPUTE_OPCODES) == set(OpCode) - STRUCTURAL - CONTROL
+
+
+class TestIdentityHashing:
+    """Members hash by identity, which must agree with ``==``."""
+
+    @pytest.mark.parametrize("enum_class", [OpCode, SlotKind], ids=lambda c: c.__name__)
+    def test_hash_agrees_with_equality(self, enum_class):
+        members = list(enum_class)
+        for a in members:
+            assert hash(a) == object.__hash__(a)
+            for b in members:
+                assert (a == b) is (a is b)
+        assert len({hash(m) for m in members}) == len(members)
+
+    @pytest.mark.parametrize("enum_class", [OpCode, SlotKind], ids=lambda c: c.__name__)
+    def test_member_keyed_dicts_survive_a_pickle_round_trip(self, enum_class):
+        table = {member: member.value for member in enum_class}
+        restored = pickle.loads(pickle.dumps(table))
+        assert restored == table
+        for member in enum_class:
+            assert restored[member] == member.value
+        assert all(key is enum_class(key.value) for key in restored)
+        assert set(pickle.loads(pickle.dumps(set(enum_class)))) == set(enum_class)
 
 
 class TestSemantics:

@@ -88,6 +88,35 @@ class TestValidation:
             decode_instruction(word)
 
 
+#: One instruction per kind code.
+KIND_EXAMPLES = {
+    InstructionKind.NOP: Instruction.nop(),
+    InstructionKind.EXEC: Instruction.exec(OpCode.MULADD, ra=1, rb=2, rd=3, wb=True),
+    InstructionKind.PASS: Instruction.passthrough(ra=4, ndf=True),
+    InstructionKind.LOAD: Instruction.load(rd=5),
+}
+#: ALU opcode codes 0-18 are assigned; 19-31 decode to nothing.
+KNOWN_OPCODE_CODES = 19
+
+
+class TestKindDecoding:
+    @pytest.mark.parametrize("kind", list(InstructionKind), ids=lambda k: k.name)
+    def test_every_kind_code_decodes_to_its_member(self, kind):
+        word = encode_instruction(KIND_EXAMPLES[kind])
+        assert word & 0x3 == kind.value
+        decoded = decode_instruction(word)
+        assert decoded.kind is kind
+        assert decoded == KIND_EXAMPLES[kind]
+
+    @pytest.mark.parametrize("kind", list(InstructionKind), ids=lambda k: k.name)
+    def test_unknown_opcode_codes_still_raise_after_a_decode(self, kind):
+        known = encode_instruction(KIND_EXAMPLES[kind])
+        for code in range(KNOWN_OPCODE_CODES, 32):
+            decode_instruction(known)
+            with pytest.raises(EncodingError, match="unknown ALU opcode code"):
+                decode_instruction((known & ~(0x1F << 2)) | (code << 2))
+
+
 class TestMnemonics:
     def test_nop(self):
         assert Instruction.nop().mnemonic() == "NOP"

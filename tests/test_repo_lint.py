@@ -36,10 +36,15 @@ SCOPE = [
 HYGIENE_ONLY = [
     os.path.join(SRC, "api.py"),
     os.path.join(SRC, "baseline", "li2016.py"),
+    os.path.join(SRC, "dfg", "node.py"),
+    os.path.join(SRC, "dfg", "opcodes.py"),
+    os.path.join(SRC, "engine", "cache.py"),
     os.path.join(SRC, "engine", "fastsim.py"),
     os.path.join(SRC, "engine", "sweep.py"),
     os.path.join(SRC, "metrics", "performance.py"),
+    os.path.join(SRC, "overlay", "isa.py"),
     os.path.join(SRC, "runtime", "manager.py"),
+    os.path.join(SRC, "schedule", "greedy.py"),
 ]
 
 

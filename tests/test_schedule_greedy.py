@@ -1,18 +1,25 @@
 """Tests for the fixed-depth greedy cluster scheduler (V3-V5 overlays)."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.dfg.analysis import dfg_depth
 from repro.errors import InfeasibleScheduleError
 from repro.kernels import PAPER_TABLE3_II, TABLE3_BENCHMARKS, get_kernel
+from repro.kernels.generators import random_dfg
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import V1, V3, V4, V5
 from repro.schedule.greedy import (
+    _assignment_cost,
+    _legal_moves,
+    _stage_iis,
     cluster_membership,
     initial_cluster_assignment,
+    refine_assignment,
     schedule_fixed_depth,
 )
-from repro.schedule.ii import analytic_ii, per_stage_ii
+from repro.schedule.ii import analytic_ii, per_stage_ii, stage_ii
 from repro.schedule.linear import schedule_linear
 from repro.schedule.ordering import verify_ordering
 from repro.schedule.types import SlotKind
@@ -140,3 +147,74 @@ class TestAgainstPaperTable3:
             assert measured == pytest.approx(published)
         else:
             assert measured == pytest.approx(published, rel=0.25)
+
+
+#: Random kernels deeper than the overlay, so clustering and refinement run.
+clustering_cases = st.fixed_dictionaries(
+    {
+        "dfg": st.builds(
+            random_dfg,
+            num_inputs=st.integers(min_value=1, max_value=5),
+            num_operations=st.integers(min_value=10, max_value=36),
+            seed=st.integers(min_value=0, max_value=10_000),
+        ),
+        "variant": st.sampled_from([V3, V4, V5]),
+        "depth": st.integers(min_value=2, max_value=8),
+    }
+)
+
+
+def _reference_refinement(dfg, assignment, overlay, max_moves=200):
+    """The refinement loop on full stage rebuilds (``_assignment_cost``)."""
+    assignment = dict(assignment)
+    best_cost, stages = _assignment_cost(dfg, assignment, overlay)
+    for _ in range(max_moves):
+        contributions = [stage_ii(stage, overlay.variant) for stage in stages]
+        bottleneck = max(range(len(contributions)), key=lambda i: contributions[i])
+        best_move, best_move_cost, best_move_stages = None, best_cost, stages
+        for node_id in sorted(n for n, c in assignment.items() if c == bottleneck):
+            for target in _legal_moves(dfg, assignment, node_id, overlay.depth):
+                trial = dict(assignment)
+                trial[node_id] = target
+                cost, trial_stages = _assignment_cost(dfg, trial, overlay)
+                if cost < best_move_cost:
+                    best_move, best_move_cost, best_move_stages = (node_id, target), cost, trial_stages
+        if best_move is None:
+            break
+        assignment[best_move[0]] = best_move[1]
+        best_cost, stages = best_move_cost, best_move_stages
+    return assignment
+
+
+class TestTrialScoring:
+    """Refinement scores trials from stage traffic and memoised slot counts;
+    the full stage rebuild is the oracle."""
+
+    @given(case=clustering_cases)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_legal_move_scores_like_a_full_rebuild(self, case):
+        dfg, variant, depth = case["dfg"], case["variant"], case["depth"]
+        assume(dfg_depth(dfg) > depth)
+        overlay = LinearOverlay.fixed(variant, depth)
+        initial = initial_cluster_assignment(dfg, depth)
+        slot_counts = {}  # shared across trials, as within one refinement
+        for base in (initial, refine_assignment(dfg, initial, overlay)):
+            for node_id in sorted(base):
+                for target in _legal_moves(dfg, base, node_id, depth):
+                    trial = dict(base)
+                    trial[node_id] = target
+                    cost, stages = _assignment_cost(dfg, trial, overlay)
+                    iis = _stage_iis(dfg, trial, overlay, slot_counts)
+                    assert iis == [stage_ii(stage, variant) for stage in stages]
+                    assert max(iis) == cost
+
+    @given(case=clustering_cases)
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_refinement_picks_the_moves_of_the_rebuilding_loop(self, case):
+        dfg, variant, depth = case["dfg"], case["variant"], case["depth"]
+        assume(dfg_depth(dfg) > depth)
+        overlay = LinearOverlay.fixed(variant, depth)
+        initial = initial_cluster_assignment(dfg, depth)
+        assert refine_assignment(dfg, initial, overlay) == _reference_refinement(
+            dfg, initial, overlay
+        )

@@ -1,10 +1,14 @@
 """Static verification layer: passes, reports, API and CLI wiring.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * **the clean library is clean** — every kernel x variant x scheduler
   artifact the toolchain produces yields zero diagnostics (fast subset
   always; the full grid under ``--runslow``);
+* **each piece of work once** — one verification runs the DFG checks once
+  (the ``dfg`` and ``schedule`` passes share the verdict) and decodes each
+  distinct instruction word once, and a memoised decode never hides a
+  corrupted word;
 * **the diagnostic model round-trips** — ``Diagnostic`` / ``VerifyReport``
   survive JSON exactly, reject malformed codes and unknown fields;
 * **session wiring** — ``Toolchain.verify`` caches full-suite verdicts on
@@ -16,6 +20,8 @@ Four layers of guarantees:
   and its ``--json`` reports parse back into :class:`VerifyReport`.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -107,6 +113,63 @@ class TestCleanLibrary:
         assert "regalloc" not in report.passes
         assert "binary" not in report.passes
         assert "schedule" in report.passes
+
+
+# ---------------------------------------------------------------------------
+# each piece of work once per verification
+# ---------------------------------------------------------------------------
+class TestSharedWork:
+    @pytest.fixture
+    def handle(self):
+        # Clustered V3 pads with NOPs and passes: words repeat within a FU.
+        return Toolchain(ScheduleCache()).compile(
+            "poly7", OverlaySpec(variant="v3", scheduler="clustered")
+        )
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_each_distinct_word_is_decoded_once(self, monkeypatch, handle):
+        from repro.verify import binary_checks
+
+        calls = self._count_calls(monkeypatch, binary_checks, "decode_instruction")
+        assert verify_handle(handle).ok
+        words = [w for program in handle.program.fu_programs for w in program.encoded_words()]
+        assert len(set(words)) < len(words)
+        assert sorted(word for (word,) in calls) == sorted(set(words))
+
+    def test_dfg_checks_run_once_per_verification(self, monkeypatch, handle):
+        from repro.verify import dfg_checks
+
+        calls = self._count_calls(monkeypatch, dfg_checks, "check")
+        report = verify_handle(handle)
+        assert {"dfg", "schedule"} <= set(report.passes)
+        assert len(calls) == 1
+        # The schedule pass alone still derives the verdict it gates on.
+        run_passes(VerifyContext.from_handle(handle), passes=["schedule"])
+        assert len(calls) == 2
+
+    def test_undecodable_word_is_reported_after_its_slot_decoded(self, handle):
+        image = copy.deepcopy(handle.configuration)
+        words = image.fu_instruction_words[0]
+        # The program's copy of this slot decodes first; the image's copy
+        # carries an unknown opcode code (31) and must still be flagged.
+        words[0] = (words[0] & ~(0x1F << 2)) | (31 << 2)
+        ctx = dataclasses.replace(VerifyContext.from_handle(handle), configuration=image)
+        report = run_passes(ctx, passes=["binary"])
+        undecodable = [
+            d for d in report.diagnostics if d.code == "BIN001" and "does not decode" in d.message
+        ]
+        assert [(d.stage, d.slot) for d in undecodable] == [(0, 0)]
 
 
 # ---------------------------------------------------------------------------
