@@ -16,9 +16,16 @@ Two jobs:
   warm compile down: warm ``Toolchain.compile`` with the default ``auto``
   strategy stays within ``MAX_WARM_COMPILE_RATIO`` (1.1x) of a raw
   ``ScheduleCache`` hit — the PR 2/4 cached-baseline path.  Recorded as
-  ``scheduler_warm_compile_ratio``.
+  ``scheduler_warm_compile_ratio``.  The gate reads the **median of
+  ``ROUNDS`` per-round ratios**; each round times one raw and one default
+  run, alternating which goes first, each from a collected heap.  A single
+  best-of-5 pair read 0.69x to 1.20x over eight runs on its own, and up to
+  1.39x inside the full bench suite, on a shared 2-vCPU VM with the code
+  unchanged.
 """
 
+import gc
+import statistics
 import time
 
 from repro.api import Toolchain
@@ -31,11 +38,11 @@ from repro.schedule import schedule_with, scheduler_names
 from repro.sim.overlay import simulate_schedule
 from repro.specs import OverlaySpec
 
-#: Warm-compile calls per timing sample.
+#: Warm-compile calls per timed run.
 CALLS = 2000
 
-#: Timing samples per contender (the minimum squeezes out scheduler noise).
-SAMPLES = 5
+#: Rounds of the warm-compile gate, each one raw and one default run.
+ROUNDS = 9
 
 #: Gate: warm default-strategy compile vs the raw cached-baseline hit.
 MAX_WARM_COMPILE_RATIO = 1.1
@@ -44,14 +51,14 @@ MAX_WARM_COMPILE_RATIO = 1.1
 NUM_BLOCKS = 8
 
 
-def _best_of(fn, calls=CALLS, samples=SAMPLES) -> float:
-    best = float("inf")
-    for _ in range(samples):
-        started = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _timed_run(fn, calls=CALLS) -> float:
+    # Start every run from a collected heap: otherwise a collection of the
+    # previous run's garbage lands at random in a later run's timing.
+    gc.collect()
+    started = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return time.perf_counter() - started
 
 
 def test_strategy_ii_comparison(record_metric, save_result):
@@ -110,26 +117,41 @@ def test_default_warm_compile_regression_gate(record_metric, save_result):
     spec = OverlaySpec("v1")
     overlay = toolchain.compile(dfg, spec).overlay  # warm both paths
 
-    baseline_s = _best_of(lambda: cache.get_or_compile(dfg, overlay))
-    default_s = _best_of(lambda: toolchain.compile(dfg, spec))
-    ratio = default_s / baseline_s
+    def raw():
+        return cache.get_or_compile(dfg, overlay)
+
+    def default():
+        return toolchain.compile(dfg, spec)
+
+    ratios, raw_runs, default_runs = [], [], []
+    for round_index in range(ROUNDS):
+        order = (raw, default) if round_index % 2 == 0 else (default, raw)
+        timed = {fn: _timed_run(fn) for fn in order}
+        raw_runs.append(timed[raw])
+        default_runs.append(timed[default])
+        ratios.append(timed[default] / timed[raw])
+    ratio = statistics.median(ratios)
 
     record_metric("scheduler_warm_compile_ratio", ratio)
     save_result(
         "scheduler_warm_compile",
         "\n".join(
             [
-                "default-strategy warm compile, best of "
-                f"{SAMPLES} x {CALLS} calls (gradient on V1x4):",
-                f"  raw cached-baseline hit        : {baseline_s / CALLS * 1e6:8.2f} us/call",
-                f"  Toolchain.compile (auto)       : {default_s / CALLS * 1e6:8.2f} us/call",
-                f"  ratio                          : {ratio:8.3f}x "
+                f"default-strategy warm compile, {ROUNDS} interleaved rounds x "
+                f"{CALLS} calls (gradient on V1x4), medians:",
+                "  raw cached-baseline hit        : "
+                f"{statistics.median(raw_runs) / CALLS * 1e6:8.2f} us/call",
+                "  Toolchain.compile (auto)       : "
+                f"{statistics.median(default_runs) / CALLS * 1e6:8.2f} us/call",
+                "  per-round ratios               : "
+                + ", ".join(f"{r:.2f}x" for r in ratios),
+                f"  median ratio                   : {ratio:8.3f}x "
                 f"(gate: <= {MAX_WARM_COMPILE_RATIO}x)",
             ]
         ),
     )
     assert ratio <= MAX_WARM_COMPILE_RATIO, (
         f"the scheduler-keyed warm compile path is {ratio:.2f}x the cached "
-        f"baseline (gate: {MAX_WARM_COMPILE_RATIO}x) — strategy plumbing "
-        "grew per-call work on the default path"
+        f"baseline (median of {ROUNDS} rounds, gate {MAX_WARM_COMPILE_RATIO}x) — "
+        "strategy plumbing grew per-call work on the default path"
     )

@@ -96,7 +96,7 @@ def add_sim_args(
         default=default_engine,
         choices=ENGINES,
         help="simulation core: cycle-accurate reference, the fast event-driven "
-        "engine, or the batched codegen engine (needs the numpy [batch] extra)",
+        "engine, or the batched codegen engine",
     )
     if trace:
         parser.add_argument(

@@ -5,20 +5,21 @@ schedulers consume it, and the reference evaluator executes it.  It is a DAG
 of :class:`~repro.dfg.node.DFGNode` objects; edges carry the operand position
 so that non-commutative operations (SUB, SHL, ...) keep their operand order.
 
-A thin `networkx.DiGraph` view is available through :meth:`DFG.to_networkx`
-for algorithms that want the full networkx toolbox (the analyses in
-:mod:`repro.dfg.analysis` use it for topological sorts and longest paths).
+A `networkx.DiGraph` view is available through :meth:`DFG.to_networkx` for
+callers that want the networkx toolbox; the library itself never needs it
+(networkx is imported only when that view is built).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DFGValidationError, UnknownNodeError
 from .node import DFGEdge, DFGNode
 from .opcodes import OpCode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DFG:
@@ -183,6 +184,8 @@ class DFG:
         Node attributes: ``opcode`` (name string), ``name``, ``value``.
         Edge attributes: ``operand_index``.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for node in self.nodes():
             graph.add_node(

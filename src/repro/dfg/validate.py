@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import List, Set
 
-import networkx as nx
-
 from ..errors import DFGValidationError
 from .graph import DFG
 from .opcodes import OpCode
@@ -85,10 +83,10 @@ def collect_validation_errors(dfg: DFG, require_live: bool = True) -> List[str]:
             )
 
     # Acyclicity.
-    graph = dfg.to_networkx()
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        problems.append(f"graph contains a cycle: {cycle}")
+    try:
+        dfg.topological_order()
+    except DFGValidationError as error:
+        problems.append(str(error))
         return problems  # liveness below assumes a DAG
 
     # Outputs must be sinks.

@@ -1,14 +1,16 @@
-"""Batched, vectorized fast engine: whole-loop codegen + lane-level batching.
+"""Batched engine: the fast engine with a generated tick loop.
 
 :class:`~repro.engine.fastsim.FastSimulator` already runs an order of
 magnitude faster than the cycle simulator, but its inner loop is still
 interpreted Python: every tick walks ``_FastFU.tick`` through attribute
 loads, per-slot tuple unpacking and method dispatch, and the functional
 output reconstruction runs one Python statement per DFG node and block.
-This module removes both costs behind a new ``engine="batched"`` backend
-while keeping the results **bit-identical** to the fast engine (and
-therefore to the cycle simulator — the equivalence suite asserts the full
-chain):
+:class:`BatchSimulator` (``engine="batched"``) is a ``FastSimulator`` that
+swaps out exactly those two parts — the tick loop and the value plane —
+and shares the rest (state containers, detector, timing setup, result
+assembly), so its results are **bit-identical** to the fast engine's (and
+therefore to the cycle simulator's — the equivalence suite asserts the
+full chain):
 
 1. **Whole-loop codegen.**  :func:`generate_loop_source` exec-compiles the
    *entire* steady-state tick loop of one schedule — FU slot advance, FIFO
@@ -22,11 +24,11 @@ chain):
    :class:`~repro.kernels.reference.StreamEvaluator`, extended from
    output reconstruction to the whole engine, exactly as the roadmap asks.
    The generated loop is a statement-for-statement transcription of
-   ``_FastFU.tick`` / ``FastSimulator._run_single_lane``; it reuses the
-   fast engine's ``_FastFU``/``_FastChannel`` objects as state containers
-   and synchronizes locals with them only around steady-state detector
-   events, so the (unchanged) detector observes exactly the state the fast
-   engine would have shown it and its fast-forward skips stay exact.
+   ``_FastFU.tick`` / ``FastSimulator._loop``; it reuses the fast engine's
+   ``_FastFU``/``_FastChannel`` objects as state containers and
+   synchronizes locals with them only around steady-state detector events,
+   so the (unchanged) detector observes exactly the state the fast engine
+   would have shown it and its fast-forward skips stay exact.
 
 2. **Lane batching.**  Fast-engine timing is *value independent* — a lane's
    control evolution depends only on how many blocks it receives (see the
@@ -45,39 +47,29 @@ chain):
    ``int64`` intermediates could overflow) fall back to the scalar
    evaluator, so results are bit-identical in every case.
 
-numpy is an **optional** dependency (the ``[batch]`` extra): importing this
-module without it works, and :class:`BatchSimulator` raises a clear
-:class:`~repro.errors.ConfigurationError` telling the user to install the
-extra or use ``engine="fast"``.  The default engine everywhere remains
-unchanged.  See ``docs/engine.md`` ("Batched execution") for the data
-layout and the correctness argument.
+numpy is an **optional** dependency (the ``[batch]`` extra) that only
+speeds up the value plane: the tick loop is pure Python, so without numpy
+the engine runs on the scalar value plane.  See ``docs/engine.md``
+("Batched execution") for the data layout and the correctness argument.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dfg.opcodes import OP_VECTOR_EXPRESSIONS
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..kernels.reference import IdentityMemo
-from ..schedule.types import OverlaySchedule, SlotKind
-from ..sim.fu import FUStats
+from ..schedule.types import OverlaySchedule
 from ..sim.overlay import (
     SimulationResult,
-    _steady_state_ii,
+    check_input_blocks,
     merge_lane_results,
     split_lane_blocks,
 )
-from .fastsim import (
-    _FastChannel,
-    _FastFU,
-    _functional_outputs,
-    _OccupancyDetector,
-    default_max_cycles,
-    warmup_bound_blocks,
-)
+from .fastsim import FastSimulator, _functional_outputs, stage_plan
 
 
 def _import_numpy() -> Any:
@@ -195,10 +187,10 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
 
     The generated ``_batch_loop(fus, channels, detector, num_blocks,
     max_cycles, received, completion)`` function transcribes
-    ``FastSimulator._run_single_lane`` plus ``_FastFU.tick`` statement for
-    statement, with all per-FU/channel control state held in local
-    variables and every schedule-constant (slot operands, latencies, FIFO
-    capacity, load orders) inlined as a literal.  On top of the literal
+    ``FastSimulator._loop`` plus ``_FastFU.tick`` statement for statement,
+    with all per-FU/channel control state held in local variables and every
+    schedule-constant (slot operands, latencies, FIFO capacity, load
+    orders) inlined as a literal.  On top of the literal
     transcription the loop uses three state-equivalent specializations:
 
     * the register file is a nested ``{block: {value_id: reads_left}}``
@@ -232,28 +224,7 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
     exec_gap = variant.exec_block_gap
     load_gap = variant.load_block_gap
 
-    stage_meta = []
-    for k in range(depth):
-        stage = schedule.stage(k)
-        const_ids = set(schedule.constants_used(k))
-        load_order = list(stage.load_order)
-        slots = [
-            (
-                slot.kind is SlotKind.NOP,
-                tuple(slot.operands),
-                slot.emits,
-                slot.value_id,
-                slot.write_back,
-            )
-            for slot in stage.slots
-        ]
-        read_counts: Dict[int, int] = {}
-        for _nop, operands, _emits, _vid, _wb in slots:
-            for operand in operands:
-                if operand in const_ids:
-                    continue
-                read_counts[operand] = read_counts.get(operand, 0) + 1
-        stage_meta.append((load_order, slots, const_ids, read_counts))
+    stage_meta = [stage_plan(schedule, k) for k in range(depth)]
 
     lines: List[str] = []
 
@@ -641,28 +612,15 @@ def plan_for(schedule: OverlaySchedule) -> BatchPlan:
 # ---------------------------------------------------------------------------
 # simulator front
 # ---------------------------------------------------------------------------
-@dataclass
-class _LaneTiming:
-    """Value-free timing profile of one lane-length run (shareable: fast
-    engine timing depends only on the block count, never the values)."""
+class BatchSimulator(FastSimulator):
+    """The fast engine with a generated tick loop and a vector value plane.
 
-    total_cycles: int
-    completion_cycles: List[int]
-    fu_stats: List[FUStats]
-    fifo_high_water: List[int]
-    rf_high_water: List[int]
-    rf_per_block_high_water: List[int]
-
-
-class BatchSimulator:
-    """Batched drop-in engine with the same interface as ``FastSimulator``.
-
-    Requires numpy (the ``[batch]`` optional extra) and raises
-    :class:`~repro.errors.ConfigurationError` without it; every result is
-    bit-identical to the fast engine's (asserted library-wide by
-    ``tests/test_engine_batchsim.py``).  ``plan`` injects a prebuilt
-    :class:`BatchPlan` (the schedule cache attaches one per compiled
-    artifact); by default plans are memoised per schedule object.
+    Every result is bit-identical to the fast engine's (asserted
+    library-wide by ``tests/test_engine_batchsim.py``).  Without numpy the
+    value plane falls back to the scalar one, so the engine runs anyway.
+    ``plan`` injects a prebuilt :class:`BatchPlan` (the schedule cache
+    attaches one per compiled artifact); by default plans are memoised per
+    schedule object.
     """
 
     def __init__(
@@ -673,171 +631,41 @@ class BatchSimulator:
         fast_forward: bool = True,
         plan: Optional[BatchPlan] = None,
     ):
-        if np is None:
-            raise ConfigurationError(
-                "the batched engine needs numpy, which is not installed; "
-                "install the '[batch]' extra (pip install 'repro-overlay[batch]') "
-                "or use engine='fast'"
-            )
-        self.schedule = schedule
-        self.max_cycles = max_cycles
-        self.enforce_rf_capacity = enforce_rf_capacity
-        self.fast_forward = fast_forward
-        self.fast_forward_events: List[dict] = []
+        super().__init__(
+            schedule,
+            max_cycles=max_cycles,
+            enforce_rf_capacity=enforce_rf_capacity,
+            fast_forward=fast_forward,
+        )
         self.plan = plan if plan is not None else plan_for(schedule)
 
     # ------------------------------------------------------------------
     def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
         self.fast_forward_events = []
-        blocks = [list(block) for block in input_blocks]
-        if not blocks:
-            raise SimulationError("at least one input block is required")
-        width = self.schedule.dfg.num_inputs
-        for index, block in enumerate(blocks):
-            if len(block) != width:
-                raise SimulationError(
-                    f"input block {index} has {len(block)} values, kernel "
-                    f"{self.schedule.kernel_name!r} expects {width}"
-                )
-        if self.schedule.variant.lanes > 1:
-            return self._run_multilane(blocks)
-        timing = self._run_timing(len(blocks))
-        return self._assemble(timing, len(blocks), self._outputs(blocks))
-
-    # ------------------------------------------------------------------
-    def _run_multilane(self, blocks: List[List[int]]) -> SimulationResult:
+        blocks = check_input_blocks(self.schedule, input_blocks)
         lanes = self.schedule.variant.lanes
+        if lanes == 1:
+            return self._run_lane(blocks)
         lane_blocks = split_lane_blocks(blocks, lanes)
         # Round-robin dealing leaves at most two distinct lane lengths, and
         # timing is value-independent, so one timing run per length serves
         # every lane (exactly what N sequential fast-engine runs would get).
-        timings: Dict[int, _LaneTiming] = {}
-        for lane_stream in lane_blocks:
-            count = len(lane_stream)
-            if count and count not in timings:
-                timings[count] = self._run_timing(count)
+        timings: Dict[int, SimulationResult] = {}
+        for stream in lane_blocks:
+            if stream and len(stream) not in timings:
+                timings[len(stream)] = self._run_timing(len(stream))
         outputs = self._outputs(blocks)
-        lane_results: List[Optional[SimulationResult]] = []
-        for lane in range(lanes):
-            count = len(lane_blocks[lane])
-            if count:
-                lane_results.append(
-                    self._assemble(timings[count], count, outputs[lane::lanes])
-                )
-            else:
-                lane_results.append(None)
+        lane_results: List[Optional[SimulationResult]] = [
+            replace(timings[len(stream)], outputs=outputs[lane::lanes]) if stream else None
+            for lane, stream in enumerate(lane_blocks)
+        ]
         return merge_lane_results(self.schedule, blocks, lane_results)
 
-    # ------------------------------------------------------------------
     def _outputs(self, blocks: List[List[int]]) -> List[List[int]]:
         rows = self.plan.vector_evaluator.evaluate(blocks)
         if rows is None:
             rows = _functional_outputs(self.schedule.dfg, blocks)
         return rows
 
-    # ------------------------------------------------------------------
-    def _run_timing(self, num_blocks: int) -> _LaneTiming:
-        schedule = self.schedule
-        depth = schedule.depth
-        last = depth - 1
-        stage0_loads = len(schedule.stage(0).load_order)
-        expected_per_block = len(schedule.stage(last).emission_order)
-        if expected_per_block == 0:
-            raise SimulationError("the final stage emits nothing; schedule is broken")
-
-        channels = [
-            _FastChannel(name=f"ch{k}", capacity=schedule.overlay.fifo_depth)
-            for k in range(1, depth)
-        ]
-        fus: List[_FastFU] = []
-        for k in range(depth):
-            fus.append(
-                _FastFU(
-                    schedule,
-                    k,
-                    num_blocks,
-                    in_channel=channels[k - 1] if k > 0 else None,
-                    out_channel=channels[k] if k < last else None,
-                )
-            )
-        # The fast engine pins these pointers on the first tick; pinning them
-        # up front is equivalent (nothing reads them during cycle 0) and lets
-        # the generated loop omit the branches entirely.
-        for fu in fus:
-            if not fu.load_order:
-                fu.load_block = num_blocks
-            if not fu.slots:
-                fu.exec_block = num_blocks
-
-        completion: List[Optional[int]] = [None] * num_blocks
-        received: Dict[int, Set[int]] = {}
-        max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
-
-        detector = None
-        if self.fast_forward:
-            detector = _OccupancyDetector(
-                fus,
-                channels,
-                num_blocks,
-                max_events=warmup_bound_blocks(schedule) + 64,
-                log=self.fast_forward_events,
-            )
-
-        total_cycles, _completed = self.plan.loop(
-            fus, channels, detector, num_blocks, max_cycles, received, completion
-        )
-        if self.enforce_rf_capacity:
-            for fu in fus:
-                fu.rf.check_capacity()
-        completion_cycles = [int(c) for c in completion]  # type: ignore[arg-type]
-        return _LaneTiming(
-            total_cycles=total_cycles,
-            completion_cycles=completion_cycles,
-            fu_stats=[fu.stats() for fu in fus],
-            fifo_high_water=(
-                [num_blocks * stage0_loads]
-                + [channel.high_water for channel in channels]
-                + [num_blocks * expected_per_block]
-            ),
-            rf_high_water=[fu.rf.high_water for fu in fus],
-            rf_per_block_high_water=[fu.rf.per_block_high_water for fu in fus],
-        )
-
-    # ------------------------------------------------------------------
-    def _assemble(
-        self, timing: _LaneTiming, num_blocks: int, outputs: List[List[int]]
-    ) -> SimulationResult:
-        return SimulationResult(
-            kernel_name=self.schedule.kernel_name,
-            overlay_name=self.schedule.overlay.name,
-            num_blocks=num_blocks,
-            outputs=outputs,
-            completion_cycles=timing.completion_cycles,
-            total_cycles=timing.total_cycles,
-            measured_ii=_steady_state_ii(timing.completion_cycles),
-            latency_cycles=timing.completion_cycles[0] + 1,
-            fu_stats=timing.fu_stats,
-            fifo_high_water=timing.fifo_high_water,
-            rf_high_water=timing.rf_high_water,
-            rf_per_block_high_water=timing.rf_per_block_high_water,
-            trace=None,
-        )
-
-
-def simulate_batched(
-    schedule: OverlaySchedule,
-    input_blocks: Sequence[Sequence[int]],
-    max_cycles: Optional[int] = None,
-    enforce_rf_capacity: bool = True,
-    fast_forward: bool = True,
-    plan: Optional[BatchPlan] = None,
-) -> SimulationResult:
-    """Run the batched engine on a stream of input blocks."""
-    simulator = BatchSimulator(
-        schedule,
-        max_cycles=max_cycles,
-        enforce_rf_capacity=enforce_rf_capacity,
-        fast_forward=fast_forward,
-        plan=plan,
-    )
-    return simulator.run(input_blocks)
+    def _loop(self, *state: Any) -> Tuple[int, int]:
+        return self.plan.loop(*state)

@@ -455,10 +455,9 @@ class ScheduleCache:
         request and attaches it to the entry, so repeated batched runs of
         one artifact share a single loop codegen (disk-loaded entries arrive
         with ``batch_plan=None`` and rebuild here once).  Returns ``None``
-        when the key has no in-memory entry.  Plan building is pure Python
-        (the loop codegen never touches numpy), so this works even without
-        the optional dependency; the simulator itself is what raises
-        ``ConfigurationError`` when numpy is missing.
+        when the key has no in-memory entry.  Plan building needs no numpy:
+        the loop codegen is pure Python, and the vector value plane is left
+        unbuilt without it.
         """
         entry = self.peek(key)
         if entry is None:

@@ -57,6 +57,8 @@ from ..sim.fu import FUStats
 from ..sim.overlay import (
     SimulationResult,
     _steady_state_ii,
+    check_input_blocks,
+    default_max_cycles,
     merge_lane_results,
     split_lane_blocks,
 )
@@ -75,6 +77,38 @@ _STAT_FIELDS = (
 #: (stages with no loads / no slots) and must not be relabelled by the
 #: steady-state shift.
 _PINNED = -(10 ** 9)
+
+
+def stage_plan(
+    schedule: OverlaySchedule, stage_index: int
+) -> Tuple[List[int], List[tuple], Set[int], Dict[int, int]]:
+    """Timing view of one stage: load order, slots, constant ids, read counts.
+
+    Each slot becomes the dispatch tuple ``(is_nop, operands, emits,
+    value_id, write_back)``; ``read_counts`` maps every non-constant operand
+    to the number of slots that read it per block.  The interpreted tick
+    loop (``_FastFU``) and the generated one
+    (:func:`repro.engine.batchsim.generate_loop_source`) are both built from
+    this.
+    """
+    stage = schedule.stage(stage_index)
+    const_ids = set(schedule.constants_used(stage_index))
+    slots = [
+        (
+            slot.kind is SlotKind.NOP,
+            tuple(slot.operands),
+            slot.emits,
+            slot.value_id,
+            slot.write_back,
+        )
+        for slot in stage.slots
+    ]
+    read_counts: Dict[int, int] = {}
+    for _nop, operands, _emits, _vid, _wb in slots:
+        for operand in operands:
+            if operand not in const_ids:
+                read_counts[operand] = read_counts.get(operand, 0) + 1
+    return list(stage.load_order), slots, const_ids, read_counts
 
 
 class _FastRF:
@@ -265,30 +299,12 @@ class _FastFU:
 
     def __init__(self, schedule: OverlaySchedule, stage_index: int, num_blocks: int,
                  in_channel: Optional[_FastChannel], out_channel: Optional[_FastChannel]):
-        stage = schedule.stage(stage_index)
         variant = schedule.variant
         self.stage_index = stage_index
         self.num_blocks = num_blocks
-        self.load_order = list(stage.load_order)
-        const_ids = set(schedule.constants_used(stage_index))
-        # Precompute per-slot dispatch tuples:
-        # (is_nop, operands, emits, value_id, write_back).
-        self.slots: List[Tuple[bool, Tuple[int, ...], bool, Optional[int], bool]] = [
-            (
-                slot.kind is SlotKind.NOP,
-                tuple(o for o in slot.operands),
-                slot.emits,
-                slot.value_id,
-                slot.write_back,
-            )
-            for slot in stage.slots
-        ]
-        self.read_counts: Dict[int, int] = {}
-        for slot in stage.slots:
-            for operand in slot.operands:
-                if operand in const_ids:
-                    continue
-                self.read_counts[operand] = self.read_counts.get(operand, 0) + 1
+        self.load_order, self.slots, const_ids, self.read_counts = stage_plan(
+            schedule, stage_index
+        )
         self.rf = _FastRF(
             name=f"FU{stage_index}.rf",
             physical_depth=variant.rf_depth,
@@ -304,12 +320,14 @@ class _FastFU:
         self.exec_gap = variant.exec_block_gap
         self.load_gap = variant.load_block_gap
 
-        self.load_block = 0
+        # Pin the load (exec) pointer of a stage without loads (slots) at
+        # num_blocks for the whole run: that half of the FU never issues.
+        self.load_block = 0 if self.load_order else num_blocks
         self.load_index = 0
         self.next_load_cycle = 0
         self.block_load_barrier = 0
         self.load_complete: Dict[int, int] = {}
-        self.exec_block = 0
+        self.exec_block = 0 if self.slots else num_blocks
         self.slot_index = 0
         self.next_exec_cycle = 0
         self.pending_out: Deque[Tuple[int, int, int]] = deque()
@@ -333,9 +351,6 @@ class _FastFU:
             self._tick_exec(cycle)
 
     def _tick_load(self, cycle: int) -> bool:
-        if not self.load_order:
-            self.load_block = self.num_blocks
-            return False
         if self.load_block >= self.num_blocks:
             return False
         if cycle < self.next_load_cycle or cycle < self.block_load_barrier:
@@ -376,9 +391,7 @@ class _FastFU:
         return True
 
     def _tick_exec(self, cycle: int) -> None:
-        if self.exec_block >= self.num_blocks or not self.slots:
-            if not self.slots:
-                self.exec_block = self.num_blocks
+        if self.exec_block >= self.num_blocks:
             return
         if cycle < self.next_exec_cycle:
             return
@@ -534,19 +547,6 @@ class _FastFU:
             load_stall_cycles=self.load_stall_cycles,
             backpressure_stall_cycles=self.backpressure_stall_cycles,
         )
-
-
-# ---------------------------------------------------------------------------
-# shared engine limits
-# ---------------------------------------------------------------------------
-def default_max_cycles(schedule: OverlaySchedule, num_blocks: int) -> int:
-    """Deadlock guard shared by the fast and batched engines.
-
-    Generous bound on a healthy run: every block can spend a full issue
-    window per stage plus pipeline slack before the run is declared wedged.
-    """
-    per_block = schedule.total_instruction_slots + schedule.total_loads + 16
-    return (num_blocks + schedule.depth + 4) * per_block + 1000
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +840,11 @@ class FastSimulator:
     engine then runs every cycle, still value-free); it exists for
     differential testing of the fast-forward itself.  Every applied skip is
     appended to ``fast_forward_events``.
+
+    A run times each lane with :meth:`_run_timing` and fills in its outputs
+    from the value plane (:meth:`_outputs`).  The batched engine
+    (:class:`repro.engine.batchsim.BatchSimulator`) is this engine with those
+    two parts swapped: the tick loop (:meth:`_loop`) and the value plane.
     """
 
     def __init__(
@@ -858,39 +863,30 @@ class FastSimulator:
     # ------------------------------------------------------------------
     def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
         self.fast_forward_events = []
-        blocks = [list(block) for block in input_blocks]
-        if not blocks:
-            raise SimulationError("at least one input block is required")
-        width = self.schedule.dfg.num_inputs
-        for index, block in enumerate(blocks):
-            if len(block) != width:
-                raise SimulationError(
-                    f"input block {index} has {len(block)} values, kernel "
-                    f"{self.schedule.kernel_name!r} expects {width}"
-                )
-        if self.schedule.variant.lanes > 1:
-            return self._run_multilane(blocks)
-        return self._run_single_lane(blocks)
-
-    # ------------------------------------------------------------------
-    def _run_multilane(self, blocks: List[List[int]]) -> SimulationResult:
+        blocks = check_input_blocks(self.schedule, input_blocks)
         lanes = self.schedule.variant.lanes
-        lane_blocks = split_lane_blocks(blocks, lanes)
-        lane_results: List[Optional[SimulationResult]] = []
-        for lane in range(lanes):
-            if lane_blocks[lane]:
-                lane_results.append(self._run_single_lane(lane_blocks[lane]))
-            else:
-                lane_results.append(None)
+        if lanes == 1:
+            return self._run_lane(blocks)
+        lane_results: List[Optional[SimulationResult]] = [
+            self._run_lane(stream) if stream else None
+            for stream in split_lane_blocks(blocks, lanes)
+        ]
         return merge_lane_results(self.schedule, blocks, lane_results)
 
+    def _run_lane(self, blocks: List[List[int]]) -> SimulationResult:
+        result = self._run_timing(len(blocks))
+        result.outputs = self._outputs(blocks)
+        return result
+
+    def _outputs(self, blocks: List[List[int]]) -> List[List[int]]:
+        return _functional_outputs(self.schedule.dfg, blocks)
+
     # ------------------------------------------------------------------
-    def _run_single_lane(self, blocks: List[List[int]]) -> SimulationResult:
+    def _run_timing(self, num_blocks: int) -> SimulationResult:
+        """Time one lane of ``num_blocks`` blocks (value-free: ``outputs=[]``)."""
         schedule = self.schedule
-        num_blocks = len(blocks)
         depth = schedule.depth
         last = depth - 1
-
         stage0_loads = len(schedule.stage(0).load_order)
         expected_per_block = len(schedule.stage(last).emission_order)
         if expected_per_block == 0:
@@ -913,11 +909,6 @@ class FastSimulator:
             )
 
         completion: List[Optional[int]] = [None] * num_blocks
-        received: Dict[int, Set[int]] = {}
-        completed = 0
-        cycle = 0
-        max_cycles = self.max_cycles or self._default_max_cycles(num_blocks)
-
         detector = None
         if self.fast_forward:
             detector = _OccupancyDetector(
@@ -927,7 +918,59 @@ class FastSimulator:
                 max_events=warmup_bound_blocks(schedule) + 64,
                 log=self.fast_forward_events,
             )
+        max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
 
+        total_cycles, _completed = self._loop(
+            fus, channels, detector, num_blocks, max_cycles, {}, completion
+        )
+        if self.enforce_rf_capacity:
+            for fu in fus:
+                fu.rf.check_capacity()
+
+        completion_cycles = [int(c) for c in completion]  # type: ignore[arg-type]
+        return SimulationResult(
+            kernel_name=schedule.kernel_name,
+            overlay_name=schedule.overlay.name,
+            num_blocks=num_blocks,
+            outputs=[],
+            completion_cycles=completion_cycles,
+            total_cycles=total_cycles,
+            measured_ii=_steady_state_ii(completion_cycles),
+            latency_cycles=completion_cycles[0] + 1,
+            fu_stats=[fu.stats() for fu in fus],
+            fifo_high_water=(
+                [num_blocks * stage0_loads]
+                + [channel.high_water for channel in channels]
+                + [num_blocks * expected_per_block]
+            ),
+            rf_high_water=[fu.rf.high_water for fu in fus],
+            rf_per_block_high_water=[fu.rf.per_block_high_water for fu in fus],
+            trace=None,
+        )
+
+    # ------------------------------------------------------------------
+    def _loop(
+        self,
+        fus: List[_FastFU],
+        channels: List[_FastChannel],
+        detector: Optional[_OccupancyDetector],
+        num_blocks: int,
+        max_cycles: int,
+        received: Dict[int, Set[int]],
+        completion: List[Optional[int]],
+    ) -> Tuple[int, int]:
+        """The interpreted tick loop; returns ``(total cycles, completed)``.
+
+        Each cycle delivers matured results upstream to downstream, then
+        ticks every FU in stage order; a cycle that completes a block lets
+        the detector look for a fast-forward.
+        """
+        schedule = self.schedule
+        depth = schedule.depth
+        last = depth - 1
+        expected_per_block = len(schedule.stage(last).emission_order)
+        completed = 0
+        cycle = 0
         while completed < num_blocks:
             if cycle > max_cycles:
                 raise SimulationError(
@@ -963,36 +1006,7 @@ class FastSimulator:
                 skipped_to = detector.observe(cycle, completed, received, completion)
                 if skipped_to is not None:
                     cycle, completed = skipped_to
-
-        total_cycles = cycle
-        outputs = _functional_outputs(schedule.dfg, blocks)
-        if self.enforce_rf_capacity:
-            for fu in fus:
-                fu.rf.check_capacity()
-
-        completion_cycles = [int(c) for c in completion]  # type: ignore[arg-type]
-        return SimulationResult(
-            kernel_name=schedule.kernel_name,
-            overlay_name=schedule.overlay.name,
-            num_blocks=num_blocks,
-            outputs=outputs,
-            completion_cycles=completion_cycles,
-            total_cycles=total_cycles,
-            measured_ii=_steady_state_ii(completion_cycles),
-            latency_cycles=completion_cycles[0] + 1,
-            fu_stats=[fu.stats() for fu in fus],
-            fifo_high_water=(
-                [num_blocks * stage0_loads]
-                + [channel.high_water for channel in channels]
-                + [num_blocks * expected_per_block]
-            ),
-            rf_high_water=[fu.rf.high_water for fu in fus],
-            rf_per_block_high_water=[fu.rf.per_block_high_water for fu in fus],
-            trace=None,
-        )
-
-    def _default_max_cycles(self, num_blocks: int) -> int:
-        return default_max_cycles(self.schedule, num_blocks)
+        return cycle, completed
 
 
 def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:

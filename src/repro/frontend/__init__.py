@@ -12,8 +12,8 @@ package provides two interchangeable substitutes that produce the same
 
 The mini-C frontend is *incremental*: it is staged into a lexer
 (:mod:`repro.frontend.lexer`), an AST parser (:mod:`repro.frontend.syntax` /
-:func:`~repro.frontend.cparser.parse_ast`) and a lowering pass, with every
-stage memoised by source content hash in :mod:`repro.frontend.cache`.
+:func:`~repro.frontend.cparser.parse_ast`) and a lowering pass, with the
+lowered DFG memoised by source content hash in :mod:`repro.frontend.cache`.
 Repeated :func:`parse_c_kernel` calls on unchanged source are near-free; see
 ``docs/compiler.md`` for the full picture.
 """

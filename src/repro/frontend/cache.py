@@ -1,27 +1,22 @@
-"""Memoised frontend artefacts: token streams, ASTs and lowered DFGs.
+"""Memoised lowered DFGs of mini-C sources.
 
 This is the frontend half of the end-to-end compile cache (the backend half —
 schedules, programs, configuration images — lives in
-:mod:`repro.engine.cache`).  All three layers are keyed by the source content
-hash of :func:`repro.frontend.lexer.source_hash`:
+:mod:`repro.engine.cache`).  Entries are keyed by ``(source hash, name,
+run_optimizer)``, the source hash being
+:func:`repro.frontend.lexer.source_hash`.  A miss lexes, parses and lowers
+the source in one go; a lookup of the same source never needs its tokens or
+AST again, so only the DFG is kept.
 
-=============  =======================================  ==================
-layer          key                                      stored value
-=============  =======================================  ==================
-token stream   source hash                              ``Tuple[Token, ...]``
-AST            source hash                              :class:`KernelAST`
-lowered DFG    (source hash, name, run_optimizer)       :class:`DFG`
-=============  =======================================  ==================
-
-Tokens and ASTs are immutable and shared by reference; DFGs are mutable, so
-:meth:`FrontendCache.dfg` hands out a fresh :meth:`~repro.dfg.graph.DFG.copy`
-per call.  Each layer is a bounded LRU guarded by one lock, so sweep workers
-and multi-threaded callers can share the process-wide default instance.
+DFGs are mutable, so :meth:`FrontendCache.dfg` hands out a fresh
+:meth:`~repro.dfg.graph.DFG.copy` per call.  The cache is a bounded LRU
+guarded by one lock, so sweep workers and multi-threaded callers can share
+the process-wide default instance.
 
 Invalidation is purely content-driven: there is nothing to invalidate
-explicitly, because *any* source edit changes the hash and naturally misses
-every layer.  Repeating the old source later (e.g. an undo) hits again as
-long as the entry has not been evicted.
+explicitly, because *any* source edit changes the hash and misses.
+Repeating the old source later (e.g. an undo) hits again as long as the
+entry has not been evicted.
 """
 
 from __future__ import annotations
@@ -32,60 +27,43 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..dfg.graph import DFG
-from .lexer import Token, source_hash, tokenize_frozen
-from .syntax import KernelAST
-from .cparser import lower_ast, parse_ast_from_tokens
+from .lexer import source_hash
+from .cparser import lower_ast, parse_ast
 
 
 @dataclass
 class FrontendCacheStats:
-    """Hit/miss counters per frontend layer."""
+    """Hit/miss counters of the DFG cache."""
 
-    token_hits: int = 0
-    token_misses: int = 0
-    ast_hits: int = 0
-    ast_misses: int = 0
     dfg_hits: int = 0
     dfg_misses: int = 0
 
     @property
     def lookups(self) -> int:
-        """Total lookups across all three layers."""
-        return (
-            self.token_hits
-            + self.token_misses
-            + self.ast_hits
-            + self.ast_misses
-            + self.dfg_hits
-            + self.dfg_misses
-        )
+        """Total lookups."""
+        return self.dfg_hits + self.dfg_misses
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when never used)."""
         lookups = self.lookups
-        hits = self.token_hits + self.ast_hits + self.dfg_hits
-        return hits / lookups if lookups else 0.0
+        return self.dfg_hits / lookups if lookups else 0.0
 
     def summary(self) -> str:
         """One-line hits/lookups rendering (the CLI ``cache --stats`` row)."""
-        return (
-            f"tokens {self.token_hits}/{self.token_hits + self.token_misses} hits, "
-            f"ASTs {self.ast_hits}/{self.ast_hits + self.ast_misses} hits, "
-            f"DFGs {self.dfg_hits}/{self.dfg_hits + self.dfg_misses} hits"
-        )
+        return f"DFGs {self.dfg_hits}/{self.lookups} hits"
 
 
 class FrontendCache:
-    """Bounded LRU cache over the staged mini-C frontend.
+    """Bounded LRU cache of lowered mini-C DFGs.
 
     Parameters
     ----------
     capacity:
-        Maximum entries *per layer*.  The default comfortably holds every
-        kernel of the benchmark library plus user kernels; sweeps touch a
-        handful of distinct sources, so evictions are effectively never hit
-        in practice.
+        Maximum entries.  The default comfortably holds every kernel of the
+        benchmark library plus user kernels; sweeps touch a handful of
+        distinct sources, so evictions are effectively never hit in
+        practice.
     """
 
     def __init__(self, capacity: int = 256):
@@ -93,64 +71,21 @@ class FrontendCache:
             raise ValueError("frontend cache capacity must be at least 1")
         self.capacity = capacity
         self.stats = FrontendCacheStats()
-        self._tokens: "OrderedDict[str, Tuple[Token, ...]]" = OrderedDict()
-        self._asts: "OrderedDict[str, KernelAST]" = OrderedDict()
         self._dfgs: "OrderedDict[Tuple[str, Optional[str], bool], DFG]" = OrderedDict()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._tokens) + len(self._asts) + len(self._dfgs)
+            return len(self._dfgs)
 
     def clear(self) -> None:
-        """Drop every cached artefact and reset the statistics."""
+        """Drop every cached DFG and reset the statistics."""
         with self._lock:
-            self._tokens.clear()
-            self._asts.clear()
             self._dfgs.clear()
             self.stats = FrontendCacheStats()
 
-    @staticmethod
-    def _trim(entries: OrderedDict, capacity: int) -> None:
-        while len(entries) > capacity:
-            entries.popitem(last=False)
-
     # ------------------------------------------------------------------
-    # layers
-    # ------------------------------------------------------------------
-    def tokens(self, source: str, key: Optional[str] = None) -> Tuple[Token, ...]:
-        """Token stream of ``source`` (lexing at most once per content hash)."""
-        key = key or source_hash(source)
-        with self._lock:
-            cached = self._tokens.get(key)
-            if cached is not None:
-                self._tokens.move_to_end(key)
-                self.stats.token_hits += 1
-                return cached
-            self.stats.token_misses += 1
-        stream = tokenize_frozen(source)
-        with self._lock:
-            self._tokens[key] = stream
-            self._trim(self._tokens, self.capacity)
-        return stream
-
-    def ast(self, source: str, key: Optional[str] = None) -> KernelAST:
-        """Parsed AST of ``source`` (parsing at most once per content hash)."""
-        key = key or source_hash(source)
-        with self._lock:
-            cached = self._asts.get(key)
-            if cached is not None:
-                self._asts.move_to_end(key)
-                self.stats.ast_hits += 1
-                return cached
-            self.stats.ast_misses += 1
-        ast = parse_ast_from_tokens(self.tokens(source, key=key))
-        with self._lock:
-            self._asts[key] = ast
-            self._trim(self._asts, self.capacity)
-        return ast
-
     def dfg(
         self,
         source: str,
@@ -163,8 +98,7 @@ class FrontendCache:
         since both arguments change the lowered result; semantic errors
         (raised during lowering) are never cached and re-raise on each call.
         """
-        key = source_hash(source)
-        dfg_key = (key, name, run_optimizer)
+        dfg_key = (source_hash(source), name, run_optimizer)
         with self._lock:
             cached = self._dfgs.get(dfg_key)
             if cached is not None:
@@ -176,10 +110,11 @@ class FrontendCache:
             # Copy outside the lock: the stored graph is never mutated, so
             # concurrent copies are safe and don't serialise other lookups.
             return cached.copy()
-        dfg = lower_ast(self.ast(source, key=key), name=name, run_optimizer=run_optimizer)
+        dfg = lower_ast(parse_ast(source), name=name, run_optimizer=run_optimizer)
         with self._lock:
             self._dfgs[dfg_key] = dfg
-            self._trim(self._dfgs, self.capacity)
+            while len(self._dfgs) > self.capacity:
+                self._dfgs.popitem(last=False)
         return dfg.copy()
 
 

@@ -285,11 +285,6 @@ def parse_ast(source: str) -> KernelAST:
     return _Parser(tokenize(source)).parse_kernel()
 
 
-def parse_ast_from_tokens(tokens: Sequence[Token]) -> KernelAST:
-    """Parse a pre-lexed token stream (the frontend cache's entry point)."""
-    return _Parser(tokens).parse_kernel()
-
-
 # ---------------------------------------------------------------------------
 # lowering: AST -> DFG
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Lexer for the mini-C kernel frontend.
 
-The lexer is a pure function from source text to an immutable token tuple, so
-token streams can be memoised by source content hash and shared between every
-consumer (the parser, the frontend cache, error reporting).  Splitting it out
-of :mod:`repro.frontend.cparser` is what makes the incremental frontend
-possible: a sweep that parses the same kernel source hundreds of times pays
-for lexing exactly once.
+The lexer is a pure function from source text to a token list, the first
+stage of the staged frontend (lexer, AST parser, lowering).  The frontend
+cache (:mod:`repro.frontend.cache`) memoises the lowered DFG per source
+content hash, so a sweep that parses the same kernel source hundreds of
+times lexes it once.
 
 Token kinds
 -----------
@@ -31,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..errors import ParseError
 
@@ -67,10 +66,10 @@ KEYWORDS = frozenset({"int", "void", "return"})
 def source_hash(source: str) -> str:
     """Stable content hash of a kernel source text.
 
-    This is the key of every frontend-level cache (token streams, ASTs,
-    lowered DFGs) and the first component of the end-to-end compile-cache
-    key: two byte-identical sources share every cached artefact, any edit —
-    including whitespace or comments, which may shift diagnostics — misses.
+    This keys the frontend DFG cache and is the first component of the
+    end-to-end compile-cache key: two byte-identical sources share every
+    cached artefact, any edit — including whitespace or comments, which may
+    shift diagnostics — misses.
     """
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
@@ -106,8 +105,3 @@ def tokenize(source: str) -> List[Token]:
         tokens.append(Token(kind, text, line, column))
     tokens.append(Token("EOF", "", line, 0))
     return tokens
-
-
-def tokenize_frozen(source: str) -> Tuple[Token, ...]:
-    """Tokenize into an immutable tuple, the form the frontend cache stores."""
-    return tuple(tokenize(source))

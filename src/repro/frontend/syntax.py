@@ -3,12 +3,11 @@
 The original frontend built the DFG *while* parsing, which tied the cost of
 every :func:`~repro.frontend.cparser.parse_c_kernel` call to a full re-parse.
 This module is the intermediate representation that breaks that coupling: the
-parser produces a :class:`KernelAST` once per source, the AST is cached by
-source content hash, and lowering (:func:`repro.frontend.cparser.lower_ast`)
-replays it into a fresh DFG on demand.
+parser produces a :class:`KernelAST`, and lowering
+(:func:`repro.frontend.cparser.lower_ast`) replays it into a fresh DFG.
 
-All nodes are frozen dataclasses, so a cached AST can be shared between
-threads and repeated lowerings without defensive copies.  Every expression
+All nodes are frozen dataclasses, so an AST can be shared between threads
+and repeated lowerings without defensive copies.  Every expression
 and statement carries its source position for diagnostics; positions are
 excluded from :func:`ast_fingerprint`, which hashes only the structure that
 lowering observes.

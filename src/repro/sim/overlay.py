@@ -88,16 +88,7 @@ class OverlaySimulator:
     # ------------------------------------------------------------------
     def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
         """Stream ``input_blocks`` through the overlay and measure the run."""
-        blocks = [list(block) for block in input_blocks]
-        if not blocks:
-            raise SimulationError("at least one input block is required")
-        width = self.schedule.dfg.num_inputs
-        for index, block in enumerate(blocks):
-            if len(block) != width:
-                raise SimulationError(
-                    f"input block {index} has {len(block)} values, kernel "
-                    f"{self.schedule.kernel_name!r} expects {width}"
-                )
+        blocks = check_input_blocks(self.schedule, input_blocks)
         if self.schedule.variant.lanes > 1:
             return self._run_multilane(blocks)
         return self._run_single_lane(blocks)
@@ -154,7 +145,7 @@ class OverlaySimulator:
 
         collected: Dict[int, Dict[int, int]] = {b: {} for b in range(num_blocks)}
         completion_cycles: List[Optional[int]] = [None] * num_blocks
-        max_cycles = self.max_cycles or self._default_max_cycles(num_blocks)
+        max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
 
         cycle = 0
         while any(c is None for c in completion_cycles):
@@ -242,10 +233,36 @@ class OverlaySimulator:
             outputs.append(row)
         return outputs
 
-    def _default_max_cycles(self, num_blocks: int) -> int:
-        schedule = self.schedule
-        per_block = schedule.total_instruction_slots + schedule.total_loads + 16
-        return (num_blocks + schedule.depth + 4) * per_block + 1000
+
+def check_input_blocks(
+    schedule: OverlaySchedule, input_blocks: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """The input stream as lists, each as wide as the kernel has inputs.
+
+    Every engine's ``run`` starts here, so all three reject a bad stream
+    with the same :class:`~repro.errors.SimulationError`.
+    """
+    blocks = [list(block) for block in input_blocks]
+    if not blocks:
+        raise SimulationError("at least one input block is required")
+    width = schedule.dfg.num_inputs
+    for index, block in enumerate(blocks):
+        if len(block) != width:
+            raise SimulationError(
+                f"input block {index} has {len(block)} values, kernel "
+                f"{schedule.kernel_name!r} expects {width}"
+            )
+    return blocks
+
+
+def default_max_cycles(schedule: OverlaySchedule, num_blocks: int) -> int:
+    """Deadlock guard shared by every engine.
+
+    Generous bound on a healthy run: every block can spend a full issue
+    window per stage plus pipeline slack before the run is declared wedged.
+    """
+    per_block = schedule.total_instruction_slots + schedule.total_loads + 16
+    return (num_blocks + schedule.depth + 4) * per_block + 1000
 
 
 def split_lane_blocks(blocks: List[List[int]], lanes: int) -> List[List[List[int]]]:
@@ -378,9 +395,9 @@ def simulate_schedule(
     is the event-driven engine of :mod:`repro.engine.fastsim`, which produces
     an identical :class:`SimulationResult` (asserted across the whole kernel
     library by the equivalence test suite) an order of magnitude faster;
-    ``"batched"`` is the codegen/vectorized engine of
-    :mod:`repro.engine.batchsim` (needs the optional numpy dependency),
-    bit-identical to the fast engine and faster again on long streams.
+    ``"batched"`` is the fast engine with the generated tick loop and the
+    vectorized value plane of :mod:`repro.engine.batchsim`, bit-identical to
+    the fast engine and faster again on long streams.
     Trace recording needs per-cycle value-level events, so ``record_trace``
     always uses the cycle engine.
 

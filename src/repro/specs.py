@@ -32,8 +32,6 @@ from .overlay.architecture import DEFAULT_FIXED_DEPTH, LinearOverlay
 from .overlay.fu import get_variant
 
 #: Simulation engines understood by :func:`repro.sim.overlay.simulate_schedule`.
-#: ``"batched"`` needs the optional numpy dependency (the ``[batch]`` extra)
-#: and falls back to a clear ``ConfigurationError`` without it.
 ENGINES = ("cycle", "fast", "batched")
 
 #: Objectives the auto-tuner can minimise: initiation interval, negated
@@ -190,9 +188,9 @@ class SimSpec:
     ----------
     engine:
         ``"cycle"`` (the cycle-accurate golden reference), ``"fast"`` (the
-        event-driven engine, identical results) or ``"batched"`` (the
-        codegen + lane-batched engine, identical results; needs the optional
-        numpy ``[batch]`` extra).
+        event-driven engine, identical results) or ``"batched"`` (the fast
+        engine with a generated tick loop and lane batching, identical
+        results; the optional numpy ``[batch]`` extra speeds it up further).
     num_blocks:
         Data blocks in the generated input stream (when the caller does not
         provide explicit blocks).

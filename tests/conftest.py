@@ -27,6 +27,10 @@ def pytest_configure(config):
         "markers",
         "slow: full-grid differential tests, skipped unless --runslow is given",
     )
+    # Every warning is an error here.  An unclosed file's ResourceWarning is
+    # raised in a finalizer, so it reaches pytest only as an unraisable-
+    # exception warning: a ResourceWarning-only filter would let it pass.
+    config.addinivalue_line("filterwarnings", "error")
 
 
 def pytest_collection_modifyitems(config, items):

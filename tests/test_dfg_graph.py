@@ -1,11 +1,18 @@
 """Unit tests for repro.dfg.graph and repro.dfg.node."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import DFGEdge, DFGNode, default_name
 from repro.dfg.opcodes import OpCode
 from repro.errors import DFGValidationError, UnknownNodeError
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestDFGNode:
@@ -135,3 +142,38 @@ class TestTopologicalOrder:
         expected = gradient.topological_order()
         del gradient.__dict__["_topo_cache"]
         assert gradient.topological_order() == expected
+
+
+class TestNetworkxAbsent:
+    """networkx is optional: only :meth:`DFG.to_networkx` imports it."""
+
+    def test_toolchain_runs_without_networkx(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["networkx"] = None  # import networkx -> ImportError
+            sys.path.insert(0, {src!r})
+
+            from repro import Toolchain
+            from repro.kernels.library import GRADIENT_C_SOURCE
+            from repro.specs import OverlaySpec, SimSpec
+
+            tc = Toolchain()
+            handle = tc.compile(source=GRADIENT_C_SOURCE, overlay=OverlaySpec("v3"), check=True)
+            assert not tc.verify(handle, use_cache=False).diagnostics
+            cycle, fast, batched = (
+                tc.simulate(handle, SimSpec(engine=engine, num_blocks=9))
+                for engine in ("cycle", "fast", "batched")
+            )
+            assert cycle == fast == batched and cycle.matches_reference
+            try:
+                handle.schedule.dfg.to_networkx()
+            except ImportError:
+                print("NETWORKX-ABSENT-OK")
+            """
+        ).format(src=SRC_DIR)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "NETWORKX-ABSENT-OK" in proc.stdout

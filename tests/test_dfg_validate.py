@@ -51,6 +51,20 @@ class TestInvalidDFGs:
         b.output(live)
         assert is_valid(b.dfg, require_live=False)
 
+    def test_cycle_detected_without_networkx(self):
+        b = DFGBuilder("k")
+        x = b.input("x")
+        first = b.add(x, x)
+        second = b.mul(first, x)
+        b.output(second)
+        dfg = b.dfg
+        # add_node cannot close a cycle, so splice one into the indices.
+        dfg._nodes[first] = dfg.node(first).with_operands((x, second))
+        dfg._consumers[second].append((first, 1))
+        dfg._topo_cache = None
+        errors = collect_validation_errors(dfg)
+        assert errors == ["DFG 'k' contains a cycle"]
+
     def test_unused_input_detected(self):
         b = DFGBuilder("k")
         x = b.input("x")

@@ -1,6 +1,6 @@
 """Batched-engine contract suite (the batched-execution PR gate).
 
-Five layers of guarantees:
+Six layers of guarantees:
 
 * **bit-identity** — the batched engine (whole-loop codegen + lane-batched
   execution, :mod:`repro.engine.batchsim`) produces results exactly equal
@@ -14,10 +14,13 @@ Five layers of guarantees:
 * **plan artifacts** — per-schedule loop plans are memoised, attached to
   compile-cache entries via ``ScheduleCache.get_batch_plan``, injectable,
   and dropped from pickled cache entries (generated code never hits disk);
+* **shared checks** — the cycle, fast and batched engines raise the same
+  ``SimulationError`` for an empty or narrow input stream and from the
+  deadlock guard;
 * **optional dependency** — with numpy absent (``sys.modules`` stub in a
-  subprocess) the library imports and the default engine runs, while the
-  batched engine fails with a ``ConfigurationError`` naming the
-  ``[batch]`` extra;
+  subprocess) the library imports, the default engine runs, and the
+  batched engine runs on the scalar value plane with results equal to the
+  fast engine's;
 * **ride-alongs** — the service ``simulate`` op accepts
   ``SimSpec(engine="batched")`` on the wire (unknown engines are
   ``E_PARAMS``) and ``TuneSpec`` can pin the measurement engine with
@@ -36,7 +39,7 @@ import pytest
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache
 from repro.engine.fastsim import FastSimulator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.kernels.reference import random_input_blocks
 from repro.overlay.architecture import LinearOverlay
@@ -304,11 +307,36 @@ class TestPlanArtifacts:
 
 
 # ---------------------------------------------------------------------------
+# shared checks: one input check and one deadlock guard for every engine
+# ---------------------------------------------------------------------------
+class TestSharedChecks:
+    def _messages(self, blocks, **knobs):
+        from repro.engine.batchsim import BatchSimulator
+
+        schedule = _auto_schedule("gradient", "v2")
+        messages = set()
+        for engine in (OverlaySimulator, FastSimulator, BatchSimulator):
+            with pytest.raises(SimulationError) as excinfo:
+                engine(schedule, **knobs).run(blocks)
+            messages.add(str(excinfo.value))
+        return messages
+
+    @pytest.mark.parametrize("blocks", [[], [[1, 2, 3]]], ids=["empty", "narrow"])
+    def test_bad_input_raises_the_same_error(self, blocks):
+        assert len(self._messages(blocks)) == 1
+
+    def test_deadlock_guard_raises_the_same_error(self):
+        blocks = random_input_blocks(get_kernel("gradient"), 4)
+        [message] = self._messages(blocks, max_cycles=3)
+        assert "exceeded 3 cycles" in message
+
+
+# ---------------------------------------------------------------------------
 # optional dependency: the library must not need numpy
 # ---------------------------------------------------------------------------
 class TestNumpyAbsent:
-    """With numpy stubbed out of sys.modules, imports and the default
-    engine work; only the batched engine refuses, pointing at [batch]."""
+    """With numpy stubbed out of sys.modules, imports and every engine work;
+    the batched engine falls back to the scalar value plane."""
 
     def test_library_runs_without_numpy(self):
         script = textwrap.dedent(
@@ -318,21 +346,19 @@ class TestNumpyAbsent:
             sys.path.insert(0, {src!r})
 
             from repro import Toolchain
-            from repro.errors import ConfigurationError
+            from repro.engine import batchsim
             from repro.specs import OverlaySpec, SimSpec
 
+            assert batchsim.np is None
             tc = Toolchain()
-            handle = tc.compile("gradient", OverlaySpec("v1"))
-            result = tc.simulate(handle, SimSpec(num_blocks=6))
-            assert result.matches_reference
-
-            spec = SimSpec(engine="batched", num_blocks=6)  # spec needs no numpy
-            try:
-                tc.simulate(handle, spec)
-            except ConfigurationError as error:
-                assert "[batch]" in str(error), error
-            else:
-                raise AssertionError("batched engine ran without numpy")
+            for variant in ("v1", "v2"):
+                handle = tc.compile("gradient", OverlaySpec(variant))
+                result = tc.simulate(handle, SimSpec(num_blocks=6))
+                assert result.matches_reference
+                fast = tc.simulate(handle, SimSpec(engine="fast", num_blocks=7))
+                batched = tc.simulate(handle, SimSpec(engine="batched", num_blocks=7))
+                assert batched == fast, variant
+                assert batched.matches_reference
             print("NUMPY-ABSENT-OK")
             """
         ).format(src=SRC_DIR)

@@ -24,7 +24,7 @@ import inspect
 
 import pytest
 
-from repro.engine.batchsim import BatchSimulator, simulate_batched
+from repro.engine.batchsim import BatchSimulator
 from repro.engine.cache import ScheduleCache
 from repro.engine.fastsim import (
     FastSimulator,
@@ -198,7 +198,7 @@ class TestDetectorRetired:
 
     @pytest.mark.parametrize(
         "entry_point",
-        [FastSimulator, simulate_fast, BatchSimulator, simulate_batched, simulate_schedule],
+        [FastSimulator, simulate_fast, BatchSimulator, simulate_schedule],
         ids=lambda entry_point: entry_point.__name__,
     )
     def test_simulators_take_no_detector_keyword(self, entry_point):

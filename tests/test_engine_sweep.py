@@ -218,7 +218,8 @@ class TestSweepCLI:
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "[1/1] gradient V1x4 ok" in captured.err
-        rows = json.loads(open(output).read())
+        with open(output) as handle:
+            rows = json.load(handle)
         assert rows[0]["kernel"] == "gradient"
         # Second run resumes from the store and says so.
         assert main(argv) == 0

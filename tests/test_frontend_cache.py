@@ -1,4 +1,4 @@
-"""Incremental frontend: token/AST/DFG caching and content-hash invalidation.
+"""Incremental frontend: DFG caching and content-hash invalidation.
 
 Covers the satellite requirement "AST/compile-cache hit/miss and
 invalidation-on-source-change tests" for the frontend half of the chain; the
@@ -47,48 +47,16 @@ class TestAstFingerprint:
         assert ast_fingerprint(parse_ast(SOURCE)) != ast_fingerprint(parse_ast(EDITED))
 
 
-class TestTokenLayer:
-    def test_hit_on_repeat_miss_on_edit(self):
-        cache = FrontendCache()
-        first = cache.tokens(SOURCE)
-        again = cache.tokens(SOURCE)
-        assert again is first
-        assert cache.stats.token_hits == 1 and cache.stats.token_misses == 1
-        cache.tokens(EDITED)
-        assert cache.stats.token_misses == 2
-
+class TestDfgLayer:
     def test_lru_eviction(self):
         cache = FrontendCache(capacity=2)
-        cache.tokens("int a(int x) { return x; }")
-        cache.tokens("int b(int x) { return x; }")
-        cache.tokens("int c(int x) { return x; }")
-        cache.tokens("int a(int x) { return x; }")  # evicted -> miss again
-        assert cache.stats.token_misses == 4
+        cache.dfg("int a(int x) { return x + 1; }")
+        cache.dfg("int b(int x) { return x + 1; }")
+        cache.dfg("int c(int x) { return x + 1; }")
+        assert len(cache) == 2
+        cache.dfg("int a(int x) { return x + 1; }")  # evicted -> miss again
+        assert cache.stats.dfg_misses == 4 and cache.stats.dfg_hits == 0
 
-
-class TestAstLayer:
-    def test_ast_cached_and_shared(self):
-        cache = FrontendCache()
-        first = cache.ast(SOURCE)
-        assert cache.ast(SOURCE) is first
-        assert cache.stats.ast_hits == 1
-
-    def test_ast_hit_skips_lexing(self):
-        cache = FrontendCache()
-        cache.ast(SOURCE)
-        lex_misses = cache.stats.token_misses
-        cache.ast(SOURCE)
-        assert cache.stats.token_misses == lex_misses
-
-    def test_source_edit_invalidates(self):
-        cache = FrontendCache()
-        a = cache.ast(SOURCE)
-        b = cache.ast(EDITED)
-        assert a is not b
-        assert cache.stats.ast_misses == 2
-
-
-class TestDfgLayer:
     def test_copies_are_fresh_but_identical(self):
         cache = FrontendCache()
         d1 = cache.dfg(SOURCE)
@@ -125,8 +93,6 @@ class TestDfgLayer:
         for _ in range(2):
             with pytest.raises(ParseError, match="undefined variable"):
                 cache.dfg(bad)
-        # The AST itself is cacheable; only lowering fails.
-        assert cache.stats.ast_hits == 1
 
 
 class TestPublicEntryPoint:

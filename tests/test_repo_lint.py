@@ -36,15 +36,19 @@ SCOPE = [
 HYGIENE_ONLY = [
     os.path.join(SRC, "api.py"),
     os.path.join(SRC, "baseline", "li2016.py"),
+    os.path.join(SRC, "dfg", "graph.py"),
     os.path.join(SRC, "dfg", "node.py"),
     os.path.join(SRC, "dfg", "opcodes.py"),
+    os.path.join(SRC, "dfg", "validate.py"),
     os.path.join(SRC, "engine", "cache.py"),
     os.path.join(SRC, "engine", "fastsim.py"),
     os.path.join(SRC, "engine", "sweep.py"),
+    os.path.join(SRC, "frontend", "cache.py"),
     os.path.join(SRC, "metrics", "performance.py"),
     os.path.join(SRC, "overlay", "isa.py"),
     os.path.join(SRC, "runtime", "manager.py"),
     os.path.join(SRC, "schedule", "greedy.py"),
+    os.path.join(SRC, "sim", "overlay.py"),
 ]
 
 

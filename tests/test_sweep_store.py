@@ -17,6 +17,12 @@ from repro.engine.store import STORE_VERSION, ResultStore
 from repro.engine.sweep import SweepPoint, build_grid, run_sweep, run_sweep_spec
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
 
+
+def _read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
 def _grid(kernels=("gradient", "poly5"), variant="v1"):
     return build_grid(list(kernels), overlays=[OverlaySpec(variant=variant)])
 
@@ -81,7 +87,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        entry = _read_json(path)
         assert entry["version"] == STORE_VERSION
         assert entry["point"]["kernel"] == "gradient"
         assert entry["result"]["kernel"] == "gradient"
@@ -106,7 +112,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        entry = _read_json(path)
         entry["version"] = STORE_VERSION + 1
         with open(path, "w") as handle:
             json.dump(entry, handle)
@@ -119,7 +125,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        entry = _read_json(path)
         entry["version"] = 1
         entry["point"]["sim"]["detector"] = "occupancy"
         entry["result"]["detector"] = "occupancy"
@@ -134,7 +140,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        entry = _read_json(path)
         assert "detector" not in entry["point"]["sim"]
         assert "detector" not in entry["result"]
 
@@ -144,7 +150,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        entry = _read_json(path)
         entry["result"]["detector"] = "occupancy"
         with open(path, "w") as handle:
             json.dump(entry, handle)
