@@ -42,13 +42,13 @@ same interface, routing each key to one shard by hash.
 End-to-end chain
 ----------------
 Together with the frontend layer (:mod:`repro.frontend.cache`) the cache
-covers the full ``source → tokens → AST → DFG → schedule → program →
-configuration image`` chain, every stage keyed by content hash.
+covers the full ``source → DFG → schedule → program → configuration image``
+chain, every stage keyed by content hash.
 :meth:`ScheduleCache.get_or_compile_source` is the one-call entry: a warm hit
-on its *source index* — keyed by ``(source hash, name, optimizer flag,
-overlay configuration)`` — returns the compiled binary without lexing,
-parsing, lowering or even hashing a DFG.  A cold call falls through layer by
-layer, reusing whatever prefix of the chain is already cached.
+on its *source index* — keyed by ``(source hash, name, overlay
+configuration)`` — returns the compiled binary without parsing or even
+hashing a DFG.  A cold call falls through layer by layer, reusing whatever
+prefix of the chain is already cached.
 
 Compiled artifacts are treated as immutable by every consumer (simulator,
 codegen listings, context-switch accounting), which is what makes sharing a
@@ -388,18 +388,16 @@ class ScheduleCache:
         source: str,
         overlay: LinearOverlay,
         name: Optional[str] = None,
-        run_optimizer: bool = True,
         scheduler: str = "auto",
     ) -> CompiledKernel:
         """Compile mini-C source end-to-end, reusing every cached stage.
 
         The warm path is a single dictionary lookup keyed by ``(source
-        content hash, name, run_optimizer, overlay configuration)`` — no
-        lexing, parsing, lowering or DFG hashing happens at all.  On a source
-        miss the call falls back through the frontend cache (which may still
-        hold the token stream, AST or lowered DFG) and then through the
-        DFG-keyed compile path, finally recording the source key so the next
-        call short-circuits.
+        content hash, name, overlay configuration)`` — no parsing or DFG
+        hashing happens at all.  On a source miss the call falls back
+        through the frontend cache (which may still hold the optimized DFG)
+        and then through the DFG-keyed compile path, finally recording the
+        source key so the next call short-circuits.
         """
         from ..frontend.cache import default_frontend_cache
         from ..frontend.lexer import source_hash
@@ -409,7 +407,6 @@ class ScheduleCache:
         skey = (
             source_hash(source),
             name,
-            run_optimizer,
             overlay.variant.name,
             overlay.depth,
             overlay.fixed_depth,
@@ -426,7 +423,7 @@ class ScheduleCache:
                     self.stats.source_hits += 1
                     return cached
 
-        dfg = default_frontend_cache().dfg(source, name=name, run_optimizer=run_optimizer)
+        dfg = default_frontend_cache().dfg(source, name=name)
         key = CacheKey.for_mapping(dfg, overlay, scheduler)
         compiled = self._get_or_compile_keyed(key, dfg, overlay)
         with self._lock:
@@ -696,7 +693,6 @@ class ShardedScheduleCache:
         source: str,
         overlay: LinearOverlay,
         name: Optional[str] = None,
-        run_optimizer: bool = True,
         scheduler: str = "auto",
     ) -> CompiledKernel:
         """Source fast path, then key-routed shard compile (cf. the shard's).
@@ -714,7 +710,6 @@ class ShardedScheduleCache:
         skey = (
             source_hash(source),
             name,
-            run_optimizer,
             overlay.variant.name,
             overlay.depth,
             overlay.fixed_depth,
@@ -731,7 +726,7 @@ class ShardedScheduleCache:
                 with self._lock:
                     self._source_stats.source_hits += 1
                 return cached
-        dfg = default_frontend_cache().dfg(source, name=name, run_optimizer=run_optimizer)
+        dfg = default_frontend_cache().dfg(source, name=name)
         key = CacheKey.for_mapping(dfg, overlay, scheduler)
         compiled = self._shard(key).get_or_compile_keyed(key, dfg, overlay)
         with self._lock:

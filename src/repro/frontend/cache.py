@@ -2,11 +2,9 @@
 
 This is the frontend half of the end-to-end compile cache (the backend half —
 schedules, programs, configuration images — lives in
-:mod:`repro.engine.cache`).  Entries are keyed by ``(source hash, name,
-run_optimizer)``, the source hash being
-:func:`repro.frontend.lexer.source_hash`.  A miss lexes, parses and lowers
-the source in one go; a lookup of the same source never needs its tokens or
-AST again, so only the DFG is kept.
+:mod:`repro.engine.cache`).  Entries are the optimized DFGs of
+:func:`~repro.frontend.cparser.lower_c_kernel`, keyed by ``(source hash,
+name)``, the source hash being :func:`repro.frontend.lexer.source_hash`.
 
 DFGs are mutable, so :meth:`FrontendCache.dfg` hands out a fresh
 :meth:`~repro.dfg.graph.DFG.copy` per call.  The cache is a bounded LRU
@@ -28,7 +26,7 @@ from typing import Optional, Tuple
 
 from ..dfg.graph import DFG
 from .lexer import source_hash
-from .cparser import lower_ast, parse_ast
+from .cparser import lower_c_kernel
 
 
 @dataclass
@@ -71,7 +69,7 @@ class FrontendCache:
             raise ValueError("frontend cache capacity must be at least 1")
         self.capacity = capacity
         self.stats = FrontendCacheStats()
-        self._dfgs: "OrderedDict[Tuple[str, Optional[str], bool], DFG]" = OrderedDict()
+        self._dfgs: "OrderedDict[Tuple[str, Optional[str]], DFG]" = OrderedDict()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -86,19 +84,14 @@ class FrontendCache:
             self.stats = FrontendCacheStats()
 
     # ------------------------------------------------------------------
-    def dfg(
-        self,
-        source: str,
-        name: Optional[str] = None,
-        run_optimizer: bool = True,
-    ) -> DFG:
-        """Lowered DFG of ``source`` — a fresh copy of the cached graph.
+    def dfg(self, source: str, name: Optional[str] = None) -> DFG:
+        """Optimized DFG of ``source`` — a fresh copy of the cached graph.
 
-        The cached graph is keyed on ``(source hash, name, run_optimizer)``
-        since both arguments change the lowered result; semantic errors
-        (raised during lowering) are never cached and re-raise on each call.
+        The cached graph is keyed on ``(source hash, name)`` since both
+        arguments change the lowered result; errors are never cached and
+        re-raise on each call.
         """
-        dfg_key = (source_hash(source), name, run_optimizer)
+        dfg_key = (source_hash(source), name)
         with self._lock:
             cached = self._dfgs.get(dfg_key)
             if cached is not None:
@@ -110,7 +103,7 @@ class FrontendCache:
             # Copy outside the lock: the stored graph is never mutated, so
             # concurrent copies are safe and don't serialise other lookups.
             return cached.copy()
-        dfg = lower_ast(parse_ast(source), name=name, run_optimizer=run_optimizer)
+        dfg = lower_c_kernel(source, name=name)
         with self._lock:
             self._dfgs[dfg_key] = dfg
             while len(self._dfgs) > self.capacity:

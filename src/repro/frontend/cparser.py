@@ -21,51 +21,47 @@ Supported grammar (informally)::
     unary      := ('-' | '~')? primary
     primary    := INT | IDENT | IDENT '(' args ')' | '(' expr ')'
 
-Calls to the intrinsic functions ``sqr``, ``abs``, ``min`` and ``max`` map to
-the corresponding DFG opcodes.  Division and data-dependent control flow are
-rejected with a :class:`~repro.errors.ParseError` — they are outside what the
-DSP-based FU supports.
+Calls to the intrinsic functions ``sqr``, ``abs``, ``min``, ``max``,
+``muladd`` and ``mulsub`` map to the corresponding DFG opcodes.  Division
+and data-dependent control flow are rejected with a
+:class:`~repro.errors.ParseError` — they are outside what the DSP-based FU
+supports.
 
-Incremental structure
----------------------
-Since the compile-path overhaul the frontend is staged, and every stage is
-cached by source content hash (see :mod:`repro.frontend.cache` and
-``docs/compiler.md``):
+One pass
+--------
+The parser builds the DFG while it reads, through
+:class:`~repro.dfg.builder.DFGBuilder`, against a symbol table of the
+current value of every name: inputs in parameter order, then each
+statement in order, each expression depth-first and left to right.  The
+optimizer, when asked for, runs on the finished graph.
 
-1. **lexing** (:mod:`repro.frontend.lexer`) — source text to an immutable
-   token tuple;
-2. **parsing** (:func:`parse_ast`) — tokens to an immutable
-   :class:`~repro.frontend.syntax.KernelAST`;
-3. **lowering** (:func:`lower_ast`) — AST to a fresh
-   :class:`~repro.dfg.graph.DFG` through :class:`~repro.dfg.builder.DFGBuilder`,
-   optionally running the standard optimizer.
+It pulls tokens from the lexer one at a time, one token ahead, and stops
+at the first error it meets, so a source with several errors reports the
+first one in source order.  Two checks wait for the end of their
+construct: an intrinsic's argument count is checked at its closing
+parenthesis (and reported at its name), and a kernel without outputs is
+reported at its closing brace.
 
-:func:`parse_c_kernel` keeps its original one-call signature but now routes
+:func:`lower_c_kernel` is the uncached entry; :func:`parse_c_kernel` goes
 through the process-wide :class:`~repro.frontend.cache.FrontendCache`, so
-repeated calls on unchanged source never re-lex, re-parse or re-lower.
-Lowering replays the AST in exactly the order the old single-pass parser
-built nodes, so DFG node ids — and therefore every downstream content hash —
-are unchanged.
+repeated calls on unchanged source never parse it again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..dfg.builder import DFGBuilder
 from ..dfg.graph import DFG
 from ..dfg.opcodes import OpCode
 from ..dfg.transforms import optimize
 from ..errors import ParseError
-from .lexer import Token, tokenize
-from . import syntax
-from .syntax import KernelAST
+from .lexer import Token, iter_tokens, tokenize
 
 __all__ = [
     "Token",
     "tokenize",
-    "parse_ast",
-    "lower_ast",
+    "lower_c_kernel",
     "parse_c_kernel",
     "INTRINSICS",
 ]
@@ -80,31 +76,43 @@ INTRINSICS = {
     "mulsub": (OpCode.MULSUB, 3),
 }
 
-# Backwards-compatible alias (pre-overhaul name).
-_INTRINSICS = INTRINSICS
+_BINARY_OPCODES = {
+    "|": OpCode.OR,
+    "^": OpCode.XOR,
+    "&": OpCode.AND,
+    "<<": OpCode.SHL,
+    ">>": OpCode.SHR,
+    "+": OpCode.ADD,
+    "-": OpCode.SUB,
+    "*": OpCode.MUL,
+}
 
 
-# ---------------------------------------------------------------------------
-# parser: tokens -> AST
-# ---------------------------------------------------------------------------
 class _Parser:
-    """Recursive-descent parser producing an immutable :class:`KernelAST`."""
+    """Recursive-descent parser that lowers the kernel into a DFG as it reads.
 
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = list(tokens)
-        self.position = 0
+    Every grammar method that reads a value returns the id of the DFG node
+    that holds it.
+    """
+
+    def __init__(self, source: str):
+        self.tokens = iter_tokens(source)
+        self.token = next(self.tokens)
+        self.builder = DFGBuilder()
+        self.symbols: Dict[str, int] = {}
+        self.output_params: List[str] = []
+        self.outputs_written: Dict[str, int] = {}
+        self.returned: Optional[int] = None
 
     # -- token helpers ------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.position + offset, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
-        token = self.peek()
-        self.position += 1
+        token = self.token
+        if token.kind != "EOF":
+            self.token = next(self.tokens)
         return token
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self.peek()
+        token = self.token
         if token.kind != kind or (text is not None and token.text != text):
             wanted = text or kind
             raise ParseError(
@@ -113,31 +121,33 @@ class _Parser:
         return self.advance()
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self.peek()
+        token = self.token
         if token.kind == kind and (text is None or token.text == text):
             return self.advance()
         return None
 
     # -- grammar ------------------------------------------------------------
-    def parse_kernel(self) -> KernelAST:
-        """Parse one complete kernel function into an AST."""
+    def parse_kernel(self, name: Optional[str] = None) -> DFG:
+        """Parse one kernel function into a validated DFG (``name`` overrides its name)."""
         self.expect("KEYWORD")  # return type: int or void
         name_token = self.expect("IDENT")
+        self.builder.dfg.name = name or name_token.text
         self.expect("SYMBOL", "(")
-        params = self._parse_params()
+        self._parse_params()
         self.expect("SYMBOL", ")")
         self.expect("SYMBOL", "{")
-        body: List[syntax.Stmt] = []
         while not self.accept("SYMBOL", "}"):
-            if self.peek().kind == "EOF":
+            if self.token.kind == "EOF":
                 raise ParseError("unexpected end of input inside kernel body")
-            body.append(self._parse_statement())
-        return KernelAST(name=name_token.text, params=tuple(params), body=tuple(body))
+            self._parse_statement()
+        self._finish_outputs()
+        for _ in self.tokens:  # text after the kernel is ignored but must lex
+            pass
+        return self.builder.build()
 
-    def _parse_params(self) -> List[syntax.Param]:
-        params: List[syntax.Param] = []
-        if self.peek().kind == "SYMBOL" and self.peek().text == ")":
-            return params
+    def _parse_params(self) -> None:
+        if self.token.kind == "SYMBOL" and self.token.text == ")":
+            return
         while True:
             keyword = self.expect("KEYWORD")
             if keyword.text not in ("int", "void"):
@@ -148,196 +158,43 @@ class _Parser:
                 )
             is_pointer = bool(self.accept("SYMBOL", "*"))
             ident = self.expect("IDENT")
-            params.append(
-                syntax.Param(
-                    name=ident.text,
-                    is_pointer=is_pointer,
-                    line=ident.line,
-                    column=ident.column,
-                )
-            )
+            if is_pointer:
+                self.output_params.append(ident.text)
+            else:
+                self.symbols[ident.text] = self.builder.input(ident.text)
             if not self.accept("SYMBOL", ","):
                 break
-        return params
 
-    def _parse_statement(self) -> syntax.Stmt:
-        token = self.peek()
+    def _parse_statement(self) -> None:
+        token = self.token
         if token.kind == "KEYWORD" and token.text == "int":
             self.advance()
             ident = self.expect("IDENT")
             self.expect("SYMBOL", "=")
-            value = self._parse_expression()
+            self.symbols[ident.text] = self._parse_expression()
             self.expect("SYMBOL", ";")
-            return syntax.Declaration(
-                name=ident.text, expr=value, line=ident.line, column=ident.column
-            )
+            return
         if token.kind == "KEYWORD" and token.text == "return":
+            if self.returned is not None:
+                raise ParseError("multiple return statements", token.line, token.column)
             self.advance()
-            value = self._parse_expression()
+            self.returned = self._parse_expression()
             self.expect("SYMBOL", ";")
-            return syntax.Return(expr=value, line=token.line, column=token.column)
+            return
         dereference = bool(self.accept("SYMBOL", "*"))
         ident = self.expect("IDENT")
+        is_output = ident.text in self.output_params
+        if dereference and not is_output:
+            raise ParseError(
+                f"{ident.text!r} is not an output parameter", ident.line, ident.column
+            )
         self.expect("SYMBOL", "=")
         value = self._parse_expression()
         self.expect("SYMBOL", ";")
-        return syntax.Assignment(
-            target=ident.text,
-            dereference=dereference,
-            expr=value,
-            line=ident.line,
-            column=ident.column,
-        )
-
-    # -- expressions (C precedence: * over +/- over <</>> over & ^ |) -------
-    def _parse_expression(self) -> syntax.Expr:
-        return self._parse_bitor()
-
-    def _binary_chain(self, parse_next, kinds, texts) -> syntax.Expr:
-        value = parse_next()
-        while self.peek().kind in kinds and (texts is None or self.peek().text in texts):
-            op = self.advance()
-            value = syntax.Binary(
-                op=op.text, lhs=value, rhs=parse_next(), line=op.line, column=op.column
-            )
-        return value
-
-    def _parse_bitor(self) -> syntax.Expr:
-        return self._binary_chain(self._parse_bitxor, ("SYMBOL",), ("|",))
-
-    def _parse_bitxor(self) -> syntax.Expr:
-        return self._binary_chain(self._parse_bitand, ("SYMBOL",), ("^",))
-
-    def _parse_bitand(self) -> syntax.Expr:
-        return self._binary_chain(self._parse_shift, ("SYMBOL",), ("&",))
-
-    def _parse_shift(self) -> syntax.Expr:
-        return self._binary_chain(self._parse_additive, ("SHIFT",), None)
-
-    def _parse_additive(self) -> syntax.Expr:
-        return self._binary_chain(self._parse_term, ("SYMBOL",), ("+", "-"))
-
-    def _parse_term(self) -> syntax.Expr:
-        return self._binary_chain(self._parse_unary, ("SYMBOL",), ("*",))
-
-    def _parse_unary(self) -> syntax.Expr:
-        token = self.peek()
-        if token.kind == "SYMBOL" and token.text in ("-", "~"):
-            self.advance()
-            return syntax.Unary(
-                op=token.text,
-                operand=self._parse_unary(),
-                line=token.line,
-                column=token.column,
-            )
-        return self._parse_primary()
-
-    def _parse_primary(self) -> syntax.Expr:
-        token = self.advance()
-        if token.kind == "NUMBER":
-            return syntax.IntLiteral(
-                value=int(token.text, 0), line=token.line, column=token.column
-            )
-        if token.kind == "IDENT":
-            if self.accept("SYMBOL", "("):
-                return self._parse_call(token)
-            return syntax.Name(ident=token.text, line=token.line, column=token.column)
-        if token.kind == "SYMBOL" and token.text == "(":
-            value = self._parse_expression()
-            self.expect("SYMBOL", ")")
-            return value
-        raise ParseError(f"unexpected token {token.text!r}", token.line, token.column)
-
-    def _parse_call(self, name_token: Token) -> syntax.Expr:
-        name = name_token.text
-        if name not in INTRINSICS:
-            raise ParseError(
-                f"unknown function {name!r} (supported intrinsics: "
-                f"{', '.join(sorted(INTRINSICS))})",
-                name_token.line,
-                name_token.column,
-            )
-        _, arity = INTRINSICS[name]
-        args: List[syntax.Expr] = []
-        if not self.accept("SYMBOL", ")"):
-            while True:
-                args.append(self._parse_expression())
-                if self.accept("SYMBOL", ")"):
-                    break
-                self.expect("SYMBOL", ",")
-        if len(args) != arity:
-            raise ParseError(
-                f"{name} expects {arity} argument(s), got {len(args)}",
-                name_token.line,
-                name_token.column,
-            )
-        return syntax.Call(
-            func=name, args=tuple(args), line=name_token.line, column=name_token.column
-        )
-
-
-def parse_ast(source: str) -> KernelAST:
-    """Parse mini-C source into an immutable AST (no caching, no DFG).
-
-    This is the pure parsing stage of the incremental frontend; most callers
-    want :func:`parse_c_kernel`, which adds content-hash caching and lowering.
-    """
-    return _Parser(tokenize(source)).parse_kernel()
-
-
-# ---------------------------------------------------------------------------
-# lowering: AST -> DFG
-# ---------------------------------------------------------------------------
-class _Lowering:
-    """Replays a :class:`KernelAST` into a DFG via :class:`DFGBuilder`.
-
-    Node creation order matches the old parse-time builder exactly (params in
-    declaration order, then statements in order, expressions depth-first and
-    left-to-right), so lowering a cached AST produces bit-identical DFGs —
-    and therefore identical downstream compile-cache keys.
-    """
-
-    def __init__(self, ast: KernelAST, name: Optional[str] = None):
-        self.ast = ast
-        self.builder = DFGBuilder(name or ast.name)
-        self.symbols: Dict[str, int] = {}
-        self.output_params: List[str] = []
-        self.outputs_written: Dict[str, int] = {}
-        self.returned: Optional[int] = None
-
-    def lower(self) -> DFG:
-        """Build and validate the DFG for the held AST."""
-        for param in self.ast.params:
-            if param.is_pointer:
-                self.output_params.append(param.name)
-            else:
-                self.symbols[param.name] = self.builder.input(param.name)
-        for stmt in self.ast.body:
-            self._lower_statement(stmt)
-        self._finish_outputs()
-        return self.builder.build()
-
-    # -- statements ---------------------------------------------------------
-    def _lower_statement(self, stmt: syntax.Stmt) -> None:
-        if isinstance(stmt, syntax.Declaration):
-            self.symbols[stmt.name] = self._lower_expr(stmt.expr)
-            return
-        if isinstance(stmt, syntax.Return):
-            value = self._lower_expr(stmt.expr)
-            if self.returned is not None:
-                raise ParseError("multiple return statements", stmt.line, stmt.column)
-            self.returned = value
-            return
-        assert isinstance(stmt, syntax.Assignment)
-        value = self._lower_expr(stmt.expr)
-        if stmt.dereference or stmt.target in self.output_params:
-            if stmt.target not in self.output_params:
-                raise ParseError(
-                    f"{stmt.target!r} is not an output parameter", stmt.line, stmt.column
-                )
-            self.outputs_written[stmt.target] = value
+        if is_output:
+            self.outputs_written[ident.text] = value
         else:
-            self.symbols[stmt.target] = value
+            self.symbols[ident.text] = value
 
     def _finish_outputs(self) -> None:
         produced = False
@@ -351,49 +208,96 @@ class _Lowering:
         if not produced:
             raise ParseError("kernel produces no outputs (no return or *out assignment)")
 
-    # -- expressions --------------------------------------------------------
-    _BINARY_BUILDERS = {
-        "|": "or_",
-        "^": "xor",
-        "&": "and_",
-        "<<": "shl",
-        ">>": "shr",
-        "+": "add",
-        "-": "sub",
-        "*": "mul",
-    }
+    # -- expressions (C precedence: * over +/- over <</>> over & ^ |) -------
+    def _parse_expression(self) -> int:
+        return self._parse_bitor()
 
-    def _lower_expr(self, expr: syntax.Expr) -> int:
-        if isinstance(expr, syntax.IntLiteral):
-            return self.builder.const(expr.value)
-        if isinstance(expr, syntax.Name):
-            if expr.ident not in self.symbols:
+    def _binary_chain(self, parse_next, kinds, texts) -> int:
+        value = parse_next()
+        while self.token.kind in kinds and (texts is None or self.token.text in texts):
+            opcode = _BINARY_OPCODES[self.advance().text]
+            value = self.builder.op(opcode, value, parse_next())
+        return value
+
+    def _parse_bitor(self) -> int:
+        return self._binary_chain(self._parse_bitxor, ("SYMBOL",), ("|",))
+
+    def _parse_bitxor(self) -> int:
+        return self._binary_chain(self._parse_bitand, ("SYMBOL",), ("^",))
+
+    def _parse_bitand(self) -> int:
+        return self._binary_chain(self._parse_shift, ("SYMBOL",), ("&",))
+
+    def _parse_shift(self) -> int:
+        return self._binary_chain(self._parse_additive, ("SHIFT",), None)
+
+    def _parse_additive(self) -> int:
+        return self._binary_chain(self._parse_term, ("SYMBOL",), ("+", "-"))
+
+    def _parse_term(self) -> int:
+        return self._binary_chain(self._parse_unary, ("SYMBOL",), ("*",))
+
+    def _parse_unary(self) -> int:
+        token = self.token
+        if token.kind == "SYMBOL" and token.text in ("-", "~"):
+            self.advance()
+            operand = self._parse_unary()
+            return self.builder.op(OpCode.NEG if token.text == "-" else OpCode.NOT, operand)
+        return self._parse_primary()
+
+    def _parse_primary(self) -> int:
+        token = self.advance()
+        if token.kind == "NUMBER":
+            return self.builder.const(int(token.text, 0))
+        if token.kind == "IDENT":
+            if self.accept("SYMBOL", "("):
+                return self._parse_call(token)
+            if token.text not in self.symbols:
                 raise ParseError(
-                    f"use of undefined variable {expr.ident!r}", expr.line, expr.column
+                    f"use of undefined variable {token.text!r}", token.line, token.column
                 )
-            return self.symbols[expr.ident]
-        if isinstance(expr, syntax.Unary):
-            operand = self._lower_expr(expr.operand)
-            return self.builder.neg(operand) if expr.op == "-" else self.builder.not_(operand)
-        if isinstance(expr, syntax.Binary):
-            lhs = self._lower_expr(expr.lhs)
-            rhs = self._lower_expr(expr.rhs)
-            return getattr(self.builder, self._BINARY_BUILDERS[expr.op])(lhs, rhs)
-        assert isinstance(expr, syntax.Call)
-        opcode, _ = INTRINSICS[expr.func]
-        args = [self._lower_expr(a) for a in expr.args]
+            return self.symbols[token.text]
+        if token.kind == "SYMBOL" and token.text == "(":
+            value = self._parse_expression()
+            self.expect("SYMBOL", ")")
+            return value
+        raise ParseError(f"unexpected token {token.text!r}", token.line, token.column)
+
+    def _parse_call(self, name_token: Token) -> int:
+        name = name_token.text
+        if name not in INTRINSICS:
+            raise ParseError(
+                f"unknown function {name!r} (supported intrinsics: "
+                f"{', '.join(sorted(INTRINSICS))})",
+                name_token.line,
+                name_token.column,
+            )
+        opcode, arity = INTRINSICS[name]
+        args: List[int] = []
+        if not self.accept("SYMBOL", ")"):
+            while True:
+                args.append(self._parse_expression())
+                if self.accept("SYMBOL", ")"):
+                    break
+                self.expect("SYMBOL", ",")
+        if len(args) != arity:
+            raise ParseError(
+                f"{name} expects {arity} argument(s), got {len(args)}",
+                name_token.line,
+                name_token.column,
+            )
         return self.builder.op(opcode, *args)
 
 
-def lower_ast(
-    ast: KernelAST, name: Optional[str] = None, run_optimizer: bool = True
+def lower_c_kernel(
+    source: str, name: Optional[str] = None, run_optimizer: bool = True
 ) -> DFG:
-    """Lower a parsed kernel AST into a fresh DFG.
+    """Parse mini-C source straight into a fresh DFG (no caching).
 
     Parameters
     ----------
-    ast:
-        A :class:`KernelAST` from :func:`parse_ast` (or the frontend cache).
+    source:
+        Kernel source text (a single function, see module docstring).
     name:
         Override the kernel name (defaults to the C function name).
     run_optimizer:
@@ -403,11 +307,11 @@ def lower_ast(
     Raises
     ------
     ParseError
-        On semantic errors: undefined variables, writes through non-output
-        pointers, multiple ``return`` statements, or a kernel that produces
-        no outputs.
+        On the first lexical, syntactic or semantic error in source order:
+        undefined variables, writes through non-output pointers, multiple
+        ``return`` statements, or a kernel that produces no outputs.
     """
-    dfg = _Lowering(ast, name=name).lower()
+    dfg = _Parser(source).parse_kernel(name)
     if run_optimizer:
         optimized = optimize(dfg)
         optimized.name = dfg.name
@@ -415,13 +319,8 @@ def lower_ast(
     return dfg
 
 
-# ---------------------------------------------------------------------------
-# public entry point
-# ---------------------------------------------------------------------------
-def parse_c_kernel(
-    source: str, name: Optional[str] = None, run_optimizer: bool = True
-) -> DFG:
-    """Parse a mini-C kernel into a DFG (cached by source content hash).
+def parse_c_kernel(source: str, name: Optional[str] = None) -> DFG:
+    """Parse and optimize a mini-C kernel into a DFG (cached by source hash).
 
     Parameters
     ----------
@@ -429,17 +328,13 @@ def parse_c_kernel(
         Kernel source text (a single function, see module docstring).
     name:
         Override the kernel name (defaults to the C function name).
-    run_optimizer:
-        Apply the standard optimization pipeline to the extracted graph,
-        mirroring what the HLS frontend would produce.
 
     Repeated calls with byte-identical source hit the process-wide
-    :class:`~repro.frontend.cache.FrontendCache` — token stream, AST and the
-    lowered DFG are all memoised, and a fresh :meth:`~repro.dfg.graph.DFG.copy`
-    is returned each time so callers can annotate/transform freely.  Any edit
-    to the source changes its hash and recompiles from the stage that
-    actually changed.
+    :class:`~repro.frontend.cache.FrontendCache`, and a fresh
+    :meth:`~repro.dfg.graph.DFG.copy` is returned each time so callers can
+    annotate/transform freely.  Any edit to the source changes its hash and
+    parses it again.  :func:`lower_c_kernel` is the uncached equivalent.
     """
     from .cache import default_frontend_cache
 
-    return default_frontend_cache().dfg(source, name=name, run_optimizer=run_optimizer)
+    return default_frontend_cache().dfg(source, name=name)

@@ -1,10 +1,12 @@
 """Lexer for the mini-C kernel frontend.
 
-The lexer is a pure function from source text to a token list, the first
-stage of the staged frontend (lexer, AST parser, lowering).  The frontend
-cache (:mod:`repro.frontend.cache`) memoises the lowered DFG per source
-content hash, so a sweep that parses the same kernel source hundreds of
-times lexes it once.
+:func:`iter_tokens` scans source text one token at a time; the parser
+(:mod:`repro.frontend.cparser`) pulls from it as it reads, so a character
+outside the dialect is reported only when the parse reaches it.
+:func:`tokenize` returns the whole token list.  The frontend cache
+(:mod:`repro.frontend.cache`) memoises the lowered DFG per source content
+hash, so a sweep that parses the same kernel source hundreds of times lexes
+it once.
 
 Token kinds
 -----------
@@ -30,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from ..errors import ParseError
 
@@ -74,15 +76,16 @@ def source_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def tokenize(source: str) -> List[Token]:
-    """Split the kernel source into tokens, dropping comments and whitespace.
+def iter_tokens(source: str) -> Iterator[Token]:
+    """Scan the kernel source into tokens, dropping comments and whitespace.
+
+    The last token is always ``EOF``.
 
     Raises
     ------
     ParseError
-        On any character outside the mini-C dialect.
+        When the scan reaches a character outside the mini-C dialect.
     """
-    tokens: List[Token] = []
     line = 1
     line_start = 0
     for match in _TOKEN_RE.finditer(source):
@@ -102,6 +105,10 @@ def tokenize(source: str) -> List[Token]:
             raise ParseError(f"unexpected character {text!r}", line, column)
         if kind == "IDENT" and text in KEYWORDS:
             kind = "KEYWORD"
-        tokens.append(Token(kind, text, line, column))
-    tokens.append(Token("EOF", "", line, 0))
-    return tokens
+        yield Token(kind, text, line, column)
+    yield Token("EOF", "", line, 0)
+
+
+def tokenize(source: str) -> List[Token]:
+    """Every token of the kernel source, as a list (see :func:`iter_tokens`)."""
+    return list(iter_tokens(source))

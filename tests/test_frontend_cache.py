@@ -1,8 +1,8 @@
 """Incremental frontend: DFG caching and content-hash invalidation.
 
-Covers the satellite requirement "AST/compile-cache hit/miss and
-invalidation-on-source-change tests" for the frontend half of the chain; the
-backend half (schedule/binary) is covered in ``tests/test_compile_cache.py``.
+Covers DFG-cache hits, misses and invalidation on source change for the
+frontend half of the chain; the backend half (schedule/binary) is covered
+in ``tests/test_compile_cache.py``.
 """
 
 import threading
@@ -13,10 +13,8 @@ from repro.dfg.serialize import canonical_json, dfg_fingerprint
 from repro.errors import ParseError
 from repro.frontend import (
     FrontendCache,
-    ast_fingerprint,
     default_frontend_cache,
-    lower_ast,
-    parse_ast,
+    lower_c_kernel,
     parse_c_kernel,
     source_hash,
 )
@@ -34,17 +32,12 @@ class TestSourceHash:
         assert source_hash(SOURCE) != source_hash(EDITED)
 
     def test_whitespace_changes_the_source_hash(self):
-        # The source hash is byte-exact; layout-insensitivity lives at the
-        # AST fingerprint level instead.
+        # The source hash is byte-exact: a relaid-out source misses the
+        # cache even though it lowers to the same DFG.
         assert source_hash(SOURCE) != source_hash(RELAID_OUT)
-
-
-class TestAstFingerprint:
-    def test_ignores_layout_and_comments(self):
-        assert ast_fingerprint(parse_ast(SOURCE)) == ast_fingerprint(parse_ast(RELAID_OUT))
-
-    def test_sensitive_to_structure(self):
-        assert ast_fingerprint(parse_ast(SOURCE)) != ast_fingerprint(parse_ast(EDITED))
+        assert canonical_json(lower_c_kernel(SOURCE)) == canonical_json(
+            lower_c_kernel(RELAID_OUT)
+        )
 
 
 class TestDfgLayer:
@@ -71,12 +64,11 @@ class TestDfgLayer:
         d1.name = "mutated"
         assert cache.dfg(SOURCE).name == "f"
 
-    def test_name_and_optimizer_flag_are_part_of_the_key(self):
+    def test_name_is_part_of_the_key(self):
         cache = FrontendCache()
         cache.dfg(SOURCE)
         cache.dfg(SOURCE, name="renamed")
-        cache.dfg(SOURCE, run_optimizer=False)
-        assert cache.stats.dfg_misses == 3
+        assert cache.stats.dfg_misses == 2
         assert cache.dfg(SOURCE, name="renamed").name == "renamed"
 
     def test_invalidation_on_source_change(self):
@@ -104,8 +96,8 @@ class TestPublicEntryPoint:
         assert cache.stats.dfg_hits > baseline
 
     def test_cached_parse_equals_direct_lowering(self):
-        direct = lower_ast(parse_ast(GRADIENT_C_SOURCE))
-        cached = parse_c_kernel(GRADIENT_C_SOURCE)
+        direct = lower_c_kernel(GRADIENT_C_SOURCE, name="grad")
+        cached = parse_c_kernel(GRADIENT_C_SOURCE, name="grad")
         assert canonical_json(direct) == canonical_json(cached)
 
     def test_thread_safety_of_shared_cache(self):

@@ -15,17 +15,13 @@ import pytest
 from minic_corpus import BINARY_OPS, INTRINSIC_ARITY, WIDE_LITERALS, corpus
 from repro.dfg.serialize import canonical_json
 from repro.errors import ParseError
-from repro.frontend import lower_ast, parse_ast
+from repro.frontend import lower_c_kernel
 
 CORPUS_SEED = 2026
 CORPUS_SIZE = 600
 CORPUS_SHA256 = "aeecc3cf937753a4abbf67136db088137c72f2f0c11f5bb0a7de91563c47b29b"
 
 SOURCES = corpus(CORPUS_SEED, CORPUS_SIZE)
-
-
-def _lower(source, run_optimizer=True):
-    return lower_ast(parse_ast(source), run_optimizer=run_optimizer)
 
 
 def test_corpus_covers_every_construct():
@@ -55,7 +51,8 @@ def test_lowered_corpus_matches_the_golden_digest():
     digest = hashlib.sha256()
     for source in SOURCES:
         for run_optimizer in (True, False):
-            digest.update(canonical_json(_lower(source, run_optimizer)).encode("utf-8"))
+            dfg = lower_c_kernel(source, run_optimizer=run_optimizer)
+            digest.update(canonical_json(dfg).encode("utf-8"))
             digest.update(b"\n")
     assert digest.hexdigest() == CORPUS_SHA256
 
@@ -90,7 +87,17 @@ SINGLE_ERRORS = [
 @pytest.mark.parametrize("source, message, line, column", SINGLE_ERRORS)
 def test_single_error_sources_pin_message_and_position(source, message, line, column):
     with pytest.raises(ParseError) as caught:
-        _lower(source)
+        lower_c_kernel(source)
     location = f" (line {line}, column {column})" if line else ""
     assert str(caught.value) == message + location
     assert (caught.value.line, caught.value.column) == (line, column)
+
+
+def test_several_errors_report_the_first_in_source_order():
+    # An undefined name on line 2 comes before the syntax error on line 3:
+    # the one-pass parser meets it first.
+    source = "int f(int a) {\n  int t = ghost;\n  return t +;\n}"
+    with pytest.raises(ParseError) as caught:
+        lower_c_kernel(source)
+    assert (caught.value.line, caught.value.column) == (2, 11)
+    assert "undefined variable 'ghost'" in str(caught.value)
