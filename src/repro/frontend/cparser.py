@@ -41,10 +41,6 @@ first one in source order.  Two checks wait for the end of their
 construct: an intrinsic's argument count is checked at its closing
 parenthesis (and reported at its name), and a kernel without outputs is
 reported at its closing brace.
-
-:func:`lower_c_kernel` is the uncached entry; :func:`parse_c_kernel` goes
-through the process-wide :class:`~repro.frontend.cache.FrontendCache`, so
-repeated calls on unchanged source never parse it again.
 """
 
 from __future__ import annotations
@@ -75,6 +71,9 @@ INTRINSICS = {
     "muladd": (OpCode.MULADD, 3),
     "mulsub": (OpCode.MULSUB, 3),
 }
+
+#: Binary operators by C precedence level, loosest first.
+_PRECEDENCE = (("|",), ("^",), ("&",), ("<<", ">>"), ("+", "-"), ("*",))
 
 _BINARY_OPCODES = {
     "|": OpCode.OR,
@@ -208,34 +207,16 @@ class _Parser:
         if not produced:
             raise ParseError("kernel produces no outputs (no return or *out assignment)")
 
-    # -- expressions (C precedence: * over +/- over <</>> over & ^ |) -------
-    def _parse_expression(self) -> int:
-        return self._parse_bitor()
-
-    def _binary_chain(self, parse_next, kinds, texts) -> int:
-        value = parse_next()
-        while self.token.kind in kinds and (texts is None or self.token.text in texts):
+    # -- expressions --------------------------------------------------------
+    def _parse_expression(self, level: int = 0) -> int:
+        """One binary-operator level of :data:`_PRECEDENCE`, left-associative."""
+        if level == len(_PRECEDENCE):
+            return self._parse_unary()
+        value = self._parse_expression(level + 1)
+        while self.token.text in _PRECEDENCE[level]:
             opcode = _BINARY_OPCODES[self.advance().text]
-            value = self.builder.op(opcode, value, parse_next())
+            value = self.builder.op(opcode, value, self._parse_expression(level + 1))
         return value
-
-    def _parse_bitor(self) -> int:
-        return self._binary_chain(self._parse_bitxor, ("SYMBOL",), ("|",))
-
-    def _parse_bitxor(self) -> int:
-        return self._binary_chain(self._parse_bitand, ("SYMBOL",), ("^",))
-
-    def _parse_bitand(self) -> int:
-        return self._binary_chain(self._parse_shift, ("SYMBOL",), ("&",))
-
-    def _parse_shift(self) -> int:
-        return self._binary_chain(self._parse_additive, ("SHIFT",), None)
-
-    def _parse_additive(self) -> int:
-        return self._binary_chain(self._parse_term, ("SYMBOL",), ("+", "-"))
-
-    def _parse_term(self) -> int:
-        return self._binary_chain(self._parse_unary, ("SYMBOL",), ("*",))
 
     def _parse_unary(self) -> int:
         token = self.token
@@ -312,11 +293,7 @@ def lower_c_kernel(
         ``return`` statements, or a kernel that produces no outputs.
     """
     dfg = _Parser(source).parse_kernel(name)
-    if run_optimizer:
-        optimized = optimize(dfg)
-        optimized.name = dfg.name
-        return optimized
-    return dfg
+    return optimize(dfg) if run_optimizer else dfg
 
 
 def parse_c_kernel(source: str, name: Optional[str] = None) -> DFG:
