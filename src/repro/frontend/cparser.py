@@ -229,7 +229,13 @@ class _Parser:
     def _parse_primary(self) -> int:
         token = self.advance()
         if token.kind == "NUMBER":
-            return self.builder.const(int(token.text, 0))
+            try:
+                value = int(token.text, 0)
+            except ValueError:  # a decimal with a leading zero, such as 007
+                raise ParseError(
+                    f"invalid integer literal {token.text!r}", token.line, token.column
+                ) from None
+            return self.builder.const(value)
         if token.kind == "IDENT":
             if self.accept("SYMBOL", "("):
                 return self._parse_call(token)

@@ -81,6 +81,7 @@ SINGLE_ERRORS = [
         0,
     ),
     ("int f(int a) {\n  int t = a;\n  return t + ghost;\n}", "use of undefined variable 'ghost'", 3, 14),
+    ("int f(int a) { return a + 007; }", "invalid integer literal '007'", 1, 27),
 ]
 
 

@@ -102,6 +102,10 @@ class TestParser:
         dfg = parse_c_kernel("int f(int a) { return a & 0xF0; }")
         assert evaluate_dfg(dfg, [0x1234]) == [0x30]
 
+    def test_all_zero_literal_reads_as_zero(self):
+        dfg = parse_c_kernel("int f(int a) { return a + 00; }")
+        assert evaluate_dfg(dfg, [5]) == [5]
+
     def test_name_override(self):
         dfg = parse_c_kernel("int f(int a) { return a + 1; }", name="renamed")
         assert dfg.name == "renamed"
@@ -135,6 +139,11 @@ class TestParserErrors:
     def test_multiple_returns_rejected(self):
         with pytest.raises(ParseError, match="multiple return"):
             parse_c_kernel("int f(int a) { return a; return a; }")
+
+    def test_leading_zero_decimal_literal(self):
+        with pytest.raises(ParseError, match="invalid integer literal '007'") as caught:
+            parse_c_kernel("int f(int a) {\n  return a + 007;\n}")
+        assert (caught.value.line, caught.value.column) == (2, 14)
 
     def test_unexpected_end_of_input(self):
         with pytest.raises(ParseError):

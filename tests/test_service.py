@@ -181,6 +181,12 @@ class TestServiceOperations:
         assert row["kernel"] == "grad"
         assert row["configuration"] is not None
 
+    def test_compile_rejects_a_leading_zero_literal_as_e_params(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.compile(source="int f(int a) { return a + 007; }", overlay=OverlaySpec())
+        assert excinfo.value.code == E_PARAMS
+        assert "invalid integer literal '007'" in str(excinfo.value)
+
     def test_compile_unknown_kernel_is_e_kernel(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.compile("no_such_kernel")
