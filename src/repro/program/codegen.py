@@ -88,8 +88,10 @@ def generate_program(schedule: OverlaySchedule) -> OverlayProgram:
     Raises
     ------
     CodegenError
-        If a stage needs more instruction-memory entries than the FU has, or
-        register allocation fails.
+        If a stage needs more instruction-memory entries than the FU has,
+        register allocation fails, or an operation reads three operands
+        (``MULADD``/``MULSUB``: the instruction word has no field for the
+        third).
     """
     programs: List[FUProgram] = []
     for stage in schedule.stages:
@@ -154,6 +156,13 @@ def _encode_slot(slot: ScheduledOp, allocation: RegisterAllocation) -> Instructi
     if slot.value_id is None:
         raise CodegenError("COMPUTE slot without a produced value")
     operands = list(slot.operands)
+    if len(operands) > 2:
+        # The 32-bit word has fields for ra and rb only; dropping the third
+        # operand would encode a different computation.
+        raise CodegenError(
+            f"{slot.opcode.name} reads {len(operands)} operands but an instruction "
+            "word encodes two"
+        )
     ra = allocation.register_of(operands[0]) if operands else 0
     rb = allocation.register_of(operands[1]) if len(operands) > 1 else 0
     rd = 0

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.api import Toolchain
+from repro.engine.cache import ScheduleCache
+from repro.errors import CodegenError
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import BASELINE, V1, V3
@@ -10,6 +13,7 @@ from repro.program.binary import ConfigurationImage, build_configuration_image
 from repro.program.codegen import generate_program
 from repro.schedule import schedule_kernel
 from repro.schedule.types import SlotKind
+from repro.specs import OverlaySpec, SimSpec
 
 
 class TestCodegen:
@@ -73,6 +77,38 @@ class TestCodegen:
             program = generate_program(schedule_kernel(dfg, overlay))
             for fu_program in program.fu_programs:
                 assert fu_program.num_instruction_words <= overlay.variant.instruction_memory_depth
+
+
+def _mac_source(intrinsic):
+    return (
+        "void mac(int a, int b, int c, int d, int *o0) {\n"
+        f"    int t = {intrinsic}(a, b, c);\n"
+        "    *o0 = t - d;\n"
+        "}\n"
+    )
+
+
+class TestThreeOperandOps:
+    """The instruction word has no field for a third source register."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "v1", "v3"])
+    @pytest.mark.parametrize("intrinsic", ["muladd", "mulsub"])
+    def test_compile_refuses_to_drop_operand_c(self, intrinsic, variant):
+        with pytest.raises(CodegenError, match=intrinsic.upper()):
+            Toolchain(cache=ScheduleCache()).compile(
+                source=_mac_source(intrinsic), overlay=OverlaySpec(variant)
+            )
+
+    @pytest.mark.parametrize("variant", ["baseline", "v1", "v3"])
+    @pytest.mark.parametrize("engine", ["cycle", "fast", "batched"])
+    def test_schedule_only_handle_still_simulates(self, variant, engine):
+        toolchain = Toolchain(cache=ScheduleCache())
+        handle = toolchain.compile(
+            source=_mac_source("muladd"), overlay=OverlaySpec(variant), allow_schedule_only=True
+        )
+        assert handle.schedule_only
+        result = toolchain.simulate(handle, SimSpec(engine=engine, num_blocks=16))
+        assert result.matches_reference
 
 
 class TestConfigurationImage:
