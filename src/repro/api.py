@@ -454,12 +454,6 @@ class Toolchain:
         """
         if not isinstance(handle, CompiledHandle):
             raise ConfigurationError("simulate() takes a handle from compile()")
-        if sim.engine == "batched":
-            # Attach the loop codegen to the cache entry so every batched
-            # run of this artifact — this session or any other sharing the
-            # cache — reuses one compiled plan (built lazily, dropped from
-            # pickles; see CompiledKernel.batch_plan).
-            self.cache.get_batch_plan(handle.key)
         return simulate_schedule_with(handle.schedule, sim)
 
     # ------------------------------------------------------------------

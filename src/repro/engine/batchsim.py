@@ -573,10 +573,8 @@ class BatchPlan:
 
     Holds the exec-compiled steady-state loop (see
     :func:`generate_loop_source`) and the vectorized value-plane evaluator.
-    Plans contain generated functions and are deliberately *not* pickled
-    with disk cache entries — :class:`~repro.engine.cache.CompiledKernel`
-    drops its ``batch_plan`` on serialization and the plan is rebuilt on
-    first batched use after a disk load.
+    Plans contain generated functions, so they live only in the
+    :func:`plan_for` memo, never in a pickled cache entry.
     """
 
     __slots__ = ("loop_source", "loop", "vector_evaluator")
@@ -618,9 +616,8 @@ class BatchSimulator(FastSimulator):
     Every result is bit-identical to the fast engine's (asserted
     library-wide by ``tests/test_engine_batchsim.py``).  Without numpy the
     value plane falls back to the scalar one, so the engine runs anyway.
-    ``plan`` injects a prebuilt :class:`BatchPlan` (the schedule cache
-    attaches one per compiled artifact); by default plans are memoised per
-    schedule object.
+    Its :class:`BatchPlan` comes from :func:`plan_for`, one per schedule
+    object.
     """
 
     def __init__(
@@ -629,7 +626,6 @@ class BatchSimulator(FastSimulator):
         max_cycles: Optional[int] = None,
         enforce_rf_capacity: bool = True,
         fast_forward: bool = True,
-        plan: Optional[BatchPlan] = None,
     ):
         super().__init__(
             schedule,
@@ -637,7 +633,7 @@ class BatchSimulator(FastSimulator):
             enforce_rf_capacity=enforce_rf_capacity,
             fast_forward=fast_forward,
         )
-        self.plan = plan if plan is not None else plan_for(schedule)
+        self.plan = plan_for(schedule)
 
     # ------------------------------------------------------------------
     def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:

@@ -79,7 +79,7 @@ from ..schedule.types import OverlaySchedule
 #: pickled into an entry changes shape (:class:`CompiledKernel`, the
 #: schedule, program and image classes, DFG nodes, opcode hashing): entries
 #: of another format then keep their old names and are never loaded.
-DISK_FORMAT = 2
+DISK_FORMAT = 3
 
 
 def dfg_content_hash(dfg: DFG) -> str:
@@ -146,19 +146,6 @@ class CompiledKernel:
     #: computed once at compile time so sweeps and runtimes can cap the
     #: fast engine's fingerprint table without re-deriving it per run.
     warmup_bound_cycles: int = 0
-    #: Batched-engine compile artifact (:class:`repro.engine.batchsim.
-    #: BatchPlan`): the exec-compiled steady-state loop plus the vectorized
-    #: output evaluator, built lazily on first batched use via
-    #: :meth:`ScheduleCache.get_batch_plan` and cached here so every run of
-    #: the same artifact shares one codegen.  Holds generated function
-    #: objects, so it is dropped on pickling (see ``__getstate__``) and
-    #: rebuilt after a disk load.
-    batch_plan: Optional[object] = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["batch_plan"] = None  # generated code never hits the disk layer
-        return state
 
 
 @dataclass
@@ -446,24 +433,23 @@ class ScheduleCache:
             return cached
 
     def get_batch_plan(self, key: CacheKey):
-        """The batched-engine compile artifact for a cached entry, or None.
+        """The batched-engine plan of a cached entry's schedule, or None.
 
-        Builds the :class:`repro.engine.batchsim.BatchPlan` lazily on first
-        request and attaches it to the entry, so repeated batched runs of
-        one artifact share a single loop codegen (disk-loaded entries arrive
-        with ``batch_plan=None`` and rebuild here once).  Returns ``None``
-        when the key has no in-memory entry.  Plan building needs no numpy:
-        the loop codegen is pure Python, and the vector value plane is left
+        This is :func:`repro.engine.batchsim.plan_for` of the entry's
+        schedule, which builds one :class:`~repro.engine.batchsim.BatchPlan`
+        per live schedule object: every batched run of the artifact shares
+        it, and it lives as long as the entry holds the schedule (a
+        disk-loaded entry gets its own on first use).  Returns ``None`` when
+        the key has no in-memory entry.  Plan building needs no numpy: the
+        loop codegen is pure Python, and the vector value plane is left
         unbuilt without it.
         """
         entry = self.peek(key)
         if entry is None:
             return None
-        if entry.batch_plan is None:
-            from .batchsim import plan_for
+        from .batchsim import plan_for
 
-            entry.batch_plan = plan_for(entry.schedule)
-        return entry.batch_plan
+        return plan_for(entry.schedule)
 
     def _get_or_compile_keyed(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay

@@ -11,9 +11,10 @@ Six layers of guarantees:
 * **multi-lane aggregation** — the PR 1 ``_run_multilane`` stats/high-water
   regression holds as a shared contract for *both* engines (parameterized
   over ``fast`` and ``batched``);
-* **plan artifacts** — per-schedule loop plans are memoised, attached to
-  compile-cache entries via ``ScheduleCache.get_batch_plan``, injectable,
-  and dropped from pickled cache entries (generated code never hits disk);
+* **plan artifacts** — loop plans are memoised once per schedule object,
+  shared by ``ScheduleCache.get_batch_plan`` and every batched run of a
+  cache entry, and never pickled with the entry (generated code never hits
+  disk);
 * **shared checks** — the cycle, fast and batched engines raise the same
   ``SimulationError`` for an empty or narrow input stream and from the
   deadlock guard;
@@ -262,17 +263,6 @@ class TestPlanArtifacts:
         assert callable(plan.loop)
         assert "def _batch_loop" in plan.loop_source
 
-    def test_injected_plan_is_used_and_identical(self):
-        from repro.engine.batchsim import BatchSimulator, plan_for
-
-        schedule = _fixed_schedule("mibench", "v4", 4)
-        plan = plan_for(schedule)
-        blocks = random_input_blocks(schedule.dfg, 12, seed=1)
-        injected = BatchSimulator(schedule, plan=plan)
-        assert injected.plan is plan
-        default = BatchSimulator(schedule).run(blocks)
-        assert _result_fields(injected.run(blocks)) == _result_fields(default)
-
     def test_cache_attaches_one_plan_per_entry(self):
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile("gradient", OverlaySpec("v3"))
@@ -285,25 +275,26 @@ class TestPlanArtifacts:
         handle = tc.compile("gradient", OverlaySpec("v3"))
         assert ScheduleCache().get_batch_plan(handle.key) is None
 
-    def test_simulate_warms_the_cached_plan(self):
-        tc = Toolchain(cache=ScheduleCache())
-        handle = tc.compile("gradient", OverlaySpec("v3"))
-        entry = tc.cache.peek(handle.key)
-        assert entry.batch_plan is None
-        result = tc.simulate(handle, SimSpec(engine="batched", num_blocks=8))
-        assert result.matches_reference
-        assert tc.cache.peek(handle.key).batch_plan is not None
+    def test_entry_and_batched_runs_share_one_plan(self, monkeypatch):
+        from repro.engine import batchsim
 
-    def test_pickled_cache_entries_drop_the_plan(self):
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile("gradient", OverlaySpec("v3"))
-        tc.cache.get_batch_plan(handle.key)
+        plan = tc.cache.get_batch_plan(handle.key)
+
+        def second_build(schedule):
+            raise AssertionError("a batched run built a second plan")
+
+        monkeypatch.setattr(batchsim._PLANS, "_build", second_build)
+        for _ in range(2):
+            result = tc.simulate(handle, SimSpec(engine="batched", num_blocks=8))
+            assert result.matches_reference
+        assert tc.cache.get_batch_plan(handle.key) is plan
+        # Generated code never rides along: the entry still pickles whole.
         entry = tc.cache.peek(handle.key)
-        assert entry.batch_plan is not None
         revived = pickle.loads(pickle.dumps(entry))
-        assert revived.batch_plan is None
-        # ... and the original keeps its in-memory plan.
-        assert entry.batch_plan is not None
+        assert revived.configuration.to_bytes() == entry.configuration.to_bytes()
+        assert revived.schedule.assignment == entry.schedule.assignment
 
 
 # ---------------------------------------------------------------------------
