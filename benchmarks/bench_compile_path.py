@@ -4,7 +4,7 @@ The scenario is the one every sweep and table harness repeats: a
 ``Toolchain.compile`` (kernel lookup included) followed by
 ``Toolchain.evaluate`` for every library kernel on a critical-path V1
 overlay and a fixed-depth V3 overlay.  Cold means every cache layer cleared —
-the kernel library's built-DFG cache, the frontend cache (tokens/ASTs/DFGs)
+the kernel library's built-DFG cache, the frontend cache (lowered DFGs)
 and the compiled-schedule cache; warm means all of them populated by a prior
 identical pass.
 

@@ -23,8 +23,8 @@ asserts this against :mod:`repro.kernels.characteristics`.
 Kernels are built lazily and cached; :func:`get_kernel` returns a fresh copy
 each call so callers can annotate/transform freely.  The mini-C kernels
 additionally flow through the content-hashed frontend cache
-(:mod:`repro.frontend.cache`), so their token streams and ASTs are shared
-with any other consumer of the same source — :func:`get_kernel_source`
+(:mod:`repro.frontend.cache`), so their lowered DFGs are shared with any
+other consumer of the same source — :func:`get_kernel_source`
 exposes the sources, and :func:`clear_kernel_cache` resets the library layer
 (the compile-path benchmark uses it to measure cold compiles).
 """

@@ -17,9 +17,8 @@ The generated words are what the configuration image
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..dfg.graph import DFG
 from ..errors import CodegenError
 from ..overlay.isa import Instruction, encode_instruction
 from ..schedule.types import OverlaySchedule, ScheduledOp, SlotKind, StageSchedule

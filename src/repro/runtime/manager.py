@@ -197,8 +197,8 @@ class OverlayRuntime:
     def register_source(self, source: str, name: Optional[str] = None) -> KernelHandle:
         """Compile a mini-C kernel source end-to-end and register it.
 
-        This is the full ``source → AST → DFG → schedule → binary`` chain:
-        the frontend stages go through the content-hashed frontend cache
+        This is the full ``source → DFG → schedule → binary`` chain: the
+        frontend goes through the content-hashed frontend cache
         (:mod:`repro.frontend.cache`) and the mapping flow through this
         runtime's compiled-schedule cache via its source fast path
         (:meth:`~repro.engine.cache.ScheduleCache.get_or_compile_source`),

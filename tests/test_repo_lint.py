@@ -44,8 +44,11 @@ HYGIENE_ONLY = [
     os.path.join(SRC, "engine", "fastsim.py"),
     os.path.join(SRC, "engine", "sweep.py"),
     os.path.join(SRC, "frontend", "cache.py"),
+    os.path.join(SRC, "frontend", "cparser.py"),
+    os.path.join(SRC, "frontend", "lexer.py"),
     os.path.join(SRC, "metrics", "performance.py"),
     os.path.join(SRC, "overlay", "isa.py"),
+    os.path.join(SRC, "program", "codegen.py"),
     os.path.join(SRC, "runtime", "manager.py"),
     os.path.join(SRC, "schedule", "greedy.py"),
     os.path.join(SRC, "sim", "overlay.py"),
