@@ -52,7 +52,7 @@ from ..dfg.graph import DFG
 from ..dfg.opcodes import OpCode
 from ..dfg.transforms import optimize
 from ..errors import ParseError
-from .lexer import Token, iter_tokens, tokenize
+from .lexer import Token, tokenize
 
 __all__ = [
     "Token",
@@ -95,7 +95,7 @@ class _Parser:
     """
 
     def __init__(self, source: str):
-        self.tokens = iter_tokens(source)
+        self.tokens = tokenize(source)
         self.token = next(self.tokens)
         self.builder = DFGBuilder()
         self.symbols: Dict[str, int] = {}

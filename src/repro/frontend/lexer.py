@@ -1,9 +1,9 @@
 """Lexer for the mini-C kernel frontend.
 
-:func:`iter_tokens` scans source text one token at a time; the parser
+:func:`tokenize` scans source text one token at a time; the parser
 (:mod:`repro.frontend.cparser`) pulls from it as it reads, so a character
-outside the dialect is reported only when the parse reaches it.
-:func:`tokenize` returns the whole token list.  The frontend cache
+outside the dialect is reported only when the parse reaches it.  The
+frontend cache
 (:mod:`repro.frontend.cache`) memoises the lowered DFG per source content
 hash, so a sweep that parses the same kernel source hundreds of times lexes
 it once.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 from ..errors import ParseError
 
@@ -76,7 +76,7 @@ def source_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def iter_tokens(source: str) -> Iterator[Token]:
+def tokenize(source: str) -> Iterator[Token]:
     """Scan the kernel source into tokens, dropping comments and whitespace.
 
     The last token is always ``EOF``.
@@ -107,8 +107,3 @@ def iter_tokens(source: str) -> Iterator[Token]:
             kind = "KEYWORD"
         yield Token(kind, text, line, column)
     yield Token("EOF", "", line, 0)
-
-
-def tokenize(source: str) -> List[Token]:
-    """Every token of the kernel source, as a list (see :func:`iter_tokens`)."""
-    return list(iter_tokens(source))

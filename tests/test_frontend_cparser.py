@@ -12,19 +12,19 @@ from repro.kernels.reference import evaluate_dfg
 
 class TestLexer:
     def test_tokenizes_identifiers_numbers_and_symbols(self):
-        tokens = tokenize("int x = a + 0x10;")
+        tokens = list(tokenize("int x = a + 0x10;"))
         kinds = [t.kind for t in tokens]
         assert "KEYWORD" in kinds and "IDENT" in kinds and "NUMBER" in kinds
         assert kinds[-1] == "EOF"
 
     def test_comments_are_skipped(self):
-        tokens = tokenize("// line comment\n/* block */ int x")
+        tokens = list(tokenize("// line comment\n/* block */ int x"))
         assert all(t.kind != "COMMENT" for t in tokens)
         assert any(t.text == "x" for t in tokens)
 
     def test_unknown_character_raises_with_location(self):
         with pytest.raises(ParseError):
-            tokenize("int x = a $ b;")
+            list(tokenize("int x = a $ b;"))
 
 
 class TestParser:
