@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .dfg.graph import DFG
 from .dfg.serialize import dfg_fingerprint
-from .engine.cache import CacheKey, CompiledKernel, ScheduleCache, default_cache
+from .engine.cache import CacheKey, ScheduleCache, default_cache
 from .errors import CodegenError, ConfigurationError, VerificationError
 from .kernels.library import get_kernel
 from .metrics.models import ModelPrediction, PerformanceModel, resolve_model
@@ -90,19 +90,41 @@ class Toolchain:
 
     def __init__(self, cache: Optional[ScheduleCache] = None):
         self.cache = cache if cache is not None else default_cache()
-        #: (DFG fingerprint, overlay spec) -> (built overlay, resolved spec,
-        #: cache key).  Only *derived sizing* is memoised here — the compiled
-        #: artifacts themselves always come from the injected cache, so its
-        #: statistics and ``clear()`` stay truthful.
+        #: The session's source index: (kernel name, DFG fingerprint, overlay
+        #: spec) or ("source", source hash, name, overlay spec) -> (built
+        #: overlay, resolved spec, cache key).  Only *derived sizing* is
+        #: memoised here — the compiled artifacts themselves always come from
+        #: the injected cache, so its statistics and ``clear()`` stay
+        #: truthful.
         self._resolved: "OrderedDict[Tuple, Tuple[LinearOverlay, OverlaySpec, CacheKey]]" = (
             OrderedDict()
         )
         self._analytic: "OrderedDict[CacheKey, PerformanceResult]" = OrderedDict()
-        #: (cache key, model cache token, sim spec) -> ModelPrediction.  The
-        #: model's *cache token* (not just its name) is part of the key, so a
-        #: calibrated model's fitted state never serves stale predictions.
+        #: (cache key, requested strategy, model cache token, sim spec) ->
+        #: ModelPrediction.  The model's *cache token* (not just its name)
+        #: is part of the key, so a calibrated model's fitted state never
+        #: serves stale predictions; so is the requested strategy, which the
+        #: model reads and which ``auto`` and its concrete strategy share a
+        #: cache key across.
         self._predictions: "OrderedDict[Tuple, ModelPrediction]" = OrderedDict()
         self._lock = threading.Lock()
+
+    def _recall(self, memo: OrderedDict, key):
+        """``memo[key]``, LRU-touched, or None."""
+        with self._lock:
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+            return value
+
+    def _remember(self, memo: OrderedDict, key, value):
+        """Store ``value`` in ``memo`` (bounded at 4x the cache capacity)."""
+        with self._lock:
+            memo[key] = value
+            memo.move_to_end(key)
+            while len(memo) > 4 * self.cache.capacity:
+                memo.popitem(last=False)
+        return value
 
     # ------------------------------------------------------------------
     # compile
@@ -131,167 +153,90 @@ class Toolchain:
         compile regardless (verdicts are cached alongside the artifact, so
         warm compiles re-verify nothing — see ``docs/verify.md``).
         """
+        from .frontend.cache import default_frontend_cache
+        from .frontend.lexer import source_hash
+
         if not isinstance(overlay, OverlaySpec):
             raise ConfigurationError(
                 "overlay must be an OverlaySpec (raw variant/depth kwargs "
                 "moved into repro.specs.OverlaySpec)"
             )
-        if source is not None:
-            if kernel is not None:
-                raise ConfigurationError("pass either a kernel or source, not both")
-            return self._compile_source(
-                source, overlay, name, allow_schedule_only, check=check
-            )
-        if kernel is None:
+        if source is not None and kernel is not None:
+            raise ConfigurationError("pass either a kernel or source, not both")
+        if source is None and kernel is None:
             raise ConfigurationError("provide a kernel (name or DFG) or source=")
-        dfg = get_kernel(kernel) if isinstance(kernel, str) else kernel
-        built, resolved, key = self._resolve(dfg, overlay)
-        try:
-            compiled = self.cache.get_or_compile_keyed(key, dfg, built)
-            handle = self._handle_from_compiled(dfg, built, resolved, key, compiled)
-        except CodegenError:
-            if not allow_schedule_only:
-                raise
-            schedule = self.cache.get_schedule(
-                dfg, built, scheduler=resolved.scheduler
-            )
-            handle = CompiledHandle(
-                dfg=dfg,
-                overlay=built,
-                spec=resolved,
-                schedule=schedule,
-                program=None,
-                configuration=None,
-                key=key,
-            )
-        return self._checked(handle, check)
-
-    def _compile_source(
-        self,
-        source: str,
-        overlay: OverlaySpec,
-        name: Optional[str],
-        allow_schedule_only: bool = False,
-        check: bool = False,
-    ) -> CompiledHandle:
-        from .frontend.cache import default_frontend_cache
-        from .frontend.lexer import source_hash
-
-        skey = ("source", source_hash(source), name, overlay)
-        with self._lock:
-            entry = self._resolved.get(skey)
-            if entry is not None:
-                self._resolved.move_to_end(skey)
-        if entry is not None:
-            # Warm path: overlay sizing memoised, so compiling is the
-            # cache's pure source-index lookup — the DFG is never hashed.
-            built, resolved, key = entry
-        else:
-            # Cold: lower the source once (content-hashed frontend cache)
-            # to size the overlay and record the resolution.
-            dfg = default_frontend_cache().dfg(source, name=name)
+        dfg = None
+        if source is None:
+            dfg = get_kernel(kernel) if isinstance(kernel, str) else kernel
             built, resolved, key = self._resolve(dfg, overlay)
-            with self._lock:
-                self._resolved[skey] = (built, resolved, key)
-                self._resolved.move_to_end(skey)
-                while len(self._resolved) > 4 * self.cache.capacity:
-                    self._resolved.popitem(last=False)
+        else:
+            skey = ("source", source_hash(source), name, overlay)
+            entry = self._recall(self._resolved, skey)
+            if entry is None:
+                # Cold: lower once (content-hashed frontend cache) to size
+                # the overlay, and remember the resolution.
+                dfg = default_frontend_cache().dfg(source, name=name)
+                entry = self._remember(self._resolved, skey, self._resolve(dfg, overlay))
+            built, resolved, key = entry
+        program = configuration = None
+        warmup_bound_cycles = 0
         try:
-            compiled = self.cache.get_or_compile_source(
-                source, built, name=name, scheduler=resolved.scheduler
-            )
+            if dfg is None:
+                # Warm source: the memo holds the key, so nothing is lowered
+                # or hashed while the cache holds the entry.
+                compiled = self.cache.get_or_compile_source(source, built, key, name)
+            else:
+                compiled = self.cache.get_or_compile_keyed(key, dfg, built)
+            schedule = compiled.schedule
+            program, configuration = compiled.program, compiled.configuration
+            warmup_bound_cycles = compiled.warmup_bound_cycles
         except CodegenError:
             if not allow_schedule_only:
                 raise
-            dfg = default_frontend_cache().dfg(source, name=name)
-            return self._checked(
-                CompiledHandle(
-                    dfg=dfg,
-                    overlay=built,
-                    spec=resolved,
-                    schedule=self.cache.get_schedule(
-                        dfg, built, scheduler=resolved.scheduler
-                    ),
-                    program=None,
-                    configuration=None,
-                    key=key,
-                ),
-                check,
-            )
-        return self._checked(
-            self._handle_from_compiled(
-                compiled.schedule.dfg, built, resolved, key, compiled
-            ),
-            check,
+            if dfg is None:
+                dfg = default_frontend_cache().dfg(source, name=name)
+            schedule = self.cache.get_schedule(key, dfg, built)
+        handle = CompiledHandle(
+            # A source request's DFG is the one its schedule was made from.
+            dfg=dfg if source is None else schedule.dfg,
+            overlay=built,
+            spec=resolved,
+            schedule=schedule,
+            program=program,
+            configuration=configuration,
+            key=key,
+            warmup_bound_cycles=warmup_bound_cycles,
         )
+        return self._checked(handle, check)
 
     def _resolve(
         self, dfg: DFG, spec: OverlaySpec
     ) -> Tuple[LinearOverlay, OverlaySpec, CacheKey]:
         """Built overlay, concrete spec and cache key for (kernel, spec).
 
-        Memoised per (DFG fingerprint, spec) so a warm :meth:`compile`
-        hashes the DFG once and re-derives nothing (no critical-path
-        sizing, no second hash inside the cache lookup).
+        Memoised per (kernel name, DFG fingerprint, spec), so a warm
+        :meth:`compile` hashes the DFG once and re-derives nothing (no
+        critical-path sizing, no second hash inside the cache lookup).
         """
         fingerprint = dfg_fingerprint(dfg)
         rkey = (dfg.name, fingerprint, spec)
-        with self._lock:
-            entry = self._resolved.get(rkey)
-            if entry is not None:
-                self._resolved.move_to_end(rkey)
-                return entry
-        from .schedule.registry import resolve_strategy_name
-
+        entry = self._recall(self._resolved, rkey)
+        if entry is not None:
+            return entry
         built = spec.build_overlay(dfg)
-        entry = (
-            built,
-            OverlaySpec(
-                variant=spec.variant,
-                depth=built.depth,
-                fixed=built.fixed_depth,
-                fifo_depth=spec.fifo_depth,
-                scheduler=spec.scheduler,
-            ),
-            # The key canonicalises the strategy ("auto" -> the concrete
-            # strategy its dispatch selects), so the default shares cache
-            # entries with an explicit "linear"/"clustered" compile; the
-            # resolved spec keeps the requested name.
-            CacheKey(
-                kernel_name=dfg.name,
-                dfg_hash=fingerprint,
-                variant_name=built.variant.name,
-                depth=built.depth,
-                fixed_depth=built.fixed_depth,
-                fifo_depth=built.fifo_depth,
-                scheduler=resolve_strategy_name(spec.scheduler, built),
-            ),
+        resolved = OverlaySpec(
+            variant=spec.variant,
+            depth=built.depth,
+            fixed=built.fixed_depth,
+            fifo_depth=spec.fifo_depth,
+            scheduler=spec.scheduler,
         )
-        with self._lock:
-            self._resolved[rkey] = entry
-            self._resolved.move_to_end(rkey)
-            while len(self._resolved) > 4 * self.cache.capacity:
-                self._resolved.popitem(last=False)
-        return entry
-
-    def _handle_from_compiled(
-        self,
-        dfg: DFG,
-        built: LinearOverlay,
-        resolved: OverlaySpec,
-        key: CacheKey,
-        compiled: CompiledKernel,
-    ) -> CompiledHandle:
-        return CompiledHandle(
-            dfg=dfg,
-            overlay=built,
-            spec=resolved,
-            schedule=compiled.schedule,
-            program=compiled.program,
-            configuration=compiled.configuration,
-            key=key,
-            warmup_bound_cycles=compiled.warmup_bound_cycles,
-        )
+        # The key canonicalises the strategy ("auto" -> the concrete strategy
+        # its dispatch selects), so the default shares cache entries with an
+        # explicit "linear"/"clustered" compile; the resolved spec keeps the
+        # requested name.
+        key = CacheKey.for_mapping(dfg, built, spec.scheduler, dfg_hash=fingerprint)
+        return self._remember(self._resolved, rkey, (built, resolved, key))
 
     # ------------------------------------------------------------------
     # verify
@@ -379,17 +324,13 @@ class Toolchain:
             raise ConfigurationError(
                 "pass an overlay spec only when evaluating a kernel, not a handle"
             )
-        with self._lock:
-            proto = self._analytic.get(handle.key)
-            if proto is not None:
-                self._analytic.move_to_end(handle.key)
+        proto = self._recall(self._analytic, handle.key)
         if proto is None:
-            proto = analytic_performance(handle.dfg, handle.overlay, handle.schedule)
-            with self._lock:
-                self._analytic[handle.key] = proto
-                self._analytic.move_to_end(handle.key)
-                while len(self._analytic) > 4 * self.cache.capacity:
-                    self._analytic.popitem(last=False)
+            proto = self._remember(
+                self._analytic,
+                handle.key,
+                analytic_performance(handle.dfg, handle.overlay, handle.schedule),
+            )
         result = replace(proto)
         if sim is not None:
             _merge_measured(result, self.simulate(handle, sim))
@@ -406,12 +347,15 @@ class Toolchain:
 
         Runs the named :class:`~repro.metrics.models.PerformanceModel`
         (registry name or instance) over the compiled schedule and memoises
-        the prediction on ``(artifact key, model cache token, sim)`` — so
+        the prediction on ``(artifact key, strategy, model cache token,
+        sim)`` — so
         two models never collide, and a calibrated model re-fitted from new
         measurements never serves its pre-fit predictions.  This is the
         microseconds-per-config triage path :meth:`tune` ranks candidates
         with; ``sim`` only supplies the stream length the cycle estimate is
-        for.
+        for.  The requested strategy is part of the memo key too: a model
+        may answer differently for ``auto`` and the concrete strategy it
+        resolves to, though both share one compiled artifact.
         """
         if not isinstance(handle, CompiledHandle):
             handle = self.compile(
@@ -422,24 +366,21 @@ class Toolchain:
                 "pass an overlay spec only when predicting a kernel, not a handle"
             )
         resolved_model = resolve_model(model)
-        pkey = (handle.key, resolved_model.cache_token, sim)
-        with self._lock:
-            pred = self._predictions.get(pkey)
-            if pred is not None:
-                self._predictions.move_to_end(pkey)
-                return pred
-        pred = resolved_model.predict(
-            handle.dfg,
-            handle.overlay,
-            handle.schedule,
-            sim=sim,
-            scheduler=handle.spec.scheduler,
-        )
-        with self._lock:
-            self._predictions[pkey] = pred
-            self._predictions.move_to_end(pkey)
-            while len(self._predictions) > 4 * self.cache.capacity:
-                self._predictions.popitem(last=False)
+        scheduler = handle.spec.scheduler
+        pkey = (handle.key, scheduler, resolved_model.cache_token, sim)
+        pred = self._recall(self._predictions, pkey)
+        if pred is None:
+            pred = self._remember(
+                self._predictions,
+                pkey,
+                resolved_model.predict(
+                    handle.dfg,
+                    handle.overlay,
+                    handle.schedule,
+                    sim=sim,
+                    scheduler=scheduler,
+                ),
+            )
         return pred
 
     def simulate(

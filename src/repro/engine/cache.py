@@ -43,12 +43,17 @@ End-to-end chain
 ----------------
 Together with the frontend layer (:mod:`repro.frontend.cache`) the cache
 covers the full ``source → DFG → schedule → program → configuration image``
-chain, every stage keyed by content hash.
-:meth:`ScheduleCache.get_or_compile_source` is the one-call entry: a warm hit
-on its *source index* — keyed by ``(source hash, name, overlay
-configuration)`` — returns the compiled binary without parsing or even
-hashing a DFG.  A cold call falls through layer by layer, reusing whatever
-prefix of the chain is already cached.
+chain, every stage keyed by content hash.  The cache itself is addressed
+only by :class:`CacheKey`.  The session (:class:`repro.api.Toolchain`)
+resolves a source to its key once and remembers it; later requests reach
+the entry through :meth:`ScheduleCache.get_or_compile_source`, which
+neither parses nor hashes anything while the entry is cached.
+
+A compile whose codegen fails (register pressure, instruction memory, an
+op the instruction word cannot encode) leaves a failure record: the
+schedule it failed on and the error.  A later compile of that key re-raises
+the same error and :meth:`ScheduleCache.get_schedule` serves the schedule,
+so neither runs the scheduler or codegen again.
 
 Compiled artifacts are treated as immutable by every consumer (simulator,
 codegen listings, context-switch accounting), which is what makes sharing a
@@ -64,10 +69,11 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Union
 
 from ..dfg.graph import DFG
 from ..dfg.serialize import dfg_fingerprint
+from ..errors import CodegenError
 from ..overlay.architecture import LinearOverlay
 from ..program.binary import ConfigurationImage, build_configuration_image
 from ..program.codegen import OverlayProgram, generate_program
@@ -110,13 +116,19 @@ class CacheKey:
 
     @classmethod
     def for_mapping(
-        cls, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
+        cls,
+        dfg: DFG,
+        overlay: LinearOverlay,
+        scheduler: str = "auto",
+        dfg_hash: Optional[str] = None,
     ) -> "CacheKey":
+        """The key of (kernel, overlay, strategy); pass ``dfg_hash`` when
+        the caller already holds the DFG's fingerprint."""
         from ..schedule.registry import resolve_strategy_name
 
         return cls(
             kernel_name=dfg.name,
-            dfg_hash=dfg_content_hash(dfg),
+            dfg_hash=dfg_hash if dfg_hash is not None else dfg_content_hash(dfg),
             variant_name=overlay.variant.name,
             depth=overlay.depth,
             fixed_depth=overlay.fixed_depth,
@@ -152,11 +164,14 @@ class CompiledKernel:
 class CacheStats:
     """Hit/miss accounting of one :class:`ScheduleCache`.
 
-    ``source_hits`` counts warm hits on the source index — full-chain
-    lookups that skipped the frontend entirely; they are *in addition to*
-    the DFG-keyed ``hits``, never double-counted.  ``schedule_hits`` counts
-    warm hits on the schedule-only index (kernels whose full compile fails
-    codegen but whose schedule is still valid for analytic evaluation).
+    Every lookup counts exactly once.  ``misses`` counts pipeline runs whose
+    result the cache now holds: an artifact, or the failure record of a
+    compile whose codegen failed.  ``hits`` counts entries served to a
+    caller that passed a DFG, ``source_hits`` entries served to
+    :meth:`ScheduleCache.get_or_compile_source` without lowering the source.
+    ``schedule_hits`` counts lookups answered by a failure record: a compile
+    that re-raises the recorded error, or a :meth:`ScheduleCache.get_schedule`
+    that returns the recorded schedule.
     """
 
     hits: int = 0
@@ -235,8 +250,24 @@ class _InflightCompile:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.result: Optional[CompiledKernel] = None
+        self.result: "Optional[CompiledKernel | _CodegenFailure]" = None
         self.error: Optional[BaseException] = None
+
+
+@dataclass(frozen=True)
+class _CodegenFailure:
+    """A compile whose codegen failed: the schedule it failed on, and why."""
+
+    schedule: OverlaySchedule
+    error_type: type
+    message: str
+
+
+def _artifact(found: "Union[CompiledKernel, _CodegenFailure]") -> CompiledKernel:
+    """``found`` if it is an artifact; a failure record re-raises its error."""
+    if isinstance(found, _CodegenFailure):
+        raise found.error_type(found.message)
+    return found
 
 
 class ScheduleCache:
@@ -249,12 +280,9 @@ class ScheduleCache:
         self.disk_dir = disk_dir if disk_dir is not None else os.environ.get("REPRO_CACHE_DIR")
         self.stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, CompiledKernel]" = OrderedDict()
-        self._source_index: "OrderedDict[Tuple, CacheKey]" = OrderedDict()
-        #: Schedules of kernels whose *full* compile raised CodegenError
-        #: (register pressure / instruction memory): the schedule itself is
-        #: valid and analytic sweeps request it over and over, so it is
-        #: memoised here instead of being rescheduled on every call.
-        self._schedule_index: "OrderedDict[CacheKey, OverlaySchedule]" = OrderedDict()
+        #: Failure records of compiles whose codegen failed, by key (see the
+        #: module docstring).  Memory only, LRU-bounded like the entries.
+        self._failures: "OrderedDict[CacheKey, _CodegenFailure]" = OrderedDict()
         #: Static-verification verdicts (``repro.verify.VerifyReport``) keyed
         #: by compile key, so warm compile paths never re-run the passes.
         #: Verdicts live and die with the entries: ``clear()`` drops them.
@@ -269,11 +297,10 @@ class ScheduleCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (and the source index) and reset the statistics."""
+        """Drop every entry, failure record and verdict; reset the statistics."""
         with self._lock:
             self._entries.clear()
-            self._source_index.clear()
-            self._schedule_index.clear()
+            self._failures.clear()
             self._verdicts.clear()
             self.stats = CacheStats()
 
@@ -306,125 +333,64 @@ class ScheduleCache:
         strategy has its own cache entries (it is part of the key).
         """
         key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        return self._get_or_compile_keyed(key, dfg, overlay)
+        return _artifact(self._get_or_compile_keyed(key, dfg, overlay))
 
     def get_or_compile_keyed(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
     ) -> CompiledKernel:
         """Like :meth:`get_or_compile` with a precomputed key.
 
-        The session API (:meth:`repro.api.Toolchain.compile`) memoises the
-        :class:`CacheKey` per (DFG fingerprint, overlay spec) and uses this
-        entry so a warm compile hashes the DFG exactly once.
+        The session API (:meth:`repro.api.Toolchain.compile`) resolves each
+        request to its :class:`CacheKey` once and compiles through this
+        entry, so the cache hashes nothing.
         """
-        return self._get_or_compile_keyed(key, dfg, overlay)
+        return _artifact(self._get_or_compile_keyed(key, dfg, overlay))
 
     def get_schedule(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
+        self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
     ) -> OverlaySchedule:
-        """Return the schedule, even for kernels whose codegen fails.
+        """Return the schedule of ``key``, even when its codegen fails.
 
         Analytic evaluation (:meth:`repro.api.Toolchain.evaluate`) needs
-        only the schedule; kernels that schedule fine
-        but exceed the variant's register file or instruction memory raise
-        :class:`~repro.errors.CodegenError` in the *later* stages of the full
-        compile.  Those schedules are memoised in a dedicated index keyed
-        like the main cache, so a sweep asks the scheduler (and recomputes
-        ASAP levels / resource estimates on fresh DFG copies) exactly once
-        per (kernel, overlay) pair instead of once per call — and the doomed
-        codegen stages are not re-attempted on every lookup either.
+        only the schedule.  A kernel that schedules fine but overflows the
+        variant's register file or instruction memory raises
+        :class:`~repro.errors.CodegenError` in the later stages of its
+        compile; that compile's failure record keeps the schedule, and this
+        call serves it.  Otherwise it returns the entry's schedule, compiling
+        on a miss.
         """
-        from ..errors import CodegenError
-
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return cached.schedule
-            schedule = self._schedule_index.get(key)
-            if schedule is not None:
-                self._schedule_index.move_to_end(key)
-                self.stats.schedule_hits += 1
-                return schedule
-        try:
-            return self._get_or_compile_keyed(key, dfg, overlay).schedule
-        except CodegenError:
-            # Reschedule once (the failed compile's schedule is out of reach)
-            # and memoise it; this path runs at most once per (kernel,
-            # overlay) pair per cache lifetime.  A racing thread may have
-            # memoised it while we waited on the coalesced compile, so
-            # re-check before rescheduling.
-            with self._lock:
-                schedule = self._schedule_index.get(key)
-                if schedule is not None:
-                    self._schedule_index.move_to_end(key)
-                    self.stats.schedule_hits += 1
-                    return schedule
-            schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
-            with self._lock:
-                self.stats.misses += 1
-                self._schedule_index[key] = schedule
-                while len(self._schedule_index) > self.capacity:
-                    self._schedule_index.popitem(last=False)
-            return schedule
+        return self._get_or_compile_keyed(key, dfg, overlay).schedule
 
     def get_or_compile_source(
         self,
         source: str,
         overlay: LinearOverlay,
+        key: CacheKey,
         name: Optional[str] = None,
-        scheduler: str = "auto",
     ) -> CompiledKernel:
-        """Compile mini-C source end-to-end, reusing every cached stage.
+        """Compile mini-C ``source`` under the ``key`` the caller resolved.
 
-        The warm path is a single dictionary lookup keyed by ``(source
-        content hash, name, overlay configuration)`` — no parsing or DFG
-        hashing happens at all.  On a source miss the call falls back
-        through the frontend cache (which may still hold the optimized DFG)
-        and then through the DFG-keyed compile path, finally recording the
-        source key so the next call short-circuits.
+        A cached entry is returned without lowering or hashing anything
+        (counted in ``stats.source_hits``).  On a miss — the entry was
+        evicted, or never compiled here — the source is lowered through the
+        frontend cache and compiled under ``key``.
         """
-        from ..frontend.cache import default_frontend_cache
-        from ..frontend.lexer import source_hash
-        from ..schedule.registry import resolve_strategy_name
-
-        scheduler = resolve_strategy_name(scheduler, overlay)
-        skey = (
-            source_hash(source),
-            name,
-            overlay.variant.name,
-            overlay.depth,
-            overlay.fixed_depth,
-            overlay.fifo_depth,
-            scheduler,
-        )
         with self._lock:
-            key = self._source_index.get(skey)
-            if key is not None:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self._source_index.move_to_end(skey)
-                    self._entries.move_to_end(key)
-                    self.stats.source_hits += 1
-                    return cached
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+                self.stats.source_hits += 1
+                return cached
+        from ..frontend.cache import default_frontend_cache
 
         dfg = default_frontend_cache().dfg(source, name=name)
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        compiled = self._get_or_compile_keyed(key, dfg, overlay)
-        with self._lock:
-            self._source_index[skey] = key
-            while len(self._source_index) > 4 * self.capacity:
-                self._source_index.popitem(last=False)
-        return compiled
+        return _artifact(self._get_or_compile_keyed(key, dfg, overlay))
 
     def peek(self, key: CacheKey) -> Optional[CompiledKernel]:
         """The cached entry for ``key`` (LRU-touched, no stats), or None.
 
-        Pure lookup for layers that do their own accounting — the sharded
-        cache's source index uses it so a source fast-path hit is counted
-        exactly once.
+        A pure lookup for callers that keep their own accounting, such as
+        :meth:`get_batch_plan`.
         """
         with self._lock:
             cached = self._entries.get(key)
@@ -453,13 +419,19 @@ class ScheduleCache:
 
     def _get_or_compile_keyed(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
-    ) -> CompiledKernel:
+    ) -> "Union[CompiledKernel, _CodegenFailure]":
+        """The entry or failure record of ``key``, compiling on a miss."""
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return cached
+            failure = self._failures.get(key)
+            if failure is not None:
+                self._failures.move_to_end(key)
+                self.stats.schedule_hits += 1
+                return failure
             flight = self._inflight.get(key)
             if flight is None:
                 flight = _InflightCompile()
@@ -469,7 +441,7 @@ class ScheduleCache:
                 leader = False
         if not leader:
             # Another thread is compiling this exact key right now: wait for
-            # it and share its artifact instead of running the pipeline again.
+            # it and share its result instead of running the pipeline again.
             flight.event.wait()
             with self._lock:
                 self.stats.coalesced += 1
@@ -492,7 +464,7 @@ class ScheduleCache:
 
     def _compile_miss(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
-    ) -> CompiledKernel:
+    ) -> "Union[CompiledKernel, _CodegenFailure]":
         """Disk lookup, then the full mapping pipeline (the leader's path)."""
         from_disk = self._load_from_disk(key)
         if from_disk is not None:
@@ -504,8 +476,17 @@ class ScheduleCache:
         from .fastsim import steady_state_warmup_bound
 
         schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
-        program = generate_program(schedule)
-        configuration = build_configuration_image(schedule, program)
+        try:
+            program = generate_program(schedule)
+            configuration = build_configuration_image(schedule, program)
+        except CodegenError as error:
+            failure = _CodegenFailure(schedule, type(error), str(error))
+            with self._lock:
+                self.stats.misses += 1
+                self._failures[key] = failure
+                while len(self._failures) > self.capacity:
+                    self._failures.popitem(last=False)
+            return failure
         compiled = CompiledKernel(
             schedule=schedule,
             program=program,
@@ -574,22 +555,19 @@ class ShardedScheduleCache:
 
     The overlay service serves every tenant from one shared compile cache;
     a single lock (and a single LRU) would serialise the whole thread pool
-    on it.  This wrapper routes each :class:`CacheKey` to one of ``shards``
+    on it.  This router sends each :class:`CacheKey` to one of ``shards``
     independent LRU shards by hash, so threads compiling *different* keys
     never contend on one lock, while threads compiling the *same* key land
     on the same shard and coalesce onto a single pipeline run.
 
-    The interface matches :class:`ScheduleCache` everywhere the
-    :class:`~repro.api.Toolchain` touches it (``get_or_compile_keyed``,
+    Every call is addressed by key and handed whole to its shard: the router
+    keeps no index, lock or statistics of its own, and ``stats`` is the sum
+    of the shards'.  The interface matches :class:`ScheduleCache` everywhere
+    the :class:`~repro.api.Toolchain` touches it (``get_or_compile_keyed``,
     ``get_schedule``, ``get_or_compile_source``, verdict storage,
     ``capacity``/``stats``/``clear``/``len``), so it drops into
     ``Toolchain(cache=...)`` unchanged.  ``capacity`` is the *total* bound:
     each shard holds ``ceil(capacity / shards)`` entries.
-
-    The source index (source-hash -> key fast path) lives on the wrapper —
-    routing it into a shard by source hash could land the compiled entry in
-    a different shard than the key-addressed path would use, silently
-    duplicating artifacts.
     """
 
     def __init__(
@@ -611,9 +589,6 @@ class ShardedScheduleCache:
             ScheduleCache(capacity=per_shard, disk_dir=self.disk_dir)
             for _ in range(shards)
         ]
-        self._source_index: "OrderedDict[Tuple, CacheKey]" = OrderedDict()
-        self._source_stats = CacheStats()
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -623,11 +598,8 @@ class ShardedScheduleCache:
 
     @property
     def stats(self) -> CacheStats:
-        """Aggregated statistics (shard sums plus the wrapper's source hits)."""
-        merged = CacheStats.merged([shard.stats for shard in self._shards])
-        with self._lock:
-            merged.source_hits += self._source_stats.source_hits
-        return merged
+        """Aggregated statistics (the field-wise sum of the shards')."""
+        return CacheStats.merged([shard.stats for shard in self._shards])
 
     def shard_stats(self) -> "list[CacheStats]":
         """Per-shard statistics (observability: spot a hot shard)."""
@@ -637,12 +609,9 @@ class ShardedScheduleCache:
         return sum(len(shard) for shard in self._shards)
 
     def clear(self) -> None:
-        """Drop every shard's entries and the wrapper's source index."""
+        """Drop every shard's entries, failure records and verdicts."""
         for shard in self._shards:
             shard.clear()
-        with self._lock:
-            self._source_index.clear()
-            self._source_stats = CacheStats()
 
     def _shard(self, key: CacheKey) -> ScheduleCache:
         return self._shards[hash(key) % self.num_shards]
@@ -659,11 +628,19 @@ class ShardedScheduleCache:
     ) -> CompiledKernel:
         return self._shard(key).get_or_compile_keyed(key, dfg, overlay)
 
+    def get_or_compile_source(
+        self,
+        source: str,
+        overlay: LinearOverlay,
+        key: CacheKey,
+        name: Optional[str] = None,
+    ) -> CompiledKernel:
+        return self._shard(key).get_or_compile_source(source, overlay, key, name)
+
     def get_schedule(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
+        self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
     ) -> OverlaySchedule:
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        return self._shard(key).get_schedule(dfg, overlay, scheduler)
+        return self._shard(key).get_schedule(key, dfg, overlay)
 
     def get_verdict(self, key: CacheKey):
         return self._shard(key).get_verdict(key)
@@ -673,54 +650,6 @@ class ShardedScheduleCache:
 
     def get_batch_plan(self, key: CacheKey):
         return self._shard(key).get_batch_plan(key)
-
-    def get_or_compile_source(
-        self,
-        source: str,
-        overlay: LinearOverlay,
-        name: Optional[str] = None,
-        scheduler: str = "auto",
-    ) -> CompiledKernel:
-        """Source fast path, then key-routed shard compile (cf. the shard's).
-
-        A warm hit resolves the source index on the wrapper, then fetches
-        the entry from the owning shard without re-lowering or re-hashing
-        anything.  If the shard has since evicted the entry, the call falls
-        through the frontend cache exactly like a cold one.
-        """
-        from ..frontend.cache import default_frontend_cache
-        from ..frontend.lexer import source_hash
-        from ..schedule.registry import resolve_strategy_name
-
-        scheduler = resolve_strategy_name(scheduler, overlay)
-        skey = (
-            source_hash(source),
-            name,
-            overlay.variant.name,
-            overlay.depth,
-            overlay.fixed_depth,
-            overlay.fifo_depth,
-            scheduler,
-        )
-        with self._lock:
-            key = self._source_index.get(skey)
-            if key is not None:
-                self._source_index.move_to_end(skey)
-        if key is not None:
-            cached = self._shard(key).peek(key)
-            if cached is not None:
-                with self._lock:
-                    self._source_stats.source_hits += 1
-                return cached
-        dfg = default_frontend_cache().dfg(source, name=name)
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        compiled = self._shard(key).get_or_compile_keyed(key, dfg, overlay)
-        with self._lock:
-            self._source_index[skey] = key
-            self._source_index.move_to_end(skey)
-            while len(self._source_index) > 4 * self.capacity:
-                self._source_index.popitem(last=False)
-        return compiled
 
 
 _DEFAULT_CACHE: Optional[ScheduleCache] = None

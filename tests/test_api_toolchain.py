@@ -1,5 +1,6 @@
 """Tests for the :class:`repro.api.Toolchain` session API."""
 
+import collections
 import dataclasses
 
 import pytest
@@ -324,3 +325,70 @@ class TestScheduleOnlyHandles:
         assert result.best is not None and result.best.simulated
         assert tc.cache.stats.misses > 0
         assert (shared.stats.hits, shared.stats.misses) == before
+
+
+class TestOneResolutionPerRequest:
+    """A compile resolves its request to a cache key once and runs each
+    stage at most once; a codegen failure is never compiled again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.api
+        import repro.engine.cache
+        import repro.frontend.lexer
+        from repro.frontend.cache import FrontendCache
+
+        counts = collections.Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr, name in (
+            (repro.api, "dfg_fingerprint", "fingerprint"),
+            (repro.engine.cache, "dfg_fingerprint", "fingerprint"),
+            (FrontendCache, "dfg", "frontend"),
+            (repro.frontend.lexer, "source_hash", "source hash"),
+            (repro.engine.cache, "schedule_kernel", "schedule"),
+            (repro.engine.cache, "generate_program", "codegen"),
+        ):
+            monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+        return counts
+
+    @staticmethod
+    def _fat_kernel():
+        from repro.kernels.generators import dfg_from_level_profile
+
+        return dfg_from_level_profile(
+            [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
+        )
+
+    def test_source_compiles(self, calls):
+        from repro.kernels.library import GRADIENT_C_SOURCE
+
+        tc = Toolchain(cache=ScheduleCache())
+        tc.compile(source=GRADIENT_C_SOURCE, overlay=OverlaySpec("v1"))
+        assert calls == {
+            "source hash": 1, "frontend": 1, "fingerprint": 1,
+            "schedule": 1, "codegen": 1,
+        }
+        calls.clear()
+        tc.compile(source=GRADIENT_C_SOURCE, overlay=OverlaySpec("v1"))
+        assert calls == {"source hash": 1}
+
+    def test_schedule_only_compiles(self, calls):
+        tc = Toolchain(cache=ScheduleCache())
+        cold = tc.compile(self._fat_kernel(), OverlaySpec("v3"), allow_schedule_only=True)
+        assert (calls["schedule"], calls["codegen"]) == (1, 1)
+        calls.clear()
+        warm = tc.compile(self._fat_kernel(), OverlaySpec("v3"), allow_schedule_only=True)
+        assert (calls["schedule"], calls["codegen"]) == (0, 0)
+        assert warm.schedule is cold.schedule and warm.schedule_only
+        # Without the fallback the recorded error re-raises, still stage-free.
+        with pytest.raises(CodegenError, match="rotating register entries"):
+            tc.compile(self._fat_kernel(), OverlaySpec("v3"))
+        assert (calls["schedule"], calls["codegen"]) == (0, 0)
+        assert tc.cache.stats.misses == 1

@@ -1,22 +1,20 @@
-"""End-to-end compile cache: source → AST → DFG → schedule → binary.
+"""End-to-end compile cache: source → DFG → schedule → binary.
 
-Exercises the backend half of the compile-path overhaul: the source fast
-path of :meth:`repro.engine.cache.ScheduleCache.get_or_compile_source`, its
-interaction with the frontend cache, invalidation on source edits, and the
-wiring through :class:`repro.runtime.manager.OverlayRuntime` and
-:func:`repro.metrics.performance.evaluate_kernel_all_overlays`.
+Exercises the source fast path of ``Toolchain.compile(source=...)`` (the
+session resolves a source to its cache key once, then
+:meth:`repro.engine.cache.ScheduleCache.get_or_compile_source` serves the
+entry), its interaction with the frontend cache, invalidation on source
+edits, and the wiring through :class:`repro.runtime.manager.OverlayRuntime`
+and :func:`repro.metrics.performance.evaluate_kernel_all_overlays`.
 """
 
 import pytest
 
 from repro.engine.cache import ScheduleCache, default_cache
-from repro.frontend.cache import FrontendCache, default_frontend_cache
 from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE, get_kernel_source
 from repro.errors import KernelError
-from repro.api import default_toolchain
+from repro.api import Toolchain, default_toolchain
 from repro.metrics.performance import evaluate_kernel_all_overlays
-from repro.overlay.architecture import LinearOverlay
-from repro.overlay.fu import get_variant
 from repro.runtime.manager import OverlayRuntime
 from repro.specs import OverlaySpec
 
@@ -26,69 +24,73 @@ EDITED = "int triple(int a) { return a + a - a; }"
 
 
 def _v1(depth=2):
-    return LinearOverlay(variant=get_variant("v1"), depth=depth)
+    return OverlaySpec("v1", depth=depth)
+
+
+def _compile(toolchain, source, overlay, name=None):
+    return toolchain.compile(source=source, overlay=overlay, name=name)
 
 
 class TestSourceFastPath:
     def test_cold_then_warm(self):
-        cache = ScheduleCache()
-        first = cache.get_or_compile_source(SOURCE, _v1())
-        assert cache.stats.misses == 1 and cache.stats.source_hits == 0
-        second = cache.get_or_compile_source(SOURCE, _v1())
-        assert second is first
-        assert cache.stats.source_hits == 1
+        tc = Toolchain(cache=ScheduleCache())
+        first = _compile(tc, SOURCE, _v1())
+        assert tc.cache.stats.misses == 1 and tc.cache.stats.source_hits == 0
+        second = _compile(tc, SOURCE, _v1())
+        assert second.schedule is first.schedule
+        assert tc.cache.stats.source_hits == 1
         # Warm hit bypasses the DFG-keyed layer entirely.
-        assert cache.stats.hits == 0
+        assert tc.cache.stats.hits == 0
 
     def test_distinct_overlays_are_distinct_entries(self):
-        cache = ScheduleCache()
-        a = cache.get_or_compile_source(SOURCE, _v1(2))
-        b = cache.get_or_compile_source(SOURCE, _v1(3))
-        assert a is not b
-        assert cache.stats.misses == 2
+        tc = Toolchain(cache=ScheduleCache())
+        a = _compile(tc, SOURCE, _v1(2))
+        b = _compile(tc, SOURCE, _v1(3))
+        assert a.schedule is not b.schedule
+        assert tc.cache.stats.misses == 2
 
     def test_invalidation_on_source_change(self):
-        cache = ScheduleCache()
-        before = cache.get_or_compile_source(SOURCE, _v1())
-        after = cache.get_or_compile_source(EDITED, _v1())
-        assert after is not before
-        assert cache.stats.misses == 2
+        tc = Toolchain(cache=ScheduleCache())
+        before = _compile(tc, SOURCE, _v1())
+        after = _compile(tc, EDITED, _v1())
+        assert after.schedule is not before.schedule
+        assert tc.cache.stats.misses == 2
         # And the recompiled artefacts reflect the edit.
         assert before.schedule.dfg.num_operations != 0
-        assert cache.get_or_compile_source(EDITED, _v1()) is after
+        assert _compile(tc, EDITED, _v1()).schedule is after.schedule
 
     def test_name_override_is_part_of_the_key(self):
-        cache = ScheduleCache()
-        cache.get_or_compile_source(SOURCE, _v1(), name="one")
-        cache.get_or_compile_source(SOURCE, _v1(), name="two")
-        assert cache.stats.misses == 2
+        tc = Toolchain(cache=ScheduleCache())
+        _compile(tc, SOURCE, _v1(), name="one")
+        _compile(tc, SOURCE, _v1(), name="two")
+        assert tc.cache.stats.misses == 2
 
     def test_source_path_reuses_dfg_layer_after_clear_of_index(self):
         """A DFG-identical source still hits the DFG-keyed layer."""
-        cache = ScheduleCache()
-        cache.get_or_compile_source(SOURCE, _v1())
-        # Different text, same lowered DFG (comment only) -> source index
-        # misses but the DFG content hash matches the existing entry.
+        tc = Toolchain(cache=ScheduleCache())
+        _compile(tc, SOURCE, _v1())
+        # Different text, same lowered DFG (comment only) -> the session's
+        # source index misses but the DFG content hash matches the entry.
         commented = "// cosmetic\n" + SOURCE
-        cache.get_or_compile_source(commented, _v1())
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        _compile(tc, commented, _v1())
+        assert tc.cache.stats.hits == 1
+        assert tc.cache.stats.misses == 1
 
-    def test_clear_also_drops_the_source_index(self):
-        cache = ScheduleCache()
-        cache.get_or_compile_source(SOURCE, _v1())
-        cache.clear()
-        cache.get_or_compile_source(SOURCE, _v1())
-        assert cache.stats.source_hits == 0
-        assert cache.stats.misses == 1
+    def test_clear_makes_the_next_source_compile_a_miss(self):
+        tc = Toolchain(cache=ScheduleCache())
+        _compile(tc, SOURCE, _v1())
+        tc.cache.clear()
+        _compile(tc, SOURCE, _v1())
+        assert tc.cache.stats.source_hits == 0
+        assert tc.cache.stats.misses == 1
 
     def test_disk_layer_shared_between_instances(self, tmp_path):
-        writer = ScheduleCache(disk_dir=str(tmp_path))
-        writer.get_or_compile_source(SOURCE, _v1())
-        reader = ScheduleCache(disk_dir=str(tmp_path))
-        reader.get_or_compile_source(SOURCE, _v1())
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.misses == 0
+        writer = Toolchain(cache=ScheduleCache(disk_dir=str(tmp_path)))
+        _compile(writer, SOURCE, _v1())
+        reader = Toolchain(cache=ScheduleCache(disk_dir=str(tmp_path)))
+        _compile(reader, SOURCE, _v1())
+        assert reader.cache.stats.disk_hits == 1
+        assert reader.cache.stats.misses == 0
 
 
 class TestRuntimeWiring:

@@ -16,10 +16,11 @@ so this file pins the guarantees that make that safe:
 * **disk-layer discipline** — concurrent writers sharing one ``disk_dir``
   (the temp+rename pattern of ``engine/store.py``) never let a reader see
   a truncated artifact;
-* **sharding mechanics** — key routing, wrapper-level source fast path,
-  merged statistics, per-shard capacity.
+* **sharding mechanics** — every call routed by key (the source fast path
+  too), merged statistics, per-shard capacity.
 """
 
+import collections
 import pickle
 import threading
 
@@ -29,6 +30,7 @@ from repro.api import Toolchain
 from repro.engine.cache import CacheStats, ScheduleCache, ShardedScheduleCache
 from repro.errors import CodegenError
 from repro.kernels import get_kernel
+from repro.kernels.generators import dfg_from_level_profile
 from repro.specs import OverlaySpec
 
 GRID = [
@@ -196,6 +198,48 @@ class TestCoalescingAtTheCacheLayer:
         assert handle.configuration is not None
 
 
+    def test_schedule_only_compiles_run_each_stage_once(self, monkeypatch):
+        """A codegen failure is compiled once however many threads ask: the
+        waiters share the leader's failure record, later callers hit it."""
+        import repro.engine.cache as cache_module
+
+        K = 8
+        runs = collections.Counter()
+        lock = threading.Lock()
+
+        def counting(function):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    runs[function.__name__] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for attr in ("schedule_kernel", "generate_program"):
+            monkeypatch.setattr(cache_module, attr, counting(getattr(cache_module, attr)))
+        cache = ShardedScheduleCache(capacity=64, shards=4)
+        barrier = threading.Barrier(K)
+        handles = [None] * K
+
+        def worker(index):
+            dfg = dfg_from_level_profile(
+                [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
+            )
+            barrier.wait()
+            handles[index] = Toolchain(cache=cache).compile(
+                dfg, OverlaySpec("v3"), allow_schedule_only=True
+            )
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(K)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert runs == {"schedule_kernel": 1, "generate_program": 1}
+        assert all(handle.schedule_only for handle in handles)
+        assert len({id(handle.schedule) for handle in handles}) == 1
+
+
 class TestDiskLayerRaces:
     def test_concurrent_writers_sharing_a_disk_dir_never_corrupt_it(self, tmp_path):
         """Separate caches racing on one disk_dir: readers see whole files.
@@ -278,7 +322,7 @@ class TestShardedCacheMechanics:
         assert len(rows) == 4
         assert sum(row.misses for row in rows) == merged.misses
 
-    def test_source_fast_path_has_a_wrapper_level_index(self):
+    def test_source_fast_path_routes_by_key(self):
         source = """
 void grad(int a, int b, int c, int *out) {
     *out = (b - a) + (c - b);

@@ -25,7 +25,7 @@ import inspect
 import pytest
 
 from repro.engine.batchsim import BatchSimulator
-from repro.engine.cache import ScheduleCache
+from repro.engine.cache import CacheKey, ScheduleCache
 from repro.engine.fastsim import (
     FastSimulator,
     simulate_fast,
@@ -238,14 +238,15 @@ class TestScheduleOnlyMemoisation:
     def test_codegen_failure_path_is_memoised(self):
         cache = ScheduleCache()
         overlay = LinearOverlay.fixed(V3, 8)
+        key = CacheKey.for_mapping(_fat_kernel(), overlay)
         with pytest.raises(CodegenError):
             cache.get_or_compile(_fat_kernel(), overlay)
-        first = cache.get_schedule(_fat_kernel(), overlay)
-        second = cache.get_schedule(_fat_kernel(), overlay)
-        # Same object: the second call hit the schedule-only index instead of
-        # rescheduling a fresh DFG copy.
+        first = cache.get_schedule(key, _fat_kernel(), overlay)
+        second = cache.get_schedule(key, _fat_kernel(), overlay)
+        # Same object: both calls were served by the failed compile's record
+        # instead of rescheduling a fresh DFG copy.
         assert first is second
-        assert cache.stats.schedule_hits == 1
+        assert cache.stats.schedule_hits == 2
 
     def test_evaluate_kernel_keeps_working_for_codegen_failures(self):
         from repro.api import Toolchain
@@ -258,7 +259,8 @@ class TestScheduleOnlyMemoisation:
         cache = ScheduleCache()
         overlay = LinearOverlay.fixed(V3, 8)
         compiled = cache.get_or_compile(get_kernel("qspline"), overlay)
-        schedule = cache.get_schedule(get_kernel("qspline"), overlay)
+        key = CacheKey.for_mapping(get_kernel("qspline"), overlay)
+        schedule = cache.get_schedule(key, get_kernel("qspline"), overlay)
         assert schedule is compiled.schedule
 
 

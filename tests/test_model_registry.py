@@ -172,6 +172,34 @@ class TestPredictionCaching:
         assert model.cache_token != "calibrated"
 
 
+    @pytest.mark.parametrize("first", ["auto", "clustered"])
+    def test_requested_strategy_is_part_of_the_cache_key(self, first):
+        """``auto`` and the strategy it resolves to share one artifact, but
+        a model reads the requested name, so each gets its own prediction
+        whichever is asked first."""
+        model = get_model("calibrated").fit([
+            {"kernel": "qspline", "scheduler": "clustered",
+             "measured_ii": 20.0, "analytic_ii": 10.0},
+        ])
+        tc = Toolchain(cache=ScheduleCache())
+        strategies = [first] + [s for s in ("auto", "clustered") if s != first]
+        handles = {
+            s: tc.compile("qspline", OverlaySpec("v3", scheduler=s))
+            for s in strategies
+        }
+        assert handles["auto"].key == handles["clustered"].key
+        calibrated = {s: tc.predict(handles[s], model=model) for s in strategies}
+        analytic = {s: tc.predict(handles[s], model="analytic") for s in strategies}
+        for strategy, handle in handles.items():
+            direct = model.predict(
+                handle.dfg, handle.overlay, handle.schedule, scheduler=strategy
+            )
+            assert calibrated[strategy] == direct
+            assert analytic[strategy].scheduler == strategy
+        assert calibrated["auto"].ii == pytest.approx(11.0)
+        assert calibrated["clustered"].ii == pytest.approx(22.0)
+
+
 class TestCalibration:
     def test_fit_keeps_the_conservative_group_minimum(self):
         model = CalibratedModel()
