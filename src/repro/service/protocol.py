@@ -43,6 +43,12 @@ from ..errors import (
 #: Protocol version spoken by this server (and the only one it accepts).
 PROTOCOL_VERSION = 1
 
+#: Longest request line the stream transport reads, in bytes before the
+#: newline.  A longer line is answered with one ``E_PROTOCOL`` error and the
+#: connection is closed: the server has dropped part of the line, so it
+#: cannot tell where the next frame starts.
+MAX_REQUEST_BYTES = 1 << 20
+
 #: Every operation the service understands.
 OPS = (
     "ping",
@@ -211,5 +217,6 @@ def decode_line(line: bytes) -> object:
     """Decode one frame; raises :class:`ServiceError` on malformed JSON."""
     try:
         return json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: brackets nested deeper than the decoder recurses.
         raise ServiceError(E_PROTOCOL, f"malformed JSON frame: {error}")

@@ -49,6 +49,8 @@ from ..schedule.ii import analytic_ii
 from ..specs import OverlaySpec, SimSpec, spec_from_wire
 from .protocol import (
     E_PARAMS,
+    E_PROTOCOL,
+    MAX_REQUEST_BYTES,
     OPS,
     PROTOCOL_VERSION,
     ServiceError,
@@ -372,7 +374,14 @@ class OverlayService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line outgrew MAX_REQUEST_BYTES
+                    message = f"request line exceeds {MAX_REQUEST_BYTES} bytes"
+                    writer.write(encode_line(error_response(None, E_PROTOCOL, message)))
+                    self.stats.record("_protocol", 0.0, False)
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -397,7 +406,9 @@ class OverlayService:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Start the asyncio stream server (caller owns the loop)."""
-        return await asyncio.start_server(self._serve_connection, host, port)
+        return await asyncio.start_server(
+            self._serve_connection, host, port, limit=MAX_REQUEST_BYTES
+        )
 
     def serve_forever(self, host: str = "127.0.0.1", port: int = 7411) -> None:
         """Blocking entry point (the ``repro-overlay serve`` CLI)."""

@@ -25,6 +25,7 @@ TCP client, malformed frames) and the ``serve``/``stats`` CLI plumbing.
 
 import hashlib
 import json
+import socket
 import threading
 import time
 
@@ -56,6 +57,7 @@ from repro.service.protocol import (
     E_PARAMS,
     E_PROTOCOL,
     E_VERSION,
+    MAX_REQUEST_BYTES,
     OPS,
     decode_line,
     decode_request,
@@ -135,6 +137,11 @@ class TestProtocol:
     def test_decode_line_rejects_malformed_json(self):
         with pytest.raises(ServiceError) as excinfo:
             decode_line(b"{nope\n")
+        assert excinfo.value.code == E_PROTOCOL
+
+    def test_decode_line_maps_deep_nesting_to_a_protocol_error(self):
+        with pytest.raises(ServiceError) as excinfo:
+            decode_line(b"[" * 30_000 + b"]" * 30_000 + b"\n")
         assert excinfo.value.code == E_PROTOCOL
 
     def test_service_error_requires_known_code(self):
@@ -489,6 +496,41 @@ class TestSocketTransport:
                 assert response["ok"] is False
                 assert response["error"]["code"] == E_PROTOCOL
                 # ... and the connection still works afterwards.
+                assert client.ping()["pong"] is True
+
+    def test_tcp_line_past_the_stream_default_is_answered(self, service):
+        # 80 kB, past asyncio's default 64 KiB stream limit.
+        source = "// " + "x" * 80_000 + "\n" + GRADIENT_SOURCE
+        with BackgroundServer(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                row = client.compile(source=source, overlay=OverlaySpec(variant="v1"))
+                assert row["kernel"] == "grad"
+                assert client.ping()["pong"] is True
+
+    def test_tcp_over_limit_line_is_answered_then_closed(self, service):
+        line = b'{"op": "ping", "pad": "' + b"x" * MAX_REQUEST_BYTES + b'"}\n'
+        with BackgroundServer(service) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                sock.sendall(line)
+                with sock.makefile("rb") as stream:
+                    response = json.loads(stream.readline())
+                    # One answer naming the limit, then the server hangs up.
+                    assert stream.readline() == b""
+            assert response["ok"] is False
+            assert response["error"]["code"] == E_PROTOCOL
+            assert str(MAX_REQUEST_BYTES) in response["error"]["message"]
+            with ServiceClient("127.0.0.1", server.port) as client:
+                assert client.ping()["pong"] is True
+
+    def test_tcp_deeply_nested_line_keeps_the_connection(self, service):
+        with BackgroundServer(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client._connect()
+                client._sock.sendall(b"[" * 30_000 + b"]" * 30_000 + b"\n")
+                response = json.loads(client._file.readline())
+                assert response["error"]["code"] == E_PROTOCOL
+                assert client.ping()["pong"] is True
+            with ServiceClient("127.0.0.1", server.port) as client:
                 assert client.ping()["pong"] is True
 
     def test_concurrent_tcp_clients(self, service):
