@@ -624,15 +624,9 @@ class BatchSimulator(FastSimulator):
         self,
         schedule: OverlaySchedule,
         max_cycles: Optional[int] = None,
-        enforce_rf_capacity: bool = True,
         fast_forward: bool = True,
     ):
-        super().__init__(
-            schedule,
-            max_cycles=max_cycles,
-            enforce_rf_capacity=enforce_rf_capacity,
-            fast_forward=fast_forward,
-        )
+        super().__init__(schedule, max_cycles=max_cycles, fast_forward=fast_forward)
         self.plan = plan_for(schedule)
 
     # ------------------------------------------------------------------

@@ -851,12 +851,10 @@ class FastSimulator:
         self,
         schedule: OverlaySchedule,
         max_cycles: Optional[int] = None,
-        enforce_rf_capacity: bool = True,
         fast_forward: bool = True,
     ):
         self.schedule = schedule
         self.max_cycles = max_cycles
-        self.enforce_rf_capacity = enforce_rf_capacity
         self.fast_forward = fast_forward
         self.fast_forward_events: List[dict] = []
 
@@ -923,9 +921,8 @@ class FastSimulator:
         total_cycles, _completed = self._loop(
             fus, channels, detector, num_blocks, max_cycles, {}, completion
         )
-        if self.enforce_rf_capacity:
-            for fu in fus:
-                fu.rf.check_capacity()
+        for fu in fus:
+            fu.rf.check_capacity()
 
         completion_cycles = [int(c) for c in completion]  # type: ignore[arg-type]
         return SimulationResult(
@@ -1031,14 +1028,10 @@ def simulate_fast(
     schedule: OverlaySchedule,
     input_blocks: Sequence[Sequence[int]],
     max_cycles: Optional[int] = None,
-    enforce_rf_capacity: bool = True,
     fast_forward: bool = True,
 ) -> SimulationResult:
     """Run the fast engine on a stream of input blocks."""
     simulator = FastSimulator(
-        schedule,
-        max_cycles=max_cycles,
-        enforce_rf_capacity=enforce_rf_capacity,
-        fast_forward=fast_forward,
+        schedule, max_cycles=max_cycles, fast_forward=fast_forward
     )
     return simulator.run(input_blocks)

@@ -78,12 +78,10 @@ class OverlaySimulator:
         schedule: OverlaySchedule,
         record_trace: bool = False,
         max_cycles: Optional[int] = None,
-        enforce_rf_capacity: bool = True,
     ):
         self.schedule = schedule
         self.record_trace = record_trace
         self.max_cycles = max_cycles
-        self.enforce_rf_capacity = enforce_rf_capacity
 
     # ------------------------------------------------------------------
     def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
@@ -172,9 +170,8 @@ class OverlaySimulator:
             cycle += 1
 
         outputs = self._decode_outputs(collected, num_blocks)
-        if self.enforce_rf_capacity:
-            for fu in fus:
-                fu.rf.check_capacity(strict=True)
+        for fu in fus:
+            fu.rf.check_capacity(strict=True)
 
         completion = [int(c) for c in completion_cycles]  # type: ignore[arg-type]
         return SimulationResult(
@@ -197,20 +194,10 @@ class OverlaySimulator:
     # V2: two independent lanes with alternating blocks
     # ------------------------------------------------------------------
     def _run_multilane(self, blocks: List[List[int]]) -> SimulationResult:
-        lanes = self.schedule.variant.lanes
-        lane_blocks = split_lane_blocks(blocks, lanes)
-        lane_results: List[Optional[SimulationResult]] = []
-        single_lane = OverlaySimulator(
-            self.schedule,
-            record_trace=self.record_trace,
-            max_cycles=self.max_cycles,
-            enforce_rf_capacity=self.enforce_rf_capacity,
-        )
-        for lane in range(lanes):
-            if lane_blocks[lane]:
-                lane_results.append(single_lane._run_single_lane(lane_blocks[lane]))
-            else:
-                lane_results.append(None)
+        lane_results: List[Optional[SimulationResult]] = [
+            self._run_single_lane(stream) if stream else None
+            for stream in split_lane_blocks(blocks, self.schedule.variant.lanes)
+        ]
         return merge_lane_results(self.schedule, blocks, lane_results)
 
     # ------------------------------------------------------------------

@@ -162,10 +162,6 @@ class TestLibraryBitIdentity:
         assert batched.fast_forward_events, "batched engine never fast-forwarded"
         assert batched.fast_forward_events == fast.fast_forward_events
 
-    def test_rf_capacity_enforcement_off(self):
-        schedule = _fixed_schedule("poly5", "v5", 2)
-        assert_batched_identical(schedule, num_blocks=16, enforce_rf_capacity=False)
-
     def test_long_stream_deep_backpressure(self):
         schedule = _fixed_schedule("poly7", "v4", 8)
         assert_batched_identical(schedule, num_blocks=400)
