@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .api import CompiledHandle, Toolchain, default_toolchain
-from .errors import CodegenError, ReproError
+from .errors import ReproError
 from .kernels import all_benchmarks, get_kernel, kernel_names
 from .metrics.performance import evaluate_kernel_all_overlays
 from .metrics.tables import render_fig5_series, render_table1, render_table3
@@ -129,13 +129,19 @@ def sim_spec_from_args(args: argparse.Namespace) -> SimSpec:
     )
 
 
-def _load_kernel(args):
-    """Resolve the kernel of a ``map``/``simulate`` invocation.
+def _compile_handle(toolchain: Toolchain, args: argparse.Namespace) -> CompiledHandle:
+    """Compile the kernel of a ``map``/``simulate`` invocation.
 
-    Returns ``(dfg, source_text_or_None)``.  ``--source FILE`` parses a
-    mini-C file through the content-hashed frontend cache; otherwise
-    ``--kernel NAME`` picks a library kernel.
+    ``--source FILE`` compiles a mini-C file through the full chain (the
+    content-hashed frontend cache, then the session's source index);
+    otherwise ``--kernel NAME`` picks a library kernel.  Kernels that
+    schedule but exceed the register file / instruction memory come back as
+    schedule-only handles, so ``map`` and ``simulate`` keep working for
+    them.  The in-memory layer is empty in a one-shot CLI process, but the
+    disk layer (``REPRO_CACHE_DIR``) makes repeated shell invocations skip
+    the mapping flow entirely.
     """
+    spec = overlay_spec_from_args(args)
     source_path = getattr(args, "source", None)
     if source_path and args.kernel:
         raise ReproError("--kernel and --source are mutually exclusive")
@@ -145,31 +151,10 @@ def _load_kernel(args):
                 source = handle.read()
         except OSError as error:
             raise ReproError(f"cannot read --source file: {error}")
-        from .frontend import parse_c_kernel
-
-        return parse_c_kernel(source), source
+        return toolchain.compile(source=source, overlay=spec, allow_schedule_only=True)
     if not args.kernel:
         raise ReproError("provide --kernel NAME or --source FILE")
-    return get_kernel(args.kernel), None
-
-
-def _compile_handle(
-    toolchain: Toolchain, dfg, source: Optional[str], spec: OverlaySpec
-) -> CompiledHandle:
-    """Compile through the session (source fast path when given).
-
-    Kernels that schedule but exceed the register file / instruction memory
-    fall back to a schedule-only handle, so ``map`` and ``simulate`` keep
-    working for them.  The in-memory layer is empty in a one-shot CLI
-    process, but the disk layer (``REPRO_CACHE_DIR``) makes repeated shell
-    invocations skip the mapping flow entirely.
-    """
-    try:
-        if source is not None:
-            return toolchain.compile(source=source, overlay=spec)
-        return toolchain.compile(dfg, spec)
-    except CodegenError:
-        return toolchain.compile(dfg, spec, allow_schedule_only=True)
+    return toolchain.compile(args.kernel, spec, allow_schedule_only=True)
 
 
 def _print_json(rows) -> None:
@@ -211,8 +196,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     toolchain = default_toolchain()
-    dfg, source = _load_kernel(args)
-    handle = _compile_handle(toolchain, dfg, source, overlay_spec_from_args(args))
+    handle = _compile_handle(toolchain, args)
     program = handle.program
     if args.program and program is None:
         # Surface the real codegen error (register file / instruction
@@ -232,8 +216,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     toolchain = default_toolchain()
-    dfg, source = _load_kernel(args)
-    handle = _compile_handle(toolchain, dfg, source, overlay_spec_from_args(args))
+    handle = _compile_handle(toolchain, args)
     sim = sim_spec_from_args(args)
     # Schedule-only handles (codegen overflow) simulate too: the simulator
     # runs from the schedule.
@@ -293,21 +276,31 @@ def _parse_name_list(text: str, universe: List[str], what: str) -> List[str]:
     return names
 
 
+def _int_list(text: str, flag: str) -> List[int]:
+    """A comma-separated integer list given to ``flag``."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise ReproError(
+            f"{flag} must be a comma-separated list of integers, got {text!r}"
+        )
+
+
+def _depths_from_args(args: argparse.Namespace) -> List[Optional[int]]:
+    """The ``--depths`` list; empty means auto sizing (``None``)."""
+    if not args.depths:
+        return [None]
+    # A 0 entry keeps meaning auto sizing for shell compatibility.
+    return [depth or None for depth in _int_list(args.depths, "--depths")]
+
+
 def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
     """The :class:`SweepSpec` a ``sweep`` invocation describes."""
     from .schedule.registry import scheduler_names
 
     kernels = _parse_name_list(args.kernels, kernel_names(), "kernel")
     variants = _parse_name_list(args.variants, list(FU_VARIANTS), "variant")
-    depths: List[Optional[int]] = [None]
-    if args.depths:
-        try:
-            # A 0 entry keeps meaning auto sizing for shell compatibility.
-            depths = [int(d) or None for d in args.depths.split(",")]
-        except ValueError:
-            raise ReproError(
-                f"--depths must be a comma-separated list of integers, got {args.depths!r}"
-            )
+    depths = _depths_from_args(args)
     schedulers = None
     if getattr(args, "schedulers", None):
         schedulers = tuple(
@@ -337,24 +330,8 @@ def tune_spec_from_args(args: argparse.Namespace) -> "TuneSpec":
     from .specs import TuneSpec
 
     variants = _parse_name_list(args.variants, list(FU_VARIANTS), "variant")
-    depths: List[Optional[int]] = [None]
-    if args.depths:
-        try:
-            # A 0 entry keeps meaning auto sizing for shell compatibility.
-            depths = [int(d) or None for d in args.depths.split(",")]
-        except ValueError:
-            raise ReproError(
-                f"--depths must be a comma-separated list of integers, got {args.depths!r}"
-            )
-    fifo_depths = [32]
-    if args.fifo_depths:
-        try:
-            fifo_depths = [int(d) for d in args.fifo_depths.split(",")]
-        except ValueError:
-            raise ReproError(
-                "--fifo-depths must be a comma-separated list of integers, "
-                f"got {args.fifo_depths!r}"
-            )
+    depths = _depths_from_args(args)
+    fifo_depths = _int_list(args.fifo_depths, "--fifo-depths") if args.fifo_depths else [32]
     schedulers = None
     if getattr(args, "schedulers", None):
         schedulers = tuple(
@@ -396,23 +373,24 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _print_progress(event) -> None:
+    """One ``[k/N] kernel overlay status`` line per settled row, on stderr."""
+    r = event.result
+    status = "cached" if event.cached else (
+        "quarantined" if r.quarantined else ("infeasible" if r.error else "ok")
+    )
+    print(
+        f"[{event.completed}/{event.total}] {r.kernel} {r.overlay_name} {status}",
+        file=sys.stderr,
+        flush=True,
+    )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .engine.sweep import render_sweep_table, results_to_json
 
-    def progress(event) -> None:
-        r = event.result
-        status = "cached" if event.cached else (
-            "quarantined" if r.quarantined else ("infeasible" if r.error else "ok")
-        )
-        print(
-            f"[{event.completed}/{event.total}] {r.kernel} {r.overlay_name} "
-            f"{status}",
-            file=sys.stderr,
-            flush=True,
-        )
-
     results = default_toolchain().sweep(
-        sweep_spec_from_args(args), progress=progress if args.progress else None
+        sweep_spec_from_args(args), progress=_print_progress if args.progress else None
     )
     payload = results_to_json(results)
     if getattr(args, "output", None):
@@ -426,21 +404,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    def progress(event) -> None:
-        r = event.result
-        status = "cached" if event.cached else (
-            "quarantined" if r.quarantined else ("infeasible" if r.error else "ok")
-        )
-        print(
-            f"[{event.completed}/{event.total}] {r.kernel} {r.overlay_name} "
-            f"{status}",
-            file=sys.stderr,
-            flush=True,
-        )
-
     spec = tune_spec_from_args(args)
     result = default_toolchain().tune(
-        spec=spec, progress=progress if args.progress else None
+        spec=spec, progress=_print_progress if args.progress else None
     )
     if args.json:
         print(result.to_json())

@@ -36,6 +36,7 @@ SCOPE = [
 HYGIENE_ONLY = [
     os.path.join(SRC, "api.py"),
     os.path.join(SRC, "baseline", "li2016.py"),
+    os.path.join(SRC, "cli.py"),
     os.path.join(SRC, "dfg", "graph.py"),
     os.path.join(SRC, "dfg", "node.py"),
     os.path.join(SRC, "dfg", "opcodes.py"),
