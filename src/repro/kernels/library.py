@@ -70,9 +70,10 @@ int chebyshev(int x) {
 """
 
 
-#: Mini-C sources of the kernels defined through the C frontend.  These are
-#: the inputs of the end-to-end compile cache's source fast path — see
-#: :meth:`repro.engine.cache.ScheduleCache.get_or_compile_source`.
+#: Mini-C sources of the kernels defined through the C frontend.  Compiled
+#: with ``Toolchain.compile(source=...)``, they take the end-to-end compile
+#: cache's source fast path: the session resolves each source to its cache
+#: key once (see :mod:`repro.engine.cache`).
 KERNEL_C_SOURCES: Dict[str, str] = {
     "gradient": GRADIENT_C_SOURCE,
     "chebyshev": CHEBYSHEV_C_SOURCE,

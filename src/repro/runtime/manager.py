@@ -197,14 +197,17 @@ class OverlayRuntime:
     def register_source(self, source: str, name: Optional[str] = None) -> KernelHandle:
         """Compile a mini-C kernel source end-to-end and register it.
 
-        This is the full ``source → DFG → schedule → binary`` chain: the
-        frontend goes through the content-hashed frontend cache
-        (:mod:`repro.frontend.cache`) and the mapping flow through this
-        runtime's compiled-schedule cache via its source fast path
-        (:meth:`~repro.engine.cache.ScheduleCache.get_or_compile_source`),
-        so registering unchanged source — here or in any other runtime of
-        the process — reuses every artefact without even re-hashing the DFG.
-        Any edit to the source recompiles only from the stage it invalidates.
+        This is the full ``source → DFG → schedule → binary`` chain,
+        compiled through this runtime's session
+        (:meth:`repro.api.Toolchain.compile` with ``source=``): the frontend
+        goes through the content-hashed frontend cache
+        (:mod:`repro.frontend.cache`), and the session resolves the source
+        to its compile-cache key once.  Registering unchanged source again
+        fetches the entry by that key without re-parsing or re-hashing the
+        DFG; another runtime on the same cache takes the DFG from the
+        frontend cache, hashes it once and reuses the compiled artefacts.
+        Any edit to the source recompiles only from the stage it
+        invalidates.
         """
         handle = self._toolchain.compile(
             source=source, overlay=self._kernel_overlay_spec(), name=name
