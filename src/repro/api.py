@@ -35,6 +35,7 @@ from .dfg.graph import DFG
 from .dfg.serialize import dfg_fingerprint
 from .engine.cache import CacheKey, ScheduleCache, default_cache
 from .errors import CodegenError, ConfigurationError, VerificationError
+from .frontend.cache import default_frontend_cache
 from .kernels.library import get_kernel
 from .metrics.models import ModelPrediction, PerformanceModel, resolve_model
 from .metrics.performance import PerformanceResult, analytic_performance
@@ -103,9 +104,9 @@ class Toolchain:
         #: (cache key, requested strategy, model cache token, sim spec) ->
         #: ModelPrediction.  The model's *cache token* (not just its name)
         #: is part of the key, so a calibrated model's fitted state never
-        #: serves stale predictions; so is the requested strategy, which the
-        #: model reads and which ``auto`` and its concrete strategy share a
-        #: cache key across.
+        #: serves stale predictions.  So is the requested strategy: the
+        #: model reads it, and ``auto`` shares its cache key with the
+        #: concrete strategy it resolves to.
         self._predictions: "OrderedDict[Tuple, ModelPrediction]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -153,9 +154,6 @@ class Toolchain:
         compile regardless (verdicts are cached alongside the artifact, so
         warm compiles re-verify nothing — see ``docs/verify.md``).
         """
-        from .frontend.cache import default_frontend_cache
-        from .frontend.lexer import source_hash
-
         if not isinstance(overlay, OverlaySpec):
             raise ConfigurationError(
                 "overlay must be an OverlaySpec (raw variant/depth kwargs "
@@ -170,6 +168,8 @@ class Toolchain:
             dfg = get_kernel(kernel) if isinstance(kernel, str) else kernel
             built, resolved, key = self._resolve(dfg, overlay)
         else:
+            from .frontend.lexer import source_hash
+
             skey = ("source", source_hash(source), name, overlay)
             entry = self._recall(self._resolved, skey)
             if entry is None:
@@ -347,15 +347,14 @@ class Toolchain:
 
         Runs the named :class:`~repro.metrics.models.PerformanceModel`
         (registry name or instance) over the compiled schedule and memoises
-        the prediction on ``(artifact key, strategy, model cache token,
-        sim)`` — so
-        two models never collide, and a calibrated model re-fitted from new
-        measurements never serves its pre-fit predictions.  This is the
-        microseconds-per-config triage path :meth:`tune` ranks candidates
-        with; ``sim`` only supplies the stream length the cycle estimate is
-        for.  The requested strategy is part of the memo key too: a model
-        may answer differently for ``auto`` and the concrete strategy it
-        resolves to, though both share one compiled artifact.
+        the prediction on ``(artifact key, requested strategy, model cache
+        token, sim)`` — so two models never collide, ``auto`` and the
+        concrete strategy it resolves to (one artifact) each get the answer
+        the model gives for their own name, and a calibrated model re-fitted
+        from new measurements never serves its pre-fit predictions.  This is
+        the microseconds-per-config triage path :meth:`tune` ranks
+        candidates with; ``sim`` only supplies the stream length the cycle
+        estimate is for.
         """
         if not isinstance(handle, CompiledHandle):
             handle = self.compile(

@@ -250,7 +250,7 @@ class _InflightCompile:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.result: "Optional[CompiledKernel | _CodegenFailure]" = None
+        self.result: "Optional[Union[CompiledKernel, _CodegenFailure]]" = None
         self.error: Optional[BaseException] = None
 
 

@@ -22,6 +22,7 @@ so this file pins the guarantees that make that safe:
 
 import collections
 import pickle
+import sys
 import threading
 
 import pytest
@@ -231,10 +232,16 @@ class TestCoalescingAtTheCacheLayer:
             )
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(K)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose races
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert runs == {"schedule_kernel": 1, "generate_program": 1}
         assert all(handle.schedule_only for handle in handles)
         assert len({id(handle.schedule) for handle in handles}) == 1
