@@ -358,13 +358,7 @@ class TestOneResolutionPerRequest:
             monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
         return counts
 
-    @staticmethod
-    def _fat_kernel():
-        from repro.kernels.generators import dfg_from_level_profile
-
-        return dfg_from_level_profile(
-            [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
-        )
+    _overflowing_kernel = TestScheduleOnlyHandles._overflowing_kernel
 
     def test_source_compiles(self, calls):
         from repro.kernels.library import GRADIENT_C_SOURCE
@@ -381,14 +375,15 @@ class TestOneResolutionPerRequest:
 
     def test_schedule_only_compiles(self, calls):
         tc = Toolchain(cache=ScheduleCache())
-        cold = tc.compile(self._fat_kernel(), OverlaySpec("v3"), allow_schedule_only=True)
+        spec = OverlaySpec("v3")
+        cold = tc.compile(self._overflowing_kernel(), spec, allow_schedule_only=True)
         assert (calls["schedule"], calls["codegen"]) == (1, 1)
         calls.clear()
-        warm = tc.compile(self._fat_kernel(), OverlaySpec("v3"), allow_schedule_only=True)
+        warm = tc.compile(self._overflowing_kernel(), spec, allow_schedule_only=True)
         assert (calls["schedule"], calls["codegen"]) == (0, 0)
         assert warm.schedule is cold.schedule and warm.schedule_only
         # Without the fallback the recorded error re-raises, still stage-free.
         with pytest.raises(CodegenError, match="rotating register entries"):
-            tc.compile(self._fat_kernel(), OverlaySpec("v3"))
+            tc.compile(self._overflowing_kernel(), spec)
         assert (calls["schedule"], calls["codegen"]) == (0, 0)
         assert tc.cache.stats.misses == 1
