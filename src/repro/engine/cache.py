@@ -164,14 +164,15 @@ class CompiledKernel:
 class CacheStats:
     """Hit/miss accounting of one :class:`ScheduleCache`.
 
-    Every lookup counts exactly once.  ``misses`` counts pipeline runs whose
-    result the cache now holds: an artifact, or the failure record of a
-    compile whose codegen failed.  ``hits`` counts entries served to a
-    caller that passed a DFG, ``source_hits`` entries served to
-    :meth:`ScheduleCache.get_or_compile_source` without lowering the source.
-    ``schedule_hits`` counts lookups answered by a failure record: a compile
-    that re-raises the recorded error, or a :meth:`ScheduleCache.get_schedule`
-    that returns the recorded schedule.
+    A lookup counts in one field at most.  ``misses`` counts pipeline runs
+    whose result the cache now holds: an artifact, or the failure record of
+    a compile whose codegen failed (a run that fails earlier, such as an
+    infeasible schedule, holds nothing and counts nothing).  ``hits``
+    counts entries served to a caller that passed a DFG, ``source_hits``
+    entries served to :meth:`ScheduleCache.get_or_compile_source` without
+    lowering the source.  ``schedule_hits`` counts lookups answered by a
+    failure record: a compile that re-raises the recorded error, or a
+    :meth:`ScheduleCache.get_schedule` that returns the recorded schedule.
     """
 
     hits: int = 0
