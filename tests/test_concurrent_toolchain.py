@@ -198,7 +198,6 @@ class TestCoalescingAtTheCacheLayer:
         handle = Toolchain(cache=cache).compile(dfg, spec)
         assert handle.configuration is not None
 
-
     def test_schedule_only_compiles_run_each_stage_once(self, monkeypatch):
         """A codegen failure is compiled once however many threads ask: the
         waiters share the leader's failure record, later callers hit it."""

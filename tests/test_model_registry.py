@@ -171,7 +171,6 @@ class TestPredictionCaching:
         assert after.ii == pytest.approx(2 * before.ii)
         assert model.cache_token != "calibrated"
 
-
     @pytest.mark.parametrize("first", ["auto", "clustered"])
     def test_requested_strategy_is_part_of_the_cache_key(self, first):
         """``auto`` and the strategy it resolves to share one artifact, but
