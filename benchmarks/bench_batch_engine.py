@@ -16,6 +16,13 @@ wall-clock timings.
 The two engines must also produce bit-identical results — the gate is only
 meaningful if batching changes nothing observable.  (Requires numpy, the
 ``[batch]`` extra; the harness skips without it.)
+
+The speedup gate leaves plan building out of its timing, so a second test
+tracks what a plan costs: it builds a fresh ``BatchPlan`` for every point of
+the end-to-end benchmark's sim-stream set-up grid (library x V1-V5 x FIFO
+depth {2, 32}), records the generated line total (deterministic) as
+``batch_plan_lines`` and the median build time per plan as
+``batch_plan_build_ms``, and gates the line total.
 """
 
 import dataclasses
@@ -27,13 +34,15 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.engine.batchsim import BatchSimulator, plan_for
-from repro.engine.cache import default_cache
+from repro.api import Toolchain
+from repro.engine.batchsim import BatchPlan, BatchSimulator, generate_loop_source, plan_for
+from repro.engine.cache import ScheduleCache, default_cache
 from repro.engine.fastsim import FastSimulator
-from repro.kernels import get_kernel
+from repro.kernels import get_kernel, kernel_names
 from repro.kernels.reference import random_input_blocks
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import get_variant
+from repro.specs import OverlaySpec
 
 #: kernel x variant points of the multi-lane sweep: deep kernels where the
 #: write-back overlays keep inter-stage FIFOs busy for thousands of cycles.
@@ -53,6 +62,14 @@ NUM_BLOCKS = 6000
 #: below the lowest median.
 MIN_SPEEDUP = 2.2
 ROUNDS = 5
+
+#: Plan-cost grid: the sim-stream set-up (every library kernel on V1-V5 at
+#: FIFO depth 2 and 32, default strategy).
+PLAN_VARIANTS = ("v1", "v2", "v3", "v4", "v5")
+PLAN_FIFO_DEPTHS = (2, 32)
+#: Gate on the generated line total over that grid: 150,710 lines when one
+#: state sync each way was introduced (181,148 before), plus 2%.
+MAX_PLAN_LINES = 153_724
 
 COMPARED_FIELDS = (
     "outputs",
@@ -131,4 +148,38 @@ def test_batch_engine_speedup_gate(save_result, record_metric):
         f"batched engine only {speedup:.2f}x faster than the fast engine "
         f"(median of {ROUNDS} rounds, gate {MIN_SPEEDUP}x) on the long-stream "
         "multi-lane sweep"
+    )
+
+
+def test_batch_plan_build_cost(save_result, record_metric):
+    toolchain = Toolchain(cache=ScheduleCache(capacity=256))
+    schedules = [
+        toolchain.compile(name, OverlaySpec(variant=variant, fifo_depth=fifo_depth)).schedule
+        for name in kernel_names()
+        for variant in PLAN_VARIANTS
+        for fifo_depth in PLAN_FIFO_DEPTHS
+    ]
+    lines = sum(generate_loop_source(schedule).count("\n") for schedule in schedules)
+    build_ms = []
+    for schedule in schedules:
+        gc.collect()
+        started = time.perf_counter()
+        BatchPlan(schedule)  # a fresh plan: the plan_for memo is bypassed
+        build_ms.append((time.perf_counter() - started) * 1e3)
+    median_ms = statistics.median(build_ms)
+    save_result(
+        "batch_plan_cost",
+        "\n".join([
+            f"batched-engine plans: {len(schedules)} sim-stream set-up schedules "
+            f"(library x {'/'.join(PLAN_VARIANTS)} x FIFO {PLAN_FIFO_DEPTHS})",
+            f"  generated lines : {lines} (gate: <= {MAX_PLAN_LINES})",
+            f"  build per plan  : median {median_ms:.1f} ms, "
+            f"total {sum(build_ms) / 1e3:.2f} s",
+        ]),
+    )
+    record_metric("batch_plan_lines", lines)
+    record_metric("batch_plan_build_ms", median_ms)
+    assert lines <= MAX_PLAN_LINES, (
+        f"generated batched loops grew to {lines} lines over {len(schedules)} "
+        f"schedules (gate {MAX_PLAN_LINES})"
     )

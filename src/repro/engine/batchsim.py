@@ -69,7 +69,7 @@ from ..sim.overlay import (
     merge_lane_results,
     split_lane_blocks,
 )
-from .fastsim import FastSimulator, _functional_outputs, stage_plan
+from .fastsim import FastSimulator, _FastRF, _functional_outputs, stage_plan
 
 
 def _import_numpy() -> Any:
@@ -182,6 +182,31 @@ class VectorBlockEvaluator:
 # ---------------------------------------------------------------------------
 # whole-loop codegen
 # ---------------------------------------------------------------------------
+def _nest_rf(reads_left: Dict[Tuple[int, int], int]) -> Dict[int, Dict[int, int]]:
+    """A register file's flat ``{(block, vid): reads}`` as the loop's nested
+    ``{block: {vid: reads}}`` layout (sync-in, shared by every plan)."""
+    nested: Dict[int, Dict[int, int]] = {}
+    for (block, vid), reads in reads_left.items():
+        inner = nested.get(block)
+        if inner is None:
+            inner = nested[block] = {}
+        inner[vid] = reads
+    return nested
+
+
+def _flatten_rf(rf: _FastRF, nested: Dict[int, Dict[int, int]]) -> None:
+    """Store the loop's nested register file back into ``rf``'s flat layout
+    (sync-out, shared by every plan).
+
+    Iteration order is irrelevant: every consumer of the flat dicts sorts
+    or keys them.
+    """
+    rf.reads_left = {
+        (block, vid): reads for block, inner in nested.items() for vid, reads in inner.items()
+    }
+    rf.block_counts = {block: len(inner) for block, inner in nested.items()}
+
+
 def generate_loop_source(schedule: OverlaySchedule) -> str:
     """Source of the specialized steady-state loop for one schedule.
 
@@ -205,12 +230,18 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
       index (O(log slots) int compares) with each slot body fully inlined.
 
     The ``_FastFU`` / ``_FastChannel`` objects are used purely as state
-    containers: locals are flushed to them (the nested RF re-flattened to
-    the fast engine's exact layout) before every ``detector.observe`` call
-    and reloaded after (the detector mutates and *rebinds* dicts/deques
-    during a skip), and flushed once more before returning so the caller
-    reads final stats and high-water marks off the objects exactly as the
-    fast engine does.
+    containers.  The tick loop sits inside an outer ``while True:`` whose
+    body is one sync each way: reload the locals from the objects (the RF
+    re-nested by :func:`_nest_rf`), tick until the stream is done or a
+    cycle completes a block while the detector is on, then flush the
+    locals back (the RF re-flattened to the fast engine's exact layout by
+    :func:`_flatten_rf`).  The body then returns if the stream is done, so
+    the caller reads final stats and high-water marks off the objects
+    exactly as the fast engine does; otherwise it calls
+    ``detector.observe`` and goes round again, reloading everything (the
+    detector mutates and *rebinds* dicts/deques during a skip).  The two
+    RF helpers are module functions shared by every plan, so a loop has
+    no nested code objects; the scalar stores stay inline.
     """
     depth = schedule.depth
     last = depth - 1
@@ -362,14 +393,7 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
             emit(indent, f"fu_{k}.nops_issued = s_ni_{k}; fu_{k}.exec_stall_cycles = s_es_{k}")
             emit(indent, f"fu_{k}.load_stall_cycles = s_ls_{k}")
             emit(indent, f"fu_{k}.backpressure_stall_cycles = s_bs_{k}")
-            # Re-flatten the nested RF into the fast engine's exact layout
-            # (iteration order is irrelevant: every consumer sorts or keys).
-            emit(
-                indent,
-                f"rf_{k}.reads_left = {{(_b, _v): _n for _b, _d in rl_{k}.items()"
-                " for _v, _n in _d.items()}",
-            )
-            emit(indent, f"rf_{k}.block_counts = {{_b: len(_d) for _b, _d in rl_{k}.items()}}")
+            emit(indent, f"_flatten_rf(rf_{k}, rl_{k})")
             emit(indent, f"rf_{k}.high_water = hw_{k}; rf_{k}.per_block_high_water = pbhw_{k}")
         for j in range(depth - 1):
             emit(indent, f"ch_{j}.high_water = chw_{j}; ch_{j}.win_min_empty = wme_{j}")
@@ -392,12 +416,7 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
             emit(indent, f"s_bs_{k} = fu_{k}.backpressure_stall_cycles")
             emit(indent, f"lc_{k} = fu_{k}.load_complete")
             emit(indent, f"po_{k} = fu_{k}.pending_out; pw_{k} = fu_{k}.pending_wb")
-            emit(indent, f"rl_{k} = {{}}")
-            emit(indent, f"for _key, _n in rf_{k}.reads_left.items():")
-            emit(indent + 1, f"_rb = rl_{k}.get(_key[0])")
-            emit(indent + 1, "if _rb is None:")
-            emit(indent + 2, f"_rb = rl_{k}[_key[0]] = {{}}")
-            emit(indent + 1, "_rb[_key[1]] = _n")
+            emit(indent, f"rl_{k} = _nest_rf(rf_{k}.reads_left)")
             emit(indent, f"live_{k} = len(rf_{k}.reads_left)")
             emit(indent, f"hw_{k} = rf_{k}.high_water; pbhw_{k} = rf_{k}.per_block_high_water")
             if load_order and slots:
@@ -420,51 +439,52 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
             emit(1, f"RC_{k} = {tuple(read_counts.get(v, 0) for v in load_order)!r}")
     for j in range(depth - 1):
         emit(1, f"ch_{j} = channels[{j}]")
-    emit_sync_in(1)
     emit(1, "cycle = 0")
     emit(1, "completed = 0")
-    emit(1, "while completed < num_blocks:")
-    emit(2, "if cycle > max_cycles:")
+    emit(1, "while True:")
+    emit_sync_in(2)
+    emit(2, "while completed < num_blocks:")
+    emit(3, "if cycle > max_cycles:")
     deadlock_prefix = (
         f"simulation of {schedule.kernel_name!r} on {schedule.overlay.name} exceeded "
     )
-    emit(3, f"raise SimulationError({deadlock_prefix!r}")
-    emit(3, '                      + "%d cycles; likely a schedule/codegen deadlock"')
-    emit(3, "                      % max_cycles)")
-    emit(2, "_completions = 0")
+    emit(4, f"raise SimulationError({deadlock_prefix!r}")
+    emit(4, '                      + "%d cycles; likely a schedule/codegen deadlock"')
+    emit(4, "                      % max_cycles)")
+    emit(3, "_completions = 0")
 
     # --- delivery phase: drain every FU's matured pending_out tokens -----
     for k in range(depth):
         _load_order, slots, _const_ids, _read_counts = stage_meta[k]
         if not any(em and vid is not None for _n, _o, em, vid, _wb in slots):
             continue  # this stage never emits; its pending_out stays empty
-        emit(2, f"while po_{k} and po_{k}[0][0] <= cycle:")
-        emit(3, f"_tok = po_{k}.popleft()")
+        emit(3, f"while po_{k} and po_{k}[0][0] <= cycle:")
+        emit(4, f"_tok = po_{k}.popleft()")
         if k < last:
             if capacity > 0:
                 overflow = (
                     f"FIFO 'ch{k + 1}' overflow (capacity {capacity}); "
                     "the producer should have been back-pressured"
                 )
-                emit(3, f"if len(q_{k}) >= {capacity}:")
-                emit(4, f"raise SimulationError({overflow!r})")
-            emit(3, f"q_{k}.append((_tok[1], _tok[2]))")
-            emit(3, f"_occ = len(q_{k})")
-            emit(3, f"if _occ > chw_{k}:")
-            emit(4, f"chw_{k} = _occ")
-            emit(3, f"if _occ > wpm_{k}:")
-            emit(4, f"wpm_{k} = _occ")
+                emit(4, f"if len(q_{k}) >= {capacity}:")
+                emit(5, f"raise SimulationError({overflow!r})")
+            emit(4, f"q_{k}.append((_tok[1], _tok[2]))")
+            emit(4, f"_occ = len(q_{k})")
+            emit(4, f"if _occ > chw_{k}:")
+            emit(5, f"chw_{k} = _occ")
+            emit(4, f"if _occ > wpm_{k}:")
+            emit(5, f"wpm_{k} = _occ")
         else:
-            emit(3, "_blk = _tok[1]")
-            emit(3, "_bucket = received.get(_blk)")
-            emit(3, "if _bucket is None:")
-            emit(4, "_bucket = received[_blk] = set()")
-            emit(3, "_bucket.add(_tok[2])")
-            emit(3, f"if len(_bucket) >= {expected} and completion[_blk] is None:")
-            emit(4, "completion[_blk] = cycle")
-            emit(4, "completed += 1")
-            emit(4, "_completions += 1")
-            emit(4, "del received[_blk]")
+            emit(4, "_blk = _tok[1]")
+            emit(4, "_bucket = received.get(_blk)")
+            emit(4, "if _bucket is None:")
+            emit(5, "_bucket = received[_blk] = set()")
+            emit(4, "_bucket.add(_tok[2])")
+            emit(4, f"if len(_bucket) >= {expected} and completion[_blk] is None:")
+            emit(5, "completion[_blk] = cycle")
+            emit(5, "completed += 1")
+            emit(5, "_completions += 1")
+            emit(5, "del received[_blk]")
 
     # --- tick phase: every FU in stage order -----------------------------
     for k in range(depth):
@@ -474,15 +494,15 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
         wb_any = any(wb and vid is not None for _n, _o, _e, vid, wb in slots)
 
         if wb_any:
-            emit(2, f"while pw_{k} and pw_{k}[0][0] <= cycle:")
-            emit(3, f"_tok = pw_{k}.popleft()")
-            emit(3, "_vid = _tok[2]")
-            emit(3, f"_n = rc_{k}.get(_vid, 0)")
-            emit_rf_write(3, k, "_tok[1]", "_vid", "_n")
+            emit(3, f"while pw_{k} and pw_{k}[0][0] <= cycle:")
+            emit(4, f"_tok = pw_{k}.popleft()")
+            emit(4, "_vid = _tok[2]")
+            emit(4, f"_n = rc_{k}.get(_vid, 0)")
+            emit_rf_write(4, k, "_tok[1]", "_vid", "_n")
 
         exec_gate = has_slots and has_loads and not overlap
         if exec_gate:
-            emit(2, "_lup = False")
+            emit(3, "_lup = False")
 
         if has_loads:
             condition = [f"lb_{k} < num_blocks", f"cycle >= nl_{k}"]
@@ -490,7 +510,7 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
                 condition.append(f"cycle >= bb_{k}")
             if has_slots:
                 condition.append(f"lb_{k} <= eb_{k} + {lookahead}")
-            emit(2, "if " + " and ".join(condition) + ":")
+            emit(3, "if " + " and ".join(condition) + ":")
             if len(load_order) > 1:
                 vid_expr = f"LO_{k}[li_{k}]"
                 reads_expr: Any = f"RC_{k}[li_{k}]"
@@ -498,16 +518,16 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
                 vid_expr = str(load_order[0])
                 reads_expr = read_counts.get(load_order[0], 0)
             if k == 0:
-                body = 3  # virtual DMA source: the next token always matches
+                body = 4  # virtual DMA source: the next token always matches
             else:
                 j = k - 1
-                emit(3, f"_occ = len(q_{j})")
-                emit(3, f"if wme_{j} is None or _occ < wme_{j}:")
-                emit(4, f"wme_{j} = _occ")
-                emit(3, "if _occ == 0:")
-                emit(4, f"s_ls_{k} += 1")
-                emit(3, "else:")
-                body = 4
+                emit(4, f"_occ = len(q_{j})")
+                emit(4, f"if wme_{j} is None or _occ < wme_{j}:")
+                emit(5, f"wme_{j} = _occ")
+                emit(4, "if _occ == 0:")
+                emit(5, f"s_ls_{k} += 1")
+                emit(4, "else:")
+                body = 5
                 emit(body, f"_tok = q_{j}[0]")
                 emit(body, f"if _tok[0] != lb_{k} or _tok[1] != {vid_expr}:")
                 mismatch = (
@@ -545,49 +565,54 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
             if exec_gate:
                 condition.append("not _lup")
             condition += [f"eb_{k} < num_blocks", f"cycle >= ne_{k}"]
-            emit(2, "if " + " and ".join(condition) + ":")
+            emit(3, "if " + " and ".join(condition) + ":")
             if has_loads:
-                emit(3, f"if lb_{k} <= eb_{k} or cycle <= lcv_{k}:")
-                emit(4, f"s_es_{k} += 1")
-                emit(3, "else:")
-                dispatch = 4
+                emit(4, f"if lb_{k} <= eb_{k} or cycle <= lcv_{k}:")
+                emit(5, f"s_es_{k} += 1")
+                emit(4, "else:")
+                dispatch = 5
             else:
-                dispatch = 3
+                dispatch = 4
             emit_dispatch(dispatch, k, 0, len(slots))
 
-    emit(2, "cycle += 1")
-    emit(2, "if _completions and detector is not None and completed < num_blocks:")
-    emit_sync_out(3)
-    emit(3, "_skip = detector.observe(cycle, completed, received, completion)")
-    emit(3, "if _skip is not None:")
-    emit(4, "cycle = _skip[0]")
-    emit(4, "completed = _skip[1]")
-    emit_sync_in(3)
-    emit_sync_out(1)
-    emit(1, "return cycle, completed")
+    emit(3, "cycle += 1")
+    emit(3, "if _completions and detector is not None and completed < num_blocks:")
+    emit(4, "break")
+    emit_sync_out(2)
+    emit(2, "if completed >= num_blocks:")
+    emit(3, "return cycle, completed")
+    emit(2, "_skip = detector.observe(cycle, completed, received, completion)")
+    emit(2, "if _skip is not None:")
+    emit(3, "cycle = _skip[0]")
+    emit(3, "completed = _skip[1]")
     return "\n".join(lines) + "\n"
 
 
 class BatchPlan:
     """Compiled per-schedule artifacts of the batched engine.
 
-    Holds the exec-compiled steady-state loop (see
-    :func:`generate_loop_source`) and the vectorized value-plane evaluator.
-    Plans contain generated functions, so they live only in the
-    :func:`plan_for` memo, never in a pickled cache entry.
+    Holds the exec-compiled steady-state loop and the vectorized value-plane
+    evaluator.  The loop's source is compiled and dropped; to inspect it,
+    call :func:`generate_loop_source`, which is deterministic.  Plans
+    contain generated functions, so they live only in the :func:`plan_for`
+    memo, never in a pickled cache entry.
     """
 
-    __slots__ = ("loop_source", "loop", "vector_evaluator")
+    __slots__ = ("loop", "vector_evaluator")
 
     def __init__(self, schedule: OverlaySchedule):
-        self.loop_source = generate_loop_source(schedule)
         # _EMPTY is a shared read-only fallback for absent RF blocks; the
         # generated code only consumes operands after membership passed, so
         # it is never mutated.
-        namespace: Dict[str, Any] = {"SimulationError": SimulationError, "_EMPTY": {}}
+        namespace: Dict[str, Any] = {
+            "SimulationError": SimulationError,
+            "_EMPTY": {},
+            "_nest_rf": _nest_rf,
+            "_flatten_rf": _flatten_rf,
+        }
         exec(  # noqa: S102 - generated from the schedule, no external input
             compile(
-                self.loop_source,
+                generate_loop_source(schedule),
                 f"<batchloop:{schedule.kernel_name}/{schedule.overlay.name}>",
                 "exec",
             ),

@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..dfg.opcodes import _to_signed32
 from ..errors import EncodingError
 from ..overlay.isa import decode_instruction
 from ..schedule.types import OverlaySchedule
@@ -134,6 +135,9 @@ def build_configuration_image(
         constants: List[Tuple[int, int]] = []
         for const_id, register in fu_program.allocation.constant_registers.items():
             node = schedule.dfg.node(const_id)
-            constants.append((register, int(node.value)))
+            # A constant register is 32 bits wide: a literal in [2**31, 2**32)
+            # (mini-C keeps e.g. 0x80000000 unsigned) is stored as the signed
+            # value with the same bits.
+            constants.append((register, _to_signed32(int(node.value))))
         image.fu_constants.append(constants)
     return image

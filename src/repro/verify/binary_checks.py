@@ -210,7 +210,9 @@ def _check_image(ctx, encoded_sections, decode: _Decoder) -> List[Diagnostic]:
         expected = []
         for const_id, register in fu_program.allocation.constant_registers.items():
             if const_id in ctx.dfg:
-                expected.append((register, int(ctx.dfg.node(const_id).value)))
+                # A constant register holds the literal's signed 32-bit word.
+                value = int(ctx.dfg.node(const_id).value)
+                expected.append((register, ((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000))
         if sorted(image.fu_constants[index]) != sorted(expected):
             out.append(
                 _error(

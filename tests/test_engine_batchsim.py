@@ -28,11 +28,13 @@ Six layers of guarantees:
   identical measured results.
 """
 
+import copy
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import types
 from functools import lru_cache
 
 import pytest
@@ -92,9 +94,9 @@ def _fixed_schedule(name, variant_name, fifo_depth, depth=8):
 
 
 @lru_cache(maxsize=None)
-def _auto_schedule(name, variant_name):
+def _auto_schedule(name, variant_name, fifo_depth=32):
     dfg = get_kernel(name)
-    overlay = LinearOverlay.for_kernel(VARIANTS[variant_name], dfg)
+    overlay = LinearOverlay.for_kernel(VARIANTS[variant_name], dfg, fifo_depth=fifo_depth)
     return schedule_kernel(dfg, overlay)
 
 
@@ -144,23 +146,77 @@ class TestLibraryBitIdentity:
         assert_batched_identical(schedule, num_blocks=16, fast_forward=False)
 
     @pytest.mark.parametrize(
-        "name,variant_name,fifo_depth,num_blocks",
-        [("qspline", "v4", 8, 96), ("poly7", "v3", 32, 400)],
-        ids=["steady", "ramp"],
+        "build,args,num_blocks",
+        [
+            pytest.param(_fixed_schedule, ("qspline", "v4", 8), 96, id="steady"),
+            pytest.param(_fixed_schedule, ("poly7", "v3", 32), 400, id="ramp"),
+        ]
+        + [
+            pytest.param(
+                _auto_schedule, (name, variant_name, fifo_depth), 200,
+                id=f"{name}-{variant_name}-fifo{fifo_depth}",
+            )
+            for name in BENCHMARK_NAMES
+            for variant_name in ("v1", "v2", "v3", "v4", "v5")
+            for fifo_depth in (2, 32)
+        ],
     )
-    def test_fast_forward_skips_like_the_fast_engine(
-        self, name, variant_name, fifo_depth, num_blocks
-    ):
-        """Both engines share one detector: same skips, same results."""
+    def test_fast_forward_skips_like_the_fast_engine(self, build, args, num_blocks):
+        """Both engines share one detector: same skips, same results.
+
+        Two deep fixed-depth streams (one steady skip, one ramp), then every
+        library kernel on its critical-path overlay.  Batched times each
+        distinct lane length once, so on dual-lane V2 with an even block
+        count the fast engine logs batched's events once per lane.
+        """
         from repro.engine.batchsim import BatchSimulator
 
-        schedule = _fixed_schedule(name, variant_name, fifo_depth)
+        schedule = build(*args)
         blocks = random_input_blocks(schedule.dfg, num_blocks, seed=3)
         fast = FastSimulator(schedule)
         batched = BatchSimulator(schedule)
         assert _result_fields(batched.run(blocks)) == _result_fields(fast.run(blocks))
         assert batched.fast_forward_events, "batched engine never fast-forwarded"
-        assert batched.fast_forward_events == fast.fast_forward_events
+        lanes = schedule.overlay.variant.lanes
+        assert fast.fast_forward_events == batched.fast_forward_events * lanes
+
+    @pytest.mark.parametrize(
+        "name,variant_name,fifo_depth", [("qspline", "v4", 8), ("poly7", "v3", 32)]
+    )
+    def test_detector_sees_the_fast_engines_state(
+        self, name, variant_name, fifo_depth, monkeypatch
+    ):
+        """At every observation the FU, register-file and channel containers
+        hold exactly the fast engine's state: the loop's one sync-out stores
+        everything back, the register files in the flat layout."""
+        from repro.engine import fastsim
+        from repro.engine.batchsim import BatchSimulator
+
+        def state(obj, skip=()):
+            return {slot: copy.deepcopy(getattr(obj, slot))
+                    for slot in type(obj).__slots__ if slot not in skip}
+
+        observe = fastsim._OccupancyDetector.observe
+
+        def recording_observe(detector, *args):
+            seen.append((
+                args[:2],
+                [state(fu, ("rf", "in_channel", "out_channel")) for fu in detector.fus],
+                [state(fu.rf) for fu in detector.fus],
+                [state(channel) for channel in detector.channels],
+            ))
+            return observe(detector, *args)
+
+        monkeypatch.setattr(fastsim._OccupancyDetector, "observe", recording_observe)
+        schedule = _fixed_schedule(name, variant_name, fifo_depth)
+        blocks = random_input_blocks(schedule.dfg, 60, seed=3)
+        views = []
+        for engine in (FastSimulator, BatchSimulator):
+            seen = []
+            engine(schedule).run(blocks)
+            views.append(seen)
+        assert views[0], "the detector never observed"
+        assert views[1] == views[0]
 
     def test_long_stream_deep_backpressure(self):
         schedule = _fixed_schedule("poly7", "v4", 8)
@@ -253,11 +309,38 @@ class TestPlanArtifacts:
         assert plan_for(a) is not plan_for(b)
 
     def test_plan_holds_compiled_loop_and_source(self):
-        from repro.engine.batchsim import plan_for
+        """The plan keeps the compiled loop; its source is regenerated on
+        demand (deterministically), never stored."""
+        from repro.engine.batchsim import generate_loop_source, plan_for
 
-        plan = plan_for(_fixed_schedule("gradient", "v3", 8))
+        schedule = _fixed_schedule("gradient", "v3", 8)
+        plan = plan_for(schedule)
         assert callable(plan.loop)
-        assert "def _batch_loop" in plan.loop_source
+        assert not hasattr(plan, "loop_source")
+        source = generate_loop_source(schedule)
+        assert "def _batch_loop" in source
+        assert generate_loop_source(schedule) == source
+
+    @pytest.mark.parametrize(
+        "name,variant_name", [("gradient", "v1"), ("poly7", "v3"), ("qspline", "v2")]
+    )
+    def test_loop_syncs_state_once_each_way(self, name, variant_name):
+        """One observe call, one sync-in and one sync-out per loop, and the
+        register-file re-nest/re-flatten are shared helpers, so the loop
+        compiles to a single code object."""
+        from repro.engine.batchsim import generate_loop_source
+
+        schedule = _auto_schedule(name, variant_name)
+        source = generate_loop_source(schedule)
+        assert source.count("detector.observe(") == 1
+        for k in range(schedule.depth):
+            assert source.count(f"lb_{k} = fu_{k}.load_block") == 1  # sync-in
+            assert source.count(f"fu_{k}.load_block = lb_{k}") == 1  # sync-out
+            assert source.count(f"rl_{k} = _nest_rf(rf_{k}.reads_left)") == 1
+            assert source.count(f"_flatten_rf(rf_{k}, rl_{k})") == 1
+        module = compile(source, "<loop>", "exec")
+        (loop,) = [c for c in module.co_consts if isinstance(c, types.CodeType)]
+        assert not [c for c in loop.co_consts if isinstance(c, types.CodeType)]
 
     def test_cache_attaches_one_plan_per_entry(self):
         tc = Toolchain(cache=ScheduleCache())

@@ -13,6 +13,7 @@ from repro.program.binary import ConfigurationImage, build_configuration_image
 from repro.program.codegen import generate_program
 from repro.schedule import schedule_kernel
 from repro.schedule.types import SlotKind
+from repro.sim.overlay import simulate_schedule
 from repro.specs import OverlaySpec, SimSpec
 
 
@@ -150,3 +151,36 @@ class TestConfigurationImage:
         schedule = schedule_kernel(poly6, LinearOverlay.fixed(V3, 8))
         image = build_configuration_image(schedule)
         assert image.size_bytes < 2048
+
+
+#: mini-C keeps a literal in [2**31, 2**32) unsigned in the DFG.
+WIDE_CONSTANT_SOURCE = "void f(int a, int *o) { *o = a + 0x80000000; }"
+
+
+class TestWideConstants:
+    """A constant register holds the literal's signed 32-bit word."""
+
+    def test_check_gives_no_diagnostics(self):
+        toolchain = Toolchain(cache=ScheduleCache())
+        handle = toolchain.compile(
+            source=WIDE_CONSTANT_SOURCE, overlay=OverlaySpec("v1"), check=True
+        )
+        assert toolchain.verify(handle).diagnostics == ()
+
+    def test_image_stores_the_signed_word_and_round_trips(self):
+        handle = Toolchain(cache=ScheduleCache()).compile(
+            source=WIDE_CONSTANT_SOURCE, overlay=OverlaySpec("v1")
+        )
+        assert [node.value for node in handle.dfg.constants()] == [2 ** 31]
+        image = handle.configuration
+        assert [value for section in image.fu_constants for _, value in section] == [-(2 ** 31)]
+        restored = ConfigurationImage.from_bytes(image.to_bytes())
+        assert restored.fu_instruction_words == image.fu_instruction_words
+        assert restored.fu_constants == image.fu_constants
+
+    def test_cycle_run_wraps_the_sum(self):
+        toolchain = Toolchain(cache=ScheduleCache())
+        handle = toolchain.compile(source=WIDE_CONSTANT_SOURCE, overlay=OverlaySpec("v1"))
+        result = simulate_schedule(handle.schedule, input_blocks=[[5], [-1]], engine="cycle")
+        assert result.outputs == [[-2147483643], [2147483647]]
+        assert result.matches_reference

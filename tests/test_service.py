@@ -188,6 +188,13 @@ class TestServiceOperations:
         assert row["kernel"] == "grad"
         assert row["configuration"] is not None
 
+    def test_compile_of_a_literal_past_int32_max_answers_ok(self, client):
+        # mini-C keeps 0x80000000 unsigned; the image stores its signed word.
+        row = client.compile(
+            source="void f(int a, int *o) { *o = a + 0x80000000; }", overlay=OverlaySpec("v1")
+        )
+        assert row["configuration"] is not None
+
     def test_compile_rejects_a_leading_zero_literal_as_e_params(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.compile(source="int f(int a) { return a + 007; }", overlay=OverlaySpec())

@@ -36,7 +36,7 @@ from repro.schedule.ii import analytic_ii
 from repro.schedule.registry import scheduler_names
 from repro.specs import OverlaySpec
 
-PIN_SHA256 = "188ceee7d0801269a4e6a15407684dec0f35bcb43150ea2d11e4e25f9fb696be"
+PIN_SHA256 = "21153e5bba2c1251d8a159b3292a06ac5ac7c7656612725c5897e40bc10ce0c1"
 
 VARIANTS = ("baseline", "v1", "v2", "v3", "v4", "v5")
 STRATEGIES = ("auto", "linear", "clustered", "modulo", "alap")
