@@ -41,23 +41,33 @@ def asap_levels(dfg: DFG) -> Dict[int, int]:
 
     Inputs and constants are at level 0; an operation is one level after its
     latest-arriving operand; an output node carries the level of the value it
-    observes.  The returned dict maps node id to level.
+    observes.  The returned dict maps node id to level; it is the caller's
+    own copy of the levels the graph shares with its copies.
     """
-    levels: Dict[int, int] = {}
-    for node_id in dfg.topological_order():
-        node = dfg.node(node_id)
-        if node.is_input or node.is_const:
-            levels[node_id] = 0
-        elif node.is_output:
-            levels[node_id] = levels[node.operands[0]]
-        else:
-            levels[node_id] = 1 + max(levels[o] for o in node.operands)
+    return dict(_shared_asap_levels(dfg))
+
+
+def _shared_asap_levels(dfg: DFG) -> Dict[int, int]:
+    """The ASAP levels memoised in :meth:`DFG.derived` (read-only)."""
+    derived = dfg.derived()
+    levels = derived.asap_levels
+    if levels is None:
+        levels = {}
+        for node_id in dfg.topological_order():
+            node = dfg.node(node_id)
+            if node.is_input or node.is_const:
+                levels[node_id] = 0
+            elif node.is_output:
+                levels[node_id] = levels[node.operands[0]]
+            else:
+                levels[node_id] = 1 + max(levels[o] for o in node.operands)
+        derived.asap_levels = levels
     return levels
 
 
 def dfg_depth(dfg: DFG) -> int:
     """The paper's DFG *depth*: the number of operation levels (critical path)."""
-    levels = asap_levels(dfg)
+    levels = _shared_asap_levels(dfg)
     op_levels = [levels[n.node_id] for n in dfg.operations()]
     return max(op_levels) if op_levels else 0
 
@@ -107,7 +117,7 @@ def level_sets(dfg: DFG) -> List[List[int]]:
     1-based for operations); this is exactly the per-FU allocation used by the
     ASAP-mapped overlays.
     """
-    levels = asap_levels(dfg)
+    levels = _shared_asap_levels(dfg)
     depth = dfg_depth(dfg)
     groups: List[List[int]] = [[] for _ in range(depth)]
     for node in dfg.operations():
@@ -223,7 +233,7 @@ class StageTraffic:
 
 def asap_stage_assignment(dfg: DFG) -> Dict[int, int]:
     """Map each operation to its ASAP stage (level - 1), the V1/V2 mapping."""
-    levels = asap_levels(dfg)
+    levels = _shared_asap_levels(dfg)
     return {n.node_id: levels[n.node_id] - 1 for n in dfg.operations()}
 
 

@@ -22,6 +22,29 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
+class DerivedValues:
+    """Values a graph's nodes determine, shared by the graph and its copies.
+
+    :meth:`DFG.copy` hands its clone the same object and :meth:`DFG.add_node`
+    detaches its graph from it, so every graph holding one has the same
+    nodes.  Each field is computed on first use and never changes after;
+    concurrent readers may compute a field twice, and both store the same
+    value, so no lock is needed.
+    """
+
+    __slots__ = ("topological_order", "asap_levels", "fingerprint")
+
+    def __init__(self) -> None:
+        #: :meth:`DFG.topological_order`.
+        self.topological_order: Optional[List[int]] = None
+        #: Node id -> ASAP level (:func:`repro.dfg.analysis.asap_levels`).
+        self.asap_levels: Optional[Dict[int, int]] = None
+        #: ``(graph name, content hash)``: the hash covers the name, so
+        #: :func:`repro.dfg.serialize.dfg_fingerprint` reuses it only for
+        #: a graph of the same name.
+        self.fingerprint: Optional[Tuple[str, str]] = None
+
+
 class DFG:
     """A data-flow graph for a single compute kernel.
 
@@ -36,7 +59,7 @@ class DFG:
         self._nodes: Dict[int, DFGNode] = {}
         self._consumers: Dict[int, List[Tuple[int, int]]] = {}
         self._next_id = 1
-        self._topo_cache: Optional[List[int]] = None
+        self._derived: Optional[DerivedValues] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -69,7 +92,9 @@ class DFG:
             self._consumers[operand].append((node.node_id, position))
         if node.node_id >= self._next_id:
             self._next_id = node.node_id + 1
-        self._topo_cache = None
+        # The derived values of the old node set may be shared with copies:
+        # detach from them rather than clear them.
+        self._derived = None
         return node
 
     def new_node(
@@ -178,6 +203,16 @@ class DFG:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    def derived(self) -> DerivedValues:
+        """The memo of values derived from this graph's nodes (see
+        :class:`DerivedValues`); analyses read and fill it."""
+        # getattr: DFGs unpickled from an older disk cache lack the
+        # attribute entirely; they must keep working, not crash.
+        derived = getattr(self, "_derived", None)
+        if derived is None:
+            derived = self._derived = DerivedValues()
+        return derived
+
     def to_networkx(self) -> nx.DiGraph:
         """Return a ``networkx.DiGraph`` view of the DFG.
 
@@ -203,18 +238,17 @@ class DFG:
 
         Matches networkx's lexicographical topological sort but runs
         directly on the internal indices with a binary heap and memoises the
-        result until the next :meth:`add_node`.  This sits on the hot
-        compile path — every ASAP/ALAP levelization and depth query calls
-        it — so it must not materialise a ``DiGraph`` per call.
+        result in :meth:`derived`.  This sits on the hot compile path —
+        every ASAP/ALAP levelization and depth query calls it — so it must
+        not materialise a ``DiGraph`` per call.
 
         Raises
         ------
         DFGValidationError
             If the graph contains a cycle.
         """
-        # getattr: DFGs unpickled from a pre-overhaul disk cache lack the
-        # memo attribute entirely; they must keep working, not crash.
-        cached = getattr(self, "_topo_cache", None)
+        derived = self.derived()
+        cached = derived.topological_order
         if cached is not None:
             return list(cached)
         import heapq
@@ -234,14 +268,25 @@ class DFG:
                     heapq.heappush(ready, consumer)
         if len(order) != len(self._nodes):
             raise DFGValidationError(f"DFG {self.name!r} contains a cycle")
-        self._topo_cache = order
+        derived.topological_order = order
         return list(order)
 
     def copy(self, name: Optional[str] = None) -> "DFG":
-        """Deep-copy the graph (nodes are immutable so they are shared)."""
+        """Copy the graph; either side may then gain nodes independently.
+
+        Nodes are immutable, so the clone shares them, and it shares the
+        :meth:`derived` values too until either graph gains a node.  The
+        clone equals re-adding every node in id order to an empty graph:
+        each ``consumers()`` list in (consumer id, position) order and the
+        next id one past the largest.  The source is already valid, so no
+        node is validated again.
+        """
         clone = DFG(name=name or self.name)
-        for node in self.nodes():
-            clone.add_node(node)
+        ids = sorted(self._nodes)
+        clone._nodes = {node_id: self._nodes[node_id] for node_id in ids}
+        clone._consumers = {node_id: sorted(self._consumers[node_id]) for node_id in ids}
+        clone._next_id = ids[-1] + 1 if ids else 1
+        clone._derived = self.derived()
         return clone
 
     def subgraph(self, node_ids: Iterable[int], name: Optional[str] = None) -> "DFG":

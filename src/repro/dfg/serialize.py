@@ -55,9 +55,19 @@ def dfg_fingerprint(dfg: DFG) -> str:
     """Stable content hash of a DFG (independent of object identity).
 
     This is the DFG-level component of every compile-cache key; see
-    :mod:`repro.engine.cache` and ``docs/compiler.md``.
+    :mod:`repro.engine.cache` and ``docs/compiler.md``.  It is memoised in
+    :meth:`DFG.derived` under the graph's name, so the graph's copies hash
+    once between them, and a copy or rename under another name hashes
+    again.
     """
-    return hashlib.sha256(canonical_json(dfg).encode("utf-8")).hexdigest()
+    derived = dfg.derived()
+    name = dfg.name
+    cached = derived.fingerprint
+    if cached is not None and cached[0] == name:
+        return cached[1]
+    digest = hashlib.sha256(canonical_json(dfg).encode("utf-8")).hexdigest()
+    derived.fingerprint = (name, digest)
+    return digest
 
 
 def from_dict(data: Dict[str, Any], validate: bool = True) -> DFG:

@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..kernels.library import get_kernel
 from .cache import dfg_content_hash
@@ -207,16 +207,18 @@ class ResultStore:
             if name.endswith(".json")
         )
 
-    def results(self) -> List["object"]:
+    def results(self) -> Iterator["object"]:
         """Every readable stored row, in entry-path order (calibration feed).
 
+        A generator: the directory is listed when iteration starts, and each
+        entry file is read as the caller reaches it, so a caller that never
+        iterates (a closed-form model's ``fit``) reads nothing.
         Unreadable or version-mismatched entries are skipped silently (the
         caller is fitting a model, not resuming a grid — missing rows only
         shrink the fit).  Lookup stats are untouched.
         """
         from .sweep import SweepResult  # local: sweep imports this module
 
-        rows = []
         for path in self.entry_paths():
             try:
                 with open(path, "r", encoding="utf-8") as handle:
@@ -230,10 +232,10 @@ class ResultStore:
             ):
                 continue
             try:
-                rows.append(SweepResult(**entry["result"]))
+                row = SweepResult(**entry["result"])
             except TypeError:
                 continue
-        return rows
+            yield row
 
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""

@@ -47,7 +47,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..dfg.graph import DFG
 from ..errors import ConfigurationError
@@ -119,9 +119,13 @@ class PerformanceModel(abc.ABC):
     #: Registry key; subclasses must override.
     name: str = ""
 
-    def fit(self, results: Sequence) -> "PerformanceModel":
+    def fit(self, results: Iterable) -> "PerformanceModel":
         """Ingest measured sweep rows; a no-op for closed-form models.
 
+        ``results`` is an iterable that can be read once, such as the lazy
+        :meth:`repro.engine.store.ResultStore.results`: a model that learns
+        iterates it in a single pass, and a closed-form model leaves it
+        untouched, so a store is read only for models that use its rows.
         Returns ``self`` so fitting chains: ``get_model("calibrated").fit(rows)``.
         """
         return self
@@ -260,7 +264,7 @@ class CalibratedModel(AnalyticModel):
         self._ratios: Dict[Tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
-    def fit(self, results: Sequence) -> "CalibratedModel":
+    def fit(self, results: Iterable) -> "CalibratedModel":
         for row in results:
             if isinstance(row, dict):
                 get = row.get

@@ -135,9 +135,10 @@ def build_configuration_image(
         constants: List[Tuple[int, int]] = []
         for const_id, register in fu_program.allocation.constant_registers.items():
             node = schedule.dfg.node(const_id)
-            # A constant register is 32 bits wide: a literal in [2**31, 2**32)
-            # (mini-C keeps e.g. 0x80000000 unsigned) is stored as the signed
-            # value with the same bits.
+            # A constant register is 32 bits wide: a constant outside int32
+            # (a DFG loaded from JSON or traced may hold one; mini-C wraps
+            # its literals already) is stored as the signed value with the
+            # same low bits.
             constants.append((register, _to_signed32(int(node.value))))
         image.fu_constants.append(constants)
     return image

@@ -147,6 +147,7 @@ def tune(
     if store is not None:
         # Accumulated measurements calibrate fitting models; the cache
         # token folds the fitted state in, so predictions never go stale.
+        # The rows are read lazily, so a closed-form model reads none.
         model.fit(store.results())
 
     # --- triage: predict every candidate, collect scheduling failures ----

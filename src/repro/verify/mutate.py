@@ -103,6 +103,18 @@ def _clone(obj, **overrides):
     return new
 
 
+def _editable_dfg(dfg):
+    """A copy of ``dfg`` whose node table a mutation may edit in place.
+
+    :meth:`~repro.dfg.graph.DFG.copy` shares the source's derived values
+    (topological order, levels, fingerprint); an edit that bypasses
+    ``add_node`` must not read them, so the copy gets its own.
+    """
+    bad = dfg.copy()
+    bad._derived = None
+    return bad
+
+
 def _with_stage(ctx: VerifyContext, index: int, stage) -> VerifyContext:
     stages = list(ctx.schedule.stages)
     stages[index] = stage
@@ -153,7 +165,7 @@ def _dfg_dangling(ctx: VerifyContext) -> Optional[VerifyContext]:
     )
     if victim is None:
         return None
-    bad = dfg.copy()
+    bad = _editable_dfg(dfg)
     bad._nodes.pop(victim)
     return _clone(
         ctx,
@@ -182,7 +194,7 @@ def _dfg_cycle(ctx: VerifyContext) -> Optional[VerifyContext]:
     if edge is None:
         return None
     producer, consumer = edge
-    bad = dfg.copy()
+    bad = _editable_dfg(dfg)
     node = bad.node(producer)
     operands = (consumer,) + tuple(node.operands[1:])
     bad._nodes[producer] = node.with_operands(operands)

@@ -1,16 +1,24 @@
 """Unit tests for repro.dfg.graph and repro.dfg.node."""
 
+import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from repro.dfg import serialize
+from repro.dfg.analysis import asap_levels, asap_stage_assignment, dfg_depth, level_sets
 from repro.dfg.graph import DFG
 from repro.dfg.node import DFGEdge, DFGNode, default_name
 from repro.dfg.opcodes import OpCode
+from repro.dfg.serialize import canonical_json, dfg_fingerprint
 from repro.errors import DFGValidationError, UnknownNodeError
+from repro.frontend import cache as frontend_cache
+from repro.kernels import library
+from repro.kernels.generators import random_dfg
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -138,9 +146,9 @@ class TestTopologicalOrder:
         assert len(after) == len(before) + 1
 
     def test_survives_pre_memo_pickles(self, gradient):
-        """DFGs unpickled from an old REPRO_CACHE_DIR lack _topo_cache."""
+        """DFGs unpickled from an old REPRO_CACHE_DIR lack _derived."""
         expected = gradient.topological_order()
-        del gradient.__dict__["_topo_cache"]
+        del gradient.__dict__["_derived"]
         assert gradient.topological_order() == expected
 
 
@@ -177,3 +185,128 @@ class TestNetworkxAbsent:
         )
         assert proc.returncode == 0, proc.stderr
         assert "NETWORKX-ABSENT-OK" in proc.stdout
+
+
+def _readded(dfg):
+    """What ``copy()`` must equal: every node re-added in id order."""
+    clone = DFG(name=dfg.name)
+    for node in dfg.nodes():
+        clone.add_node(node)
+    return clone
+
+
+def _out_of_order_dfg():
+    """Consumers added out of id order, and an id reserved past the last node."""
+    dfg = DFG("shuffled")
+    for node in (
+        DFGNode(node_id=1, opcode=OpCode.INPUT, name="a"),
+        DFGNode(node_id=5, opcode=OpCode.NEG, operands=(1,)),
+        DFGNode(node_id=3, opcode=OpCode.NOT, operands=(1,)),
+        DFGNode(node_id=6, opcode=OpCode.MUL, operands=(3, 5)),
+        DFGNode(node_id=7, opcode=OpCode.OUTPUT, operands=(6,), name="o"),
+    ):
+        dfg.add_node(node)
+    assert dfg.consumers(1) == [(5, 0), (3, 0)]
+    dfg.allocate_id()
+    return dfg
+
+
+def _copy_cases():
+    for name in library.kernel_names():
+        yield library.get_kernel(name)
+    for seed in range(40):
+        yield random_dfg(2 + seed % 3, 3 + seed % 26, seed=seed)
+    yield _out_of_order_dfg()
+
+
+class TestCopy:
+    def test_copy_equals_readding_every_node(self):
+        for dfg in _copy_cases():
+            copy, expected = dfg.copy(), _readded(dfg)
+            assert copy.nodes() == expected.nodes(), dfg.name
+            for node_id in expected.node_ids():
+                assert copy.consumers(node_id) == expected.consumers(node_id), dfg.name
+            assert copy.allocate_id() == expected.allocate_id(), dfg.name
+
+    def test_copy_keeps_the_name_unless_given_one(self, diamond_dfg):
+        assert diamond_dfg.copy().name == "diamond"
+        assert diamond_dfg.copy(name="other").name == "other"
+
+
+def _fresh_hash(dfg):
+    return hashlib.sha256(canonical_json(dfg).encode("utf-8")).hexdigest()
+
+
+def _values(dfg):
+    return dfg_fingerprint(dfg), asap_levels(dfg), dfg.topological_order()
+
+
+class TestDerivedValues:
+    """A graph and its copies share one memo until either gains a node."""
+
+    def test_two_library_copies_hash_and_level_once(self, monkeypatch):
+        # Cold library and frontend caches, so nothing is memoised yet.
+        monkeypatch.setattr(library, "_CACHE", {})
+        monkeypatch.setattr(frontend_cache, "_DEFAULT_CACHE", frontend_cache.FrontendCache())
+        first, second = library.get_kernel("poly7"), library.get_kernel("poly7")
+        assert first is not second
+        reference = _readded(first)
+        expected = _values(reference), dfg_depth(reference), level_sets(reference)
+        calls = {"canonical_json": 0, "levelisations": 0}
+        real_json, real_order = serialize.canonical_json, DFG.topological_order
+
+        def counting_json(dfg):
+            calls["canonical_json"] += 1
+            return real_json(dfg)
+
+        def counting_order(dfg):
+            # Each ASAP levelisation walks the topological order once.
+            calls["levelisations"] += 1
+            return real_order(dfg)
+
+        monkeypatch.setattr(serialize, "canonical_json", counting_json)
+        monkeypatch.setattr(DFG, "topological_order", counting_order)
+        assert dfg_fingerprint(first) == dfg_fingerprint(second) == expected[0][0]
+        assert asap_levels(first) == asap_levels(second) == expected[0][1]
+        assert dfg_depth(second) == expected[1]
+        assert level_sets(first) == expected[2]
+        assert set(asap_stage_assignment(second)) == {n.node_id for n in second.operations()}
+        assert calls == {"canonical_json": 1, "levelisations": 1}
+
+    def test_levels_are_the_callers_own_copy(self, gradient):
+        levels = asap_levels(gradient)
+        levels.clear()
+        assert asap_levels(gradient.copy()) == asap_levels(_readded(gradient))
+
+    def test_a_graph_that_gains_a_node_detaches_from_its_copies(self, diamond_dfg):
+        before = _values(diamond_dfg)
+        clone = diamond_dfg.copy()
+        assert _values(clone) == before
+        out = clone.outputs()[0].operands[0]
+        clone.new_node(OpCode.OUTPUT, operands=(clone.new_node(OpCode.NEG, (out,)).node_id,))
+        assert _values(clone) == _values(_readded(clone))
+        assert dfg_fingerprint(clone) == _fresh_hash(clone) != before[0]
+        assert max(asap_levels(clone).values()) == 3
+        # ... and the source neither reads the clone's values nor loses its own.
+        assert _values(diamond_dfg) == before
+        diamond_dfg.new_node(OpCode.INPUT)
+        assert _values(diamond_dfg) == _values(_readded(diamond_dfg))
+        assert _values(clone) == _values(_readded(clone))
+
+    def test_a_copy_under_another_name_hashes_again(self, diamond_dfg):
+        original = dfg_fingerprint(diamond_dfg)
+        renamed = diamond_dfg.copy(name="other")
+        assert dfg_fingerprint(renamed) == _fresh_hash(renamed) != original
+        assert dfg_fingerprint(diamond_dfg) == original == _fresh_hash(diamond_dfg)
+
+    def test_a_rename_after_hashing_hashes_again(self, diamond_dfg):
+        original = dfg_fingerprint(diamond_dfg)
+        diamond_dfg.name = "renamed"
+        assert dfg_fingerprint(diamond_dfg) == _fresh_hash(diamond_dfg) != original
+
+    def test_an_unpickled_graph_without_the_memo_still_works(self, gradient):
+        expected = _values(gradient)
+        restored = pickle.loads(pickle.dumps(gradient))
+        del restored.__dict__["_derived"]  # as pickled before the memo existed
+        assert _values(restored) == expected
+        assert _values(restored.copy()) == expected

@@ -61,7 +61,7 @@ class TestInvalidDFGs:
         # add_node cannot close a cycle, so splice one into the indices.
         dfg._nodes[first] = dfg.node(first).with_operands((x, second))
         dfg._consumers[second].append((first, 1))
-        dfg._topo_cache = None
+        dfg._derived = None
         errors = collect_validation_errors(dfg)
         assert errors == ["DFG 'k' contains a cycle"]
 

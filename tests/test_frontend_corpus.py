@@ -19,7 +19,7 @@ from repro.frontend import lower_c_kernel
 
 CORPUS_SEED = 2026
 CORPUS_SIZE = 600
-CORPUS_SHA256 = "aeecc3cf937753a4abbf67136db088137c72f2f0c11f5bb0a7de91563c47b29b"
+CORPUS_SHA256 = "82c1b4493314aad83e979d41ffeec6380d4279ca21b525f1557bca8ea280dc32"
 
 SOURCES = corpus(CORPUS_SEED, CORPUS_SIZE)
 

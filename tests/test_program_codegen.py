@@ -5,6 +5,7 @@ import pytest
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache
 from repro.errors import CodegenError
+from repro.frontend import lower_c_kernel
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import BASELINE, V1, V3
@@ -153,12 +154,27 @@ class TestConfigurationImage:
         assert image.size_bytes < 2048
 
 
-#: mini-C keeps a literal in [2**31, 2**32) unsigned in the DFG.
+#: A literal in [2**31, 2**32), past int32's largest value.
 WIDE_CONSTANT_SOURCE = "void f(int a, int *o) { *o = a + 0x80000000; }"
 
 
+def _wrap32(value):
+    return ((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+
+
+#: Kernel bodies whose result depends on the sign of a wide literal, with
+#: what the overlay computes: the constant register holds the literal's
+#: signed 32-bit word (0x80000000 is -2**31, 0xFFFFFFFF is -1).
+SIGNED_LITERAL_CASES = {
+    "min": ("*o = min(a, 0x80000000);", lambda a: -(2 ** 31)),
+    "max": ("*o = max(a, 0x80000000);", lambda a: a),
+    "abs": ("*o = a + abs(0xFFFFFFFF);", lambda a: _wrap32(a + 1)),
+    "shr": ("*o = a + (0x80000000 >> 5);", lambda a: _wrap32(a - 67108864)),
+}
+
+
 class TestWideConstants:
-    """A constant register holds the literal's signed 32-bit word."""
+    """The DFG and the constant register hold the literal's signed 32-bit word."""
 
     def test_check_gives_no_diagnostics(self):
         toolchain = Toolchain(cache=ScheduleCache())
@@ -171,7 +187,7 @@ class TestWideConstants:
         handle = Toolchain(cache=ScheduleCache()).compile(
             source=WIDE_CONSTANT_SOURCE, overlay=OverlaySpec("v1")
         )
-        assert [node.value for node in handle.dfg.constants()] == [2 ** 31]
+        assert [node.value for node in handle.dfg.constants()] == [-(2 ** 31)]
         image = handle.configuration
         assert [value for section in image.fu_constants for _, value in section] == [-(2 ** 31)]
         restored = ConfigurationImage.from_bytes(image.to_bytes())
@@ -183,4 +199,20 @@ class TestWideConstants:
         handle = toolchain.compile(source=WIDE_CONSTANT_SOURCE, overlay=OverlaySpec("v1"))
         result = simulate_schedule(handle.schedule, input_blocks=[[5], [-1]], engine="cycle")
         assert result.outputs == [[-2147483643], [2147483647]]
+        assert result.matches_reference
+
+    @pytest.mark.parametrize("run_optimizer", [True, False])
+    @pytest.mark.parametrize("engine", ["cycle", "fast", "batched"])
+    @pytest.mark.parametrize("case", sorted(SIGNED_LITERAL_CASES))
+    def test_sign_sensitive_ops_read_the_signed_word(self, case, engine, run_optimizer):
+        # Unoptimized, the engine runs the op on the literal; optimized, the
+        # constant folder does.
+        body, expected = SIGNED_LITERAL_CASES[case]
+        dfg = lower_c_kernel(f"void f(int a, int *o) {{ {body} }}", run_optimizer=run_optimizer)
+        handle = Toolchain(cache=ScheduleCache()).compile(dfg, OverlaySpec("v1"), check=True)
+        inputs = [5, -7, 2 ** 31 - 1, -(2 ** 31)]
+        result = simulate_schedule(
+            handle.schedule, input_blocks=[[a] for a in inputs], engine=engine
+        )
+        assert result.outputs == [[expected(a)] for a in inputs]
         assert result.matches_reference

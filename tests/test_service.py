@@ -189,7 +189,7 @@ class TestServiceOperations:
         assert row["configuration"] is not None
 
     def test_compile_of_a_literal_past_int32_max_answers_ok(self, client):
-        # mini-C keeps 0x80000000 unsigned; the image stores its signed word.
+        # 0x80000000 is past int32's largest value; it lowers to its signed word.
         row = client.compile(
             source="void f(int a, int *o) { *o = a + 0x80000000; }", overlay=OverlaySpec("v1")
         )

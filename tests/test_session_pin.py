@@ -36,7 +36,7 @@ from repro.schedule.ii import analytic_ii
 from repro.schedule.registry import scheduler_names
 from repro.specs import OverlaySpec
 
-PIN_SHA256 = "21153e5bba2c1251d8a159b3292a06ac5ac7c7656612725c5897e40bc10ce0c1"
+PIN_SHA256 = "720acef0ad92b725ad6735011222b3c786cd310265ca83f4ceb1c6ce9c5ac419"
 
 VARIANTS = ("baseline", "v1", "v2", "v3", "v4", "v5")
 STRATEGIES = ("auto", "linear", "clustered", "modulo", "alap")

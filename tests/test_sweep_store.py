@@ -11,11 +11,15 @@ import dataclasses
 import json
 import os
 
+import pytest
+
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache
 from repro.engine.store import STORE_VERSION, ResultStore
 from repro.engine.sweep import SweepPoint, build_grid, run_sweep, run_sweep_spec
-from repro.specs import OverlaySpec, SimSpec, SweepSpec
+from repro.metrics.models import CalibratedModel
+from repro.specs import OverlaySpec, SimSpec, SweepSpec, TuneSpec
+from repro.tune import tune
 
 
 def _read_json(path):
@@ -132,7 +136,7 @@ class TestRoundTrip:
         with open(path, "w") as handle:
             json.dump(entry, handle)
         probe = ResultStore(str(tmp_path))
-        assert probe.results() == []
+        assert list(probe.results()) == []
         run_sweep(_grid(["gradient"]), jobs=1, store=probe)
         assert (probe.stats.hits, probe.stats.writes) == (0, 1)
 
@@ -266,3 +270,75 @@ class TestSpecAndSessionPlumbing:
         events.clear()
         toolchain.sweep(spec, progress=events.append)
         assert [e.cached for e in events] == [True]
+
+
+class _ListingCounter(ResultStore):
+    """A store that counts how often its entries are listed."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.listings = 0
+
+    def entry_paths(self):
+        self.listings += 1
+        return super().entry_paths()
+
+
+def _populated_store(tmp_path):
+    """Rows of two kernels on two variants and two strategies, plus one
+    unreadable entry."""
+    root = str(tmp_path)
+    grid = build_grid(
+        ["gradient", "poly5"],
+        overlays=[OverlaySpec("v1"), OverlaySpec("v3")],
+        schedulers=["linear", "clustered"],
+    )
+    run_sweep(grid, jobs=1, store=ResultStore(root))
+    with open(os.path.join(root, "truncated.json"), "w") as handle:
+        handle.write('{"version": ')
+    return root
+
+
+def _tune_spec(model):
+    return TuneSpec(
+        kernel="gradient", variants=("v1", "v3"), fifo_depths=(32,),
+        schedulers=("linear", "clustered"), model=model, budget=2, jobs=1,
+        sim=SimSpec(engine="fast"),
+    )
+
+
+class TestTuneStoreReads:
+    """A tune reads the store's rows only when its model fits them."""
+
+    @pytest.mark.parametrize("model", ["analytic", "warmup-aware"])
+    def test_closed_form_tune_lists_no_entries(self, tmp_path, model):
+        probe = _ListingCounter(_populated_store(tmp_path))
+        result = tune(_tune_spec(model), toolchain=Toolchain(cache=ScheduleCache()), store=probe)
+        assert result.best.simulated
+        assert probe.listings == 0
+        assert (probe.stats.hits, probe.stats.writes) == (2, 0)
+
+    def test_calibrated_tune_fits_every_readable_row_once(self, tmp_path, monkeypatch):
+        root = _populated_store(tmp_path)
+        expected = list(ResultStore(root).results())
+        assert len(expected) == len(ResultStore(root)) - 1 == 8
+        fitted = []
+        real_fit = CalibratedModel.fit
+
+        def spying_fit(model, results):
+            rows = list(results)
+            fitted.append(rows)
+            return real_fit(model, rows)
+
+        monkeypatch.setattr(CalibratedModel, "fit", spying_fit)
+        probe = _ListingCounter(root)
+        tune(_tune_spec("calibrated"), toolchain=Toolchain(cache=ScheduleCache()), store=probe)
+        assert probe.listings == 1
+        assert fitted == [expected]
+
+    def test_results_reads_nothing_until_iterated(self, tmp_path):
+        probe = _ListingCounter(_populated_store(tmp_path))
+        rows = probe.results()
+        assert probe.listings == 0
+        assert next(rows).kernel in ("gradient", "poly5")
+        assert probe.listings == 1

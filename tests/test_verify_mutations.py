@@ -12,6 +12,7 @@ must verify with zero diagnostics (asserted again here, per point used).
 import pytest
 
 from repro.api import Toolchain
+from repro.dfg.serialize import dfg_fingerprint
 from repro.engine.cache import ScheduleCache
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.specs import OverlaySpec
@@ -110,3 +111,14 @@ def test_mutants_leave_the_original_context_untouched(grid_contexts):
     for name in applicable_mutations(ctx):
         apply_mutation(ctx, name)
     assert run_passes(ctx).diagnostics == ()
+
+
+@pytest.mark.parametrize("name", ["dfg-dangling-operand", "dfg-cycle"])
+def test_dfg_mutants_hash_their_own_nodes(name, grid_contexts):
+    # A DFG copy shares its source's derived values; a mutant edits its
+    # nodes behind add_node, so it must neither read nor overwrite them.
+    ctx = grid_contexts[("gradient", "v3", "clustered")]
+    clean = dfg_fingerprint(ctx.dfg)
+    mutant = apply_mutation(ctx, name)
+    assert dfg_fingerprint(mutant.dfg) != clean
+    assert dfg_fingerprint(ctx.dfg) == clean
