@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -303,6 +304,36 @@ class TestDerivedValues:
         original = dfg_fingerprint(diamond_dfg)
         diamond_dfg.name = "renamed"
         assert dfg_fingerprint(diamond_dfg) == _fresh_hash(diamond_dfg) != original
+
+    def test_copies_racing_to_fill_the_memo_read_complete_values(self):
+        # Threads share copies of one graph; whichever fills a value first,
+        # no reader may see it half built.  Each round races on a new graph.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose races
+        try:
+            for seed in range(10):
+                source = random_dfg(5, 200, seed=seed)
+                reference = _readded(source)
+                expected = (_values(reference), dfg_depth(reference), level_sets(reference))
+                copies = [source.copy() for _ in range(8)]
+                barrier = threading.Barrier(len(copies))
+                seen = [None] * len(copies)
+
+                def worker(index):
+                    copy = copies[index]
+                    barrier.wait()
+                    depth, groups = dfg_depth(copy), level_sets(copy)
+                    seen[index] = (_values(copy), depth, groups)
+
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(copies))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [expected] * len(copies), seed
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_an_unpickled_graph_without_the_memo_still_works(self, gradient):
         expected = _values(gradient)
