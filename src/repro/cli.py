@@ -353,26 +353,6 @@ def tune_spec_from_args(args: argparse.Namespace) -> "TuneSpec":
     )
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via temp-file + rename (never half a file)."""
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def _print_progress(event) -> None:
     """One ``[k/N] kernel overlay status`` line per settled row, on stderr."""
     r = event.result
@@ -387,6 +367,7 @@ def _print_progress(event) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .engine.cache import write_atomic
     from .engine.sweep import render_sweep_table, results_to_json
 
     results = default_toolchain().sweep(
@@ -394,7 +375,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     payload = results_to_json(results)
     if getattr(args, "output", None):
-        _write_atomic(args.output, payload + "\n")
+        write_atomic(args.output, payload + "\n")
     if args.json:
         print(payload)
     else:

@@ -9,10 +9,10 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .opcodes import COMPUTE_OPCODES, OpCode
+from .opcodes import COMPUTE_OPCODES, OpCode, _to_signed32
 
 # Members bound once: ``OpCode.X`` goes through ``EnumType.__getattr__`` on
 # every lookup, and these checks run for every node of every pass.
@@ -41,7 +41,10 @@ class DFGNode:
         for operations it defaults to ``"<OP>_N<id>"`` in the style of the
         paper's figures (e.g. ``SUB_N6``).
     value:
-        Constant value for ``CONST`` nodes, otherwise ``None``.
+        Constant value for ``CONST`` nodes, otherwise ``None``.  Stored as
+        the signed 32-bit word the FU's constant register holds (``2**31``
+        is ``-2**31``), since ``min``, ``max``, ``abs`` and ``>>`` read the
+        sign.
     """
 
     node_id: int
@@ -55,6 +58,7 @@ class DFGNode:
         if opcode is _CONST:
             if self.value is None:
                 raise ValueError("CONST node requires a value")
+            object.__setattr__(self, "value", _to_signed32(self.value))
         elif self.value is not None:
             raise ValueError(f"{opcode.name} node must not carry a constant value")
         if opcode in _COMPUTE or opcode is _OUTPUT:
@@ -120,24 +124,3 @@ class DFGEdge:
     producer: int
     consumer: int
     operand_index: int = 0
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.producer, self.consumer, self.operand_index)
-
-
-@dataclass
-class NodeAttributes:
-    """Mutable per-node annotations attached by analyses and schedulers.
-
-    These never live on :class:`DFGNode` itself (nodes are frozen); analyses
-    return dictionaries keyed by node id instead.  This class is a convenient
-    bundle for passes that want to carry several annotations together.
-    """
-
-    asap_level: Optional[int] = None
-    alap_level: Optional[int] = None
-    slack: Optional[int] = None
-    cluster: Optional[int] = None
-    fu_index: Optional[int] = None
-    register: Optional[int] = None
-    extra: dict = field(default_factory=dict)

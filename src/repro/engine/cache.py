@@ -62,6 +62,7 @@ single instance across runtimes and sweep points safe.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -91,6 +92,23 @@ DISK_FORMAT = 3
 def dfg_content_hash(dfg: DFG) -> str:
     """Stable content hash of a DFG (alias of :func:`dfg_fingerprint`)."""
     return dfg_fingerprint(dfg)
+
+
+def write_atomic(path: str, data: Union[str, bytes]) -> None:
+    """Write ``path`` through a temp file and ``os.replace``, so a reader
+    never sees half a file.  The temp file is removed if the write fails,
+    and the error propagates."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
 
 
 @dataclass(frozen=True)
@@ -535,16 +553,7 @@ class ScheduleCache:
         if path is None:
             return
         try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(compiled, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_path, path)
-            except BaseException:
-                if os.path.exists(tmp_path):
-                    os.unlink(tmp_path)
-                raise
+            write_atomic(path, pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL))
         except OSError:
             # The disk layer is best-effort: a read-only or full filesystem
             # must never break compilation itself.

@@ -49,10 +49,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..dfg.opcodes import _to_signed32
 from ..errors import SimulationError
 from ..kernels.reference import stream_evaluator
 from ..schedule.types import OverlaySchedule, SlotKind
-from ..sim.alu import _wrap
 from ..sim.fu import FUStats
 from ..sim.overlay import (
     SimulationResult,
@@ -1020,7 +1020,7 @@ def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:
     if unwrapped:
         for row in rows:
             for index in unwrapped:
-                row[index] = _wrap(row[index])
+                row[index] = _to_signed32(row[index])
     return rows
 
 

@@ -36,15 +36,15 @@ there; worker processes are identified via ``multiprocessing.parent_process``.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError, ReproError
+from ..specs import Record
 
 #: Environment variable carrying the active plan's JSON to worker processes.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -55,7 +55,7 @@ class InjectedFault(ReproError):
 
 
 @dataclass(frozen=True)
-class FaultRule:
+class FaultRule(Record):
     """One failure to inject: *which points* x *what goes wrong* x *how often*.
 
     ``kernel`` / ``variant`` / ``scheduler`` are matched against the sweep
@@ -92,17 +92,14 @@ class FaultRule:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """A set of fault rules plus the state directory for bounded rules."""
 
     rules: Tuple[FaultRule, ...]
     state_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        rules = tuple(
-            rule if isinstance(rule, FaultRule) else FaultRule(**rule)
-            for rule in self.rules
-        )
+        rules = tuple(FaultRule.coerce(rule) for rule in self.rules)
         object.__setattr__(self, "rules", rules)
         if self.state_dir is None and any(r.times is not None for r in rules):
             raise ConfigurationError(
@@ -111,29 +108,6 @@ class FaultPlan:
             )
 
     # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rules": [asdict(rule) for rule in self.rules],
-                "state_dir": self.state_dir,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        data = json.loads(text)
-        known = {f.name for f in fields(FaultRule)}
-        rules = []
-        for raw in data.get("rules", ()):
-            unknown = sorted(set(raw) - known)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown fault rule field(s) {', '.join(map(repr, unknown))}"
-                )
-            rules.append(FaultRule(**raw))
-        return cls(rules=tuple(rules), state_dir=data.get("state_dir"))
-
     @contextmanager
     def install(self):
         """Activate this plan (for this process and future workers).

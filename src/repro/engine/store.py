@@ -35,12 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..kernels.library import get_kernel
-from .cache import dfg_content_hash
+from .cache import dfg_content_hash, write_atomic
 
 #: Bumped when the entry layout changes; mismatching entries read as misses.
 STORE_VERSION = 2
@@ -125,8 +124,6 @@ class ResultStore:
         or key mismatch, unknown row fields — is a miss, never an error:
         the point is simply re-simulated and the entry rewritten.
         """
-        from .sweep import SweepResult  # local: sweep imports this module
-
         if point is not None:
             path = self._filename(key, point)
             if not os.path.exists(path):
@@ -136,30 +133,13 @@ class ResultStore:
         if path is None:
             self.stats.misses += 1
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("version") != STORE_VERSION
-            or entry.get("key") != key
-            or not isinstance(entry.get("result"), dict)
-        ):
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            return None
-        try:
-            result = SweepResult(**entry["result"])
-        except TypeError:
+        entry = _read_entry(path)
+        if entry is None or entry[0] != key:
             self.stats.misses += 1
             self.stats.corrupt += 1
             return None
         self.stats.hits += 1
-        return result
+        return entry[1]
 
     def put(self, key: str, point, result) -> None:
         """Persist one computed row atomically (temp file + rename).
@@ -177,18 +157,9 @@ class ResultStore:
             },
             "result": result.as_row(),
         }
+        text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
         try:
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-                os.replace(tmp_path, self._filename(key, point))
-            except BaseException:
-                if os.path.exists(tmp_path):
-                    os.unlink(tmp_path)
-                raise
+            write_atomic(self._filename(key, point), text)
         except OSError:
             return
         self.stats.writes += 1
@@ -217,25 +188,10 @@ class ResultStore:
         caller is fitting a model, not resuming a grid — missing rows only
         shrink the fit).  Lookup stats are untouched.
         """
-        from .sweep import SweepResult  # local: sweep imports this module
-
         for path in self.entry_paths():
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if (
-                not isinstance(entry, dict)
-                or entry.get("version") != STORE_VERSION
-                or not isinstance(entry.get("result"), dict)
-            ):
-                continue
-            try:
-                row = SweepResult(**entry["result"])
-            except TypeError:
-                continue
-            yield row
+            entry = _read_entry(path)
+            if entry is not None:
+                yield entry[1]
 
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""
@@ -262,4 +218,27 @@ class ResultStore:
         for name in os.listdir(self.root):
             if name.endswith(suffix):
                 return os.path.join(self.root, name)
+        return None
+
+
+def _read_entry(path: str) -> Optional[Tuple[object, object]]:
+    """``(stored key, SweepResult)`` of one entry file, or ``None`` when the
+    file is unreadable, truncated, of another layout version or carries
+    unknown row fields."""
+    from .sweep import SweepResult  # local: sweep imports this module
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(entry, dict)
+        or entry.get("version") != STORE_VERSION
+        or not isinstance(entry.get("result"), dict)
+    ):
+        return None
+    try:
+        return entry.get("key"), SweepResult(**entry["result"])
+    except TypeError:
         return None

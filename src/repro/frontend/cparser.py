@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 
 from ..dfg.builder import DFGBuilder
 from ..dfg.graph import DFG
-from ..dfg.opcodes import OpCode, _to_signed32
+from ..dfg.opcodes import OpCode
 from ..dfg.transforms import optimize
 from ..errors import ParseError
 from .lexer import Token, tokenize
@@ -235,10 +235,7 @@ class _Parser:
                 raise ParseError(
                     f"invalid integer literal {token.text!r}", token.line, token.column
                 ) from None
-            # The constant register holds the literal's low 32 bits as a
-            # signed word (``0x80000000`` is -2**31), and so must the DFG:
-            # min, max, abs and >> read the sign.
-            return self.builder.const(_to_signed32(value))
+            return self.builder.const(value)
         if token.kind == "IDENT":
             if self.accept("SYMBOL", "("):
                 return self._parse_call(token)

@@ -3,13 +3,14 @@
 The analytic evaluation path (resource estimate, II and latency models) has
 always been *one* hard-wired computation inside
 :func:`repro.metrics.performance.analytic_performance`.  This module makes
-it a pluggable model family instead, mirroring the scheduler-strategy
-registry of :mod:`repro.schedule.registry`:
+it a pluggable model family instead, registered like the scheduling
+strategies of :mod:`repro.schedule.registry`:
 
 * a :class:`PerformanceModel` ABC — ``predict(dfg, overlay, schedule)``
   returns a :class:`ModelPrediction` (predicted II, total cycles, latency,
   fmax, throughput) without ever running a simulator;
-* a process-wide **registry** mapping model names to factories
+* a process-wide **registry** (:data:`MODELS`, a
+  :class:`repro.registry.Registry`) mapping model names to factories
   (:func:`register_model` / :func:`get_model`, decorator form included);
 * the built-in models:
 
@@ -45,14 +46,14 @@ import abc
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from ..dfg.graph import DFG
 from ..errors import ConfigurationError
 from ..overlay.architecture import LinearOverlay
 from ..overlay.resources import estimate_resources
+from ..registry import Registry, describe
 from ..schedule import analytic_ii
 from ..schedule.types import OverlaySchedule
 from ..specs import OBJECTIVES, SimSpec
@@ -281,11 +282,6 @@ class CalibratedModel(AnalyticModel):
                 self._ratios[key] = ratio
         return self
 
-    @classmethod
-    def from_store(cls, store) -> "CalibratedModel":
-        """A model fitted from every readable row of a result store."""
-        return cls().fit(store.results())
-
     # ------------------------------------------------------------------
     @property
     def cache_token(self) -> str:
@@ -303,7 +299,7 @@ class CalibratedModel(AnalyticModel):
 
 
 # ---------------------------------------------------------------------------
-# the model registry (mirrors repro.schedule.registry)
+# the model registry
 # ---------------------------------------------------------------------------
 #: A registered factory: any zero-argument callable returning a model
 #: instance (a :class:`PerformanceModel` subclass itself qualifies).
@@ -339,12 +335,8 @@ class ModelEntry:
 #: The model every tuning entry point defaults to.
 DEFAULT_MODEL = "analytic"
 
-_REGISTRY: Dict[str, ModelEntry] = {}
-
-#: Serialises registry mutation and lookup, mirroring the scheduler
-#: registry: a server worker racing a ``register_model`` call must never
-#: observe a half-updated registry.
-_REGISTRY_LOCK = threading.RLock()
+#: Every registered model, built-ins first.
+MODELS: Registry[ModelEntry] = Registry("performance model")
 
 
 def register_model(
@@ -363,42 +355,23 @@ def register_model(
         class MyModel(PerformanceModel):
             ...
 
+    ``description`` defaults to the first line of the factory's docstring.
+
     Raises
     ------
     ConfigurationError
         If ``name`` is already registered and ``replace`` is not set, or
         the name is empty.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("performance-model names must be non-empty strings")
 
     def _register(f: ModelFactory) -> ModelFactory:
-        desc = description
-        if not desc and f.__doc__:
-            desc = f.__doc__.strip().splitlines()[0]
-        with _REGISTRY_LOCK:
-            if name in _REGISTRY and not replace:
-                raise ConfigurationError(
-                    f"performance model {name!r} is already registered "
-                    "(pass replace=True to override it)"
-                )
-            _REGISTRY[name] = ModelEntry(name=name, factory=f, description=desc)
+        entry = ModelEntry(name=name, factory=f, description=describe(f, description))
+        MODELS.add(name, entry, replace)
         return f
 
-    if factory is not None:
-        _register(factory)
-        return factory
-    return _register
-
-
-def unregister_model(name: str) -> None:
-    """Remove a registered model (tests clean up custom models)."""
-    if name in _BUILTIN_MODELS:
-        raise ConfigurationError(
-            f"the built-in performance model {name!r} cannot be unregistered"
-        )
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
+    if factory is None:
+        return _register
+    return _register(factory)
 
 
 def get_model(name: str) -> PerformanceModel:
@@ -407,14 +380,7 @@ def get_model(name: str) -> PerformanceModel:
     Fresh per call so fitted state never leaks between sessions; unknown
     names fail loudly with the registered alternatives.
     """
-    with _REGISTRY_LOCK:
-        entry = _REGISTRY.get(name)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown performance model {name!r}; "
-            f"registered: {', '.join(model_names())}"
-        )
-    model = entry.factory()
+    model = MODELS.get(name).factory()
     if not isinstance(model, PerformanceModel):
         raise ConfigurationError(
             f"performance-model factory {name!r} returned "
@@ -430,16 +396,9 @@ def resolve_model(model: Union[str, PerformanceModel]) -> PerformanceModel:
     return get_model(model)
 
 
-def model_names() -> List[str]:
-    """Names of every registered model (built-ins first, then custom)."""
-    with _REGISTRY_LOCK:
-        return list(_REGISTRY)
-
-
-def model_entries() -> List[ModelEntry]:
-    """Every registered model entry (CLI listings)."""
-    with _REGISTRY_LOCK:
-        return list(_REGISTRY.values())
+unregister_model = MODELS.remove
+model_names = MODELS.names
+model_entries = MODELS.entries
 
 
 def _register_builtins() -> None:
@@ -470,6 +429,4 @@ def _register_builtins() -> None:
 
 
 _register_builtins()
-
-#: Names that :func:`unregister_model` refuses to drop.
-_BUILTIN_MODELS = frozenset(_REGISTRY)
+MODELS.seal()

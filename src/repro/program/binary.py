@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..dfg.opcodes import _to_signed32
 from ..errors import EncodingError
 from ..overlay.isa import decode_instruction
 from ..schedule.types import OverlaySchedule
@@ -134,11 +133,7 @@ def build_configuration_image(
         image.fu_instruction_words.append(fu_program.encoded_words())
         constants: List[Tuple[int, int]] = []
         for const_id, register in fu_program.allocation.constant_registers.items():
-            node = schedule.dfg.node(const_id)
-            # A constant register is 32 bits wide: a constant outside int32
-            # (a DFG loaded from JSON or traced may hold one; mini-C wraps
-            # its literals already) is stored as the signed value with the
-            # same low bits.
-            constants.append((register, _to_signed32(int(node.value))))
+            # A DFGNode holds the signed 32-bit word the register stores.
+            constants.append((register, schedule.dfg.node(const_id).value))
         image.fu_constants.append(constants)
     return image

@@ -71,11 +71,6 @@ class OverlayProgram:
         """Instruction words across every FU (configuration-size driver)."""
         return sum(p.num_instruction_words for p in self.fu_programs)
 
-    @property
-    def max_instructions_per_fu(self) -> int:
-        """Largest per-FU program (bounds the instruction-memory depth)."""
-        return max((p.num_instruction_words for p in self.fu_programs), default=0)
-
     def listing(self) -> str:
         """Assembly-style listing of every FU program (CLI ``--program``)."""
         return "\n".join(p.listing() for p in self.fu_programs)

@@ -35,13 +35,6 @@ def asap_assignment(dfg: DFG, num_stages: Optional[int] = None) -> Dict[int, int
     return asap_stage_assignment(dfg)
 
 
-def stage_of_level(level: int) -> int:
-    """Stage index an ASAP level maps to (levels are 1-based, stages 0-based)."""
-    if level < 1:
-        raise InfeasibleScheduleError(f"operation level must be >= 1, got {level}")
-    return level - 1
-
-
 def schedule_depth(dfg: DFG) -> int:
     """Number of FU stages an ASAP-mapped overlay needs (the DFG depth)."""
     return dfg_depth(dfg)

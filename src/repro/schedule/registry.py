@@ -8,7 +8,8 @@ This module makes the scheduler a first-class, selectable stage instead:
 
 * a :class:`Scheduler` protocol — any callable taking ``(dfg, overlay)`` and
   returning an :class:`~repro.schedule.types.OverlaySchedule`;
-* a process-wide **registry** mapping strategy names to
+* a process-wide **registry** (:data:`SCHEDULERS`, a
+  :class:`repro.registry.Registry`) mapping strategy names to
   :class:`SchedulerStrategy` descriptors;
 * the built-in strategies:
 
@@ -35,9 +36,8 @@ it immediately becomes selectable from every layer.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 try:  # pragma: no cover - Protocol exists on every supported Python
     from typing import Protocol
@@ -45,8 +45,8 @@ except ImportError:  # pragma: no cover
     Protocol = object  # type: ignore[assignment]
 
 from ..dfg.graph import DFG
-from ..errors import ConfigurationError
 from ..overlay.architecture import LinearOverlay
+from ..registry import Registry, describe
 from .types import OverlaySchedule
 
 
@@ -99,12 +99,8 @@ class SchedulerStrategy:
 #: The strategy every entry point defaults to (the historical dispatch).
 DEFAULT_SCHEDULER = "auto"
 
-_REGISTRY: Dict[str, SchedulerStrategy] = {}
-
-#: Serialises registry mutation and lookup: a server worker racing a
-#: ``register_scheduler`` call must never observe a half-updated registry
-#: (check-then-insert is two steps, and listings snapshot under the lock).
-_REGISTRY_LOCK = threading.RLock()
+#: Every registered strategy, built-ins first.
+SCHEDULERS: Registry[SchedulerStrategy] = Registry("scheduler strategy")
 
 
 def register_scheduler(
@@ -124,74 +120,35 @@ def register_scheduler(
         def my_scheduler(dfg, overlay):
             ...
 
+    ``description`` defaults to the first line of the function's docstring.
+
     Raises
     ------
     ConfigurationError
         If ``name`` is already registered and ``replace`` is not set, or the
         name is empty.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("scheduler strategy names must be non-empty strings")
 
     def _register(f: Scheduler) -> Scheduler:
-        desc = description
-        if not desc and f.__doc__:
-            desc = f.__doc__.strip().splitlines()[0]
-        with _REGISTRY_LOCK:
-            if name in _REGISTRY and not replace:
-                raise ConfigurationError(
-                    f"scheduler strategy {name!r} is already registered "
-                    "(pass replace=True to override it)"
-                )
-            _REGISTRY[name] = SchedulerStrategy(
-                name=name, func=f, description=desc, folds_levels=folds_levels
-            )
+        strategy = SchedulerStrategy(
+            name=name, func=f, description=describe(f, description), folds_levels=folds_levels
+        )
+        SCHEDULERS.add(name, strategy, replace)
         return f
 
-    if func is not None:
-        _register(func)
-        return func
-    return _register
+    if func is None:
+        return _register
+    return _register(func)
 
 
-def unregister_scheduler(name: str) -> None:
-    """Remove a registered strategy (tests clean up custom strategies)."""
-    if name in _BUILTIN_SCHEDULERS:
-        raise ConfigurationError(
-            f"the built-in scheduler strategy {name!r} cannot be unregistered"
-        )
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
-
-
-def get_scheduler(name: str) -> SchedulerStrategy:
-    """Look a strategy up by name.
-
-    Raises
-    ------
-    ConfigurationError
-        For unknown names, listing the registered strategies.
-    """
-    with _REGISTRY_LOCK:
-        strategy = _REGISTRY.get(name)
-    if strategy is None:
-        raise ConfigurationError(
-            f"unknown scheduler strategy {name!r}; "
-            f"registered: {', '.join(scheduler_names())}"
-        )
-    return strategy
-
-
-def scheduler_names() -> List[str]:
-    """Names of every registered strategy (built-ins first, then custom)."""
-    with _REGISTRY_LOCK:
-        return list(_REGISTRY)
-
-
-def scheduler_strategies() -> List[SchedulerStrategy]:
-    """Every registered strategy descriptor (``schedulers`` listing)."""
-    with _REGISTRY_LOCK:
-        return list(_REGISTRY.values())
+unregister_scheduler = SCHEDULERS.remove
+get_scheduler = SCHEDULERS.get
+scheduler_names = SCHEDULERS.names
+scheduler_strategies = SCHEDULERS.entries
+#: False for third-party strategies: the Toolchain statically verifies their
+#: first compiled artifact (see ``docs/verify.md``), a cost the
+#: contract-tested built-ins skip.
+is_builtin_scheduler = SCHEDULERS.is_builtin
 
 
 def schedule_with(
@@ -277,16 +234,4 @@ def _register_builtins() -> None:
 
 
 _register_builtins()
-
-#: Names that :func:`unregister_scheduler` refuses to drop.
-_BUILTIN_SCHEDULERS = frozenset(_REGISTRY)
-
-
-def is_builtin_scheduler(name: str) -> bool:
-    """Whether ``name`` is one of the built-in strategies.
-
-    Third-party strategies (``register_scheduler`` from user code) return
-    False — the Toolchain statically verifies their first compiled artifact
-    (see ``docs/verify.md``), a cost the contract-tested builtins skip.
-    """
-    return name in _BUILTIN_SCHEDULERS
+SCHEDULERS.seal()

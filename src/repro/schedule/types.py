@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dfg.graph import DFG
 from ..dfg.opcodes import OpCode
@@ -172,13 +172,6 @@ class StageSchedule:
         return [
             s.value_id for s in self.slots if s.write_back and s.value_id is not None
         ]
-
-    def slot_of_value(self, value_id: int) -> Optional[int]:
-        """Index of the slot producing ``value_id`` (None if not produced here)."""
-        for index, slot in enumerate(self.slots):
-            if slot.kind is _COMPUTE and slot.value_id == value_id:
-                return index
-        return None
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..dfg.opcodes import OpCode
+from ..dfg.opcodes import OpCode, _to_signed32
 from ..errors import SimulationError
 
 #: Value range of the 32-bit datapath (signed two's complement).
@@ -33,20 +33,13 @@ def alu_execute(opcode: OpCode, operands: Sequence[int]) -> int:
     if opcode is OpCode.PASS:
         if len(operands) != 1:
             raise SimulationError(f"PASS expects 1 operand, got {len(operands)}")
-        return _wrap(operands[0])
+        return _to_signed32(operands[0])
     expected = opcode.arity
     if len(operands) != expected:
         raise SimulationError(
             f"{opcode.name} expects {expected} operands, got {len(operands)}"
         )
     return opcode.evaluate(*(int(v) for v in operands))
-
-
-def _wrap(value: int) -> int:
-    value &= 0xFFFFFFFF
-    if value > INT32_MAX:
-        value -= 0x100000000
-    return value
 
 
 def saturating_execute(opcode: OpCode, operands: Sequence[int]) -> int:

@@ -24,11 +24,10 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..dfg.graph import DFG
-from ..dfg.opcodes import OpCode
 from ..errors import SimulationError
 from ..overlay.fu import FUVariant
 from ..schedule.types import ScheduledOp, SlotKind, StageSchedule
@@ -48,10 +47,6 @@ class FUStats:
     exec_stall_cycles: int = 0
     load_stall_cycles: int = 0
     backpressure_stall_cycles: int = 0
-
-    @property
-    def total_stall_cycles(self) -> int:
-        return self.exec_stall_cycles + self.load_stall_cycles + self.backpressure_stall_cycles
 
 
 class FUSimulator:

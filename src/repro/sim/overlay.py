@@ -56,10 +56,6 @@ class SimulationResult:
             return None
         return self.outputs == self.reference_outputs
 
-    @property
-    def total_exec_stalls(self) -> int:
-        return sum(s.exec_stall_cycles for s in self.fu_stats)
-
     def summary(self) -> str:
         check = {True: "OK", False: "MISMATCH", None: "not checked"}[self.matches_reference]
         ii = "n/a" if self.measured_ii is None else f"{self.measured_ii:.2f}"

@@ -12,7 +12,7 @@ variants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import SimulationError
@@ -101,10 +101,6 @@ class RegisterFileModel:
             self._per_block_high_water = max(
                 self._per_block_high_water, max(blocks.values()) + len(self._constants)
             )
-
-    @property
-    def live_entries(self) -> int:
-        return len(self._values) + len(self._constants)
 
     @property
     def high_water_mark(self) -> int:

@@ -13,19 +13,22 @@ A new knob lands in exactly one spec class plus its consumer:
   that triages them, the objective and the simulation budget.  The tuner
   returns a :class:`TuneResult` holding ranked :class:`TuneCandidate` rows.
 
-All of them are frozen (hashable, usable as cache keys) and JSON
-round-trippable (``to_json`` / ``from_json`` are exact inverses), so a spec
-can be logged, stored next to sweep results, or shipped to a worker process
-verbatim.  Every entry point — :class:`repro.api.Toolchain`, the runtime,
-the sweep runner, the service and the CLI — builds or accepts these
-objects instead of re-declaring kwargs.
+All of them are frozen (hashable, usable as cache keys) :class:`Record`
+subclasses, so their JSON form is derived from their fields and
+``to_json`` / ``from_json`` are exact inverses: a spec can be logged, stored
+next to sweep results, or shipped to a worker process verbatim.  The
+verifier's reports and the sweep fault plans are records too.  Every entry
+point — :class:`repro.api.Toolchain`, the runtime, the sweep runner, the
+service and the CLI — builds or accepts these objects instead of
+re-declaring kwargs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from enum import Enum
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from .errors import ConfigurationError
 from .overlay.architecture import DEFAULT_FIXED_DEPTH, LinearOverlay
@@ -38,14 +41,114 @@ ENGINES = ("cycle", "fast", "batched")
 #: throughput, or pipeline latency.
 OBJECTIVES = ("ii", "gops", "latency")
 
+R = TypeVar("R", bound="Record")
+
+#: Field types that ``Record.to_dict`` copies as they are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def checked_fields(cls: Any, data: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``data`` as constructor keywords of ``cls``, rejecting unknown keys so
+    a typo in stored JSON fails loudly."""
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {cls.__name__} field(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+    return data
+
+
+def _plain(value: Any) -> Any:
+    """The JSON form of one non-scalar field value."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+class Record:
+    """Base of the frozen dataclasses that travel as JSON.
+
+    ``to_dict`` maps the fields in declaration order: a nested record
+    becomes its dict, a tuple a list and an enum its value.  ``from_dict``
+    rejects unknown keys and hands the rest to the constructor, whose
+    ``__post_init__`` coerces nested values back (see :meth:`coerce`).
+
+    ``to_dict`` reads the instance ``__dict__``, which is several times
+    cheaper than :func:`dataclasses.fields` (``ResultStore.key_for`` calls
+    it twice per sweep point), so a record keeps nothing but its fields
+    there: no ``cached_property`` and no ``slots``.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        data = self.__dict__.copy()
+        for name, value in data.items():
+            if type(value) not in _SCALARS:
+                data[name] = _plain(value)
+        return data
+
+    @classmethod
+    def from_dict(cls: Type[R], data: Mapping[str, Any]) -> R:
+        build: Callable[..., R] = cls
+        return build(**checked_fields(cls, data))
+
+    @classmethod
+    def coerce(cls: Type[R], value: Any) -> R:
+        """``value`` if it is already a ``cls``, else ``cls.from_dict(value)``."""
+        return value if isinstance(value, cls) else cls.from_dict(value)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls: Type[R], text: str) -> R:
+        return cls.from_dict(json.loads(text))
+
 
 def _variant_name(variant) -> str:
     """Canonical variant name (accepts a name, alias or FUVariant instance)."""
     return get_variant(variant).name
 
 
+def _check_int(value: Any, minimum: int, what: str) -> None:
+    """Reject anything but an integer (``bool`` included) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_jobs(jobs: Optional[int]) -> None:
+    if jobs is not None and jobs < 1:
+        raise ConfigurationError("jobs must be at least 1 (or None for auto)")
+
+
+def _strategy_axis(schedulers: Any) -> Optional[Tuple[str, ...]]:
+    """A scheduler axis as a tuple of registered strategy names, or ``None``."""
+    if schedulers is None:
+        return None
+    names = tuple(schedulers)
+    if not names:
+        raise ConfigurationError(
+            "schedulers must name at least one strategy (or be None)"
+        )
+    from .schedule.registry import get_scheduler
+
+    for name in names:
+        get_scheduler(name)  # unknown strategies fail at spec time
+    return names
+
+
+def _sim_or_default(sim: Any) -> "SimSpec":
+    """``sim`` as a :class:`SimSpec`; ``None`` is the sweep default."""
+    return SimSpec(engine="fast") if sim is None else SimSpec.coerce(sim)
+
+
 @dataclass(frozen=True)
-class OverlaySpec:
+class OverlaySpec(Record):
     """Which overlay to build for a kernel.
 
     Attributes
@@ -111,11 +214,6 @@ class OverlaySpec:
             return self.fixed
         return get_variant(self.variant).write_back
 
-    @property
-    def requires_kernel(self) -> bool:
-        """True when auto sizing needs the kernel DFG (critical-path policy)."""
-        return self.depth is None and not self.is_fixed
-
     def build_overlay(self, dfg=None) -> LinearOverlay:
         """Materialise the :class:`LinearOverlay` this spec describes.
 
@@ -150,38 +248,11 @@ class OverlaySpec:
 
     def with_scheduler(self, scheduler: str) -> "OverlaySpec":
         """A copy of this spec selecting a different scheduling strategy."""
-        return OverlaySpec(
-            variant=self.variant,
-            depth=self.depth,
-            fixed=self.fixed,
-            fifo_depth=self.fifo_depth,
-            scheduler=scheduler,
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "variant": self.variant,
-            "depth": self.depth,
-            "fixed": self.fixed,
-            "fifo_depth": self.fifo_depth,
-            "scheduler": self.scheduler,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OverlaySpec":
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OverlaySpec":
-        return cls.from_dict(json.loads(text))
+        return replace(self, scheduler=scheduler)
 
 
 @dataclass(frozen=True)
-class SimSpec:
+class SimSpec(Record):
     """How to simulate a compiled kernel.
 
     Attributes
@@ -217,30 +288,9 @@ class SimSpec:
         if self.num_blocks < 0:
             raise ConfigurationError("num_blocks must be non-negative")
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine,
-            "num_blocks": self.num_blocks,
-            "seed": self.seed,
-            "trace": self.trace,
-            "verify": self.verify,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SimSpec":
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """A (kernels x overlays [x schedulers]) grid with one shared sim policy.
 
     The grid is the cross product ``kernels x overlays`` in that order
@@ -282,37 +332,18 @@ class SweepSpec:
     resume: bool = True
 
     def __post_init__(self) -> None:
-        if self.sim is None:
-            object.__setattr__(self, "sim", SimSpec(engine="fast"))
         kernels = tuple(self.kernels)
         if not kernels:
             raise ConfigurationError("a sweep spec needs at least one kernel")
-        overlays = tuple(
-            spec if isinstance(spec, OverlaySpec) else OverlaySpec.from_dict(spec)
-            for spec in self.overlays
-        )
+        overlays = tuple(OverlaySpec.coerce(spec) for spec in self.overlays)
         if not overlays:
             raise ConfigurationError("a sweep spec needs at least one overlay spec")
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "overlays", overlays)
-        if self.schedulers is not None:
-            schedulers = tuple(self.schedulers)
-            if not schedulers:
-                raise ConfigurationError(
-                    "schedulers must name at least one strategy (or be None "
-                    "to keep each overlay spec's own scheduler)"
-                )
-            from .schedule.registry import get_scheduler
-
-            for name in schedulers:
-                get_scheduler(name)  # unknown strategies fail at spec time
-            object.__setattr__(self, "schedulers", schedulers)
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigurationError("jobs must be at least 1 (or None for auto)")
-        if not isinstance(self.retries, int) or isinstance(self.retries, bool) or self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be a non-negative integer, got {self.retries!r}"
-            )
+        object.__setattr__(self, "sim", _sim_or_default(self.sim))
+        object.__setattr__(self, "schedulers", _strategy_axis(self.schedulers))
+        _check_jobs(self.jobs)
+        _check_int(self.retries, 0, "retries")
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise ConfigurationError(
                 f"timeout_s must be positive (or None for unlimited), got {self.timeout_s!r}"
@@ -332,45 +363,9 @@ class SweepSpec:
     def __len__(self) -> int:
         return len(self.kernels) * len(self.grid_overlays())
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kernels": list(self.kernels),
-            "overlays": [spec.to_dict() for spec in self.overlays],
-            "sim": self.sim.to_dict(),
-            "jobs": self.jobs,
-            "schedulers": list(self.schedulers) if self.schedulers else None,
-            "retries": self.retries,
-            "timeout_s": self.timeout_s,
-            "store_dir": self.store_dir,
-            "resume": self.resume,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepSpec":
-        data = dict(_checked_fields(cls, data))
-        if "overlays" in data:
-            data["overlays"] = tuple(
-                spec if isinstance(spec, OverlaySpec) else OverlaySpec.from_dict(spec)
-                for spec in data["overlays"]
-            )
-        if "kernels" in data:
-            data["kernels"] = tuple(data["kernels"])
-        if isinstance(data.get("sim"), dict):
-            data["sim"] = SimSpec.from_dict(data["sim"])
-        if data.get("schedulers") is not None:
-            data["schedulers"] = tuple(data["schedulers"])
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class TuneSpec:
+class TuneSpec(Record):
     """What the auto-tuner should search, with which model and budget.
 
     The candidate set is the cross product ``variants x depths x
@@ -434,41 +429,23 @@ class TuneSpec:
         variants = tuple(_variant_name(v) for v in self.variants)
         if not variants:
             raise ConfigurationError("a tune spec needs at least one variant")
-        object.__setattr__(self, "variants", variants)
         depths = tuple(self.depths)
         if not depths:
             raise ConfigurationError(
                 "a tune spec needs at least one depth (None = auto sizing)"
             )
         for depth in depths:
-            if depth is None:
-                continue
-            if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-                raise ConfigurationError(
-                    f"tune depths must be positive integers or None, got {depth!r}"
-                )
-        object.__setattr__(self, "depths", depths)
+            if depth is not None:
+                _check_int(depth, 1, "tune depths")
         fifo_depths = tuple(self.fifo_depths)
         if not fifo_depths:
             raise ConfigurationError("a tune spec needs at least one FIFO depth")
         for fifo in fifo_depths:
-            if not isinstance(fifo, int) or isinstance(fifo, bool) or fifo < 2:
-                raise ConfigurationError(
-                    f"tune FIFO depths must be integers >= 2, got {fifo!r}"
-                )
+            _check_int(fifo, 2, "tune FIFO depths")
+        object.__setattr__(self, "variants", variants)
+        object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "fifo_depths", fifo_depths)
-        if self.schedulers is not None:
-            schedulers = tuple(self.schedulers)
-            if not schedulers:
-                raise ConfigurationError(
-                    "schedulers must name at least one strategy (or be None "
-                    "for every registered strategy)"
-                )
-            from .schedule.registry import get_scheduler
-
-            for name in schedulers:
-                get_scheduler(name)
-            object.__setattr__(self, "schedulers", schedulers)
+        object.__setattr__(self, "schedulers", _strategy_axis(self.schedulers))
         # Imported lazily: the model registry lives with the metrics layer.
         from .metrics.models import get_model
 
@@ -478,54 +455,13 @@ class TuneSpec:
                 f"unknown tuning objective {self.objective!r}; "
                 f"available: {', '.join(OBJECTIVES)}"
             )
-        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 1:
-            raise ConfigurationError(
-                f"budget must be a positive integer, got {self.budget!r}"
-            )
-        if self.sim is None:
-            object.__setattr__(self, "sim", SimSpec(engine="fast"))
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigurationError("jobs must be at least 1 (or None for auto)")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kernel": self.kernel,
-            "variants": list(self.variants),
-            "depths": list(self.depths),
-            "fifo_depths": list(self.fifo_depths),
-            "schedulers": list(self.schedulers) if self.schedulers else None,
-            "model": self.model,
-            "objective": self.objective,
-            "budget": self.budget,
-            "sim": self.sim.to_dict(),
-            "jobs": self.jobs,
-            "store_dir": self.store_dir,
-            "resume": self.resume,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TuneSpec":
-        data = dict(_checked_fields(cls, data))
-        for axis in ("variants", "depths", "fifo_depths"):
-            if axis in data:
-                data[axis] = tuple(data[axis])
-        if data.get("schedulers") is not None:
-            data["schedulers"] = tuple(data["schedulers"])
-        if isinstance(data.get("sim"), dict):
-            data["sim"] = SimSpec.from_dict(data["sim"])
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TuneSpec":
-        return cls.from_dict(json.loads(text))
+        _check_int(self.budget, 1, "budget")
+        object.__setattr__(self, "sim", _sim_or_default(self.sim))
+        _check_jobs(self.jobs)
 
 
 @dataclass(frozen=True)
-class TuneCandidate:
+class TuneCandidate(Record):
     """One tuner candidate: predicted metrics, and measured ones if simulated.
 
     ``rank`` is the candidate's 0-based position in the model's triage
@@ -553,31 +489,16 @@ class TuneCandidate:
     error: Optional[str] = None
 
     def __post_init__(self) -> None:
-        overlay = self.overlay
-        if not isinstance(overlay, OverlaySpec):
-            object.__setattr__(self, "overlay", OverlaySpec.from_dict(overlay))
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 0:
-            raise ConfigurationError(
-                f"candidate rank must be a non-negative integer, got {self.rank!r}"
-            )
+        object.__setattr__(self, "overlay", OverlaySpec.coerce(self.overlay))
+        _check_int(self.rank, 0, "candidate rank")
 
     @property
     def feasible(self) -> bool:
         return self.error is None
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["overlay"] = self.overlay.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TuneCandidate":
-        return cls(**_checked_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class TuneResult:
+class TuneResult(Record):
     """The tuner's verdict: triage-ranked candidates and the chosen one.
 
     ``candidates`` is ordered by model rank (the first ``min(budget,
@@ -592,14 +513,9 @@ class TuneResult:
     best_index: Optional[int] = None
 
     def __post_init__(self) -> None:
-        candidates = tuple(
-            c if isinstance(c, TuneCandidate) else TuneCandidate.from_dict(c)
-            for c in self.candidates
-        )
+        candidates = tuple(TuneCandidate.coerce(c) for c in self.candidates)
         object.__setattr__(self, "candidates", candidates)
-        spec = self.spec
-        if not isinstance(spec, TuneSpec):
-            object.__setattr__(self, "spec", TuneSpec.from_dict(spec))
+        object.__setattr__(self, "spec", TuneSpec.coerce(self.spec))
         if self.best_index is not None:
             if (
                 not isinstance(self.best_index, int)
@@ -629,24 +545,6 @@ class TuneResult:
 
     def __len__(self) -> int:
         return len(self.candidates)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "candidates": [c.to_dict() for c in self.candidates],
-            "best_index": self.best_index,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TuneResult":
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TuneResult":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +599,3 @@ def spec_from_wire(payload: Dict[str, Any]) -> object:
         )
     return cls.from_dict(data)
 
-
-def _checked_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-    """Reject unknown keys so a typo in stored JSON fails loudly."""
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} field(s) {', '.join(map(repr, unknown))}; "
-            f"known: {', '.join(sorted(known))}"
-        )
-    return data

@@ -4,9 +4,9 @@ A :class:`Diagnostic` is one finding of a verification pass: a stable code
 (``SCHED003``), a severity, an optional location inside the artifact (stage /
 slot / FU / DFG node) and a human-readable message.  A :class:`VerifyReport`
 bundles the diagnostics of one artifact together with the identity of what
-was verified; both round-trip through JSON exactly like the spec objects in
-:mod:`repro.specs`, so verdicts can be cached, logged, or shipped over the
-wire by the CLI and a future overlay service.
+was verified; both are :class:`~repro.specs.Record` subclasses, so they
+round-trip through JSON exactly like the spec objects and verdicts can be
+cached, logged, or shipped over the wire by the CLI and the overlay service.
 
 Diagnostic codes are grouped into families by prefix — ``DFG``
 (:mod:`repro.verify.dfg_checks`), ``SCHED`` (schedule legality), ``REG``
@@ -16,13 +16,13 @@ Diagnostic codes are grouped into families by prefix — ``DFG``
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..specs import Record
 
 _CODE_RE = re.compile(r"^[A-Z]{2,8}[0-9]{3}$")
 
@@ -36,7 +36,7 @@ class Severity(str, Enum):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One finding of a verification pass.
 
     The location fields are all optional — a schedule-level finding names a
@@ -81,21 +81,6 @@ class Diagnostic:
             parts.append(f"node {self.node}")
         return ", ".join(parts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "message": self.message,
-            "pass_name": self.pass_name,
-            "stage": self.stage,
-            "slot": self.slot,
-            "node": self.node,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Diagnostic":
-        return cls(**_checked_fields(cls, data))
-
     def __str__(self) -> str:
         where = self.location
         suffix = f" [{where}]" if where else ""
@@ -103,7 +88,7 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """The verdict of running verification passes over one artifact."""
 
     kernel: str
@@ -117,7 +102,9 @@ class VerifyReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passes", tuple(self.passes))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        object.__setattr__(
+            self, "diagnostics", tuple(Diagnostic.coerce(d) for d in self.diagnostics)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -145,40 +132,3 @@ class VerifyReport:
             f"({len(self.errors)} errors, {len(self.warnings)} warnings, "
             f"{len(self.passes)} passes)"
         )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kernel": self.kernel,
-            "variant": self.variant,
-            "scheduler": self.scheduler,
-            "passes": list(self.passes),
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "VerifyReport":
-        checked = _checked_fields(cls, data)
-        checked["passes"] = tuple(checked.get("passes", ()))
-        checked["diagnostics"] = tuple(
-            Diagnostic.from_dict(item) for item in checked.get("diagnostics", ())
-        )
-        return cls(**checked)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerifyReport":
-        return cls.from_dict(json.loads(text))
-
-
-def _checked_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """``data`` filtered to ``cls`` fields, rejecting unknown keys."""
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} fields: {', '.join(unknown)}"
-        )
-    return dict(data)

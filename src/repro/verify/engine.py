@@ -16,12 +16,11 @@ cost is linear in artifact size and safe to run inside compile paths.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..registry import Registry
 from . import dfg_checks
 from .diagnostics import Diagnostic, VerifyReport
 
@@ -83,7 +82,8 @@ class VerifyPass:
         return all(getattr(ctx, attr) is not None for attr in self.requires)
 
 
-_PASSES: "OrderedDict[str, VerifyPass]" = OrderedDict()
+#: Every registered pass, in execution order.
+PASSES: Registry[VerifyPass] = Registry("verification pass")
 
 
 def register_pass(
@@ -95,34 +95,24 @@ def register_pass(
     replace: bool = False,
 ) -> VerifyPass:
     """Register a verification pass (pass order is registration order)."""
-    if name in _PASSES and not replace:
-        raise ConfigurationError(f"verification pass {name!r} already registered")
     entry = VerifyPass(name=name, family=family, func=func, requires=tuple(requires))
-    _PASSES[name] = entry
-    return entry
+    return PASSES.add(name, entry, replace)
 
 
 def pass_names() -> Tuple[str, ...]:
     """Names of all registered passes, in execution order."""
-    return tuple(_PASSES)
+    return tuple(PASSES.names())
 
 
-def get_pass(name: str) -> VerifyPass:
-    try:
-        return _PASSES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown verification pass {name!r}; "
-            f"registered: {', '.join(_PASSES)}"
-        ) from None
+get_pass = PASSES.get
 
 
 def run_passes(
     ctx: VerifyContext, passes: Optional[Sequence[str]] = None
 ) -> VerifyReport:
     """Run the (selected) passes over one artifact and report the verdict."""
-    selected = [get_pass(name) for name in passes] if passes is not None else list(
-        _PASSES.values()
+    selected = (
+        [get_pass(name) for name in passes] if passes is not None else PASSES.entries()
     )
     ran: List[str] = []
     diagnostics: List[Diagnostic] = []
@@ -158,3 +148,4 @@ def _register_builtins() -> None:
 
 
 _register_builtins()
+PASSES.seal()

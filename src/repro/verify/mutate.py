@@ -24,11 +24,10 @@ point where it applies (``applicable_mutations``).
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError
+from ..registry import Registry
 from ..schedule.types import ScheduledOp, SlotKind
 from .engine import VerifyContext
 
@@ -48,49 +47,40 @@ class MutationSpec:
     description: str
 
 
-_MUTATIONS: "OrderedDict[str, Tuple[MutationSpec, Mutator]]" = OrderedDict()
+#: Every seeded defect with its mutator, in registration order.
+MUTATIONS: Registry[Tuple[MutationSpec, Mutator]] = Registry("mutation")
 
 
 def _mutation(name: str, defect_class: str, expected_code: str, description: str):
     def decorate(func: Mutator) -> Mutator:
-        if name in _MUTATIONS:
-            raise ConfigurationError(f"mutation {name!r} already registered")
-        _MUTATIONS[name] = (
-            MutationSpec(
-                name=name,
-                defect_class=defect_class,
-                expected_code=expected_code,
-                description=description,
-            ),
-            func,
+        spec = MutationSpec(
+            name=name,
+            defect_class=defect_class,
+            expected_code=expected_code,
+            description=description,
         )
+        MUTATIONS.add(name, (spec, func))
         return func
 
     return decorate
 
 
 def mutation_names() -> Tuple[str, ...]:
-    return tuple(_MUTATIONS)
+    return tuple(MUTATIONS.names())
 
 
 def get_mutation(name: str) -> MutationSpec:
-    try:
-        return _MUTATIONS[name][0]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown mutation {name!r}; registered: {', '.join(_MUTATIONS)}"
-        ) from None
+    return MUTATIONS.get(name)[0]
 
 
 def apply_mutation(ctx: VerifyContext, name: str) -> Optional[VerifyContext]:
     """The corrupted copy of ``ctx``, or None when the mutation cannot apply."""
-    get_mutation(name)
-    return _MUTATIONS[name][1](ctx)
+    return MUTATIONS.get(name)[1](ctx)
 
 
 def applicable_mutations(ctx: VerifyContext) -> Tuple[str, ...]:
     """Names of every mutation that applies to this artifact."""
-    return tuple(name for name in _MUTATIONS if apply_mutation(ctx, name) is not None)
+    return tuple(name for name in mutation_names() if apply_mutation(ctx, name) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,3 +532,6 @@ def _spec_warmup_lowball(ctx: VerifyContext) -> Optional[VerifyContext]:
     if ctx.program is None or not ctx.warmup_bound_cycles:
         return None
     return _clone(ctx, warmup_bound_cycles=1)
+
+
+MUTATIONS.seal()

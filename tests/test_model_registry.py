@@ -3,8 +3,9 @@
 Three layers of guarantees:
 
 * **registry mechanics** — lookup, registration (decorator form included),
-  duplicate/unknown handling, built-in protection, fresh instances per
-  lookup (fitted state never leaks between sessions);
+  fresh instances per lookup (fitted state never leaks between sessions);
+  duplicate/unknown handling and built-in protection are tested once for
+  every registry in ``tests/test_registries.py``;
 * **prediction caching** — :meth:`repro.api.Toolchain.predict` keys its
   memo on the model's *cache token*, so two models never collide, fitting
   a calibrated model invalidates its pre-fit predictions, and the sim
@@ -66,10 +67,6 @@ class TestRegistryMechanics:
         assert first is not second
         assert second.cache_token == "calibrated"  # unfitted
 
-    def test_unknown_model_error_lists_the_registry(self):
-        with pytest.raises(ConfigurationError, match="analytic"):
-            get_model("no-such-model")
-
     def test_resolve_model_passes_instances_through(self):
         model = AnalyticModel()
         assert resolve_model(model) is model
@@ -108,22 +105,6 @@ class TestRegistryMechanics:
             assert entry.description == "decorator-registered"
         finally:
             unregister_model("decorated")
-
-    def test_duplicate_registration_is_rejected_without_replace(self):
-        register_model("dup-model", AnalyticModel)
-        try:
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_model("dup-model", AnalyticModel)
-            register_model("dup-model", CalibratedModel, replace=True)
-            assert isinstance(get_model("dup-model"), CalibratedModel)
-        finally:
-            unregister_model("dup-model")
-
-    def test_builtins_cannot_be_unregistered(self):
-        for name in BUILTINS:
-            with pytest.raises(ConfigurationError, match="built-in"):
-                unregister_model(name)
-            assert name in model_names()
 
     def test_factory_must_produce_a_performance_model(self):
         register_model("broken-factory", lambda: object())

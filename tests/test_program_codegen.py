@@ -3,9 +3,10 @@
 import pytest
 
 from repro.api import Toolchain
+from repro.dfg import from_json, to_json
 from repro.engine.cache import ScheduleCache
 from repro.errors import CodegenError
-from repro.frontend import lower_c_kernel
+from repro.frontend import lower_c_kernel, trace_kernel
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import BASELINE, V1, V3
@@ -200,6 +201,32 @@ class TestWideConstants:
         result = simulate_schedule(handle.schedule, input_blocks=[[5], [-1]], engine="cycle")
         assert result.outputs == [[-2147483643], [2147483647]]
         assert result.matches_reference
+
+    @pytest.mark.parametrize("engine", ["cycle", "fast", "batched"])
+    def test_traced_and_loaded_constants_hold_the_signed_word(self, engine):
+        # A traced DFG, and one loaded from JSON, hold the wide constant as
+        # the register does, so they compute what the mini-C kernel does.
+        traced = trace_kernel(lambda a: a.min(0x80000000) + (a >> 1), name="f")
+        kernels = {
+            "traced": traced,
+            "loaded": from_json(to_json(traced)),
+            "mini-C": lower_c_kernel(
+                "void f(int a, int *o) { *o = min(a, 0x80000000) + (a >> 1); }"
+            ),
+        }
+        inputs = [5, -7, 2 ** 31 - 1, -(2 ** 31)]
+        toolchain = Toolchain(cache=ScheduleCache())
+        for label, dfg in kernels.items():
+            handle = toolchain.compile(dfg, OverlaySpec("v1"))
+            image = handle.configuration.fu_constants
+            assert {node.value for node in handle.dfg.constants()} == {
+                value for section in image for _, value in section
+            }, label
+            result = simulate_schedule(
+                handle.schedule, input_blocks=[[a] for a in inputs], engine=engine
+            )
+            assert result.outputs == [[_wrap32(-(2 ** 31) + (a >> 1))] for a in inputs], label
+            assert result.matches_reference, label
 
     @pytest.mark.parametrize("run_optimizer", [True, False])
     @pytest.mark.parametrize("engine", ["cycle", "fast", "batched"])

@@ -24,6 +24,7 @@ SRC = os.path.join(REPO_ROOT, "src", "repro")
 #: The lint/type-check scope declared in pyproject.toml.
 SCOPE = [
     os.path.join(SRC, "specs.py"),
+    os.path.join(SRC, "registry.py"),
     os.path.join(SRC, "schedule", "registry.py"),
     os.path.join(SRC, "service"),
     os.path.join(SRC, "verify"),
@@ -43,10 +44,13 @@ HYGIENE_ONLY = [
     os.path.join(SRC, "dfg", "validate.py"),
     os.path.join(SRC, "engine", "cache.py"),
     os.path.join(SRC, "engine", "fastsim.py"),
+    os.path.join(SRC, "engine", "faults.py"),
+    os.path.join(SRC, "engine", "store.py"),
     os.path.join(SRC, "engine", "sweep.py"),
     os.path.join(SRC, "frontend", "cache.py"),
     os.path.join(SRC, "frontend", "cparser.py"),
     os.path.join(SRC, "frontend", "lexer.py"),
+    os.path.join(SRC, "metrics", "models.py"),
     os.path.join(SRC, "metrics", "performance.py"),
     os.path.join(SRC, "overlay", "isa.py"),
     os.path.join(SRC, "program", "codegen.py"),

@@ -76,7 +76,7 @@ class TestFaultPlan:
             FaultPlan(rules=(FaultRule(mode="exit", times=1),))
 
     def test_unknown_rule_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fault rule field"):
+        with pytest.raises(ConfigurationError, match="unknown FaultRule field"):
             FaultPlan.from_json('{"rules": [{"mode": "raise", "bogus": 1}]}')
 
     def test_exit_refused_in_the_main_process(self):

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.api import Toolchain
-from repro.engine.cache import ScheduleCache
+from repro.engine.cache import ScheduleCache, write_atomic
 from repro.engine.store import STORE_VERSION, ResultStore
 from repro.engine.sweep import SweepPoint, build_grid, run_sweep, run_sweep_spec
 from repro.metrics.models import CalibratedModel
@@ -165,6 +165,30 @@ class TestRoundTrip:
         run_sweep(_grid(["gradient"]), jobs=1, store=probe)
         assert probe.stats.writes == 1
         assert probe.get(probe.key_for(point), point) is not None
+
+    def test_stored_key_mismatch_is_a_miss(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        run_sweep(_grid(["gradient"]), jobs=1, store=store)
+        [path] = store.entry_paths()
+        entry = _read_json(path)
+        entry["key"] = "0" * 32
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        probe = ResultStore(str(tmp_path))
+        point = _grid(["gradient"])[0]
+        assert probe.get(probe.key_for(point), point) is None
+        assert (probe.stats.misses, probe.stats.corrupt) == (1, 1)
+        # The row is still readable, so it still feeds calibration.
+        assert len(list(probe.results())) == 1
+
+    def test_unwritable_root_drops_the_row_silently(self, tmp_path):
+        root = tmp_path / "file"
+        root.write_text("not a directory")
+        store = ResultStore(str(root))
+        point = _grid(["gradient"])[0]
+        [row] = run_sweep([point], jobs=1)
+        store.put(store.key_for(point), point, row)
+        assert store.stats.writes == 0
 
     def test_clear_empties_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -342,3 +366,21 @@ class TestTuneStoreReads:
         assert probe.listings == 0
         assert next(rows).kernel in ("gradient", "poly5")
         assert probe.listings == 1
+
+
+class TestWriteAtomic:
+    def test_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "out" / "entry.json"
+        write_atomic(str(path), "first")
+        write_atomic(str(path), b"second")
+        assert path.read_bytes() == b"second"
+        assert os.listdir(path.parent) == ["entry.json"]
+
+    def test_failed_write_raises_and_leaves_no_temp_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(OSError):
+            write_atomic(str(taken), "text")  # os.replace onto a directory
+        with pytest.raises(TypeError):
+            write_atomic(str(tmp_path / "entry.json"), 42)
+        assert os.listdir(tmp_path) == ["taken"]

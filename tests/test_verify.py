@@ -47,9 +47,7 @@ from repro.verify import (
     Severity,
     VerifyContext,
     VerifyReport,
-    get_pass,
     pass_names,
-    register_pass,
     run_passes,
     verify_handle,
 )
@@ -240,21 +238,6 @@ class TestDiagnosticModel:
 class TestPassRegistry:
     def test_builtin_passes_registered_in_order(self):
         assert pass_names() == ("dfg", "schedule", "regalloc", "binary", "spec")
-
-    def test_duplicate_pass_rejected_unless_replaced(self):
-        original = get_pass("dfg")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_pass("dfg", lambda ctx: [], family="DFG")
-        register_pass(
-            "dfg", original.func, family=original.family, replace=True
-        )
-        assert get_pass("dfg").func is original.func
-
-    def test_unknown_pass_selection_fails_loudly(self):
-        handle = next(_grid_points(("gradient",), ("v1",), ("linear",)))[1]
-        ctx = VerifyContext.from_handle(handle)
-        with pytest.raises(ConfigurationError, match="unknown"):
-            run_passes(ctx, passes=["no-such-pass"])
 
     def test_pass_subset_runs_only_selected(self):
         handle = next(_grid_points(("gradient",), ("v1",), ("linear",)))[1]
