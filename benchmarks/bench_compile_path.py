@@ -8,23 +8,40 @@ the kernel library's built-DFG cache, the frontend cache (lowered DFGs)
 and the compiled-schedule cache; warm means all of them populated by a prior
 identical pass.
 
-Three tests land in ``BENCH_results.json``:
+Four tests land in ``BENCH_results.json``:
 
 * ``test_compile_path_cold``   — one full pass from cleared caches;
 * ``test_compile_path_warm``   — ``WARM_ROUNDS`` passes on warm caches;
 * ``test_compile_path_speedup`` — measures both itself, asserts the
   acceptance criterion (warm ≥ 5x faster than cold) and writes the
-  cold/warm/speedup table to ``results/compile_path.txt``.
+  cold/warm/speedup table to ``results/compile_path.txt``;
+* ``test_optimizer_two_walk_speedup`` — the frontend layer's gate: the
+  five-pass composition ``optimize`` used to run costs at least
+  ``MIN_OPTIMIZER_SPEEDUP`` times the two-walk ``optimize`` on the same raw
+  graphs (the median of ``OPTIMIZER_ROUNDS`` interleaved rounds, each run
+  from a collected heap), recorded as ``optimizer_two_walk_speedup`` and
+  appended to ``results/compile_path.txt``.
 """
 
+import gc
+import statistics
 import time
 
 import pytest
 
 from repro.api import default_toolchain
+from repro.dfg.transforms import (
+    common_subexpression_elimination,
+    constant_folding,
+    dead_code_elimination,
+    optimize,
+    strength_reduce_squares,
+)
 from repro.engine.cache import default_cache
 from repro.frontend.cache import default_frontend_cache
-from repro.kernels.library import clear_kernel_cache, kernel_names
+from repro.frontend.cparser import lower_c_kernel
+from repro.kernels.generators import random_dfg
+from repro.kernels.library import KERNEL_C_SOURCES, clear_kernel_cache, kernel_names
 from repro.specs import OverlaySpec
 
 #: The compile grid: every library kernel on one critical-path-depth overlay
@@ -34,6 +51,22 @@ VARIANTS = ("v1", "v3")
 #: Warm passes per measurement (averaged), so dictionary-lookup-fast warm
 #: times are measured above timer resolution.
 WARM_ROUNDS = 5
+
+#: Interleaved rounds of the optimizer gate, each one run of either side.
+OPTIMIZER_ROUNDS = 7
+
+#: Gate: the five-pass composition over the two-walk ``optimize``.
+MIN_OPTIMIZER_SPEEDUP = 2.0
+
+#: Sections of ``results/compile_path.txt``, by the test that measured them.
+_REPORT = {}
+
+
+def _save_report(save_result, section, text):
+    """Write every section measured so far, in a fixed order."""
+    _REPORT[section] = text
+    order = ("compile", "optimizer")
+    save_result("compile_path", "\n".join(_REPORT[name] for name in order if name in _REPORT))
 
 
 @pytest.fixture(autouse=True)
@@ -111,8 +144,59 @@ def test_compile_path_speedup(save_result):
         f"{backend.misses} misses, {backend.hit_rate * 100:.1f}% hit rate",
         f"  frontend cache            : {frontend.summary()}",
     ]
-    save_result("compile_path", "\n".join(lines))
+    _save_report(save_result, "compile", "\n".join(lines))
     assert speedup >= 5.0, (
         f"warm compile path only {speedup:.1f}x faster than cold "
         f"(cold {cold * 1e3:.2f} ms, warm {warm * 1e3:.2f} ms)"
+    )
+
+
+def _five_passes(raw):
+    """What ``optimize`` ran before the two walks (its reference)."""
+    return dead_code_elimination(
+        strength_reduce_squares(common_subexpression_elimination(constant_folding(raw)))
+    )
+
+
+def _timed_graphs(optimizer, graphs) -> float:
+    # Start every run from a collected heap: otherwise a collection of the
+    # previous run's garbage lands at random in a later run's timing.
+    gc.collect()
+    started = time.perf_counter()
+    for raw in graphs:
+        optimizer(raw)
+    return time.perf_counter() - started
+
+
+def test_optimizer_two_walk_speedup(record_metric, save_result):
+    """The frontend gate: the five passes cost >= 2x the two walks."""
+    graphs = [random_dfg(1 + seed % 5, 8 + seed % 25, seed=seed) for seed in range(400)]
+    graphs += [
+        lower_c_kernel(source, name=name, run_optimizer=False)
+        for name, source in KERNEL_C_SOURCES.items()
+    ]
+    ratios, walks, passes = [], [], []
+    for round_index in range(OPTIMIZER_ROUNDS):
+        order = (optimize, _five_passes) if round_index % 2 == 0 else (_five_passes, optimize)
+        timed = {fn: _timed_graphs(fn, graphs) for fn in order}
+        walks.append(timed[optimize])
+        passes.append(timed[_five_passes])
+        ratios.append(timed[_five_passes] / timed[optimize])
+    ratio = statistics.median(ratios)
+
+    record_metric("optimizer_two_walk_speedup", ratio)
+    per_graph = 1e6 / len(graphs)
+    lines = [
+        f"frontend optimizer: {len(graphs)} raw graphs (400 random_dfg + "
+        f"{len(KERNEL_C_SOURCES)} library C sources), {OPTIMIZER_ROUNDS} "
+        "interleaved rounds, medians:",
+        f"  two-walk optimize         : {statistics.median(walks) * per_graph:8.2f} us/graph",
+        f"  five-pass composition     : {statistics.median(passes) * per_graph:8.2f} us/graph",
+        "  per-round ratios          : " + ", ".join(f"{r:.2f}x" for r in ratios),
+        f"  median ratio              : {ratio:8.2f}x  (gate: >= {MIN_OPTIMIZER_SPEEDUP}x)",
+    ]
+    _save_report(save_result, "optimizer", "\n".join(lines))
+    assert ratio >= MIN_OPTIMIZER_SPEEDUP, (
+        f"the five-pass composition is only {ratio:.2f}x the two-walk optimize "
+        f"(median of {OPTIMIZER_ROUNDS} rounds, gate {MIN_OPTIMIZER_SPEEDUP}x)"
     )

@@ -25,7 +25,7 @@ stream), so they contribute neither loads nor pass-throughs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import DFGValidationError
 from .graph import DFG
@@ -260,11 +260,23 @@ def stage_traffic(
     -------
     list of :class:`StageTraffic`, one per stage.
     """
-    operations = {n.node_id for n in dfg.operations()}
-    missing = operations - set(assignment)
+    return _stage_analysis(dfg, assignment, num_stages)[0]
+
+
+def _stage_analysis(
+    dfg: DFG,
+    assignment: Mapping[int, int],
+    num_stages: Optional[int] = None,
+) -> Tuple[List[StageTraffic], Dict[int, Tuple[int, int]]]:
+    """:func:`stage_traffic` together with the :func:`value_lifetimes` it
+    is derived from, for stage builders that need both."""
+    uses = _value_uses(dfg)
+    missing = [
+        value_id for value_id, is_input, _, _ in uses if not is_input and value_id not in assignment
+    ]
     if missing:
         raise DFGValidationError(
-            f"assignment is missing {len(missing)} operation(s): {sorted(missing)[:5]}"
+            f"assignment is missing {len(missing)} operation(s): {missing[:5]}"
         )
     if num_stages is None:
         num_stages = (max(assignment.values()) + 1) if assignment else 1
@@ -274,47 +286,26 @@ def stage_traffic(
                 f"operation {node_id} assigned to stage {stage}, "
                 f"but overlay has {num_stages} stages"
             )
-
-    producer_stage: Dict[int, int] = {}
-    for node in dfg.nodes():
-        if node.is_input:
-            producer_stage[node.node_id] = -1
-        elif node.is_operation:
-            producer_stage[node.node_id] = assignment[node.node_id]
     # Constants are configuration data, not stream data: excluded entirely.
-
-    last_stage: Dict[int, int] = {}
-    for value_id, p_stage in producer_stage.items():
-        needed_until = p_stage
-        for consumer_id in dfg.consumer_ids(value_id):
-            consumer = dfg.node(consumer_id)
-            if consumer.is_output:
-                # The value must exit through the output FIFO after the last FU.
-                needed_until = max(needed_until, num_stages)
-            elif consumer.is_operation:
-                needed_until = max(needed_until, assignment[consumer_id])
-        last_stage[value_id] = needed_until
+    lifetimes = _lifetimes(uses, assignment, num_stages)
 
     traffic = [StageTraffic(stage=k) for k in range(num_stages)]
     for node_id, stage in sorted(assignment.items()):
         traffic[stage].computes.append(node_id)
-
-    for value_id in sorted(producer_stage):
-        p_stage = producer_stage[value_id]
-        needed_until = last_stage[value_id]
-        # Stage k loads the value if it enters from upstream and is still needed.
-        for stage in range(p_stage + 1, min(needed_until, num_stages - 1) + 1):
-            traffic[stage].loads.append(value_id)
-            if needed_until > stage:
-                traffic[stage].passes.append(value_id)
+    last_fu = num_stages - 1
+    for value_id, (p_stage, needed_until) in lifetimes.items():
         # Emission: every stage where the value is present (produced there or
         # loaded there) and still needed downstream forwards it.
         if p_stage >= 0 and needed_until > p_stage:
             traffic[p_stage].emits.append(value_id)
-        for stage in range(p_stage + 1, min(needed_until, num_stages - 1) + 1):
+        # Stage k loads the value if it enters from upstream and is still needed.
+        for stage in range(p_stage + 1, min(needed_until, last_fu) + 1):
+            entry = traffic[stage]
+            entry.loads.append(value_id)
             if needed_until > stage:
-                traffic[stage].emits.append(value_id)
-    return traffic
+                entry.passes.append(value_id)
+                entry.emits.append(value_id)
+    return traffic, lifetimes
 
 
 def value_lifetimes(
@@ -327,20 +318,48 @@ def value_lifetimes(
     """
     if num_stages is None:
         num_stages = (max(assignment.values()) + 1) if assignment else 1
+    return _lifetimes(_value_uses(dfg), assignment, num_stages)
+
+
+def _lifetimes(
+    uses: Tuple[Tuple[int, bool, Tuple[int, ...], bool], ...],
+    assignment: Mapping[int, int],
+    num_stages: int,
+) -> Dict[int, Tuple[int, int]]:
     lifetimes: Dict[int, Tuple[int, int]] = {}
-    for node in dfg.nodes():
-        if node.is_const or node.is_output:
-            continue
-        produced = -1 if node.is_input else assignment[node.node_id]
-        needed = produced
-        for consumer_id in dfg.consumer_ids(node.node_id):
-            consumer = dfg.node(consumer_id)
-            if consumer.is_output:
-                needed = max(needed, num_stages)
-            elif consumer.is_operation:
-                needed = max(needed, assignment[consumer_id])
-        lifetimes[node.node_id] = (produced, needed)
+    for value_id, is_input, consumers, feeds_output in uses:
+        produced = -1 if is_input else assignment[value_id]
+        # The value must exit through the output FIFO after the last FU.
+        needed = max(produced, num_stages) if feeds_output else produced
+        for consumer_id in consumers:
+            stage = assignment[consumer_id]
+            if stage > needed:
+                needed = stage
+        lifetimes[value_id] = (produced, needed)
     return lifetimes
+
+
+def _value_uses(dfg: DFG) -> Tuple[Tuple[int, bool, Tuple[int, ...], bool], ...]:
+    """``(id, is_input, operation consumer ids, feeds_output)`` per input and
+    operation, in id order, memoised in :meth:`DFG.derived` (read-only)."""
+    derived = dfg.derived()
+    uses = derived.value_uses
+    if uses is None:
+        rows = []
+        for node in dfg.nodes():
+            if not (node.is_input or node.is_operation):
+                continue
+            consumers: Dict[int, None] = {}
+            feeds_output = False
+            for consumer_id in dfg.consumer_ids(node.node_id):
+                consumer = dfg.node(consumer_id)
+                if consumer.is_output:
+                    feeds_output = True
+                elif consumer.is_operation:
+                    consumers[consumer_id] = None
+            rows.append((node.node_id, node.is_input, tuple(consumers), feeds_output))
+        uses = derived.value_uses = tuple(rows)
+    return uses
 
 
 def operation_histogram(dfg: DFG) -> Dict[OpCode, int]:

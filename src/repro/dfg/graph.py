@@ -32,7 +32,13 @@ class DerivedValues:
     value, so no lock is needed.
     """
 
-    __slots__ = ("topological_order", "asap_levels", "fingerprint")
+    __slots__ = (
+        "topological_order",
+        "asap_levels",
+        "fingerprint",
+        "value_uses",
+        "dfg_diagnostics",
+    )
 
     def __init__(self) -> None:
         #: :meth:`DFG.topological_order`.
@@ -43,6 +49,14 @@ class DerivedValues:
         #: :func:`repro.dfg.serialize.dfg_fingerprint` reuses it only for
         #: a graph of the same name.
         self.fingerprint: Optional[Tuple[str, str]] = None
+        #: One ``(id, is_input, operation consumer ids, feeds_output)`` per
+        #: input and operation, in id order
+        #: (:func:`repro.dfg.analysis.value_lifetimes` reads it).
+        self.value_uses: Optional[Tuple[Tuple[int, bool, Tuple[int, ...], bool], ...]] = None
+        #: The verifier's DFG verdict, a tuple of diagnostics
+        #: (:attr:`repro.verify.engine.VerifyContext.dfg_diagnostics`).  The
+        #: checks never read the graph's name, so renamed copies share it.
+        self.dfg_diagnostics: Optional[Tuple[object, ...]] = None
 
 
 class DFG:

@@ -18,6 +18,8 @@ parser in particular) benefits from them:
 
 All passes are functional: they return a new :class:`DFG` and leave the input
 untouched.  Node ids are re-numbered compactly in topological order.
+:func:`optimize` composes them in two walks over the graph and one build,
+and the passes stay its reference.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import DFGValidationError
 from .graph import DFG
-from .node import DFGNode
+from .node import DFGNode, default_name
 from .opcodes import OpCode
 from .validate import validate_dfg
 
+# Bound once: ``OpCode.X`` goes through ``EnumType.__getattr__`` per lookup.
+_CONST = OpCode.CONST
+_MUL = OpCode.MUL
+_SQR = OpCode.SQR
 
 
 def _port_name(node: DFGNode) -> str:
@@ -226,14 +232,101 @@ def rebalance_reductions(dfg: DFG) -> DFG:
 def optimize(dfg: DFG, rebalance: bool = False) -> DFG:
     """Run the standard pass pipeline used by the frontends.
 
-    Order: constant folding -> CSE -> square strength reduction -> (optional)
-    reduction rebalancing -> DCE.  The result is validated before returning.
+    The result is, node for node, constant folding -> CSE -> square strength
+    reduction -> (optional) reduction rebalancing -> DCE of the passes
+    above, which stay its reference.  It is built in two walks instead of
+    five rebuilds: :func:`_fold_and_mark` folds constants and marks
+    liveness, then :func:`_emit_live` merges duplicates, reduces squares and
+    builds the graph once.  A final DCE of that compact, all-live graph
+    would be the identity, so only a rebalanced graph gets one.  The result
+    is validated before returning.
     """
-    result = constant_folding(dfg)
-    result = common_subexpression_elimination(result)
-    result = strength_reduce_squares(result)
+    rows, live = _fold_and_mark(dfg)
+    result = _emit_live(dfg.name, rows, live)
     if rebalance:
-        result = rebalance_reductions(result)
-    result = dead_code_elimination(result)
+        result = dead_code_elimination(rebalance_reductions(result))
     validate_dfg(result, require_live=False)
     return result
+
+
+#: One row of the folded graph: the kept node (a placeholder CONST for a
+#: folded value) and the rows of its operands.
+_Row = Tuple[DFGNode, Tuple[int, ...]]
+
+
+def _fold_and_mark(dfg: DFG) -> Tuple[List[_Row], List[bool]]:
+    """Walk 1: :func:`constant_folding`'s graph as rows, and which are live.
+
+    Every operation whose operands are all constants folds; a folded value
+    becomes a CONST row just before its first consumer that does not fold,
+    live or not, as :func:`constant_folding` places it.  Liveness is then
+    marked backward from the outputs, and every input is kept, as
+    :func:`dead_code_elimination` does.
+    """
+    folded: Dict[int, int] = {}  # node id -> value of a constant or folded operation
+    row_of: Dict[int, int] = {}  # node id -> row holding its value
+    rows: List[_Row] = []
+    for node_id in dfg.topological_order():
+        node = dfg.node(node_id)
+        operands = node.operands
+        if node.is_operation and all(o in folded for o in operands):
+            folded[node_id] = node.opcode.evaluate(*[folded[o] for o in operands])
+            continue
+        if node.is_const:
+            folded[node_id] = node.value
+        operand_rows = []
+        for operand in operands:
+            row = row_of.get(operand)
+            if row is None:  # a folded operation's first consumer that does not fold
+                row = row_of[operand] = len(rows)
+                rows.append((DFGNode(0, _CONST, value=folded[operand]), ()))
+            operand_rows.append(row)
+        row_of[node_id] = len(rows)
+        rows.append((node, tuple(operand_rows)))
+
+    live = [False] * len(rows)
+    stack = [row for row, (node, _) in enumerate(rows) if node.is_output or node.is_input]
+    while stack:
+        row = stack.pop()
+        if not live[row]:
+            live[row] = True
+            stack.extend(rows[row][1])
+    return rows, live
+
+
+def _emit_live(name: str, rows: List[_Row], live: List[bool]) -> DFG:
+    """Walk 2: build the live rows into one graph.
+
+    Operations merge on ``(opcode, new operand ids)``, operands sorted for a
+    commutative opcode, as :func:`common_subexpression_elimination` keys
+    them.  ``MUL(x, x)`` is emitted as ``SQR(x)`` but keyed as ``MUL``: the
+    reference merges before it reduces squares.
+    """
+    new = DFG(name=name)
+    new_ids = [0] * len(rows)
+    twins: Dict[Tuple[OpCode, Tuple[int, ...]], int] = {}
+    for row, (node, operand_rows) in enumerate(rows):
+        if not live[row]:
+            continue
+        operands = tuple([new_ids[r] for r in operand_rows])
+        opcode = node.opcode
+        if node.is_operation:
+            key = (opcode, tuple(sorted(operands)) if opcode.is_commutative else operands)
+            twin = twins.get(key)
+            if twin is None:
+                if opcode is _MUL and operands[0] == operands[1]:
+                    twin = new.new_node(_SQR, operands=operands[:1]).node_id
+                else:
+                    twin = new.new_node(opcode, operands=operands).node_id
+                twins[key] = twin
+            new_ids[row] = twin
+            continue
+        port_name = _port_name(node)
+        if not port_name and (node.is_input or node.is_output):
+            # The reference rebuilds the graph again: an emptied port name
+            # ("_Nx") comes back as the default name's prefix.
+            port_name = default_name(0, opcode).split("_N")[0]
+        new_ids[row] = new.new_node(
+            opcode, operands=operands, value=node.value, name=port_name
+        ).node_id
+    return new

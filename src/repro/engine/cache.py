@@ -84,9 +84,10 @@ from ..schedule.types import OverlaySchedule
 
 #: Format tag of the disk layer's file names.  Bump it whenever a class
 #: pickled into an entry changes shape (:class:`CompiledKernel`, the
-#: schedule, program and image classes, DFG nodes, opcode hashing): entries
-#: of another format then keep their old names and are never loaded.
-DISK_FORMAT = 3
+#: schedule, program and image classes, DFG nodes and their shared derived
+#: values, opcode hashing): entries of another format then keep their old
+#: names and are never loaded.
+DISK_FORMAT = 4
 
 
 def dfg_content_hash(dfg: DFG) -> str:

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..dfg.analysis import dfg_depth, level_sets, stage_traffic, value_lifetimes
+from ..dfg.analysis import _stage_analysis, dfg_depth, level_sets, stage_traffic
 from ..dfg.graph import DFG
 from ..errors import InfeasibleScheduleError
 from ..overlay.architecture import LinearOverlay
 from .ii import ii_from_counts, stage_ii
-from .linear import build_stage_schedules, schedule_linear
+from .linear import _build_stages, schedule_linear
 from .ordering import order_cluster
 from .types import OverlaySchedule, ScheduledOp, StageSchedule
 
@@ -227,9 +227,7 @@ def build_clustered_stages(
     dfg: DFG, assignment: Dict[int, int], overlay: LinearOverlay
 ) -> List[StageSchedule]:
     """Build ordered per-stage programs (with NOP insertion) for a clustering."""
-    num_stages = overlay.depth
-    traffic = stage_traffic(dfg, assignment, num_stages=num_stages)
-    lifetimes = value_lifetimes(dfg, assignment, num_stages=num_stages)
+    traffic, lifetimes = _stage_analysis(dfg, assignment, overlay.depth)
     needed_until = {value: needed for value, (_, needed) in lifetimes.items()}
     distance = overlay.variant.dependence_distance
 
@@ -243,7 +241,7 @@ def build_clustered_stages(
             stage_index=entry.stage,
             needed_until=needed_until,
         )
-    return build_stage_schedules(dfg, assignment, num_stages, slot_order=slot_order)
+    return _build_stages(dfg, traffic, lifetimes, slot_order)
 
 
 def cluster_membership(assignment: Dict[int, int], num_clusters: int) -> List[List[int]]:

@@ -19,9 +19,9 @@ onto the fixed depth-8 V3/V4 overlays with plain ASAP scheduling).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dfg.analysis import stage_traffic, value_lifetimes
+from ..dfg.analysis import StageTraffic, _stage_analysis
 from ..dfg.graph import DFG
 from ..errors import InfeasibleScheduleError
 from ..overlay.architecture import LinearOverlay
@@ -73,13 +73,21 @@ def build_stage_schedules(
     pass-throughs in load order, which is sufficient for ASAP mappings where
     no intra-stage dependences exist.
     """
-    traffic = stage_traffic(dfg, assignment, num_stages=num_stages)
-    lifetimes = value_lifetimes(dfg, assignment, num_stages=num_stages)
+    traffic, lifetimes = _stage_analysis(dfg, assignment, num_stages)
+    return _build_stages(dfg, traffic, lifetimes, slot_order)
 
+
+def _build_stages(
+    dfg: DFG,
+    traffic: List[StageTraffic],
+    lifetimes: Dict[int, Tuple[int, int]],
+    slot_order: Optional[Dict[int, Sequence[ScheduledOp]]] = None,
+) -> List[StageSchedule]:
+    """:func:`build_stage_schedules` from an assignment's traffic and value
+    lifetimes, for builders that derived them already."""
     stages: List[StageSchedule] = []
     previous_emission: List[int] = _input_stream_order(dfg)
-    for stage_index in range(num_stages):
-        entry = traffic[stage_index]
+    for stage_index, entry in enumerate(traffic):
         load_set = set(entry.loads)
         load_order = [v for v in previous_emission if v in load_set]
         # Defensive: anything the traffic analysis says we load but that the

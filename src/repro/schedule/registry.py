@@ -45,6 +45,7 @@ except ImportError:  # pragma: no cover
     Protocol = object  # type: ignore[assignment]
 
 from ..dfg.graph import DFG
+from ..errors import InfeasibleScheduleError
 from ..overlay.architecture import LinearOverlay
 from ..registry import Registry, describe
 from .types import OverlaySchedule
@@ -154,8 +155,25 @@ is_builtin_scheduler = SCHEDULERS.is_builtin
 def schedule_with(
     name: str, dfg: DFG, overlay: LinearOverlay
 ) -> OverlaySchedule:
-    """Schedule ``dfg`` onto ``overlay`` with the named strategy."""
-    return get_scheduler(name).schedule(dfg, overlay)
+    """Schedule ``dfg`` onto ``overlay`` with the named strategy.
+
+    Raises
+    ------
+    InfeasibleScheduleError
+        If an output reads a constant.  Constants are configuration data,
+        preloaded into the FUs that read them, so no stage emits one to the
+        output FIFO.
+    """
+    strategy = get_scheduler(name)
+    for output in dfg.outputs():
+        source = dfg.node(output.operands[0])
+        if source.is_const:
+            raise InfeasibleScheduleError(
+                f"kernel {dfg.name!r}: output {output.name} reads constant "
+                f"{source.name} (value {source.value}), which no stage emits "
+                "to the output FIFO"
+            )
+    return strategy.schedule(dfg, overlay)
 
 
 def resolve_strategy_name(name: str, overlay: LinearOverlay) -> str:

@@ -40,7 +40,7 @@ def _error(code: str, message: str, **location) -> Diagnostic:
 
 def run(ctx) -> List[Diagnostic]:
     """The ``dfg`` pass: the context's DFG verdict, which is derived once per
-    context (:attr:`~repro.verify.engine.VerifyContext.dfg_diagnostics`)
+    node set (:attr:`~repro.verify.engine.VerifyContext.dfg_diagnostics`)
     and shared with the ``schedule`` pass that gates on it."""
     return list(ctx.dfg_diagnostics)
 

@@ -17,7 +17,6 @@ cost is linear in artifact size and safe to run inside compile paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..registry import Registry
@@ -47,11 +46,21 @@ class VerifyContext:
     def overlay(self):
         return self.schedule.overlay
 
-    @cached_property
+    @property
     def dfg_diagnostics(self) -> Tuple[Diagnostic, ...]:
-        """The DFG checks' findings, derived once per context: the ``dfg``
-        pass reports them and the ``schedule`` pass gates on them."""
-        return tuple(dfg_checks.check(self.dfg))
+        """The DFG checks' findings, derived once per node set: the ``dfg``
+        pass reports them and the ``schedule`` pass gates on them.
+
+        The verdict lives in the graph's derived values
+        (:meth:`~repro.dfg.graph.DFG.derived`), so the copies of one graph
+        that several strategies schedule share it; a graph that gains a node
+        gets a fresh one.
+        """
+        derived = self.dfg.derived()
+        verdict = derived.dfg_diagnostics
+        if verdict is None:
+            verdict = derived.dfg_diagnostics = tuple(dfg_checks.check(self.dfg))
+        return verdict
 
     @classmethod
     def from_handle(cls, handle) -> "VerifyContext":

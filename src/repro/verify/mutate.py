@@ -295,6 +295,24 @@ def _sched_fifo_swapped(ctx: VerifyContext) -> Optional[VerifyContext]:
     return None
 
 
+@_mutation(
+    "sched-output-unemitted",
+    "schedule",
+    "SCHED010",
+    "set NDF on the last stage's slot that emits an output's value",
+)
+def _sched_output_unemitted(ctx: VerifyContext) -> Optional[VerifyContext]:
+    index = len(ctx.schedule.stages) - 1
+    stage = ctx.schedule.stages[index]
+    sources = {output.operands[0] for output in ctx.dfg.outputs()}
+    for slot_index, slot in enumerate(stage.slots):
+        if slot.emits and slot.value_id in sources:
+            slots = list(stage.slots)
+            slots[slot_index] = _clone(slot, forward=False)
+            return _with_stage(ctx, index, _clone(stage, slots=slots))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # register-allocation defects
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ Codes
               upstream neighbour's emission order (stage 0: the input stream)
 ``SCHED008``  scheduled II below the analytic minimum II
 ``SCHED009``  write-back flag on a variant without a write-back path
+``SCHED010``  an output's source is not in the last stage's emission order
+              (it never reaches the output FIFO)
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ def run(ctx) -> List[Diagnostic]:
     out.extend(_check_coverage(schedule, dfg))
     out.extend(_check_stage_ordering(schedule, dfg, variant))
     out.extend(_check_fifo_discipline(schedule, dfg))
+    out.extend(_check_outputs_emitted(schedule, dfg))
 
     for index, stage in enumerate(schedule.stages):
         if stage.num_instructions > variant.instruction_memory_depth:
@@ -290,4 +293,26 @@ def _check_fifo_discipline(schedule, dfg) -> List[Diagnostic]:
             )
         upstream = list(stage.emission_order)
         upstream_name = f"stage {index}"
+    return out
+
+
+def _check_outputs_emitted(schedule, dfg) -> List[Diagnostic]:
+    """Every output's source must leave the last stage for the output FIFO."""
+    if not schedule.stages:
+        return []
+    last = len(schedule.stages) - 1
+    emitted = set(schedule.stages[last].emission_order)
+    out: List[Diagnostic] = []
+    for output in dfg.outputs():
+        source = output.operands[0]
+        if source not in emitted:
+            out.append(
+                _error(
+                    "SCHED010",
+                    f"output {output.name} reads value {source}, which the "
+                    f"last stage ({last}) never emits to the output FIFO",
+                    stage=last,
+                    node=output.node_id,
+                )
+            )
     return out

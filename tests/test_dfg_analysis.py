@@ -144,3 +144,110 @@ class TestStageTraffic:
         lifetimes = value_lifetimes(gradient, assignment, num_stages=4)
         final_value = gradient.outputs()[0].operands[0]
         assert lifetimes[final_value][1] == 4
+
+
+# ---------------------------------------------------------------------------
+# the memoised value uses against a plain re-derivation
+# ---------------------------------------------------------------------------
+def _plain_lifetimes(dfg, assignment, num_stages):
+    """``value_lifetimes`` as a walk over ``consumer_ids`` per value."""
+    lifetimes = {}
+    for node in dfg.nodes():
+        if node.is_const or node.is_output:
+            continue
+        produced = -1 if node.is_input else assignment[node.node_id]
+        needed = produced
+        for consumer_id in dfg.consumer_ids(node.node_id):
+            consumer = dfg.node(consumer_id)
+            if consumer.is_output:
+                needed = max(needed, num_stages)
+            elif consumer.is_operation:
+                needed = max(needed, assignment[consumer_id])
+        lifetimes[node.node_id] = (produced, needed)
+    return lifetimes
+
+
+def _plain_traffic(dfg, assignment, num_stages):
+    """``stage_traffic`` rows ``(stage, loads, computes, passes, emits)``."""
+    rows = [(k, [], [], [], []) for k in range(num_stages)]
+    for node_id, stage in sorted(assignment.items()):
+        rows[stage][2].append(node_id)
+    lifetimes = _plain_lifetimes(dfg, assignment, num_stages)
+    for value_id, (produced, needed) in sorted(lifetimes.items()):
+        for stage in range(produced + 1, min(needed, num_stages - 1) + 1):
+            rows[stage][1].append(value_id)
+            if needed > stage:
+                rows[stage][3].append(value_id)
+        if produced >= 0 and needed > produced:
+            rows[produced][4].append(value_id)
+        for stage in range(produced + 1, min(needed, num_stages - 1) + 1):
+            if needed > stage:
+                rows[stage][4].append(value_id)
+    return rows
+
+
+def _assert_matches_plain(dfg, assignment, num_stages):
+    traffic = stage_traffic(dfg, assignment, num_stages=num_stages)
+    got = [(t.stage, t.loads, t.computes, t.passes, t.emits) for t in traffic]
+    assert got == _plain_traffic(dfg, assignment, num_stages)
+    expected = _plain_lifetimes(dfg, assignment, num_stages)
+    assert value_lifetimes(dfg, assignment, num_stages=num_stages) == expected
+    assert list(value_lifetimes(dfg, assignment, num_stages=num_stages)) == list(expected)
+
+
+def _random_legal_assignment(dfg, rng, num_stages):
+    """Each operation no earlier than its operands, drawn in topological order."""
+    assignment = {}
+    for node_id in dfg.topological_order():
+        node = dfg.node(node_id)
+        if node.is_operation:
+            earliest = max((assignment.get(o, 0) for o in node.operands), default=0)
+            assignment[node_id] = rng.randint(earliest, num_stages - 1)
+    return assignment
+
+
+class TestValueUses:
+    def test_library_artifacts_match_a_plain_rederivation(self):
+        from repro.errors import InfeasibleScheduleError
+        from repro.kernels import get_kernel, kernel_names
+        from repro.schedule import schedule_with, scheduler_names
+        from repro.specs import OverlaySpec
+
+        checked = 0
+        for name in kernel_names():
+            dfg = get_kernel(name)
+            for variant in ("baseline", "v1", "v2", "v3", "v4", "v5"):
+                overlay = OverlaySpec(variant).build_overlay(dfg)
+                for strategy in scheduler_names():
+                    try:
+                        schedule = schedule_with(strategy, dfg, overlay)
+                    except InfeasibleScheduleError:
+                        continue
+                    _assert_matches_plain(dfg, schedule.assignment, overlay.depth)
+                    checked += 1
+        assert checked >= 150
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_legal_assignments_match_a_plain_rederivation(self, seed):
+        import random
+
+        from repro.kernels.generators import random_dfg
+
+        rng = random.Random(seed)
+        dfg = random_dfg(rng.randint(1, 5), rng.randint(4, 40), seed=seed)
+        for _ in range(5):
+            num_stages = rng.randint(1, 9)
+            assignment = _random_legal_assignment(dfg, rng, num_stages)
+            _assert_matches_plain(dfg, assignment, num_stages)
+            # The default depth is one past the deepest assigned stage.
+            deepest = max(assignment.values()) + 1
+            assert value_lifetimes(dfg, assignment) == _plain_lifetimes(dfg, assignment, deepest)
+
+    def test_the_summary_is_computed_once_per_node_set(self, gradient):
+        assignment = asap_stage_assignment(gradient)
+        stage_traffic(gradient, assignment)
+        uses = gradient.derived().value_uses
+        assert uses is not None
+        copy = gradient.copy(name="renamed")
+        value_lifetimes(copy, assignment)
+        assert copy.derived().value_uses is uses

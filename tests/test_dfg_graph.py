@@ -11,7 +11,13 @@ import threading
 import pytest
 
 from repro.dfg import serialize
-from repro.dfg.analysis import asap_levels, asap_stage_assignment, dfg_depth, level_sets
+from repro.dfg.analysis import (
+    asap_levels,
+    asap_stage_assignment,
+    dfg_depth,
+    level_sets,
+    value_lifetimes,
+)
 from repro.dfg.graph import DFG
 from repro.dfg.node import DFGEdge, DFGNode, default_name
 from repro.dfg.opcodes import OpCode
@@ -239,7 +245,8 @@ def _fresh_hash(dfg):
 
 
 def _values(dfg):
-    return dfg_fingerprint(dfg), asap_levels(dfg), dfg.topological_order()
+    lifetimes = value_lifetimes(dfg, asap_stage_assignment(dfg))
+    return dfg_fingerprint(dfg), asap_levels(dfg), dfg.topological_order(), lifetimes
 
 
 class TestDerivedValues:

@@ -1,10 +1,24 @@
-"""Unit tests for repro.dfg.transforms."""
+"""Unit tests for repro.dfg.transforms.
+
+``optimize`` runs in two walks and one build; the five passes it composes
+stay its reference, and :class:`TestTwoWalkOptimizer` checks the two agree
+node for node.
+"""
+
+import importlib.util
+import os
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from minic_corpus import corpus
 
 from repro.dfg.analysis import dfg_depth
 from repro.dfg.builder import DFGBuilder
-from repro.dfg.opcodes import OpCode
+from repro.dfg.opcodes import COMPUTE_OPCODES, OpCode
+from repro.frontend.cparser import lower_c_kernel
+from repro.kernels.library import KERNEL_C_SOURCES
 from repro.dfg.transforms import (
     common_subexpression_elimination,
     constant_folding,
@@ -169,3 +183,146 @@ class TestOptimizePipeline:
         dfg = benchmarks["mibench"]
         optimized = optimize(dfg, rebalance=rebalance)
         assert evaluate_dfg(optimized, [3, -4, 5]) == evaluate_dfg(dfg, [3, -4, 5])
+
+
+
+# ---------------------------------------------------------------------------
+# the two-walk optimizer against the five-pass composition
+# ---------------------------------------------------------------------------
+def _composition(raw, rebalance=False):
+    """The reference: the passes ``optimize`` used to run one by one."""
+    result = strength_reduce_squares(common_subexpression_elimination(constant_folding(raw)))
+    if rebalance:
+        result = rebalance_reductions(result)
+    return dead_code_elimination(result)
+
+
+def _node_rows(dfg):
+    return dfg.name, [(n.node_id, n.opcode, n.operands, n.name, n.value) for n in dfg.nodes()]
+
+
+def _assert_equals_composition(raw):
+    for rebalance in (False, True):
+        assert _node_rows(optimize(raw, rebalance=rebalance)) == _node_rows(
+            _composition(raw, rebalance=rebalance)
+        ), (raw.name, rebalance)
+
+
+def _e2e_generator():
+    """``benchmarks/e2e/gen.py``: the end-to-end benchmark's kernel stream."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "benchmarks", "e2e", "gen.py")
+    spec = importlib.util.spec_from_file_location("e2e_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hand_written():
+    """Kernels with each case the walks must order exactly as the passes do."""
+    kernels = []
+
+    b = DFGBuilder("dead_duplicates")
+    x, y = b.input("x"), b.input("y")
+    b.add(x, y)
+    b.add(y, x)  # a commuted twin of a dead operation
+    b.output(b.mul(x, y), "out")
+    kernels.append(b)
+
+    b = DFGBuilder("commuted_duplicates")
+    x, y = b.input("x"), b.input("y")
+    b.output(b.add(b.mul(x, y), b.mul(y, x)), "out")
+    b.output(b.sub(b.min(y, x), b.min(x, y)), "diff")
+    kernels.append(b)
+
+    b = DFGBuilder("dead_constant_consumer")
+    x = b.input("x")
+    five = b.add(b.const(2), b.const(3))
+    b.mul(five, x)  # dead, but the folded 5 is placed before it
+    b.output(b.sub(x, b.const(1)), "a")
+    b.output(b.add(five, x), "b")
+    kernels.append(b)
+
+    b = DFGBuilder("squares")
+    x = b.input("x")
+    b.output(b.add(b.sqr(x), b.mul(x, x)), "out")
+    b.output(b.mul(x, x), "twin")
+    kernels.append(b)
+
+    b = DFGBuilder("folded_outputs")
+    x = b.input("x")
+    b.output(b.add(x, b.const(1)), "o")
+    b.output(b.mul(b.const(6), b.const(7)), "O_return")
+    kernels.append(b)
+
+    b = DFGBuilder("emptied_port_names")
+    x = b.input("_Nx")
+    b.output(b.neg(x), "_Nout")
+    kernels.append(b)
+    return [builder.build(validate=False) for builder in kernels]
+
+
+@st.composite
+def raw_graphs(draw):
+    """A ``DFGBuilder`` graph with dead operations, commuted duplicates,
+    constant-only subtrees feeding dead and live consumers, ``sqr(x)``
+    beside ``x * x``, and outputs fed by folded constants."""
+    b = DFGBuilder("prop")
+    port = draw(st.sampled_from(["x", "_Nx"]))
+    inputs = [b.input(f"{port}{i}") for i in range(draw(st.integers(1, 3)))]
+    constants = [b.const(v) for v in draw(st.lists(st.integers(-40, 40), min_size=1, max_size=3))]
+    fold = draw(st.sampled_from([OpCode.ADD, OpCode.MUL, OpCode.SUB]))
+    folded = b.op(fold, constants[0], constants[-1])
+    if draw(st.booleans()):
+        folded = b.neg(folded)
+    b.add(folded, inputs[0])  # a dead consumer of the folded subtree...
+    live_use = b.mul(inputs[-1], folded)  # ...before a live one
+    values = inputs + constants + [folded, live_use]
+    for opcode in draw(st.lists(st.sampled_from(COMPUTE_OPCODES), min_size=1, max_size=14)):
+        operands = [draw(st.sampled_from(values)) for _ in range(opcode.arity)]
+        values.append(b.op(opcode, *operands))
+        if opcode.is_commutative and draw(st.booleans()):
+            values.append(b.op(opcode, *reversed(operands)))
+    x = draw(st.sampled_from(inputs))
+    values += [b.sqr(x), b.mul(x, x)]
+    b.neg(draw(st.sampled_from(values)))  # dead
+    b.output(values[-1], "o0")
+    b.output(values[-2], "o1")
+    b.output(live_use, "o2")
+    b.output(folded, "O_return")
+    for index, value in enumerate(draw(st.lists(st.sampled_from(values), max_size=3))):
+        b.output(value, f"d{index}")
+    return b.build(validate=False)
+
+
+class TestTwoWalkOptimizer:
+    def test_library_sources(self):
+        for name, source in KERNEL_C_SOURCES.items():
+            _assert_equals_composition(lower_c_kernel(source, name=name, run_optimizer=False))
+
+    def test_minic_corpus(self):
+        for source in corpus(1, 600):
+            _assert_equals_composition(lower_c_kernel(source, run_optimizer=False))
+
+    def test_benchmark_kernel_stream(self):
+        stream = _e2e_generator().kernel_stream(5)
+        for _ in range(300):
+            kernel = next(stream)
+            _assert_equals_composition(lower_c_kernel(kernel.source, run_optimizer=False))
+
+    @pytest.mark.parametrize("raw", _hand_written(), ids=lambda dfg: dfg.name)
+    def test_hand_written_kernels(self, raw):
+        _assert_equals_composition(raw)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=raw_graphs())
+    def test_builder_graphs(self, raw):
+        _assert_equals_composition(raw)
+
+    def test_walks_leave_the_input_untouched(self):
+        raw = _hand_written()[2]
+        before = _node_rows(raw)
+        optimize(raw)
+        assert _node_rows(raw) == before

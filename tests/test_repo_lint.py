@@ -38,9 +38,11 @@ HYGIENE_ONLY = [
     os.path.join(SRC, "api.py"),
     os.path.join(SRC, "baseline", "li2016.py"),
     os.path.join(SRC, "cli.py"),
+    os.path.join(SRC, "dfg", "analysis.py"),
     os.path.join(SRC, "dfg", "graph.py"),
     os.path.join(SRC, "dfg", "node.py"),
     os.path.join(SRC, "dfg", "opcodes.py"),
+    os.path.join(SRC, "dfg", "transforms.py"),
     os.path.join(SRC, "dfg", "validate.py"),
     os.path.join(SRC, "engine", "cache.py"),
     os.path.join(SRC, "engine", "fastsim.py"),
@@ -56,6 +58,7 @@ HYGIENE_ONLY = [
     os.path.join(SRC, "program", "codegen.py"),
     os.path.join(SRC, "runtime", "manager.py"),
     os.path.join(SRC, "schedule", "greedy.py"),
+    os.path.join(SRC, "schedule", "linear.py"),
     os.path.join(SRC, "sim", "overlay.py"),
 ]
 

@@ -451,6 +451,40 @@ class TestSatelliteRegressions:
 
 
 # ---------------------------------------------------------------------------
+# outputs fed by a constant: no stage emits them, so every strategy refuses
+# ---------------------------------------------------------------------------
+CONSTANT_OUTPUT_SOURCES = (
+    "int k(int a, int *o) { *o = a + 1; return 2+3; }",
+    "int k(int a, int *o) { *o = a * a; return 7; }",
+)
+
+
+class TestConstantOutputs:
+    @pytest.mark.parametrize("source", CONSTANT_OUTPUT_SOURCES)
+    def test_every_variant_and_strategy_refuses(self, source):
+        from repro.service.protocol import error_code_for
+
+        toolchain = Toolchain(ScheduleCache())
+        for variant in ALL_VARIANTS:
+            for strategy in STRATEGIES:
+                spec = OverlaySpec(variant=variant, scheduler=strategy)
+                with pytest.raises(InfeasibleScheduleError) as caught:
+                    toolchain.compile(source=source, overlay=spec, check=True)
+                message = str(caught.value)
+                assert "output O_return reads constant" in message, (variant, strategy)
+                assert error_code_for(caught.value) == "E_INFEASIBLE"
+
+    def test_refusal_names_the_constant(self):
+        from repro.frontend.cparser import lower_c_kernel
+
+        dfg = lower_c_kernel(CONSTANT_OUTPUT_SOURCES[1])
+        const = dfg.node(dfg.outputs()[-1].operands[0])
+        overlay = OverlaySpec("v1").build_overlay(dfg)
+        with pytest.raises(InfeasibleScheduleError, match=f"{const.name} \\(value 7\\)"):
+            schedule_with("linear", dfg, overlay)
+
+
+# ---------------------------------------------------------------------------
 # registry concurrency (the service PR: workers race user registrations)
 # ---------------------------------------------------------------------------
 class TestRegistryConcurrency:

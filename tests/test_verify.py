@@ -5,10 +5,10 @@ Five layers of guarantees:
 * **the clean library is clean** — every kernel x variant x scheduler
   artifact the toolchain produces yields zero diagnostics (fast subset
   always; the full grid under ``--runslow``);
-* **each piece of work once** — one verification runs the DFG checks once
-  (the ``dfg`` and ``schedule`` passes share the verdict) and decodes each
-  distinct instruction word once, and a memoised decode never hides a
-  corrupted word;
+* **each piece of work once** — the DFG checks run once per node set (the
+  ``dfg`` and ``schedule`` passes, and every copy of a graph, share the
+  verdict), each distinct instruction word is decoded once per process in
+  a bounded memo, and a memoised decode never hides a corrupted word;
 * **the diagnostic model round-trips** — ``Diagnostic`` / ``VerifyReport``
   survive JSON exactly, reject malformed codes and unknown fields;
 * **session wiring** — ``Toolchain.verify`` caches full-suite verdicts on
@@ -34,7 +34,9 @@ from repro.errors import (
     InfeasibleScheduleError,
     VerificationError,
 )
+from repro.frontend.cparser import lower_c_kernel
 from repro.kernels import kernel_names
+from repro.kernels.library import KERNEL_C_SOURCES
 from repro.schedule.registry import (
     is_builtin_scheduler,
     register_scheduler,
@@ -97,6 +99,18 @@ class TestCleanLibrary:
             checked += 1
         assert checked >= 200
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_an_output_the_last_stage_never_emits_is_flagged(self, variant):
+        from repro.schedule.linear import schedule_linear
+
+        # A strategy called directly skips schedule_with's refusal of
+        # constant-fed outputs; the verifier still catches the artifact.
+        dfg = lower_c_kernel("int k(int a, int *o) { *o = a * a; return 7; }")
+        schedule = schedule_linear(dfg, OverlaySpec(variant).build_overlay(dfg))
+        report = run_passes(VerifyContext(schedule=schedule))
+        returned = dfg.outputs()[-1]
+        assert [(d.code, d.node) for d in report.errors] == [("SCHED010", returned.node_id)]
+
     def test_schedule_only_artifacts_skip_program_passes(self):
         # No library kernel currently overflows codegen, so build the
         # schedule-only shape directly: program-dependent passes must skip.
@@ -114,7 +128,7 @@ class TestCleanLibrary:
 
 
 # ---------------------------------------------------------------------------
-# each piece of work once per verification
+# each piece of work once per node set / per process
 # ---------------------------------------------------------------------------
 class TestSharedWork:
     @pytest.fixture
@@ -139,22 +153,142 @@ class TestSharedWork:
     def test_each_distinct_word_is_decoded_once(self, monkeypatch, handle):
         from repro.verify import binary_checks
 
+        other = Toolchain(ScheduleCache()).compile(
+            "gradient", OverlaySpec(variant="v3", scheduler="clustered")
+        )
+        binary_checks._DECODED.clear()
         calls = self._count_calls(monkeypatch, binary_checks, "decode_instruction")
-        assert verify_handle(handle).ok
-        words = [w for program in handle.program.fu_programs for w in program.encoded_words()]
+        # Two artifacts, each verified twice: the memo outlives a verification.
+        for artifact in (handle, other, handle, other):
+            assert verify_handle(artifact).ok
+        words = [
+            word
+            for artifact in (handle, other)
+            for program in artifact.program.fu_programs
+            for word in program.encoded_words()
+        ]
         assert len(set(words)) < len(words)
         assert sorted(word for (word,) in calls) == sorted(set(words))
 
-    def test_dfg_checks_run_once_per_verification(self, monkeypatch, handle):
+    def test_dfg_checks_run_once_per_verification(self, monkeypatch):
         from repro.verify import dfg_checks
 
+        # A freshly lowered graph: the library's DFGs may carry a verdict
+        # from an earlier test.
+        dfg = lower_c_kernel(KERNEL_C_SOURCES["gradient"])
         calls = self._count_calls(monkeypatch, dfg_checks, "check")
-        report = verify_handle(handle)
-        assert {"dfg", "schedule"} <= set(report.passes)
+        toolchain = Toolchain(ScheduleCache())
+        handles = [
+            toolchain.compile(dfg.copy(), OverlaySpec(variant="v3", scheduler=strategy))
+            for strategy in ("linear", "clustered", "modulo", "alap")
+        ]
+        for handle in handles:
+            report = verify_handle(handle)
+            assert {"dfg", "schedule"} <= set(report.passes)
+            assert report.ok
         assert len(calls) == 1
-        # The schedule pass alone still derives the verdict it gates on.
-        run_passes(VerifyContext.from_handle(handle), passes=["schedule"])
-        assert len(calls) == 2
+        # The schedule pass alone reads the verdict it gates on.
+        run_passes(VerifyContext.from_handle(handles[0]), passes=["schedule"])
+        assert len(calls) == 1
+
+    def test_a_copy_that_gains_a_node_gets_fresh_derived_values(self):
+        from repro.dfg.analysis import value_lifetimes
+        from repro.dfg.opcodes import OpCode
+
+        dfg = lower_c_kernel(KERNEL_C_SOURCES["gradient"])
+        schedule = schedule_with("linear", dfg, OverlaySpec("v1").build_overlay(dfg))
+        verdict = VerifyContext(schedule=schedule).dfg_diagnostics
+        value_lifetimes(dfg, schedule.assignment)
+        shared = dfg.derived()
+        assert shared.dfg_diagnostics is verdict and shared.value_uses is not None
+
+        grown = dfg.copy()
+        assert grown.derived() is shared
+        dead = grown.new_node(OpCode.NEG, operands=(grown.inputs()[0].node_id,))
+        fresh = grown.derived()
+        assert fresh is not shared
+        assert fresh.dfg_diagnostics is None and fresh.value_uses is None
+        grown_schedule = dataclasses.replace(schedule, dfg=grown)
+        codes = [d.code for d in VerifyContext(schedule=grown_schedule).dfg_diagnostics]
+        assert codes == ["DFG007"]
+        assert dead.node_id in value_lifetimes(grown, {**schedule.assignment, dead.node_id: 0})
+        # The source keeps its own memo.
+        assert dfg.derived() is shared and shared.dfg_diagnostics == ()
+
+    @pytest.mark.parametrize("name", ["dfg-dangling-operand", "dfg-cycle"])
+    def test_a_dfg_mutant_gets_its_own_verdict(self, name, handle):
+        from repro.verify import apply_mutation
+
+        ctx = VerifyContext.from_handle(handle)
+        assert ctx.dfg_diagnostics == ()
+        mutant = apply_mutation(ctx, name)
+        assert mutant.dfg.derived() is not ctx.dfg.derived()
+        assert mutant.dfg_diagnostics != ()
+        assert ctx.dfg_diagnostics == ()
+        assert ctx.dfg.derived().dfg_diagnostics == ()
+
+    def test_decode_memo_never_exceeds_its_bound(self, monkeypatch, handle):
+        from repro.verify import binary_checks
+
+        words = sorted(
+            {word for program in handle.program.fu_programs for word in program.encoded_words()}
+        )
+        limit = len(words) // 3
+        monkeypatch.setattr(binary_checks, "DECODE_MEMO_LIMIT", limit)
+        memo = binary_checks._Decoder()
+        sizes = []
+        for word in words + [word ^ (31 << 2) for word in words]:
+            decoded = memo[word]
+            assert memo[word] is decoded
+            sizes.append(len(memo))
+        assert max(sizes) == limit
+        # Clearing never changes an answer.
+        assert all(binary_checks._Decoder()[word] == memo[word] for word in words)
+        binary_checks._DECODED.clear()
+        monkeypatch.setattr(binary_checks, "_DECODED", memo)
+        assert verify_handle(handle).ok
+        assert len(memo) <= limit
+
+    def test_threads_racing_on_a_small_memo_read_correct_decodes(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.verify import binary_checks
+
+        toolchain = Toolchain(ScheduleCache())
+        handles = [
+            toolchain.compile(kernel, OverlaySpec(variant=variant, scheduler="clustered"))
+            for kernel in ("gradient", "poly7")
+            for variant in ("v3", "v5")
+        ]
+        limit = 16
+        memo = binary_checks._Decoder()
+        monkeypatch.setattr(binary_checks, "DECODE_MEMO_LIMIT", limit)
+        monkeypatch.setattr(binary_checks, "_DECODED", memo)
+        workers = 8
+        reports = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def worker(index):
+            barrier.wait()
+            reports[index] = [verify_handle(h).ok for h in handles[index % 2 :] * 3]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose races
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(report and all(report) for report in reports)
+        # Racing threads may each add one word past the bound before a clear.
+        assert len(memo) <= limit + workers
+        fresh = binary_checks._Decoder()
+        assert all(decoded == fresh[word] for word, decoded in list(memo.items()))
 
     def test_undecodable_word_is_reported_after_its_slot_decoded(self, handle):
         image = copy.deepcopy(handle.configuration)
