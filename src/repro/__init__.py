@@ -49,7 +49,6 @@ from .engine import (
     build_grid,
     default_cache,
     run_sweep,
-    simulate_fast,
 )
 from .errors import ReproError
 from .frontend import parse_c_kernel, trace_kernel
@@ -133,7 +132,6 @@ __all__ = [
     "default_toolchain",
     "OverlayRuntime",
     "FastSimulator",
-    "simulate_fast",
     "ScheduleCache",
     "default_cache",
     "SweepPoint",

@@ -4,7 +4,7 @@ This package is the IR every other part of the tool flow speaks:
 
 * :class:`~repro.dfg.graph.DFG` / :class:`~repro.dfg.node.DFGNode` — the graph.
 * :class:`~repro.dfg.builder.DFGBuilder` — programmatic construction.
-* :mod:`~repro.dfg.analysis` — ASAP/ALAP levels, depth, critical path,
+* :mod:`~repro.dfg.analysis` — ASAP/ALAP levels, depth,
   per-stage traffic (loads / computes / pass-throughs).
 * :mod:`~repro.dfg.transforms` — DCE, constant folding, CSE, square
   strength-reduction, reduction rebalancing.
@@ -16,16 +16,11 @@ from .graph import DFG
 from .node import DFGEdge, DFGNode
 from .opcodes import OpCode, parse_opcode
 from .analysis import (
-    DFGCharacteristics,
     alap_levels,
     asap_levels,
     asap_stage_assignment,
-    characteristics,
-    critical_path,
     dfg_depth,
     level_sets,
-    operation_histogram,
-    slack,
     stage_traffic,
     StageTraffic,
     value_lifetimes,
@@ -39,7 +34,7 @@ from .transforms import (
     strength_reduce_squares,
 )
 from .serialize import from_dict, from_json, load, save, to_dict, to_dot, to_json
-from .validate import collect_validation_errors, is_valid, validate_dfg
+from .validate import collect_validation_errors, validate_dfg
 
 __all__ = [
     "DFG",
@@ -48,19 +43,14 @@ __all__ = [
     "DFGBuilder",
     "OpCode",
     "parse_opcode",
-    "DFGCharacteristics",
     "asap_levels",
     "alap_levels",
     "asap_stage_assignment",
-    "slack",
     "level_sets",
     "dfg_depth",
-    "critical_path",
-    "characteristics",
     "stage_traffic",
     "StageTraffic",
     "value_lifetimes",
-    "operation_histogram",
     "dead_code_elimination",
     "constant_folding",
     "common_subexpression_elimination",
@@ -76,5 +66,4 @@ __all__ = [
     "to_dot",
     "validate_dfg",
     "collect_validation_errors",
-    "is_valid",
 ]

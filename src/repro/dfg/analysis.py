@@ -3,11 +3,11 @@
 The analyses in this module answer the structural questions the paper's
 schedulers and II models need:
 
-* **ASAP / ALAP levels and slack** — ASAP scheduling is the mapping strategy
-  used by the [14]/V1/V2 overlays (one DFG level per FU), ALAP/slack drive the
-  fixed-depth greedy scheduler's balancing decisions.
-* **Depth and critical path** — the paper's ``Depth`` column in Table III and
-  the quantity that determines how many FUs a non-write-back overlay needs.
+* **ASAP / ALAP levels** — ASAP scheduling is the mapping strategy used by
+  the [14]/V1/V2 overlays (one DFG level per FU); ALAP levels drive the
+  ``alap`` strategy.
+* **Depth** — the paper's ``Depth`` column in Table III and the quantity
+  that determines how many FUs a non-write-back overlay needs.
 * **Stage traffic** — given an assignment of operations to overlay stages
   (FUs), how many values each stage must *load*, *compute*, *pass through*
   and *emit*.  The linear interconnect has no skip connections, so a value
@@ -29,8 +29,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import DFGValidationError
 from .graph import DFG
-from .node import DFGNode
-from .opcodes import OpCode
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +101,6 @@ def alap_levels(dfg: DFG, depth: Optional[int] = None) -> Dict[int, int]:
     return levels
 
 
-def slack(dfg: DFG, depth: Optional[int] = None) -> Dict[int, int]:
-    """ALAP minus ASAP level per node (0 for critical-path nodes)."""
-    asap = asap_levels(dfg)
-    alap = alap_levels(dfg, depth=depth)
-    return {node_id: alap[node_id] - asap[node_id] for node_id in asap}
-
-
 def level_sets(dfg: DFG) -> List[List[int]]:
     """Operation node ids grouped by ASAP level.
 
@@ -123,64 +114,6 @@ def level_sets(dfg: DFG) -> List[List[int]]:
     for node in dfg.operations():
         groups[levels[node.node_id] - 1].append(node.node_id)
     return groups
-
-
-def critical_path(dfg: DFG) -> List[int]:
-    """Return one longest chain of operation ids (inputs/outputs excluded)."""
-    levels = asap_levels(dfg)
-    depth = dfg_depth(dfg)
-    if depth == 0:
-        return []
-    # Walk backwards from a deepest operation, always stepping to an operand
-    # exactly one level earlier.
-    deepest = max(
-        (n for n in dfg.operations()),
-        key=lambda n: (levels[n.node_id], -n.node_id),
-    )
-    path = [deepest.node_id]
-    current = deepest
-    while levels[current.node_id] > 1:
-        next_node: Optional[DFGNode] = None
-        for operand_id in current.operands:
-            operand = dfg.node(operand_id)
-            if operand.is_operation and levels[operand_id] == levels[current.node_id] - 1:
-                next_node = operand
-                break
-        if next_node is None:  # pragma: no cover - defensive, DAG guarantees one
-            break
-        path.append(next_node.node_id)
-        current = next_node
-    path.reverse()
-    return path
-
-
-# ---------------------------------------------------------------------------
-# characteristics summary (Table III columns)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DFGCharacteristics:
-    """The structural characteristics the paper reports per benchmark."""
-
-    name: str
-    num_inputs: int
-    num_outputs: int
-    num_operations: int
-    depth: int
-
-    @property
-    def io_signature(self) -> str:
-        return f"{self.num_inputs}/{self.num_outputs}"
-
-
-def characteristics(dfg: DFG) -> DFGCharacteristics:
-    """Summarize a DFG into the paper's Table III characteristic columns."""
-    return DFGCharacteristics(
-        name=dfg.name,
-        num_inputs=dfg.num_inputs,
-        num_outputs=dfg.num_outputs,
-        num_operations=dfg.num_operations,
-        depth=dfg_depth(dfg),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +149,6 @@ class StageTraffic:
     @property
     def num_loads(self) -> int:
         return len(self.loads)
-
-    @property
-    def num_computes(self) -> int:
-        return len(self.computes)
-
-    @property
-    def num_passes(self) -> int:
-        return len(self.passes)
-
-    @property
-    def num_ops(self) -> int:
-        """Instruction slots occupied on the FU (computes + pass-throughs)."""
-        return self.num_computes + self.num_passes
 
 
 def asap_stage_assignment(dfg: DFG) -> Dict[int, int]:
@@ -361,10 +281,3 @@ def _value_uses(dfg: DFG) -> Tuple[Tuple[int, bool, Tuple[int, ...], bool], ...]
         uses = derived.value_uses = tuple(rows)
     return uses
 
-
-def operation_histogram(dfg: DFG) -> Dict[OpCode, int]:
-    """Count operations per opcode (useful for workload characterization)."""
-    histogram: Dict[OpCode, int] = {}
-    for node in dfg.operations():
-        histogram[node.opcode] = histogram.get(node.opcode, 0) + 1
-    return histogram

@@ -12,7 +12,7 @@ callers that want the networkx toolbox; the library itself never needs it
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DFGValidationError, UnknownNodeError
 from .node import DFGEdge, DFGNode
@@ -186,10 +186,6 @@ class DFG:
     def consumer_ids(self, node_id: int) -> List[int]:
         return [c for c, _ in self.consumers(node_id)]
 
-    def producers(self, node_id: int) -> List[int]:
-        """Operand ids of a node (its producers), in operand order."""
-        return list(self.node(node_id).operands)
-
     def fanout(self, node_id: int) -> int:
         return len(self.consumers(node_id))
 
@@ -301,41 +297,6 @@ class DFG:
         clone._consumers = {node_id: sorted(self._consumers[node_id]) for node_id in ids}
         clone._next_id = ids[-1] + 1 if ids else 1
         clone._derived = self.derived()
-        return clone
-
-    def subgraph(self, node_ids: Iterable[int], name: Optional[str] = None) -> "DFG":
-        """Return the induced subgraph over ``node_ids``.
-
-        Operand references to nodes outside the selection are dropped, so the
-        result is mainly useful for visualisation and cluster inspection, not
-        for execution.
-        """
-        keep = set(node_ids)
-        clone = DFG(name=name or f"{self.name}_sub")
-        for node in self.nodes():
-            if node.node_id not in keep:
-                continue
-            operands = tuple(o for o in node.operands if o in keep)
-            if (node.opcode.is_compute or node.is_output) and len(operands) != len(
-                node.operands
-            ):
-                # A compute node that lost operands becomes a boundary input of
-                # the induced subgraph.
-                replacement = DFGNode(
-                    node_id=node.node_id,
-                    opcode=OpCode.INPUT,
-                    operands=(),
-                    name=node.name,
-                )
-            else:
-                replacement = DFGNode(
-                    node_id=node.node_id,
-                    opcode=node.opcode,
-                    operands=operands,
-                    name=node.name,
-                    value=node.value,
-                )
-            clone.add_node(replacement)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -79,16 +79,10 @@ class OpCode(enum.Enum):
     # :func:`_set_member_flags` stores on every member once at import time:
     # each ``OpCode.X`` lookup goes through ``EnumType.__getattr__`` on
     # Python 3.11, far too slow for the per-node paths that ask.
-    _structural: bool
     _control: bool
     _compute: bool
     _arity: int
     _commutative: bool
-
-    @property
-    def is_structural(self) -> bool:
-        """True for DFG boundary nodes that never become FU instructions."""
-        return self._structural
 
     @property
     def is_control(self) -> bool:
@@ -252,9 +246,8 @@ _COMMUTATIVE_OPCODES = (
 def _set_member_flags() -> None:
     """Store each member's classification flags and arity on the member."""
     for op in OpCode:
-        op._structural = op in _STRUCTURAL_OPCODES
         op._control = op in _CONTROL_OPCODES
-        op._compute = not op._structural and not op._control
+        op._compute = op not in _STRUCTURAL_OPCODES and not op._control
         op._arity = OP_ARITY[op]
         op._commutative = op in _COMMUTATIVE_OPCODES
 

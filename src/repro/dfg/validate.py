@@ -118,8 +118,3 @@ def _live_nodes(dfg: DFG) -> Set[int]:
         live.add(node_id)
         worklist.extend(dfg.node(node_id).operands)
     return live
-
-
-def is_valid(dfg: DFG, require_live: bool = True) -> bool:
-    """Boolean convenience wrapper around :func:`collect_validation_errors`."""
-    return not collect_validation_errors(dfg, require_live=require_live)

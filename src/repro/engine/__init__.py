@@ -31,7 +31,6 @@ sweeps:
 from .cache import CacheKey, CompiledKernel, ScheduleCache, default_cache, dfg_content_hash
 from .fastsim import (
     FastSimulator,
-    simulate_fast,
     steady_state_warmup_bound,
     warmup_bound_blocks,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "default_cache",
     "dfg_content_hash",
     "FastSimulator",
-    "simulate_fast",
     "steady_state_warmup_bound",
     "warmup_bound_blocks",
     "ResultStore",

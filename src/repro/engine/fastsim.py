@@ -1023,15 +1023,3 @@ def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:
                 row[index] = _to_signed32(row[index])
     return rows
 
-
-def simulate_fast(
-    schedule: OverlaySchedule,
-    input_blocks: Sequence[Sequence[int]],
-    max_cycles: Optional[int] = None,
-    fast_forward: bool = True,
-) -> SimulationResult:
-    """Run the fast engine on a stream of input blocks."""
-    simulator = FastSimulator(
-        schedule, max_cycles=max_cycles, fast_forward=fast_forward
-    )
-    return simulator.run(input_blocks)

@@ -115,22 +115,17 @@ class ResultStore:
     # ------------------------------------------------------------------
     # lookup / insert
     # ------------------------------------------------------------------
-    def get(self, key: str, point=None):
+    def get(self, key: str, point):
         """The stored :class:`~repro.engine.sweep.SweepResult`, or ``None``.
 
-        ``point`` (when the caller has it) resolves the entry filename
-        directly; without it the store scans for the key's digest suffix.
-        Anything unreadable — missing file, truncated JSON, layout-version
-        or key mismatch, unknown row fields — is a miss, never an error:
-        the point is simply re-simulated and the entry rewritten.
+        ``point`` (the :class:`~repro.engine.sweep.SweepPoint` ``key`` was
+        computed for) names the entry file.  Anything unreadable — missing
+        file, truncated JSON, layout-version or key mismatch, unknown row
+        fields — is a miss, never an error: the point is simply re-simulated
+        and the entry rewritten.
         """
-        if point is not None:
-            path = self._filename(key, point)
-            if not os.path.exists(path):
-                path = None
-        else:
-            path = self._path_for(key)
-        if path is None:
+        path = self._filename(key, point)
+        if not os.path.exists(path):
             self.stats.misses += 1
             return None
         entry = _read_entry(path)
@@ -209,16 +204,6 @@ class ResultStore:
         return os.path.join(
             self.root, f"{point.kernel}-{point.overlay.variant}-{key}.json"
         )
-
-    def _path_for(self, key: str) -> Optional[str]:
-        """Locate the entry file carrying ``key`` (digest is in the name)."""
-        if not os.path.isdir(self.root):
-            return None
-        suffix = f"-{key}.json"
-        for name in os.listdir(self.root):
-            if name.endswith(suffix):
-                return os.path.join(self.root, name)
-        return None
 
 
 def _read_entry(path: str) -> Optional[Tuple[object, object]]:

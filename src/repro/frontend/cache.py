@@ -41,12 +41,6 @@ class FrontendCacheStats:
         """Total lookups."""
         return self.dfg_hits + self.dfg_misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never used)."""
-        lookups = self.lookups
-        return self.dfg_hits / lookups if lookups else 0.0
-
     def summary(self) -> str:
         """One-line hits/lookups rendering (the CLI ``cache --stats`` row)."""
         return f"DFGs {self.dfg_hits}/{self.lookups} hits"

@@ -16,7 +16,6 @@ from .library import (
     all_benchmarks,
     clear_kernel_cache,
     get_kernel,
-    get_kernel_source,
     kernel_names,
 )
 from .characteristics import (
@@ -25,7 +24,7 @@ from .characteristics import (
     PaperCharacteristics,
 )
 from .reference import evaluate_dfg, reference_outputs, random_input_blocks
-from .generators import dfg_from_level_profile, random_dfg, polynomial_kernel
+from .generators import dfg_from_level_profile, random_dfg
 
 __all__ = [
     "BENCHMARK_NAMES",
@@ -34,7 +33,6 @@ __all__ = [
     "all_benchmarks",
     "clear_kernel_cache",
     "get_kernel",
-    "get_kernel_source",
     "kernel_names",
     "PAPER_CHARACTERISTICS",
     "PAPER_TABLE3_II",
@@ -44,5 +42,4 @@ __all__ = [
     "random_input_blocks",
     "dfg_from_level_profile",
     "random_dfg",
-    "polynomial_kernel",
 ]

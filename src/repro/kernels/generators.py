@@ -1,14 +1,12 @@
 """Synthetic kernel/DFG generators.
 
-Three generators are provided:
+The generators:
 
 * :func:`dfg_from_level_profile` — build a DFG with an exact number of
   operations at each depth level.  This is how the ``poly5``-``poly8``
   benchmarks are reconstructed (only their I/O, op-count and depth are
   published), and it is also useful for scalability sweeps where the workload
   shape must be controlled precisely.
-* :func:`polynomial_kernel` — a Horner-evaluation chain for a univariate
-  polynomial of a given degree (a natural workload for the DSP-based FU).
 * :func:`random_dfg` — seeded random DAG generator used by the property-based
   tests to exercise the schedulers and the simulator on graphs that nobody
   hand-tuned.
@@ -214,34 +212,6 @@ def dfg_from_traffic_profile(
         previous_all = current
 
     builder.output(previous_all[0], "O0")
-    return builder.build()
-
-
-def polynomial_kernel(
-    degree: int, name: Optional[str] = None, coefficients: Optional[Sequence[int]] = None
-) -> DFG:
-    """Horner-scheme evaluation of a degree-``degree`` univariate polynomial.
-
-    ``p(x) = c_n x^n + ... + c_1 x + c_0`` evaluated as
-    ``((c_n x + c_{n-1}) x + ...) x + c_0``.  The DFG has ``2 * degree``
-    operations and depth ``2 * degree`` (a pure dependency chain), which makes
-    it the worst case for a feed-forward overlay whose depth tracks the
-    critical path — exactly the scenario that motivates the fixed-depth
-    write-back overlays (V3-V5).
-    """
-    if degree < 1:
-        raise KernelError("polynomial degree must be >= 1")
-    if coefficients is None:
-        coefficients = [((-1) ** i) * (i + 1) for i in range(degree + 1)]
-    if len(coefficients) != degree + 1:
-        raise KernelError(f"need {degree + 1} coefficients for degree {degree}")
-    builder = DFGBuilder(name or f"horner{degree}")
-    x = builder.input("I0")
-    accumulator = builder.const(int(coefficients[degree]), name="c_high")
-    for power in range(degree - 1, -1, -1):
-        accumulator = builder.mul(accumulator, x)
-        accumulator = builder.add(accumulator, builder.const(int(coefficients[power])))
-    builder.output(accumulator, "O0")
     return builder.build()
 
 

@@ -24,8 +24,8 @@ Kernels are built lazily and cached; :func:`get_kernel` returns a fresh copy
 each call so callers can annotate/transform freely.  The mini-C kernels
 additionally flow through the content-hashed frontend cache
 (:mod:`repro.frontend.cache`), so their lowered DFGs are shared with any
-other consumer of the same source — :func:`get_kernel_source`
-exposes the sources, and :func:`clear_kernel_cache` resets the library layer
+other consumer of the same source — :data:`KERNEL_C_SOURCES`
+holds the sources, and :func:`clear_kernel_cache` resets the library layer
 (the compile-path benchmark uses it to measure cold compiles).
 """
 
@@ -78,27 +78,6 @@ KERNEL_C_SOURCES: Dict[str, str] = {
     "gradient": GRADIENT_C_SOURCE,
     "chebyshev": CHEBYSHEV_C_SOURCE,
 }
-
-
-def get_kernel_source(name: str) -> str:
-    """Return the mini-C source of a library kernel defined through C.
-
-    Raises
-    ------
-    KernelError
-        If the kernel is unknown or was not defined from C source (the
-        traced and profile-reconstructed kernels have no C text).
-    """
-    if name in KERNEL_C_SOURCES:
-        return KERNEL_C_SOURCES[name]
-    if name in _BUILDERS:
-        raise KernelError(
-            f"kernel {name!r} is not defined from C source; kernels with "
-            f"sources: {', '.join(sorted(KERNEL_C_SOURCES))}"
-        )
-    raise KernelError(
-        f"unknown kernel {name!r}; available: {', '.join(BENCHMARK_NAMES)}"
-    )
 
 
 def _build_gradient() -> DFG:

@@ -33,7 +33,6 @@ from typing import (
     cast,
 )
 
-from ..dfg.analysis import asap_levels
 from ..dfg.graph import DFG
 from ..dfg.opcodes import OP_EXPRESSIONS, OP_SEMANTICS, _to_signed32
 from ..errors import KernelError
@@ -285,19 +284,3 @@ def random_input_blocks(
     width = dfg.num_inputs
     return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
 
-
-def level_ordered_values(dfg: DFG, inputs: InputBlock) -> List[List[int]]:
-    """Node values grouped by ASAP level (index 0 = inputs/constants).
-
-    This mirrors how values flow stage-by-stage through the linear overlay
-    and is handy when eyeballing a simulation trace against the reference.
-    """
-    values = intermediate_values(dfg, inputs)
-    levels = asap_levels(dfg)
-    depth = max(levels.values()) if levels else 0
-    grouped: List[List[int]] = [[] for _ in range(depth + 1)]
-    for node in dfg.nodes():
-        if node.is_output:
-            continue
-        grouped[levels[node.node_id]].append(values[node.node_id])
-    return grouped

@@ -3,7 +3,7 @@
 * :mod:`repro.metrics.performance` — throughput (GOPS), latency (ns), II and
   resource figures for a kernel/overlay pair, computed from the analytic
   models and (optionally) cross-checked with the cycle-accurate simulator.
-* :mod:`repro.metrics.comparison` — reductions, speedups and geometric means
+* :mod:`repro.metrics.comparison` — reductions and geometric means
   used for the paper's headline claims (e.g. "average 70% reduction in II").
 * :mod:`repro.metrics.models` — the pluggable :class:`PerformanceModel`
   family (analytic / warmup-aware / calibrated) and its registry: the
@@ -34,7 +34,6 @@ from .comparison import (
     average_reduction,
     geometric_mean,
     reduction,
-    speedup,
 )
 from .tables import (
     format_table,
@@ -59,7 +58,6 @@ __all__ = [
     "throughput_gops",
     "latency_ns",
     "reduction",
-    "speedup",
     "average_reduction",
     "geometric_mean",
     "format_table",

@@ -11,7 +11,7 @@ print them next to the paper's numbers.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 
@@ -21,13 +21,6 @@ def reduction(reference: float, new: float) -> float:
     if reference <= 0:
         raise ConfigurationError("reference value must be positive")
     return 1.0 - new / reference
-
-
-def speedup(reference: float, new: float) -> float:
-    """How many times smaller/faster ``new`` is than ``reference``."""
-    if new <= 0:
-        raise ConfigurationError("new value must be positive")
-    return reference / new
 
 
 def average_reduction(
@@ -58,39 +51,3 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ConfigurationError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
-
-def average_speedup(
-    reference_values: Mapping[str, float],
-    new_values: Mapping[str, float],
-    keys: Optional[Sequence[str]] = None,
-) -> float:
-    """Geometric-mean speedup across kernels."""
-    if keys is None:
-        keys = [k for k in reference_values if k in new_values]
-    return geometric_mean(speedup(reference_values[k], new_values[k]) for k in keys)
-
-
-def summarize_ii_reductions(
-    ii_by_overlay: Mapping[str, Mapping[str, float]],
-    reference: str = "baseline",
-    deep_only_keys: Optional[Sequence[str]] = None,
-) -> Dict[str, float]:
-    """Average II reduction of every overlay versus the reference overlay.
-
-    ``ii_by_overlay`` maps overlay label -> (kernel -> II).  When
-    ``deep_only_keys`` is given, overlays whose label starts with ``v3``/``v4``
-    (the fixed-depth ones) are aggregated over those kernels only, mirroring
-    the paper's "for the depth > 8 benchmarks" qualification.
-    """
-    if reference not in ii_by_overlay:
-        raise ConfigurationError(f"reference overlay {reference!r} missing")
-    reference_values = ii_by_overlay[reference]
-    summary: Dict[str, float] = {}
-    for label, values in ii_by_overlay.items():
-        if label == reference:
-            continue
-        keys = None
-        if deep_only_keys is not None and label.lower().startswith(("v3", "v4")):
-            keys = list(deep_only_keys)
-        summary[label] = average_reduction(reference_values, values, keys=keys)
-    return summary

@@ -101,12 +101,6 @@ class ModelPrediction:
             f"available: {', '.join(OBJECTIVES)}"
         )
 
-    def as_row(self) -> Dict[str, object]:
-        """Flat dict representation (CLI ``--json`` and bench artefacts)."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 class PerformanceModel(abc.ABC):
     """A performance model: estimate a schedule's metrics without simulating.

@@ -28,7 +28,6 @@ from .fu import (
     V5,
     FUVariant,
     get_variant,
-    variant_names,
 )
 from .isa import Instruction, InstructionKind, decode_instruction, encode_instruction
 from .architecture import LinearOverlay
@@ -52,7 +51,6 @@ __all__ = [
     "V4",
     "V5",
     "get_variant",
-    "variant_names",
     "Instruction",
     "InstructionKind",
     "encode_instruction",

@@ -94,17 +94,8 @@ class LinearOverlay:
     # derived quantities
     # ------------------------------------------------------------------
     @property
-    def num_fus(self) -> int:
-        return self.depth
-
-    @property
     def total_dsp_blocks(self) -> int:
         return self.variant.dsp_blocks * self.depth
-
-    @property
-    def total_instruction_slots(self) -> int:
-        """Instruction-memory capacity summed over all FUs."""
-        return self.variant.instruction_memory_depth * self.depth
 
     @property
     def lanes(self) -> int:
@@ -113,29 +104,6 @@ class LinearOverlay:
     @property
     def stream_width_bits(self) -> int:
         return self.variant.stream_width_bits
-
-    def can_map_depth(self, kernel_depth: int) -> bool:
-        """Whether a kernel of the given DFG depth can be mapped at all.
-
-        Overlays without write-back need at least one FU per DFG level;
-        write-back overlays can fold arbitrarily deep kernels into their
-        fixed depth (at the cost of II).
-        """
-        if self.variant.write_back:
-            return True
-        return kernel_depth <= self.depth
-
-    def requires_reconfiguration_for(self, dfg: DFG) -> bool:
-        """True if mapping this kernel needs the overlay itself to change.
-
-        Critical-path-sized overlays must be rebuilt whenever the kernel
-        depth differs from the current overlay depth; fixed-depth write-back
-        overlays never need it (this is the paper's 2900x context-switch
-        argument).
-        """
-        if self.fixed_depth:
-            return False
-        return dfg_depth(dfg) != self.depth
 
     @property
     def default_name(self) -> str:

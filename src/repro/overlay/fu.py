@@ -27,7 +27,7 @@ V5       1    248  126  182    3    write-back, 2-deep DSP pipeline
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import ConfigurationError
 
@@ -133,19 +133,6 @@ class FUVariant:
         """
         return self.iwp if self.write_back and self.iwp else 0
 
-    def describe(self) -> str:
-        """One-line human-readable summary used by the CLI."""
-        features: List[str] = []
-        features.append("load/exec overlap" if self.overlap_load_execute else "serial load/exec")
-        if self.lanes > 1:
-            features.append(f"{self.lanes} lanes")
-        if self.write_back:
-            features.append(f"write-back (IWP={self.iwp})")
-        return (
-            f"{self.paper_label}: {self.dsp_blocks} DSP, {self.luts} LUT, "
-            f"{self.flip_flops} FF, {self.fmax_mhz:.0f} MHz ({', '.join(features)})"
-        )
-
 
 BASELINE = FUVariant(
     name="baseline",
@@ -240,11 +227,6 @@ _ALIASES: Dict[str, str] = {
     "li2016": "baseline",
     "base": "baseline",
 }
-
-
-def variant_names() -> List[str]:
-    """Short names of all FU variants, in Table I order."""
-    return list(FU_VARIANTS)
 
 
 def get_variant(name) -> FUVariant:

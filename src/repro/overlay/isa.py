@@ -143,10 +143,6 @@ class Instruction:
     ) -> "Instruction":
         return cls(kind=_EXEC, opcode=opcode, ra=ra, rb=rb, rd=rd, wb=wb, ndf=ndf)
 
-    @property
-    def is_nop(self) -> bool:
-        return self.kind is _NOP
-
     def mnemonic(self) -> str:
         """Assembly-like rendering used in traces and the Table II harness."""
         if self.kind is InstructionKind.NOP:

@@ -143,13 +143,3 @@ def scalability_sweep(
         results.append(estimate_resources(overlay))
     return results
 
-
-def spatial_overlay_resources(variant, num_operations: int) -> OverlayResources:
-    """Resources of a spatially-configured (fully unrolled, II=1) overlay.
-
-    Used as the comparison point of Section II/III: a spatial overlay needs
-    one FU per DFG *node* rather than per DFG *level*.
-    """
-    fu = get_variant(variant)
-    overlay = LinearOverlay(variant=fu, depth=max(1, num_operations), fixed_depth=False)
-    return estimate_resources(overlay)

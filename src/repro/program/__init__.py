@@ -21,7 +21,6 @@ from .regalloc import (
     allocate_registers,
     allocate_registers_reference,
     compute_live_intervals,
-    stage_footprint,
 )
 from .codegen import FUProgram, OverlayProgram, generate_program
 from .binary import ConfigurationImage, build_configuration_image
@@ -32,7 +31,6 @@ __all__ = [
     "allocate_registers",
     "allocate_registers_reference",
     "compute_live_intervals",
-    "stage_footprint",
     "FUProgram",
     "OverlayProgram",
     "generate_program",

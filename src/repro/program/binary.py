@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..errors import EncodingError
-from ..overlay.isa import decode_instruction
 from ..schedule.types import OverlaySchedule
 from .codegen import OverlayProgram, generate_program
 
@@ -107,17 +106,6 @@ class ConfigurationImage:
             image.fu_instruction_words.append(words)
             image.fu_constants.append(constants)
         return image
-
-    def decode_listing(self) -> str:
-        """Disassemble the image (round-trip check / debugging aid)."""
-        lines: List[str] = []
-        for fu_index, words in enumerate(self.fu_instruction_words):
-            lines.append(f"FU{fu_index}:")
-            for word in words:
-                lines.append(f"    {word:#010x}  {decode_instruction(word).mnemonic()}")
-            for register, value in self.fu_constants[fu_index]:
-                lines.append(f"    const R{register} = {value}")
-        return "\n".join(lines)
 
 
 def build_configuration_image(

@@ -22,8 +22,7 @@ is the number of values the stage touches.  One hardware constraint shapes
 the scan: register addresses are **configuration-time constants** (they are
 baked into the stream load map and the instruction words), so a register
 cannot be recycled mid-iteration even after its interval expires — every
-interval gets a fresh register and the expiry logic only tracks the *peak
-live footprint* (see :func:`stage_footprint`).  This is exactly the behaviour
+interval gets a fresh register.  This is exactly the behaviour
 of the original arrival-order allocator, which the test suite keeps as an
 oracle (:func:`allocate_registers_reference`): both allocators must produce
 identical assignments on every kernel of the library.
@@ -37,7 +36,7 @@ corruption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dfg.graph import DFG
 from ..errors import RegisterAllocationError
@@ -66,16 +65,6 @@ class RegisterAllocation:
             f"stage {self.stage}: value N{value_id} has no register"
         )
 
-    @property
-    def num_rotating_entries(self) -> int:
-        """Per-iteration register footprint (inside the rotating window)."""
-        return len(self.value_registers)
-
-    @property
-    def num_constant_entries(self) -> int:
-        """Constants preloaded at the top of the register file."""
-        return len(self.constant_registers)
-
 
 @dataclass(frozen=True)
 class LiveInterval:
@@ -92,11 +81,6 @@ class LiveInterval:
     start: int
     end: int
     writes_back: bool = False
-
-    @property
-    def length(self) -> int:
-        """Positions the interval spans (at least 1)."""
-        return self.end - self.start + 1
 
 
 def compute_live_intervals(stage: StageSchedule) -> List[LiveInterval]:
@@ -139,25 +123,6 @@ def compute_live_intervals(stage: StageSchedule) -> List[LiveInterval]:
             )
             defined.add(slot.value_id)
     return intervals
-
-
-def stage_footprint(intervals: List[LiveInterval]) -> Tuple[int, int]:
-    """(total registers, peak simultaneously-live values) of a stage.
-
-    The second number is what a recycling allocator could achieve if register
-    addresses were not configuration-time constants; it is reported in the
-    compile docs and useful when sizing hypothetical FU variants.
-    """
-    events: List[Tuple[int, int]] = []
-    for interval in intervals:
-        events.append((interval.start, 1))
-        events.append((interval.end + 1, -1))
-    events.sort()
-    live = peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return len(intervals), peak
 
 
 def _collect_constants(stage: StageSchedule, dfg: DFG) -> List[int]:

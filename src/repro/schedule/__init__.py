@@ -18,8 +18,8 @@
 """
 
 from .types import OverlaySchedule, ScheduledOp, SlotKind, StageSchedule
-from .asap import asap_assignment, level_occupancy, schedule_depth
-from .alap import alap_assignment, critical_nodes, mobility_ordered_nodes, slack_map
+from .asap import asap_assignment, schedule_depth
+from .alap import alap_assignment
 from .linear import build_stage_schedules, schedule_linear
 from .greedy import (
     build_clustered_stages,
@@ -30,14 +30,12 @@ from .greedy import (
 )
 from .ordering import (
     chain_lengths,
-    count_required_nops,
     intra_cluster_dependences,
     order_cluster,
     verify_ordering,
 )
 from .modulo import (
     ModuloSchedule,
-    compare_with_overlay_ii,
     minimum_ii,
     modulo_schedule,
     modulo_stage_assignment,
@@ -58,10 +56,8 @@ from .registry import (
 )
 from .ii import (
     analytic_ii,
-    bottleneck_stage,
     ii_equation_baseline,
     ii_equation_overlapped,
-    ii_reduction,
     minimum_ii_bound,
     per_stage_ii,
     stage_ii,
@@ -98,23 +94,16 @@ __all__ = [
     "refine_assignment",
     "asap_assignment",
     "schedule_depth",
-    "level_occupancy",
     "alap_assignment",
-    "slack_map",
-    "critical_nodes",
-    "mobility_ordered_nodes",
     "order_cluster",
     "intra_cluster_dependences",
     "chain_lengths",
-    "count_required_nops",
     "verify_ordering",
     "analytic_ii",
     "per_stage_ii",
     "stage_ii",
-    "bottleneck_stage",
     "ii_equation_baseline",
     "ii_equation_overlapped",
-    "ii_reduction",
     "minimum_ii_bound",
     "ModuloSchedule",
     "modulo_schedule",
@@ -123,7 +112,6 @@ __all__ = [
     "minimum_ii",
     "resource_minimum_ii",
     "recurrence_minimum_ii",
-    "compare_with_overlay_ii",
     "DEFAULT_SCHEDULER",
     "Scheduler",
     "SchedulerStrategy",

@@ -1,17 +1,14 @@
-"""ALAP scheduling and slack (used by the fixed-depth greedy scheduler).
+"""ALAP scheduling: the ``alap`` strategy.
 
 ALAP levels answer "how late can this operation go without stretching the
-schedule"; the difference to the ASAP level is the node's slack.  Nodes with
-zero slack form the DFG critical path — exactly the nodes the paper's greedy
-fixed-depth scheduler pulls forward across cluster boundaries when balancing
-the II.
+schedule"; the ``alap`` strategy sinks every operation to that stage.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..dfg.analysis import alap_levels, asap_levels, dfg_depth
+from ..dfg.analysis import alap_levels, dfg_depth
 from ..dfg.graph import DFG
 
 
@@ -19,34 +16,6 @@ def alap_assignment(dfg: DFG, depth: Optional[int] = None) -> Dict[int, int]:
     """Map every operation to its ALAP stage (level - 1) for a given depth."""
     levels = alap_levels(dfg, depth=depth)
     return {n.node_id: levels[n.node_id] - 1 for n in dfg.operations()}
-
-
-def slack_map(dfg: DFG, depth: Optional[int] = None) -> Dict[int, int]:
-    """Slack (ALAP minus ASAP level) for every operation node."""
-    asap = asap_levels(dfg)
-    alap = alap_levels(dfg, depth=depth)
-    return {
-        n.node_id: alap[n.node_id] - asap[n.node_id] for n in dfg.operations()
-    }
-
-
-def critical_nodes(dfg: DFG) -> List[int]:
-    """Operation ids with zero slack (members of some critical path)."""
-    return [node_id for node_id, s in slack_map(dfg).items() if s == 0]
-
-
-def mobility_ordered_nodes(dfg: DFG) -> List[int]:
-    """Operations ordered by increasing slack (critical first), then ASAP level.
-
-    This is the priority order the fixed-depth scheduler uses when deciding
-    which nodes to consider moving between clusters.
-    """
-    asap = asap_levels(dfg)
-    slack = slack_map(dfg)
-    return sorted(
-        (n.node_id for n in dfg.operations()),
-        key=lambda node_id: (slack[node_id], asap[node_id], node_id),
-    )
 
 
 def schedule_alap(dfg: DFG, overlay) -> "OverlaySchedule":

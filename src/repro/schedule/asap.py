@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..dfg.analysis import asap_levels, asap_stage_assignment, dfg_depth
+from ..dfg.analysis import asap_stage_assignment, dfg_depth
 from ..dfg.graph import DFG
 from ..errors import InfeasibleScheduleError
 
@@ -39,12 +39,3 @@ def schedule_depth(dfg: DFG) -> int:
     """Number of FU stages an ASAP-mapped overlay needs (the DFG depth)."""
     return dfg_depth(dfg)
 
-
-def level_occupancy(dfg: DFG) -> Dict[int, int]:
-    """Number of operations per ASAP level (1-based)."""
-    occupancy: Dict[int, int] = {}
-    levels = asap_levels(dfg)
-    for node in dfg.operations():
-        level = levels[node.node_id]
-        occupancy[level] = occupancy.get(level, 0) + 1
-    return occupancy

@@ -32,7 +32,7 @@ NOPs inserted to satisfy the internal write-back path.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..overlay.fu import FUVariant, get_variant
 from .types import OverlaySchedule, StageSchedule
@@ -77,25 +77,6 @@ def analytic_ii(schedule: OverlaySchedule) -> float:
     """Overall analytic II of a schedule (divided by the lane count for V2)."""
     per_lane = max(per_stage_ii(schedule))
     return per_lane / schedule.variant.lanes
-
-
-def bottleneck_stage(schedule: OverlaySchedule) -> int:
-    """Index of the stage that determines the II."""
-    contributions = per_stage_ii(schedule)
-    return max(range(len(contributions)), key=lambda i: (contributions[i], -i))
-
-
-def ii_reduction(reference_ii: float, new_ii: float) -> float:
-    """Fractional II reduction of ``new_ii`` versus ``reference_ii``.
-
-    The paper reports e.g. "an average 42% (71%) reduction in the II" for V1
-    (V2) versus [14]; this helper computes exactly that quantity for one
-    kernel, and :func:`repro.metrics.comparison.average_reduction` aggregates
-    it across the benchmark set.
-    """
-    if reference_ii <= 0:
-        raise ValueError("reference II must be positive")
-    return 1.0 - (new_ii / reference_ii)
 
 
 def minimum_ii_bound(num_operations: int, depth: int, variant) -> float:

@@ -77,11 +77,6 @@ class ModuloSchedule:
     start_slots: Dict[int, int] = field(default_factory=dict)
     fu_assignment: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def makespan(self) -> int:
-        """Schedule length for one iteration (idealised latency in cycles)."""
-        return (max(self.start_slots.values()) + 1) if self.start_slots else 0
-
     def operations_in_modulo_slot(self, slot: int) -> List[int]:
         """Operations issued in modulo slot ``slot`` (0 <= slot < II)."""
         return [n for n, t in self.start_slots.items() if t % self.ii == slot]
@@ -294,19 +289,3 @@ def schedule_modulo(dfg: DFG, overlay: LinearOverlay) -> OverlaySchedule:
         scheduler="modulo",
     )
 
-
-def compare_with_overlay_ii(dfg: DFG, num_fus: int, overlay_ii: float) -> Dict[str, float]:
-    """Summarise the idealised-vs-real gap for one kernel.
-
-    Returns the idealised MII, the II the idealised modulo scheduler actually
-    achieves, the overlay's II, and the ratio between the two — the factor by
-    which the textbook assumptions underestimate the real initiation interval
-    on a deeply pipelined, linearly connected overlay.
-    """
-    schedule = modulo_schedule(dfg, num_fus)
-    return {
-        "mii": float(minimum_ii(dfg, num_fus)),
-        "modulo_ii": float(schedule.ii),
-        "overlay_ii": float(overlay_ii),
-        "optimism_factor": overlay_ii / schedule.ii if schedule.ii else float("inf"),
-    }

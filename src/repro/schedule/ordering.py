@@ -20,7 +20,7 @@ scheduled in between", paper Section IV).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dfg.graph import DFG
 from ..errors import ScheduleError
@@ -160,11 +160,6 @@ def order_cluster(
         else:
             slots.append(ScheduledOp.nop())
     return slots
-
-
-def count_required_nops(slots: Iterable[ScheduledOp]) -> int:
-    """Number of NOP slots in an ordered cluster (reporting helper)."""
-    return sum(1 for s in slots if s.is_nop)
 
 
 def verify_ordering(

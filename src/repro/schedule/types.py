@@ -40,7 +40,6 @@ class SlotKind(enum.Enum):
 
 # Members bound once for the per-slot checks below (``SlotKind.X`` goes
 # through ``EnumType.__getattr__`` on every lookup).
-_COMPUTE = SlotKind.COMPUTE
 _PASS = SlotKind.PASS
 _NOP = SlotKind.NOP
 _PASS_OPCODE = OpCode.PASS
@@ -147,16 +146,6 @@ class StageSchedule:
         return len(self.slots)
 
     @property
-    def num_computes(self) -> int:
-        """Slots executing a DFG operation (the paper's per-FU ``#op``)."""
-        return sum(1 for s in self.slots if s.kind is _COMPUTE)
-
-    @property
-    def num_passes(self) -> int:
-        """Slots forwarding transiting values (linear-interconnect cost)."""
-        return sum(1 for s in self.slots if s.kind is _PASS)
-
-    @property
     def num_nops(self) -> int:
         """Idle slots inserted for IWP spacing."""
         return sum(1 for s in self.slots if s.kind is _NOP)
@@ -165,13 +154,6 @@ class StageSchedule:
     def emission_order(self) -> List[int]:
         """Values pushed downstream each iteration, in push order."""
         return [s.value_id for s in self.slots if s.emits and s.value_id is not None]
-
-    @property
-    def write_back_values(self) -> List[int]:
-        """Values this stage writes back into its own register file."""
-        return [
-            s.value_id for s in self.slots if s.write_back and s.value_id is not None
-        ]
 
 
 @dataclass
@@ -250,16 +232,3 @@ class OverlaySchedule:
                     seen.add(operand)
         return constants
 
-    def summary(self) -> str:
-        """Multi-line human-readable summary (CLI / debugging)."""
-        lines = [
-            f"kernel {self.kernel_name!r} on {self.overlay.name} "
-            f"({self.scheduler} scheduling)"
-        ]
-        for stage in self.stages:
-            lines.append(
-                f"  FU{stage.stage}: loads={stage.num_loads} "
-                f"computes={stage.num_computes} passes={stage.num_passes} "
-                f"nops={stage.num_nops}"
-            )
-        return "\n".join(lines)

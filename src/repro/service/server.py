@@ -164,10 +164,6 @@ class OverlayService:
                 )
             return session
 
-    def tenant_names(self) -> "list[str]":
-        with self._tenants_lock:
-            return sorted(self._tenants)
-
     # ------------------------------------------------------------------
     # request handling (synchronous core)
     # ------------------------------------------------------------------

@@ -41,31 +41,3 @@ def alu_execute(opcode: OpCode, operands: Sequence[int]) -> int:
         )
     return opcode.evaluate(*(int(v) for v in operands))
 
-
-def saturating_execute(opcode: OpCode, operands: Sequence[int]) -> int:
-    """Saturating variant of :func:`alu_execute` (clamps instead of wrapping).
-
-    Not used by the default overlay configuration (the DSP wraps), but kept
-    as an explicit alternative for workloads that prefer saturation; the ALU
-    unit tests exercise both behaviours.
-    """
-    if opcode is OpCode.PASS:
-        return max(INT32_MIN, min(INT32_MAX, int(operands[0])))
-    if opcode is OpCode.NOP:
-        raise SimulationError("NOP slots must not be issued to the ALU")
-    exact = {
-        OpCode.ADD: lambda a, b: a + b,
-        OpCode.SUB: lambda a, b: a - b,
-        OpCode.MUL: lambda a, b: a * b,
-        OpCode.SQR: lambda a: a * a,
-        OpCode.MULADD: lambda a, b, c: a * b + c,
-        OpCode.MULSUB: lambda a, b, c: a * b - c,
-        OpCode.NEG: lambda a: -a,
-        OpCode.ABS: lambda a: abs(a),
-        OpCode.MIN: lambda a, b: min(a, b),
-        OpCode.MAX: lambda a, b: max(a, b),
-    }
-    if opcode in exact:
-        return max(INT32_MIN, min(INT32_MAX, exact[opcode](*(int(v) for v in operands))))
-    # Bitwise/shift operations saturate identically to wrapping.
-    return alu_execute(opcode, operands)

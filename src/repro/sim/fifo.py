@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -34,15 +34,10 @@ class StreamFIFO:
     def __post_init__(self) -> None:
         self._queue: Deque[Token] = deque()
         self._high_water = 0
-        self._total_pushed = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
 
     @property
     def is_full(self) -> bool:
@@ -53,10 +48,6 @@ class StreamFIFO:
         """Maximum occupancy observed (how deep the channel must really be)."""
         return self._high_water
 
-    @property
-    def total_pushed(self) -> int:
-        return self._total_pushed
-
     # ------------------------------------------------------------------
     def push(self, token: Token) -> None:
         if self.is_full:
@@ -65,12 +56,7 @@ class StreamFIFO:
                 "the producer should have been back-pressured"
             )
         self._queue.append(token)
-        self._total_pushed += 1
         self._high_water = max(self._high_water, len(self._queue))
-
-    def push_many(self, tokens: Iterable[Token]) -> None:
-        for token in tokens:
-            self.push(token)
 
     def peek(self) -> Optional[Token]:
         return self._queue[0] if self._queue else None
@@ -80,7 +66,3 @@ class StreamFIFO:
             raise SimulationError(f"FIFO {self.name!r} underflow")
         return self._queue.popleft()
 
-    def drain(self) -> Iterable[Token]:
-        """Pop and yield every queued token (used by the output collector)."""
-        while self._queue:
-            yield self._queue.popleft()

@@ -106,23 +106,6 @@ class FUSimulator:
         self._pending_wb: List[Tuple[int, int, int, int]] = []
 
     # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        """All blocks fully issued and all in-flight results delivered."""
-        return (
-            self._exec_block >= self.num_blocks
-            and self._load_block >= self.num_blocks
-            and not self._pending_out
-            and not self._pending_wb
-        )
-
-    @property
-    def exec_block(self) -> int:
-        return self._exec_block
-
-    # ------------------------------------------------------------------
     # per-cycle operation
     # ------------------------------------------------------------------
     def collect_outputs(self, cycle: int) -> List[Token]:

@@ -41,10 +41,6 @@ class RegisterFileModel:
     def preload_constant(self, value_id: int, value: int) -> None:
         self._constants[value_id] = value
 
-    @property
-    def num_constants(self) -> int:
-        return len(self._constants)
-
     # ------------------------------------------------------------------
     # per-block values
     # ------------------------------------------------------------------

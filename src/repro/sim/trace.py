@@ -94,13 +94,6 @@ class TraceRecorder:
     def events_for_stage(self, stage: int) -> List[TraceEvent]:
         return [e for e in self.events if e.stage == stage]
 
-    def events_for_cycle(self, cycle: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.cycle == cycle]
-
-    @property
-    def max_cycle(self) -> int:
-        return max((e.cycle for e in self.events), default=0)
-
 
 def render_schedule_table(
     recorder: TraceRecorder,

@@ -7,16 +7,17 @@ slot ordering, IWP spacing, FIFO discipline, instruction-memory bounds, the
 analytic II floor), register-allocation soundness, binary consistency, and
 spec/artifact consistency.  See ``docs/verify.md`` for the pass catalog.
 
-Entry points::
-
-    from repro.verify import verify_handle
-    report = verify_handle(toolchain.compile("qspline", spec))
-    assert report.ok, report.summary()
-
-or, through the session facade (verdicts cached on the compile cache)::
+Entry points, through the session facade (verdicts cached on the compile
+cache)::
 
     report = toolchain.verify(handle)
+    assert report.ok, report.summary()
     handle = toolchain.compile("qspline", spec, check=True)  # raises on errors
+
+or, uncached, over one artifact::
+
+    from repro.verify import VerifyContext, run_passes
+    report = run_passes(VerifyContext.from_handle(handle))
 
 The seeded-defect mutation harness in :mod:`repro.verify.mutate` proves the
 passes are not vacuous: it corrupts clean artifacts one defect class at a
@@ -32,7 +33,6 @@ from .engine import (
     pass_names,
     register_pass,
     run_passes,
-    verify_handle,
 )
 from .mutate import (
     MutationSpec,
@@ -52,7 +52,6 @@ __all__ = [
     "pass_names",
     "register_pass",
     "run_passes",
-    "verify_handle",
     "MutationSpec",
     "apply_mutation",
     "applicable_mutations",

@@ -141,11 +141,6 @@ def run_passes(
     )
 
 
-def verify_handle(handle, passes: Optional[Sequence[str]] = None) -> VerifyReport:
-    """Verify a compiled handle (convenience wrapper over :func:`run_passes`)."""
-    return run_passes(VerifyContext.from_handle(handle), passes=passes)
-
-
 def _register_builtins() -> None:
     from . import binary_checks, regalloc_checks, schedule_checks, spec_checks
 

@@ -5,7 +5,6 @@ dependency — but the output mirrors the figures of the paper:
 
 * :func:`dfg_to_dot` / :func:`clusters_to_dot` — Fig. 2b / Fig. 4 style DFG
   drawings, optionally with the fixed-depth scheduling clusters marked.
-* :func:`ascii_overlay` — a Fig. 1 style sketch of the overlay cascade.
 * :func:`schedule_listing` — per-FU program listing of a schedule.
 """
 
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional
 
-from .dfg.analysis import asap_levels
 from .dfg.graph import DFG
 from .dfg.serialize import to_dot
 from .schedule.types import OverlaySchedule
@@ -52,20 +50,6 @@ def clusters_to_dot(dfg: DFG, assignment: Mapping[int, int]) -> str:
     return "\n".join(lines)
 
 
-def ascii_overlay(depth: int, variant_label: str = "FU", width: int = 14) -> str:
-    """A Fig. 1 style sketch of the linear overlay cascade."""
-    box_top = "+" + "-" * width + "+"
-    lines = [
-        "input FIFO",
-        "    |",
-    ]
-    for stage in range(depth):
-        label = f"{variant_label}{stage}".center(width)
-        lines.extend(["    v", box_top, "|" + label + "|", box_top])
-    lines.extend(["    |", "    v", "output FIFO"])
-    return "\n".join(lines)
-
-
 def schedule_listing(schedule: OverlaySchedule) -> str:
     """Per-FU listing of a schedule: loads, then instruction slots."""
     dfg = schedule.dfg
@@ -81,14 +65,3 @@ def schedule_listing(schedule: OverlaySchedule) -> str:
             lines.append(f"  [{index:2d}] {slot.describe(dfg)}")
     return "\n".join(lines)
 
-
-def level_histogram(dfg: DFG) -> str:
-    """ASCII histogram of operations per ASAP level (kernel shape at a glance)."""
-    levels = asap_levels(dfg)
-    counts: Dict[int, int] = {}
-    for node in dfg.operations():
-        counts[levels[node.node_id]] = counts.get(levels[node.node_id], 0) + 1
-    lines = [f"{dfg.name}: {dfg.num_operations} ops, depth {max(counts) if counts else 0}"]
-    for level in sorted(counts):
-        lines.append(f"  level {level:2d}: {'#' * counts[level]} ({counts[level]})")
-    return "\n".join(lines)

@@ -3,43 +3,43 @@
 import pytest
 
 from repro.api import default_toolchain
-from repro.baseline.li2016 import baseline_overlay_for, evaluate_baseline, expected_ii
 from repro.baseline.spatial import evaluate_spatial
 from repro.kernels import get_kernel
-from repro.specs import OverlaySpec
+from repro.specs import OverlaySpec, SimSpec
+
+
+def _evaluate_baseline(dfg, sim=None):
+    return default_toolchain().evaluate(dfg, OverlaySpec("baseline"), sim=sim)
 
 
 class TestLi2016Baseline:
     def test_overlay_uses_the_baseline_fu(self, gradient):
-        overlay = baseline_overlay_for(gradient)
+        overlay = OverlaySpec("baseline").build_overlay(gradient)
         assert overlay.variant.name == "baseline"
         assert overlay.depth == 4
 
-    def test_equation_1_helper(self):
-        assert expected_ii(5, 4) == 11
-
     def test_gradient_ii_matches_the_paper(self, gradient):
-        result = evaluate_baseline(gradient)
+        result = _evaluate_baseline(gradient)
         assert result.ii == pytest.approx(11)
 
     def test_baseline_is_slower_than_v1_everywhere(self, benchmarks):
         for name, dfg in benchmarks.items():
-            baseline = evaluate_baseline(dfg)
+            baseline = _evaluate_baseline(dfg)
             v1 = default_toolchain().evaluate(dfg, OverlaySpec("v1"))
             assert baseline.ii >= v1.ii, name
             assert baseline.throughput_gops <= v1.throughput_gops, name
 
     def test_evaluation_describes_the_baseline_overlay(self, benchmarks):
         for name, dfg in benchmarks.items():
-            result = evaluate_baseline(dfg)
-            overlay = baseline_overlay_for(dfg)
+            result = _evaluate_baseline(dfg)
+            overlay = OverlaySpec("baseline").build_overlay(dfg)
             assert (result.overlay_name, result.overlay_depth) == (
                 overlay.name,
                 overlay.depth,
             ), name
 
     def test_simulated_baseline_matches_reference(self, gradient):
-        result = evaluate_baseline(gradient, simulate=True)
+        result = _evaluate_baseline(gradient, sim=SimSpec())
         assert result.reference_match is True
 
 

@@ -11,8 +11,7 @@ and :func:`repro.metrics.performance.evaluate_kernel_all_overlays`.
 import pytest
 
 from repro.engine.cache import ScheduleCache, default_cache
-from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE, get_kernel_source
-from repro.errors import KernelError
+from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE
 from repro.api import Toolchain, default_toolchain
 from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.runtime.manager import OverlayRuntime
@@ -154,15 +153,3 @@ class TestMetricsWiring:
         for _ in range(3):
             toolchain.evaluate(toolchain.compile("gradient", OverlaySpec("v1")))
         assert default_cache().stats.misses == misses
-
-
-class TestKernelSources:
-    def test_get_kernel_source_roundtrip(self):
-        assert "gradient" in get_kernel_source("gradient")
-        assert "chebyshev" in get_kernel_source("chebyshev")
-
-    def test_get_kernel_source_rejects_non_c_kernels(self):
-        with pytest.raises(KernelError, match="not defined from C source"):
-            get_kernel_source("qspline")
-        with pytest.raises(KernelError, match="unknown kernel"):
-            get_kernel_source("nope")

@@ -6,16 +6,11 @@ from repro.dfg.analysis import (
     alap_levels,
     asap_levels,
     asap_stage_assignment,
-    characteristics,
-    critical_path,
     dfg_depth,
     level_sets,
-    operation_histogram,
-    slack,
     stage_traffic,
     value_lifetimes,
 )
-from repro.dfg.opcodes import OpCode
 from repro.errors import DFGValidationError
 from repro.kernels import PAPER_CHARACTERISTICS
 
@@ -49,22 +44,6 @@ class TestLevels:
         for node in qspline.operations():
             assert alap[node.node_id] >= asap[node.node_id]
 
-    def test_slack_zero_on_critical_path(self, qspline):
-        s = slack(qspline)
-        path = critical_path(qspline)
-        assert path, "critical path must not be empty"
-        for node_id in path:
-            assert s[node_id] == 0
-
-    def test_critical_path_length_equals_depth(self, benchmarks):
-        for name, dfg in benchmarks.items():
-            assert len(critical_path(dfg)) == dfg_depth(dfg), name
-
-    def test_critical_path_is_a_chain(self, poly7):
-        path = critical_path(poly7)
-        for producer, consumer in zip(path, path[1:]):
-            assert producer in poly7.node(consumer).operands
-
     def test_alap_with_extended_depth_adds_slack(self, gradient):
         relaxed = alap_levels(gradient, depth=8)
         tight = alap_levels(gradient, depth=4)
@@ -76,18 +55,11 @@ class TestCharacteristics:
     @pytest.mark.parametrize("name", list(PAPER_CHARACTERISTICS))
     def test_characteristics_match_paper(self, benchmarks, name):
         published = PAPER_CHARACTERISTICS[name]
-        measured = characteristics(benchmarks[name])
-        assert measured.num_inputs == published.num_inputs
-        assert measured.num_outputs == published.num_outputs
-        assert measured.num_operations == published.num_operations
-        assert measured.depth == published.depth
-
-    def test_histogram_counts_all_operations(self, gradient):
-        histogram = operation_histogram(gradient)
-        assert sum(histogram.values()) == gradient.num_operations
-        assert histogram[OpCode.SUB] == 4
-        assert histogram[OpCode.SQR] == 4
-        assert histogram[OpCode.ADD] == 3
+        dfg = benchmarks[name]
+        assert dfg.num_inputs == published.num_inputs
+        assert dfg.num_outputs == published.num_outputs
+        assert dfg.num_operations == published.num_operations
+        assert dfg_depth(dfg) == published.depth
 
 
 class TestStageTraffic:
@@ -96,8 +68,8 @@ class TestStageTraffic:
         traffic = stage_traffic(gradient, assignment)
         stage0 = traffic[0]
         assert stage0.num_loads == 5      # five stencil samples
-        assert stage0.num_computes == 4   # four subtractions
-        assert stage0.num_passes == 0
+        assert len(stage0.computes) == 4   # four subtractions
+        assert stage0.passes == []
 
     def test_loads_of_stage_k_equal_emissions_of_previous(self, qspline):
         assignment = asap_stage_assignment(qspline)
@@ -125,8 +97,8 @@ class TestStageTraffic:
         assignment = asap_stage_assignment(gradient)
         traffic = stage_traffic(gradient, assignment, num_stages=6)
         for entry in traffic[4:]:
-            assert entry.num_computes == 0
-            assert entry.num_passes >= 1  # the output value transits
+            assert entry.computes == []
+            assert entry.passes  # the output value transits
 
     def test_value_lifetimes_cover_inputs_and_ops(self, gradient):
         assignment = asap_stage_assignment(gradient)

@@ -126,12 +126,6 @@ class TestDFGQueries:
         assert graph.number_of_nodes() == len(diamond_dfg)
         assert graph.number_of_edges() == len(diamond_dfg.edges())
 
-    def test_subgraph_converts_severed_nodes_to_inputs(self, diamond_dfg):
-        ops = [n.node_id for n in diamond_dfg.operations()]
-        sub = diamond_dfg.subgraph(ops)
-        # The ADD/SUB lost their input operands and become boundary inputs.
-        assert sub.num_operations < diamond_dfg.num_operations or sub.num_inputs > 0
-
     def test_operation_listing_excludes_io(self, gradient):
         ops = gradient.operations()
         assert all(o.is_operation for o in ops)

@@ -1,9 +1,9 @@
-"""Documentation checks: markdown link validation and example compile-check.
+"""Documentation checks: markdown link validation and example runs.
 
-This is the ``docs`` CI gate of the compile-path PR: it fails when a relative
-link in ``README.md`` or ``docs/`` points at a missing file or heading, when
-a required documentation page disappears, or when an ``examples/*.py`` script
-stops being valid Python.  Run it alone with::
+This is the ``docs`` CI gate: it fails when a relative link in
+``README.md`` or ``docs/`` points at a missing file or heading, when a
+required documentation page disappears, or when an ``examples/*.py`` script
+stops being valid Python or stops running to a zero exit.  Run it alone with::
 
     python -m pytest tests/test_docs.py
 """
@@ -11,6 +11,8 @@ stops being valid Python.  Run it alone with::
 import os
 import py_compile
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,21 @@ class TestExamples:
         py_compile.compile(
             example, cfile=str(tmp_path / "example.pyc"), doraise=True
         )
+
+    @pytest.mark.parametrize(
+        "example", _example_files(), ids=[os.path.basename(p) for p in _example_files()]
+    )
+    def test_example_runs(self, example):
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        result = subprocess.run(
+            [sys.executable, example],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
     @pytest.mark.parametrize(
         "example", _example_files(), ids=[os.path.basename(p) for p in _example_files()]

@@ -28,7 +28,6 @@ from repro.engine.batchsim import BatchSimulator
 from repro.engine.cache import CacheKey, ScheduleCache
 from repro.engine.fastsim import (
     FastSimulator,
-    simulate_fast,
     steady_state_warmup_bound,
     warmup_bound_blocks,
 )
@@ -198,7 +197,7 @@ class TestDetectorRetired:
 
     @pytest.mark.parametrize(
         "entry_point",
-        [FastSimulator, simulate_fast, BatchSimulator, simulate_schedule],
+        [FastSimulator, BatchSimulator, simulate_schedule],
         ids=lambda entry_point: entry_point.__name__,
     )
     def test_simulators_take_no_detector_keyword(self, entry_point):

@@ -12,7 +12,7 @@ engine switch.
 
 import pytest
 
-from repro.engine.fastsim import FastSimulator, simulate_fast
+from repro.engine.fastsim import FastSimulator
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.kernels.reference import random_input_blocks
@@ -142,7 +142,7 @@ class TestEngineSwitch:
         gradient = get_kernel("gradient")
         schedule = schedule_kernel(gradient, LinearOverlay.for_kernel(V1, gradient))
         blocks = [[1, 2, 3, 4, 5], [0, 0, 0, 0, 0], [10, -10, 3, 7, -7]]
-        fast = simulate_fast(schedule, blocks)
+        fast = FastSimulator(schedule).run(blocks)
         cycle = OverlaySimulator(schedule).run(blocks)
         assert fast.outputs == cycle.outputs
 

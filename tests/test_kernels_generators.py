@@ -3,12 +3,11 @@
 import pytest
 
 from repro.dfg.analysis import asap_stage_assignment, dfg_depth, stage_traffic
-from repro.dfg.validate import is_valid
+from repro.dfg.validate import collect_validation_errors
 from repro.errors import KernelError
 from repro.kernels.generators import (
     dfg_from_level_profile,
     dfg_from_traffic_profile,
-    polynomial_kernel,
     random_dfg,
 )
 from repro.kernels.reference import evaluate_dfg
@@ -23,12 +22,12 @@ class TestLevelProfileGenerator:
 
     def test_graph_is_valid_and_live(self):
         dfg = dfg_from_level_profile([4, 4, 2, 1], num_inputs=2)
-        assert is_valid(dfg)
+        assert collect_validation_errors(dfg) == []
 
     def test_single_input_supported(self):
         dfg = dfg_from_level_profile([3, 2, 1], num_inputs=1)
         assert dfg.num_inputs == 1
-        assert is_valid(dfg)
+        assert collect_validation_errors(dfg) == []
 
     def test_last_level_must_be_one(self):
         with pytest.raises(KernelError):
@@ -54,22 +53,22 @@ class TestTrafficProfileGenerator:
         dfg = dfg_from_traffic_profile(computes, skips, num_inputs=3)
         assert dfg.num_operations == sum(computes)
         assert dfg_depth(dfg) == len(computes)
-        assert is_valid(dfg)
+        assert collect_validation_errors(dfg) == []
 
     def test_skip_counts_become_pass_throughs(self):
         computes = [4, 3, 2, 1]
         skips = [2, 1, 0, 0]
         dfg = dfg_from_traffic_profile(computes, skips, num_inputs=3)
         traffic = stage_traffic(dfg, asap_stage_assignment(dfg))
-        assert traffic[0].num_passes == 2
-        assert traffic[1].num_passes == 1
-        assert traffic[2].num_passes == 0
+        assert len(traffic[0].passes) == 2
+        assert len(traffic[1].passes) == 1
+        assert len(traffic[2].passes) == 0
 
     def test_zero_skips_equivalent_to_plain_levels(self):
         computes = [3, 2, 1]
         dfg = dfg_from_traffic_profile(computes, [0, 0, 0], num_inputs=2)
         traffic = stage_traffic(dfg, asap_stage_assignment(dfg))
-        assert all(t.num_passes == 0 for t in traffic)
+        assert all(t.passes == [] for t in traffic)
 
     def test_mismatched_profile_lengths_rejected(self):
         with pytest.raises(KernelError):
@@ -97,28 +96,6 @@ class TestTrafficProfileGenerator:
         assert len(evaluate_dfg(dfg, [5, -3])) == 1
 
 
-class TestPolynomialKernel:
-    def test_horner_chain_shape(self):
-        dfg = polynomial_kernel(5)
-        assert dfg.num_operations == 10
-        assert dfg_depth(dfg) == 10
-        assert dfg.num_inputs == 1
-
-    def test_evaluates_the_polynomial(self):
-        coefficients = [1, -2, 3]  # 3x^2 - 2x + 1
-        dfg = polynomial_kernel(2, coefficients=coefficients)
-        for x in (-2, 0, 4):
-            assert evaluate_dfg(dfg, [x]) == [3 * x * x - 2 * x + 1]
-
-    def test_invalid_degree_rejected(self):
-        with pytest.raises(KernelError):
-            polynomial_kernel(0)
-
-    def test_coefficient_count_checked(self):
-        with pytest.raises(KernelError):
-            polynomial_kernel(3, coefficients=[1, 2])
-
-
 class TestRandomDFG:
     def test_same_seed_same_graph(self):
         a = random_dfg(3, 20, seed=7)
@@ -134,7 +111,7 @@ class TestRandomDFG:
     def test_graph_is_live_and_executable(self):
         for seed in range(5):
             dfg = random_dfg(4, 15, seed=seed)
-            assert is_valid(dfg, require_live=False)
+            assert collect_validation_errors(dfg, require_live=False) == []
             assert len(evaluate_dfg(dfg, [1, 2, 3, 4])) == 1
 
     def test_invalid_parameters_rejected(self):

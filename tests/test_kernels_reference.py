@@ -29,7 +29,6 @@ from repro.kernels.reference import (
     StreamEvaluator,
     evaluate_dfg,
     intermediate_values,
-    level_ordered_values,
     random_input_blocks,
     reference_outputs,
     stream_evaluator,
@@ -357,13 +356,6 @@ class TestIntermediateValues:
     def test_every_node_gets_a_value(self, qspline):
         values = intermediate_values(qspline, [1, 2, 3, 4, 5, 6, 7])
         assert set(values) == set(qspline.node_ids())
-
-    def test_level_ordered_values_grouping(self, gradient):
-        grouped = level_ordered_values(gradient, [1, 2, 3, 4, 5])
-        # level 0 holds the 5 inputs, level 1 the 4 subtraction results, ...
-        assert len(grouped[0]) == 5
-        assert len(grouped[1]) == 4
-        assert len(grouped[-1]) == 1
 
 
 class TestRandomBlocks:

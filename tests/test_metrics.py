@@ -7,11 +7,8 @@ from repro.errors import ConfigurationError
 from repro.kernels import TABLE3_BENCHMARKS, get_kernel
 from repro.metrics.comparison import (
     average_reduction,
-    average_speedup,
     geometric_mean,
     reduction,
-    speedup,
-    summarize_ii_reductions,
 )
 from repro.metrics.performance import (
     EVALUATION_VARIANTS,
@@ -107,9 +104,8 @@ class TestEvaluateKernel:
 
 
 class TestComparisons:
-    def test_reduction_and_speedup(self):
+    def test_reduction(self):
         assert reduction(10, 6) == pytest.approx(0.4)
-        assert speedup(10, 5) == pytest.approx(2.0)
 
     def test_geometric_mean(self):
         assert geometric_mean([1, 4, 16]) == pytest.approx(4.0)
@@ -127,25 +123,6 @@ class TestComparisons:
         reference = {"a": 10, "b": 20}
         new = {"a": 5, "b": 20}
         assert average_reduction(reference, new, keys=["a"]) == pytest.approx(0.5)
-
-    def test_average_speedup(self):
-        reference = {"a": 10, "b": 8}
-        new = {"a": 5, "b": 2}
-        assert average_speedup(reference, new) == pytest.approx((2 * 4) ** 0.5)
-
-    def test_summarize_ii_reductions(self):
-        data = {
-            "baseline": {"k1": 10, "k2": 20},
-            "v1": {"k1": 5, "k2": 10},
-            "v3": {"k1": 8, "k2": 10},
-        }
-        summary = summarize_ii_reductions(data, deep_only_keys=["k2"])
-        assert summary["v1"] == pytest.approx(0.5)
-        assert summary["v3"] == pytest.approx(0.5)  # only k2 counted
-
-    def test_summarize_requires_reference(self):
-        with pytest.raises(ConfigurationError):
-            summarize_ii_reductions({"v1": {"k": 1}})
 
 
 class TestTables:

@@ -23,11 +23,10 @@ COMMUTATIVE = {
 
 
 class TestOpcodeClassification:
-    def test_structural_opcodes(self):
-        assert OpCode.INPUT.is_structural
-        assert OpCode.OUTPUT.is_structural
-        assert OpCode.CONST.is_structural
-        assert not OpCode.ADD.is_structural
+    def test_structural_opcodes_are_neither_compute_nor_control(self):
+        for op in (OpCode.INPUT, OpCode.OUTPUT, OpCode.CONST):
+            assert not op.is_compute
+            assert not op.is_control
 
     def test_control_opcodes(self):
         assert OpCode.LOAD.is_control
@@ -38,7 +37,7 @@ class TestOpcodeClassification:
     def test_compute_opcodes_are_neither_structural_nor_control(self):
         for op in COMPUTE_OPCODES:
             assert op.is_compute
-            assert not op.is_structural
+            assert op not in STRUCTURAL
             assert not op.is_control
 
     def test_every_opcode_has_arity(self):
@@ -57,7 +56,6 @@ class TestPrecomputedFlags:
 
     @pytest.mark.parametrize("op", list(OpCode), ids=lambda op: op.name)
     def test_flags_and_arity_match_the_definitions(self, op):
-        assert op.is_structural is (op in STRUCTURAL)
         assert op.is_control is (op in CONTROL)
         assert op.is_compute is (op not in STRUCTURAL and op not in CONTROL)
         assert op.is_commutative is (op in COMMUTATIVE)

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.dfg.analysis import dfg_depth
+from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.overlay.architecture import DEFAULT_FIXED_DEPTH, LinearOverlay
 from repro.overlay.fu import V1, V2, V3
+from repro.schedule import schedule_kernel
 
 
 class TestConstruction:
@@ -42,26 +44,20 @@ class TestDerivedQuantities:
         assert LinearOverlay(variant=V1, depth=8).total_dsp_blocks == 8
         assert LinearOverlay(variant=V2, depth=8).total_dsp_blocks == 16
 
-    def test_instruction_capacity(self):
-        overlay = LinearOverlay(variant=V1, depth=4)
-        assert overlay.total_instruction_slots == 4 * V1.instruction_memory_depth
-
     def test_stream_width(self):
         assert LinearOverlay(variant=V2, depth=2).stream_width_bits == 64
 
-    def test_can_map_depth_rules(self):
+    def test_depth_rule_is_enforced_by_the_scheduler(self, qspline, poly7):
+        """A feed-forward overlay maps kernels up to its depth, and no deeper;
+        a write-back overlay folds deeper kernels into its fixed depth."""
         v1_overlay = LinearOverlay(variant=V1, depth=8)
-        assert v1_overlay.can_map_depth(8)
-        assert not v1_overlay.can_map_depth(9)
+        assert dfg_depth(qspline) == 8
+        assert schedule_kernel(qspline, v1_overlay, scheduler="linear").depth == 8
+        with pytest.raises(InfeasibleScheduleError):
+            schedule_kernel(poly7, v1_overlay, scheduler="linear")
         v3_overlay = LinearOverlay.fixed(V3, 8)
-        assert v3_overlay.can_map_depth(13)
-
-    def test_requires_reconfiguration(self, gradient, poly7):
-        v1_overlay = LinearOverlay.for_kernel(V1, gradient)
-        assert not v1_overlay.requires_reconfiguration_for(gradient)
-        assert v1_overlay.requires_reconfiguration_for(poly7)
-        v3_overlay = LinearOverlay.fixed(V3, 8)
-        assert not v3_overlay.requires_reconfiguration_for(poly7)
+        assert dfg_depth(poly7) == 13
+        assert schedule_kernel(poly7, v3_overlay).depth == 8
 
     def test_resized_copy(self):
         overlay = LinearOverlay(variant=V1, depth=4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dfg.analysis import dfg_depth
 from repro.errors import ConfigurationError
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.context_switch import (
@@ -63,6 +64,18 @@ class TestContextSwitch:
         estimate = context_switch_time_s(overlay, instruction_words=60)
         assert not estimate.requires_partial_reconfiguration
         assert estimate.total_time_s == estimate.instruction_load_time_s
+
+    def test_requires_reconfiguration_follows_kernel_depth(self, gradient, poly7):
+        def needs_pr(overlay, kernel):
+            estimate = context_switch_time_s(
+                overlay, instruction_words=40, kernel_depth=dfg_depth(kernel)
+            )
+            return estimate.requires_partial_reconfiguration
+
+        v1_overlay = LinearOverlay.for_kernel(V1, gradient)
+        assert not needs_pr(v1_overlay, gradient)
+        assert needs_pr(v1_overlay, poly7)
+        assert not needs_pr(LinearOverlay.fixed(V3, 8), poly7)
 
     def test_paper_2900x_reduction_is_reproduced(self):
         v1_overlay = LinearOverlay(variant=V1, depth=8)

@@ -14,7 +14,6 @@ from repro.overlay.resources import (
     overlay_fmax_mhz,
     overlay_slices,
     scalability_sweep,
-    spatial_overlay_resources,
 )
 
 
@@ -83,7 +82,9 @@ class TestScalingBehaviour:
 
 class TestSpatialComparison:
     def test_spatial_overlay_needs_one_fu_per_operation(self, gradient):
-        spatial = spatial_overlay_resources(V1, gradient.num_operations)
+        from repro.baseline.spatial import evaluate_spatial
+
+        spatial = evaluate_spatial(gradient, V1)
         tm = estimate_resources(LinearOverlay.for_kernel(V1, gradient))
         assert spatial.dsp_blocks == 11
         assert tm.dsp_blocks == 4

@@ -50,7 +50,7 @@ class TestCodegen:
             offset = len(fu_program.instructions) - len(stage.slots)
             for slot, instruction in zip(stage.slots, fu_program.instructions[offset:]):
                 if slot.kind is SlotKind.NOP:
-                    assert instruction.is_nop
+                    assert instruction.kind is InstructionKind.NOP
                     continue
                 assert instruction.wb == slot.write_back
                 assert instruction.ndf == (not slot.forward)
@@ -139,11 +139,6 @@ class TestConfigurationImage:
         image = build_configuration_image(schedule)
         embedded = {value for constants in image.fu_constants for _, value in constants}
         assert {16, -20, 5} <= embedded or {16, 20, 5} <= embedded
-
-    def test_decode_listing_disassembles(self, gradient):
-        schedule = schedule_kernel(gradient, LinearOverlay.for_kernel(V1, gradient))
-        listing = build_configuration_image(schedule).decode_listing()
-        assert "SUB" in listing
 
     def test_configuration_smaller_for_fixed_depth_context_switch(self):
         """The V3 overlay only rewrites instruction memories, so its kernel

@@ -34,14 +34,15 @@ class TestAllocation:
         for stage in schedule.stages:
             allocation = allocate_registers(stage, V1, chebyshev)
             for register in allocation.constant_registers.values():
-                assert register >= V1.rf_depth - allocation.num_constant_entries
+                assert register >= V1.rf_depth - len(allocation.constant_registers)
 
     def test_write_back_values_get_registers(self, poly7):
         schedule = schedule_kernel(poly7, LinearOverlay.fixed(V3, 8))
         for stage in schedule.stages:
             allocation = allocate_registers(stage, V3, poly7)
-            for value in stage.write_back_values:
-                assert allocation.register_of(value) < V3.rf_depth
+            for slot in stage.slots:
+                if slot.write_back:
+                    assert allocation.register_of(slot.value_id) < V3.rf_depth
 
     def test_unknown_value_raises(self, gradient):
         schedule = schedule_kernel(gradient, LinearOverlay.for_kernel(V1, gradient))
@@ -72,7 +73,7 @@ class TestAllocation:
             ],
         )
         allocation = allocate_registers(stage, BASELINE, gradient)
-        assert allocation.num_rotating_entries == 20
+        assert len(allocation.value_registers) == 20
 
     def test_benchmark_kernels_fit_every_usable_variant(self, benchmarks):
         from repro.dfg.analysis import dfg_depth

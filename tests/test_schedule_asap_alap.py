@@ -4,13 +4,8 @@ import pytest
 
 from repro.dfg.analysis import asap_levels, dfg_depth
 from repro.errors import InfeasibleScheduleError
-from repro.schedule.asap import asap_assignment, level_occupancy, schedule_depth
-from repro.schedule.alap import (
-    alap_assignment,
-    critical_nodes,
-    mobility_ordered_nodes,
-    slack_map,
-)
+from repro.schedule.asap import asap_assignment, schedule_depth
+from repro.schedule.alap import alap_assignment
 
 
 class TestASAP:
@@ -39,9 +34,6 @@ class TestASAP:
         for name, dfg in benchmarks.items():
             assert schedule_depth(dfg) == dfg_depth(dfg), name
 
-    def test_level_occupancy_gradient(self, gradient):
-        assert level_occupancy(gradient) == {1: 4, 2: 4, 3: 2, 4: 1}
-
 
 class TestALAP:
     def test_alap_assignment_never_earlier_than_asap(self, qspline):
@@ -56,27 +48,3 @@ class TestALAP:
             for operand in node.operands:
                 if operand in alap:
                     assert alap[operand] < alap[node.node_id]
-
-    def test_slack_is_zero_exactly_on_critical_nodes(self, poly7):
-        slack = slack_map(poly7)
-        critical = set(critical_nodes(poly7))
-        for node_id, value in slack.items():
-            assert (value == 0) == (node_id in critical)
-
-    def test_chain_kernel_has_no_slack(self, benchmarks):
-        chebyshev = benchmarks["chebyshev"]
-        assert all(value == 0 for value in slack_map(chebyshev).values())
-
-    def test_mobility_order_puts_critical_nodes_first(self, qspline):
-        ordered = mobility_ordered_nodes(qspline)
-        slack = slack_map(qspline)
-        first_nonzero = next(
-            (i for i, node in enumerate(ordered) if slack[node] > 0), len(ordered)
-        )
-        assert all(slack[node] == 0 for node in ordered[:first_nonzero])
-
-    def test_relaxed_depth_increases_slack(self, gradient):
-        tight = slack_map(gradient)
-        relaxed = slack_map(gradient, depth=8)
-        assert all(relaxed[node] >= tight[node] for node in tight)
-        assert any(relaxed[node] > tight[node] for node in tight)

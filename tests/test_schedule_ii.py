@@ -7,10 +7,8 @@ from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import BASELINE, V1, V2
 from repro.schedule.ii import (
     analytic_ii,
-    bottleneck_stage,
     ii_equation_baseline,
     ii_equation_overlapped,
-    ii_reduction,
     minimum_ii_bound,
     per_stage_ii,
     stage_ii,
@@ -55,7 +53,6 @@ class TestEquations:
         schedule = schedule_linear(gradient, LinearOverlay.for_kernel(V1, gradient))
         contributions = per_stage_ii(schedule)
         assert analytic_ii(schedule) == max(contributions)
-        assert bottleneck_stage(schedule) == contributions.index(max(contributions))
 
     def test_v2_halves_the_overlapped_ii(self, qspline):
         v1 = analytic_ii(schedule_linear(qspline, LinearOverlay.for_kernel(V1, qspline)))
@@ -69,13 +66,6 @@ class TestEquations:
 
 
 class TestHelpers:
-    def test_ii_reduction(self):
-        assert ii_reduction(10, 6) == pytest.approx(0.4)
-
-    def test_ii_reduction_rejects_non_positive_reference(self):
-        with pytest.raises(ValueError):
-            ii_reduction(0, 1)
-
     def test_minimum_ii_bound_is_a_true_lower_bound(self, benchmarks):
         for name, dfg in benchmarks.items():
             overlay = LinearOverlay.for_kernel(V1, dfg)

@@ -39,7 +39,7 @@ class TestStructure:
         overlay = LinearOverlay.for_kernel("v1", qspline)
         schedule = schedule_linear(qspline, overlay)
         for stage in schedule.stages:
-            assert not stage.write_back_values
+            assert not any(slot.write_back for slot in stage.slots)
 
     def test_load_order_matches_upstream_emission_order(self, qspline):
         overlay = LinearOverlay.for_kernel("v1", qspline)
@@ -72,8 +72,9 @@ class TestStructure:
         overlay = LinearOverlay(variant=V3, depth=6, fixed_depth=True)
         schedule = schedule_linear(gradient, overlay)
         for stage in schedule.stages[4:]:
-            assert stage.num_computes == 0
-            assert stage.num_passes >= 1
+            kinds = [slot.kind for slot in stage.slots]
+            assert SlotKind.COMPUTE not in kinds
+            assert SlotKind.PASS in kinds
 
     def test_constants_are_tracked_per_stage(self, benchmarks):
         chebyshev = benchmarks["chebyshev"]
@@ -81,13 +82,6 @@ class TestStructure:
         schedule = schedule_linear(chebyshev, overlay)
         all_constants = {c for k in range(overlay.depth) for c in schedule.constants_used(k)}
         assert all_constants == {c.node_id for c in chebyshev.constants()}
-
-    def test_summary_mentions_every_stage(self, gradient):
-        overlay = LinearOverlay.for_kernel("v1", gradient)
-        schedule = schedule_linear(gradient, overlay)
-        text = schedule.summary()
-        for stage in range(overlay.depth):
-            assert f"FU{stage}" in text
 
 
 class TestTable3II:

@@ -5,7 +5,6 @@ import pytest
 from repro.dfg.builder import DFGBuilder
 from repro.schedule.ordering import (
     chain_lengths,
-    count_required_nops,
     intra_cluster_dependences,
     order_cluster,
     verify_ordering,
@@ -37,6 +36,10 @@ def _independent_cluster(count=4):
     return builder.build(), nodes
 
 
+def _nops(slots):
+    return sum(1 for slot in slots if slot.is_nop)
+
+
 class TestDependenceAnalysis:
     def test_intra_cluster_dependences_only_count_members(self):
         dfg, nodes = _chain_cluster(3)
@@ -57,7 +60,7 @@ class TestOrdering:
         dfg, nodes = _independent_cluster(4)
         slots = order_cluster(dfg, nodes, [], dependence_distance=5, stage_index=0,
                               needed_until={n: 1 for n in nodes})
-        assert count_required_nops(slots) == 0
+        assert _nops(slots) == 0
         assert verify_ordering(dfg, slots, 5) == []
 
     def test_pure_chain_needs_iwp_minus_one_nops_per_link(self):
@@ -65,7 +68,7 @@ class TestOrdering:
         slots = order_cluster(dfg, nodes, [], dependence_distance=4, stage_index=0,
                               needed_until={n: 1 for n in nodes})
         # Two dependent instructions: 3 NOPs must sit between them (IWP=4).
-        assert count_required_nops(slots) == 3
+        assert _nops(slots) == 3
         assert verify_ordering(dfg, slots, 4) == []
 
     def test_passes_are_used_as_gap_fillers(self):
@@ -74,7 +77,7 @@ class TestOrdering:
         slots = order_cluster(dfg, nodes, passes, dependence_distance=3,
                               stage_index=0, needed_until={n: 1 for n in nodes})
         # The pass fills one of the two required gap slots, one NOP remains.
-        assert count_required_nops(slots) == 1
+        assert _nops(slots) == 1
         kinds = [s.kind for s in slots]
         assert SlotKind.PASS in kinds
 
@@ -82,7 +85,7 @@ class TestOrdering:
         dfg, nodes = _chain_cluster(3)
         needed = {n: 1 for n in nodes}
         nops_by_distance = {
-            distance: count_required_nops(
+            distance: _nops(
                 order_cluster(dfg, nodes, [], distance, 0, needed)
             )
             for distance in (5, 4, 3)
@@ -92,7 +95,7 @@ class TestOrdering:
     def test_zero_distance_disables_the_constraint(self):
         dfg, nodes = _chain_cluster(4)
         slots = order_cluster(dfg, nodes, [], 0, 0, {n: 1 for n in nodes})
-        assert count_required_nops(slots) == 0
+        assert _nops(slots) == 0
 
     def test_write_back_flag_set_for_in_cluster_consumers(self):
         dfg, nodes = _chain_cluster(3)

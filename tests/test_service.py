@@ -351,7 +351,7 @@ class TestTenancy:
         stats = service.cache.stats
         assert stats.misses == 1  # one pipeline run, tenant B rode the cache
         assert stats.hits + stats.coalesced == 1
-        assert service.tenant_names() == ["team-a", "team-b"]
+        assert sorted(a.stats()["tenants"]) == ["team-a", "team-b"]
 
     def test_isolated_tenant_gets_a_private_cache(self, service):
         spec = OverlaySpec(variant="v1")

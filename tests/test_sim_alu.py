@@ -4,7 +4,7 @@ import pytest
 
 from repro.dfg.opcodes import OpCode
 from repro.errors import SimulationError
-from repro.sim.alu import INT32_MAX, INT32_MIN, alu_execute, saturating_execute
+from repro.sim.alu import INT32_MAX, INT32_MIN, alu_execute
 
 
 class TestALUExecute:
@@ -38,24 +38,3 @@ class TestALUExecute:
         with pytest.raises(SimulationError):
             alu_execute(OpCode.PASS, [1, 2])
 
-
-class TestSaturatingVariant:
-    def test_saturates_instead_of_wrapping(self):
-        assert saturating_execute(OpCode.ADD, [INT32_MAX, 1]) == INT32_MAX
-        assert saturating_execute(OpCode.SUB, [INT32_MIN, 1]) == INT32_MIN
-        assert saturating_execute(OpCode.MUL, [2 ** 20, 2 ** 20]) == INT32_MAX
-
-    def test_matches_wrapping_inside_the_range(self):
-        for opcode, operands in (
-            (OpCode.ADD, [5, 6]),
-            (OpCode.MUL, [-4, 9]),
-            (OpCode.MIN, [3, -8]),
-        ):
-            assert saturating_execute(opcode, operands) == alu_execute(opcode, operands)
-
-    def test_bitwise_ops_delegate_to_wrapping(self):
-        assert saturating_execute(OpCode.XOR, [0xFF, 0x0F]) == 0xF0
-
-    def test_nop_rejected(self):
-        with pytest.raises(SimulationError):
-            saturating_execute(OpCode.NOP, [])

@@ -25,7 +25,8 @@ class TestStreamFIFO:
 
     def test_unbounded_when_capacity_zero(self):
         fifo = StreamFIFO("input", capacity=0)
-        fifo.push_many((0, i, i) for i in range(100))
+        for i in range(100):
+            fifo.push((0, i, i))
         assert not fifo.is_full
         assert len(fifo) == 100
 
@@ -46,13 +47,6 @@ class TestStreamFIFO:
         for _ in range(5):
             fifo.pop()
         assert fifo.high_water_mark == 5
-        assert fifo.total_pushed == 5
-
-    def test_drain_empties_the_queue(self):
-        fifo = StreamFIFO("out", capacity=0)
-        fifo.push_many((0, i, i) for i in range(3))
-        assert list(fifo.drain()) == [(0, 0, 0), (0, 1, 1), (0, 2, 2)]
-        assert fifo.is_empty
 
 
 class TestRegisterFileModel:

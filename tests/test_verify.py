@@ -51,7 +51,6 @@ from repro.verify import (
     VerifyReport,
     pass_names,
     run_passes,
-    verify_handle,
 )
 
 ALL_VARIANTS = ("baseline", "v1", "v2", "v3", "v4", "v5")
@@ -83,7 +82,7 @@ class TestCleanLibrary:
         for point, handle in _grid_points(
             FAST_KERNELS, ("baseline", "v1", "v3"), STRATEGIES
         ):
-            report = verify_handle(handle)
+            report = run_passes(VerifyContext.from_handle(handle))
             assert report.diagnostics == (), (point, report.codes)
             checked += 1
         assert checked >= 30
@@ -94,7 +93,7 @@ class TestCleanLibrary:
         for point, handle in _grid_points(
             kernel_names(), ALL_VARIANTS, STRATEGIES
         ):
-            report = verify_handle(handle)
+            report = run_passes(VerifyContext.from_handle(handle))
             assert report.diagnostics == (), (point, report.codes)
             checked += 1
         assert checked >= 200
@@ -160,7 +159,7 @@ class TestSharedWork:
         calls = self._count_calls(monkeypatch, binary_checks, "decode_instruction")
         # Two artifacts, each verified twice: the memo outlives a verification.
         for artifact in (handle, other, handle, other):
-            assert verify_handle(artifact).ok
+            assert run_passes(VerifyContext.from_handle(artifact)).ok
         words = [
             word
             for artifact in (handle, other)
@@ -183,7 +182,7 @@ class TestSharedWork:
             for strategy in ("linear", "clustered", "modulo", "alap")
         ]
         for handle in handles:
-            report = verify_handle(handle)
+            report = run_passes(VerifyContext.from_handle(handle))
             assert {"dfg", "schedule"} <= set(report.passes)
             assert report.ok
         assert len(calls) == 1
@@ -246,7 +245,7 @@ class TestSharedWork:
         assert all(binary_checks._Decoder()[word] == memo[word] for word in words)
         binary_checks._DECODED.clear()
         monkeypatch.setattr(binary_checks, "_DECODED", memo)
-        assert verify_handle(handle).ok
+        assert run_passes(VerifyContext.from_handle(handle)).ok
         assert len(memo) <= limit
 
     def test_threads_racing_on_a_small_memo_read_correct_decodes(self, monkeypatch):
@@ -271,7 +270,7 @@ class TestSharedWork:
 
         def worker(index):
             barrier.wait()
-            reports[index] = [verify_handle(h).ok for h in handles[index % 2 :] * 3]
+            reports[index] = [run_passes(VerifyContext.from_handle(h)).ok for h in handles[index % 2 :] * 3]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose races

@@ -1,5 +1,9 @@
 """Tests for visualisation helpers, the CLI and the top-level API."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -7,13 +11,7 @@ from repro.cli import build_parser, main
 from repro.kernels import get_kernel
 from repro.overlay.architecture import LinearOverlay
 from repro.schedule import schedule_kernel
-from repro.visualize import (
-    ascii_overlay,
-    clusters_to_dot,
-    dfg_to_dot,
-    level_histogram,
-    schedule_listing,
-)
+from repro.visualize import clusters_to_dot, dfg_to_dot, schedule_listing
 
 
 class TestVisualize:
@@ -27,21 +25,11 @@ class TestVisualize:
         assert dot.count("subgraph cluster_") == 8
         assert "style=dashed" in dot
 
-    def test_ascii_overlay_sketch(self):
-        art = ascii_overlay(3)
-        assert art.count("FU") == 3
-        assert "input FIFO" in art and "output FIFO" in art
-
     def test_schedule_listing_shows_loads_and_slots(self, gradient):
         schedule = schedule_kernel(gradient, LinearOverlay.for_kernel("v1", gradient))
         listing = schedule_listing(schedule)
         assert "loads (5)" in listing
         assert "SUB" in listing
-
-    def test_level_histogram(self, gradient):
-        text = level_histogram(gradient)
-        assert "depth 4" in text
-        assert text.count("level") == 4
 
 
 class TestCLI:
@@ -90,10 +78,70 @@ class TestCLI:
         assert main(["dot", "--kernel", "qspline", "--clusters", "--depth", "4"]) == 0
         assert "digraph" in capsys.readouterr().out
 
+    def test_dot_command_without_clusters(self, capsys):
+        assert main(["dot", "--kernel", "gradient"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith('digraph "gradient"')
+        assert "cluster_" not in out
+
+    def test_table3_command_prints_every_benchmark(self, capsys):
+        from repro.kernels import TABLE3_BENCHMARKS
+
+        assert main(["table3"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].startswith("Table III")
+        for name in TABLE3_BENCHMARKS:
+            assert any(row.split()[:1] == [name] for row in rows), name
+
+    def test_cache_stats_command(self, capsys):
+        assert main(["cache", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "compiled-schedule cache:" in out
+        assert "frontend cache (this process only):" in out
+
+    def test_cache_clear_removes_the_disk_entries(self, capsys, monkeypatch, tmp_path):
+        import repro.engine.cache as engine_cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(engine_cache, "_DEFAULT_CACHE", None)
+        repro.Toolchain().compile("gradient", repro.OverlaySpec("v1"))
+        entries = list(tmp_path.glob("*.pkl"))
+        assert entries
+        assert main(["cache", "--clear"]) == 0
+        assert list(tmp_path.glob("*.pkl")) == []
+        assert f"{len(entries)} disk entries from {tmp_path}" in capsys.readouterr().out
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["--version"])
         assert repro.__version__ in capsys.readouterr().out
+
+
+class TestServeCommand:
+    def test_serve_answers_stats_and_stops_on_sigterm(self, capsys):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            line = server.stdout.readline().decode()
+            assert "listening on" in line, line
+            port = line.strip().rsplit(":", 1)[1]
+            assert main(["stats", "--port", port]) == 0
+            assert f"overlay service at 127.0.0.1:{port}" in capsys.readouterr().out
+        finally:
+            # SIGTERM: an inherited SIGINT may be ignored by the child.
+            server.terminate()
+            try:
+                server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        assert server.returncode is not None
 
 
 class TestTopLevelAPI:
