@@ -3,15 +3,16 @@
 The batched engine's headline scenario is long-stream multi-lane sweeps on
 the write-back overlays: timing is value-independent, so a lane-parallel
 variant needs only one steady-state timing run per *distinct lane length*
-(round-robin dealing yields at most two), while the value plane evaluates
-the whole stream as vectorized numpy columns.  This harness runs exactly
-that — deep kernels on dual-lane V3/V4/V5 at depth 8 — with both engines
-for ``ROUNDS`` rounds.  Each round times every point on both engines, in
-alternating order, and yields one ratio: the fast engine's total over the
-batched engine's.  The gate is on the **median of those per-round ratios**
-(``MIN_SPEEDUP``), which one slow round cannot move; the median is recorded
-as ``batch_engine_speedup`` into ``BENCH_results.json`` next to the
-wall-clock timings.
+(round-robin dealing yields at most two), while the value plane executes
+the compiled configuration image over the whole stream as numpy columns.
+This harness runs exactly that — deep kernels on dual-lane V3/V4/V5 at
+depth 8 — with both engines for ``ROUNDS`` rounds, unverified, so neither
+engine's reference check is timed.  Each round times every point on both
+engines, in alternating order, and yields one ratio: the fast engine's
+total over the batched engine's.  The gate is on the **median of those
+per-round ratios** (``MIN_SPEEDUP``), which one slow round cannot move; the
+median is recorded as ``batch_engine_speedup`` into ``BENCH_results.json``
+next to the wall-clock timings.
 
 The two engines must also produce bit-identical results — the gate is only
 meaningful if batching changes nothing observable.  (Requires numpy, the

@@ -8,9 +8,9 @@ output reconstruction runs one Python statement per DFG node and block.
 :class:`BatchSimulator` (``engine="batched"``) is a ``FastSimulator`` that
 swaps out exactly those two parts — the tick loop and the value plane —
 and shares the rest (state containers, detector, timing setup, result
-assembly), so its results are **bit-identical** to the fast engine's (and
-therefore to the cycle simulator's — the equivalence suite asserts the
-full chain):
+assembly), so on every artifact codegen encodes correctly its results are
+**bit-identical** to the fast engine's (and therefore to the cycle
+simulator's — the equivalence suite asserts the full chain):
 
 1. **Whole-loop codegen.**  :func:`generate_loop_source` exec-compiles the
    *entire* steady-state tick loop of one schedule — FU slot advance, FIFO
@@ -38,14 +38,20 @@ full chain):
    *distinct lane length* and shares it across all lanes, instead of N
    sequential single-lane runs.
 
-3. **Vectorized value plane.**  :class:`VectorBlockEvaluator` evaluates the
-   whole input stream at once on a numpy ``int64`` array with a block axis,
-   one vectorized expression per DFG node
+3. **The compiled image as the value plane.**  :class:`VectorBlockEvaluator`
+   executes the configuration image that codegen emits for the schedule:
+   FU0's arrivals are input columns in load-map order, each EXEC word is one
+   numpy expression over a block axis
    (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`) followed by an exact
-   32-bit two's-complement wrap, replacing the scalar stream evaluator on
-   the hot path.  Inputs or constants outside the signed 32-bit range (where
-   ``int64`` intermediates could overflow) fall back to the scalar
-   evaluator, so results are bit-identical in every case.
+   32-bit two's-complement wrap, PASS words and write-backs rename, and the
+   last FU's forwarded words are the outputs.  So the outputs come from the
+   instruction words, not from the DFG, and the ``verify=True`` check, which
+   evaluates the DFG (on numpy too, ``reference_outputs(...,
+   vectorized=True)``), catches a codegen fault the other engines cannot
+   see.  When codegen refuses the schedule, or an input lies outside the
+   signed 32-bit range (where ``int64`` intermediates could overflow), the
+   engine falls back to the scalar plane
+   (:func:`~repro.engine.fastsim._functional_outputs`).
 
 numpy is an **optional** dependency (the ``[batch]`` extra) that only
 speeds up the value plane: the tick loop is pure Python, so without numpy
@@ -55,13 +61,21 @@ the engine runs on the scalar value plane.  See ``docs/engine.md``
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dfg.opcodes import OP_VECTOR_EXPRESSIONS
-from ..errors import SimulationError
-from ..kernels.reference import IdentityMemo
+from ..errors import CodegenError, SimulationError
+from ..kernels.reference import (
+    VECTOR_WRAP,
+    IdentityMemo,
+    compile_vector_plan,
+    import_numpy,
+    vector_rows,
+)
+from ..overlay.isa import InstructionKind, decode_instruction
+from ..program.binary import build_configuration_image
+from ..program.codegen import generate_program
 from ..schedule.types import OverlaySchedule
 from ..sim.overlay import (
     SimulationResult,
@@ -71,112 +85,131 @@ from ..sim.overlay import (
 )
 from .fastsim import FastSimulator, _FastRF, _functional_outputs, stage_plan
 
-
-def _import_numpy() -> Any:
-    try:
-        return importlib.import_module("numpy")
-    except ImportError:  # pragma: no cover - exercised by the stub test
-        return None
-
-
 #: The numpy module, or ``None`` when the optional dependency is absent.
-np: Any = _import_numpy()
+np: Any = import_numpy()
 
-_INT32_MIN = -(2 ** 31)
-_INT32_MAX = 2 ** 31 - 1
-
-#: Exact signed 32-bit two's-complement wrap of an ``int64`` expression.
-_WRAP_TEMPLATE = "(({0} & 4294967295) ^ 2147483648) - 2147483648"
+_NOP = InstructionKind.NOP
+_PASS = InstructionKind.PASS
+_LOAD = InstructionKind.LOAD
 
 
 # ---------------------------------------------------------------------------
-# vectorized value plane
+# vectorized value plane: the configuration image on numpy columns
 # ---------------------------------------------------------------------------
+def image_plan_source(schedule: OverlaySchedule) -> Optional[str]:
+    """Source of ``_vplan(inputs)``, which executes the schedule's
+    configuration image over a whole stream; ``None`` when codegen refuses
+    the schedule.
+
+    The image is what :func:`~repro.program.codegen.generate_program` and
+    :func:`~repro.program.binary.build_configuration_image` emit.  Each FU's
+    registers start from its constant section.  FU0's arrivals are input
+    columns in load-map order, and every later FU's arrivals are the
+    previous FU's forwarded words in issue order.  Arrivals fill registers
+    0..n-1 on the load/execute-overlapping variants, and on the baseline
+    each LOAD word writes the next one to its ``rd``.  An EXEC word applies
+    its opcode to ``ra``/``rb`` (one numpy expression, wrapped to 32 bits),
+    a PASS word forwards ``ra``; WB writes the result to ``rd`` and every
+    word without NDF forwards it.  A read of a register nothing has written
+    gives 0, the register file's contents at configuration.  The last FU's
+    forwarded words are the output stream: each output takes the word at
+    its value's place in the last stage's emission order (the host's view
+    of the output DMA).  An output whose value that order lacks raises
+    :class:`~repro.errors.SimulationError`, as on the cycle engine.
+    """
+    try:
+        program = generate_program(schedule)
+        image = build_configuration_image(schedule, program)
+    except CodegenError:
+        return None
+    dfg = schedule.dfg
+    column = {node.node_id: index for index, node in enumerate(dfg.inputs())}
+    lines = ["def _vplan(inputs):"]
+    arrivals: List[str] = []
+    for value_id, _register in program.fu_programs[0].load_map:
+        arrivals.append(f"x{len(arrivals)}")
+        lines.append(f"    {arrivals[-1]} = inputs[:, {column[value_id]}]")
+    issued_loads = not schedule.variant.overlap_load_execute
+    temps = 0
+    for k, words in enumerate(image.fu_instruction_words):
+        registers: Dict[int, str] = {}
+        for register, value in image.fu_constants[k]:
+            registers[register] = f"c{k}_{register}"
+            lines.append(f"    c{k}_{register} = {value}")
+        if not issued_loads:
+            registers.update(enumerate(arrivals))
+        pending = iter(arrivals)
+        forwarded: List[str] = []
+        for word in words:
+            instruction = decode_instruction(word)
+            kind = instruction.kind
+            if kind is _NOP:
+                continue
+            if kind is _LOAD:
+                registers[instruction.rd] = next(pending, "0")
+                continue
+            if kind is _PASS:
+                result = registers.get(instruction.ra, "0")
+            else:
+                template = OP_VECTOR_EXPRESSIONS.get(instruction.opcode)
+                if template is None:
+                    return None
+                operands = (registers.get(instruction.ra, "0"), registers.get(instruction.rb, "0"))
+                result = f"t{temps}"
+                temps += 1
+                lines.append(f"    {result} = " + template.format(*operands))
+                lines.append(f"    {result} = " + VECTOR_WRAP.format(result))
+            if instruction.wb:
+                registers[instruction.rd] = result
+            if not instruction.ndf:
+                forwarded.append(result)
+        arrivals = forwarded
+    place = {
+        value_id: index
+        for index, value_id in enumerate(schedule.stage(schedule.depth - 1).emission_order)
+    }
+    outputs: List[str] = []
+    for output in dfg.outputs():
+        index = place.get(output.operands[0])
+        if index is None:
+            raise SimulationError(
+                f"output {output.name} (value N{output.operands[0]}) never reaches "
+                "the output FIFO"
+            )
+        outputs.append(arrivals[index] if index < len(arrivals) else "0")
+    if not outputs:
+        return None
+    lines.append("    return (" + ", ".join(outputs) + ",)")
+    return "\n".join(lines)
+
+
 class VectorBlockEvaluator:
-    """Evaluate a DFG over a whole input stream with one expression per node.
+    """The batched engine's value plane: the compiled image on numpy columns.
 
-    The scalar :class:`~repro.kernels.reference.StreamEvaluator` runs one
-    Python statement per node and block; this evaluator runs one numpy
-    expression per node and *stream*, with every node value an ``int64``
-    array over the block axis and an exact 32-bit wrap after every
-    operation.  Exactness needs every operand in signed 32-bit range (then
-    the worst ``int64`` intermediate, a MULADD, is bounded by
-    ``2**62 + 2**31``): constants are checked at build time, input arrays
-    at evaluation time, and :meth:`evaluate` returns ``None`` whenever
-    vectorized evaluation cannot be used (numpy absent, out-of-range
-    values, unsupported opcode) so the caller can fall back to the scalar
-    path.
+    Built once per schedule (by :class:`BatchPlan`), it runs the function of
+    :func:`image_plan_source` on the whole input stream at once: every
+    register value is an ``int64`` array over the block axis, and each EXEC
+    word is one expression (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`)
+    followed by an exact 32-bit wrap.  :meth:`evaluate` returns ``None``
+    when numpy is absent, codegen refused the schedule or an input lies
+    outside the signed 32-bit range (see
+    :func:`~repro.kernels.reference.vector_rows`); the engine then falls
+    back to the scalar plane.  It holds no reference to the schedule.
     """
 
-    def __init__(self, dfg: Any):
-        self.dfg = dfg
-        #: Output source node for every output port, in declaration order.
-        self.output_sources = [node.operands[0] for node in dfg.outputs()]
-        self._plan: Optional[Any] = None
-        self.plan_source = self._build_source()
-        if self.plan_source is not None and np is not None:
-            namespace: Dict[str, Any] = {"np": np}
-            exec(  # noqa: S102 - generated from the DFG, no external input
-                compile(self.plan_source, f"<vplan:{dfg.name}>", "exec"), namespace
-            )
-            self._plan = namespace["_vplan"]
+    __slots__ = ("_plan", "_width", "_name")
 
-    def _build_source(self) -> Optional[str]:
-        dfg = self.dfg
-        lines = ["def _vplan(inputs):"]
-        for index, node in enumerate(dfg.inputs()):
-            lines.append(f"    v{node.node_id} = inputs[:, {index}]")
-        for node_id in dfg.topological_order():
-            node = dfg.node(node_id)
-            if node.is_input or node.is_output:
-                continue
-            if node.is_const:
-                value = int(node.value)
-                if value < _INT32_MIN or value > _INT32_MAX:
-                    return None  # int64 intermediates could overflow
-                lines.append(f"    v{node_id} = {value}")
-                continue
-            template = OP_VECTOR_EXPRESSIONS.get(node.opcode)
-            if template is None:
-                return None
-            expression = template.format(*[f"v{o}" for o in node.operands])
-            lines.append(f"    v{node_id} = {expression}")
-            lines.append(
-                f"    v{node_id} = " + _WRAP_TEMPLATE.format(f"v{node_id}")
-            )
-        returned = ", ".join(f"v{source}" for source in self.output_sources)
-        if len(self.output_sources) == 1:
-            returned += ","
-        lines.append(f"    return ({returned})")
-        return "\n".join(lines)
+    def __init__(self, schedule: OverlaySchedule):
+        source = image_plan_source(schedule) if np is not None else None
+        self._plan = compile_vector_plan(
+            np, source, f"<vimage:{schedule.kernel_name}/{schedule.overlay.name}>"
+        )
+        self._width = schedule.dfg.num_inputs
+        self._name = schedule.kernel_name
 
     def evaluate(self, blocks: List[List[int]]) -> Optional[List[List[int]]]:
-        """Output rows for a stream, or ``None`` to request the scalar path.
-
-        When it returns rows they are plain Python ints, bit-identical to
-        :func:`~repro.engine.fastsim._functional_outputs` (input/const
-        output sources need a 32-bit wrap there; under this evaluator's
-        range guard that wrap is the identity).
-        """
-        if self._plan is None or np is None or not self.output_sources:
-            return None
-        try:
-            array = np.asarray(blocks, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        if array.ndim != 2 or array.size == 0:
-            return None
-        if int(array.min()) < _INT32_MIN or int(array.max()) > _INT32_MAX:
-            return None
-        outs = self._plan(array)
-        num_blocks = array.shape[0]
-        columns = [
-            out if isinstance(out, np.ndarray)
-            else np.full(num_blocks, int(out), dtype=np.int64)
-            for out in outs
-        ]
-        rows: List[List[int]] = np.stack(columns, axis=1).tolist()
-        return rows
+        """Output rows for a stream, or ``None`` to request the scalar path."""
+        return vector_rows(np, self._plan, blocks, self._width, self._name)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +624,11 @@ def generate_loop_source(schedule: OverlaySchedule) -> str:
 class BatchPlan:
     """Compiled per-schedule artifacts of the batched engine.
 
-    Holds the exec-compiled steady-state loop and the vectorized value-plane
-    evaluator.  The loop's source is compiled and dropped; to inspect it,
-    call :func:`generate_loop_source`, which is deterministic.  Plans
-    contain generated functions, so they live only in the :func:`plan_for`
-    memo, never in a pickled cache entry.
+    Holds the exec-compiled steady-state loop and the value plane that
+    executes the schedule's configuration image.  The loop's source is
+    compiled and dropped; to inspect it, call :func:`generate_loop_source`,
+    which is deterministic.  Plans contain generated functions, so they
+    live only in the :func:`plan_for` memo, never in a pickled cache entry.
     """
 
     __slots__ = ("loop", "vector_evaluator")
@@ -619,7 +652,7 @@ class BatchPlan:
             namespace,
         )
         self.loop = namespace["_batch_loop"]
-        self.vector_evaluator = VectorBlockEvaluator(schedule.dfg)
+        self.vector_evaluator = VectorBlockEvaluator(schedule)
 
 
 #: One plan per live schedule object, keyed by identity (see
@@ -636,11 +669,13 @@ def plan_for(schedule: OverlaySchedule) -> BatchPlan:
 # simulator front
 # ---------------------------------------------------------------------------
 class BatchSimulator(FastSimulator):
-    """The fast engine with a generated tick loop and a vector value plane.
+    """The fast engine with a generated tick loop, whose value plane
+    executes the compiled image.
 
-    Every result is bit-identical to the fast engine's (asserted
-    library-wide by ``tests/test_engine_batchsim.py``).  Without numpy the
-    value plane falls back to the scalar one, so the engine runs anyway.
+    On a correctly encoded artifact every result is bit-identical to the
+    fast engine's (asserted library-wide by ``tests/test_engine_batchsim.py``).
+    Without numpy the value plane falls back to the scalar one, so the
+    engine runs anyway.
     Its :class:`BatchPlan` comes from :func:`plan_for`, one per schedule
     object.
     """

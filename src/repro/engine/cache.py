@@ -427,7 +427,7 @@ class ScheduleCache:
         it, and it lives as long as the entry holds the schedule (a
         disk-loaded entry gets its own on first use).  Returns ``None`` when
         the key has no in-memory entry.  Plan building needs no numpy: the
-        loop codegen is pure Python, and the vector value plane is left
+        loop codegen is pure Python, and the image value plane is left
         unbuilt without it.
         """
         entry = self.peek(key)

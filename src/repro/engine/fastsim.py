@@ -49,7 +49,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dfg.opcodes import _to_signed32
 from ..errors import SimulationError
 from ..kernels.reference import stream_evaluator
 from ..schedule.types import OverlaySchedule, SlotKind
@@ -1009,17 +1008,8 @@ class FastSimulator:
 def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:
     """Output rows exactly as the cycle simulator's datapath produces them.
 
-    Operation results are wrapped by the opcode semantics already; values
-    that enter the stream *unwrapped* (primary inputs and constants) always
-    reach the output FIFO through at least one PASS slot, whose ALU applies
-    the 32-bit wrap.
+    Operation results are wrapped by the opcode semantics, and the output
+    words an input feeds straight through are wrapped by the evaluator, as
+    the PASS slots that carry them to the output FIFO wrap them.
     """
-    evaluator = stream_evaluator(dfg)
-    rows = evaluator.run(blocks)
-    unwrapped = evaluator.unwrapped_outputs
-    if unwrapped:
-        for row in rows:
-            for index in unwrapped:
-                row[index] = _to_signed32(row[index])
-    return rows
-
+    return stream_evaluator(dfg).run(blocks)

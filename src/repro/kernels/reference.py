@@ -9,11 +9,18 @@ golden result for any kernel, hand-written or generated.
 Streams of positional blocks go through :class:`StreamEvaluator` instead:
 one generated function per DFG that evaluates the whole stream.  The
 interpretive :func:`evaluate_dfg` stays as the independent oracle it is
-tested against.
+tested against.  :class:`VectorStreamEvaluator` is the same walk emitted as
+numpy column expressions, for the checks of runs whose engine executes the
+configuration image instead of the DFG (``reference_outputs(...,
+vectorized=True)``); numpy is imported only when one is built.
+
+An output is a 32-bit word, so every output value is wrapped to signed 32
+bits, also one that an input feeds straight through.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 import weakref
 from typing import (
@@ -34,7 +41,7 @@ from typing import (
 )
 
 from ..dfg.graph import DFG
-from ..dfg.opcodes import OP_EXPRESSIONS, OP_SEMANTICS, _to_signed32
+from ..dfg.opcodes import OP_EXPRESSIONS, OP_SEMANTICS, OP_VECTOR_EXPRESSIONS, _to_signed32
 from ..errors import KernelError
 
 InputBlock = Union[Sequence[int], Mapping[str, int]]
@@ -95,7 +102,7 @@ def intermediate_values(dfg: DFG, inputs: InputBlock) -> Dict[int, int]:
         if node.is_const:
             values[node_id] = int(cast(int, node.value))
         elif node.is_output:
-            values[node_id] = values[node.operands[0]]
+            values[node_id] = _to_signed32(values[node.operands[0]])
         else:
             values[node_id] = node.opcode.evaluate(*(values[o] for o in node.operands))
     return values
@@ -105,7 +112,8 @@ def evaluate_dfg(dfg: DFG, inputs: InputBlock) -> List[int]:
     """Evaluate a kernel DFG on one block of input samples.
 
     Returns the list of output values in output-declaration order, computed
-    with the same signed 32-bit wrap-around arithmetic the FU ALU model uses.
+    with the same signed 32-bit wrap-around arithmetic the FU ALU model uses
+    (an output is a 32-bit word, so one fed straight by an input wraps too).
     """
     values = intermediate_values(dfg, inputs)
     return [values[o.node_id] for o in dfg.outputs()]
@@ -161,11 +169,12 @@ class StreamEvaluator:
     stream with every node value in a local variable and every operation
     inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`; an
     opcode without one calls its :data:`~repro.dfg.opcodes.OP_SEMANTICS`
-    entry).  Every input goes through ``int()`` and every operation result
-    through the 32-bit wrap, a range test with the wrap itself out of line
-    since values almost always stay in range, so results equal
-    :func:`evaluate_dfg`'s (``tests/test_kernels_reference.py`` checks this
-    on random graphs over every opcode and the wrap edges).
+    entry).  Every input goes through ``int()`` and every operation result,
+    and every output an input or a constant feeds, through the 32-bit wrap:
+    a range test with the wrap itself out of line, since values almost
+    always stay in range.  So results equal :func:`evaluate_dfg`'s
+    (``tests/test_kernels_reference.py`` checks this on random graphs over
+    every opcode and the wrap edges).
 
     The evaluator holds no reference to its DFG, so a memo entry
     (:data:`stream_evaluator`) dies with the graph.  Only positional
@@ -173,17 +182,20 @@ class StreamEvaluator:
     :func:`evaluate_dfg`.
     """
 
-    __slots__ = ("run", "unwrapped_outputs")
+    __slots__ = ("run",)
 
     def __init__(self, dfg: DFG):
         inputs = [node.node_id for node in dfg.inputs()]
         sources = [node.operands[0] for node in dfg.outputs()]
+        # Operation results are wrapped already; an output fed straight by an
+        # input or a constant is wrapped where the row is built.
         boundary = {node.node_id for node in dfg.nodes() if node.is_input or node.is_const}
-        #: Output positions fed directly by an input or a constant, whose
-        #: values leave :attr:`run` unwrapped (as in :func:`evaluate_dfg`).
-        self.unwrapped_outputs = tuple(
-            index for index, source in enumerate(sources) if source in boundary
-        )
+        outputs = [
+            f"v{source} if -2147483648 <= v{source} <= 2147483647 else wrap(v{source})"
+            if source in boundary
+            else f"v{source}"
+            for source in sources
+        ]
         constants: List[str] = []
         body: List[str] = []
         fallbacks: List[Callable[..., int]] = []
@@ -225,7 +237,7 @@ class StreamEvaluator:
             lines += [f"        v{i} = int(v{i})" for i in inputs]
         lines += body
         lines += [
-            "        append([" + ", ".join(f"v{source}" for source in sources) + "])",
+            "        append([" + ", ".join(outputs) + "])",
             "    return rows",
         ]
         namespace: Dict[str, Any] = {
@@ -249,19 +261,151 @@ class StreamEvaluator:
 stream_evaluator: IdentityMemo[DFG, StreamEvaluator] = IdentityMemo(StreamEvaluator, version=len)
 
 
-def reference_outputs(dfg: DFG, blocks: Iterable[InputBlock]) -> List[List[int]]:
+#: Exact signed 32-bit two's-complement wrap of an ``int64`` numpy expression.
+VECTOR_WRAP = "(({0} & 4294967295) ^ 2147483648) - 2147483648"
+
+
+def import_numpy() -> Any:
+    """The numpy module, or ``None`` when the optional dependency is absent."""
+    try:
+        return importlib.import_module("numpy")
+    except ImportError:
+        return None
+
+
+def compile_vector_plan(np: Any, source: Optional[str], filename: str) -> Any:
+    """The ``_vplan`` function that ``source`` defines, or ``None`` when there
+    is no source or no numpy."""
+    if source is None or np is None:
+        return None
+    namespace: Dict[str, Any] = {"np": np}
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102 - generated code
+    return namespace["_vplan"]
+
+
+def vector_rows(
+    np: Any, plan: Any, blocks: Sequence[Sequence[int]], width: int, name: str
+) -> Optional[List[List[int]]]:
+    """Output rows of ``plan`` over a stream, or ``None`` to ask for the scalar
+    path.
+
+    ``plan(inputs)`` takes the stream as one ``int64`` array of shape
+    ``(blocks, width)`` and returns a column, or a plain int, per output.
+    Exactness needs every operand in signed 32-bit range: the worst ``int64``
+    intermediate of one operation on such operands is ``2**62 + 2**31`` (a
+    MULADD).  The plan wraps every result and constants are 32-bit words by
+    construction, so only the inputs need a check: ``None`` comes back when
+    numpy or the plan is missing, the stream is empty or not numeric, or an
+    input lies outside that range.  A block of the wrong width raises the
+    scalar evaluator's :class:`~repro.errors.KernelError`.
+    """
+    if plan is None:
+        return None
+    try:
+        array = np.asarray(blocks, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != 2 or array.shape[1] != width:
+        for block in blocks:
+            if len(block) != width:
+                raise KernelError(
+                    f"kernel {name!r} has {width} inputs, got {len(block)} values"
+                )
+        return None
+    if array.size == 0:
+        return None
+    if int(array.min()) < -2147483648 or int(array.max()) > 2147483647:
+        return None
+    num_blocks = array.shape[0]
+    columns = [
+        out if isinstance(out, np.ndarray) else np.full(num_blocks, int(out), dtype=np.int64)
+        for out in plan(array)
+    ]
+    rows: List[List[int]] = np.stack(columns, axis=1).tolist()
+    return rows
+
+
+def _vector_source(dfg: DFG) -> Optional[str]:
+    """``_vplan`` for a DFG: one numpy expression per node, each wrapped."""
+    sources = [node.operands[0] for node in dfg.outputs()]
+    if not sources:
+        return None
+    lines = ["def _vplan(inputs):"]
+    for index, node in enumerate(dfg.inputs()):
+        lines.append(f"    v{node.node_id} = inputs[:, {index}]")
+    for node_id in dfg.topological_order():
+        node = dfg.node(node_id)
+        if node.is_input or node.is_output:
+            continue
+        if node.is_const:
+            lines.append(f"    v{node_id} = {int(cast(int, node.value))}")
+            continue
+        template = OP_VECTOR_EXPRESSIONS.get(node.opcode)
+        if template is None:
+            return None
+        lines.append(f"    v{node_id} = " + template.format(*[f"v{o}" for o in node.operands]))
+        lines.append(f"    v{node_id} = " + VECTOR_WRAP.format(f"v{node_id}"))
+    lines.append("    return (" + ", ".join(f"v{source}" for source in sources) + ",)")
+    return "\n".join(lines)
+
+
+class VectorStreamEvaluator:
+    """One DFG compiled to numpy column expressions over a whole stream.
+
+    The numpy counterpart of :class:`StreamEvaluator`: every node value is
+    an ``int64`` array over the block axis, computed by its
+    :data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS` entry and wrapped to 32
+    bits, so a node costs one expression per stream, not one statement per
+    block.  :meth:`run` returns ``None`` whenever numpy cannot give the
+    exact answer (see :func:`vector_rows`), and the caller falls back to the
+    scalar evaluator.  Building one imports numpy; without it the evaluator
+    always answers ``None``.  Like :class:`StreamEvaluator` it holds no
+    reference to its DFG, so a memo entry (:data:`vector_stream_evaluator`)
+    dies with the graph.
+    """
+
+    __slots__ = ("_np", "_plan", "_width", "_name")
+
+    def __init__(self, dfg: DFG):
+        self._np = import_numpy()
+        self._plan = compile_vector_plan(self._np, _vector_source(dfg), f"<vstream:{dfg.name}>")
+        self._width = dfg.num_inputs
+        self._name = dfg.name
+
+    def run(self, blocks: Sequence[Sequence[int]]) -> Optional[List[List[int]]]:
+        """The output rows of a stream of positional blocks, or ``None``."""
+        return vector_rows(self._np, self._plan, blocks, self._width, self._name)
+
+
+#: The :class:`VectorStreamEvaluator` of a live DFG, built on first use and
+#: rebuilt when the DFG gains nodes.
+vector_stream_evaluator: IdentityMemo[DFG, VectorStreamEvaluator] = IdentityMemo(
+    VectorStreamEvaluator, version=len
+)
+
+
+def reference_outputs(
+    dfg: DFG, blocks: Iterable[InputBlock], vectorized: bool = False
+) -> List[List[int]]:
     """Evaluate a kernel on a stream of input blocks (one result per block).
 
     A stream of positional blocks runs through the DFG's memoised
-    :class:`StreamEvaluator`; a stream with any mapping block is evaluated
-    block by block with :func:`evaluate_dfg`.
+    :class:`StreamEvaluator`, or with ``vectorized=True`` through its
+    :class:`VectorStreamEvaluator` where numpy gives the exact answer; a
+    stream with any mapping block is evaluated block by block with
+    :func:`evaluate_dfg`.  Every path gives the same rows.
     """
     blocks = list(blocks)
     # One subclass check per distinct block type: an ``isinstance`` check
     # against the ``Mapping`` ABC per block costs about as much as
     # evaluating a small block.
     if blocks and not any(issubclass(kind, Mapping) for kind in set(map(type, blocks))):
-        return stream_evaluator(dfg).run(cast(List[Sequence[int]], blocks))
+        positional = cast(List[Sequence[int]], blocks)
+        if vectorized:
+            rows = vector_stream_evaluator(dfg).run(positional)
+            if rows is not None:
+                return rows
+        return stream_evaluator(dfg).run(positional)
     return [evaluate_dfg(dfg, block) for block in blocks]
 
 

@@ -378,19 +378,24 @@ def simulate_schedule(
     is the event-driven engine of :mod:`repro.engine.fastsim`, which produces
     an identical :class:`SimulationResult` (asserted across the whole kernel
     library by the equivalence test suite) an order of magnitude faster;
-    ``"batched"`` is the fast engine with the generated tick loop and the
-    vectorized value plane of :mod:`repro.engine.batchsim`, bit-identical to
-    the fast engine and faster again on long streams.
+    ``"batched"`` is the fast engine with the generated tick loop of
+    :mod:`repro.engine.batchsim`, whose value plane executes the compiled
+    configuration image on numpy; it is bit-identical to the fast engine on
+    correctly encoded artifacts and faster again on long streams.
     Trace recording needs per-cycle value-level events, so ``record_trace``
     always uses the cycle engine.
 
-    Note that the fast engine reconstructs its output stream from the same
-    functional DFG evaluation the reference model uses, so for
-    ``engine="fast"`` the ``matches_reference`` check validates the
-    evaluation pipeline but cannot catch a fast-engine *timing* bug the way
-    it catches a cycle-simulator datapath bug; the end-to-end guarantee for
-    the fast engine is the exact-equivalence suite against the cycle engine
-    (``tests/test_engine_equivalence.py``).
+    What the ``matches_reference`` check can catch depends on the engine.
+    ``cycle`` runs the schedule's slots on value ids and ``fast``
+    reconstructs its outputs from the same DFG evaluation the reference
+    uses, so neither can catch a codegen fault (a word that reads the wrong
+    register), and ``fast``'s check cannot catch a *timing* bug either;
+    the guarantee for ``fast`` is the exact-equivalence suite against
+    ``cycle`` (``tests/test_engine_equivalence.py``).  ``batched`` computes
+    its outputs from the instruction words, so its check, which evaluates
+    the DFG on numpy where that is exact, also catches a codegen fault that
+    changes a value.  A process that runs only ``cycle`` and ``fast``
+    never imports numpy.
     """
     from ..kernels.reference import random_input_blocks
 
@@ -414,5 +419,9 @@ def simulate_schedule(
     if verify:
         from ..kernels.reference import reference_outputs
 
-        result.reference_outputs = reference_outputs(schedule.dfg, input_blocks)
+        # Only the batched engine runs on numpy, so only its check does: a
+        # process that runs ``cycle`` and ``fast`` alone never imports it.
+        result.reference_outputs = reference_outputs(
+            schedule.dfg, input_blocks, vectorized=engine == "batched" and not record_trace
+        )
     return result

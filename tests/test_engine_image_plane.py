@@ -1,0 +1,181 @@
+"""The batched engine runs the configuration image; its check runs on numpy.
+
+``engine="batched"`` computes its outputs from the instruction words and
+constant sections that codegen emits for the schedule, and its
+``verify=True`` check evaluates the DFG on numpy.  ``cycle`` and ``fast``
+compute from the schedule and the DFG and keep the scalar check.  This file
+pins what that changes:
+
+* a codegen fault that swaps a SUB's registers, or points an operand at a
+  register nothing wrote, reads ``matches_reference=False`` under
+  ``batched`` (``fast`` computes from the DFG, so it cannot see the fault),
+  and an output no word forwards is refused as on ``cycle``;
+* the image plane answers, with no scalar fallback, on every feasible
+  library artifact;
+* an output is a 32-bit word on every engine and in the reference, also
+  when an input feeds it straight through;
+* only a batched check builds the numpy reference, and a process that runs
+  ``fast`` alone never imports numpy.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from repro.dfg.opcodes import OpCode
+from repro.engine.batchsim import VectorBlockEvaluator
+from repro.errors import SimulationError
+from repro.frontend import parse_c_kernel
+from repro.kernels import BENCHMARK_NAMES, get_kernel, reference
+from repro.kernels.reference import random_input_blocks
+from repro.overlay.architecture import LinearOverlay
+from repro.overlay.fu import BASELINE, V1, V2, V3, V4, V5
+from repro.overlay.isa import InstructionKind
+from repro.program import codegen
+from repro.schedule import schedule_kernel
+from repro.sim.overlay import simulate_schedule
+
+try:
+    import numpy
+except ImportError:
+    numpy = None
+
+needs_numpy = pytest.mark.skipif(numpy is None, reason="the image plane runs on numpy")
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+ENGINES = ("cycle", "fast", "batched")
+
+
+def _schedule(dfg, variant):
+    if variant.write_back:
+        return schedule_kernel(dfg, LinearOverlay.fixed(variant, 8))
+    return schedule_kernel(dfg, LinearOverlay.for_kernel(variant, dfg))
+
+
+@needs_numpy
+@pytest.mark.parametrize("variant", [BASELINE, V1, V3, V5], ids=lambda v: v.name)
+def test_swapped_sub_registers_fail_the_batched_check(variant, monkeypatch):
+    # Not gradient: its SUBs feed SQR, so a swapped SUB computes the same.
+    dfg = parse_c_kernel("int k(int a, int b, int c) { return (a - b) * c + a; }")
+    blocks = random_input_blocks(dfg, 16, seed=3)
+    assert simulate_schedule(_schedule(dfg, variant), blocks, engine="batched").matches_reference
+
+    encode = codegen._encode_slot
+    swapped = []
+
+    def swap_sub(slot, allocation):
+        instruction = encode(slot, allocation)
+        if instruction.kind is InstructionKind.EXEC and instruction.opcode is OpCode.SUB:
+            swapped.append(instruction)
+            return dataclasses.replace(instruction, ra=instruction.rb, rb=instruction.ra)
+        return instruction
+
+    monkeypatch.setattr(codegen, "_encode_slot", swap_sub)
+    result = simulate_schedule(_schedule(dfg, variant), blocks, engine="batched")
+    assert swapped
+    assert result.matches_reference is False
+
+
+@needs_numpy
+def test_a_read_of_an_unwritten_register_fails_the_batched_check(monkeypatch):
+    # The kernel has no constants, so V1's top register holds nothing.
+    dfg = parse_c_kernel("int k(int a, int b, int c) { return (a - b) * c + a; }")
+    encode = codegen._encode_slot
+
+    def drop_sub_operand(slot, allocation):
+        instruction = encode(slot, allocation)
+        if instruction.kind is InstructionKind.EXEC and instruction.opcode is OpCode.SUB:
+            return dataclasses.replace(instruction, rb=V1.rf_depth - 1)
+        return instruction
+
+    monkeypatch.setattr(codegen, "_encode_slot", drop_sub_operand)
+    blocks = random_input_blocks(dfg, 16, seed=3)
+    result = simulate_schedule(_schedule(dfg, V1), blocks, engine="batched")
+    assert result.matches_reference is False
+
+
+@needs_numpy
+def test_an_output_no_word_forwards_is_refused_like_the_cycle_engine():
+    dfg = parse_c_kernel("int k(int a, int b, int *o) { *o = a - b; return a * b; }")
+    schedule = _schedule(dfg, V1)
+    dropped = dfg.outputs()[0].operands[0]
+    last = schedule.stages[-1]
+    last.slots = [
+        dataclasses.replace(slot, forward=False) if slot.value_id == dropped else slot
+        for slot in last.slots
+    ]
+    for engine in ("cycle", "batched"):
+        with pytest.raises(SimulationError, match="never reache"):
+            simulate_schedule(schedule, num_blocks=4, engine=engine)
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_every_library_artifact_runs_on_the_image(name):
+    dfg = get_kernel(name)
+    blocks = random_input_blocks(dfg, 24, seed=5, low=-(2 ** 31), high=2 ** 31 - 1)
+    expected = reference.reference_outputs(dfg, blocks)
+    for variant in (BASELINE, V1, V2, V3, V4, V5):
+        rows = VectorBlockEvaluator(_schedule(dfg, variant)).evaluate(blocks)
+        assert rows == expected, variant.name
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_outputs_fed_by_wide_inputs_are_32_bit_words(engine):
+    dfg = parse_c_kernel("int k(int a, int b, int *o) { *o = a; return a * b; }")
+    blocks = [[2 ** 31, 5], [2 ** 32 + 3, -1], [-(2 ** 31) - 1, 0]]
+    result = simulate_schedule(_schedule(dfg, V1), blocks, engine=engine)
+    assert [row[0] for row in result.outputs] == [-(2 ** 31), 3, 2 ** 31 - 1]
+    assert result.matches_reference is True
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_only_the_batched_check_runs_on_numpy(engine, monkeypatch):
+    calls = []
+    run = reference.VectorStreamEvaluator.run
+
+    def spy(self, blocks):
+        calls.append(len(blocks))
+        return run(self, blocks)
+
+    monkeypatch.setattr(reference.VectorStreamEvaluator, "run", spy)
+    dfg = get_kernel("gradient")
+    result = simulate_schedule(_schedule(dfg, V1), num_blocks=6, engine=engine)
+    assert result.matches_reference
+    assert calls == ([6] if engine == "batched" else [])
+
+
+def test_fast_runs_never_import_numpy():
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro import Toolchain
+        from repro.kernels import get_kernel
+        from repro.overlay.architecture import LinearOverlay
+        from repro.overlay.fu import V2
+        from repro.schedule import schedule_kernel
+        from repro.sim.overlay import simulate_schedule
+        from repro.specs import OverlaySpec, SimSpec
+
+        dfg = get_kernel("qspline")
+        schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V2, dfg))
+        result = simulate_schedule(schedule, num_blocks=9, engine="fast", verify=True)
+        assert result.matches_reference
+        tc = Toolchain()
+        handle = tc.compile("gradient", OverlaySpec("v3"))
+        assert tc.simulate(handle, SimSpec(engine="fast", num_blocks=5)).matches_reference
+        assert "numpy" not in sys.modules, "a fast run imported numpy"
+        print("NUMPY-NOT-IMPORTED")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "NUMPY-NOT-IMPORTED" in completed.stdout

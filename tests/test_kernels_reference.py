@@ -1,13 +1,14 @@
 """Tests for the golden reference evaluator.
 
 Besides the interpretive oracle (:func:`evaluate_dfg`), this file pins the
-generated whole-stream evaluator to it: a hypothesis property over random
+generated whole-stream evaluators to it: a hypothesis property over random
 graphs covering every compute opcode at the 32-bit wrap edges, checked
 through the reference check, the fast engine's scalar value plane and the
-batched engine's numpy plane, and the contract of the per-DFG memo that
-shares one compiled evaluator between them.
+reference's numpy plane, and the contract of the per-DFG memos that share
+one compiled evaluator of each kind between their callers.
 """
 
+import functools
 import gc
 import os
 import subprocess
@@ -21,18 +22,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dfg.builder import DFGBuilder
-from repro.dfg.opcodes import COMPUTE_OPCODES, OpCode, _to_signed32
+from repro.dfg.opcodes import COMPUTE_OPCODES
 from repro.engine import batchsim, fastsim
 from repro.errors import KernelError
 from repro.kernels import get_kernel, reference
 from repro.kernels.reference import (
     StreamEvaluator,
+    VectorStreamEvaluator,
     evaluate_dfg,
     intermediate_values,
     random_input_blocks,
     reference_outputs,
     stream_evaluator,
+    vector_stream_evaluator,
 )
+
+try:
+    import numpy
+except ImportError:
+    numpy = None
+
+#: The reference check a batched run asks for: numpy where it is exact.
+vectorized_reference = functools.partial(reference_outputs, vectorized=True)
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -93,21 +104,11 @@ def _check_value_planes(data):
 
     expected = [evaluate_dfg(dfg, b) for b in blocks]
     assert reference_outputs(dfg, blocks) == expected
-
-    # The engines' datapath wraps values that reach an output unwrapped.
-    passthrough = [
-        index
-        for index, node in enumerate(dfg.outputs())
-        if dfg.node(node.operands[0]).opcode in (OpCode.INPUT, OpCode.CONST)
-    ]
-    engine_rows = [
-        [_to_signed32(v) if i in passthrough else v for i, v in enumerate(row)]
-        for row in expected
-    ]
-    assert fastsim._functional_outputs(dfg, blocks) == engine_rows
-    if batchsim.np is not None:
-        rows = batchsim.VectorBlockEvaluator(dfg).evaluate(blocks)
-        assert rows is None or rows == engine_rows
+    assert vectorized_reference(dfg, blocks) == expected
+    assert fastsim._functional_outputs(dfg, blocks) == expected
+    if numpy is not None:
+        rows = VectorStreamEvaluator(dfg).run(blocks)
+        assert rows is None or rows == expected
 
 
 class TestEvaluation:
@@ -162,10 +163,12 @@ class TestStreamEvaluatorDifferential:
             expected = [evaluate_dfg(dfg, b) for b in blocks]
             assert reference_outputs(dfg, blocks) == expected
             assert fastsim._functional_outputs(dfg, blocks) == expected
-            if batchsim.np is not None:
-                assert batchsim.VectorBlockEvaluator(dfg).evaluate(blocks) == expected
+            if numpy is not None:
+                assert VectorStreamEvaluator(dfg).run(blocks) == expected
             beyond = blocks + [[edge] * dfg.num_inputs for edge in EDGE_VALUES]
-            assert reference_outputs(dfg, beyond) == [evaluate_dfg(dfg, b) for b in beyond]
+            expected = [evaluate_dfg(dfg, b) for b in beyond]
+            assert reference_outputs(dfg, beyond) == expected
+            assert vectorized_reference(dfg, beyond) == expected
 
     def test_inputs_go_through_int(self):
         builder = DFGBuilder("ints")
@@ -231,16 +234,19 @@ class TestStreamEvaluatorMemo:
 
     def test_collected_dfgs_leave_no_entry(self):
         gc.collect()
-        before = len(stream_evaluator)
+        memos = (stream_evaluator, vector_stream_evaluator)
+        before = [len(memo) for memo in memos]
         refs = []
         for seed in range(50):
             dfg = get_kernel("gradient")
-            reference_outputs(dfg, random_input_blocks(dfg, 2, seed=seed))
+            blocks = random_input_blocks(dfg, 2, seed=seed)
+            reference_outputs(dfg, blocks)
+            vectorized_reference(dfg, blocks)
             refs.append(weakref.ref(dfg))
         del dfg
         gc.collect()
         assert all(ref() is None for ref in refs), "an evaluator keeps its DFG alive"
-        assert len(stream_evaluator) <= before
+        assert all(len(memo) <= size for memo, size in zip(memos, before))
 
     def test_eviction_needs_no_module_globals(self, monkeypatch):
         # Interpreter exit sets module globals to None; a memo that is still
@@ -254,9 +260,10 @@ class TestStreamEvaluatorMemo:
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         dfg = get_kernel("gradient")
         reference_outputs(dfg, [[1] * dfg.num_inputs])
+        vectorized_reference(dfg, [[1] * dfg.num_inputs])
         schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V1, dfg))
         batchsim.plan_for(schedule)
-        memos = (stream_evaluator, batchsim._PLANS)
+        memos = (stream_evaluator, vector_stream_evaluator, batchsim._PLANS)
         sizes = [len(memo) for memo in memos]
         for module in (reference, batchsim):
             for name in list(vars(module)):
@@ -275,7 +282,9 @@ class TestStreamEvaluatorMemo:
             """
             from repro.engine.batchsim import _PLANS as PLANS, plan_for
             from repro.kernels import BENCHMARK_NAMES, get_kernel
-            from repro.kernels.reference import reference_outputs, stream_evaluator
+            from repro.kernels.reference import (
+                reference_outputs, stream_evaluator, vector_stream_evaluator,
+            )
             from repro.overlay.architecture import LinearOverlay
             from repro.overlay.fu import V1
             from repro.schedule import schedule_kernel
@@ -285,13 +294,15 @@ class TestStreamEvaluatorMemo:
                 for name in BENCHMARK_NAMES:
                     dfg = get_kernel(name)
                     reference_outputs(dfg, [[1] * dfg.num_inputs])
+                    reference_outputs(dfg, [[1] * dfg.num_inputs], vectorized=True)
                     schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V1, dfg))
                     plan_for(schedule)
                     kept.append(schedule)
                 return kept
 
             _KEPT = _keep()
-            assert len(stream_evaluator) >= len(_KEPT) and len(PLANS) >= len(_KEPT)
+            for memo in (stream_evaluator, vector_stream_evaluator, PLANS):
+                assert len(memo) >= len(_KEPT)
             """
         )
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -302,9 +313,11 @@ class TestStreamEvaluatorMemo:
         assert completed.stderr == ""
 
     def test_wrong_width_names_the_kernel(self, gradient):
-        for evaluate in (reference_outputs, fastsim._functional_outputs):
+        for evaluate in (reference_outputs, vectorized_reference, fastsim._functional_outputs):
             with pytest.raises(KernelError, match="'gradient' has 5 inputs, got 3 values"):
                 evaluate(gradient, [[1, 2, 3, 4, 5], [1, 2, 3]])
+            with pytest.raises(KernelError, match="'gradient' has 5 inputs, got 6 values"):
+                evaluate(gradient, [[1, 2, 3, 4, 5, 6]] * 4)
 
     def test_mapping_blocks_use_the_oracle(self, gradient, builds, monkeypatch):
         calls = []
