@@ -23,7 +23,7 @@ import statistics
 import time
 
 from repro.engine.cache import default_cache
-from repro.engine.fastsim import FastSimulator
+from repro.engine.fastsim import FastSimulator, clear_timing_memo
 from repro.kernels import get_kernel
 from repro.kernels.reference import random_input_blocks
 from repro.overlay.architecture import LinearOverlay
@@ -66,8 +66,11 @@ def _cases():
 
 def _timed_run(schedule, blocks, fast_forward):
     # Start every run from a collected heap: otherwise a collection of the
-    # previous run's garbage lands at random in a later run's timing.
+    # previous run's garbage lands at random in a later run's timing.  And
+    # from an empty timing memo: a repeated shape would skip the tick loop
+    # this gate times.
     gc.collect()
+    clear_timing_memo()
     simulator = FastSimulator(schedule, fast_forward=fast_forward)
     started = time.perf_counter()
     result = simulator.run(blocks)

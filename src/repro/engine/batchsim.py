@@ -36,7 +36,8 @@ simulator's — the equivalence suite asserts the full chain):
    gives every lane of a multilane (V2-style) overlay one of at most two
    distinct block counts, so the batched engine executes one timing run per
    *distinct lane length* and shares it across all lanes, instead of N
-   sequential single-lane runs.
+   sequential single-lane runs.  (The fast engine gets the same from its
+   lane-timing memo, which both engines use.)
 
 3. **The compiled image as the value plane.**  :class:`VectorBlockEvaluator`
    executes the configuration image that codegen emits for the schedule:
@@ -71,6 +72,7 @@ from ..kernels.reference import (
     IdentityMemo,
     compile_vector_plan,
     import_numpy,
+    int64_inputs,
     vector_rows,
 )
 from ..overlay.isa import InstructionKind, decode_instruction
@@ -688,6 +690,10 @@ class BatchSimulator(FastSimulator):
     ):
         super().__init__(schedule, max_cycles=max_cycles, fast_forward=fast_forward)
         self.plan = plan_for(schedule)
+        #: The last run's stream as :func:`~repro.kernels.reference.int64_inputs`
+        #: made it, or ``None``; ``simulate_schedule`` hands it to the check,
+        #: so a verified run converts its stream once.
+        self.inputs: Any = None
 
     # ------------------------------------------------------------------
     def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
@@ -712,9 +718,11 @@ class BatchSimulator(FastSimulator):
         return merge_lane_results(self.schedule, blocks, lane_results)
 
     def _outputs(self, blocks: List[List[int]]) -> List[List[int]]:
-        rows = self.plan.vector_evaluator.evaluate(blocks)
+        schedule = self.schedule
+        self.inputs = int64_inputs(np, blocks, schedule.dfg.num_inputs, schedule.kernel_name)
+        rows = self.plan.vector_evaluator.evaluate(blocks if self.inputs is None else self.inputs)
         if rows is None:
-            rows = _functional_outputs(self.schedule.dfg, blocks)
+            rows = _functional_outputs(schedule.dfg, blocks)
         return rows
 
     def _loop(self, *state: Any) -> Tuple[int, int]:

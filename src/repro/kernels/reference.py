@@ -142,6 +142,10 @@ class IdentityMemo(Generic[K, V]):
     def __len__(self) -> int:
         return len(self._entries)
 
+    def clear(self) -> None:
+        """Drop every entry; the next lookup of each key builds again."""
+        self._entries.clear()
+
     def __call__(self, key: K) -> V:
         ident = id(key)
         version = self._version(key) if self._version is not None else None
@@ -283,23 +287,23 @@ def compile_vector_plan(np: Any, source: Optional[str], filename: str) -> Any:
     return namespace["_vplan"]
 
 
-def vector_rows(
-    np: Any, plan: Any, blocks: Sequence[Sequence[int]], width: int, name: str
-) -> Optional[List[List[int]]]:
-    """Output rows of ``plan`` over a stream, or ``None`` to ask for the scalar
-    path.
+def int64_inputs(
+    np: Any, blocks: Sequence[Sequence[int]], width: int, name: str
+) -> Optional[Any]:
+    """The stream as one read-only ``int64`` array of shape ``(blocks,
+    width)``, or ``None`` when numpy cannot give exact answers on it.
 
-    ``plan(inputs)`` takes the stream as one ``int64`` array of shape
-    ``(blocks, width)`` and returns a column, or a plain int, per output.
     Exactness needs every operand in signed 32-bit range: the worst ``int64``
     intermediate of one operation on such operands is ``2**62 + 2**31`` (a
-    MULADD).  The plan wraps every result and constants are 32-bit words by
+    MULADD).  Plans wrap every result and constants are 32-bit words by
     construction, so only the inputs need a check: ``None`` comes back when
-    numpy or the plan is missing, the stream is empty or not numeric, or an
-    input lies outside that range.  A block of the wrong width raises the
-    scalar evaluator's :class:`~repro.errors.KernelError`.
+    numpy is missing, the stream is empty or not numeric, or an input lies
+    outside that range.  A block of the wrong width raises the scalar
+    evaluator's :class:`~repro.errors.KernelError`.  Handed the array it
+    made, it copies nothing and returns it after the range check, so one
+    conversion serves both the batched engine's value plane and its check.
     """
-    if plan is None:
+    if np is None:
         return None
     try:
         array = np.asarray(blocks, dtype=np.int64)
@@ -315,6 +319,27 @@ def vector_rows(
     if array.size == 0:
         return None
     if int(array.min()) < -2147483648 or int(array.max()) > 2147483647:
+        return None
+    if array is not blocks:
+        array.flags.writeable = False
+    return array
+
+
+def vector_rows(
+    np: Any, plan: Any, blocks: Sequence[Sequence[int]], width: int, name: str
+) -> Optional[List[List[int]]]:
+    """Output rows of ``plan`` over a stream, or ``None`` to ask for the scalar
+    path.
+
+    ``plan(inputs)`` takes the stream as the array :func:`int64_inputs`
+    makes of it (``blocks`` may already be that array) and returns a
+    column, or a plain int, per output.  ``None`` comes back when the plan
+    is missing or :func:`int64_inputs` gives ``None``.
+    """
+    if plan is None:
+        return None
+    array = int64_inputs(np, blocks, width, name)
+    if array is None:
         return None
     num_blocks = array.shape[0]
     columns = [
@@ -373,7 +398,8 @@ class VectorStreamEvaluator:
         self._name = dfg.name
 
     def run(self, blocks: Sequence[Sequence[int]]) -> Optional[List[List[int]]]:
-        """The output rows of a stream of positional blocks, or ``None``."""
+        """The output rows of a stream of positional blocks (or of its
+        :func:`int64_inputs` array), or ``None``."""
         return vector_rows(self._np, self._plan, blocks, self._width, self._name)
 
 
@@ -385,7 +411,7 @@ vector_stream_evaluator: IdentityMemo[DFG, VectorStreamEvaluator] = IdentityMemo
 
 
 def reference_outputs(
-    dfg: DFG, blocks: Iterable[InputBlock], vectorized: bool = False
+    dfg: DFG, blocks: Iterable[InputBlock], vectorized: bool = False, inputs: Any = None
 ) -> List[List[int]]:
     """Evaluate a kernel on a stream of input blocks (one result per block).
 
@@ -393,7 +419,9 @@ def reference_outputs(
     :class:`StreamEvaluator`, or with ``vectorized=True`` through its
     :class:`VectorStreamEvaluator` where numpy gives the exact answer; a
     stream with any mapping block is evaluated block by block with
-    :func:`evaluate_dfg`.  Every path gives the same rows.
+    :func:`evaluate_dfg`.  Every path gives the same rows.  ``inputs`` is
+    the array :func:`int64_inputs` already made of ``blocks``, if any; the
+    vectorized path then reads it instead of converting the stream again.
     """
     blocks = list(blocks)
     # One subclass check per distinct block type: an ``isinstance`` check
@@ -402,7 +430,7 @@ def reference_outputs(
     if blocks and not any(issubclass(kind, Mapping) for kind in set(map(type, blocks))):
         positional = cast(List[Sequence[int]], blocks)
         if vectorized:
-            rows = vector_stream_evaluator(dfg).run(positional)
+            rows = vector_stream_evaluator(dfg).run(positional if inputs is None else inputs)
             if rows is not None:
                 return rows
         return stream_evaluator(dfg).run(positional)

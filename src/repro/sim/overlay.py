@@ -406,10 +406,13 @@ def simulate_schedule(
         )
     if input_blocks is None:
         input_blocks = random_input_blocks(schedule.dfg, num_blocks, seed=seed)
+    inputs = None
     if engine == "batched" and not record_trace:
         from ..engine.batchsim import BatchSimulator
 
-        result = BatchSimulator(schedule).run(input_blocks)
+        simulator = BatchSimulator(schedule)
+        result = simulator.run(input_blocks)
+        inputs = simulator.inputs
     elif engine == "fast" and not record_trace:
         from ..engine.fastsim import FastSimulator
 
@@ -421,7 +424,12 @@ def simulate_schedule(
 
         # Only the batched engine runs on numpy, so only its check does: a
         # process that runs ``cycle`` and ``fast`` alone never imports it.
+        # The check reads the int64 array the engine's value plane made of
+        # the stream, so the stream is converted once.
         result.reference_outputs = reference_outputs(
-            schedule.dfg, input_blocks, vectorized=engine == "batched" and not record_trace
+            schedule.dfg,
+            input_blocks,
+            vectorized=engine == "batched" and not record_trace,
+            inputs=inputs,
         )
     return result

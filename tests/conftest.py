@@ -8,6 +8,7 @@ grids) are skipped by default so tier-1 stays fast; opt in with
 import pytest
 
 from repro.dfg.builder import DFGBuilder
+from repro.engine.fastsim import clear_timing_memo
 from repro.kernels import all_benchmarks, get_kernel
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import FU_VARIANTS
@@ -40,6 +41,19 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_timing_memo():
+    """Every test times its own lanes.
+
+    Schedules are shared between tests (``lru_cache``d helpers,
+    ``default_cache()``), and the engines memoise lane timings per schedule
+    object, so without this a test that patches ``_FastFU``, the detector or
+    a plan could read a timing an earlier test computed, and test order
+    could change a result.
+    """
+    clear_timing_memo()
 
 
 @pytest.fixture

@@ -15,7 +15,9 @@ pins what that changes:
 * an output is a 32-bit word on every engine and in the reference, also
   when an input feeds it straight through;
 * only a batched check builds the numpy reference, and a process that runs
-  ``fast`` alone never imports numpy.
+  ``fast`` alone never imports numpy;
+* a verified batched call converts its stream to ``int64`` once, and the
+  engine's plane and the check read that one read-only array.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ import textwrap
 import pytest
 
 from repro.dfg.opcodes import OpCode
+from repro.engine import batchsim
 from repro.engine.batchsim import VectorBlockEvaluator
 from repro.errors import SimulationError
 from repro.frontend import parse_c_kernel
@@ -148,6 +151,28 @@ def test_only_the_batched_check_runs_on_numpy(engine, monkeypatch):
     result = simulate_schedule(_schedule(dfg, V1), num_blocks=6, engine=engine)
     assert result.matches_reference
     assert calls == ([6] if engine == "batched" else [])
+
+
+@needs_numpy
+def test_a_verified_batched_call_converts_its_stream_once(monkeypatch):
+    converted = []
+    int64_inputs = reference.int64_inputs
+
+    def spy(np, blocks, width, name):
+        array = int64_inputs(np, blocks, width, name)
+        if array is not None and array is not blocks:
+            converted.append(array)
+        return array
+
+    monkeypatch.setattr(reference, "int64_inputs", spy)
+    monkeypatch.setattr(batchsim, "int64_inputs", spy)
+    for variant in (V1, V2):
+        converted.clear()
+        dfg = get_kernel("qspline")
+        result = simulate_schedule(_schedule(dfg, variant), num_blocks=9, engine="batched")
+        assert result.matches_reference
+        assert len(converted) == 1, variant.name
+        assert not converted[0].flags.writeable
 
 
 def test_fast_runs_never_import_numpy():
