@@ -34,10 +34,12 @@ simulator's — the equivalence suite asserts the full chain):
    control evolution depends only on how many blocks it receives (see the
    :mod:`~repro.engine.fastsim` module docstring).  Round-robin dealing
    gives every lane of a multilane (V2-style) overlay one of at most two
-   distinct block counts, so the batched engine executes one timing run per
-   *distinct lane length* and shares it across all lanes, instead of N
-   sequential single-lane runs.  (The fast engine gets the same from its
-   lane-timing memo, which both engines use.)
+   distinct block counts, so one timing run per *distinct lane length*
+   serves every lane, instead of N sequential single-lane runs.  Both
+   engines get this from the lane-timing memo of
+   :meth:`~repro.engine.fastsim.FastSimulator._run_timing`; the batched
+   engine also runs its value plane once over the whole stream and deals
+   the rows out to the lanes.
 
 3. **The compiled image as the value plane.**  :class:`VectorBlockEvaluator`
    executes the configuration image that codegen emits for the schedule:
@@ -209,8 +211,10 @@ class VectorBlockEvaluator:
         self._width = schedule.dfg.num_inputs
         self._name = schedule.kernel_name
 
-    def evaluate(self, blocks: List[List[int]]) -> Optional[List[List[int]]]:
-        """Output rows for a stream, or ``None`` to request the scalar path."""
+    def evaluate(self, blocks: Any) -> Optional[List[List[int]]]:
+        """Output rows for a stream (or the array
+        :func:`~repro.kernels.reference.int64_inputs` made of it), or
+        ``None`` to request the scalar path."""
         return vector_rows(np, self._plan, blocks, self._width, self._name)
 
 
@@ -702,18 +706,13 @@ class BatchSimulator(FastSimulator):
         lanes = self.schedule.variant.lanes
         if lanes == 1:
             return self._run_lane(blocks)
-        lane_blocks = split_lane_blocks(blocks, lanes)
-        # Round-robin dealing leaves at most two distinct lane lengths, and
-        # timing is value-independent, so one timing run per length serves
-        # every lane (exactly what N sequential fast-engine runs would get).
-        timings: Dict[int, SimulationResult] = {}
-        for stream in lane_blocks:
-            if stream and len(stream) not in timings:
-                timings[len(stream)] = self._run_timing(len(stream))
+        # The value plane runs once over the whole stream; each lane takes
+        # its rows.  Round-robin dealing leaves at most two distinct lane
+        # lengths, and the timing memo ticks once per length.
         outputs = self._outputs(blocks)
         lane_results: List[Optional[SimulationResult]] = [
-            replace(timings[len(stream)], outputs=outputs[lane::lanes]) if stream else None
-            for lane, stream in enumerate(lane_blocks)
+            replace(self._run_timing(len(stream)), outputs=outputs[lane::lanes]) if stream else None
+            for lane, stream in enumerate(split_lane_blocks(blocks, lanes))
         ]
         return merge_lane_results(self.schedule, blocks, lane_results)
 

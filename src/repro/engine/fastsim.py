@@ -835,6 +835,10 @@ class _OccupancyDetector:
 # ---------------------------------------------------------------------------
 #: Lane timings one schedule object keeps; the oldest is dropped first.
 TIMING_MEMO_ENTRIES = 8
+#: Blocks one schedule object's lane timings may cover in total (each keeps
+#: an 8-byte completion cycle per block); the oldest are dropped first, and
+#: a longer lane is timed without being kept.
+TIMING_MEMO_BLOCKS = 8192
 
 
 class _LaneTiming(NamedTuple):
@@ -945,9 +949,10 @@ class FastSimulator:
         Timing depends on the schedule, the lane length, the cycle cap and
         ``fast_forward``, never on values, so it is memoised per live
         schedule object under those and this engine's tick loop (``fast``
-        and ``batched`` never share an entry).  A hit skips the loop,
-        rebuilds the result from the stored fields and replays the stored
-        skips into :attr:`fast_forward_events`.
+        and ``batched`` never share an entry), within
+        :data:`TIMING_MEMO_ENTRIES` and :data:`TIMING_MEMO_BLOCKS`.  A hit
+        skips the loop, rebuilds the result from the stored fields and
+        replays the stored skips into :attr:`fast_forward_events`.
         """
         schedule = self.schedule
         max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
@@ -957,10 +962,16 @@ class FastSimulator:
             timing = timings.get(key)
         if timing is None:
             timing = self._time_lane(num_blocks, max_cycles)
-            with _TIMINGS_LOCK:
-                if key not in timings and len(timings) >= TIMING_MEMO_ENTRIES:
-                    del timings[next(iter(timings))]
-                timings[key] = timing
+            if num_blocks <= TIMING_MEMO_BLOCKS:
+                with _TIMINGS_LOCK:
+                    timings.pop(key, None)
+                    kept = num_blocks + sum(lane_length for _, lane_length, _, _ in timings)
+                    for oldest in list(timings):
+                        if len(timings) < TIMING_MEMO_ENTRIES and kept <= TIMING_MEMO_BLOCKS:
+                            break
+                        kept -= oldest[1]
+                        del timings[oldest]
+                    timings[key] = timing
         else:
             self.fast_forward_events.extend(dict(event) for event in timing.events)
         return timing.result(schedule, num_blocks)

@@ -299,14 +299,14 @@ def int64_inputs(
     construction, so only the inputs need a check: ``None`` comes back when
     numpy is missing, the stream is empty or not numeric, or an input lies
     outside that range.  A block of the wrong width raises the scalar
-    evaluator's :class:`~repro.errors.KernelError`.  Handed the array it
-    made, it copies nothing and returns it after the range check, so one
-    conversion serves both the batched engine's value plane and its check.
+    evaluator's :class:`~repro.errors.KernelError`.  The array is
+    read-only, so one conversion can serve both the batched engine's value
+    plane and its check (:func:`vector_rows` takes it as checked).
     """
     if np is None:
         return None
     try:
-        array = np.asarray(blocks, dtype=np.int64)
+        array = np.array(blocks, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         array = None
     if array is None or array.ndim != 2 or array.shape[1] != width:
@@ -320,8 +320,7 @@ def int64_inputs(
         return None
     if int(array.min()) < -2147483648 or int(array.max()) > 2147483647:
         return None
-    if array is not blocks:
-        array.flags.writeable = False
+    array.flags.writeable = False
     return array
 
 
@@ -332,13 +331,15 @@ def vector_rows(
     path.
 
     ``plan(inputs)`` takes the stream as the array :func:`int64_inputs`
-    makes of it (``blocks`` may already be that array) and returns a
-    column, or a plain int, per output.  ``None`` comes back when the plan
-    is missing or :func:`int64_inputs` gives ``None``.
+    makes of it and returns a column, or a plain int, per output.
+    ``blocks`` is the stream, or that array already made, which runs as it
+    is: it was converted and range-checked when it was made.  ``None``
+    comes back when the plan is missing or :func:`int64_inputs` gives
+    ``None``.
     """
     if plan is None:
         return None
-    array = int64_inputs(np, blocks, width, name)
+    array = blocks if isinstance(blocks, np.ndarray) else int64_inputs(np, blocks, width, name)
     if array is None:
         return None
     num_blocks = array.shape[0]

@@ -165,9 +165,9 @@ class TestLibraryBitIdentity:
         """Both engines share one detector: same skips, same results.
 
         Two deep fixed-depth streams (one steady skip, one ramp), then every
-        library kernel on its critical-path overlay.  Batched times each
-        distinct lane length once, so on dual-lane V2 with an even block
-        count the fast engine logs batched's events once per lane.
+        library kernel on its critical-path overlay.  Both engines log every
+        lane's skips, replayed from the timing memo where a lane's length
+        was already timed.
         """
         from repro.engine.batchsim import BatchSimulator
 
@@ -177,8 +177,7 @@ class TestLibraryBitIdentity:
         batched = BatchSimulator(schedule)
         assert _result_fields(batched.run(blocks)) == _result_fields(fast.run(blocks))
         assert batched.fast_forward_events, "batched engine never fast-forwarded"
-        lanes = schedule.overlay.variant.lanes
-        assert fast.fast_forward_events == batched.fast_forward_events * lanes
+        assert fast.fast_forward_events == batched.fast_forward_events
 
     @pytest.mark.parametrize(
         "name,variant_name,fifo_depth", [("qspline", "v4", 8), ("poly7", "v3", 32)]

@@ -160,19 +160,28 @@ def test_a_verified_batched_call_converts_its_stream_once(monkeypatch):
 
     def spy(np, blocks, width, name):
         array = int64_inputs(np, blocks, width, name)
-        if array is not None and array is not blocks:
-            converted.append(array)
+        converted.append(array)
         return array
+
+    checked = []
+    run = reference.VectorStreamEvaluator.run
+
+    def check_spy(self, blocks):
+        checked.append(blocks)
+        return run(self, blocks)
 
     monkeypatch.setattr(reference, "int64_inputs", spy)
     monkeypatch.setattr(batchsim, "int64_inputs", spy)
+    monkeypatch.setattr(reference.VectorStreamEvaluator, "run", check_spy)
     for variant in (V1, V2):
         converted.clear()
+        checked.clear()
         dfg = get_kernel("qspline")
         result = simulate_schedule(_schedule(dfg, variant), num_blocks=9, engine="batched")
         assert result.matches_reference
         assert len(converted) == 1, variant.name
         assert not converted[0].flags.writeable
+        assert len(checked) == 1 and checked[0] is converted[0], variant.name
 
 
 def test_fast_runs_never_import_numpy():

@@ -13,13 +13,15 @@ stream shape skips the tick loop.  This file pins what a hit must keep:
 * the new stream is still evaluated and checked, so a codegen fault still
   reads ``matches_reference=False`` on a hit;
 * entries die with their schedule, and a schedule holds at most
-  ``TIMING_MEMO_ENTRIES`` of them;
+  ``TIMING_MEMO_ENTRIES`` of them, covering at most ``TIMING_MEMO_BLOCKS``
+  blocks, so a longer lane is never kept;
 * a multilane run ticks its loop once per distinct lane length;
 * threads sharing one schedule read identical results.
 """
 
 import dataclasses
 import gc
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -234,6 +236,35 @@ class TestLifetimeAndBound:
         assert lane_timings == [("FastSimulator", 1)]
         assert len(timings) == TIMING_MEMO_ENTRIES
 
+    def test_a_schedule_keeps_at_most_the_stated_number_of_blocks(
+        self, monkeypatch, lane_timings
+    ):
+        monkeypatch.setattr(fastsim, "TIMING_MEMO_BLOCKS", 16)
+        schedule = _schedule("gradient", "v1")
+        for num_blocks in (6, 5, 7):  # 18 blocks: the oldest, 6, goes
+            simulate_schedule(schedule, num_blocks=num_blocks, engine="fast")
+        timings = fastsim._TIMINGS(schedule)
+        assert [num_blocks for _, num_blocks, _, _ in timings] == [5, 7]
+        del lane_timings[:]
+        for num_blocks in (7, 5, 6):
+            simulate_schedule(schedule, num_blocks=num_blocks, engine="fast")
+        assert lane_timings == [("FastSimulator", 6)]
+        assert [num_blocks for _, num_blocks, _, _ in timings] == [7, 6]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_lane_longer_than_the_block_bound_is_never_kept(
+        self, monkeypatch, lane_timings, engine
+    ):
+        monkeypatch.setattr(fastsim, "TIMING_MEMO_BLOCKS", 16)
+        schedule = _schedule("gradient", "v1")
+        simulate_schedule(schedule, num_blocks=16, engine=engine)
+        for _ in range(2):
+            simulate_schedule(schedule, num_blocks=17, engine=engine)
+        name = SIMULATORS[engine].__name__
+        assert lane_timings == [(name, 16), (name, 17), (name, 17)]
+        # The long lane displaced nothing either.
+        assert [num_blocks for _, num_blocks, _, _ in fastsim._TIMINGS(schedule)] == [16]
+
 
 class TestLanes:
     @pytest.mark.parametrize("engine", ENGINES)
@@ -273,5 +304,13 @@ def test_threads_sharing_one_schedule_read_identical_results():
                 clear_timing_memo()
         return index
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        assert sorted(pool.map(worker, range(8))) == list(range(8))
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-update included
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert sorted(pool.map(worker, range(8))) == list(range(8))
+    finally:
+        sys.setswitchinterval(switch_interval)
+    timings = fastsim._TIMINGS(schedule)
+    assert len(timings) <= TIMING_MEMO_ENTRIES
+    assert sum(num_blocks for _, num_blocks, _, _ in timings) <= fastsim.TIMING_MEMO_BLOCKS
