@@ -419,16 +419,17 @@ class ScheduleCache:
             return cached
 
     def get_batch_plan(self, key: CacheKey):
-        """The batched-engine plan of a cached entry's schedule, or None.
+        """The batched engine's value plane for a cached entry's schedule,
+        or None.
 
         This is :func:`repro.engine.batchsim.plan_for` of the entry's
-        schedule, which builds one :class:`~repro.engine.batchsim.BatchPlan`
-        per live schedule object: every batched run of the artifact shares
-        it, and it lives as long as the entry holds the schedule (a
-        disk-loaded entry gets its own on first use).  Returns ``None`` when
-        the key has no in-memory entry.  Plan building needs no numpy: the
-        loop codegen is pure Python, and the image value plane is left
-        unbuilt without it.
+        schedule, which builds one
+        :class:`~repro.engine.batchsim.VectorBlockEvaluator` per live
+        schedule object: every batched run of the artifact shares it, and it
+        lives as long as the entry holds the schedule (a disk-loaded entry
+        gets its own on first use).  Returns ``None`` when the key has no
+        in-memory entry.  Building needs no numpy: without it the image plan
+        is left unbuilt and the engine runs on the scalar value plane.
         """
         entry = self.peek(key)
         if entry is None:

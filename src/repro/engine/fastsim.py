@@ -47,7 +47,10 @@ Because timing is value-independent, a lane's timing is a function of the
 schedule and the lane length alone, so each schedule object keeps a small
 memo of the lane timings its runs measured (:meth:`FastSimulator._run_timing`,
 :func:`clear_timing_memo`): a repeated stream shape skips the tick loop and
-still computes its outputs from the new stream.
+still computes its outputs from the new stream.  This tick loop is the one
+timing path of both production engines: the batched engine
+(:mod:`repro.engine.batchsim`) swaps only the value plane, so the two share
+every memo entry.
 """
 
 from __future__ import annotations
@@ -84,38 +87,6 @@ _STAT_FIELDS = (
 #: (stages with no loads / no slots) and must not be relabelled by the
 #: steady-state shift.
 _PINNED = -(10 ** 9)
-
-
-def stage_plan(
-    schedule: OverlaySchedule, stage_index: int
-) -> Tuple[List[int], List[tuple], Set[int], Dict[int, int]]:
-    """Timing view of one stage: load order, slots, constant ids, read counts.
-
-    Each slot becomes the dispatch tuple ``(is_nop, operands, emits,
-    value_id, write_back)``; ``read_counts`` maps every non-constant operand
-    to the number of slots that read it per block.  The interpreted tick
-    loop (``_FastFU``) and the generated one
-    (:func:`repro.engine.batchsim.generate_loop_source`) are both built from
-    this.
-    """
-    stage = schedule.stage(stage_index)
-    const_ids = set(schedule.constants_used(stage_index))
-    slots = [
-        (
-            slot.kind is SlotKind.NOP,
-            tuple(slot.operands),
-            slot.emits,
-            slot.value_id,
-            slot.write_back,
-        )
-        for slot in stage.slots
-    ]
-    read_counts: Dict[int, int] = {}
-    for _nop, operands, _emits, _vid, _wb in slots:
-        for operand in operands:
-            if operand not in const_ids:
-                read_counts[operand] = read_counts.get(operand, 0) + 1
-    return list(stage.load_order), slots, const_ids, read_counts
 
 
 class _FastRF:
@@ -307,11 +278,29 @@ class _FastFU:
     def __init__(self, schedule: OverlaySchedule, stage_index: int, num_blocks: int,
                  in_channel: Optional[_FastChannel], out_channel: Optional[_FastChannel]):
         variant = schedule.variant
+        stage = schedule.stage(stage_index)
+        const_ids = set(schedule.constants_used(stage_index))
         self.stage_index = stage_index
         self.num_blocks = num_blocks
-        self.load_order, self.slots, const_ids, self.read_counts = stage_plan(
-            schedule, stage_index
-        )
+        self.load_order = list(stage.load_order)
+        # Each slot as the dispatch tuple (is_nop, operands, emits, value_id,
+        # write_back).
+        self.slots = [
+            (
+                slot.kind is SlotKind.NOP,
+                tuple(slot.operands),
+                slot.emits,
+                slot.value_id,
+                slot.write_back,
+            )
+            for slot in stage.slots
+        ]
+        # How many slots read each non-constant operand, per block.
+        self.read_counts: Dict[int, int] = {}
+        for _nop, operands, _emits, _vid, _wb in self.slots:
+            for operand in operands:
+                if operand not in const_ids:
+                    self.read_counts[operand] = self.read_counts.get(operand, 0) + 1
         self.rf = _FastRF(
             name=f"FU{stage_index}.rf",
             physical_depth=variant.rf_depth,
@@ -874,9 +863,9 @@ class _LaneTiming(NamedTuple):
         )
 
 
-#: Each live schedule object's lane timings, keyed by ``(tick loop, lane
-#: length, cycle cap, fast_forward)`` in insertion order.  Entries die with
-#: the schedule; the lock makes lookups and inserts safe across threads.
+#: Each live schedule object's lane timings, keyed by ``(lane length, cycle
+#: cap, fast_forward)`` in insertion order.  Entries die with the schedule;
+#: the lock makes lookups and inserts safe across threads.
 _TIMINGS: IdentityMemo[OverlaySchedule, Dict[tuple, _LaneTiming]] = IdentityMemo(
     lambda _schedule: {}
 )
@@ -903,11 +892,10 @@ class FastSimulator:
 
     A run times each lane with :meth:`_run_timing` and fills in its outputs
     from the value plane (:meth:`_outputs`).  The batched engine
-    (:class:`repro.engine.batchsim.BatchSimulator`) is this engine with those
-    two parts swapped: the tick loop (:meth:`_loop`) and the value plane.
-    Lane timings are memoised per schedule object, so a multilane run ticks
-    its loop once per distinct lane length, and a repeated stream shape not
-    at all.
+    (:class:`repro.engine.batchsim.BatchSimulator`) is this engine with the
+    value plane swapped.  Lane timings are memoised per schedule object and
+    shared by both engines, so a multilane run ticks its loop once per
+    distinct lane length, and a repeated stream shape not at all.
     """
 
     def __init__(
@@ -948,15 +936,15 @@ class FastSimulator:
 
         Timing depends on the schedule, the lane length, the cycle cap and
         ``fast_forward``, never on values, so it is memoised per live
-        schedule object under those and this engine's tick loop (``fast``
-        and ``batched`` never share an entry), within
-        :data:`TIMING_MEMO_ENTRIES` and :data:`TIMING_MEMO_BLOCKS`.  A hit
-        skips the loop, rebuilds the result from the stored fields and
-        replays the stored skips into :attr:`fast_forward_events`.
+        schedule object under those three (one entry serves ``fast`` and
+        ``batched`` alike), within :data:`TIMING_MEMO_ENTRIES` and
+        :data:`TIMING_MEMO_BLOCKS`.  A hit skips the loop, rebuilds the
+        result from the stored fields and replays the stored skips into
+        :attr:`fast_forward_events`.
         """
         schedule = self.schedule
         max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
-        key = (type(self)._loop, num_blocks, max_cycles, self.fast_forward)
+        key = (num_blocks, max_cycles, self.fast_forward)
         with _TIMINGS_LOCK:
             timings = _TIMINGS(schedule)
             timing = timings.get(key)
@@ -965,11 +953,11 @@ class FastSimulator:
             if num_blocks <= TIMING_MEMO_BLOCKS:
                 with _TIMINGS_LOCK:
                     timings.pop(key, None)
-                    kept = num_blocks + sum(lane_length for _, lane_length, _, _ in timings)
+                    kept = num_blocks + sum(lane_length for lane_length, _, _ in timings)
                     for oldest in list(timings):
                         if len(timings) < TIMING_MEMO_ENTRIES and kept <= TIMING_MEMO_BLOCKS:
                             break
-                        kept -= oldest[1]
+                        kept -= oldest[0]
                         del timings[oldest]
                     timings[key] = timing
         else:
@@ -977,7 +965,12 @@ class FastSimulator:
         return timing.result(schedule, num_blocks)
 
     def _time_lane(self, num_blocks: int, max_cycles: int) -> _LaneTiming:
-        """Run the tick loop over one lane of ``num_blocks`` blocks."""
+        """Tick one lane of ``num_blocks`` blocks to its last completion.
+
+        Each cycle delivers matured results upstream to downstream, then
+        ticks every FU in stage order; a cycle that completes a block lets
+        the detector look for a fast-forward.
+        """
         schedule = self.schedule
         depth = schedule.depth
         last = depth - 1
@@ -1003,6 +996,7 @@ class FastSimulator:
             )
 
         completion: List[Optional[int]] = [None] * num_blocks
+        received: Dict[int, Set[int]] = {}
         log = self.fast_forward_events
         logged = len(log)
         detector = None
@@ -1015,49 +1009,6 @@ class FastSimulator:
                 log=log,
             )
 
-        total_cycles, _completed = self._loop(
-            fus, channels, detector, num_blocks, max_cycles, {}, completion
-        )
-        for fu in fus:
-            fu.rf.check_capacity()
-
-        completion_cycles = array("q", completion)  # type: ignore[arg-type]
-        return _LaneTiming(
-            completion_cycles=completion_cycles,
-            total_cycles=total_cycles,
-            measured_ii=_steady_state_ii(completion_cycles),
-            fu_stats=tuple(fu.stats_snapshot() for fu in fus),
-            fifo_high_water=(
-                (num_blocks * stage0_loads,)
-                + tuple(channel.high_water for channel in channels)
-                + (num_blocks * expected_per_block,)
-            ),
-            rf_high_water=tuple(fu.rf.high_water for fu in fus),
-            rf_per_block_high_water=tuple(fu.rf.per_block_high_water for fu in fus),
-            events=tuple(tuple(event.items()) for event in log[logged:]),
-        )
-
-    # ------------------------------------------------------------------
-    def _loop(
-        self,
-        fus: List[_FastFU],
-        channels: List[_FastChannel],
-        detector: Optional[_OccupancyDetector],
-        num_blocks: int,
-        max_cycles: int,
-        received: Dict[int, Set[int]],
-        completion: List[Optional[int]],
-    ) -> Tuple[int, int]:
-        """The interpreted tick loop; returns ``(total cycles, completed)``.
-
-        Each cycle delivers matured results upstream to downstream, then
-        ticks every FU in stage order; a cycle that completes a block lets
-        the detector look for a fast-forward.
-        """
-        schedule = self.schedule
-        depth = schedule.depth
-        last = depth - 1
-        expected_per_block = len(schedule.stage(last).emission_order)
         completed = 0
         cycle = 0
         while completed < num_blocks:
@@ -1095,7 +1046,24 @@ class FastSimulator:
                 skipped_to = detector.observe(cycle, completed, received, completion)
                 if skipped_to is not None:
                     cycle, completed = skipped_to
-        return cycle, completed
+        for fu in fus:
+            fu.rf.check_capacity()
+
+        completion_cycles = array("q", completion)  # type: ignore[arg-type]
+        return _LaneTiming(
+            completion_cycles=completion_cycles,
+            total_cycles=cycle,
+            measured_ii=_steady_state_ii(completion_cycles),
+            fu_stats=tuple(fu.stats_snapshot() for fu in fus),
+            fifo_high_water=(
+                (num_blocks * stage0_loads,)
+                + tuple(channel.high_water for channel in channels)
+                + (num_blocks * expected_per_block,)
+            ),
+            rf_high_water=tuple(fu.rf.high_water for fu in fus),
+            rf_per_block_high_water=tuple(fu.rf.per_block_high_water for fu in fus),
+            events=tuple(tuple(event.items()) for event in log[logged:]),
+        )
 
 
 def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:

@@ -378,10 +378,10 @@ def simulate_schedule(
     is the event-driven engine of :mod:`repro.engine.fastsim`, which produces
     an identical :class:`SimulationResult` (asserted across the whole kernel
     library by the equivalence test suite) an order of magnitude faster;
-    ``"batched"`` is the fast engine with the generated tick loop of
-    :mod:`repro.engine.batchsim`, whose value plane executes the compiled
-    configuration image on numpy; it is bit-identical to the fast engine on
-    correctly encoded artifacts and faster again on long streams.
+    ``"batched"`` (:mod:`repro.engine.batchsim`) is the fast engine, same
+    tick loop and same timing memo, with a value plane that executes the
+    compiled configuration image on numpy; it is bit-identical to the other
+    two on correctly encoded artifacts and faster again on long streams.
     Trace recording needs per-cycle value-level events, so ``record_trace``
     always uses the cycle engine.
 

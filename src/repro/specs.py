@@ -260,8 +260,10 @@ class SimSpec(Record):
     engine:
         ``"cycle"`` (the cycle-accurate golden reference), ``"fast"`` (the
         event-driven engine, identical results) or ``"batched"`` (the fast
-        engine with a generated tick loop and lane batching, identical
-        results; the optional numpy ``[batch]`` extra speeds it up further).
+        engine whose value plane runs the compiled configuration image on
+        numpy once per stream, identical results on correctly encoded
+        artifacts, and a check that catches codegen faults; without the
+        optional numpy ``[batch]`` extra it runs on the scalar value plane).
     num_blocks:
         Data blocks in the generated input stream (when the caller does not
         provide explicit blocks).

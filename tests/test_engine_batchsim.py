@@ -2,19 +2,20 @@
 
 Six layers of guarantees:
 
-* **bit-identity** — the batched engine (whole-loop codegen + lane-batched
-  execution, :mod:`repro.engine.batchsim`) produces results exactly equal
-  to the fast engine's across the whole kernel library on V3/V4/V5 at
-  fifo_depth in {2, 4, 8, 32} and on the critical-path overlays
-  (baseline/V1/V2), including FU stats, high-water marks and the measured
-  II, under every knob (fast_forward, RF enforcement);
+* **bit-identity** — the batched engine (the fast engine's tick loop with
+  the compiled image as its value plane, :mod:`repro.engine.batchsim`)
+  produces results exactly equal to the cycle engine's across the whole
+  kernel library on V3/V4/V5 at fifo_depth in {2, 4, 8, 32} and on the
+  critical-path overlays (baseline/V1/V2), including FU stats, high-water
+  marks and the measured II, with fast_forward on and off, and logs the
+  same fast-forward skips as the fast engine;
 * **multi-lane aggregation** — the PR 1 ``_run_multilane`` stats/high-water
   regression holds as a shared contract for *both* engines (parameterized
   over ``fast`` and ``batched``);
-* **plan artifacts** — loop plans are memoised once per schedule object,
-  shared by ``ScheduleCache.get_batch_plan`` and every batched run of a
-  cache entry, and never pickled with the entry (generated code never hits
-  disk);
+* **plan artifacts** — value-plane plans are memoised once per schedule
+  object, shared by ``ScheduleCache.get_batch_plan`` and every batched run
+  of a cache entry, and never pickled with the entry (generated code never
+  hits disk);
 * **shared checks** — the cycle, fast and batched engines raise the same
   ``SimulationError`` for an empty or narrow input stream and from the
   deadlock guard;
@@ -28,13 +29,11 @@ Six layers of guarantees:
   identical measured results.
 """
 
-import copy
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
-import types
 from functools import lru_cache
 
 import pytest
@@ -111,22 +110,23 @@ def _result_fields(result):
 
 
 def assert_batched_identical(schedule, num_blocks, seed=3, **knobs):
-    """Run both engines on the same stream; assert exact equality."""
+    """Run the batched and the cycle engine on the same stream; assert exact
+    equality.  ``knobs`` go to the batched engine: the cycle engine, the
+    golden reference, has no fast-forward to turn off."""
     from repro.engine.batchsim import BatchSimulator
 
     blocks = random_input_blocks(schedule.dfg, num_blocks, seed=seed)
-    fast = FastSimulator(schedule, **knobs).run(blocks)
+    cycle = OverlaySimulator(schedule).run(blocks)
     batched = BatchSimulator(schedule, **knobs).run(blocks)
-    assert _result_fields(batched) == _result_fields(fast)
-    return fast, batched
+    assert _result_fields(batched) == _result_fields(cycle)
 
 
 # ---------------------------------------------------------------------------
-# bit-identity with the fast engine
+# bit-identity with the cycle engine
 # ---------------------------------------------------------------------------
 @needs_numpy
 class TestLibraryBitIdentity:
-    """Exact equality against the fast engine, library-wide."""
+    """Exact equality against the cycle engine, library-wide."""
 
     @pytest.mark.parametrize("fifo_depth", FIFO_DEPTHS)
     @pytest.mark.parametrize("variant_name", WRITE_BACK_VARIANTS)
@@ -162,7 +162,8 @@ class TestLibraryBitIdentity:
         ],
     )
     def test_fast_forward_skips_like_the_fast_engine(self, build, args, num_blocks):
-        """Both engines share one detector: same skips, same results.
+        """Both engines time lanes with one tick loop and detector: same
+        skips, same results.
 
         Two deep fixed-depth streams (one steady skip, one ramp), then every
         library kernel on its critical-path overlay.  Both engines log every
@@ -178,44 +179,6 @@ class TestLibraryBitIdentity:
         assert _result_fields(batched.run(blocks)) == _result_fields(fast.run(blocks))
         assert batched.fast_forward_events, "batched engine never fast-forwarded"
         assert fast.fast_forward_events == batched.fast_forward_events
-
-    @pytest.mark.parametrize(
-        "name,variant_name,fifo_depth", [("qspline", "v4", 8), ("poly7", "v3", 32)]
-    )
-    def test_detector_sees_the_fast_engines_state(
-        self, name, variant_name, fifo_depth, monkeypatch
-    ):
-        """At every observation the FU, register-file and channel containers
-        hold exactly the fast engine's state: the loop's one sync-out stores
-        everything back, the register files in the flat layout."""
-        from repro.engine import fastsim
-        from repro.engine.batchsim import BatchSimulator
-
-        def state(obj, skip=()):
-            return {slot: copy.deepcopy(getattr(obj, slot))
-                    for slot in type(obj).__slots__ if slot not in skip}
-
-        observe = fastsim._OccupancyDetector.observe
-
-        def recording_observe(detector, *args):
-            seen.append((
-                args[:2],
-                [state(fu, ("rf", "in_channel", "out_channel")) for fu in detector.fus],
-                [state(fu.rf) for fu in detector.fus],
-                [state(channel) for channel in detector.channels],
-            ))
-            return observe(detector, *args)
-
-        monkeypatch.setattr(fastsim._OccupancyDetector, "observe", recording_observe)
-        schedule = _fixed_schedule(name, variant_name, fifo_depth)
-        blocks = random_input_blocks(schedule.dfg, 60, seed=3)
-        views = []
-        for engine in (FastSimulator, BatchSimulator):
-            seen = []
-            engine(schedule).run(blocks)
-            views.append(seen)
-        assert views[0], "the detector never observed"
-        assert views[1] == views[0]
 
     def test_long_stream_deep_backpressure(self):
         schedule = _fixed_schedule("poly7", "v4", 8)
@@ -306,40 +269,6 @@ class TestPlanArtifacts:
         b = _fixed_schedule("chebyshev", "v3", 8)
         assert plan_for(a) is plan_for(a)
         assert plan_for(a) is not plan_for(b)
-
-    def test_plan_holds_compiled_loop_and_source(self):
-        """The plan keeps the compiled loop; its source is regenerated on
-        demand (deterministically), never stored."""
-        from repro.engine.batchsim import generate_loop_source, plan_for
-
-        schedule = _fixed_schedule("gradient", "v3", 8)
-        plan = plan_for(schedule)
-        assert callable(plan.loop)
-        assert not hasattr(plan, "loop_source")
-        source = generate_loop_source(schedule)
-        assert "def _batch_loop" in source
-        assert generate_loop_source(schedule) == source
-
-    @pytest.mark.parametrize(
-        "name,variant_name", [("gradient", "v1"), ("poly7", "v3"), ("qspline", "v2")]
-    )
-    def test_loop_syncs_state_once_each_way(self, name, variant_name):
-        """One observe call, one sync-in and one sync-out per loop, and the
-        register-file re-nest/re-flatten are shared helpers, so the loop
-        compiles to a single code object."""
-        from repro.engine.batchsim import generate_loop_source
-
-        schedule = _auto_schedule(name, variant_name)
-        source = generate_loop_source(schedule)
-        assert source.count("detector.observe(") == 1
-        for k in range(schedule.depth):
-            assert source.count(f"lb_{k} = fu_{k}.load_block") == 1  # sync-in
-            assert source.count(f"fu_{k}.load_block = lb_{k}") == 1  # sync-out
-            assert source.count(f"rl_{k} = _nest_rf(rf_{k}.reads_left)") == 1
-            assert source.count(f"_flatten_rf(rf_{k}, rl_{k})") == 1
-        module = compile(source, "<loop>", "exec")
-        (loop,) = [c for c in module.co_consts if isinstance(c, types.CodeType)]
-        assert not [c for c in loop.co_consts if isinstance(c, types.CodeType)]
 
     def test_cache_attaches_one_plan_per_entry(self):
         tc = Toolchain(cache=ScheduleCache())

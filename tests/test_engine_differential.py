@@ -127,5 +127,5 @@ def test_input_outside_int32_forces_the_scalar_value_plane(variant):
     schedule = schedule_with("linear", dfg, LinearOverlay.for_kernel(variant, dfg))
     blocks = input_stream(dfg.num_inputs, 9, seed=7)
     blocks[4][0] = 2 ** 31  # one past the signed 32-bit range
-    assert plan_for(schedule).vector_evaluator.evaluate(blocks) is None
+    assert plan_for(schedule).evaluate(blocks) is None
     assert_engines_agree(schedule, blocks)

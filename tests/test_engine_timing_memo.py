@@ -8,10 +8,11 @@ stream shape skips the tick loop.  This file pins what a hit must keep:
 * every ``SimulationResult`` field equals an uncached run's, library-wide on
   V1-V5 at FIFO depth {2, 32} on ``fast`` and ``batched``;
 * a returned result shares nothing with the memo;
-* ``fast`` and ``batched``, ``fast_forward`` on and off, and a cycle cap too
-  small to finish each get their own entry;
+* ``fast`` and ``batched`` share one entry per shape, while ``fast_forward``
+  on and off, and a cycle cap too small to finish, each get their own;
 * the new stream is still evaluated and checked, so a codegen fault still
-  reads ``matches_reference=False`` on a hit;
+  reads ``matches_reference=False`` on a hit, also of a timing ``fast``
+  stored;
 * entries die with their schedule, and a schedule holds at most
   ``TIMING_MEMO_ENTRIES`` of them, covering at most ``TIMING_MEMO_BLOCKS``
   blocks, so a longer lane is never kept;
@@ -144,13 +145,18 @@ def test_mutating_a_result_leaves_the_next_hit_unchanged(variant, engine):
 
 
 class TestKey:
-    def test_fast_and_batched_never_share_an_entry(self, lane_timings):
-        schedule = _schedule("qspline", "v1")
-        blocks = random_input_blocks(schedule.dfg, 24, seed=2)
-        for _ in range(2):
-            FastSimulator(schedule).run(blocks)
-            BatchSimulator(schedule).run(blocks)
-        assert lane_timings == [("FastSimulator", 24), ("BatchSimulator", 24)]
+    @pytest.mark.parametrize("first", ENGINES)
+    def test_fast_and_batched_share_one_entry(self, first, lane_timings):
+        schedule = _schedule("poly7", "v4", 2)
+        blocks = random_input_blocks(schedule.dfg, 300, seed=2)
+        order = ENGINES if first == "fast" else ENGINES[::-1]
+        simulators = {engine: SIMULATORS[engine](schedule) for engine in order}
+        results = {engine: _fields(simulators[engine].run(blocks)) for engine in order}
+        assert results["batched"] == results["fast"]
+        fast, batched = simulators["fast"], simulators["batched"]
+        assert fast.fast_forward_events, "the shape never fast-forwarded"
+        assert batched.fast_forward_events == fast.fast_forward_events
+        assert lane_timings == [(SIMULATORS[first].__name__, 300)]
 
     def test_fast_forward_off_gets_its_own_entry(self, lane_timings):
         schedule = _schedule("poly7", "v4", 2)
@@ -188,9 +194,12 @@ class TestValuesStillRun:
         assert second.reference_outputs != first.reference_outputs
         assert second.matches_reference is True
 
+    @pytest.mark.parametrize("first", ENGINES)
     def test_a_swapped_sub_still_fails_the_batched_check_on_a_hit(
-        self, monkeypatch, lane_timings
+        self, monkeypatch, lane_timings, first
     ):
+        """The timing ``batched`` hits was stored by ``first``; ``fast``
+        computes from the DFG, so only ``batched`` sees the swap."""
         pytest.importorskip("numpy")
         dfg = parse_c_kernel("int k(int a, int b, int c) { return (a - b) * c + a; }")
         encode = codegen._encode_slot
@@ -203,10 +212,11 @@ class TestValuesStillRun:
 
         monkeypatch.setattr(codegen, "_encode_slot", swap_sub)
         schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V1, dfg))
-        for seed in (3, 4):
-            blocks = random_input_blocks(dfg, 16, seed=seed)
-            assert simulate_schedule(schedule, blocks, engine="batched").matches_reference is False
-        assert len(lane_timings) == 1
+        stored = simulate_schedule(schedule, random_input_blocks(dfg, 16, seed=3), engine=first)
+        assert stored.matches_reference is (first == "fast")
+        hit = simulate_schedule(schedule, random_input_blocks(dfg, 16, seed=4), engine="batched")
+        assert hit.matches_reference is False
+        assert lane_timings == [(SIMULATORS[first].__name__, 16)]
 
 
 class TestLifetimeAndBound:
@@ -216,7 +226,7 @@ class TestLifetimeAndBound:
         entries = len(fastsim._TIMINGS)
         for engine in ENGINES:
             simulate_schedule(schedule, num_blocks=8, engine=engine)
-        assert len(fastsim._TIMINGS(schedule)) == 2
+        assert len(fastsim._TIMINGS(schedule)) == 1
         assert len(fastsim._TIMINGS) == entries + 1
         del schedule
         gc.collect()
@@ -244,12 +254,12 @@ class TestLifetimeAndBound:
         for num_blocks in (6, 5, 7):  # 18 blocks: the oldest, 6, goes
             simulate_schedule(schedule, num_blocks=num_blocks, engine="fast")
         timings = fastsim._TIMINGS(schedule)
-        assert [num_blocks for _, num_blocks, _, _ in timings] == [5, 7]
+        assert [num_blocks for num_blocks, _, _ in timings] == [5, 7]
         del lane_timings[:]
         for num_blocks in (7, 5, 6):
             simulate_schedule(schedule, num_blocks=num_blocks, engine="fast")
         assert lane_timings == [("FastSimulator", 6)]
-        assert [num_blocks for _, num_blocks, _, _ in timings] == [7, 6]
+        assert [num_blocks for num_blocks, _, _ in timings] == [7, 6]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_a_lane_longer_than_the_block_bound_is_never_kept(
@@ -263,7 +273,7 @@ class TestLifetimeAndBound:
         name = SIMULATORS[engine].__name__
         assert lane_timings == [(name, 16), (name, 17), (name, 17)]
         # The long lane displaced nothing either.
-        assert [num_blocks for _, num_blocks, _, _ in fastsim._TIMINGS(schedule)] == [16]
+        assert [num_blocks for num_blocks, _, _ in fastsim._TIMINGS(schedule)] == [16]
 
 
 class TestLanes:
@@ -313,4 +323,4 @@ def test_threads_sharing_one_schedule_read_identical_results():
         sys.setswitchinterval(switch_interval)
     timings = fastsim._TIMINGS(schedule)
     assert len(timings) <= TIMING_MEMO_ENTRIES
-    assert sum(num_blocks for _, num_blocks, _, _ in timings) <= fastsim.TIMING_MEMO_BLOCKS
+    assert sum(num_blocks for num_blocks, _, _ in timings) <= fastsim.TIMING_MEMO_BLOCKS
