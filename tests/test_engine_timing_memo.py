@@ -16,7 +16,8 @@ stream shape skips the tick loop.  This file pins what a hit must keep:
 * entries die with their schedule, and a schedule holds at most
   ``TIMING_MEMO_ENTRIES`` of them, covering at most ``TIMING_MEMO_BLOCKS``
   blocks, so a longer lane is never kept;
-* a multilane run ticks its loop once per distinct lane length;
+* a multilane run ticks its loop once per distinct lane length, and the
+  other engine reuses those lane timings;
 * threads sharing one schedule read identical results.
 """
 
@@ -289,6 +290,18 @@ class TestLanes:
         simulate_schedule(schedule, num_blocks=41, engine=engine)
         simulate_schedule(schedule, num_blocks=41, seed=5, engine=engine)
         name = SIMULATORS[engine].__name__
+        assert lane_timings == [(name, 21), (name, 20)]
+
+    @pytest.mark.parametrize("first", ENGINES)
+    def test_the_other_engine_reuses_both_lane_lengths(self, first, lane_timings):
+        """``fast`` deals lanes in ``FastSimulator.run`` and ``batched`` in
+        its own ``run``; both look up the same two entries."""
+        schedule = _schedule("qspline", "v2")
+        blocks = random_input_blocks(schedule.dfg, 41, seed=3)
+        order = ENGINES if first == "fast" else ENGINES[::-1]
+        results = [_fields(SIMULATORS[engine](schedule).run(blocks)) for engine in order]
+        assert results[1] == results[0]
+        name = SIMULATORS[first].__name__
         assert lane_timings == [(name, 21), (name, 20)]
 
 
