@@ -11,11 +11,12 @@ before/after table for the engine work, and the harness asserts that the
 engines produce identical measurements while the fast engine delivers a
 multi-x speedup.
 
-The fast engine memoises lane timings per schedule object, and the
-cross-check's fast sweep repeats the grid the benchmarked one ran on the
-same schedules, so it starts from an empty memo (``clear_timing_memo``):
-it ticks every point's loop, sharing a timing only between the equal lanes
-of a V2 point, as any fresh fast run does.
+The fast engine memoises lane timings process-wide, keyed by schedule
+content, and the cross-check's fast sweep repeats the grid the benchmarked
+one ran, so each timed fast sweep starts from an empty memo
+(``clear_timing_memo``): it ticks each distinct lane timing once, sharing
+one only between the equal lanes of a V2 point or points of equal schedule
+content, as any fresh fast run does.
 """
 
 import time
@@ -65,6 +66,7 @@ def test_fig5_sim_sweep_cycle_engine(benchmark):
 def test_fig5_sim_sweep_fast_engine(benchmark):
     """The same sweep on the event-driven engine (the 'after' number)."""
     _warm_compile_cache()
+    clear_timing_memo()
     results = benchmark.pedantic(
         run_sweep, args=(_grid("fast"),), kwargs={"jobs": 1}, rounds=1, iterations=1
     )

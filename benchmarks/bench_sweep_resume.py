@@ -18,6 +18,7 @@ import dataclasses
 import time
 
 from repro.engine.cache import ScheduleCache
+from repro.engine.fastsim import clear_timing_memo
 from repro.engine.store import ResultStore
 from repro.engine.sweep import build_grid, run_sweep
 from repro.kernels.library import kernel_names
@@ -58,6 +59,10 @@ def _rows_modulo_wallclock(rows):
 def test_sweep_resume_speedup_gate(tmp_path, record_metric, save_result):
     """Cold store-backed sweep, then a pure-lookup resume; gate the ratio."""
     store_dir = str(tmp_path / "store")
+    # Cold means every lane ticks: the timing memo is process-wide and keyed
+    # by schedule content, so an earlier bench's runs would otherwise serve
+    # this grid's lanes.
+    clear_timing_memo()
     cold_rows, cold_s = _timed_sweep(ResultStore(store_dir))
     assert len(ResultStore(store_dir)) == len(cold_rows)
 

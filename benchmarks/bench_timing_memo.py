@@ -15,6 +15,17 @@ into ``BENCH_results.json``.
 
 A second call must measure exactly what the first did (the memo changes no
 timing field) and still compute and check its own stream's outputs.
+
+The memo is keyed by what the tick loop reads, not by schedule object, and
+each kernel's ``StreamEvaluator`` lives in its graph's ``DFG.derived()``,
+which every copy shares.  A second gate counts what that saves on the
+end-to-end benchmark's sweep-store cold grid (library x V1-V5 x FIFO depth
+8 x four strategies, 64 blocks), run serially in one process from a fresh
+compile cache, fresh library and frontend caches and an empty memo: the
+tick loop must run once per distinct timing key, fewer times than there are
+feasible points, and one evaluator must be built per kernel.  Both counts
+are recorded as ``cold_grid_tick_loop_runs`` and
+``cold_grid_stream_evaluator_builds``.
 """
 
 import gc
@@ -22,10 +33,15 @@ import statistics
 import time
 
 from repro.api import Toolchain
+from repro.engine import fastsim
 from repro.engine.cache import ScheduleCache
-from repro.engine.fastsim import clear_timing_memo
+from repro.engine.fastsim import FastSimulator, clear_timing_memo
+from repro.frontend.cache import default_frontend_cache
 from repro.kernels import kernel_names
-from repro.specs import OverlaySpec, SimSpec
+from repro.kernels.library import clear_kernel_cache
+from repro.kernels.reference import StreamEvaluator
+from repro.sim.overlay import split_lane_blocks
+from repro.specs import OverlaySpec, SimSpec, SweepSpec
 
 VARIANTS = ("v1", "v2", "v3", "v4", "v5")
 #: The service's simulate requests stream 256 blocks.
@@ -35,6 +51,11 @@ ROUNDS = 7
 #: (Python 3.11) gave medians of 3.96-4.11x, and 3.77-3.86x when run after
 #: the other benches; 3.0x leaves a fifth of margin below the lowest.
 MIN_SPEEDUP = 3.0
+
+#: The end-to-end sweep-store workload's cold grid.
+COLD_GRID_STRATEGIES = ("linear", "clustered", "modulo", "alap")
+COLD_GRID_FIFO_DEPTH = 8
+COLD_GRID_BLOCKS = 64
 
 TIMING_FIELDS = (
     "completion_cycles",
@@ -99,3 +120,65 @@ def test_timing_memo_speedup_gate(save_result, record_metric):
         f"a repeated stream shape only {speedup:.2f}x faster than a first call "
         f"(median of {ROUNDS} rounds, gate {MIN_SPEEDUP}x)"
     )
+
+
+def test_cold_grid_times_each_shape_and_builds_each_evaluator_once(
+    monkeypatch, save_result, record_metric
+):
+    clear_kernel_cache()
+    default_frontend_cache().clear()
+    clear_timing_memo()
+    ticks, builds = [], []
+    time_lane = FastSimulator._time_lane
+    build = StreamEvaluator.__init__
+
+    def counting_time_lane(self, num_blocks, max_cycles):
+        ticks.append(num_blocks)
+        return time_lane(self, num_blocks, max_cycles)
+
+    def counting_build(self, dfg):
+        builds.append(dfg.name)
+        build(self, dfg)
+
+    monkeypatch.setattr(FastSimulator, "_time_lane", counting_time_lane)
+    monkeypatch.setattr(StreamEvaluator, "__init__", counting_build)
+
+    toolchain = Toolchain(cache=ScheduleCache(capacity=1024))
+    overlays = tuple(
+        OverlaySpec(variant=variant, fifo_depth=COLD_GRID_FIFO_DEPTH) for variant in VARIANTS
+    )
+    spec = SweepSpec(
+        kernels=tuple(kernel_names()), overlays=overlays,
+        sim=SimSpec(engine="fast", num_blocks=COLD_GRID_BLOCKS),
+        schedulers=COLD_GRID_STRATEGIES, jobs=1,
+    )
+    rows = [row for row in toolchain.sweep(spec) if row.error is None]
+    assert rows and all(row.matches_reference for row in rows)
+
+    # Every feasible point's lanes, keyed as the memo keys them.
+    keys = set()
+    for row in rows:
+        overlay = OverlaySpec(
+            variant=row.variant, fifo_depth=COLD_GRID_FIFO_DEPTH, scheduler=row.scheduler
+        )
+        schedule = toolchain.compile(row.kernel, overlay).schedule
+        lanes = split_lane_blocks([[]] * COLD_GRID_BLOCKS, schedule.variant.lanes)
+        keys.update((fastsim._timing_digest(schedule), len(lane)) for lane in lanes)
+    save_result(
+        "timing_memo_cold_grid",
+        "\n".join([
+            f"sweep-store cold grid: library x {'/'.join(VARIANTS)} x FIFO depth "
+            f"{COLD_GRID_FIFO_DEPTH} x {len(COLD_GRID_STRATEGIES)} strategies, "
+            f"{COLD_GRID_BLOCKS} blocks, serial, one process",
+            f"  feasible points         : {len(rows)}",
+            f"  distinct timing keys    : {len(keys)}",
+            f"  tick-loop runs          : {len(ticks)}",
+            f"  StreamEvaluator builds  : {len(builds)} ({len(kernel_names())} kernels)",
+        ]),
+    )
+    record_metric("cold_grid_tick_loop_runs", len(ticks))
+    record_metric("cold_grid_stream_evaluator_builds", len(builds))
+    assert len(ticks) == len(keys) < len(rows), (
+        f"{len(ticks)} tick-loop runs for {len(keys)} timing keys over {len(rows)} points"
+    )
+    assert sorted(builds) == sorted(kernel_names())

@@ -62,11 +62,9 @@ MAX_STORE_SCALING = 1.5
 ROUNDS = 7
 
 
-def _best_of(fn, samples=SAMPLES, setup=None) -> float:
+def _best_of(fn, samples=SAMPLES) -> float:
     best = float("inf")
     for _ in range(samples):
-        if setup is not None:
-            setup()
         started = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - started)
@@ -152,14 +150,16 @@ def test_triage_throughput_beats_simulation(record_metric, save_result):
 
     def simulate_pass():
         for handle in handles:
+            # Every config ticks its own loop: it would otherwise read the
+            # lane timing an earlier pass, or an earlier config of equal
+            # schedule content (the memo is keyed by content), left.
+            clear_timing_memo()
             toolchain.simulate(handle, SIM)
 
     predict_pass()  # warm any lazy imports before timing
     simulate_pass()
     predict_s = _best_of(predict_pass) / len(handles)
-    # Every timed pass ticks every loop: a pass over the same handles would
-    # otherwise read the lane timings the previous pass left in the memo.
-    simulate_s = _best_of(simulate_pass, setup=clear_timing_memo) / len(handles)
+    simulate_s = _best_of(simulate_pass) / len(handles)
     speedup = simulate_s / predict_s
 
     record_metric("tune_triage_speedup", speedup)

@@ -27,9 +27,13 @@ class DerivedValues:
 
     :meth:`DFG.copy` hands its clone the same object and :meth:`DFG.add_node`
     detaches its graph from it, so every graph holding one has the same
-    nodes.  Each field is computed on first use and never changes after;
-    concurrent readers may compute a field twice, and both store the same
-    value, so no lock is needed.
+    nodes.  Each field is computed on first use and never changes after,
+    except that a field kept under the graph's name is rebuilt for a graph
+    of another name; concurrent readers may compute a field twice, and both
+    store an equal value, so no lock is needed.  The evaluators hold
+    exec-compiled code, which does not pickle, so a pickled graph (a disk
+    cache entry, a graph sent to a worker) leaves them behind and builds
+    them again on first use.
     """
 
     __slots__ = (
@@ -38,6 +42,8 @@ class DerivedValues:
         "fingerprint",
         "value_uses",
         "dfg_diagnostics",
+        "stream_evaluator",
+        "vector_stream_evaluator",
     )
 
     def __init__(self) -> None:
@@ -57,6 +63,17 @@ class DerivedValues:
         #: (:attr:`repro.verify.engine.VerifyContext.dfg_diagnostics`).  The
         #: checks never read the graph's name, so renamed copies share it.
         self.dfg_diagnostics: Optional[Tuple[object, ...]] = None
+        #: ``(graph name, StreamEvaluator)``
+        #: (:func:`repro.kernels.reference.stream_evaluator`).
+        self.stream_evaluator: Optional[Tuple[str, object]] = None
+        #: ``(graph name, VectorStreamEvaluator)``
+        #: (:func:`repro.kernels.reference.vector_stream_evaluator`).
+        self.vector_stream_evaluator: Optional[Tuple[str, object]] = None
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        state = {name: getattr(self, name, None) for name in self.__slots__}
+        state["stream_evaluator"] = state["vector_stream_evaluator"] = None
+        return None, state
 
 
 class DFG:

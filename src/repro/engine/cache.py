@@ -87,7 +87,7 @@ from ..schedule.types import OverlaySchedule
 #: schedule, program and image classes, DFG nodes and their shared derived
 #: values, opcode hashing): entries of another format then keep their old
 #: names and are never loaded.
-DISK_FORMAT = 4
+DISK_FORMAT = 5
 
 
 def dfg_content_hash(dfg: DFG) -> str:

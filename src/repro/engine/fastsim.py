@@ -43,21 +43,23 @@ per-FU ready queues that are drained in issue order, mirroring the delivery
 phase of the cycle simulator; everything else advances in the same
 upstream-to-downstream cycle-synchronous order.
 
-Because timing is value-independent, a lane's timing is a function of the
-schedule and the lane length alone, so each schedule object keeps a small
-memo of the lane timings its runs measured (:meth:`FastSimulator._run_timing`,
-:func:`clear_timing_memo`): a repeated stream shape skips the tick loop and
-still computes its outputs from the new stream.  This tick loop is the one
-timing path of both production engines: the batched engine
-(:mod:`repro.engine.batchsim`) swaps only the value plane, so the two share
-every memo entry.
+Because timing is value-independent, a lane's timing is a function of what
+the tick loop reads of the schedule and of the lane length alone, so one
+process-wide memo keeps the lane timings runs measured, keyed by that
+content (:meth:`FastSimulator._run_timing`, :func:`clear_timing_memo`): a
+repeated stream shape skips the tick loop, also on another schedule object
+of equal content, and still computes its outputs from the new stream.  This
+tick loop is the one timing path of both production engines: the batched
+engine (:mod:`repro.engine.batchsim`) swaps only the value plane, so the two
+share every memo entry.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from array import array
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError
@@ -232,6 +234,24 @@ class _FastChannel:
             self.win_push_max = occupancy
 
 
+def _stage_program(schedule: OverlaySchedule, stage_index: int) -> Tuple[tuple, tuple, tuple]:
+    """What the tick loop reads of one stage: its load order, each slot as
+    the dispatch tuple ``(is_nop, operands, emits, value_id, write_back)``,
+    and the constants preloaded into its register file."""
+    stage = schedule.stage(stage_index)
+    slots = tuple(
+        (
+            slot.kind is SlotKind.NOP,
+            tuple(slot.operands),
+            slot.emits,
+            slot.value_id,
+            slot.write_back,
+        )
+        for slot in stage.slots
+    )
+    return tuple(stage.load_order), slots, tuple(schedule.constants_used(stage_index))
+
+
 class _FastFU:
     """Timing-only mirror of :class:`repro.sim.fu.FUSimulator`.
 
@@ -278,23 +298,10 @@ class _FastFU:
     def __init__(self, schedule: OverlaySchedule, stage_index: int, num_blocks: int,
                  in_channel: Optional[_FastChannel], out_channel: Optional[_FastChannel]):
         variant = schedule.variant
-        stage = schedule.stage(stage_index)
-        const_ids = set(schedule.constants_used(stage_index))
+        self.load_order, self.slots, constants = _stage_program(schedule, stage_index)
+        const_ids = set(constants)
         self.stage_index = stage_index
         self.num_blocks = num_blocks
-        self.load_order = list(stage.load_order)
-        # Each slot as the dispatch tuple (is_nop, operands, emits, value_id,
-        # write_back).
-        self.slots = [
-            (
-                slot.kind is SlotKind.NOP,
-                tuple(slot.operands),
-                slot.emits,
-                slot.value_id,
-                slot.write_back,
-            )
-            for slot in stage.slots
-        ]
         # How many slots read each non-constant operand, per block.
         self.read_counts: Dict[int, int] = {}
         for _nop, operands, _emits, _vid, _wb in self.slots:
@@ -822,12 +829,15 @@ class _OccupancyDetector:
 # ---------------------------------------------------------------------------
 # timing memo
 # ---------------------------------------------------------------------------
-#: Lane timings one schedule object keeps; the oldest is dropped first.
-TIMING_MEMO_ENTRIES = 8
-#: Blocks one schedule object's lane timings may cover in total (each keeps
-#: an 8-byte completion cycle per block); the oldest are dropped first, and
-#: a longer lane is timed without being kept.
-TIMING_MEMO_BLOCKS = 8192
+#: Blocks the memo's lane timings may cover in total (each keeps an 8-byte
+#: completion cycle per block): the least recently used go first, and a
+#: longer lane is timed without being kept.  It holds the end-to-end
+#: benchmark's sim-stream working set (100 lanes, 83.8k blocks).
+TIMING_MEMO_BLOCKS = 1 << 17
+#: Blocks each entry is charged at least, for the counters and high-water
+#: marks it keeps besides its completion cycles, so many short lanes cannot
+#: grow the memo without bound either.
+TIMING_MEMO_MIN_BLOCKS = 256
 
 
 class _LaneTiming(NamedTuple):
@@ -863,23 +873,90 @@ class _LaneTiming(NamedTuple):
         )
 
 
-#: Each live schedule object's lane timings, keyed by ``(lane length, cycle
-#: cap, fast_forward)`` in insertion order.  Entries die with the schedule;
-#: the lock makes lookups and inserts safe across threads.
-_TIMINGS: IdentityMemo[OverlaySchedule, Dict[tuple, _LaneTiming]] = IdentityMemo(
-    lambda _schedule: {}
-)
-_TIMINGS_LOCK = threading.Lock()
+def _timing_digest(schedule: OverlaySchedule) -> bytes:
+    """A 16-byte digest of everything the tick loop reads of ``schedule``.
+
+    That is each stage's :func:`_stage_program`, the FIFO depth and the
+    variant's timing parameters; no kernel, overlay, variant or strategy
+    name.  Schedules of equal digest time every lane alike.
+    """
+    variant = schedule.variant
+    content = (
+        schedule.overlay.fifo_depth,
+        variant.rf_depth,
+        variant.rf_frame_capacity,
+        variant.overlap_load_execute,
+        variant.alu_pipeline_depth,
+        variant.iwp,
+        variant.exec_block_gap,
+        variant.load_block_gap,
+        tuple(_stage_program(schedule, k) for k in range(schedule.depth)),
+    )
+    return hashlib.blake2b(repr(content).encode(), digest_size=16).digest()
+
+
+#: Each live schedule object's :func:`_timing_digest`, computed once.
+_DIGESTS: IdentityMemo[OverlaySchedule, bytes] = IdentityMemo(_timing_digest)
+
+
+class _TimingMemo:
+    """Lane timings keyed by ``(schedule digest, lane length, cycle cap,
+    fast_forward)``, least recently used first, within
+    :data:`TIMING_MEMO_BLOCKS`.  One lock makes lookups and inserts safe
+    across threads; the tick loop runs outside it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: Key -> (blocks charged, timing).
+        self._entries: "OrderedDict[tuple, Tuple[int, _LaneTiming]]" = OrderedDict()
+        #: Blocks charged by the entries kept.
+        self.blocks = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> Optional[_LaneTiming]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    def put(self, key: tuple, timing: _LaneTiming) -> None:
+        charge = max(len(timing.completion_cycles), TIMING_MEMO_MIN_BLOCKS)
+        if charge > TIMING_MEMO_BLOCKS:
+            return
+        with self._lock:
+            entries = self._entries
+            replaced = entries.pop(key, None)
+            if replaced is not None:
+                self.blocks -= replaced[0]
+            while entries and self.blocks + charge > TIMING_MEMO_BLOCKS:
+                self.blocks -= entries.popitem(last=False)[1][0]
+            entries[key] = (charge, timing)
+            self.blocks += charge
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.blocks = 0
+
+
+#: The process's lane timings, shared by every schedule object, engine and
+#: thread.
+_TIMINGS = _TimingMemo()
 
 
 def clear_timing_memo() -> None:
     """Forget every memoised lane timing, so each next run ticks its loop.
 
-    A benchmark that times repeated runs of one schedule object calls this
-    before each timed run, so it times the tick loop rather than a memo hit.
+    A benchmark that times repeated runs of one stream shape calls this
+    before each timed run, so it times the tick loop rather than a memo
+    hit; the memo is keyed by content, so this holds also across schedule
+    objects of equal content.
     """
-    with _TIMINGS_LOCK:
-        _TIMINGS.clear()
+    _TIMINGS.clear()
 
 
 class FastSimulator:
@@ -893,9 +970,9 @@ class FastSimulator:
     A run times each lane with :meth:`_run_timing` and fills in its outputs
     from the value plane (:meth:`_outputs`).  The batched engine
     (:class:`repro.engine.batchsim.BatchSimulator`) is this engine with the
-    value plane swapped.  Lane timings are memoised per schedule object and
-    shared by both engines, so a multilane run ticks its loop once per
-    distinct lane length, and a repeated stream shape not at all.
+    value plane swapped.  Lane timings are memoised by content and shared
+    by both engines, so a multilane run ticks its loop once per distinct
+    lane length, and a repeated stream shape not at all.
     """
 
     def __init__(
@@ -934,32 +1011,22 @@ class FastSimulator:
     def _run_timing(self, num_blocks: int) -> SimulationResult:
         """Time one lane of ``num_blocks`` blocks (value-free: ``outputs=[]``).
 
-        Timing depends on the schedule, the lane length, the cycle cap and
-        ``fast_forward``, never on values, so it is memoised per live
-        schedule object under those three (one entry serves ``fast`` and
-        ``batched`` alike), within :data:`TIMING_MEMO_ENTRIES` and
-        :data:`TIMING_MEMO_BLOCKS`.  A hit skips the loop, rebuilds the
-        result from the stored fields and replays the stored skips into
-        :attr:`fast_forward_events`.
+        Timing depends on what the tick loop reads of the schedule, the
+        lane length, the cycle cap and ``fast_forward``, never on values,
+        so it is memoised process-wide under those four, the schedule as
+        its :func:`_timing_digest`: one entry serves ``fast`` and
+        ``batched``, and every schedule object of equal content.  A hit
+        skips the loop, rebuilds the result from the stored fields, under
+        this schedule's kernel and overlay names, and replays the stored
+        skips into :attr:`fast_forward_events`.
         """
         schedule = self.schedule
         max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
-        key = (num_blocks, max_cycles, self.fast_forward)
-        with _TIMINGS_LOCK:
-            timings = _TIMINGS(schedule)
-            timing = timings.get(key)
+        key = (_DIGESTS(schedule), num_blocks, max_cycles, self.fast_forward)
+        timing = _TIMINGS.get(key)
         if timing is None:
             timing = self._time_lane(num_blocks, max_cycles)
-            if num_blocks <= TIMING_MEMO_BLOCKS:
-                with _TIMINGS_LOCK:
-                    timings.pop(key, None)
-                    kept = num_blocks + sum(lane_length for lane_length, _, _ in timings)
-                    for oldest in list(timings):
-                        if len(timings) < TIMING_MEMO_ENTRIES and kept <= TIMING_MEMO_BLOCKS:
-                            break
-                        kept -= oldest[0]
-                        del timings[oldest]
-                    timings[key] = timing
+            _TIMINGS.put(key, timing)
         else:
             self.fast_forward_events.extend(dict(event) for event in timing.events)
         return timing.result(schedule, num_blocks)

@@ -28,7 +28,6 @@ from typing import (
     Callable,
     Dict,
     Generic,
-    Hashable,
     Iterable,
     List,
     Mapping,
@@ -122,36 +121,27 @@ def evaluate_dfg(dfg: DFG, inputs: InputBlock) -> List[int]:
 class IdentityMemo(Generic[K, V]):
     """One value built per live object, keyed by the object's identity.
 
-    For keys a ``WeakKeyDictionary`` cannot hold: a :class:`DFG` is mutable
-    and an ``OverlaySchedule`` is an unhashable (eq, non-frozen) dataclass.
-    The memo keeps only a weak reference to each key, whose death callback
-    evicts the entry, so values must not reference their key either.  The
-    identity check on a hit guards against id reuse.  ``version``, when
-    given, is read on every lookup, and a changed version rebuilds the
-    value.  Entries are only ever replaced whole, so concurrent builders at
-    worst duplicate work (every built value is valid).
+    For keys a ``WeakKeyDictionary`` cannot hold: an ``OverlaySchedule`` is
+    an unhashable (eq, non-frozen) dataclass.  The memo keeps only a weak
+    reference to each key, whose death callback evicts the entry, so values
+    must not reference their key either.  The identity check on a hit
+    guards against id reuse.  Entries are only ever replaced whole, so
+    concurrent builders at worst duplicate work (every built value is
+    valid).
     """
 
-    def __init__(
-        self, build: Callable[[K], V], version: Optional[Callable[[K], Hashable]] = None
-    ):
+    def __init__(self, build: Callable[[K], V]):
         self._build = build
-        self._version = version
-        self._entries: Dict[int, Tuple["weakref.ref[Any]", Hashable, V]] = {}
+        self._entries: Dict[int, Tuple["weakref.ref[Any]", V]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry; the next lookup of each key builds again."""
-        self._entries.clear()
-
     def __call__(self, key: K) -> V:
         ident = id(key)
-        version = self._version(key) if self._version is not None else None
         entry = self._entries.get(ident)
-        if entry is not None and entry[0]() is key and entry[1] == version:
-            return entry[2]
+        if entry is not None and entry[0]() is key:
+            return entry[1]
         value = self._build(key)
         # The callback binds the dict itself: at interpreter exit it can run
         # after this module's globals have been cleared.
@@ -160,8 +150,27 @@ class IdentityMemo(Generic[K, V]):
         def evict(_ref: Any, _ident: int = ident) -> None:
             entries.pop(_ident, None)
 
-        entries[ident] = (weakref.ref(key, evict), version, value)
+        entries[ident] = (weakref.ref(key, evict), value)
         return value
+
+
+def _derived_evaluator(dfg: DFG, field: str, build: Callable[[DFG], V]) -> V:
+    """The evaluator ``build`` makes of ``dfg``, memoised in
+    :meth:`DFG.derived` as ``field``.
+
+    Every copy of a graph shares it, and a graph that gains nodes builds a
+    new one.  It is kept under the graph's name, since its errors name the
+    kernel, so a copy or rename under another name builds again.
+    Concurrent callers may each build one; every built evaluator is valid.
+    """
+    derived = dfg.derived()
+    name = dfg.name
+    cached = getattr(derived, field)
+    if cached is not None and cached[0] == name:
+        return cast(V, cached[1])
+    evaluator = build(dfg)
+    setattr(derived, field, (name, evaluator))
+    return evaluator
 
 
 class StreamEvaluator:
@@ -180,10 +189,10 @@ class StreamEvaluator:
     (``tests/test_kernels_reference.py`` checks this on random graphs over
     every opcode and the wrap edges).
 
-    The evaluator holds no reference to its DFG, so a memo entry
-    (:data:`stream_evaluator`) dies with the graph.  Only positional
-    (sequence) blocks are supported; mapping-style blocks go through
-    :func:`evaluate_dfg`.
+    :func:`stream_evaluator` builds one per node set, shared by the
+    graph's copies.  The evaluator holds no reference to its DFG.  Only
+    positional (sequence) blocks are supported; mapping-style blocks go
+    through :func:`evaluate_dfg`.
     """
 
     __slots__ = ("run",)
@@ -260,9 +269,10 @@ class StreamEvaluator:
         self.run: Callable[[Iterable[Sequence[int]]], List[List[int]]] = namespace["_stream"]
 
 
-#: The compiled :class:`StreamEvaluator` of a live DFG, built on first use
-#: and rebuilt when the DFG gains nodes.
-stream_evaluator: IdentityMemo[DFG, StreamEvaluator] = IdentityMemo(StreamEvaluator, version=len)
+def stream_evaluator(dfg: DFG) -> StreamEvaluator:
+    """The compiled :class:`StreamEvaluator` of a DFG, built on first use and
+    shared by its copies (see :func:`_derived_evaluator`)."""
+    return _derived_evaluator(dfg, "stream_evaluator", StreamEvaluator)
 
 
 #: Exact signed 32-bit two's-complement wrap of an ``int64`` numpy expression.
@@ -385,9 +395,9 @@ class VectorStreamEvaluator:
     block.  :meth:`run` returns ``None`` whenever numpy cannot give the
     exact answer (see :func:`vector_rows`), and the caller falls back to the
     scalar evaluator.  Building one imports numpy; without it the evaluator
-    always answers ``None``.  Like :class:`StreamEvaluator` it holds no
-    reference to its DFG, so a memo entry (:data:`vector_stream_evaluator`)
-    dies with the graph.
+    always answers ``None``.  Like :class:`StreamEvaluator` it is built once
+    per node set (:func:`vector_stream_evaluator`) and holds no reference to
+    its DFG.
     """
 
     __slots__ = ("_np", "_plan", "_width", "_name")
@@ -404,11 +414,10 @@ class VectorStreamEvaluator:
         return vector_rows(self._np, self._plan, blocks, self._width, self._name)
 
 
-#: The :class:`VectorStreamEvaluator` of a live DFG, built on first use and
-#: rebuilt when the DFG gains nodes.
-vector_stream_evaluator: IdentityMemo[DFG, VectorStreamEvaluator] = IdentityMemo(
-    VectorStreamEvaluator, version=len
-)
+def vector_stream_evaluator(dfg: DFG) -> VectorStreamEvaluator:
+    """The :class:`VectorStreamEvaluator` of a DFG, built on first use and
+    shared by its copies (see :func:`_derived_evaluator`)."""
+    return _derived_evaluator(dfg, "vector_stream_evaluator", VectorStreamEvaluator)
 
 
 def reference_outputs(
@@ -450,10 +459,20 @@ def random_input_blocks(
     Values are kept small by default so that long multiply chains stay well
     inside the 32-bit range most of the time; wrap-around is still exercised
     by the dedicated ALU tests.
+
+    Each value is ``low + rng._randbelow(high - low + 1)``, which is what
+    ``rng.randint(low, high)`` returns, in one call instead of three.
+    ``_randbelow`` is private to CPython's ``random``: where it is missing,
+    the bounds are not plain ints, or the range is empty (``randint``
+    raises ``ValueError``), every value goes through ``randint``.
     """
     if num_blocks < 0:
         raise KernelError("num_blocks must be non-negative")
     rng = random.Random(seed)
     width = dfg.num_inputs
-    return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
+    span = high - low + 1
+    below = getattr(rng, "_randbelow", None)
+    if below is None or type(span) is not int or span < 1:
+        return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
+    return [[low + below(span) for _ in range(width)] for _ in range(num_blocks)]
 

@@ -83,6 +83,9 @@ VARIANTS = {v.name.lower(): v for v in (BASELINE, V1, V2, V3, V4, V5)}
 WRITE_BACK_VARIANTS = ("v3", "v4", "v5")
 CRITICAL_PATH_VARIANTS = ("baseline", "v1", "v2")
 FIFO_DEPTHS = (2, 4, 8, 32)
+#: Prefix lengths the fast-forward shapes try, shortest first, for their
+#: cycle-engine comparison: the first on which ``fast`` skips is compared.
+SKIP_SAMPLE_LENGTHS = (16, 32, 64, 128)
 
 
 @lru_cache(maxsize=None)
@@ -174,13 +177,15 @@ class TestLibraryBitIdentity:
     )
     def test_fast_forward_skips_like_the_fast_engine(self, build, args, num_blocks):
         """Both engines time lanes with one tick loop and detector: same
-        skips, same results.
+        skips, same results, and the timing equals the cycle engine's.
 
         Two deep fixed-depth streams (one steady skip, one ramp), then every
         library kernel on its critical-path overlay.  Both engines log every
         lane's skips.  The timing memo is cleared between the two runs, so
         each engine ticks its own lanes and the logs compared are two
-        timings, not one memo entry read twice.
+        timings, not one memo entry read twice.  The cycle engine runs the
+        shortest prefix of the stream on which ``fast`` still skips: the
+        whole stream would cost seconds of tier-1 per ten shapes.
         """
         from repro.engine.batchsim import BatchSimulator
 
@@ -193,6 +198,14 @@ class TestLibraryBitIdentity:
         assert _result_fields(batched.run(blocks)) == expected
         assert batched.fast_forward_events, "batched engine never fast-forwarded"
         assert fast.fast_forward_events == batched.fast_forward_events
+
+        for length in SKIP_SAMPLE_LENGTHS + (num_blocks,):
+            sample = FastSimulator(schedule)
+            timed = sample.run(blocks[:length])
+            if sample.fast_forward_events:
+                break
+        cycle = OverlaySimulator(schedule).run(blocks[:length])
+        assert _result_fields(timed) == _result_fields(cycle)
 
     def test_long_stream_deep_backpressure(self):
         schedule = _fixed_schedule("poly7", "v4", 8)

@@ -12,6 +12,13 @@ Each case must either fail to compile with ``InfeasibleScheduleError`` or
 :class:`~repro.sim.overlay.SimulationResult` — every field — on ``cycle``,
 ``fast`` and ``batched``, with outputs equal to the golden reference.
 
+The timing memo is keyed by schedule content, so one entry serves every
+schedule object of equal content.  The property therefore also runs each
+case on a twin: the same kernel under another name, scheduled again after
+``fast`` timed the first schedule, so the twin's ``fast`` and ``batched``
+lanes are memo hits across schedule objects, with the memo left warm across
+examples.
+
 The fast profile runs in tier-1; the deep one is marked ``slow``
 (``pytest --runslow``).
 """
@@ -24,7 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.batchsim import BatchSimulator, plan_for
-from repro.engine.fastsim import FastSimulator
+from repro.engine.fastsim import _DIGESTS, FastSimulator
 from repro.errors import CodegenError, InfeasibleScheduleError
 from repro.kernels import get_kernel
 from repro.kernels.generators import random_dfg
@@ -90,7 +97,7 @@ def assert_engines_agree(schedule, blocks):
     assert cycle.outputs == reference_outputs(schedule.dfg, blocks)
 
 
-def check_case(strategy, case):
+def check_case(strategy, case, twin=False):
     dfg, variant = case["dfg"], case["variant"]
     if variant.write_back:
         overlay = LinearOverlay.fixed(
@@ -104,6 +111,10 @@ def check_case(strategy, case):
     except (InfeasibleScheduleError, CodegenError):
         return
     blocks = input_stream(dfg.num_inputs, case["num_blocks"], case["input_seed"])
+    if twin:
+        FastSimulator(schedule).run(blocks)
+        first, schedule = schedule, schedule_with(strategy, dfg.copy(name="twin"), overlay)
+        assert _DIGESTS(schedule) == _DIGESTS(first)
     assert_engines_agree(schedule, blocks)
 
 
@@ -114,11 +125,22 @@ class TestThreeEnginesAgree:
     def test_random_kernels(self, strategy, case):
         check_case(strategy, case)
 
+    @FAST
+    @given(case=cases)
+    def test_random_kernels_on_a_warm_memo(self, strategy, case):
+        check_case(strategy, case, twin=True)
+
     @pytest.mark.slow
     @DEEP
     @given(case=cases)
     def test_random_kernels_deep(self, strategy, case):
         check_case(strategy, case)
+
+    @pytest.mark.slow
+    @DEEP
+    @given(case=cases)
+    def test_random_kernels_deep_on_a_warm_memo(self, strategy, case):
+        check_case(strategy, case, twin=True)
 
 
 @pytest.mark.parametrize("variant", [V1, V2], ids=["v1", "v2-multilane"])

@@ -4,17 +4,21 @@ Besides the interpretive oracle (:func:`evaluate_dfg`), this file pins the
 generated whole-stream evaluators to it: a hypothesis property over random
 graphs covering every compute opcode at the 32-bit wrap edges, checked
 through the reference check, the fast engine's scalar value plane and the
-reference's numpy plane, and the contract of the per-DFG memos that share
-one compiled evaluator of each kind between their callers.
+reference's numpy plane, and the contract of the memo in ``DFG.derived()``
+that shares one compiled evaluator of each kind between a graph's copies
+and keeps it out of every pickle.
 """
 
 import functools
 import gc
 import os
+import pickle
+import random
 import subprocess
 import sys
 import textwrap
 import threading
+import types
 import weakref
 
 import pytest
@@ -25,7 +29,8 @@ from repro.dfg.builder import DFGBuilder
 from repro.dfg.opcodes import COMPUTE_OPCODES
 from repro.engine import batchsim, fastsim
 from repro.errors import KernelError
-from repro.kernels import get_kernel, reference
+from repro.frontend import cache as frontend_cache
+from repro.kernels import get_kernel, library, reference
 from repro.kernels.reference import (
     StreamEvaluator,
     VectorStreamEvaluator,
@@ -187,7 +192,8 @@ class TestStreamEvaluatorDifferential:
 
 
 class TestStreamEvaluatorMemo:
-    """One compiled evaluator per live DFG, shared by every caller."""
+    """One compiled evaluator of each kind per node set, kept in
+    ``DFG.derived()`` and shared by every copy of the graph."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -201,9 +207,16 @@ class TestStreamEvaluatorMemo:
         monkeypatch.setattr(StreamEvaluator, "__init__", counting)
         return built
 
-    def test_repeated_calls_build_once(self, builds):
+    @pytest.fixture
+    def fresh_library(self, monkeypatch):
+        """A library whose graphs no earlier test evaluated: the library's
+        and the frontend's graph caches both start empty."""
+        monkeypatch.setattr(library, "_CACHE", {})
+        monkeypatch.setattr(frontend_cache, "_DEFAULT_CACHE", None)
+
+    def test_every_copy_of_a_kernel_builds_once(self, builds, fresh_library):
         from repro.overlay.architecture import LinearOverlay
-        from repro.overlay.fu import V2
+        from repro.overlay.fu import V1, V2
         from repro.schedule import schedule_kernel
         from repro.sim.overlay import simulate_schedule
 
@@ -212,12 +225,16 @@ class TestStreamEvaluatorMemo:
         for _ in range(3):
             reference_outputs(dfg, blocks)
             fastsim._functional_outputs(dfg, blocks)
-        # A verified two-lane fast run: engine lanes and reference check.
-        schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V2, dfg))
-        result = simulate_schedule(schedule, input_blocks=blocks, engine="fast", verify=True)
-        assert result.matches_reference
+        # Verified fast runs, lanes and reference check, on two more copies,
+        # as two variants' artifacts of the kernel hold them.
+        for variant in (V1, V2):
+            copy = get_kernel("gradient")
+            schedule = schedule_kernel(copy, LinearOverlay.for_kernel(variant, copy))
+            result = simulate_schedule(schedule, input_blocks=blocks, engine="fast", verify=True)
+            assert result.matches_reference
+            assert stream_evaluator(copy) is stream_evaluator(dfg)
         assert builds == ["gradient"]
-        assert stream_evaluator(dfg) is stream_evaluator(dfg)
+        assert vector_stream_evaluator(get_kernel("gradient")) is vector_stream_evaluator(dfg)
 
     def test_growing_dfg_rebuilds(self, builds):
         builder = DFGBuilder("grown")
@@ -226,16 +243,24 @@ class TestStreamEvaluatorMemo:
         builder.output(total)
         dfg = builder.build()
         first = stream_evaluator(dfg)
+        copy = dfg.copy()
         assert reference_outputs(dfg, [[2, 3]]) == [[5]]
         builder.output(builder.mul(total, b))
         assert reference_outputs(dfg, [[2, 3]]) == [[5, 15]]
         assert stream_evaluator(dfg) is not first
+        # The copy kept the old node set, and with it the old evaluator.
+        assert stream_evaluator(copy) is first
         assert builds == ["grown", "grown"]
 
-    def test_collected_dfgs_leave_no_entry(self):
-        gc.collect()
-        memos = (stream_evaluator, vector_stream_evaluator)
-        before = [len(memo) for memo in memos]
+    def test_a_copy_under_another_name_builds_its_own(self, gradient, builds):
+        renamed = gradient.copy(name="renamed")
+        assert stream_evaluator(renamed) is not stream_evaluator(gradient)
+        with pytest.raises(KernelError, match="'renamed' has 5 inputs, got 3 values"):
+            reference_outputs(renamed, [[1, 2, 3]])
+        with pytest.raises(KernelError, match="'gradient' has 5 inputs, got 3 values"):
+            reference_outputs(gradient, [[1, 2, 3]])
+
+    def test_evaluators_keep_no_graph_alive_and_live_as_long_as_a_copy(self):
         refs = []
         for seed in range(50):
             dfg = get_kernel("gradient")
@@ -246,7 +271,51 @@ class TestStreamEvaluatorMemo:
         del dfg
         gc.collect()
         assert all(ref() is None for ref in refs), "an evaluator keeps its DFG alive"
-        assert all(len(memo) <= size for memo, size in zip(memos, before))
+
+        builder = DFGBuilder("short-lived")
+        a = builder.input()
+        builder.output(builder.add(a, builder.const(1)))
+        dfg = builder.build()
+        kept = dfg.copy()
+        run = weakref.ref(stream_evaluator(dfg).run)
+        del builder, dfg
+        gc.collect()
+        assert run() is not None, "the evaluator died with a copy still alive"
+        del kept
+        gc.collect()
+        assert run() is None, "the evaluator outlived every copy of its graph"
+
+    def test_pickles_leave_the_evaluators_behind(self, tmp_path):
+        """Generated code never reaches a pickle: not a disk-cache entry of a
+        sibling artifact, not a pickled graph.  Both rebuild on first use."""
+        from repro.engine.cache import ScheduleCache
+        from repro.overlay.architecture import LinearOverlay
+        from repro.overlay.fu import V1
+
+        dfg = get_kernel("qspline")
+        blocks = random_input_blocks(dfg, 6, seed=1)
+        expected = reference_outputs(dfg, blocks)
+        vectorized_reference(dfg, blocks)
+        derived = dfg.derived()
+        assert derived.stream_evaluator is not None
+        assert derived.vector_stream_evaluator is not None
+
+        sibling = get_kernel("qspline")
+        overlay = LinearOverlay.for_kernel(V1, sibling)
+        stored = ScheduleCache(disk_dir=str(tmp_path)).get_or_compile(sibling, overlay)
+        assert stored.schedule.dfg.derived() is derived
+        fresh = ScheduleCache(disk_dir=str(tmp_path))
+        loaded = fresh.get_or_compile(get_kernel("qspline"), overlay)
+        assert fresh.stats.disk_hits == 1
+        for graph in (loaded.schedule.dfg, pickle.loads(pickle.dumps(sibling))):
+            assert graph.derived() is not derived
+            assert graph.derived().stream_evaluator is None
+            assert graph.derived().vector_stream_evaluator is None
+            assert graph.derived().topological_order == derived.topological_order
+            assert reference_outputs(graph, blocks) == expected
+            assert vectorized_reference(graph, blocks) == expected
+        # The source graph keeps its evaluators.
+        assert derived.stream_evaluator is not None
 
     def test_eviction_needs_no_module_globals(self, monkeypatch):
         # Interpreter exit sets module globals to None; a memo that is still
@@ -254,6 +323,7 @@ class TestStreamEvaluatorMemo:
         from repro.overlay.architecture import LinearOverlay
         from repro.overlay.fu import V1
         from repro.schedule import schedule_kernel
+        from repro.sim.overlay import simulate_schedule
 
         gc.collect()
         unraisable = []
@@ -263,9 +333,10 @@ class TestStreamEvaluatorMemo:
         vectorized_reference(dfg, [[1] * dfg.num_inputs])
         schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V1, dfg))
         batchsim.plan_for(schedule)
-        memos = (stream_evaluator, vector_stream_evaluator, batchsim._PLANS)
+        simulate_schedule(schedule, num_blocks=2, engine="fast")
+        memos = (batchsim._PLANS, fastsim._DIGESTS)
         sizes = [len(memo) for memo in memos]
-        for module in (reference, batchsim):
+        for module in (reference, batchsim, fastsim):
             for name in list(vars(module)):
                 if not name.startswith("__"):
                     monkeypatch.setattr(module, name, None)
@@ -281,13 +352,13 @@ class TestStreamEvaluatorMemo:
         code = textwrap.dedent(
             """
             from repro.engine.batchsim import _PLANS as PLANS, plan_for
+            from repro.engine.fastsim import _DIGESTS as DIGESTS
             from repro.kernels import BENCHMARK_NAMES, get_kernel
-            from repro.kernels.reference import (
-                reference_outputs, stream_evaluator, vector_stream_evaluator,
-            )
+            from repro.kernels.reference import reference_outputs
             from repro.overlay.architecture import LinearOverlay
             from repro.overlay.fu import V1
             from repro.schedule import schedule_kernel
+            from repro.sim.overlay import simulate_schedule
 
             def _keep():
                 kept = []
@@ -297,11 +368,12 @@ class TestStreamEvaluatorMemo:
                     reference_outputs(dfg, [[1] * dfg.num_inputs], vectorized=True)
                     schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V1, dfg))
                     plan_for(schedule)
+                    simulate_schedule(schedule, num_blocks=2, engine="fast")
                     kept.append(schedule)
                 return kept
 
             _KEPT = _keep()
-            for memo in (stream_evaluator, vector_stream_evaluator, PLANS):
+            for memo in (PLANS, DIGESTS):
                 assert len(memo) >= len(_KEPT)
             """
         )
@@ -392,3 +464,36 @@ class TestRandomBlocks:
     def test_negative_count_rejected(self, gradient):
         with pytest.raises(KernelError):
             random_input_blocks(gradient, -1)
+
+    def test_one_draw_per_value_returns_what_randint_would(self, qspline):
+        """Each value is ``low + rng._randbelow(span)``, which is ``randint``'s
+        own draw: on 50 seeds, over the default range, the full signed
+        32-bit range and a span of one, the streams are equal."""
+
+        def by_randint(num_blocks, seed, low, high):
+            rng = random.Random(seed)
+            width = qspline.num_inputs
+            return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
+
+        for seed in range(50):
+            for low, high in ((-64, 64), (-(2 ** 31), 2 ** 31 - 1), (7, 7)):
+                assert random_input_blocks(
+                    qspline, 12, seed=seed, low=low, high=high
+                ) == by_randint(12, seed, low, high)
+
+    def test_an_empty_range_raises_like_randint(self, qspline):
+        with pytest.raises(ValueError):
+            random_input_blocks(qspline, 1, low=3, high=2)
+        assert random_input_blocks(qspline, 0, low=3, high=2) == []
+
+    def test_without_randbelow_every_value_comes_from_randint(self, qspline, monkeypatch):
+        class RandintOnly:
+            def __init__(self, seed):
+                self._rng = random.Random(seed)
+
+            def randint(self, low, high):
+                return self._rng.randint(low, high)
+
+        expected = random_input_blocks(qspline, 9, seed=4)
+        monkeypatch.setattr(reference, "random", types.SimpleNamespace(Random=RandintOnly))
+        assert random_input_blocks(qspline, 9, seed=4) == expected
