@@ -26,11 +26,23 @@ tick loop must run once per distinct timing key, fewer times than there are
 feasible points, and one evaluator must be built per kernel.  Both counts
 are recorded as ``cold_grid_tick_loop_runs`` and
 ``cold_grid_stream_evaluator_builds``.
+
+A third gate runs that grid at ``jobs=2``, as sweep-store does, counting
+across both worker lanes: lanes take whole kernels, so the first sweep ticks
+fewer than the 134 times a shared pool did (at least once per distinct key)
+and builds fewer than two evaluators per kernel, and the lanes send their
+timings home, so a second sweep of the grid, on a fresh store and seed,
+ticks 0 times.  The counts are recorded as
+``cold_grid_jobs2_tick_loop_runs``, ``cold_grid_jobs2_stream_evaluator_builds``
+and ``cold_grid_jobs2_second_sweep_tick_loop_runs``.
 """
 
 import gc
+import multiprocessing
 import statistics
 import time
+
+import pytest
 
 from repro.api import Toolchain
 from repro.engine import fastsim
@@ -122,12 +134,47 @@ def test_timing_memo_speedup_gate(save_result, record_metric):
     )
 
 
-def test_cold_grid_times_each_shape_and_builds_each_evaluator_once(
-    monkeypatch, save_result, record_metric
-):
+def _cold_grid(jobs, seed=0, store_dir=None):
+    """The sweep-store cold grid as a sweep spec."""
+    return SweepSpec(
+        kernels=tuple(kernel_names()),
+        overlays=tuple(
+            OverlaySpec(variant=variant, fifo_depth=COLD_GRID_FIFO_DEPTH) for variant in VARIANTS
+        ),
+        sim=SimSpec(engine="fast", num_blocks=COLD_GRID_BLOCKS, seed=seed),
+        schedulers=COLD_GRID_STRATEGIES, jobs=jobs, store_dir=store_dir,
+    )
+
+
+def _feasible_rows(toolchain, spec):
+    rows = [row for row in toolchain.sweep(spec) if row.error is None]
+    assert rows and all(row.matches_reference for row in rows)
+    return rows
+
+
+def _timing_keys(toolchain, rows):
+    """Every feasible point's lanes, keyed as the memo keys them."""
+    keys = set()
+    for row in rows:
+        overlay = OverlaySpec(
+            variant=row.variant, fifo_depth=COLD_GRID_FIFO_DEPTH, scheduler=row.scheduler
+        )
+        schedule = toolchain.compile(row.kernel, overlay).schedule
+        lanes = split_lane_blocks([[]] * COLD_GRID_BLOCKS, schedule.variant.lanes)
+        keys.update((fastsim._timing_digest(schedule), len(lane)) for lane in lanes)
+    return keys
+
+
+def _fresh_caches():
     clear_kernel_cache()
     default_frontend_cache().clear()
     clear_timing_memo()
+
+
+def test_cold_grid_times_each_shape_and_builds_each_evaluator_once(
+    monkeypatch, save_result, record_metric
+):
+    _fresh_caches()
     ticks, builds = [], []
     time_lane = FastSimulator._time_lane
     build = StreamEvaluator.__init__
@@ -144,26 +191,8 @@ def test_cold_grid_times_each_shape_and_builds_each_evaluator_once(
     monkeypatch.setattr(StreamEvaluator, "__init__", counting_build)
 
     toolchain = Toolchain(cache=ScheduleCache(capacity=1024))
-    overlays = tuple(
-        OverlaySpec(variant=variant, fifo_depth=COLD_GRID_FIFO_DEPTH) for variant in VARIANTS
-    )
-    spec = SweepSpec(
-        kernels=tuple(kernel_names()), overlays=overlays,
-        sim=SimSpec(engine="fast", num_blocks=COLD_GRID_BLOCKS),
-        schedulers=COLD_GRID_STRATEGIES, jobs=1,
-    )
-    rows = [row for row in toolchain.sweep(spec) if row.error is None]
-    assert rows and all(row.matches_reference for row in rows)
-
-    # Every feasible point's lanes, keyed as the memo keys them.
-    keys = set()
-    for row in rows:
-        overlay = OverlaySpec(
-            variant=row.variant, fifo_depth=COLD_GRID_FIFO_DEPTH, scheduler=row.scheduler
-        )
-        schedule = toolchain.compile(row.kernel, overlay).schedule
-        lanes = split_lane_blocks([[]] * COLD_GRID_BLOCKS, schedule.variant.lanes)
-        keys.update((fastsim._timing_digest(schedule), len(lane)) for lane in lanes)
+    rows = _feasible_rows(toolchain, _cold_grid(jobs=1))
+    keys = _timing_keys(toolchain, rows)
     save_result(
         "timing_memo_cold_grid",
         "\n".join([
@@ -182,3 +211,62 @@ def test_cold_grid_times_each_shape_and_builds_each_evaluator_once(
         f"{len(ticks)} tick-loop runs for {len(keys)} timing keys over {len(rows)} points"
     )
     assert sorted(builds) == sorted(kernel_names())
+
+
+def test_worker_lanes_time_each_shape_once_per_process_tree(
+    monkeypatch, tmp_path, save_result, record_metric
+):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the parent's timing memo only when forked")
+    _fresh_caches()
+    # Shared counters, patched in before the lanes fork, count across workers.
+    ticks = multiprocessing.Value("i", 0)
+    builds = multiprocessing.Value("i", 0)
+    time_lane = FastSimulator._time_lane
+    build = StreamEvaluator.__init__
+
+    def counting_time_lane(self, num_blocks, max_cycles):
+        with ticks.get_lock():
+            ticks.value += 1
+        return time_lane(self, num_blocks, max_cycles)
+
+    def counting_build(self, dfg):
+        with builds.get_lock():
+            builds.value += 1
+        build(self, dfg)
+
+    monkeypatch.setattr(FastSimulator, "_time_lane", counting_time_lane)
+    monkeypatch.setattr(StreamEvaluator, "__init__", counting_build)
+
+    toolchain = Toolchain(cache=ScheduleCache(capacity=1024))
+    rows = _feasible_rows(toolchain, _cold_grid(2, seed=1, store_dir=str(tmp_path / "first")))
+    first_ticks, first_builds = ticks.value, builds.value
+    ticks.value = builds.value = 0
+    # A fresh store and seed, as each sweep-store round runs the cold grid.
+    again = _feasible_rows(toolchain, _cold_grid(2, seed=2, store_dir=str(tmp_path / "second")))
+    second_ticks = ticks.value
+    keys = _timing_keys(toolchain, rows)
+    save_result(
+        "timing_memo_cold_grid_lanes",
+        "\n".join([
+            f"sweep-store cold grid, {len(rows)} feasible points, {len(keys)} distinct "
+            f"timing keys, jobs=2, counted across both workers:",
+            f"  first sweep  : {first_ticks} tick-loop runs, {first_builds} "
+            f"StreamEvaluator builds ({len(kernel_names())} kernels)",
+            f"  second sweep : {second_ticks} tick-loop runs (fresh store, new seed)",
+        ]),
+    )
+    record_metric("cold_grid_jobs2_tick_loop_runs", first_ticks)
+    record_metric("cold_grid_jobs2_stream_evaluator_builds", first_builds)
+    record_metric("cold_grid_jobs2_second_sweep_tick_loop_runs", second_ticks)
+    assert len(again) == len(rows)
+    # Lanes that steal a kernel's last points at the tail may time a few
+    # shapes twice; a worker per point, as a shared pool deals them, timed
+    # 134-143 and built every evaluator on both workers.
+    assert len(keys) <= first_ticks < 134, (
+        f"{first_ticks} tick-loop runs for {len(keys)} timing keys across two lanes"
+    )
+    assert first_builds < 2 * len(kernel_names()), f"{first_builds} StreamEvaluator builds"
+    assert second_ticks == 0, (
+        f"the second sweep ticked {second_ticks} times: the lanes' timings did not come home"
+    )

@@ -13,7 +13,9 @@ Two jobs, mirroring the promise ``repro/tune.py`` makes:
   that ranking a candidate is orders of magnitude cheaper than measuring
   it.  On precompiled handles (compilation cost is shared by both paths),
   the analytic model must evaluate at least ``MIN_TRIAGE_SPEEDUP`` (20x)
-  more configs per second than the fast engine simulates.  Recorded as
+  more configs per second than the fast engine simulates: the median of
+  per-round simulate/predict ratios over ``ROUNDS`` interleaved rounds,
+  each pass timed from a collected heap.  Recorded as
   ``tune_triage_speedup``.
 * **Store-scaling gate** — a warm tune with a closed-form model reads
   only its frontier's rows from the result store, so its cost must not
@@ -49,26 +51,24 @@ BUDGET = 6
 #: Gate: analytic triage throughput over fast-engine simulation throughput.
 MIN_TRIAGE_SPEEDUP = 20.0
 
-#: Timing samples (best-of squeezes out scheduler noise).
-SAMPLES = 5
-
 #: Store-scaling gate: the padded store holds this many times the rows.
 PAD_FACTOR = 5
 
 #: Gate: median warm-tune time on the padded store over the unpadded one.
 MAX_STORE_SCALING = 1.5
 
-#: Interleaved rounds of the store-scaling gate, one timing per store each.
+#: Interleaved rounds of the triage and store-scaling gates, one timing per
+#: side each.
 ROUNDS = 7
 
 
-def _best_of(fn, samples=SAMPLES) -> float:
-    best = float("inf")
-    for _ in range(samples):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _timed_run(fn) -> float:
+    # Start every run from a collected heap, so a collection of an earlier
+    # run's garbage never lands in this one's timing.
+    gc.collect()
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
 
 
 def test_tuner_beats_the_default_config(record_metric, save_result):
@@ -158,39 +158,40 @@ def test_triage_throughput_beats_simulation(record_metric, save_result):
 
     predict_pass()  # warm any lazy imports before timing
     simulate_pass()
-    predict_s = _best_of(predict_pass) / len(handles)
-    simulate_s = _best_of(simulate_pass) / len(handles)
-    speedup = simulate_s / predict_s
+    # One ratio per round, from passes run back to back in alternating
+    # order, so a slow stretch of the host moves both sides of a ratio.
+    times = {predict_pass: [], simulate_pass: []}
+    ratios = []
+    for round_index in range(ROUNDS):
+        order = [predict_pass, simulate_pass]
+        for fn in order if round_index % 2 == 0 else reversed(order):
+            times[fn].append(_timed_run(fn))
+        ratios.append(times[simulate_pass][-1] / times[predict_pass][-1])
+    speedup = statistics.median(ratios)
+    predict_s = statistics.median(times[predict_pass]) / len(handles)
+    simulate_s = statistics.median(times[simulate_pass]) / len(handles)
 
     record_metric("tune_triage_speedup", speedup)
     save_result(
         "tune_triage",
         "\n".join(
             [
-                f"analytic triage vs fast-engine simulation, best of "
-                f"{SAMPLES} passes over {len(handles)} precompiled configs "
-                f"({SIM.num_blocks} blocks):",
+                f"analytic triage vs fast-engine simulation, {ROUNDS} "
+                f"interleaved rounds over {len(handles)} precompiled configs "
+                f"({SIM.num_blocks} blocks), medians:",
                 f"  model.predict   : {predict_s * 1e6:9.2f} us/config",
                 f"  fast simulation : {simulate_s * 1e6:9.2f} us/config",
+                "  per-round ratio : " + ", ".join(f"{r:.1f}x" for r in ratios),
                 f"  speedup         : {speedup:9.1f}x "
-                f"(gate: >= {MIN_TRIAGE_SPEEDUP:.0f}x)",
+                f"(median ratio, gate: >= {MIN_TRIAGE_SPEEDUP:.0f}x)",
             ]
         ),
     )
     assert speedup >= MIN_TRIAGE_SPEEDUP, (
         f"analytic triage is only {speedup:.1f}x faster than simulation "
-        f"(gate: {MIN_TRIAGE_SPEEDUP:.0f}x) — the model is doing "
+        f"(median of {ROUNDS} rounds, gate: {MIN_TRIAGE_SPEEDUP:.0f}x) — the model is doing "
         "simulation-scale work per config"
     )
-
-
-def _timed_run(fn) -> float:
-    # Start every run from a collected heap, so a collection of an earlier
-    # run's garbage never lands in this one's timing.
-    gc.collect()
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
 
 
 def test_warm_tunes_do_not_scale_with_the_store(tmp_path, record_metric, save_result):

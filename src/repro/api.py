@@ -403,9 +403,12 @@ class Toolchain:
         """Run a (kernels x overlays) grid through this session.
 
         Serial execution (``jobs=1`` or a single point) uses this session's
-        injected cache; parallel execution fans out over worker processes,
-        each warming its own process-wide cache (share compilations across
-        workers via the ``REPRO_CACHE_DIR`` disk layer).
+        injected cache; parallel execution fans out over worker lanes, one
+        process each taking whole kernels (``jobs=None``: the CPUs this
+        process may run on), each warming its own process-wide cache
+        (share compilations across workers via the ``REPRO_CACHE_DIR`` disk
+        layer).  The lane timings the workers measure join this process's
+        timing memo, so a later sweep's workers skip those tick loops.
 
         The grid runs on the fault-tolerant runner: the spec's ``retries``
         / ``timeout_s`` bound each point's fault budget (exhausted points

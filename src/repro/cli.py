@@ -676,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_sim_args(p_sweep, default_engine="fast", verify_flag=True)
     p_sweep.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: CPU count)"
+        "--jobs", type=int, default=None,
+        help="worker processes (default: the CPUs this process may run on)",
     )
     p_sweep.add_argument("--json", action="store_true", help="emit JSON rows")
     p_sweep.add_argument(
@@ -770,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_args(p_tune, default_engine="fast", verify_flag=True)
     p_tune.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for the frontier simulation (default: CPU count)",
+        help="worker processes for the frontier simulation "
+        "(default: the CPUs this process may run on)",
     )
     p_tune.add_argument("--json", action="store_true", help="emit the TuneResult as JSON")
     p_tune.add_argument(

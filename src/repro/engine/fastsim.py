@@ -60,7 +60,7 @@ import hashlib
 import threading
 from array import array
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError
 from ..kernels.reference import IdentityMemo, stream_evaluator
@@ -936,6 +936,21 @@ class _TimingMemo:
                 self.blocks -= entries.popitem(last=False)[1][0]
             entries[key] = (charge, timing)
             self.blocks += charge
+
+    def keys(self) -> Set[tuple]:
+        """The keys held now, to pass to :meth:`since` later."""
+        with self._lock:
+            return set(self._entries)
+
+    def since(self, keys: Set[tuple]) -> List[Tuple[tuple, _LaneTiming]]:
+        """Each ``(key, timing)`` held now whose key is not in ``keys``."""
+        with self._lock:
+            return [(key, entry[1]) for key, entry in self._entries.items() if key not in keys]
+
+    def update(self, entries: Iterable[Tuple[tuple, _LaneTiming]]) -> None:
+        """:meth:`put` each ``(key, timing)``, such as another process's :meth:`since`."""
+        for key, timing in entries:
+            self.put(key, timing)
 
     def clear(self) -> None:
         with self._lock:

@@ -4,8 +4,10 @@ Design-space exploration — Fig. 5 scalability, Fig. 6 throughput/latency,
 Table III, ad-hoc what-if grids — is embarrassingly parallel: every point
 compiles and simulates independently.  This module builds the grid, runs
 each point through the compiled-schedule cache and the fast simulation
-engine, and optionally fans the points out over a
-:class:`concurrent.futures.ProcessPoolExecutor`.
+engine, and optionally fans the points out over worker lanes: one
+single-worker :class:`concurrent.futures.ProcessPoolExecutor` per lane,
+each taking whole kernels and sending the lane timings it measures home to
+this process's timing memo.
 
 Every helper degrades gracefully to serial execution (``jobs=1``, a single
 point, or a platform where processes cannot be spawned), so callers never
@@ -35,6 +37,7 @@ from ..metrics.performance import (
 from ..overlay.resources import overlay_fmax_mhz
 from ..sim.overlay import simulate_schedule_with
 from ..specs import OverlaySpec, SimSpec, SweepSpec
+from . import fastsim
 from .cache import ScheduleCache, default_cache
 from .store import ResultStore
 
@@ -289,41 +292,78 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 #: Message recorded against a point whose worker died underneath it.
 _DEATH_MESSAGE = (
-    "worker process died repeatedly while running this point "
+    "worker process died while running this point "
     "(out of memory, killed, or crashed)"
 )
 
 
-class _ResilientPool:
-    """submit/wait dispatcher with retry, quarantine, timeout and pool rebuild.
+def _resolve_jobs(jobs: Optional[int]) -> int:
+    """``jobs``, or for ``None`` the CPUs this process may run on.
+
+    That is the affinity mask where the platform has one, so a process
+    pinned by ``taskset`` or a cgroup cpuset starts no worker it cannot
+    run, and the machine's CPU count elsewhere.
+    """
+    if jobs is not None:
+        return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_in_lane(fn: Callable, task):
+    """Run ``fn(task)`` in a lane's worker.
+
+    Returns the result together with the lane timings this worker's memo
+    gained meanwhile, which the parent adds to its own memo.
+    """
+    known = fastsim._TIMINGS.keys()
+    result = fn(task)
+    return result, fastsim._TIMINGS.since(known)
+
+
+class _Lane:
+    """One single-worker process pool, its queue and its one task in flight."""
+
+    def __init__(self) -> None:
+        self.pool = ProcessPoolExecutor(max_workers=1)
+        self.queue: "deque[int]" = deque()
+        self.future = None
+        self.index = 0
+        self.deadline: Optional[float] = None
+
+    def replace(self) -> None:
+        """Kill the worker (dead, stalled or alive) and start a fresh pool."""
+        _terminate_pool(self.pool)
+        self.pool = ProcessPoolExecutor(max_workers=1)
+
+
+class _Lanes:
+    """Worker lanes with kernel affinity, retry, quarantine and timeout.
 
     One instance runs one grid's points (a sweep's uncached points, or the
-    kernels of :func:`evaluate_many`).  The dispatch loop keeps
-    at most ``jobs`` futures in flight on the **main pool** (so a per-point
-    deadline measured from submission approximates the point's own
-    runtime) and classifies every completion:
+    kernels of :func:`evaluate_many`) on ``jobs`` **lanes**.  Each lane is a
+    single-worker process pool with at most one point in flight, fed from
+    its own queue:
 
-    * a result — recorded, streamed, stored;
-    * a raised exception — attributable, so it is charged against that
-      point's retry budget directly and requeued (quarantined past the
-      budget);
-    * a dead worker (``BrokenProcessPool``) — *not* attributable: every
-      future in flight with the dead worker fails identically, so instead
-      of charging them all, the implicated points become **suspects** and
-      are re-run one at a time on a dedicated single-worker **isolation
-      pool**.  A crash there unambiguously identifies the killer (charged,
-      eventually quarantined); innocents complete and are never charged
-      for a neighbour's crash.  Meanwhile the rebuilt main pool keeps
-      draining the untouched remainder of the grid;
-    * a missed deadline — a stalled worker cannot be cancelled through the
-      executor API, so its pool is torn down; the expired point is charged
-      (timeouts are attributable — the deadline was its own) and retried in
-      isolation (a re-stall then only ever takes the isolation pool down),
-      while in-flight neighbours are resubmitted without charge.
+    * **affinity** — points are grouped by kernel, and whole groups are
+      dealt, longest first, to the shortest queue, so each kernel's stream
+      shapes are timed, and its evaluator built, on one worker.  A lane
+      whose queue runs dry takes the last queued point of the longest
+      queue, so a one-kernel grid still runs on every lane;
+    * **timings come home** — each point runs through :func:`_run_in_lane`,
+      and the parent adds the lane timings the worker gained to its own
+      memo before it records the row, so workers forked later (the next
+      sweep's lanes, a lane's replacement worker) start with them;
+    * **every fault is attributable** — a raised exception, a dead worker
+      (``BrokenProcessPool``) or a missed deadline is charged to the one
+      point its lane holds.  A dead or stalled worker is replaced, and the
+      point retries on its own lane with exponential backoff until its
+      ``retries`` budget is spent; then it is quarantined.  Points on other
+      lanes are never charged for it.
 
-    The loop terminates: charges are bounded by the retry budget, suspects
-    settle serially, and each pool teardown consumes either a charge or a
-    point's one-way trip from the main pool into isolation.
+    The loop terminates: every run either settles its point or charges it,
+    and charges are bounded by the retry budget.
     """
 
     def __init__(self, points, fn, jobs, retries, timeout_s, record, quarantine):
@@ -335,189 +375,94 @@ class _ResilientPool:
         self.record = record
         self.quarantine = quarantine
         self.attempts: Dict[int, int] = {}
-        self.queue: "deque[int]" = deque()  # fresh points, main pool
-        self.suspects: "deque[int]" = deque()  # implicated points, isolation pool
-        self.pending: Dict[object, int] = {}  # main-pool future -> grid index
-        self.isolated: Optional[tuple] = None  # (future, index) in isolation
-        self.deadlines: Dict[object, float] = {}
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.iso_pool: Optional[ProcessPoolExecutor] = None
+        self.lanes: List[_Lane] = []
 
     # ------------------------------------------------------------------
     def run(self, todo: Sequence[int]) -> bool:
         """Dispatch ``todo`` (indices into the grid); False when no pool."""
         try:
-            self.pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(todo)))
+            for _ in range(min(self.jobs, len(todo))):
+                self.lanes.append(_Lane())
         except (OSError, PermissionError, ImportError):
             # Only pool *creation* degrades (sandboxes, exotic platforms);
             # the caller falls back to the serial path.
+            for lane in self.lanes:
+                lane.pool.shutdown(wait=True)
             return False
-        self.queue.extend(todo)
+        groups: Dict[str, List[int]] = {}
+        for index in todo:
+            groups.setdefault(self.points[index].kernel, []).append(index)
+        for group in sorted(groups.values(), key=len, reverse=True):
+            min(self.lanes, key=lambda lane: len(lane.queue)).queue.extend(group)
         try:
-            while self.queue or self.suspects or self.pending or self.isolated:
-                self._fill()
-                self._drain_once()
+            while True:
+                for lane in self.lanes:
+                    if lane.future is None:
+                        self._feed(lane)
+                busy = [lane for lane in self.lanes if lane.future is not None]
+                if not busy:
+                    break
+                deadlines = [lane.deadline for lane in busy if lane.deadline is not None]
+                wait_s = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+                wait([lane.future for lane in busy], timeout=wait_s, return_when=FIRST_COMPLETED)
+                for lane in busy:
+                    if lane.future.done():
+                        self._settle(lane)
+                    elif lane.deadline is not None and lane.deadline <= time.monotonic():
+                        lane.replace()  # the only way to stop a stalled worker
+                        self._charge(lane, f"timed out after {self.timeout_s:g}s and was killed")
         finally:
-            self.pool.shutdown(wait=True)
-            if self.iso_pool is not None:
-                self.iso_pool.shutdown(wait=True)
+            for lane in self.lanes:
+                lane.pool.shutdown(wait=True)
         return True
 
     # ------------------------------------------------------------------
-    def _arm(self, future) -> None:
-        if self.timeout_s is not None:
-            self.deadlines[future] = time.monotonic() + self.timeout_s
-
-    def _fill(self) -> None:
-        if self.isolated is None and self.suspects:
-            index = self.suspects.popleft()
-            future = self._submit_isolated(index)
-            self.isolated = (future, index)
-            self._arm(future)
-        while self.queue and len(self.pending) < self.jobs:
-            index = self.queue.popleft()
-            future = self._submit_main(index)
-            self.pending[future] = index
-            self._arm(future)
-
-    def _submit_main(self, index: int):
-        try:
-            return self.pool.submit(self.fn, self.points[index])
-        except BrokenProcessPool:
-            # The pool broke between completions (e.g. a worker died while
-            # idle); rebuild and retry the submission once.
-            self._rebuild_main()
-            return self.pool.submit(self.fn, self.points[index])
-
-    def _submit_isolated(self, index: int):
-        if self.iso_pool is None:
-            self.iso_pool = ProcessPoolExecutor(max_workers=1)
-        try:
-            return self.iso_pool.submit(self.fn, self.points[index])
-        except BrokenProcessPool:
-            self._teardown_iso()
-            self.iso_pool = ProcessPoolExecutor(max_workers=1)
-            return self.iso_pool.submit(self.fn, self.points[index])
-
-    def _drain_once(self) -> None:
-        futures = list(self.pending)
-        if self.isolated is not None:
-            futures.append(self.isolated[0])
-        wait_s = None
-        if self.deadlines:
-            wait_s = max(0.0, min(self.deadlines.values()) - time.monotonic())
-        done, _ = wait(futures, timeout=wait_s, return_when=FIRST_COMPLETED)
-        if done:
-            self._settle(done)
-        elif self.deadlines:
-            self._expire_deadlines()
-
-    # ------------------------------------------------------------------
-    def _settle(self, done) -> None:
-        main_broken = False
-        for future in done:
-            if self.isolated is not None and future is self.isolated[0]:
-                self._settle_isolated(future)
-                continue
-            index = self.pending.pop(future)
-            self.deadlines.pop(future, None)
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                # Unattributable: someone in this pool generation died.
-                # Re-run under isolation, where a crash has one suspect.
-                main_broken = True
-                self.suspects.append(index)
-            except Exception as exc:  # noqa: BLE001 — classified, not hidden
-                self._charge(index, f"{type(exc).__name__}: {exc}", self.queue)
-            else:
-                self.record(index, result, self.attempts.get(index, 0) + 1)
-        if main_broken:
-            # The executor is unusable; settle in-flight futures that
-            # finished with data, move the rest to isolation, start fresh.
-            for future, index in list(self.pending.items()):
-                self.deadlines.pop(future, None)
-                if future.done():
-                    try:
-                        result = future.result()
-                    except Exception:  # noqa: BLE001 — broken with the pool
-                        self.suspects.append(index)
-                    else:
-                        self.record(index, result, self.attempts.get(index, 0) + 1)
-                else:
-                    self.suspects.append(index)
-            self.pending.clear()
-            self._rebuild_main()
-
-    def _settle_isolated(self, future) -> None:
-        index = self.isolated[1]
-        self.isolated = None
-        self.deadlines.pop(future, None)
-        try:
-            result = future.result()
-        except BrokenProcessPool:
-            # Alone in its pool: this point killed its worker, certainly.
-            self._teardown_iso()
-            self._charge(index, _DEATH_MESSAGE, self.suspects)
-        except Exception as exc:  # noqa: BLE001 — classified, not hidden
-            self._charge(index, f"{type(exc).__name__}: {exc}", self.suspects)
+    def _feed(self, lane: _Lane) -> None:
+        """Start the lane's next point, or else the longest queue's last one."""
+        if lane.queue:
+            index = lane.queue.popleft()
         else:
-            self.record(index, result, self.attempts.get(index, 0) + 1)
+            longest = max(self.lanes, key=lambda other: len(other.queue))
+            if not longest.queue:
+                return
+            index = longest.queue.pop()
+        self._submit(lane, index)
 
-    def _expire_deadlines(self) -> None:
-        now = time.monotonic()
-        expired = {f for f, deadline in self.deadlines.items() if deadline <= now}
-        if not expired:
-            return
-        timeout_message = f"timed out after {self.timeout_s:g}s and was killed"
-        if self.isolated is not None and self.isolated[0] in expired:
-            future, index = self.isolated
-            self.isolated = None
-            self.deadlines.pop(future, None)
-            expired.discard(future)
-            self._teardown_iso()  # the only way to kill the stalled worker
-            self._charge(index, timeout_message, self.suspects)
-        if not any(future in self.pending for future in expired):
-            return
-        # A stalled main-pool worker holds its slot forever — tear the pool
-        # down, charge the expired points (retried in isolation so a
-        # re-stall cannot disturb neighbours again), resubmit the innocent
-        # in-flight points free of charge.
-        victims = []
-        for future, index in list(self.pending.items()):
-            self.deadlines.pop(future, None)
-            if future in expired:
-                self._charge(index, timeout_message, self.suspects)
-            elif future.done():
-                try:
-                    self.record(index, future.result(), self.attempts.get(index, 0) + 1)
-                except Exception:  # noqa: BLE001 — raced the teardown
-                    self.suspects.append(index)
-            else:
-                victims.append(index)
-        self.pending.clear()
-        self._rebuild_main()
-        self.queue.extendleft(reversed(victims))
+    def _submit(self, lane: _Lane, index: int) -> None:
+        task = self.points[index]
+        try:
+            lane.future = lane.pool.submit(_run_in_lane, self.fn, task)
+        except BrokenProcessPool:
+            # The worker died while idle; replace it and submit once more.
+            lane.replace()
+            lane.future = lane.pool.submit(_run_in_lane, self.fn, task)
+        lane.index = index
+        lane.deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
 
-    # ------------------------------------------------------------------
-    def _charge(self, index: int, message: str, requeue: "deque[int]") -> None:
+    def _settle(self, lane: _Lane) -> None:
+        try:
+            result, timings = lane.future.result()
+        except BrokenProcessPool:
+            lane.replace()
+            self._charge(lane, _DEATH_MESSAGE)
+        except Exception as exc:  # noqa: BLE001 — classified, not hidden
+            self._charge(lane, f"{type(exc).__name__}: {exc}")
+        else:
+            lane.future = None
+            fastsim._TIMINGS.update(timings)
+            self.record(lane.index, result, self.attempts.get(lane.index, 0) + 1)
+
+    def _charge(self, lane: _Lane, message: str) -> None:
+        """Charge the lane's point one run: retry it there, or quarantine it."""
+        index = lane.index
+        lane.future = None
         attempts = self.attempts.get(index, 0) + 1
         self.attempts[index] = attempts
         if attempts > self.retries:
             self.quarantine(index, message, attempts)
             return
         time.sleep(min(1.0, RETRY_BACKOFF_S * (2 ** (attempts - 1))))
-        requeue.append(index)
-
-    def _rebuild_main(self) -> None:
-        _terminate_pool(self.pool)
-        remaining = len(self.queue) + len(self.pending) + 1
-        self.pool = ProcessPoolExecutor(max_workers=min(self.jobs, max(1, remaining)))
-
-    def _teardown_iso(self) -> None:
-        if self.iso_pool is not None:
-            _terminate_pool(self.iso_pool)
-            self.iso_pool = None
+        self._submit(lane, index)
 
 
 def run_sweep(
@@ -544,11 +489,11 @@ def run_sweep(
       exponential backoff, then **quarantined**: reported as a
       ``SweepResult(error=..., quarantined=True)`` row, like infeasible
       points, instead of aborting the grid;
-    * a dead worker breaks the process pool; the runner recreates the pool
-      and re-runs everything that was in flight one point at a time on a
-      single-worker isolation pool, so the crash is charged to the point
-      that actually causes it — one worker death never loses completed or
-      unrelated work, and never quarantines an innocent neighbour;
+    * ``jobs`` worker **lanes** run the points, each a single-worker
+      process holding one point at a time, so a fault is charged to the
+      point that caused it: a dead or stalled worker is replaced and the
+      point retries on its own lane.  One worker death never loses
+      completed or unrelated work, and never charges a neighbour;
     * ``store`` (a :class:`~repro.engine.store.ResultStore`) makes the grid
       incremental: with ``resume`` (the default) points whose content key
       already has an entry are served from disk, and every computed row is
@@ -556,6 +501,13 @@ def run_sweep(
       from exactly where it died.  ``resume=False`` remeasures every point
       but still persists fresh rows.  Quarantined rows are never stored;
     * ``progress`` streams one :class:`SweepProgress` per settled point.
+
+    ``jobs=None`` runs as many lanes as there are CPUs this process may
+    run on (its affinity mask, where the platform has one).  Lanes take
+    whole kernels, so each kernel's stream shapes are timed on one worker,
+    and the lane timings each worker measures join this process's timing
+    memo, so the lanes of a later sweep, forked from it, skip those shapes'
+    tick loops.
 
     ``cache`` (a session-injected compiled-schedule cache) is honored on
     every in-process path (serial jobs, single points, and the
@@ -616,13 +568,10 @@ def run_sweep(
     def quarantine(index: int, message: str, attempts: int) -> None:
         settle(index, _error_result(points[index], message, attempts), cached=False)
 
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    jobs = _resolve_jobs(jobs)
     ran_parallel = False
     if jobs > 1 and len(todo) > 1:
-        runner = _ResilientPool(
-            points, run_point, jobs, retries, timeout_s, record, quarantine
-        )
+        runner = _Lanes(points, run_point, jobs, retries, timeout_s, record, quarantine)
         ran_parallel = runner.run(todo)
     if not ran_parallel:
         # Serial path: same retry/quarantine policy, minus what only exists
@@ -676,7 +625,7 @@ def run_sweep_spec(
 # benchmark-harness helpers (Fig. 6 / Table III adopt these)
 # ---------------------------------------------------------------------------
 class _EvaluateTask(NamedTuple):
-    """One kernel of :func:`evaluate_many` (fault rules match ``kernel``)."""
+    """One kernel of :func:`evaluate_many` (lanes and fault rules key on ``kernel``)."""
 
     kernel: str
     variants: Tuple[str, ...]
@@ -711,12 +660,13 @@ def evaluate_many(
 
     This is the engine behind the Fig. 6 / Table III harnesses: identical
     results to calling :func:`evaluate_kernel_all_overlays` in a loop, but
-    the per-kernel work fans out over the fault-tolerant pool of
-    :func:`run_sweep`, without retries.  A kernel whose evaluation raises,
-    or whose worker process dies, raises :class:`~repro.errors.SweepError`
-    naming that kernel (and only the kernels that failed: a neighbour of a
-    dying worker is re-run in isolation, not blamed); on the serial path the
-    original exception is chained.
+    the per-kernel work fans out over the worker lanes of :func:`run_sweep`
+    (``jobs=None``: the CPUs this process may run on), without retries.  A
+    kernel whose evaluation raises, or whose worker process dies, raises
+    :class:`~repro.errors.SweepError` naming that kernel, and only the
+    kernels that failed: each lane's worker holds one kernel, so a death is
+    never blamed on a neighbour.  On the serial path the original exception
+    is chained.
 
     ``cache`` (a session-injected compiled-schedule cache) is honored on
     every in-process path — exactly like :func:`run_sweep` — so an isolated
@@ -734,11 +684,10 @@ def evaluate_many(
     def fail(index: int, message: str, attempts: int) -> None:
         failures[index] = message
 
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    jobs = _resolve_jobs(jobs)
     ran_parallel = False
     if jobs > 1 and len(tasks) > 1:
-        runner = _ResilientPool(tasks, _evaluate_task, jobs, 0, None, record, fail)
+        runner = _Lanes(tasks, _evaluate_task, jobs, 0, None, record, fail)
         ran_parallel = runner.run(range(len(tasks)))
     if not ran_parallel:
         for index, task in enumerate(tasks):

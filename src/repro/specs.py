@@ -305,6 +305,11 @@ class SweepSpec(Record):
     ``modulo`` across the whole kernel library.  ``schedulers=None`` (the
     default) keeps each overlay spec's own ``scheduler`` field.
 
+    ``jobs`` is the number of worker lanes, one process each, that run the
+    grid's points; ``None`` means the CPUs this process may run on (its
+    affinity mask, where the platform has one), and ``1`` runs serially in
+    this process.
+
     Robustness knobs (consumed by the fault-tolerant runner of
     :func:`repro.engine.sweep.run_sweep`):
 
@@ -406,7 +411,8 @@ class TuneSpec(Record):
         Shared simulation policy (``None`` resolves to the sweep default,
         ``SimSpec(engine="fast")``).
     jobs:
-        Worker processes for the frontier simulation (``None`` = auto).
+        Worker lanes for the frontier simulation, one process each, as on
+        :class:`SweepSpec` (``None``: the CPUs this process may run on).
     store_dir / resume:
         Persistent result store for the frontier rows, exactly as on
         :class:`SweepSpec`.

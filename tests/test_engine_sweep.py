@@ -1,11 +1,16 @@
 """Tests for the parallel sweep runner and the ``repro-overlay sweep`` CLI."""
 
+import dataclasses
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.engine import fastsim, sweep
 from repro.engine.cache import ScheduleCache
+from repro.engine.fastsim import FastSimulator, clear_timing_memo
+from repro.engine.store import ResultStore
 from repro.engine.sweep import (
     SweepPoint,
     build_grid,
@@ -125,6 +130,74 @@ class TestRunSweep:
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep([SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="warp"))])
+
+
+def _refuse_to_tick(self, num_blocks, max_cycles):
+    raise AssertionError(f"ticked a {num_blocks}-block lane")
+
+
+def _strip(row, ignore=("elapsed_s", "attempts", "engine")):
+    return {k: v for k, v in dataclasses.asdict(row).items() if k not in ignore}
+
+
+class TestWorkerLanes:
+    """Lanes take whole kernels and send their lane timings home."""
+
+    KERNELS = ["gradient", "chebyshev", "poly5"]
+
+    def _grid(self, engine="fast", seed=0):
+        return build_grid(
+            self.KERNELS,
+            overlays=[OverlaySpec("v1"), OverlaySpec("v2")],
+            sim=SimSpec(engine=engine, num_blocks=16, seed=seed),
+        )
+
+    def test_the_parent_memo_keeps_what_the_workers_timed(self):
+        run_sweep(self._grid(), jobs=2)
+        pooled = len(fastsim._TIMINGS)
+        clear_timing_memo()
+        run_sweep(self._grid(), jobs=1)
+        assert pooled == len(fastsim._TIMINGS) > 0
+
+    def test_lanes_forked_from_a_warm_memo_equal_a_cycle_sweep(self, tmp_path, monkeypatch):
+        run_sweep(self._grid(seed=1), jobs=2, store=ResultStore(str(tmp_path / "first")))
+        with monkeypatch.context() as patch:
+            # Lanes forked from here inherit the patch: a tick fails its point.
+            patch.setattr(FastSimulator, "_time_lane", _refuse_to_tick)
+            warm = run_sweep(
+                self._grid(seed=2), jobs=2, retries=0, store=ResultStore(str(tmp_path / "second"))
+            )
+        cycle = run_sweep(self._grid("cycle", seed=2), jobs=2)
+        assert not any(row.quarantined for row in warm)
+        assert [_strip(row) for row in warm] == [_strip(row) for row in cycle]
+
+    @pytest.mark.parametrize(
+        "kernels, jobs", [(["gradient"], 2), (["gradient", "chebyshev"], 3)],
+        ids=["one-kernel", "more-lanes-than-kernels"],
+    )
+    def test_rows_come_back_in_grid_order(self, kernels, jobs):
+        grid = build_grid(
+            kernels, overlays=[OverlaySpec("v1"), OverlaySpec("v2"), OverlaySpec("v3")], sim=FAST8
+        )
+        lanes = run_sweep(grid, jobs=jobs)
+        serial = run_sweep(grid, jobs=1)
+        assert [_strip(row) for row in lanes] == [_strip(row) for row in serial]
+
+    @pytest.mark.parametrize("platform", ["affinity", "no-affinity"])
+    def test_jobs_none_on_one_usable_cpu_starts_no_pool(self, monkeypatch, platform):
+        if platform == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process with one usable CPU started a worker pool")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        rows = run_sweep(self._grid(), jobs=None)
+        assert all(row.matches_reference for row in rows)
+        assert set(evaluate_many(self.KERNELS, variants=("v1",), jobs=None)) == set(self.KERNELS)
 
 
 class TestEvaluateMany:

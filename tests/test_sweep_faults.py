@@ -6,12 +6,12 @@ degradation path documented in ``docs/sweeps.md``:
 
 * attributable faults (raise, timeout) consume the point's retry budget and
   quarantine past it — the rest of the grid always completes;
-* a dead worker (``BrokenProcessPool``) re-runs the implicated points on a
-  single-worker isolation pool, so the crash is charged to the point that
-  actually causes it and innocent neighbours are never quarantined;
+* each worker lane holds one point, so a dead worker (``BrokenProcessPool``)
+  is charged to the point that actually causes it, and innocent neighbours
+  are never charged or quarantined;
 * an interrupted store-backed sweep, resumed, yields the same rows as an
   uninterrupted run (the PR's kill-resume equivalence acceptance test);
-* ``evaluate_many`` (the same pool, without retries) raises ``SweepError``
+* ``evaluate_many`` (the same lanes, without retries) raises ``SweepError``
   naming the failing kernel, and only it, on the pool and serial paths.
 """
 
@@ -129,7 +129,7 @@ class TestSerialRetries:
 
 class TestWorkerDeath:
     def test_single_worker_death_retries_and_recovers(self, tmp_path):
-        # chebyshev kills its worker exactly once; isolation re-runs it and
+        # chebyshev kills its worker exactly once; its lane retries it and
         # every point of the grid still produces a measured row.
         plan = FaultPlan(
             rules=(FaultRule(mode="exit", kernel="chebyshev", times=1),),
@@ -144,8 +144,7 @@ class TestWorkerDeath:
     def test_poisonous_point_is_quarantined_alone(self):
         # chebyshev kills every worker that ever runs it; the grid must
         # finish with exactly one quarantined row and full results for the
-        # innocent neighbours that shared the broken pools (isolation
-        # attributes the crash instead of charging everyone in flight).
+        # innocent neighbours, whichever lane ran them.
         plan = FaultPlan(rules=(FaultRule(mode="exit", kernel="chebyshev"),))
         with plan.install():
             rows = run_sweep(_grid(), jobs=2, retries=1)
@@ -159,6 +158,29 @@ class TestWorkerDeath:
             assert not row.quarantined
             assert row.attempts == 1  # never charged for the neighbour
             assert row.matches_reference is True
+
+    def test_a_death_costs_its_own_point_one_attempt(self, tmp_path):
+        plan = FaultPlan(
+            rules=(FaultRule(mode="exit", kernel="chebyshev", times=1),),
+            state_dir=str(tmp_path),
+        )
+        with plan.install():
+            rows = run_sweep(_grid(), jobs=2, retries=2)
+        assert {r.kernel: r.attempts for r in rows} == {
+            "gradient": 1, "chebyshev": 2, "mibench": 1, "poly5": 1,
+        }
+
+    def test_poisonous_point_runs_once_per_attempt(self, tmp_path):
+        # The rule claims one marker file per run, so the files count runs.
+        plan = FaultPlan(
+            rules=(FaultRule(mode="exit", kernel="chebyshev", times=10),),
+            state_dir=str(tmp_path),
+        )
+        with plan.install():
+            rows = run_sweep(_grid(), jobs=2, retries=1)
+        bad = {r.kernel: r for r in rows}["chebyshev"]
+        assert bad.quarantined and bad.attempts == 2
+        assert len(os.listdir(tmp_path)) == 2
 
     def test_death_results_match_a_clean_run(self, tmp_path):
         plan = FaultPlan(
