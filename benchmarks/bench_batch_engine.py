@@ -1,7 +1,7 @@
 """Batched-engine gate: the numpy image value plane vs the scalar DFG plane.
 
-``fast`` and ``batched`` time every lane with the same interpreted tick
-loop and the same lane-timing memo; what differs is the value plane.
+``fast`` and ``batched`` time every lane with the same block recurrence
+and the same lane-timing memo; what differs is the value plane.
 ``batched`` executes the compiled configuration image on numpy, once over
 the whole stream, and ``fast`` evaluates the DFG one Python statement per
 node and block.  Long streams on wide overlays are where that matters: this
@@ -15,7 +15,7 @@ as ``batch_engine_speedup`` into ``BENCH_results.json`` next to the
 wall-clock timings.
 
 Every timed run starts from an empty timing memo
-(``fastsim.clear_timing_memo``), so both engines tick their lanes instead
+(``fastsim.clear_timing_memo``), so both engines time their lanes instead
 of reading a timing an earlier run (of either engine) left.
 
 The two engines must also produce bit-identical results — the gate is only
@@ -103,7 +103,7 @@ def _cases():
 def _timed_run(simulator_class, schedule, blocks):
     # Start every run from a collected heap: otherwise a collection of the
     # previous run's garbage lands at random in a later run's timing.  And
-    # from an empty timing memo: a repeated shape would skip the tick loop
+    # from an empty timing memo: a repeated shape would skip the recurrence
     # both engines run.
     gc.collect()
     clear_timing_memo()

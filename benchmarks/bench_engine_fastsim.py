@@ -14,7 +14,7 @@ multi-x speedup.
 The fast engine memoises lane timings process-wide, keyed by schedule
 content, and the cross-check's fast sweep repeats the grid the benchmarked
 one ran, so each timed fast sweep starts from an empty memo
-(``clear_timing_memo``): it ticks each distinct lane timing once, sharing
+(``clear_timing_memo``): it times each distinct lane once, sharing
 one only between the equal lanes of a V2 point or points of equal schedule
 content, as any fresh fast run does.
 """

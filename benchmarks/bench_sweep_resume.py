@@ -59,7 +59,7 @@ def _rows_modulo_wallclock(rows):
 def test_sweep_resume_speedup_gate(tmp_path, record_metric, save_result):
     """Cold store-backed sweep, then a pure-lookup resume; gate the ratio."""
     store_dir = str(tmp_path / "store")
-    # Cold means every lane ticks: the timing memo is process-wide and keyed
+    # Cold means every lane is timed: the timing memo is process-wide and keyed
     # by schedule content, so an earlier bench's runs would otherwise serve
     # this grid's lanes.
     clear_timing_memo()

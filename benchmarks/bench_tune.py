@@ -150,7 +150,7 @@ def test_triage_throughput_beats_simulation(record_metric, save_result):
 
     def simulate_pass():
         for handle in handles:
-            # Every config ticks its own loop: it would otherwise read the
+            # Every config times its own lanes: it would otherwise read the
             # lane timing an earlier pass, or an earlier config of equal
             # schedule content (the memo is keyed by content), left.
             clear_timing_memo()

@@ -49,7 +49,7 @@ def save_result(results_dir):
 def record_metric():
     """Record a named numeric metric into ``BENCH_results.json``.
 
-    Metrics (e.g. the deep-sweep detector-speedup gate) merge into the same
+    Metrics (e.g. the deep-sweep fast-forward speedup gate) merge into the same
     artefact as the wall-clock timings, so perf ratios across PRs are
     diffable alongside the raw durations.
     """

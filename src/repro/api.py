@@ -408,7 +408,7 @@ class Toolchain:
         process may run on), each warming its own process-wide cache
         (share compilations across workers via the ``REPRO_CACHE_DIR`` disk
         layer).  The lane timings the workers measure join this process's
-        timing memo, so a later sweep's workers skip those tick loops.
+        timing memo, so a later sweep's workers do not time those shapes again.
 
         The grid runs on the fault-tolerant runner: the spec's ``retries``
         / ``timeout_s`` bound each point's fault budget (exhausted points

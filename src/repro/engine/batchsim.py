@@ -2,9 +2,9 @@
 
 :class:`BatchSimulator` (``engine="batched"``) is a
 :class:`~repro.engine.fastsim.FastSimulator` with one part swapped: the
-value plane.  Timing is the fast engine's own code, the interpreted tick
-loop (``_FastFU.tick``), the steady-state detector and the lane-timing memo
-of :meth:`~repro.engine.fastsim.FastSimulator._run_timing`, so a ``fast``
+value plane.  Timing is the fast engine's own code, the max-plus block
+recurrence with its fast-forward jumps and the lane-timing memo of
+:meth:`~repro.engine.fastsim.FastSimulator._run_timing`, so a ``fast``
 and a ``batched`` run of one stream shape share one memo entry, and on
 every artifact codegen encodes correctly the batched engine's results are
 **bit-identical** to the cycle simulator's (the equivalence suites assert
@@ -14,7 +14,7 @@ it library-wide):
    evolution depends only on how many blocks it receives (see the
    :mod:`~repro.engine.fastsim` module docstring).  Round-robin dealing
    gives every lane of a multilane (V2-style) overlay one of at most two
-   distinct block counts, and the timing memo ticks once per *distinct
+   distinct block counts, and the timing memo times once per *distinct
    lane length*.  The batched engine also runs its value plane once over
    the whole stream and deals the rows out to the lanes.
 
@@ -212,8 +212,8 @@ def plan_for(schedule: OverlaySchedule) -> VectorBlockEvaluator:
 class BatchSimulator(FastSimulator):
     """The fast engine whose value plane executes the compiled image.
 
-    It times every lane with the fast engine's own tick loop and timing
-    memo, so a ``fast`` and a ``batched`` run of one shape share one lane
+    It times every lane with the fast engine's own block recurrence and
+    timing memo, so a ``fast`` and a ``batched`` run of one shape share one lane
     timing; on a correctly encoded artifact every result equals the cycle
     engine's (asserted library-wide by ``tests/test_engine_batchsim.py``).
     Its :class:`VectorBlockEvaluator` comes from :func:`plan_for`, one per
@@ -243,7 +243,7 @@ class BatchSimulator(FastSimulator):
             return self._run_lane(blocks)
         # The value plane runs once over the whole stream; each lane takes
         # its rows.  Round-robin dealing leaves at most two distinct lane
-        # lengths, and the timing memo ticks once per length.
+        # lengths, and the timing memo times once per length.
         outputs = self._outputs(blocks)
         lane_results: List[Optional[SimulationResult]] = [
             replace(self._run_timing(len(stream)), outputs=outputs[lane::lanes]) if stream else None

@@ -8,48 +8,35 @@ measurements an order of magnitude faster, exploiting two observations:
 1. **Timing is value-independent.**  Nothing in the FU control logic — load
    ordering, operand-ready checks, FIFO backpressure, block gaps — depends on
    the *numeric* value of a token, only on which ``(block, value id)`` pairs
-   are where.  The engine therefore simulates tokens as bare identifiers and
+   are where.  The engine therefore times events without values and
    reconstructs the output stream functionally from the DFG (applying the
    same 32-bit wrap the datapath applies to values that transit PASS slots),
    so the produced ``outputs`` are bit-identical to the cycle simulator's.
 
-2. **The pipeline reaches a periodic steady state.**  Once the cascade is
-   full, the machine state repeats every initiation interval, shifted by a
-   constant number of cycles and data blocks.  The engine fingerprints the
-   control state each time a block completes; when a fingerprint recurs the
-   run is provably periodic, and the engine analytically fast-forwards N
-   whole periods — relabelling in-flight state, extrapolating completion
-   times and adding N x the per-period statistics deltas — then finishes the
-   drain cycle-accurately.  Stat counters, FIFO/RF high-water marks and
-   completion cycles all match the cycle simulator exactly (see
-   ``docs/engine.md`` for the correctness argument).
-
-The steady-state detector canonicalises each FU's state relative to its
-*own* oldest in-flight block and each channel's content by its occupancy
-alone.  That fingerprint recurs as soon as every stage is *locally*
-periodic — long before the FIFO-fill transient of a deep kernel on a
-fixed-depth overlay ends — and the bounded-FIFO occupancy argument (see
-``docs/engine.md``) makes the skip exact even while occupancies are still
-ramping: the engine tracks, per channel and per detection window, the
-minimum occupancy at consumer emptiness checks and the maximum pressure at
-producer backpressure checks, and only jumps as many periods as keep every
-threshold outcome unchanged.  The analytic warm-up bound
-:func:`steady_state_warmup_bound` caps the fingerprint table and serves as
-a cross-check oracle in the test suite.
-
-Events that need sub-cycle ordering (ALU results whose pipeline latency
-elapsed, internal write-backs reaching the register file) are kept in
-per-FU ready queues that are drained in issue order, mirroring the delivery
-phase of the cycle simulator; everything else advances in the same
-upstream-to-downstream cycle-synchronous order.
+2. **Timing is a max-plus recurrence over blocks.**  Every load and every
+   slot issue happens at the maximum of a few earlier events plus fixed
+   gaps: the previous load or issue (plus the block gap), the block's last
+   load, the write-backs of its operands, the token's arrival from
+   upstream, lookahead or the block barrier, and the FIFO slot the
+   downstream stage freed ``fifo_depth`` tokens earlier.  These references
+   are the same for every block and never look forward, so the engine
+   builds one block's template per lane (:class:`_BlockTemplate`) and
+   evaluates it block after block.  Stall counters, completion cycles and
+   FIFO/RF high-water marks are read off the same event times.  Once every
+   stage's events shift by a constant per block over the template's
+   look-back window, the rest repeats: the engine jumps to the end of the
+   stream when all stages share that shift, and, while a FIFO fills between
+   stages of different rates, as far as no reference between them can
+   bind.  Every field still equals the cycle simulator's (see
+   ``docs/engine.md`` for the argument).
 
 Because timing is value-independent, a lane's timing is a function of what
-the tick loop reads of the schedule and of the lane length alone, so one
+the recurrence reads of the schedule and of the lane length alone, so one
 process-wide memo keeps the lane timings runs measured, keyed by that
 content (:meth:`FastSimulator._run_timing`, :func:`clear_timing_memo`): a
-repeated stream shape skips the tick loop, also on another schedule object
-of equal content, and still computes its outputs from the new stream.  This
-tick loop is the one timing path of both production engines: the batched
+repeated stream shape is not timed again, also on another schedule object
+of equal content, and still computes its outputs from the new stream.  The
+recurrence is the one timing path of both production engines: the batched
 engine (:mod:`repro.engine.batchsim`) swaps only the value plane, so the two
 share every memo entry.
 """
@@ -59,12 +46,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from array import array
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from collections import OrderedDict
+from graphlib import CycleError, TopologicalSorter
+from operator import sub
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError
 from ..kernels.reference import IdentityMemo, stream_evaluator
-from ..schedule.types import OverlaySchedule, SlotKind
+from ..schedule.types import OverlaySchedule
 from ..sim.fu import FUStats
 from ..sim.overlay import (
     SimulationResult,
@@ -75,471 +64,315 @@ from ..sim.overlay import (
     split_lane_blocks,
 )
 
-#: Counter attribute names, in :class:`FUStats` field order.
-_STAT_FIELDS = (
-    "loads_issued",
-    "instructions_issued",
-    "nops_issued",
-    "exec_stall_cycles",
-    "load_stall_cycles",
-    "backpressure_stall_cycles",
-)
-
-#: Sentinel for block pointers that are pinned at ``num_blocks`` from cycle 0
-#: (stages with no loads / no slots) and must not be relabelled by the
-#: steady-state shift.
-_PINNED = -(10 ** 9)
-
-
-class _FastRF:
-    """Value-free register-file occupancy model.
-
-    Mirrors :class:`repro.sim.rf.RegisterFileModel` exactly — same residency
-    rules, same drop-writes-with-no-readers behaviour, same high-water
-    accounting (updated on writes only) — but stores only remaining read
-    counts, never values.
-    """
-
-    __slots__ = (
-        "name",
-        "physical_depth",
-        "frame_capacity",
-        "reads_left",
-        "const_ids",
-        "num_constants",
-        "block_counts",
-        "high_water",
-        "per_block_high_water",
-    )
-
-    def __init__(self, name: str, physical_depth: int, frame_capacity: int, const_ids: Set[int]):
-        self.name = name
-        self.physical_depth = physical_depth
-        self.frame_capacity = frame_capacity
-        self.reads_left: Dict[Tuple[int, int], int] = {}
-        self.const_ids = const_ids
-        self.num_constants = len(const_ids)
-        self.block_counts: Dict[int, int] = {}
-        self.high_water = 0
-        self.per_block_high_water = 0
-
-    def write(self, block: int, value_id: int, reads: int) -> None:
-        if reads <= 0:
-            return
-        key = (block, value_id)
-        if key not in self.reads_left:
-            self.block_counts[block] = self.block_counts.get(block, 0) + 1
-        self.reads_left[key] = reads
-        live = len(self.reads_left) + self.num_constants
-        if live > self.high_water:
-            self.high_water = live
-        candidate = self.block_counts[block] + self.num_constants
-        if candidate > self.per_block_high_water:
-            self.per_block_high_water = candidate
-
-    def has(self, block: int, value_id: int) -> bool:
-        return (block, value_id) in self.reads_left or value_id in self.const_ids
-
-    def consume(self, block: int, value_id: int) -> None:
-        key = (block, value_id)
-        if key not in self.reads_left:
-            if value_id in self.const_ids:
-                return
-            raise SimulationError(
-                f"register file {self.name!r}: value N{value_id} of block {block} "
-                "is not resident"
-            )
-        remaining = self.reads_left[key] - 1
-        if remaining <= 0:
-            del self.reads_left[key]
-            count = self.block_counts[block] - 1
-            if count:
-                self.block_counts[block] = count
-            else:
-                del self.block_counts[block]
-        else:
-            self.reads_left[key] = remaining
-
-    def check_capacity(self) -> None:
-        if (
-            self.high_water > self.physical_depth
-            or self.per_block_high_water > self.frame_capacity
-        ):
-            raise SimulationError(
-                f"register file {self.name!r} overflows: peak {self.high_water} "
-                f"entries (physical {self.physical_depth}), per-block peak "
-                f"{self.per_block_high_water} (frame {self.frame_capacity})"
-            )
-
-    def shift(self, delta_blocks: int) -> None:
-        self.reads_left = {
-            (block + delta_blocks, vid): n for (block, vid), n in self.reads_left.items()
-        }
-        self.block_counts = {
-            block + delta_blocks: n for block, n in self.block_counts.items()
-        }
-
-
-class _FastChannel:
-    """Bounded inter-stage FIFO holding ``(block, value id)`` tokens.
-
-    Besides the queue itself the channel keeps per-detection-window records
-    of every occupancy value that actually steered control flow — the queue
-    length at each consumer emptiness check and the queue+pending pressure at
-    each producer backpressure check — which is what lets the occupancy
-    detector prove that a fast-forward cannot flip any threshold outcome
-    while the FIFO is still filling.
-    """
-
-    __slots__ = (
-        "name",
-        "capacity",
-        "queue",
-        "high_water",
-        "win_min_empty",
-        "win_max_press",
-        "win_press_full",
-        "win_push_max",
-    )
-
-    def __init__(self, name: str, capacity: int):
-        self.name = name
-        self.capacity = capacity
-        self.queue: Deque[Tuple[int, int]] = deque()
-        self.high_water = 0
-        self.reset_window()
-
-    def reset_window(self) -> None:
-        #: Minimum queue length seen at a consumer emptiness check (None if
-        #: the consumer never looked), maximum queue+pending pressure seen at
-        #: a producer backpressure check that *passed* (None if none did),
-        #: whether any backpressure check found the channel full, and the
-        #: maximum post-push occupancy — all since the last detection event.
-        self.win_min_empty: Optional[int] = None
-        self.win_max_press: Optional[int] = None
-        self.win_press_full = False
-        self.win_push_max = 0
-
-    def push(self, token: Tuple[int, int]) -> None:
-        if self.capacity > 0 and len(self.queue) >= self.capacity:
-            raise SimulationError(
-                f"FIFO {self.name!r} overflow (capacity {self.capacity}); "
-                "the producer should have been back-pressured"
-            )
-        self.queue.append(token)
-        occupancy = len(self.queue)
-        if occupancy > self.high_water:
-            self.high_water = occupancy
-        if occupancy > self.win_push_max:
-            self.win_push_max = occupancy
-
 
 def _stage_program(schedule: OverlaySchedule, stage_index: int) -> Tuple[tuple, tuple, tuple]:
-    """What the tick loop reads of one stage: its load order, each slot as
-    the dispatch tuple ``(is_nop, operands, emits, value_id, write_back)``,
-    and the constants preloaded into its register file."""
+    """What the recurrence reads of one stage: its load order, each slot as
+    ``(is_nop, operands, emits, value_id, write_back)``, and the constants
+    preloaded into its register file."""
     stage = schedule.stage(stage_index)
     slots = tuple(
-        (
-            slot.kind is SlotKind.NOP,
-            tuple(slot.operands),
-            slot.emits,
-            slot.value_id,
-            slot.write_back,
-        )
+        (slot.is_nop, tuple(slot.operands), slot.emits, slot.value_id, slot.write_back)
         for slot in stage.slots
     )
     return tuple(stage.load_order), slots, tuple(schedule.constants_used(stage_index))
 
 
-class _FastFU:
-    """Timing-only mirror of :class:`repro.sim.fu.FUSimulator`.
+# ---------------------------------------------------------------------------
+# block recurrence
+# ---------------------------------------------------------------------------
+#: The cycle of every event of the blocks before block 0: no reference to
+#: one of them binds.
+_NEVER = -(1 << 60)
+#: Beyond every cycle a lane reaches.
+_FOREVER = 1 << 62
 
-    Stage 0 has no explicit input queue: its input stream is a virtual
-    source (``load_block``/``load_index`` fully determine the next token and
-    the DMA-fed input FIFO of the cycle simulator is never empty), which is
-    what makes the steady-state fingerprint O(in-flight state) instead of
-    O(num_blocks).
+
+class _BlockTemplate:
+    """One block's events and the max-plus references between them.
+
+    Each load and each slot of each stage is one event, numbered stage by
+    stage, loads first.  An event's cycle is the largest of ``0`` and its
+    references ``(blocks back, event, cycles added)`` into the lane's last
+    :attr:`window` + 1 blocks.  :attr:`program` lists the events so that a
+    reference into the same block is always computed first, each as
+    ``(event, references within its stage, reference into another stage)``.
+    That last one, or None, is a load's token arrival or an emitting slot's
+    free FIFO slot, with a fourth field: the stall counter what it adds to
+    the cycle is charged to, stage ``k``'s load stall ``2k`` or
+    backpressure ``2k + 1``.
+
+    Building raises :class:`SimulationError` on a malformed schedule: a
+    stage that does not load the stream its upstream emits, a value written
+    twice in one block, an operand nothing writes, a block that waits on
+    itself, or a last stage whose blocks never complete.
     """
 
-    __slots__ = (
-        "stage_index",
-        "num_blocks",
-        "load_order",
-        "slots",
-        "read_counts",
-        "rf",
-        "in_channel",
-        "out_channel",
-        "overlap",
-        "lookahead",
-        "alu_depth",
-        "wb_latency",
-        "exec_gap",
-        "load_gap",
-        "load_block",
-        "load_index",
-        "next_load_cycle",
-        "block_load_barrier",
-        "load_complete",
-        "exec_block",
-        "slot_index",
-        "next_exec_cycle",
-        "pending_out",
-        "pending_wb",
-        "loads_issued",
-        "instructions_issued",
-        "nops_issued",
-        "exec_stall_cycles",
-        "load_stall_cycles",
-        "backpressure_stall_cycles",
-    )
-
-    def __init__(self, schedule: OverlaySchedule, stage_index: int, num_blocks: int,
-                 in_channel: Optional[_FastChannel], out_channel: Optional[_FastChannel]):
+    def __init__(self, schedule: OverlaySchedule):
         variant = schedule.variant
-        self.load_order, self.slots, constants = _stage_program(schedule, stage_index)
-        const_ids = set(constants)
-        self.stage_index = stage_index
-        self.num_blocks = num_blocks
-        # How many slots read each non-constant operand, per block.
-        self.read_counts: Dict[int, int] = {}
-        for _nop, operands, _emits, _vid, _wb in self.slots:
-            for operand in operands:
-                if operand not in const_ids:
-                    self.read_counts[operand] = self.read_counts.get(operand, 0) + 1
-        self.rf = _FastRF(
-            name=f"FU{stage_index}.rf",
-            physical_depth=variant.rf_depth,
-            frame_capacity=variant.rf_frame_capacity,
-            const_ids=const_ids,
-        )
-        self.in_channel = in_channel
-        self.out_channel = out_channel
-        self.overlap = variant.overlap_load_execute
-        self.lookahead = 1 if variant.overlap_load_execute else 0
-        self.alu_depth = variant.alu_pipeline_depth
-        self.wb_latency = variant.iwp or variant.alu_pipeline_depth
-        self.exec_gap = variant.exec_block_gap
-        self.load_gap = variant.load_block_gap
-
-        # Pin the load (exec) pointer of a stage without loads (slots) at
-        # num_blocks for the whole run: that half of the FU never issues.
-        self.load_block = 0 if self.load_order else num_blocks
-        self.load_index = 0
-        self.next_load_cycle = 0
-        self.block_load_barrier = 0
-        self.load_complete: Dict[int, int] = {}
-        self.exec_block = 0 if self.slots else num_blocks
-        self.slot_index = 0
-        self.next_exec_cycle = 0
-        self.pending_out: Deque[Tuple[int, int, int]] = deque()
-        self.pending_wb: Deque[Tuple[int, int, int]] = deque()
-
-        self.loads_issued = 0
-        self.instructions_issued = 0
-        self.nops_issued = 0
-        self.exec_stall_cycles = 0
-        self.load_stall_cycles = 0
-        self.backpressure_stall_cycles = 0
-
-    # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        wb = self.pending_wb
-        while wb and wb[0][0] <= cycle:
-            _, block, value_id = wb.popleft()
-            self.rf.write(block, value_id, self.read_counts.get(value_id, 0))
-        load_used_port = self._tick_load(cycle)
-        if self.overlap or not load_used_port:
-            self._tick_exec(cycle)
-
-    def _tick_load(self, cycle: int) -> bool:
-        if self.load_block >= self.num_blocks:
-            return False
-        if cycle < self.next_load_cycle or cycle < self.block_load_barrier:
-            return False
-        if self.load_block > self.exec_block + self.lookahead:
-            return False
-        expected = self.load_order[self.load_index]
-        if self.in_channel is None:
-            # Virtual DMA source: the next token is always available and is
-            # exactly (load_block, expected) by construction.
-            block, value_id = self.load_block, expected
-        else:
-            channel = self.in_channel
-            queue = channel.queue
-            occupancy = len(queue)
-            if channel.win_min_empty is None or occupancy < channel.win_min_empty:
-                channel.win_min_empty = occupancy
-            if not queue:
-                self.load_stall_cycles += 1
-                return False
-            block, value_id = queue[0]
-            if block != self.load_block or value_id != expected:
+        depth, fifo = schedule.depth, schedule.overlay.fifo_depth
+        last = depth - 1
+        programs = [_stage_program(schedule, k) for k in range(depth)]
+        emitted = [
+            [vid for _nop, _ops, emits, vid, _wb in slots if emits and vid is not None]
+            for _loads, slots, _consts in programs
+        ]
+        if not emitted[last]:
+            raise SimulationError("the final stage emits nothing; schedule is broken")
+        if len(set(emitted[last])) < len(emitted[last]):
+            raise SimulationError(f"FU{last} emits a value twice per block, so no block completes")
+        for k in range(1, depth):
+            if list(programs[k][0]) != emitted[k - 1] or not emitted[k - 1]:
                 raise SimulationError(
-                    f"FU{self.stage_index}: expected value N{expected} of block "
-                    f"{self.load_block} on the input FIFO, found N{value_id} of "
-                    f"block {block}"
+                    f"FU{k} loads {list(programs[k][0])} but FU{k - 1} emits "
+                    f"{emitted[k - 1]}; the stream between them is broken"
                 )
-            queue.popleft()
-        self.rf.write(block, value_id, self.read_counts.get(value_id, 0))
-        self.loads_issued += 1
-        self.load_index += 1
-        self.next_load_cycle = cycle + 1
-        if self.load_index >= len(self.load_order):
-            self.load_complete[self.load_block] = cycle
-            self.load_index = 0
-            self.load_block += 1
-            self.next_load_cycle = cycle + 1 + self.load_gap
-        return True
+        self.depth, self.fifo, self.alu = depth, fifo, variant.alu_pipeline_depth
+        self.exec_gap = variant.exec_block_gap
+        self.shared_port = not variant.overlap_load_execute
+        self.rf_limits = (variant.rf_depth, variant.rf_frame_capacity)
+        #: The most blocks back a reference reaches.
+        self.window = max([2] + [-(-fifo // len(tokens)) for tokens in emitted[:last]])
+        self.loads = [len(loads) for loads, _slots, _consts in programs]
+        self.slots = [len(slots) for _loads, slots, _consts in programs]
+        self.ranges: List[Tuple[int, int]] = []
+        for size in map(sum, zip(self.loads, self.slots)):
+            start = self.ranges[-1][1] if self.ranges else 0
+            self.ranges.append((start, start + size))
+        self.size = self.ranges[-1][1]
+        self.stage_of = [k for k, (lo, hi) in enumerate(self.ranges) for _ in range(lo, hi)]
+        self.is_nop = [False] * self.size
+        wb_latency = variant.iwp or self.alu
+        refs: List[List[tuple]] = [[] for _ in range(self.size)]
+        cross: List[Optional[tuple]] = [None] * self.size
+        emits_at: List[List[int]] = []
+        #: Per stage: each register-file entry of one block as ``(writing
+        #: event, cycles added, last reading event)``, and how many constants
+        #: the stage holds.
+        self.registers: List[Tuple[List[tuple], int]] = []
+        for k, (load_order, slots, constants) in enumerate(programs):
+            first, end = self.ranges[k]
+            first_slot = first + len(load_order)
+            last_read = {
+                operand: first_slot + s
+                for s, (_nop, operands, _emits, _vid, _wb) in enumerate(slots)
+                for operand in operands
+                if operand not in constants
+            }
+            written = {
+                vid: first_slot + s
+                for s, (nop, _ops, _emits, vid, wb) in enumerate(slots)
+                if wb and not nop and vid is not None
+            }
+            writes = [vid for vid in load_order if vid in last_read] + [
+                vid for nop, _ops, _emits, vid, wb in slots if wb and not nop and vid in last_read
+            ]
+            for vid in writes:
+                if writes.count(vid) > 1:
+                    raise SimulationError(f"FU{k} writes N{vid} of each block more than once")
+            self.registers.append((
+                [(first + i, 0, last_read[vid])
+                 for i, vid in enumerate(load_order) if vid in last_read]
+                + [(event, wb_latency, last_read[vid])
+                   for vid, event in written.items() if vid in last_read],
+                len(constants),
+            ))
 
-    def _tick_exec(self, cycle: int) -> None:
-        if self.exec_block >= self.num_blocks:
-            return
-        if cycle < self.next_exec_cycle:
-            return
-        if self.load_order and (
-            self.load_block <= self.exec_block
-            or cycle <= self.load_complete.get(self.exec_block, -1)
-        ):
-            self.exec_stall_cycles += 1
-            return
-        is_nop, operands, emits, value_id, write_back = self.slots[self.slot_index]
-        block = self.exec_block
+            for i in range(len(load_order)):
+                event = first + i
+                if i:
+                    refs[event].append((0, event - 1, 1))
+                else:
+                    refs[event].append((1, first_slot - 1, 1 + variant.load_block_gap))
+                    if variant.overlap_load_execute:
+                        refs[event].append((2, end - 1, 1))  # lookahead
+                    else:
+                        refs[event].append((1, end - 1, 1 + self.exec_gap))  # barrier
+                if k:
+                    cross[event] = (0, emits_at[k - 1][i], self.alu, 2 * k)
+            emits_at.append([])
+            for s, (nop, operands, emits, vid, _wb) in enumerate(slots):
+                event = first_slot + s
+                self.is_nop[event] = nop
+                refs[event].append((0, event - 1, 1) if s else (1, end - 1, 1 + self.exec_gap))
+                if load_order:
+                    refs[event].append((0, first_slot - 1, 1))
+                for operand in operands:
+                    if operand in constants or operand in load_order:
+                        continue
+                    if operand not in written:
+                        raise SimulationError(
+                            f"FU{k} slot {s} reads N{operand}, which FU{k} neither "
+                            "loads, writes back nor holds as a constant"
+                        )
+                    refs[event].append((0, written[operand], wb_latency))
+                if emits and k < last:
+                    # The FIFO has room once the downstream stage has loaded
+                    # the token ``fifo_depth`` emits back.
+                    back, index = divmod(len(emits_at[k]) - fifo, len(emitted[k]))
+                    cross[event] = (-back, self.ranges[k + 1][0] + index, 1, 2 * k + 1)
+                if emits and vid is not None:
+                    emits_at[k].append(event)
 
-        if is_nop:
-            self.nops_issued += 1
-            self.instructions_issued += 1
-            self._advance_slot(cycle)
-            return
-
-        rf = self.rf
-        for operand in operands:
-            if not rf.has(block, operand):
-                self.exec_stall_cycles += 1
-                return
-        if emits and self.out_channel is not None and self.out_channel.capacity > 0:
-            channel = self.out_channel
-            pressure = len(channel.queue) + len(self.pending_out)
-            if pressure >= channel.capacity:
-                channel.win_press_full = True
-                self.backpressure_stall_cycles += 1
-                return
-            if channel.win_max_press is None or pressure > channel.win_max_press:
-                channel.win_max_press = pressure
-
-        for operand in operands:
-            rf.consume(block, operand)
-        self.instructions_issued += 1
-        if emits and value_id is not None:
-            self.pending_out.append((cycle + self.alu_depth, block, value_id))
-        if write_back and value_id is not None:
-            self.pending_wb.append((cycle + self.wb_latency, block, value_id))
-        self._advance_slot(cycle)
-
-    def _advance_slot(self, cycle: int) -> None:
-        self.slot_index += 1
-        self.next_exec_cycle = cycle + 1
-        if self.slot_index >= len(self.slots):
-            self.slot_index = 0
-            self.exec_block += 1
-            self.next_exec_cycle = cycle + 1 + self.exec_gap
-            if not self.overlap:
-                self.block_load_barrier = cycle + 1 + self.exec_gap
+        graph = {}
+        for event in range(self.size):
+            links = refs[event] + ([cross[event]] if cross[event] else [])
+            graph[event] = {link[1] for link in links if not link[0]}
+        try:
+            order = TopologicalSorter(graph).static_order()
+            self.program = [(event, tuple(refs[event]), cross[event]) for event in order]
+        except CycleError as error:
+            event = error.args[1][0]
+            k = self.stage_of[event]
+            index = event - self.ranges[k][0]
+            what = f"load {index}" if index < self.loads[k] else f"slot {index - self.loads[k]}"
+            raise SimulationError(
+                f"FU{k} {what} waits on a later event of its own block; the schedule deadlocks"
+            ) from None
+        #: Per channel: the events that push its tokens, and those that pop them.
+        self.channels = [
+            (emits_at[k], range(self.ranges[k + 1][0], self.ranges[k + 1][0] + self.loads[k + 1]))
+            for k in range(last)
+        ]
+        #: The event whose result completes a block, and the tokens a block emits.
+        self.completes, self.emitted = emits_at[last][-1], len(emits_at[last])
 
     # ------------------------------------------------------------------
-    # steady-state support
-    # ------------------------------------------------------------------
-    def base_block(self) -> int:
-        """This FU's oldest in-flight block — the canonical relabelling base.
+    def evaluate(self, hist: List[List[int]], stalls: List[int]) -> None:
+        """Time the block ``hist[0]`` from the blocks before it."""
+        times = hist[0]
+        for event, refs, cross in self.program:
+            cycle = 0
+            for back, source, delay in refs:
+                ready = hist[back][source] + delay
+                if ready > cycle:
+                    cycle = ready
+            if cross is not None:
+                back, source, delay, counter = cross
+                ready = hist[back][source] + delay
+                if ready > cycle:
+                    stalls[counter] += ready - cycle
+                    cycle = ready
+            times[event] = cycle
 
-        The occupancy detector fingerprints every FU relative to its *own*
-        base so the fingerprint recurs as soon as the stage is locally
-        periodic, even while it still runs ahead of (or behind) the global
-        completion frontier during the FIFO-fill transient.
-        """
-        if self.slots:
-            return self.exec_block
-        if self.load_order:
-            return self.load_block
-        return 0
+    def track_shifts(self, hist: List[List[int]], shifts: List[Optional[int]],
+                     runs: List[int]) -> None:
+        """Count, per stage, the blocks in a row whose events all moved on
+        by one shift from the block before."""
+        times, previous = hist[0], hist[1]
+        for k, (lo, hi) in enumerate(self.ranges):
+            steps = set(map(sub, times[lo:hi], previous[lo:hi]))
+            step = steps.pop() if len(steps) == 1 else None
+            if step is None or step != shifts[k]:
+                runs[k] = 0
+            runs[k] += step is not None
+            shifts[k] = step
 
-    def frontier_block(self) -> int:
-        """The most advanced block pointer of this FU (end-of-stream guard)."""
-        frontier = -1
-        if self.load_order:
-            frontier = self.load_block
-        if self.slots and self.exec_block > frontier:
-            frontier = self.exec_block
-        return frontier
+    def fill_fifos(self, hist: List[List[int]], block: int, heads: List[int],
+                   peaks: List[int]) -> None:
+        """Raise each channel's high water to its occupancy after each push
+        of the block ``hist[0]``.  ``heads[k]`` is channel ``k``'s oldest
+        token not yet popped at its last push; a token pushed and popped in
+        one cycle is pushed first."""
+        times = hist[0]
+        for k, (pushes, pops) in enumerate(self.channels):
+            width = len(pops)
+            token = block * width
+            head = heads[k]
+            for push in pushes:
+                arrival = times[push] + self.alu
+                head = max(head, token - self.fifo + 1)
+                while True:
+                    head_block, index = divmod(head, width)
+                    if hist[block - head_block][pops[index]] >= arrival:
+                        break
+                    head += 1
+                peaks[k] = max(peaks[k], token - head + 1)
+                token += 1
+            heads[k] = head
 
-    def fingerprint(self, cycle: int, base_block: int) -> tuple:
-        """Control state relative to ``(cycle, base_block)``.
+    def rf_peaks(self, k: int, blocks: Sequence[List[int]], limit: int) -> Tuple[int, int]:
+        """Stage ``k``'s register-file high water, and one block's, over the
+        writes up to cycle ``limit`` of consecutive ``blocks``.  At most two
+        consecutive blocks hold entries at once (a load waits for the issue
+        of the block two back), so every peak shows in some pair.  Within a
+        cycle the writes (a landing write-back, then a load) come before the
+        issuing slot's reads; the order of the two writes moves no peak."""
+        entries, constants = self.registers[k]
+        marks = []
+        for tag, times in enumerate(blocks):
+            for write, delay, read in entries:
+                if times[write] + delay <= limit:
+                    marks.append((times[write] + delay, False, tag))
+                    marks.append((times[read], True, tag))
+        if not marks:
+            return 0, 0
+        live = [0] * len(blocks)
+        total = peak = block_peak = 0
+        for _cycle, is_read, tag in sorted(marks):
+            step = -1 if is_read else 1
+            live[tag] += step
+            total += step
+            if step > 0:
+                peak = max(peak, total)
+                block_peak = max(block_peak, live[tag])
+        return peak + constants, block_peak + constants
 
-        Cycle-valued fields that are already in the past collapse to their
-        clamp value (they compare identically forever); block pointers pinned
-        at ``num_blocks`` (stages without loads/slots) map to a sentinel so
-        they never alias a live relative pointer.
-        """
-        c, r = cycle, base_block
-        has_loads = bool(self.load_order)
-        has_slots = bool(self.slots)
-        load_rel = self.load_block - r if has_loads else _PINNED
-        exec_rel = self.exec_block - r if has_slots else _PINNED
-        lc_window: Tuple[Tuple[int, int], ...] = ()
-        if has_loads and has_slots:
-            lc = self.load_complete
-            lc_window = tuple(
-                (b - r, max(lc.get(b, c - 1) - c, -1))
-                for b in range(self.exec_block, min(self.load_block, self.num_blocks))
+    def ramp_limit(self, hist: List[List[int]], shifts: List[int]) -> int:
+        """For how many more blocks every reference between stages of
+        different shifts stays at or below the cycle its event's own stage
+        gives it; 0 if one already binds."""
+        limit = _FOREVER
+        for event, refs, cross in self.program:
+            if cross is None:
+                continue
+            gain = shifts[self.stage_of[cross[1]]] - shifts[self.stage_of[event]]
+            if gain:
+                back, source, delay, _counter = cross
+                cycle = max([0] + [hist[b][s] + d for b, s, d in refs])
+                slack = cycle - hist[back][source] - delay
+                if slack < 0:
+                    return 0
+                if gain > 0:
+                    limit = min(limit, slack // gain)
+        return limit
+
+    def counters(self, hist: List[List[int]], stalls: List[int], num_blocks: int,
+                 done: int) -> Tuple[Tuple[int, ...], ...]:
+        """Each stage's :class:`FUStats` fields, given the lane's last two
+        blocks, its load-stall and backpressure totals and its last
+        completion ``done``, after which nothing issues."""
+        final, previous = hist[0], hist[1]
+        counters = []
+        for k, (first, end) in enumerate(self.ranges):
+            loads, slots = self.loads[k], self.slots[k]
+            issued = slots * num_blocks
+            nops = sum(self.is_nop[first:end]) * num_blocks
+            # Every cycle an issue waits past its earliest one is a stall:
+            # backpressure, else an exec stall, unless a shared port loads.
+            exec_stalls = (
+                final[end - 1] - (slots - 1) - (num_blocks - 1) * (slots + self.exec_gap)
+                - stalls[2 * k + 1] - (num_blocks * loads if self.shared_port else 0)
             )
-        return (
-            load_rel,
-            self.load_index,
-            max(self.next_load_cycle - c, 0),
-            max(self.block_load_barrier - c, 0),
-            exec_rel,
-            self.slot_index,
-            max(self.next_exec_cycle - c, 0),
-            lc_window,
-            tuple((ready - c, block - r, vid) for ready, block, vid in self.pending_out),
-            tuple((ready - c, block - r, vid) for ready, block, vid in self.pending_wb),
-            tuple(sorted(((b - r, vid), n) for (b, vid), n in self.rf.reads_left.items())),
-        )
+            for event in range(end - 1, end - slots - 1, -1):  # never issued
+                if final[event] <= done:
+                    break
+                if event > end - slots:
+                    earliest = final[event - 1] + 1
+                else:
+                    earliest = previous[end - 1] + 1 + self.exec_gap if num_blocks > 1 else 0
+                issued -= 1
+                nops -= self.is_nop[event]
+                exec_stalls -= final[event] - earliest - max(0, done + 1 - earliest)
+            counters.append(
+                (loads * num_blocks, issued, nops, exec_stalls, stalls[2 * k], stalls[2 * k + 1])
+            )
+        return tuple(counters)
 
-    def stats_snapshot(self) -> Tuple[int, ...]:
-        return tuple(getattr(self, f) for f in _STAT_FIELDS)
-
-    def shift(self, delta_cycles: int, delta_blocks: int, periods: int,
-              stats_before: Tuple[int, ...]) -> None:
-        """Relabel this FU's state ``periods`` steady-state periods ahead."""
-        exec_before = self.exec_block
-        if self.load_order:
-            # A finished load pointer is pinned at num_blocks (the detector
-            # guarantees unfinished pointers stay below it through the skip).
-            self.load_block = min(self.load_block + delta_blocks, self.num_blocks)
-        if self.slots:
-            self.exec_block = min(self.exec_block + delta_blocks, self.num_blocks)
-        self.next_load_cycle += delta_cycles
-        self.next_exec_cycle += delta_cycles
-        self.block_load_barrier += delta_cycles
-        self.load_complete = {
-            block + delta_blocks: done + delta_cycles
-            for block, done in self.load_complete.items()
-            if block >= exec_before
-        }
-        self.pending_out = deque(
-            (ready + delta_cycles, block + delta_blocks, vid)
-            for ready, block, vid in self.pending_out
-        )
-        self.pending_wb = deque(
-            (ready + delta_cycles, block + delta_blocks, vid)
-            for ready, block, vid in self.pending_wb
-        )
-        self.rf.shift(delta_blocks)
-        for field, before in zip(_STAT_FIELDS, stats_before):
-            current = getattr(self, field)
-            setattr(self, field, current + periods * (current - before))
+    def shift(self, hist: List[List[int]], shifts: List[int], blocks: int) -> None:
+        """Move every window block ``blocks`` blocks on, each stage by its shift."""
+        for times in hist:
+            for (lo, hi), shift in zip(self.ranges, shifts):
+                times[lo:hi] = [cycle + shift * blocks for cycle in times[lo:hi]]
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +386,8 @@ def warmup_bound_blocks(schedule: OverlaySchedule) -> int:
     throttles its producer, and a filling channel gains at least one token
     per completion period, so after ``(depth-1) * fifo_depth`` completions
     (plus a couple of blocks of pipeline/lookahead slack per stage) every
-    channel occupancy — and with it the whole machine state modulo block
-    relabelling — must be repeating.
+    channel occupancy — and with it every stage's shift per block — must be
+    repeating.
     """
     depth = schedule.depth
     fifo = schedule.overlay.fifo_depth
@@ -564,11 +397,11 @@ def warmup_bound_blocks(schedule: OverlaySchedule) -> int:
 def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
     """Analytic warm-up upper bound ``W(depth, fifo_depth, II)`` in cycles.
 
-    The steady-state detector must have locked onto the periodic regime
-    within this many cycles of a sufficiently long single-lane run (the
-    multilane wrapper applies it per lane).  The bound is deliberately
-    generous — it is a safety cap on fingerprint-table growth and a
-    cross-check oracle for the detector, not a performance model.
+    A sufficiently long single-lane run must take its first fast-forward
+    jump within this many cycles (the multilane wrapper applies it per
+    lane).  The bound is deliberately generous — it is a cross-check oracle
+    for the jump, which compiled kernels carry and the verifier checks, not
+    a performance model.
     """
     from ..schedule.ii import per_stage_ii
 
@@ -576,254 +409,6 @@ def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
     ii = max(stage_iis) if stage_iis else 1
     pipeline = schedule.depth * (schedule.variant.alu_pipeline_depth + 2)
     return ii * (warmup_bound_blocks(schedule) + schedule.depth) + pipeline
-
-
-# ---------------------------------------------------------------------------
-# steady-state detector
-# ---------------------------------------------------------------------------
-_INF = 10 ** 18
-
-
-def _received_fingerprint(received: Dict[int, Set[int]], completed: int) -> tuple:
-    return tuple(
-        (block - completed, tuple(sorted(vids)))
-        for block, vids in sorted(received.items())
-    )
-
-
-class _OccupancyDetector:
-    """Occupancy-based early steady-state detector.
-
-    Fingerprints each FU relative to its *own* oldest in-flight block and
-    drops channel contents from the fingerprint entirely (a channel's
-    content is fully determined by its consumer's load pointer plus the
-    occupancy, because tokens flow strictly in stream order).  The
-    fingerprint therefore recurs as soon as every stage is locally periodic
-    — while inter-stage occupancies are still ramping towards their final
-    values — and the skip handles a constant per-period occupancy drift
-    ``d_k`` per channel.
-
-    Exactness rests on the bounded-FIFO occupancy argument (docs/engine.md):
-    a recurrence proves the evolution repeats shifted by ``d_k`` tokens per
-    period *unless* an emptiness or backpressure threshold outcome flips.
-    The detector tracks, per channel and per detection window, the minimum
-    occupancy at consumer emptiness checks and the maximum pressure at
-    producer backpressure checks, and jumps only as many periods as provably
-    keep every threshold outcome unchanged.  Saturation events (a channel
-    reaching capacity, the stream running out) end a regime; the detector
-    then restarts and finds the next regime's period.  The same machinery
-    compresses the fill transient (positive drift), the drift-free middle
-    and the end-of-stream drain (negative drift, channels emptying).
-    """
-
-    def __init__(self, fus: List[_FastFU], channels: List[_FastChannel],
-                 num_blocks: int, max_events: int, log: List[dict]):
-        self.fus = fus
-        self.channels = channels
-        self.num_blocks = num_blocks
-        self.max_events = max(max_events, 16)
-        self.log = log
-        self.table: Dict[tuple, int] = {}
-        #: One record per completion event: (cycle, completed, per-FU bases,
-        #: per-FU stats snapshots, per-channel occupancies, per-channel
-        #: threshold-check aggregates since the previous event).
-        self.events: List[tuple] = []
-
-    def observe(self, cycle: int, completed: int, received: Dict[int, Set[int]],
-                completion: List[Optional[int]]) -> Optional[Tuple[int, int]]:
-        fus = self.fus
-        since = []
-        for channel in self.channels:
-            since.append((
-                channel.win_min_empty,
-                channel.win_max_press,
-                channel.win_press_full,
-                channel.win_push_max,
-            ))
-            channel.reset_window()
-        bases = tuple(fu.base_block() for fu in fus)
-        event = (
-            cycle,
-            completed,
-            bases,
-            [fu.stats_snapshot() for fu in fus],
-            tuple(len(channel.queue) for channel in self.channels),
-            since,
-        )
-        fingerprint = (
-            tuple(fu.fingerprint(cycle, base) for fu, base in zip(fus, bases)),
-            _received_fingerprint(received, completed),
-        )
-        index = self.table.get(fingerprint)
-        if index is None:
-            if len(self.events) >= self.max_events:
-                # Past the analytic warm-up bound both regimes and the final
-                # steady state must already have recurred; a table this large
-                # means pathological aliasing, so restart detection instead
-                # of growing without bound.
-                self.table.clear()
-                self.events.clear()
-            self.events.append(event)
-            self.table[fingerprint] = len(self.events) - 1
-            return None
-        skip = self._try_skip(self.events[index], self.events[index + 1:], event,
-                              received, completion)
-        if skip is None:
-            if len(self.events) >= self.max_events:
-                self.table.clear()
-                self.events.clear()
-            # Keep the most recent occurrence so future match windows stay
-            # one minimal period wide.
-            self.events.append(event)
-            self.table[fingerprint] = len(self.events) - 1
-            return None
-        new_cycle, new_completed, _ramp = skip
-        # A regime boundary lies just ahead — a channel saturating after a
-        # ramp skip, or the end-of-stream frontier after a drift-free skip —
-        # so the recorded windows no longer describe the state.  Restart
-        # detection seeded with the post-skip state: the canonical
-        # fingerprint is invariant under the skip relabelling by
-        # construction, so if the regime continues for another completion
-        # the detector re-locks after *one* window instead of two, and the
-        # drain decomposes into emptying regimes (negative drift) skipped
-        # the same way as the fill.
-        self.table.clear()
-        self.events.clear()
-        self.events.append((
-            new_cycle,
-            new_completed,
-            tuple(fu.base_block() for fu in fus),
-            [fu.stats_snapshot() for fu in fus],
-            tuple(len(channel.queue) for channel in self.channels),
-            # Since-aggregates of a seed event are never read: validation
-            # windows start strictly after the matched index.
-            [(None, None, False, 0)] * len(self.channels),
-        ))
-        self.table[fingerprint] = 0
-        return new_cycle, new_completed
-
-    # ------------------------------------------------------------------
-    def _try_skip(self, prev: tuple, window: List[tuple], event: tuple,
-                  received: Dict[int, Set[int]],
-                  completion: List[Optional[int]]) -> Optional[Tuple[int, int, bool]]:
-        cycle1, completed1, bases1, stats1, occs1, _ = prev
-        cycle, completed, bases, _stats, occs, since = event
-        window = window + [event]
-        period = cycle - cycle1
-        blocks = completed - completed1
-        if period <= 0 or blocks <= 0:
-            return None
-        fus = self.fus
-        num_blocks = self.num_blocks
-        deltas = [b2 - b1 for b1, b2 in zip(bases1, bases)]
-        if any(d < 0 for d in deltas):
-            return None
-        # The sink FU must advance in lockstep with the completion counter,
-        # otherwise the two fingerprint frames would drift apart.
-        if fus[-1].slots and deltas[-1] != blocks:
-            return None
-
-        # Per-channel occupancy drift and threshold-safety limits.
-        periods = _INF
-        drifts: List[int] = []
-        push_maxes: List[int] = []
-        for k, channel in enumerate(self.channels):
-            drift = occs[k] - occs1[k]
-            drifts.append(drift)
-            tokens_per_block = len(fus[k + 1].load_order)
-            if drift != tokens_per_block * (deltas[k] - deltas[k + 1]):
-                return None  # aliasing: not a consistent token-conserving mirror
-            min_empty: Optional[int] = None
-            max_press: Optional[int] = None
-            press_full = False
-            push_max = 0
-            for record in window:
-                w_min, w_press, w_full, w_push = record[5][k]
-                if w_min is not None and (min_empty is None or w_min < min_empty):
-                    min_empty = w_min
-                if w_press is not None and (max_press is None or w_press > max_press):
-                    max_press = w_press
-                press_full = press_full or w_full
-                if w_push > push_max:
-                    push_max = w_push
-            push_maxes.append(push_max)
-            if drift == 0:
-                continue
-            if min_empty == 0:
-                return None  # an emptiness outcome would flip on repeat
-            capacity = channel.capacity
-            if drift > 0:
-                if capacity > 0:
-                    if max_press is not None:
-                        periods = min(periods, (capacity - 1 - max_press) // drift)
-                    periods = min(periods, (capacity - push_max) // drift)
-            else:
-                if press_full:
-                    return None  # a fullness outcome would flip on repeat
-                if min_empty is not None:
-                    periods = min(periods, (min_empty - 1) // (-drift))
-
-        # End-of-stream guard: no block pointer may reach num_blocks inside
-        # the skipped periods (the only absolute-index comparisons).
-        for fu, delta in zip(fus, deltas):
-            if delta > 0:
-                periods = min(periods, (num_blocks - 1 - fu.frontier_block()) // delta)
-        if periods >= _INF or periods < 1:
-            return None
-
-        delta_cycles = periods * period
-        for fu, delta, before in zip(fus, deltas, stats1):
-            fu.shift(delta_cycles, periods * delta, periods, before)
-        ramp = False
-        for k, channel in enumerate(self.channels):
-            drift = drifts[k]
-            consumer = fus[k + 1]
-            new_length = len(channel.queue) + periods * drift
-            if drift:
-                ramp = True
-                channel.high_water = max(
-                    channel.high_water, push_maxes[k] + periods * drift
-                )
-            if drift == 0 and periods * deltas[k + 1] == 0:
-                continue  # contents and labels both unchanged
-            if new_length and not consumer.load_order:
-                raise SimulationError(
-                    f"FIFO {channel.name!r} holds tokens but FU{k + 1} loads "
-                    "nothing; schedule is inconsistent"
-                )
-            # A channel's content is the in-order token stream starting at
-            # its consumer's (already shifted) load pointer.
-            order = consumer.load_order
-            block, slot = consumer.load_block, consumer.load_index
-            tokens = []
-            for _ in range(new_length):
-                tokens.append((block, order[slot]))
-                slot += 1
-                if slot == len(order):
-                    slot = 0
-                    block += 1
-            channel.queue = deque(tokens)
-        if received:
-            shifted = {
-                block + periods * blocks: vids for block, vids in received.items()
-            }
-            received.clear()
-            received.update(shifted)
-        window_completions = completion[completed1:completed]
-        for j in range(1, periods + 1):
-            base = completed1 + j * blocks
-            offset = j * period
-            for t, done in enumerate(window_completions):
-                completion[base + t] = done + offset  # type: ignore[operator]
-        self.log.append({
-            "kind": "ramp" if ramp else "steady",
-            "cycle": cycle,
-            "completed": completed,
-            "period": period,
-            "blocks": blocks,
-            "periods": periods,
-        })
-        return cycle + delta_cycles, completed + periods * blocks, ramp
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +459,7 @@ class _LaneTiming(NamedTuple):
 
 
 def _timing_digest(schedule: OverlaySchedule) -> bytes:
-    """A 16-byte digest of everything the tick loop reads of ``schedule``.
+    """A 16-byte digest of everything the recurrence reads of ``schedule``.
 
     That is each stage's :func:`_stage_program`, the FIFO depth and the
     variant's timing parameters; no kernel, overlay, variant or strategy
@@ -903,7 +488,7 @@ class _TimingMemo:
     """Lane timings keyed by ``(schedule digest, lane length, cycle cap,
     fast_forward)``, least recently used first, within
     :data:`TIMING_MEMO_BLOCKS`.  One lock makes lookups and inserts safe
-    across threads; the tick loop runs outside it."""
+    across threads; the recurrence runs outside it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -964,10 +549,10 @@ _TIMINGS = _TimingMemo()
 
 
 def clear_timing_memo() -> None:
-    """Forget every memoised lane timing, so each next run ticks its loop.
+    """Forget every memoised lane timing, so each next run times its lanes.
 
     A benchmark that times repeated runs of one stream shape calls this
-    before each timed run, so it times the tick loop rather than a memo
+    before each timed run, so it times the recurrence rather than a memo
     hit; the memo is keyed by content, so this holds also across schedule
     objects of equal content.
     """
@@ -977,17 +562,17 @@ def clear_timing_memo() -> None:
 class FastSimulator:
     """Drop-in fast engine with the same interface as ``OverlaySimulator``.
 
-    ``fast_forward=False`` disables the steady-state skip entirely (the
-    engine then runs every cycle, still value-free); it exists for
-    differential testing of the fast-forward itself.  Every applied skip is
-    appended to ``fast_forward_events``.
+    ``fast_forward=False`` disables the jumps entirely (the engine then
+    evaluates every block, still value-free); it exists for differential
+    testing of the fast-forward itself.  Every jump is appended to
+    ``fast_forward_events``.
 
     A run times each lane with :meth:`_run_timing` and fills in its outputs
     from the value plane (:meth:`_outputs`).  The batched engine
     (:class:`repro.engine.batchsim.BatchSimulator`) is this engine with the
     value plane swapped.  Lane timings are memoised by content and shared
-    by both engines, so a multilane run ticks its loop once per distinct
-    lane length, and a repeated stream shape not at all.
+    by both engines, so a multilane run times once per distinct lane
+    length, and a repeated stream shape not at all.
     """
 
     def __init__(
@@ -1026,14 +611,14 @@ class FastSimulator:
     def _run_timing(self, num_blocks: int) -> SimulationResult:
         """Time one lane of ``num_blocks`` blocks (value-free: ``outputs=[]``).
 
-        Timing depends on what the tick loop reads of the schedule, the
+        Timing depends on what the recurrence reads of the schedule, the
         lane length, the cycle cap and ``fast_forward``, never on values,
         so it is memoised process-wide under those four, the schedule as
         its :func:`_timing_digest`: one entry serves ``fast`` and
         ``batched``, and every schedule object of equal content.  A hit
-        skips the loop, rebuilds the result from the stored fields, under
-        this schedule's kernel and overlay names, and replays the stored
-        skips into :attr:`fast_forward_events`.
+        skips the recurrence, rebuilds the result from the stored fields,
+        under this schedule's kernel and overlay names, and replays the
+        stored jumps into :attr:`fast_forward_events`.
         """
         schedule = self.schedule
         max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
@@ -1047,103 +632,102 @@ class FastSimulator:
         return timing.result(schedule, num_blocks)
 
     def _time_lane(self, num_blocks: int, max_cycles: int) -> _LaneTiming:
-        """Tick one lane of ``num_blocks`` blocks to its last completion.
+        """Time one lane of ``num_blocks`` blocks by the block recurrence.
 
-        Each cycle delivers matured results upstream to downstream, then
-        ticks every FU in stage order; a cycle that completes a block lets
-        the detector look for a fast-forward.
+        Blocks are evaluated in order from the schedule's
+        :class:`_BlockTemplate`, keeping the last ``window + 1``.  With
+        ``fast_forward``, once every stage's events have moved on by one
+        shift per block for ``window`` blocks in a row, the lane jumps: to
+        its last block if every stage has the same shift (``steady``), else
+        as far as :meth:`_BlockTemplate.ramp_limit` allows (``ramp``: a
+        FIFO fills or drains between stages of different rates).
         """
         schedule = self.schedule
-        depth = schedule.depth
-        last = depth - 1
-        stage0_loads = len(schedule.stage(0).load_order)
-        expected_per_block = len(schedule.stage(last).emission_order)
-        if expected_per_block == 0:
-            raise SimulationError("the final stage emits nothing; schedule is broken")
-
-        channels = [
-            _FastChannel(name=f"ch{k}", capacity=schedule.overlay.fifo_depth)
-            for k in range(1, depth)
-        ]
-        fus: List[_FastFU] = []
-        for k in range(depth):
-            fus.append(
-                _FastFU(
-                    schedule,
-                    k,
-                    num_blocks,
-                    in_channel=channels[k - 1] if k > 0 else None,
-                    out_channel=channels[k] if k < last else None,
-                )
-            )
-
-        completion: List[Optional[int]] = [None] * num_blocks
-        received: Dict[int, Set[int]] = {}
+        template = _BlockTemplate(schedule)
+        depth, window = template.depth, template.window
+        last_block = num_blocks - 1
+        hist = [[_NEVER] * template.size for _ in range(window + 1)]
+        completion = array("q", bytes(8 * num_blocks))
+        stalls = [0] * (2 * depth)
+        heads = [0] * (depth - 1)
+        fifo_peaks = [0] * (depth - 1)
+        rf_peaks = [(0, 0)] * depth
+        shifts: List[Optional[int]] = [None] * depth
+        runs = [0] * depth
         log = self.fast_forward_events
         logged = len(log)
-        detector = None
-        if self.fast_forward:
-            detector = _OccupancyDetector(
-                fus,
-                channels,
-                num_blocks,
-                max_events=warmup_bound_blocks(schedule) + 64,
-                log=log,
-            )
-
-        completed = 0
-        cycle = 0
-        while completed < num_blocks:
-            if cycle > max_cycles:
-                raise SimulationError(
-                    f"simulation of {schedule.kernel_name!r} on "
-                    f"{schedule.overlay.name} exceeded {max_cycles} cycles; "
-                    "likely a schedule/codegen deadlock"
-                )
-            completions_this_cycle = 0
+        block = 0
+        while True:
+            hist.insert(0, hist.pop())
+            before = stalls[:]
+            template.evaluate(hist, stalls)
+            done = completion[block] = hist[0][template.completes] + template.alu
+            template.fill_fifos(hist, block, heads, fifo_peaks)
+            if self.fast_forward and block:
+                template.track_shifts(hist, shifts, runs)
+            # Two blocks in a row of one shift make the pair's peaks repeat;
+            # writes after the last completion never happen.
+            limit = done if block == last_block else _FOREVER
             for k in range(depth):
-                pending = fus[k].pending_out
-                if k < last:
-                    channel = channels[k]
-                    while pending and pending[0][0] <= cycle:
-                        _, block, value_id = pending.popleft()
-                        channel.push((block, value_id))
-                else:
-                    while pending and pending[0][0] <= cycle:
-                        _, block, value_id = pending.popleft()
-                        bucket = received.get(block)
-                        if bucket is None:
-                            bucket = received[block] = set()
-                        bucket.add(value_id)
-                        if len(bucket) >= expected_per_block and completion[block] is None:
-                            completion[block] = cycle
-                            completed += 1
-                            completions_this_cycle += 1
-                            del received[block]
-            for fu in fus:
-                fu.tick(cycle)
-            cycle += 1
+                if runs[k] < 2:
+                    peaks = template.rf_peaks(k, hist[1::-1] if block else hist[:1], limit)
+                    rf_peaks[k] = max(rf_peaks[k][0], peaks[0]), max(rf_peaks[k][1], peaks[1])
+            if block == last_block:
+                break
+            if min(runs) >= window:
+                steady = len(set(shifts)) == 1
+                blocks = last_block - block
+                if not steady:
+                    blocks = min(blocks, template.ramp_limit(hist, shifts))
+                if blocks:
+                    period = shifts[-1]
+                    completion[block + 1:block + blocks + 1] = array(
+                        "q", range(done + period, done + (blocks + 1) * period, period)
+                    )
+                    stalls = [now + blocks * (now - then) for now, then in zip(stalls, before)]
+                    template.shift(hist, shifts, blocks)
+                    log.append({
+                        "kind": "steady" if steady else "ramp",
+                        "cycle": done + 1,
+                        "completed": block + 1,
+                        "period": period,
+                        "blocks": 1,
+                        "periods": blocks,
+                    })
+                    block += blocks
+                    heads = [0] * (depth - 1)
+                    template.fill_fifos(hist, block, heads, fifo_peaks)
+                    if block == last_block:
+                        break
+            block += 1
 
-            if completions_this_cycle and detector is not None and completed < num_blocks:
-                skipped_to = detector.observe(cycle, completed, received, completion)
-                if skipped_to is not None:
-                    cycle, completed = skipped_to
-        for fu in fus:
-            fu.rf.check_capacity()
-
-        completion_cycles = array("q", completion)  # type: ignore[arg-type]
+        done = completion[last_block]
+        if done > max_cycles:
+            raise SimulationError(
+                f"simulation of {schedule.kernel_name!r} on "
+                f"{schedule.overlay.name} exceeded {max_cycles} cycles; "
+                "likely a schedule/codegen deadlock"
+            )
+        rf_depth, frame = template.rf_limits
+        for k, (peak, block_peak) in enumerate(rf_peaks):
+            if peak > rf_depth or block_peak > frame:
+                raise SimulationError(
+                    f"register file {f'FU{k}.rf'!r} overflows: peak {peak} "
+                    f"entries (physical {rf_depth}), per-block peak "
+                    f"{block_peak} (frame {frame})"
+                )
         return _LaneTiming(
-            completion_cycles=completion_cycles,
-            total_cycles=cycle,
-            measured_ii=_steady_state_ii(completion_cycles),
-            fu_stats=tuple(fu.stats_snapshot() for fu in fus),
+            completion_cycles=completion,
+            total_cycles=done + 1,
+            measured_ii=_steady_state_ii(completion),
+            fu_stats=template.counters(hist, stalls, num_blocks, done),
             fifo_high_water=(
-                (num_blocks * stage0_loads,)
-                + tuple(channel.high_water for channel in channels)
-                + (num_blocks * expected_per_block,)
+                (num_blocks * template.loads[0],)
+                + tuple(fifo_peaks)
+                + (num_blocks * template.emitted,)
             ),
-            rf_high_water=tuple(fu.rf.high_water for fu in fus),
-            rf_per_block_high_water=tuple(fu.rf.per_block_high_water for fu in fus),
+            rf_high_water=tuple(peak for peak, _ in rf_peaks),
+            rf_per_block_high_water=tuple(block_peak for _, block_peak in rf_peaks),
             events=tuple(tuple(event.items()) for event in log[logged:]),
         )
 

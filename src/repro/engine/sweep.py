@@ -331,6 +331,8 @@ class _Lane:
         self.future = None
         self.index = 0
         self.deadline: Optional[float] = None
+        #: When the lane's charged point is due to run again, if it waits.
+        self.retry_at: Optional[float] = None
 
     def replace(self) -> None:
         """Kill the worker (dead, stalled or alive) and start a fresh pool."""
@@ -360,7 +362,8 @@ class _Lanes:
       point its lane holds.  A dead or stalled worker is replaced, and the
       point retries on its own lane with exponential backoff until its
       ``retries`` budget is spent; then it is quarantined.  Points on other
-      lanes are never charged for it.
+      lanes are never charged for it, and keep running while it waits out
+      its backoff.
 
     The loop terminates: every run either settles its point or charges it,
     and charges are bounded by the retry budget.
@@ -397,14 +400,22 @@ class _Lanes:
         try:
             while True:
                 for lane in self.lanes:
-                    if lane.future is None:
+                    if lane.retry_at is not None and lane.retry_at <= time.monotonic():
+                        lane.retry_at = None
+                        self._submit(lane, lane.index)
+                    elif lane.future is None and lane.retry_at is None:
                         self._feed(lane)
                 busy = [lane for lane in self.lanes if lane.future is not None]
-                if not busy:
+                waiting = [lane.retry_at for lane in self.lanes if lane.retry_at is not None]
+                if not busy and not waiting:
                     break
-                deadlines = [lane.deadline for lane in busy if lane.deadline is not None]
-                wait_s = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-                wait([lane.future for lane in busy], timeout=wait_s, return_when=FIRST_COMPLETED)
+                wakes = waiting + [lane.deadline for lane in busy if lane.deadline is not None]
+                wait_s = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+                if busy:
+                    futures = [lane.future for lane in busy]
+                    wait(futures, timeout=wait_s, return_when=FIRST_COMPLETED)
+                else:
+                    time.sleep(wait_s)
                 for lane in busy:
                     if lane.future.done():
                         self._settle(lane)
@@ -453,7 +464,8 @@ class _Lanes:
             self.record(lane.index, result, self.attempts.get(lane.index, 0) + 1)
 
     def _charge(self, lane: _Lane, message: str) -> None:
-        """Charge the lane's point one run: retry it there, or quarantine it."""
+        """Charge the lane's point one run: retry it there once its backoff
+        has passed, while the other lanes run on, or quarantine it."""
         index = lane.index
         lane.future = None
         attempts = self.attempts.get(index, 0) + 1
@@ -461,8 +473,7 @@ class _Lanes:
         if attempts > self.retries:
             self.quarantine(index, message, attempts)
             return
-        time.sleep(min(1.0, RETRY_BACKOFF_S * (2 ** (attempts - 1))))
-        self._submit(lane, index)
+        lane.retry_at = time.monotonic() + min(1.0, RETRY_BACKOFF_S * (2 ** (attempts - 1)))
 
 
 def run_sweep(
@@ -506,8 +517,8 @@ def run_sweep(
     run on (its affinity mask, where the platform has one).  Lanes take
     whole kernels, so each kernel's stream shapes are timed on one worker,
     and the lane timings each worker measures join this process's timing
-    memo, so the lanes of a later sweep, forked from it, skip those shapes'
-    tick loops.
+    memo, so the lanes of a later sweep, forked from it, do not time those
+    shapes again.
 
     ``cache`` (a session-injected compiled-schedule cache) is honored on
     every in-process path (serial jobs, single points, and the

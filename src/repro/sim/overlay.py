@@ -379,9 +379,10 @@ def simulate_schedule(
     an identical :class:`SimulationResult` (asserted across the whole kernel
     library by the equivalence test suite) an order of magnitude faster;
     ``"batched"`` (:mod:`repro.engine.batchsim`) is the fast engine, same
-    tick loop and same timing memo, with a value plane that executes the
-    compiled configuration image on numpy; it is bit-identical to the other
-    two on correctly encoded artifacts and faster again on long streams.
+    timing recurrence and same timing memo, with a value plane that
+    executes the compiled configuration image on numpy; it is bit-identical
+    to the other two on correctly encoded artifacts and faster again on
+    long streams.
     Trace recording needs per-cycle value-level events, so ``record_trace``
     always uses the cycle engine.
 

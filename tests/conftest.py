@@ -48,10 +48,10 @@ def _fresh_timing_memo():
     """Every test times its own lanes.
 
     Schedules are shared between tests (``lru_cache``d helpers,
-    ``default_cache()``), and the engines memoise lane timings per schedule
-    object, so without this a test that patches ``_FastFU``, the detector or
-    a plan could read a timing an earlier test computed, and test order
-    could change a result.
+    ``default_cache()``), and the engines memoise lane timings by schedule
+    content, so without this a test that patches the block recurrence or a
+    plan could read a timing an earlier test computed, and test order could
+    change a result.
     """
     clear_timing_memo()
 

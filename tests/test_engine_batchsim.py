@@ -2,7 +2,7 @@
 
 Six layers of guarantees:
 
-* **bit-identity** — the batched engine (the fast engine's tick loop with
+* **bit-identity** — the batched engine (the fast engine's recurrence with
   the compiled image as its value plane, :mod:`repro.engine.batchsim`)
   produces results exactly equal to the cycle engine's across the whole
   kernel library on V3/V4/V5 at fifo_depth in {2, 4, 8, 32} and on the
@@ -153,7 +153,7 @@ class TestLibraryBitIdentity:
         [("gradient", "baseline"), ("gradient", "v1"), ("qspline", "v2"), ("poly7", "v3")],
     )
     def test_no_fast_forward_on_critical_path_overlays(self, name, variant_name):
-        """With the detector off every lane ticks to its last completion:
+        """With the jumps off every block of every lane is evaluated:
         issued LOAD words (baseline), the dual-lane deal at an odd count
         (V2) and a deep chain (poly7) still equal the cycle engine."""
         schedule = _auto_schedule(name, variant_name)
@@ -176,13 +176,13 @@ class TestLibraryBitIdentity:
         ],
     )
     def test_fast_forward_skips_like_the_fast_engine(self, build, args, num_blocks):
-        """Both engines time lanes with one tick loop and detector: same
-        skips, same results, and the timing equals the cycle engine's.
+        """Both engines time lanes with one recurrence: same jumps, same
+        results, and the timing equals the cycle engine's.
 
-        Two deep fixed-depth streams (one steady skip, one ramp), then every
+        Two deep fixed-depth streams (one steady jump, one ramp), then every
         library kernel on its critical-path overlay.  Both engines log every
-        lane's skips.  The timing memo is cleared between the two runs, so
-        each engine ticks its own lanes and the logs compared are two
+        lane's jumps.  The timing memo is cleared between the two runs, so
+        each engine times its own lanes and the logs compared are two
         timings, not one memo entry read twice.  The cycle engine runs the
         shortest prefix of the stream on which ``fast`` still skips: the
         whole stream would cost seconds of tier-1 per ten shapes.

@@ -1,10 +1,10 @@
 """The engines' lane-timing memo.
 
-A lane's timing depends on what the tick loop reads of the schedule, the
+A lane's timing depends on what the block recurrence reads of the schedule, the
 lane length, the cycle cap and ``fast_forward``, never on the values
 streamed, so ``FastSimulator`` keeps one process-wide memo of lane timings
 (``fastsim._TIMINGS``), keyed by a digest of that schedule content, and a
-repeated stream shape skips the tick loop.  This file pins what a hit must
+repeated stream shape is not timed again.  This file pins what a hit must
 keep:
 
 * every ``SimulationResult`` field equals an uncached run's, library-wide on
@@ -12,8 +12,8 @@ keep:
 * a returned result shares nothing with the memo;
 * ``fast`` and ``batched`` share one entry per shape, while ``fast_forward``
   on and off, and a cycle cap too small to finish, each get their own;
-* the key covers exactly what the tick loop reads: changing any one keyed
-  field ticks again, while schedule objects of equal content, from other
+* the key covers exactly what the recurrence reads: changing any one keyed
+  field times again, while schedule objects of equal content, from other
   kernels, strategies or overlay names, share one entry, and each result
   equals the cycle engine's under its own names;
 * the new stream is still evaluated and checked, so a codegen fault still
@@ -23,7 +23,7 @@ keep:
   ``TIMING_MEMO_BLOCKS`` blocks, each entry charged at least
   ``TIMING_MEMO_MIN_BLOCKS``, dropping the least recently used first, so a
   longer lane is never kept;
-* a multilane run ticks its loop once per distinct lane length, and the
+* a multilane run times once per distinct lane length, and the
   other engine reuses those lane timings;
 * threads on schedule objects of equal content read identical results.
 """
@@ -78,7 +78,7 @@ def _fields(result):
 
 @pytest.fixture
 def lane_timings(monkeypatch):
-    """Count the lane timings that run the tick loop (memo misses)."""
+    """Count the lane timings that run the recurrence (memo misses)."""
     runs = []
     time_lane = FastSimulator._time_lane
 
@@ -263,7 +263,7 @@ def _with_variant_property(name, value):
     )
 
 
-#: One edit per keyed field, each of what the tick loop reads.
+#: One edit per keyed field, each of what the recurrence reads.
 KEYED_EDITS = {
     "load-order swap": _swap_loads,
     "nop made a compute slot": _edit_slot(0, 3, kind=SlotKind.COMPUTE, opcode=OpCode.ADD),
@@ -284,7 +284,7 @@ KEYED_EDITS = {
 
 
 class TestContentKey:
-    """The key is a digest of what the tick loop reads, and of nothing else."""
+    """The key is a digest of what the recurrence reads, and of nothing else."""
 
     @pytest.mark.parametrize("edit", list(KEYED_EDITS))
     def test_changing_one_keyed_field_ticks_again(self, edit, lane_timings):

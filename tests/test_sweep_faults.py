@@ -18,6 +18,7 @@ degradation path documented in ``docs/sweeps.md``:
 import dataclasses
 import os
 import re
+import time
 
 import pytest
 
@@ -215,6 +216,37 @@ class TestTimeouts:
         assert all(
             r.attempts == 1 for k, r in by_kernel.items() if k != "gradient"
         )
+
+
+class TestRetryBackoff:
+    def test_other_lanes_run_on_while_a_point_backs_off(self, tmp_path):
+        # gradient/baseline raises on every run; its lane waits out each
+        # backoff (0.05 s, then 0.1 s, ...) while the other lane runs the
+        # rest of the grid, its own kernel's and the queued tail of the
+        # failing lane's.  So every other row settles before the failing
+        # point's third run starts, which is when its second backoff ends.
+        grid = build_grid(
+            ["gradient", "chebyshev"],
+            overlays=[OverlaySpec(variant=v) for v in ("baseline", "v1", "v2", "v3", "v4", "v5")],
+        )
+        run_sweep(grid, jobs=1)  # warm caches and timings the lanes inherit
+        plan = FaultPlan(
+            rules=(FaultRule(mode="raise", kernel="gradient", variant="baseline", times=10),),
+            state_dir=str(tmp_path),
+        )
+        settled = {}
+        with plan.install():
+            rows = run_sweep(
+                grid, jobs=2, retries=4,
+                progress=lambda event: settled.setdefault(event.index, time.time()),
+            )
+        assert rows[0].quarantined and rows[0].attempts == 5
+        assert "injected fault" in rows[0].error
+        assert not any(row.quarantined for row in rows[1:])
+        runs = sorted(os.listdir(tmp_path), key=lambda name: int(name.rsplit(".", 1)[1]))
+        assert len(runs) == 5
+        third_run = os.path.getmtime(os.path.join(tmp_path, runs[2]))
+        assert max(settled[index] for index in range(1, len(grid))) < third_run
 
 
 class TestKillResumeEquivalence:
