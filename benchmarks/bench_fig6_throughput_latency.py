@@ -14,16 +14,14 @@ paper's bar charts plot.  The paper's qualitative findings are asserted:
 
 import pytest
 
-from repro.engine.sweep import evaluate_many
-from repro.kernels import PAPER_CHARACTERISTICS, TABLE3_BENCHMARKS
+from repro.kernels import PAPER_CHARACTERISTICS, TABLE3_BENCHMARKS, get_kernel
 from repro.metrics.comparison import geometric_mean
+from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.metrics.tables import render_fig6_series
 
 
 def _evaluate_all():
-    # The sweep runner fans one worker out per kernel (identical results to
-    # the previous serial evaluate_kernel_all_overlays loop).
-    return evaluate_many(TABLE3_BENCHMARKS)
+    return {name: evaluate_kernel_all_overlays(get_kernel(name)) for name in TABLE3_BENCHMARKS}
 
 
 def test_fig6_throughput_and_latency(benchmark, save_result):

@@ -10,14 +10,16 @@ and are checked for direction and magnitude.
 
 import pytest
 
-from repro.engine.sweep import evaluate_many
 from repro.kernels import PAPER_CHARACTERISTICS, PAPER_TABLE3_II, TABLE3_BENCHMARKS, get_kernel
 from repro.metrics.comparison import average_reduction
+from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.metrics.tables import render_table3
 
 
 def _generate_table3():
-    evaluated = evaluate_many(TABLE3_BENCHMARKS)
+    evaluated = {
+        name: evaluate_kernel_all_overlays(get_kernel(name)) for name in TABLE3_BENCHMARKS
+    }
     measured = {
         name: {label: result.ii for label, result in by_overlay.items()}
         for name, by_overlay in evaluated.items()

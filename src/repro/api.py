@@ -65,7 +65,6 @@ class CompiledHandle:
     program: Optional[OverlayProgram]
     configuration: Optional[ConfigurationImage]
     key: CacheKey
-    warmup_bound_cycles: int = 0
 
     @property
     def schedule_only(self) -> bool:
@@ -179,7 +178,6 @@ class Toolchain:
                 entry = self._remember(self._resolved, skey, self._resolve(dfg, overlay))
             built, resolved, key = entry
         program = configuration = None
-        warmup_bound_cycles = 0
         try:
             if dfg is None:
                 # Warm source: the memo holds the key, so nothing is lowered
@@ -189,7 +187,6 @@ class Toolchain:
                 compiled = self.cache.get_or_compile_keyed(key, dfg, built)
             schedule = compiled.schedule
             program, configuration = compiled.program, compiled.configuration
-            warmup_bound_cycles = compiled.warmup_bound_cycles
         except CodegenError:
             if not allow_schedule_only:
                 raise
@@ -205,7 +202,6 @@ class Toolchain:
             program=program,
             configuration=configuration,
             key=key,
-            warmup_bound_cycles=warmup_bound_cycles,
         )
         return self._checked(handle, check)
 

@@ -87,7 +87,7 @@ from ..schedule.types import OverlaySchedule
 #: schedule, program and image classes, DFG nodes and their shared derived
 #: values, opcode hashing): entries of another format then keep their old
 #: names and are never loaded.
-DISK_FORMAT = 5
+DISK_FORMAT = 6
 
 
 def dfg_content_hash(dfg: DFG) -> str:
@@ -172,11 +172,6 @@ class CompiledKernel:
     schedule: OverlaySchedule
     program: OverlayProgram
     configuration: ConfigurationImage
-    #: Analytic steady-state warm-up bound W(depth, fifo_depth, II) in
-    #: cycles (:func:`repro.engine.fastsim.steady_state_warmup_bound`),
-    #: computed once at compile time so sweeps and runtimes can cap the
-    #: fast engine's fingerprint table without re-deriving it per run.
-    warmup_bound_cycles: int = 0
 
 
 @dataclass
@@ -494,8 +489,6 @@ class ScheduleCache:
                 self._store(key, from_disk)
             return from_disk
 
-        from .fastsim import steady_state_warmup_bound
-
         schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
         try:
             program = generate_program(schedule)
@@ -508,12 +501,7 @@ class ScheduleCache:
                 while len(self._failures) > self.capacity:
                     self._failures.popitem(last=False)
             return failure
-        compiled = CompiledKernel(
-            schedule=schedule,
-            program=program,
-            configuration=configuration,
-            warmup_bound_cycles=steady_state_warmup_bound(schedule),
-        )
+        compiled = CompiledKernel(schedule=schedule, program=program, configuration=configuration)
         with self._lock:
             self.stats.misses += 1
             self._store(key, compiled)

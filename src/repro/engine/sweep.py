@@ -1,15 +1,15 @@
 """Parallel sweep runner: fan a (kernels x overlays x variants) grid out.
 
-Design-space exploration — Fig. 5 scalability, Fig. 6 throughput/latency,
-Table III, ad-hoc what-if grids — is embarrassingly parallel: every point
-compiles and simulates independently.  This module builds the grid, runs
-each point through the compiled-schedule cache and the fast simulation
-engine, and optionally fans the points out over worker lanes: one
-single-worker :class:`concurrent.futures.ProcessPoolExecutor` per lane,
-each taking whole kernels and sending the lane timings it measures home to
-this process's timing memo.
+Design-space exploration — Fig. 5 scalability, the tuner's frontiers,
+ad-hoc what-if grids — is embarrassingly parallel: every point compiles and
+simulates independently.  This module builds the grid, runs each point
+through the compiled-schedule cache and the fast simulation engine, and
+optionally fans the points out over worker lanes: one single-worker
+:class:`concurrent.futures.ProcessPoolExecutor` per lane, each taking whole
+kernels and sending the lane timings it measures home to this process's
+timing memo.
 
-Every helper degrades gracefully to serial execution (``jobs=1``, a single
+A sweep degrades gracefully to serial execution (``jobs=1``, a single
 point, or a platform where processes cannot be spawned), so callers never
 need a fallback path of their own.  Results always come back in grid order
 regardless of completion order.
@@ -24,16 +24,11 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError, SweepError
+from ..errors import ConfigurationError
 from ..kernels.library import get_kernel, kernel_names
-from ..metrics.performance import (
-    EVALUATION_VARIANTS,
-    PerformanceResult,
-    evaluate_kernel_all_overlays,
-    throughput_gops,
-)
+from ..metrics.performance import throughput_gops
 from ..overlay.resources import overlay_fmax_mhz
 from ..sim.overlay import simulate_schedule_with
 from ..specs import OverlaySpec, SimSpec, SweepSpec
@@ -311,19 +306,19 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def _run_in_lane(fn: Callable, task):
-    """Run ``fn(task)`` in a lane's worker.
+def _run_in_lane(point: SweepPoint):
+    """Run ``point`` in a lane's worker.
 
-    Returns the result together with the lane timings this worker's memo
+    Returns the row together with the lane timings this worker's memo
     gained meanwhile, which the parent adds to its own memo.
     """
     known = fastsim._TIMINGS.keys()
-    result = fn(task)
+    result = run_point(point)
     return result, fastsim._TIMINGS.since(known)
 
 
 class _Lane:
-    """One single-worker process pool, its queue and its one task in flight."""
+    """One single-worker process pool, its queue and its one point in flight."""
 
     def __init__(self) -> None:
         self.pool = ProcessPoolExecutor(max_workers=1)
@@ -343,10 +338,9 @@ class _Lane:
 class _Lanes:
     """Worker lanes with kernel affinity, retry, quarantine and timeout.
 
-    One instance runs one grid's points (a sweep's uncached points, or the
-    kernels of :func:`evaluate_many`) on ``jobs`` **lanes**.  Each lane is a
-    single-worker process pool with at most one point in flight, fed from
-    its own queue:
+    One instance runs a sweep's uncached points on ``jobs`` **lanes**.  Each
+    lane is a single-worker process pool with at most one point in flight,
+    fed from its own queue:
 
     * **affinity** — points are grouped by kernel, and whole groups are
       dealt, longest first, to the shortest queue, so each kernel's stream
@@ -369,9 +363,8 @@ class _Lanes:
     and charges are bounded by the retry budget.
     """
 
-    def __init__(self, points, fn, jobs, retries, timeout_s, record, quarantine):
+    def __init__(self, points, jobs, retries, timeout_s, record, quarantine):
         self.points = points
-        self.fn = fn
         self.jobs = jobs
         self.retries = retries
         self.timeout_s = timeout_s
@@ -440,13 +433,13 @@ class _Lanes:
         self._submit(lane, index)
 
     def _submit(self, lane: _Lane, index: int) -> None:
-        task = self.points[index]
+        point = self.points[index]
         try:
-            lane.future = lane.pool.submit(_run_in_lane, self.fn, task)
+            lane.future = lane.pool.submit(_run_in_lane, point)
         except BrokenProcessPool:
             # The worker died while idle; replace it and submit once more.
             lane.replace()
-            lane.future = lane.pool.submit(_run_in_lane, self.fn, task)
+            lane.future = lane.pool.submit(_run_in_lane, point)
         lane.index = index
         lane.deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
 
@@ -582,7 +575,7 @@ def run_sweep(
     jobs = _resolve_jobs(jobs)
     ran_parallel = False
     if jobs > 1 and len(todo) > 1:
-        runner = _Lanes(points, run_point, jobs, retries, timeout_s, record, quarantine)
+        runner = _Lanes(points, jobs, retries, timeout_s, record, quarantine)
         ran_parallel = runner.run(todo)
     if not ran_parallel:
         # Serial path: same retry/quarantine policy, minus what only exists
@@ -630,92 +623,6 @@ def run_sweep_spec(
         resume=spec.resume,
         progress=progress,
     )
-
-
-# ---------------------------------------------------------------------------
-# benchmark-harness helpers (Fig. 6 / Table III adopt these)
-# ---------------------------------------------------------------------------
-class _EvaluateTask(NamedTuple):
-    """One kernel of :func:`evaluate_many` (lanes and fault rules key on ``kernel``)."""
-
-    kernel: str
-    variants: Tuple[str, ...]
-    fixed_depth: Optional[int]
-    simulate: bool
-
-
-def _evaluate_task(
-    task: _EvaluateTask, cache: Optional[ScheduleCache] = None
-) -> Dict[str, PerformanceResult]:
-    from .faults import inject_faults
-
-    inject_faults(task)  # no-op unless a fault plan is installed (tests)
-    return evaluate_kernel_all_overlays(
-        get_kernel(task.kernel),
-        variants=task.variants,
-        fixed_depth=task.fixed_depth,
-        simulate=task.simulate,
-        cache=cache,
-    )
-
-
-def evaluate_many(
-    kernels: Sequence[str],
-    variants: Sequence[str] = EVALUATION_VARIANTS,
-    fixed_depth: Optional[int] = None,
-    simulate: bool = False,
-    jobs: Optional[int] = None,
-    cache: Optional[ScheduleCache] = None,
-) -> Dict[str, Dict[str, PerformanceResult]]:
-    """Evaluate many kernels on many overlay variants, one worker per kernel.
-
-    This is the engine behind the Fig. 6 / Table III harnesses: identical
-    results to calling :func:`evaluate_kernel_all_overlays` in a loop, but
-    the per-kernel work fans out over the worker lanes of :func:`run_sweep`
-    (``jobs=None``: the CPUs this process may run on), without retries.  A
-    kernel whose evaluation raises, or whose worker process dies, raises
-    :class:`~repro.errors.SweepError` naming that kernel, and only the
-    kernels that failed: each lane's worker holds one kernel, so a death is
-    never blamed on a neighbour.  On the serial path the original exception
-    is chained.
-
-    ``cache`` (a session-injected compiled-schedule cache) is honored on
-    every in-process path — exactly like :func:`run_sweep` — so an isolated
-    :class:`~repro.api.Toolchain` session's evaluations do not leak
-    compilations into the process-wide default cache.  Worker processes
-    warm their own caches (share across workers via ``REPRO_CACHE_DIR``).
-    """
-    tasks = [_EvaluateTask(name, tuple(variants), fixed_depth, simulate) for name in kernels]
-    results: Dict[int, Dict[str, PerformanceResult]] = {}
-    failures: Dict[int, str] = {}
-
-    def record(index: int, result: Dict[str, PerformanceResult], attempts: int) -> None:
-        results[index] = result
-
-    def fail(index: int, message: str, attempts: int) -> None:
-        failures[index] = message
-
-    jobs = _resolve_jobs(jobs)
-    ran_parallel = False
-    if jobs > 1 and len(tasks) > 1:
-        runner = _Lanes(tasks, _evaluate_task, jobs, 0, None, record, fail)
-        ran_parallel = runner.run(range(len(tasks)))
-    if not ran_parallel:
-        for index, task in enumerate(tasks):
-            try:
-                results[index] = _evaluate_task(task, cache)
-            except Exception as exc:  # noqa: BLE001 — re-raised, naming the kernel
-                raise SweepError(
-                    f"kernel {task.kernel!r} failed: {type(exc).__name__}: {exc}"
-                ) from exc
-    if failures:
-        raise SweepError(
-            "; ".join(
-                f"kernel {tasks[index].kernel!r} failed: {failures[index]}"
-                for index in sorted(failures)
-            )
-        )
-    return {task.kernel: results[index] for index, task in enumerate(tasks)}
 
 
 # ---------------------------------------------------------------------------

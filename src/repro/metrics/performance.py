@@ -142,20 +142,17 @@ def evaluate_kernel_all_overlays(
     variants: Sequence[str] = EVALUATION_VARIANTS,
     fixed_depth: Optional[int] = None,
     simulate: bool = False,
-    cache=None,
 ) -> Dict[str, PerformanceResult]:
     """Evaluate one kernel on every overlay variant of the paper's comparison.
 
     Each variant is ``Toolchain.evaluate(dfg, OverlaySpec(variant,
-    depth=fixed_depth))``; ``simulate=True`` adds a 12-block simulation
-    (``SimSpec()``).  ``cache`` (a session-injected schedule cache) scopes
-    the compilations to that cache instead of the process-wide default
-    session.
+    depth=fixed_depth))`` on the process-wide default session;
+    ``simulate=True`` adds a 12-block simulation (``SimSpec()``).
     """
-    from ..api import Toolchain, default_toolchain
+    from ..api import default_toolchain
     from ..specs import OverlaySpec, SimSpec
 
-    toolchain = default_toolchain() if cache is None else Toolchain(cache=cache)
+    toolchain = default_toolchain()
     sim = SimSpec() if simulate else None
     return {
         str(variant): toolchain.evaluate(

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..api import CompiledHandle, Toolchain
+from ..engine import fastsim
 from ..engine.cache import ScheduleCache, ShardedScheduleCache
 from ..schedule.ii import analytic_ii
 from ..specs import OverlaySpec, SimSpec, spec_from_wire
@@ -257,7 +258,7 @@ class OverlayService:
             "scheduler": handle.key.scheduler,
             "schedule_only": handle.schedule_only,
             "analytic_ii": analytic_ii(handle.schedule),
-            "warmup_bound_cycles": handle.warmup_bound_cycles,
+            "warmup_bound_cycles": fastsim.steady_state_warmup_bound(handle.schedule),
             "configuration": None,
             "instruction_words": None,
         }

@@ -5,10 +5,10 @@ at minimum the :class:`~repro.schedule.types.OverlaySchedule` (which carries
 the DFG and the built overlay), optionally the register-allocated
 :class:`~repro.program.codegen.OverlayProgram`, the serialised
 :class:`~repro.program.binary.ConfigurationImage`, the resolved
-:class:`~repro.specs.OverlaySpec`, the compile-cache key and the certified
-warm-up bound.  Passes receive the context and return diagnostics; a pass
-whose inputs are absent (binary checks on a schedule-only artifact) is
-skipped, so a report's ``passes`` tuple records exactly what ran.
+:class:`~repro.specs.OverlaySpec` and the compile-cache key.  Passes receive
+the context and return diagnostics; a pass whose inputs are absent (binary
+checks on a schedule-only artifact) is skipped, so a report's ``passes``
+tuple records exactly what ran.
 
 Passes are pure static analyses — nothing here simulates, so verification
 cost is linear in artifact size and safe to run inside compile paths.
@@ -36,7 +36,6 @@ class VerifyContext:
     configuration: Optional["ConfigurationImage"] = None
     spec: Optional["OverlaySpec"] = None
     key: Optional["CacheKey"] = None
-    warmup_bound_cycles: Optional[int] = None
 
     @property
     def dfg(self):
@@ -72,7 +71,6 @@ class VerifyContext:
             configuration=getattr(handle, "configuration", None),
             spec=getattr(handle, "spec", None),
             key=getattr(handle, "key", None),
-            warmup_bound_cycles=getattr(handle, "warmup_bound_cycles", None),
         )
 
 

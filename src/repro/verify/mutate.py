@@ -5,14 +5,14 @@ of the runtime: each registered mutation takes a *clean* compiled artifact
 (a :class:`~repro.verify.engine.VerifyContext`) and returns a corrupted copy
 exhibiting exactly one defect class — a dangling DFG operand, a dependence
 scheduled backwards, an aliased register, a flipped instruction bit, a
-lowballed warm-up bound.  The test suite then proves the linter is not
+cache key naming another kernel.  The test suite then proves the linter is not
 vacuous: every mutant must be flagged by the intended pass (with the
 expected diagnostic code) while the clean artifact yields zero diagnostics.
 
 Mutations corrupt exactly one layer and strip the artifact pieces whose
 *derived* claims the corruption would legitimately invalidate (a mutated DFG
 no longer matches the cache key's content fingerprint, a padded stage no
-longer certifies the recorded warm-up bound), so each mutant isolates one
+longer matches the encoded program), so each mutant isolates one
 diagnostic family.  Originals are never modified — frozen dataclasses are
 re-built field-by-field around the corrupted piece.
 
@@ -111,11 +111,10 @@ def _with_stage(ctx: VerifyContext, index: int, stage) -> VerifyContext:
     return _clone(
         ctx,
         schedule=_clone(ctx.schedule, stages=stages),
-        # Derived claims (warm-up certificate, encoded program) describe the
-        # clean schedule; strip them so only the seeded defect is visible.
+        # The encoded program describes the clean schedule; strip it so
+        # only the seeded defect is visible.
         program=None,
         configuration=None,
-        warmup_bound_cycles=None,
     )
 
 
@@ -208,7 +207,6 @@ def _sched_stage_dropped(ctx: VerifyContext) -> Optional[VerifyContext]:
         schedule=_clone(ctx.schedule, stages=list(ctx.schedule.stages[:-1])),
         program=None,
         configuration=None,
-        warmup_bound_cycles=None,
     )
 
 
@@ -538,18 +536,6 @@ def _spec_key_mismatch(ctx: VerifyContext) -> Optional[VerifyContext]:
     if ctx.key is None:
         return None
     return _clone(ctx, key=_clone(ctx.key, kernel_name=ctx.key.kernel_name + "-imposter"))
-
-
-@_mutation(
-    "spec-warmup-lowball",
-    "spec",
-    "SPEC004",
-    "record a warm-up certificate below the analytic steady-state bound",
-)
-def _spec_warmup_lowball(ctx: VerifyContext) -> Optional[VerifyContext]:
-    if ctx.program is None or not ctx.warmup_bound_cycles:
-        return None
-    return _clone(ctx, warmup_bound_cycles=1)
 
 
 MUTATIONS.seal()

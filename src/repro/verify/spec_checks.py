@@ -1,21 +1,21 @@
 """Spec/artifact consistency checks (family ``SPEC``).
 
 An artifact travels with claims about itself: the resolved
-:class:`~repro.specs.OverlaySpec` it was compiled for, the compile-cache
-:class:`~repro.engine.cache.CacheKey` it is filed under, and the certified
-``warmup_bound_cycles`` the steady-state detector trusts.  This pass checks
+:class:`~repro.specs.OverlaySpec` it was compiled for and the compile-cache
+:class:`~repro.engine.cache.CacheKey` it is filed under.  This pass checks
 those claims against the artifact itself, so a handle pulled from a cache
 (or deserialised by a future overlay service) can be proven to be what it
-says it is.  Sub-checks whose subject is absent (no spec, no key, a
-schedule-only handle without a warm-up bound) are silently skipped.
+says it is.  Sub-checks whose subject is absent (no spec, no key) are
+silently skipped.
 
 Codes
 -----
 ``SPEC001``  resolved spec disagrees with the built overlay
 ``SPEC002``  cache key disagrees with the artifact (kernel, DFG fingerprint,
              variant, depth, fifo depth, or an unresolved scheduler name)
-``SPEC003``  full artifact without a certified warm-up bound
-``SPEC004``  warm-up bound below the analytic steady-state bound
+
+``SPEC003`` and ``SPEC004`` (the retired warm-up certificate checks) are
+never reused.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ def run(ctx) -> List[Diagnostic]:
         out.extend(_check_spec(ctx.spec, overlay))
     if ctx.key is not None:
         out.extend(_check_key(ctx))
-    out.extend(_check_warmup(ctx))
     return out
 
 
@@ -111,31 +110,3 @@ def _check_key(ctx) -> List[Diagnostic]:
             )
         )
     return out
-
-
-def _check_warmup(ctx) -> List[Diagnostic]:
-    bound = ctx.warmup_bound_cycles
-    if ctx.program is None and not bound:
-        return []  # schedule-only artifacts carry no certified bound
-    if not bound:
-        return [
-            _error(
-                "SPEC003",
-                "full artifact carries no certified warmup_bound_cycles",
-            )
-        ]
-    from ..engine.fastsim import steady_state_warmup_bound
-
-    try:
-        analytic = steady_state_warmup_bound(ctx.schedule)
-    except Exception:  # a malformed schedule is the schedule pass's problem
-        return []
-    if bound < analytic:
-        return [
-            _error(
-                "SPEC004",
-                f"warmup_bound_cycles={bound} is below the analytic "
-                f"steady-state bound {analytic}",
-            )
-        ]
-    return []

@@ -307,8 +307,8 @@ class TestScheduleOnlyHandles:
 
     def test_isolated_session_tune_never_touches_default_cache(self):
         # The tuner compiles every candidate for triage and simulates the
-        # frontier; both paths must stay inside the session-injected cache
-        # (the same leak class evaluate_many had before PR 6).
+        # frontier; both paths must stay inside the session-injected cache,
+        # as a session's sweeps do.
         from repro.engine.cache import default_cache
 
         tc = Toolchain(cache=ScheduleCache())

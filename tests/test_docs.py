@@ -2,12 +2,15 @@
 
 This is the ``docs`` CI gate: it fails when a relative link in
 ``README.md`` or ``docs/`` points at a missing file or heading, when a
-required documentation page disappears, or when an ``examples/*.py`` script
-stops being valid Python or stops running to a zero exit.  Run it alone with::
+required documentation page disappears, when ``docs/verify.md`` lists
+another set of diagnostic codes or another number of seeded defects than
+the verifier has, or when an ``examples/*.py`` script stops being valid
+Python or stops running to a zero exit.  Run it alone with::
 
     python -m pytest tests/test_docs.py
 """
 
+import ast
 import os
 import py_compile
 import re
@@ -19,6 +22,8 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS_DIR = os.path.join(REPO_ROOT, "docs")
 EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
+VERIFY_PAGE = os.path.join(DOCS_DIR, "verify.md")
+VERIFY_SRC_DIR = os.path.join(REPO_ROOT, "src", "repro", "verify")
 
 #: Pages the documentation site must always provide.
 REQUIRED_PAGES = [
@@ -44,6 +49,8 @@ REQUIRED_ANCHORS = {
 }
 
 _LINK_RE = re.compile(r"\[([^\]]*)\]\(([^)\s]+)\)")
+_CODE_RE = re.compile(r"[A-Z]+\d{3}")
+_CODE_ROW_RE = re.compile(r"^\| `([A-Z]+\d{3})` \|", re.MULTILINE)
 _FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$", re.MULTILINE)
 
@@ -139,6 +146,41 @@ class TestMarkdownLinks:
             if name.endswith(".md"):
                 page = os.path.normpath(os.path.join(DOCS_DIR, name))
                 assert page in readme_targets, f"docs/{name} is not linked from README.md"
+
+
+def _emitted_codes():
+    """Every diagnostic code a ``verify/*_checks.py`` pass emits: each string
+    literal there that is a code and nothing else."""
+    codes = set()
+    for name in sorted(os.listdir(VERIFY_SRC_DIR)):
+        if name.endswith("_checks.py"):
+            tree = ast.parse(_read(os.path.join(VERIFY_SRC_DIR, name)))
+            codes.update(
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _CODE_RE.fullmatch(node.value)
+            )
+    return codes
+
+
+class TestVerifyPage:
+    def test_code_tables_list_exactly_the_emitted_codes(self):
+        documented = _CODE_ROW_RE.findall(_read(VERIFY_PAGE))
+        assert len(documented) == len(set(documented)), "a code is listed twice"
+        emitted = _emitted_codes()
+        assert set(documented) == emitted, (
+            f"documented only: {sorted(set(documented) - emitted)}; "
+            f"emitted only: {sorted(emitted - set(documented))}"
+        )
+
+    def test_mutation_count_matches_the_registry(self):
+        from repro.verify.mutate import mutation_names
+
+        match = re.search(r"registers (\d+) seeded defects", _read(VERIFY_PAGE))
+        assert match, "docs/verify.md no longer states how many seeded defects it registers"
+        assert int(match.group(1)) == len(mutation_names())
 
 
 def _example_files():

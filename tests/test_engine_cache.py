@@ -125,14 +125,15 @@ class TestScheduleCache:
         assert clone.schedule.kernel_name == "qspline"
 
 
-def _legacy_filename(key):
-    """The disk layer's file name before it carried a format tag."""
+def _legacy_filename(key, tag=""):
+    """The disk layer's file name under an older format ``tag`` (such as
+    ``.f5``), or before it carried one."""
     digest = hashlib.sha256(
         f"{key.kernel_name}|{key.dfg_hash}|{key.variant_name}|"
         f"{key.depth}|{key.fixed_depth}|{key.fifo_depth}|"
         f"{key.scheduler}".encode("utf-8")
     ).hexdigest()[:32]
-    return f"{key.kernel_name}-{key.variant_name}-{digest}.pkl"
+    return f"{key.kernel_name}-{key.variant_name}-{digest}{tag}.pkl"
 
 
 #: Entries that fail to load the way stale or damaged ones do: a module or
@@ -161,13 +162,17 @@ class TestDiskFormat:
         assert key.filename().endswith(f".f{DISK_FORMAT}.pkl")
         assert key.filename() != _legacy_filename(key)
 
-    def test_old_format_entry_is_ignored(self, tmp_path, point):
+    @pytest.mark.parametrize(
+        "tag", ["", f".f{DISK_FORMAT - 1}"], ids=["untagged", "previous-format"]
+    )
+    def test_old_format_entry_is_ignored(self, tmp_path, point, tag):
         dfg, overlay, key = point
         compiled = ScheduleCache(capacity=4).get_or_compile(dfg, overlay)
         disk = tmp_path / "cache"
         disk.mkdir()
-        # A readable artifact under the untagged name is never loaded.
-        (disk / _legacy_filename(key)).write_bytes(pickle.dumps(compiled))
+        # A readable artifact under an untagged or older-format name is
+        # never loaded.
+        (disk / _legacy_filename(key, tag)).write_bytes(pickle.dumps(compiled))
         reader = ScheduleCache(capacity=4, disk_dir=str(disk))
         reader.get_or_compile(get_kernel("chebyshev"), overlay)
         assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.disk_errors) == (0, 1, 0)
@@ -200,7 +205,6 @@ class TestDiskFormat:
         loaded = reader.get_or_compile(get_kernel("chebyshev"), overlay)
         assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.disk_errors) == (1, 0, 0)
         assert loaded.configuration.to_bytes() == written.configuration.to_bytes()
-        assert loaded.warmup_bound_cycles == written.warmup_bound_cycles > 0
 
     def test_sharded_stats_sum_disk_errors(self, tmp_path, point):
         dfg, overlay, key = point

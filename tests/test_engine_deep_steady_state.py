@@ -1,20 +1,21 @@
-"""Deep kernels on fixed-depth overlays: the steady-state detector's home turf.
+"""Deep kernels on fixed-depth overlays: where the fast-forward's ramp jumps pay.
 
 The backpressure-heavy region — deep kernels folded onto fixed-depth V3-V5
 overlays at small FIFO depths — is where inter-stage FIFOs keep filling for
-O(fifo_depth x depth) warm-up blocks before the whole machine state repeats.
-This suite pins down the occupancy detector's guarantees there:
+O(fifo_depth x depth) warm-up blocks before every stage advances at one
+rate.  This suite pins down the block recurrence's jumps there:
 
 * bit-identical results against the cycle-accurate golden reference across
   the *whole* kernel library on V3/V4/V5 at fifo_depth in {2, 4, 8, 32},
   including FIFO high-water marks and the measured II;
 * on the deep kernels, fast-forwarded runs of the fast and the batched
   engine equal each engine's own ``fast_forward=False`` runs field by field;
-* the detector locks onto the periodic regime while the FIFOs are still
-  filling (and within the analytic warm-up bound
-  ``W(depth, fifo_depth, II)``, the cross-check oracle);
-* it is the only detector: no simulator entry point, CLI flag or sweep row
-  takes or reports a ``detector``;
+* the recurrence jumps while the FIFOs are still filling, once each stage
+  repeats with a constant shift of its own (a ramp jump), and within the
+  analytic warm-up bound ``W(depth, fifo_depth, II)``, the cross-check
+  oracle;
+* the jumps are the only fast-forward: no simulator entry point, CLI flag
+  or sweep row takes or reports a ``detector``;
 * the satellite fixes: the schedule-only compile-cache path is memoised and
   runs too short to measure an II report ``None`` instead of crashing the
   sweep.
@@ -98,14 +99,14 @@ class TestFixedDepthLibraryEquivalence:
     @pytest.mark.parametrize("fifo_depth", (2, 8))
     @pytest.mark.parametrize("name", DEEP_KERNELS[:2])
     def test_deep_kernels_long_stream_with_backpressure(self, name, fifo_depth):
-        """64-block streams cross the detection window several times over."""
+        """64-block streams cross the recurrence's look-back window many times."""
         schedule = _fixed_schedule(name, V3, fifo_depth)
         fast = assert_engines_identical(schedule, num_blocks=64, seed=11)
         # The small-FIFO region really is backpressure-heavy.
         assert any(s.backpressure_stall_cycles for s in fast.fu_stats)
 
     def test_fifo_high_water_tracks_the_fill_exactly(self):
-        """High-water marks are the part a sloppy ramp skip would corrupt."""
+        """High-water marks are the part a sloppy ramp jump would corrupt."""
         schedule = _fixed_schedule("poly7", V3, 32)
         blocks = random_input_blocks(schedule.dfg, 300, seed=5)
         cycle = OverlaySimulator(schedule).run(blocks)
@@ -115,7 +116,7 @@ class TestFixedDepthLibraryEquivalence:
 
 
 class TestDetectorAgreement:
-    """occupancy == no-fast-forward, field by field."""
+    """Fast-forward jumps == no-fast-forward, field by field."""
 
     @pytest.mark.parametrize("engine", ["fast", "batched"])
     @pytest.mark.parametrize("variant", WRITE_BACK_VARIANTS, ids=["v3", "v4", "v5"])
@@ -126,39 +127,40 @@ class TestDetectorAgreement:
         schedule = _fixed_schedule("poly7", variant, 8)
         blocks = random_input_blocks(schedule.dfg, 80, seed=7)
         simulator = simulator_class(schedule)
-        occupancy = simulator.run(blocks)
+        jumped = simulator.run(blocks)
         off = simulator_class(schedule, fast_forward=False).run(blocks)
         assert simulator.fast_forward_events, f"{engine} engine never fast-forwarded"
         for field in COMPARED_FIELDS:
-            assert getattr(occupancy, field) == getattr(off, field), field
+            assert getattr(jumped, field) == getattr(off, field), field
 
 
 class TestEarlySteadyStateSkip:
-    """The tentpole claim: the occupancy detector locks before the FIFOs fill."""
+    """The block recurrence jumps before the FIFOs fill."""
 
-    def test_occupancy_locks_long_before_the_deep_fill_ends(self):
+    def test_first_jump_lands_long_before_the_deep_fill_ends(self):
         schedule = _fixed_schedule("poly7", V3, 32)
         blocks = random_input_blocks(schedule.dfg, 400, seed=3)
-        occupancy = FastSimulator(schedule)
-        occupancy.run(blocks)
-        assert occupancy.fast_forward_events, "occupancy detector never engaged"
-        first = occupancy.fast_forward_events[0]
-        # A whole-machine fingerprint cannot recur until the ~fifo_depth x
-        # depth block fill transient ends (near the warm-up bound); the
-        # occupancy detector skips within a couple of dozen completions,
-        # while a FIFO is still filling (a ramp skip).
+        simulator = FastSimulator(schedule)
+        simulator.run(blocks)
+        assert simulator.fast_forward_events, "the block recurrence never jumped"
+        first = simulator.fast_forward_events[0]
+        # No steady jump (every stage at one rate) can come before the
+        # ~fifo_depth x depth block fill transient ends (near the warm-up
+        # bound); the recurrence jumps within a couple of dozen completions,
+        # once each stage repeats with a constant shift of its own while a
+        # FIFO is still filling (a ramp jump).
         assert first["kind"] == "ramp"
         assert first["completed"] * 4 <= warmup_bound_blocks(schedule)
 
-    def test_occupancy_skips_before_full_steady_state(self):
+    def test_ramp_jumps_before_full_steady_state(self):
         """poly7 on V4/fifo32 never reaches full steady state in 600 blocks."""
         schedule = _fixed_schedule("poly7", V4, 32)
         blocks = random_input_blocks(schedule.dfg, 600, seed=3)
-        occupancy = FastSimulator(schedule)
-        result = occupancy.run(blocks)
+        simulator = FastSimulator(schedule)
+        result = simulator.run(blocks)
         off = FastSimulator(schedule, fast_forward=False).run(blocks)
-        assert occupancy.fast_forward_events
-        assert all(e["kind"] == "ramp" for e in occupancy.fast_forward_events)
+        assert simulator.fast_forward_events
+        assert all(e["kind"] == "ramp" for e in simulator.fast_forward_events)
         for field in COMPARED_FIELDS:
             assert getattr(result, field) == getattr(off, field), field
 
@@ -166,7 +168,7 @@ class TestEarlySteadyStateSkip:
     @pytest.mark.parametrize("variant", WRITE_BACK_VARIANTS, ids=["v3", "v4", "v5"])
     @pytest.mark.parametrize("name", DEEP_KERNELS)
     def test_warmup_bound_is_a_true_oracle(self, name, variant, fifo_depth):
-        """The first skip must land inside W(depth, fifo_depth, II)."""
+        """The first jump must land inside W(depth, fifo_depth, II)."""
         schedule = _fixed_schedule(name, variant, fifo_depth)
         bound_cycles = steady_state_warmup_bound(schedule)
         bound_blocks = warmup_bound_blocks(schedule)
@@ -175,25 +177,16 @@ class TestEarlySteadyStateSkip:
         simulator = FastSimulator(schedule)
         simulator.run(blocks)
         assert simulator.fast_forward_events, (
-            f"no skip within {num_blocks} blocks on {schedule.overlay.name}"
+            f"no jump within {num_blocks} blocks on {schedule.overlay.name}"
         )
         first = simulator.fast_forward_events[0]
         assert first["completed"] <= bound_blocks
         assert first["cycle"] <= bound_cycles
 
-    def test_compiled_kernel_carries_warmup_bound(self):
-        cache = ScheduleCache()
-        dfg = get_kernel("poly7")
-        overlay = LinearOverlay.fixed(V3, 8)
-        compiled = cache.get_or_compile(dfg, overlay)
-        assert compiled.warmup_bound_cycles == steady_state_warmup_bound(
-            compiled.schedule
-        )
-        assert compiled.warmup_bound_cycles > 0
-
 
 class TestDetectorRetired:
-    """The occupancy detector is the only one: no layer takes a ``detector``."""
+    """The block recurrence's jumps are the only fast-forward: no layer takes
+    a ``detector``."""
 
     @pytest.mark.parametrize(
         "entry_point",

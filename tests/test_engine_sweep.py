@@ -14,7 +14,6 @@ from repro.engine.store import ResultStore
 from repro.engine.sweep import (
     SweepPoint,
     build_grid,
-    evaluate_many,
     render_sweep_table,
     results_to_json,
     run_point,
@@ -23,8 +22,6 @@ from repro.engine.sweep import (
 )
 from repro.errors import ConfigurationError
 from repro.kernels import kernel_names
-from repro.metrics.performance import evaluate_kernel_all_overlays
-from repro.kernels.library import get_kernel
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
 
 V1 = [OverlaySpec("v1")]
@@ -197,42 +194,6 @@ class TestWorkerLanes:
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
         rows = run_sweep(self._grid(), jobs=None)
         assert all(row.matches_reference for row in rows)
-        assert set(evaluate_many(self.KERNELS, variants=("v1",), jobs=None)) == set(self.KERNELS)
-
-
-class TestEvaluateMany:
-    def test_matches_direct_evaluation(self):
-        names = ["gradient", "chebyshev"]
-        fanned = evaluate_many(names, jobs=1)
-        for name in names:
-            direct = evaluate_kernel_all_overlays(get_kernel(name))
-            assert set(fanned[name]) == set(direct)
-            for label in direct:
-                assert fanned[name][label].ii == direct[label].ii
-                assert fanned[name][label].throughput_gops == pytest.approx(
-                    direct[label].throughput_gops
-                )
-
-    def test_injected_cache_scopes_the_compilations(self):
-        # A session-injected cache must receive the compilations (and the
-        # process-wide default cache must not silently absorb them).
-        from repro.engine.cache import default_cache
-
-        cache = ScheduleCache()
-        default_misses = default_cache().stats.misses
-        results = evaluate_many(
-            ["gradient"], variants=("v1", "v2"), jobs=1, cache=cache
-        )
-        assert set(results["gradient"]) == {"v1", "v2"}
-        assert cache.stats.misses == 2  # both compilations landed here
-        assert default_cache().stats.misses == default_misses
-
-    def test_single_kernel_runs_in_process_whatever_jobs(self):
-        # One kernel never pays for a pool: it runs here, in the given cache.
-        cache = ScheduleCache()
-        results = evaluate_many(["gradient"], variants=("v1",), jobs=4, cache=cache)
-        assert set(results) == {"gradient"}
-        assert cache.stats.misses == 1
 
 
 class TestSweepCLI:

@@ -33,6 +33,7 @@ import pytest
 
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache, ShardedScheduleCache
+from repro.engine.fastsim import steady_state_warmup_bound
 from repro.errors import (
     CodegenError,
     ConfigurationError,
@@ -182,6 +183,15 @@ class TestServiceOperations:
         assert row["configuration"]["sha256"] == hashlib.sha256(image).hexdigest()
         assert row["instruction_words"] == handle.program.total_instruction_words
         assert row["schedule_only"] is False
+
+    @pytest.mark.parametrize("kernel, spec", [
+        ("gradient", OverlaySpec("v1")),
+        ("poly7", OverlaySpec("v3", depth=8, fifo_depth=2)),
+    ], ids=["gradient-v1", "poly7-v3-fifo2"])
+    def test_compile_row_carries_the_schedules_warmup_bound(self, client, kernel, spec):
+        row = client.compile(kernel, spec)
+        handle = Toolchain(cache=ScheduleCache(capacity=4)).compile(kernel, spec)
+        assert row["warmup_bound_cycles"] == steady_state_warmup_bound(handle.schedule) > 0
 
     def test_compile_from_mini_c_source(self, client):
         row = client.compile(source=GRADIENT_SOURCE, overlay=OverlaySpec())

@@ -10,14 +10,11 @@ degradation path documented in ``docs/sweeps.md``:
   is charged to the point that actually causes it, and innocent neighbours
   are never charged or quarantined;
 * an interrupted store-backed sweep, resumed, yields the same rows as an
-  uninterrupted run (the PR's kill-resume equivalence acceptance test);
-* ``evaluate_many`` (the same lanes, without retries) raises ``SweepError``
-  naming the failing kernel, and only it, on the pool and serial paths.
+  uninterrupted run (the PR's kill-resume equivalence acceptance test).
 """
 
 import dataclasses
 import os
-import re
 import time
 
 import pytest
@@ -30,8 +27,8 @@ from repro.engine.faults import (
     active_plan,
 )
 from repro.engine.store import ResultStore
-from repro.engine.sweep import build_grid, evaluate_many, run_point, run_sweep
-from repro.errors import ConfigurationError, KernelError, SweepError
+from repro.engine.sweep import build_grid, run_point, run_sweep
+from repro.errors import ConfigurationError
 from repro.specs import OverlaySpec
 
 KERNELS = ["gradient", "chebyshev", "mibench", "poly5"]
@@ -277,61 +274,3 @@ class TestKillResumeEquivalence:
         assert [_strip(r) for r in resumed] == [_strip(r) for r in uninterrupted]
         assert not any(r.quarantined for r in resumed)
 
-
-def _blamed(message):
-    return re.findall(r"kernel '(\w+)' failed", message)
-
-
-class TestEvaluateManyContract:
-    """One failure contract: SweepError naming the culprit, nobody else."""
-
-    KERNELS = ["gradient", "chebyshev", "poly5"]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_raising_kernel_is_named(self, jobs):
-        kernels = ["gradient", "no_such_kernel", "poly5"]
-        with pytest.raises(SweepError, match="no_such_kernel") as excinfo:
-            evaluate_many(kernels, variants=("v1",), jobs=jobs)
-        message = str(excinfo.value)
-        assert _blamed(message) == ["no_such_kernel"]
-        assert "KernelError" in message
-        if jobs == 1:
-            assert isinstance(excinfo.value.__cause__, KernelError)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_dying_kernel_is_named(self, jobs):
-        plan = FaultPlan(rules=(FaultRule(mode="exit", kernel="chebyshev"),))
-        with plan.install():
-            with pytest.raises(SweepError, match="chebyshev") as excinfo:
-                evaluate_many(self.KERNELS, variants=("v1",), jobs=jobs)
-        message = str(excinfo.value)
-        assert _blamed(message) == ["chebyshev"]
-        if jobs == 1:
-            # Serially the exit is refused and degrades to InjectedFault.
-            assert isinstance(excinfo.value.__cause__, InjectedFault)
-        else:
-            assert "worker process died" in message
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_injected_raise_is_named(self, jobs):
-        # The evaluate worker consults the fault plan exactly as run_point does.
-        plan = FaultPlan(rules=(FaultRule(mode="raise", kernel="poly5"),))
-        with plan.install():
-            with pytest.raises(SweepError, match="injected fault") as excinfo:
-                evaluate_many(self.KERNELS, variants=("v1",), jobs=jobs)
-        message = str(excinfo.value)
-        assert _blamed(message) == ["poly5"]
-        assert "InjectedFault" in message
-        if jobs == 1:
-            assert isinstance(excinfo.value.__cause__, InjectedFault)
-
-    def test_pool_path_names_every_failing_kernel_in_order(self):
-        kernels = ["no_such_a", "gradient", "no_such_b", "poly5"]
-        with pytest.raises(SweepError) as excinfo:
-            evaluate_many(kernels, variants=("v1",), jobs=2)
-        assert _blamed(str(excinfo.value)) == ["no_such_a", "no_such_b"]
-
-    def test_pool_path_matches_serial_path(self):
-        pooled = evaluate_many(self.KERNELS, variants=("v1", "v3"), jobs=2)
-        assert list(pooled) == self.KERNELS
-        assert pooled == evaluate_many(self.KERNELS, variants=("v1", "v3"), jobs=1)

@@ -342,14 +342,14 @@ class TestDiagnosticModel:
                     stage=1,
                 ),
                 Diagnostic(
-                    code="SPEC003", severity="warning", message="no bound"
+                    code="DFG007", severity="warning", message="unused input"
                 ),
             ),
         )
         restored = VerifyReport.from_json(report.to_json())
         assert restored == report
         assert not restored.ok
-        assert restored.codes == ("SCHED006", "SPEC003")
+        assert restored.codes == ("DFG007", "SCHED006")
         assert len(restored.errors) == 1 and len(restored.warnings) == 1
         assert "FAIL" in restored.summary()
 
