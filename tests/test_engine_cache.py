@@ -1,5 +1,6 @@
 """Tests for the compiled-schedule cache and its runtime integration."""
 
+import dataclasses
 import hashlib
 import pickle
 
@@ -161,6 +162,12 @@ class TestDiskFormat:
         key = point[2]
         assert key.filename().endswith(f".f{DISK_FORMAT}.pkl")
         assert key.filename() != _legacy_filename(key)
+
+    def test_artifact_shape_is_pinned_to_the_format(self):
+        # Entries pickled with another artifact shape must never load, so a
+        # change to CompiledKernel's fields comes with a DISK_FORMAT bump.
+        fields = tuple(field.name for field in dataclasses.fields(CompiledKernel))
+        assert (DISK_FORMAT, fields) == (6, ("schedule", "program", "configuration"))
 
     @pytest.mark.parametrize(
         "tag", ["", f".f{DISK_FORMAT - 1}"], ids=["untagged", "previous-format"]

@@ -21,7 +21,8 @@ from repro.engine.sweep import (
     run_sweep_spec,
 )
 from repro.errors import ConfigurationError
-from repro.kernels import kernel_names
+from repro.kernels import get_kernel, kernel_names
+from repro.metrics.performance import EVALUATION_VARIANTS, evaluate_kernel_all_overlays
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
 
 V1 = [OverlaySpec("v1")]
@@ -123,6 +124,21 @@ class TestRunSweep:
                 b.latency_cycles,
                 b.total_cycles,
             )
+
+    def test_rows_agree_with_the_evaluation_loop(self):
+        # The paper's tables evaluate each kernel on every overlay in a plain
+        # loop; a sweep over the same grid reports the same II and clock.
+        names = ["gradient", "chebyshev"]
+        grid = build_grid(
+            names, overlays=[OverlaySpec(v) for v in EVALUATION_VARIANTS], sim=FAST8
+        )
+        rows = {(r.kernel, r.variant): r for r in run_sweep(grid, jobs=1)}
+        for name in names:
+            for variant, evaluated in evaluate_kernel_all_overlays(get_kernel(name)).items():
+                row = rows[(name, variant)]
+                assert row.analytic_ii == pytest.approx(evaluated.ii)
+                assert row.fmax_mhz == pytest.approx(evaluated.fmax_mhz)
+                assert row.overlay_depth == evaluated.overlay_depth
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):

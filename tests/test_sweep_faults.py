@@ -10,7 +10,9 @@ degradation path documented in ``docs/sweeps.md``:
   is charged to the point that actually causes it, and innocent neighbours
   are never charged or quarantined;
 * an interrupted store-backed sweep, resumed, yields the same rows as an
-  uninterrupted run (the PR's kill-resume equivalence acceptance test).
+  uninterrupted run (the PR's kill-resume equivalence acceptance test);
+* the serial path and the lanes keep one failure contract: each failing
+  point's row is quarantined naming its own fault, and no other row is.
 """
 
 import dataclasses
@@ -274,3 +276,59 @@ class TestKillResumeEquivalence:
         assert [_strip(r) for r in resumed] == [_strip(r) for r in uninterrupted]
         assert not any(r.quarantined for r in resumed)
 
+
+
+class TestOneFailureContract:
+    """Serial path and lanes alike: the culprit's row names its fault, alone."""
+
+    KERNELS = ["gradient", "chebyshev", "poly5"]
+
+    @staticmethod
+    def _innocent(rows, culprits):
+        return [r for r in rows if r.kernel not in culprits]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "lanes"])
+    def test_unknown_kernel_is_quarantined_alone(self, jobs):
+        rows = run_sweep(_grid(["gradient", "no_such_kernel", "poly5"]), jobs=jobs, retries=0)
+        bad = rows[1]
+        assert bad.quarantined and bad.attempts == 1
+        assert "KernelError" in bad.error and "no_such_kernel" in bad.error
+        # No overlay builds for it, so the row keeps the spec's own fields.
+        assert (bad.kernel, bad.overlay_name) == ("no_such_kernel", "v2?")
+        for row in self._innocent(rows, {"no_such_kernel"}):
+            assert not row.quarantined and row.matches_reference is True
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "lanes"])
+    def test_dying_kernel_is_quarantined_alone(self, jobs):
+        plan = FaultPlan(rules=(FaultRule(mode="exit", kernel="chebyshev"),))
+        with plan.install():
+            rows = run_sweep(_grid(self.KERNELS), jobs=jobs, retries=0)
+        bad = rows[1]
+        assert bad.quarantined and bad.attempts == 1
+        if jobs == 1:
+            # Serially the exit is refused and degrades to InjectedFault.
+            assert "InjectedFault" in bad.error and "refused outside a worker" in bad.error
+        else:
+            assert "worker process died" in bad.error
+        for row in self._innocent(rows, {"chebyshev"}):
+            assert not row.quarantined and row.attempts == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "lanes"])
+    def test_injected_raise_is_quarantined_alone(self, jobs):
+        # Every run of a point consults the fault plan, in either path.
+        plan = FaultPlan(rules=(FaultRule(mode="raise", kernel="poly5"),))
+        with plan.install():
+            rows = run_sweep(_grid(self.KERNELS), jobs=jobs, retries=0)
+        bad = rows[2]
+        assert bad.quarantined and bad.attempts == 1
+        assert "InjectedFault" in bad.error and "injected fault" in bad.error
+        for row in self._innocent(rows, {"poly5"}):
+            assert not row.quarantined and row.matches_reference is True
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "lanes"])
+    def test_every_failing_point_is_quarantined_in_grid_order(self, jobs):
+        kernels = ["no_such_a", "gradient", "no_such_b", "poly5"]
+        rows = run_sweep(_grid(kernels), jobs=jobs, retries=0)
+        assert [r.kernel for r in rows] == kernels
+        assert [r.quarantined for r in rows] == [True, False, True, False]
+        assert "'no_such_a'" in rows[0].error and "'no_such_b'" in rows[2].error
