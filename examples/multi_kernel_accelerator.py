@@ -15,10 +15,8 @@ rotates through four kernels of the benchmark set, and reports:
   context switches — the number a system designer actually cares about.
 
 The APIs used here (the `Toolchain` session, the context-switch model, the
-resource/Fmax models) are mapped in docs/api.md and docs/architecture.md;
-for runtime-style kernel management see `Toolchain.runtime()` /
-`repro.runtime.manager.OverlayRuntime`, whose compile path is documented in
-docs/compiler.md.
+resource/Fmax models) are mapped in docs/api.md and docs/architecture.md,
+and the compile path is documented in docs/compiler.md.
 
 Run with:  python examples/multi_kernel_accelerator.py
 """

@@ -23,7 +23,7 @@ The package implements the paper's complete system in pure Python:
   auto-tuner built on it (:mod:`repro.metrics.models`, :mod:`repro.tune`),
 * the **session API** — the :class:`~repro.api.Toolchain` facade and the
   typed spec objects of :mod:`repro.specs`, the one front door every other
-  entry point (CLI, runtime manager, sweeps, service) adapts to.
+  entry point (CLI, sweeps, tuner, service) adapts to.
 
 Quickstart
 ----------
@@ -84,7 +84,6 @@ from .specs import (
 )
 from .api import CompiledHandle, Toolchain, default_toolchain
 from .tune import enumerate_candidates, tune
-from .runtime import OverlayRuntime
 
 __all__ = [
     "__version__",
@@ -130,7 +129,6 @@ __all__ = [
     "Toolchain",
     "CompiledHandle",
     "default_toolchain",
-    "OverlayRuntime",
     "FastSimulator",
     "ScheduleCache",
     "default_cache",

@@ -14,10 +14,9 @@ through typed spec objects (:mod:`repro.specs`):
 >>> tc.simulate(handle, SimSpec(num_blocks=6)).matches_reference
 True
 
-The runtime (``OverlayRuntime.register``), the service and the CLI compile
-and evaluate through this facade; knobs travel exclusively inside
-:class:`~repro.specs.OverlaySpec` / :class:`~repro.specs.SimSpec` /
-:class:`~repro.specs.SweepSpec` objects.
+The service and the CLI compile and evaluate through this facade; knobs
+travel exclusively inside :class:`~repro.specs.OverlaySpec` /
+:class:`~repro.specs.SimSpec` / :class:`~repro.specs.SweepSpec` objects.
 
 Two :class:`Toolchain` instances with separately injected caches share no
 compiled state: handles, memoised analytic evaluations and compiled
@@ -55,7 +54,7 @@ class CompiledHandle:
     handles (kernels that schedule fine but exceed the variant's register
     file or instruction memory; see ``allow_schedule_only``) — those still
     evaluate analytically and simulate (the simulator runs from the
-    schedule), but have no binary to load onto a runtime.
+    schedule), but have no binary to load onto the overlay.
     """
 
     dfg: DFG
@@ -393,7 +392,7 @@ class Toolchain:
         return simulate_schedule_with(handle.schedule, sim)
 
     # ------------------------------------------------------------------
-    # sweep / runtime
+    # sweep / tune
     # ------------------------------------------------------------------
     def sweep(self, spec: SweepSpec, progress=None) -> List["SweepResult"]:
         """Run a (kernels x overlays) grid through this session.
@@ -476,20 +475,6 @@ class Toolchain:
         snapshot["entries"] = len(self.cache)
         snapshot["capacity"] = self.cache.capacity
         return snapshot
-
-    def runtime(
-        self,
-        overlay: OverlaySpec = OverlaySpec(variant="v3", depth=8),
-        sim: SimSpec = SimSpec(),
-    ) -> "OverlayRuntime":
-        """An :class:`~repro.runtime.manager.OverlayRuntime` on this session.
-
-        The runtime registers kernels through this session's cache, so
-        compilations are shared with :meth:`compile` and :meth:`sweep`.
-        """
-        from .runtime.manager import OverlayRuntime
-
-        return OverlayRuntime(overlay, sim, cache=self.cache)
 
 
 def _merge_measured(result: PerformanceResult, measured: SimulationResult) -> None:

@@ -2,7 +2,7 @@
 
 The mapping flow (scheduling, register allocation, instruction generation,
 configuration-image assembly) is deterministic in its inputs: the kernel DFG
-and the overlay configuration.  Sweeps and multi-kernel runtimes repeat the
+and the overlay configuration.  Sweeps and multi-kernel workloads repeat the
 same (kernel, overlay) pairs constantly — Fig. 5/6/Table III regenerate the
 same nine kernels on the same five variants over and over — so this module
 memoises the compiled artifacts:
@@ -15,7 +15,7 @@ memoises the compiled artifacts:
   while any edit — even to a constant — misses;
 * the **value** is a :class:`CompiledKernel` bundling the schedule, the FU
   programs and the configuration image, exactly what
-  :meth:`repro.runtime.manager.OverlayRuntime.register` produces;
+  :meth:`repro.api.Toolchain.compile` hands out;
 * storage is a bounded in-memory **LRU** with an optional on-disk pickle
   layer (``disk_dir=...`` or the ``REPRO_CACHE_DIR`` environment variable)
   so the worker processes of a parallel sweep can share compilations across
@@ -57,7 +57,7 @@ so neither runs the scheduler or codegen again.
 
 Compiled artifacts are treated as immutable by every consumer (simulator,
 codegen listings, context-switch accounting), which is what makes sharing a
-single instance across runtimes and sweep points safe.
+single instance across sessions and sweep points safe.
 """
 
 from __future__ import annotations
@@ -657,7 +657,7 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def default_cache() -> ScheduleCache:
-    """The process-wide cache shared by runtimes, sweeps and benchmarks."""
+    """The process-wide cache shared by sessions, sweeps and benchmarks."""
     global _DEFAULT_CACHE
     with _DEFAULT_LOCK:
         if _DEFAULT_CACHE is None:

@@ -18,9 +18,8 @@ subclasses, so their JSON form is derived from their fields and
 ``to_json`` / ``from_json`` are exact inverses: a spec can be logged, stored
 next to sweep results, or shipped to a worker process verbatim.  The
 verifier's reports and the sweep fault plans are records too.  Every entry
-point — :class:`repro.api.Toolchain`, the runtime, the sweep runner, the
-service and the CLI — builds or accepts these objects instead of
-re-declaring kwargs.
+point — :class:`repro.api.Toolchain`, the sweep runner, the service and
+the CLI — builds or accepts these objects instead of re-declaring kwargs.
 """
 
 from __future__ import annotations

@@ -81,15 +81,6 @@ class TestSessionIsolation:
         assert ha.schedule is hb.schedule
         assert cache.stats.misses == 1 and cache.stats.hits == 1
 
-    def test_runtime_uses_session_cache(self):
-        tc = Toolchain(cache=ScheduleCache())
-        runtime = tc.runtime(OverlaySpec("v3", depth=8))
-        runtime.register("gradient")
-        assert tc.cache.stats.misses == 1
-        # The same compile through the session is now warm.
-        tc.compile("gradient", OverlaySpec("v3", depth=8))
-        assert tc.cache.stats.hits == 1
-
 
 class TestEvaluate:
     def test_evaluate_handle_matches_kernel_plus_spec(self, gradient):
@@ -247,16 +238,6 @@ class TestScheduleOnlyHandles:
         )
         assert result.simulated
         assert result.reference_match is True
-
-    def test_runtime_rejects_non_spec_arguments(self):
-        from repro.runtime import OverlayRuntime
-
-        with pytest.raises(ConfigurationError):
-            OverlayRuntime("v3")  # a variant name is not an OverlaySpec
-        with pytest.raises(ConfigurationError):
-            OverlayRuntime(SimSpec())  # specs in the wrong slot fail loudly
-        with pytest.raises(ConfigurationError):
-            OverlayRuntime(OverlaySpec("v3"), "fast")
 
     def test_simulated_evaluate_latency_is_consistent(self):
         from repro.metrics.performance import latency_ns

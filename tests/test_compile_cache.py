@@ -4,8 +4,9 @@ Exercises the source fast path of ``Toolchain.compile(source=...)`` (the
 session resolves a source to its cache key once, then
 :meth:`repro.engine.cache.ScheduleCache.get_or_compile_source` serves the
 entry), its interaction with the frontend cache, invalidation on source
-edits, and the wiring through :class:`repro.runtime.manager.OverlayRuntime`
-and :func:`repro.metrics.performance.evaluate_kernel_all_overlays`.
+edits, a library kernel and its source sharing one entry, sessions sharing
+one cache, and the wiring through
+:func:`repro.metrics.performance.evaluate_kernel_all_overlays`.
 """
 
 import pytest
@@ -14,8 +15,7 @@ from repro.engine.cache import ScheduleCache, default_cache
 from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE
 from repro.api import Toolchain, default_toolchain
 from repro.metrics.performance import evaluate_kernel_all_overlays
-from repro.runtime.manager import OverlayRuntime
-from repro.specs import OverlaySpec
+from repro.specs import OverlaySpec, SimSpec
 
 SOURCE = "int triple(int a) { return a + a + a; }"
 #: Same structure, one constant-free edit that keeps depth and I/O intact.
@@ -92,31 +92,23 @@ class TestSourceFastPath:
         assert reader.cache.stats.misses == 0
 
 
-class TestRuntimeWiring:
-    def test_register_source_compiles_and_executes(self):
-        runtime = OverlayRuntime(OverlaySpec("v1", depth=8), cache=ScheduleCache())
-        handle = runtime.register_source(GRADIENT_C_SOURCE)
-        assert handle.name == "gradient"
-        result = runtime.execute_random("gradient", num_blocks=4)
-        assert result.matches_reference
-
-    def test_register_source_shares_compilations_across_runtimes(self):
-        cache = ScheduleCache()
-        first = OverlayRuntime(OverlaySpec("v1", depth=8), cache=cache)
-        second = OverlayRuntime(OverlaySpec("v1", depth=8), cache=cache)
-        a = first.register_source(CHEBYSHEV_C_SOURCE)
-        b = second.register_source(CHEBYSHEV_C_SOURCE)
-        assert a.schedule is b.schedule
-        assert cache.stats.misses == 1
-
-    def test_register_source_matches_register_of_library_kernel(self):
-        cache = ScheduleCache()
-        runtime = OverlayRuntime(OverlaySpec("v1", depth=8), cache=cache)
-        from_source = runtime.register_source(GRADIENT_C_SOURCE)
-        from_library = runtime.register("gradient")
+class TestSessionSharing:
+    def test_source_and_library_kernel_share_one_compile(self):
+        tc = Toolchain(cache=ScheduleCache())
+        from_source = tc.compile(source=GRADIENT_C_SOURCE, overlay=OverlaySpec("v1"))
+        from_library = tc.compile("gradient", OverlaySpec("v1"))
+        assert from_source.kernel_name == "gradient"
         # The library's gradient is parsed from the same source, so the
         # compiled schedule is literally the same cached object.
         assert from_source.schedule is from_library.schedule
+        assert tc.cache.stats.misses == 1
+        assert tc.simulate(from_source, SimSpec(num_blocks=4)).matches_reference
+
+    def test_sessions_on_one_cache_share_a_source_compile(self):
+        cache = ScheduleCache()
+        first = _compile(Toolchain(cache=cache), CHEBYSHEV_C_SOURCE, OverlaySpec("v1"))
+        second = _compile(Toolchain(cache=cache), CHEBYSHEV_C_SOURCE, OverlaySpec("v1"))
+        assert first.schedule is second.schedule
         assert cache.stats.misses == 1
 
 

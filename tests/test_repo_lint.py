@@ -58,7 +58,6 @@ HYGIENE_ONLY = [
     os.path.join(SRC, "metrics", "performance.py"),
     os.path.join(SRC, "overlay", "isa.py"),
     os.path.join(SRC, "program", "codegen.py"),
-    os.path.join(SRC, "runtime", "manager.py"),
     os.path.join(SRC, "schedule", "greedy.py"),
     os.path.join(SRC, "schedule", "linear.py"),
     os.path.join(SRC, "sim", "overlay.py"),
