@@ -47,7 +47,8 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .api import CompiledHandle, Toolchain, default_toolchain
 from .errors import ReproError
-from .kernels import all_benchmarks, get_kernel, kernel_names
+from .kernels import get_kernel, kernel_names
+from .kernels.library import kernel_rows
 from .metrics.performance import evaluate_kernel_all_overlays
 from .metrics.tables import render_fig5_series, render_table1, render_table3
 from .overlay.fu import FU_VARIANTS
@@ -162,17 +163,7 @@ def _print_json(rows) -> None:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    from .dfg.analysis import dfg_depth
-
-    rows = [
-        {
-            "name": name,
-            "io": dfg.io_signature,
-            "ops": dfg.num_operations,
-            "depth": dfg_depth(dfg),
-        }
-        for name, dfg in all_benchmarks().items()
-    ]
+    rows = kernel_rows()
     if args.json:
         _print_json(rows)
         return 0

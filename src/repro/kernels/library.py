@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from ..dfg.analysis import dfg_depth
 from ..dfg.graph import DFG
 from ..errors import KernelError
 from ..frontend.cparser import parse_c_kernel
@@ -264,3 +265,12 @@ def all_benchmarks(include_gradient: bool = True) -> Dict[str, DFG]:
     """Return every benchmark kernel as a name -> DFG mapping."""
     names = BENCHMARK_NAMES if include_gradient else TABLE3_BENCHMARKS
     return {name: get_kernel(name) for name in names}
+
+
+def kernel_rows() -> List[Dict[str, object]]:
+    """One row per benchmark kernel (name, I/O, op count, depth): what
+    ``repro-overlay kernels`` prints and the service's ``kernels`` op returns."""
+    return [
+        {"name": name, "io": dfg.io_signature, "ops": dfg.num_operations, "depth": dfg_depth(dfg)}
+        for name, dfg in all_benchmarks().items()
+    ]

@@ -40,7 +40,7 @@ from typing import (
 )
 
 from ..dfg.graph import DFG
-from ..dfg.opcodes import OP_EXPRESSIONS, OP_SEMANTICS, OP_VECTOR_EXPRESSIONS, _to_signed32
+from ..dfg.opcodes import OP_EXPRESSIONS, OP_VECTOR_EXPRESSIONS, _to_signed32
 from ..errors import KernelError
 
 InputBlock = Union[Sequence[int], Mapping[str, int]]
@@ -180,12 +180,11 @@ class StreamEvaluator:
     every node through :meth:`OpCode.evaluate` on every block.  This class
     generates, once per DFG, one Python function that loops over the
     stream with every node value in a local variable and every operation
-    inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`; an
-    opcode without one calls its :data:`~repro.dfg.opcodes.OP_SEMANTICS`
-    entry).  Every input goes through ``int()`` and every operation result,
-    and every output an input or a constant feeds, through the 32-bit wrap:
-    a range test with the wrap itself out of line, since values almost
-    always stay in range.  So results equal :func:`evaluate_dfg`'s
+    inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`).
+    Every input goes through ``int()`` and every operation result, and
+    every output an input or a constant feeds, through the 32-bit wrap: a
+    range test with the wrap itself out of line, since values almost always
+    stay in range.  So results equal :func:`evaluate_dfg`'s
     (``tests/test_kernels_reference.py`` checks this on random graphs over
     every opcode and the wrap edges).
 
@@ -211,7 +210,6 @@ class StreamEvaluator:
         ]
         constants: List[str] = []
         body: List[str] = []
-        fallbacks: List[Callable[..., int]] = []
         for node_id in dfg.topological_order():
             node = dfg.node(node_id)
             if node.is_input or node.is_output:
@@ -219,15 +217,7 @@ class StreamEvaluator:
             if node.is_const:
                 constants.append(f"    v{node_id} = {int(cast(int, node.value))}")
                 continue
-            operands = [f"v{o}" for o in node.operands]
-            expression = OP_EXPRESSIONS.get(node.opcode)
-            if expression is not None:
-                value = expression.format(*operands)
-            else:
-                # Opcode without an expression template: call its raw
-                # semantics (same wrap applied below).
-                fallbacks.append(OP_SEMANTICS[node.opcode])
-                value = f"_fallbacks[{len(fallbacks) - 1}]({', '.join(operands)})"
+            value = OP_EXPRESSIONS[node.opcode].format(*(f"v{o}" for o in node.operands))
             body += [
                 f"        v{node_id} = {value}",
                 f"        if not -2147483648 <= v{node_id} <= 2147483647:",
@@ -255,7 +245,6 @@ class StreamEvaluator:
         ]
         namespace: Dict[str, Any] = {
             "wrap": _to_signed32,
-            "_fallbacks": fallbacks,
             "_name": dfg.name,
             "KernelError": KernelError,
             "min": min,

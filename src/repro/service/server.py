@@ -41,13 +41,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Type
 
 from ..api import CompiledHandle, Toolchain
 from ..engine import fastsim
 from ..engine.cache import ScheduleCache, ShardedScheduleCache
+from ..kernels.library import kernel_rows
 from ..schedule.ii import analytic_ii
-from ..specs import OverlaySpec, SimSpec, spec_from_wire
+from ..specs import OverlaySpec, R, SimSpec, spec_from_wire
 from .protocol import (
     E_PARAMS,
     E_PROTOCOL,
@@ -198,36 +199,24 @@ class OverlayService:
 
     # -- parameter helpers ---------------------------------------------
     @staticmethod
-    def _overlay_from(params: Dict[str, Any]) -> OverlaySpec:
-        payload = params.get("overlay")
+    def _spec_from(params: Dict[str, Any], field: str, kind: Type[R]) -> Optional[R]:
+        """``params[field]`` as a ``kind`` spec (a wire envelope or a plain
+        field dict), or None when the field is absent."""
+        payload = params.get(field)
         if payload is None:
-            return OverlaySpec()
+            return None
         if isinstance(payload, dict) and "type" in payload:
             spec = spec_from_wire(payload)
-            if not isinstance(spec, OverlaySpec):
+            if not isinstance(spec, kind):
+                article = "an" if field[0] in "aeiou" else "a"
                 raise ServiceError(
-                    E_PARAMS, f"'overlay' must be an overlay spec, got {payload.get('type')!r}"
+                    E_PARAMS,
+                    f"'{field}' must be {article} {field} spec, got {payload.get('type')!r}",
                 )
             return spec
         if isinstance(payload, dict):
-            return OverlaySpec.from_dict(payload)
-        raise ServiceError(E_PARAMS, "'overlay' must be a spec object")
-
-    @staticmethod
-    def _sim_from(params: Dict[str, Any], default: Optional[SimSpec] = None) -> Optional[SimSpec]:
-        payload = params.get("sim")
-        if payload is None:
-            return default
-        if isinstance(payload, dict) and "type" in payload:
-            spec = spec_from_wire(payload)
-            if not isinstance(spec, SimSpec):
-                raise ServiceError(
-                    E_PARAMS, f"'sim' must be a sim spec, got {payload.get('type')!r}"
-                )
-            return spec
-        if isinstance(payload, dict):
-            return SimSpec.from_dict(payload)
-        raise ServiceError(E_PARAMS, "'sim' must be a spec object")
+            return kind.from_dict(payload)
+        raise ServiceError(E_PARAMS, f"'{field}' must be a spec object")
 
     def _compile_from(self, params: Dict[str, Any], session: TenantSession) -> CompiledHandle:
         kernel = params.get("kernel")
@@ -239,7 +228,7 @@ class OverlayService:
         name = params.get("name")
         if name is not None and not isinstance(name, str):
             raise ServiceError(E_PARAMS, "'name' must be a string")
-        overlay = self._overlay_from(params)
+        overlay = self._spec_from(params, "overlay", OverlaySpec) or OverlaySpec()
         return session.toolchain.compile(
             kernel,
             overlay,
@@ -282,14 +271,15 @@ class OverlayService:
         handle = self._compile_from(
             {**request.params, "allow_schedule_only": True}, session
         )
-        result = session.toolchain.evaluate(handle, sim=self._sim_from(request.params))
+        sim = self._spec_from(request.params, "sim", SimSpec)
+        result = session.toolchain.evaluate(handle, sim=sim)
         return result.as_row()
 
     def _op_simulate(self, request: ServiceRequest, session: TenantSession) -> Dict[str, Any]:
         handle = self._compile_from(
             {**request.params, "allow_schedule_only": True}, session
         )
-        sim = self._sim_from(request.params, default=SimSpec(engine="fast"))
+        sim = self._spec_from(request.params, "sim", SimSpec) or SimSpec(engine="fast")
         result = session.toolchain.simulate(handle, sim)
         row: Dict[str, Any] = {
             "kernel": result.kernel_name,
@@ -324,18 +314,7 @@ class OverlayService:
         return [entry.as_row() for entry in model_entries()]
 
     def _op_kernels(self, request: ServiceRequest, session: TenantSession):
-        from ..dfg.analysis import dfg_depth
-        from ..kernels import all_benchmarks
-
-        return [
-            {
-                "name": name,
-                "io": dfg.io_signature,
-                "ops": dfg.num_operations,
-                "depth": dfg_depth(dfg),
-            }
-            for name, dfg in all_benchmarks().items()
-        ]
+        return kernel_rows()
 
     def _op_stats(self, request: ServiceRequest, session: TenantSession) -> Dict[str, Any]:
         with self._tenants_lock:
@@ -347,14 +326,11 @@ class OverlayService:
                 "requests": tenant.requests,
                 "cache": tenant.toolchain.cache_stats(),
             }
-        cache_row = self.cache.stats.as_dict()
-        cache_row["entries"] = len(self.cache)
-        cache_row["capacity"] = self.cache.capacity
         return {
             "version": PROTOCOL_VERSION,
             "uptime_s": time.monotonic() - self._started_monotonic,
             "endpoints": self.stats.as_dict(),
-            "cache": cache_row,
+            "cache": Toolchain(cache=self.cache).cache_stats(),
             "tenants": tenants,
         }
 

@@ -25,13 +25,14 @@ Codes
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import EncodingError, RegisterAllocationError
 from ..overlay.isa import Instruction, InstructionKind, decode_instruction, encode_instruction
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, pass_error
 
-_PASS = "binary"
+_error = partial(pass_error, "binary")
 _LOAD = InstructionKind.LOAD
 
 
@@ -78,16 +79,6 @@ class _Decoder(Dict[int, _Decoded]):
 
 #: The process's decode memo, shared by every verification.
 _DECODED = _Decoder()
-
-
-def _error(code: str, message: str, **location) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=Severity.ERROR,
-        message=message,
-        pass_name=_PASS,
-        **location,
-    )
 
 
 def run(ctx) -> List[Diagnostic]:

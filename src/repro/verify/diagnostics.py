@@ -87,6 +87,20 @@ class Diagnostic(Record):
         return f"{self.code} ({self.severity.value}): {self.message}{suffix}"
 
 
+def pass_error(pass_name: str, code: str, message: str, **location) -> Diagnostic:
+    """An ``ERROR`` diagnostic of ``pass_name``, located by ``stage``,
+    ``slot`` or ``node``.  Each pass binds its name once
+    (``partial(pass_error, "dfg")``) and keeps its code literals at the call
+    sites."""
+    return Diagnostic(
+        code=code,
+        severity=Severity.ERROR,
+        message=message,
+        pass_name=pass_name,
+        **location,
+    )
+
+
 @dataclass(frozen=True)
 class VerifyReport(Record):
     """The verdict of running verification passes over one artifact."""

@@ -21,27 +21,18 @@ Codes
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..program.regalloc import compute_live_intervals
 from ..schedule.types import SlotKind
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, pass_error
 
 # Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
 _COMPUTE = SlotKind.COMPUTE
 _PASS_SLOT = SlotKind.PASS
 
-_PASS = "regalloc"
-
-
-def _error(code: str, message: str, **location) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=Severity.ERROR,
-        message=message,
-        pass_name=_PASS,
-        **location,
-    )
+_error = partial(pass_error, "regalloc")
 
 
 def run(ctx) -> List[Diagnostic]:

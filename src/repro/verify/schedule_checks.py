@@ -34,27 +34,18 @@ Codes
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 from ..schedule.ii import analytic_ii, minimum_ii_bound
 from ..schedule.types import SlotKind
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, pass_error
 
 # Bound once: ``SlotKind.X`` goes through ``EnumType.__getattr__`` per lookup.
 _COMPUTE = SlotKind.COMPUTE
 _PASS_SLOT = SlotKind.PASS
 
-_PASS = "schedule"
-
-
-def _error(code: str, message: str, **location) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=Severity.ERROR,
-        message=message,
-        pass_name=_PASS,
-        **location,
-    )
+_error = partial(pass_error, "schedule")
 
 
 def run(ctx) -> List[Diagnostic]:

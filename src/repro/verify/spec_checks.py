@@ -20,22 +20,13 @@ never reused.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..dfg.serialize import dfg_fingerprint
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, pass_error
 
-_PASS = "spec"
-
-
-def _error(code: str, message: str, **location) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=Severity.ERROR,
-        message=message,
-        pass_name=_PASS,
-        **location,
-    )
+_error = partial(pass_error, "spec")
 
 
 def run(ctx) -> List[Diagnostic]:

@@ -8,11 +8,13 @@ tests skip cleanly when the tools are missing — but the AST-based
 import-hygiene check below always runs on the same scope plus
 ``HYGIENE_ONLY``, so a dead import cannot land even without the external
 tools.  ``TestUsedOutsideTests`` keeps definitions that only their own
-tests call from growing back.
+tests call from growing back, and ``TestExports`` checks that every name in
+a package's ``__all__`` exists.
 """
 
 import ast
 import functools
+import importlib
 import os
 import re
 import shutil
@@ -253,3 +255,25 @@ class TestUsedOutsideTests:
         for name in ORACLES:
             assert name in defined, f"ORACLES names {name}, which src/repro does not define"
             assert f"`{name}`" in documented, f"{name} is missing from the Oracles section"
+
+
+# ---------------------------------------------------------------------------
+# exports
+# ---------------------------------------------------------------------------
+#: ``repro`` and every subpackage of it.
+PACKAGES = ["repro"] + [
+    f"repro.{name}"
+    for name in sorted(os.listdir(SRC))
+    if os.path.isfile(os.path.join(SRC, name, "__init__.py"))
+]
+
+
+class TestExports:
+    """A name left in ``__all__`` after its definition goes fails only at
+    ``from package import *``; this catches it when it lands."""
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_resolves(self, package):
+        module = importlib.import_module(package)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{package}.__all__ names undefined {missing}"

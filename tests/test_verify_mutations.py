@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import Toolchain
 from repro.dfg.serialize import dfg_fingerprint
+from repro.dfg.validate import collect_validation_errors
 from repro.engine.cache import ScheduleCache
 from repro.errors import InfeasibleScheduleError
 from repro.specs import OverlaySpec
@@ -116,3 +117,21 @@ def test_dfg_mutants_hash_their_own_nodes(name, grid_contexts):
     mutant = apply_mutation(ctx, name)
     assert dfg_fingerprint(mutant.dfg) != clean
     assert dfg_fingerprint(ctx.dfg) == clean
+
+
+#: What ``collect_validation_errors`` says about each DFG mutant's graph.
+_VALIDATION_ERRORS = {
+    "dfg-dangling-operand": "references unknown operand",
+    "dfg-cycle": "contains a cycle",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATION_ERRORS))
+def test_dfg_validation_reports_each_dfg_mutant(name, grid_contexts):
+    # validate_dfg runs the dfg pass's walk, so a graph edited behind
+    # add_node is reported rather than raising or passing.
+    for point, ctx in grid_contexts.items():
+        mutant = apply_mutation(ctx, name)
+        if mutant is not None:
+            errors = collect_validation_errors(mutant.dfg)
+            assert any(_VALIDATION_ERRORS[name] in error for error in errors), (point, errors)
