@@ -462,7 +462,13 @@ class ScheduleCache:
             with self._lock:
                 self.stats.coalesced += 1
             if flight.error is not None:
-                raise flight.error
+                # A raised error's traceback holds this frame, and the flight
+                # holds the error: unbind it, or the cycle keeps the frame's
+                # cache and every artifact in it alive until a full collection.
+                try:
+                    raise flight.error
+                finally:
+                    del flight
             assert flight.result is not None
             return flight.result
         try:
@@ -477,6 +483,7 @@ class ScheduleCache:
             with self._lock:
                 self._inflight.pop(key, None)
             flight.event.set()
+            del flight  # the waiters' cycle, when the compile raised
 
     def _compile_miss(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay

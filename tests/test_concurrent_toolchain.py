@@ -21,9 +21,11 @@ so this file pins the guarantees that make that safe:
 """
 
 import collections
+import gc
 import pickle
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -197,6 +199,14 @@ class TestCoalescingAtTheCacheLayer:
         monkeypatch.setattr(ScheduleCache, "_compile_miss", original)
         handle = Toolchain(cache=cache).compile(dfg, spec)
         assert handle.configuration is not None
+        # No leader's or waiter's traceback holds the cache in a cycle.
+        alive = weakref.ref(cache)
+        gc.disable()
+        try:
+            del cache
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_schedule_only_compiles_run_each_stage_once(self, monkeypatch):
         """A codegen failure is compiled once however many threads ask: the

@@ -1,8 +1,10 @@
 """Tests for the compiled-schedule cache."""
 
 import dataclasses
+import gc
 import hashlib
 import pickle
+import weakref
 
 import pytest
 
@@ -15,8 +17,10 @@ from repro.engine.cache import (
     ShardedScheduleCache,
     dfg_content_hash,
 )
+from repro.errors import InfeasibleScheduleError
 from repro.kernels import get_kernel
 from repro.overlay.architecture import LinearOverlay
+from repro.overlay.fu import get_variant
 
 
 @pytest.fixture
@@ -120,6 +124,21 @@ class TestScheduleCache:
         clone = pickle.loads(pickle.dumps(compiled))
         assert isinstance(clone, CompiledKernel)
         assert clone.schedule.kernel_name == "qspline"
+
+    def test_a_failed_compile_leaves_the_cache_to_reference_counting(self):
+        # The error's traceback must not hold the cache in a cycle, or every
+        # artifact in it outlives its last user until a full collection.
+        cache = ScheduleCache()
+        shallow = LinearOverlay(variant=get_variant("v1"), depth=2)
+        with pytest.raises(InfeasibleScheduleError):
+            cache.get_or_compile(get_kernel("gradient"), shallow)
+        alive = weakref.ref(cache)
+        gc.disable()
+        try:
+            del cache
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def _legacy_filename(key, tag=""):
