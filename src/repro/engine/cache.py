@@ -483,7 +483,7 @@ class ScheduleCache:
             with self._lock:
                 self._inflight.pop(key, None)
             flight.event.set()
-            del flight  # the waiters' cycle, when the compile raised
+            del flight  # the same cycle as a waiter's, when the compile raised
 
     def _compile_miss(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
