@@ -6,9 +6,9 @@ import dataclasses
 import pytest
 
 from repro.api import CompiledHandle, Toolchain
-from repro.engine.cache import ScheduleCache
+from repro.engine.cache import ScheduleCache, default_cache
 from repro.engine.sweep import SweepPoint
-from repro.errors import CodegenError, ConfigurationError
+from repro.errors import CodegenError, ConfigurationError, KernelError
 from repro.overlay.resources import overlay_fmax_mhz
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
 
@@ -50,6 +50,25 @@ class TestCompile:
         with pytest.raises(ConfigurationError):
             tc.compile("gradient", OverlaySpec(), source="void f() {}")
 
+    def test_compile_rejects_a_spec_in_the_wrong_slot(self):
+        tc = Toolchain(cache=ScheduleCache())
+        with pytest.raises(ConfigurationError):
+            tc.compile("gradient", SimSpec())
+
+    def test_compile_unknown_kernel_rejected(self):
+        tc = Toolchain(cache=ScheduleCache())
+        with pytest.raises(KernelError):
+            tc.compile("ghost", OverlaySpec("v3"))
+
+    def test_compile_traced_dfg(self):
+        from repro.frontend import trace_kernel
+
+        tc = Toolchain(cache=ScheduleCache())
+        dfg = trace_kernel(lambda a, b: a * b + a, name="fma")
+        handle = tc.compile(dfg, OverlaySpec("v1", depth=4))
+        assert handle.kernel_name == "fma"
+        assert handle.configuration.size_bytes > 0
+
     def test_warm_compile_hits_the_injected_cache(self):
         tc = Toolchain(cache=ScheduleCache())
         first = tc.compile("gradient", OverlaySpec("v1"))
@@ -79,6 +98,17 @@ class TestSessionIsolation:
         ha = a.compile("gradient", OverlaySpec("v1"))
         hb = b.compile("gradient", OverlaySpec("v1"))
         assert ha.schedule is hb.schedule
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
+
+    def test_default_session_compiles_through_the_process_wide_cache(self):
+        assert Toolchain().cache is default_cache()
+
+    def test_a_schedule_shared_through_the_cache_still_simulates(self):
+        cache = ScheduleCache()
+        sim = SimSpec(engine="fast", num_blocks=8)
+        for tc in (Toolchain(cache=cache), Toolchain(cache=cache)):
+            handle = tc.compile("gradient", OverlaySpec("v1", depth=4))
+            assert tc.simulate(handle, sim).matches_reference
         assert cache.stats.misses == 1 and cache.stats.hits == 1
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.api import Toolchain
 from repro.dfg.analysis import dfg_depth
+from repro.engine.cache import ScheduleCache
 from repro.errors import ConfigurationError
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.context_switch import (
@@ -13,6 +15,7 @@ from repro.overlay.context_switch import (
     reconfigurable_region,
 )
 from repro.overlay.fu import V1, V2, V3
+from repro.specs import OverlaySpec
 
 
 class TestReconfigurableRegion:
@@ -91,3 +94,48 @@ class TestContextSwitch:
         fixed = context_switch_time_s(overlay, instruction_words=0)
         with pytest.raises(ConfigurationError):
             context_switch_reduction(fixed, fixed)
+
+
+def _rotation(spec, kernels):
+    """(handle, switch estimate) per kernel of a rotation on one overlay
+    policy, accounted as ``examples/multi_kernel_accelerator.py`` does it."""
+    tc = Toolchain(cache=ScheduleCache())
+    steps = []
+    previous_depth = None
+    for kernel in kernels:
+        handle = tc.compile(kernel, spec)
+        switch = context_switch_time_s(
+            handle.overlay,
+            instruction_words=handle.configuration.total_words,
+            kernel_depth=previous_depth,
+        )
+        steps.append((handle, switch))
+        previous_depth = tc.evaluate(handle).kernel_depth
+    return steps
+
+
+class TestSessionKernelRotation:
+    def test_fixed_depth_rotation_never_reconfigures(self):
+        steps = _rotation(OverlaySpec("v3", depth=8), ["gradient", "poly7", "qspline"])
+        for handle, switch in steps:
+            assert handle.overlay.depth == 8
+            assert not switch.requires_partial_reconfiguration
+            assert switch.pcap_time_s == 0.0
+            assert switch.total_time_s == instruction_load_time_s(
+                handle.configuration.total_words
+            )
+
+    def test_critical_path_rotation_reconfigures_on_depth_change(self):
+        steps = _rotation(OverlaySpec("v1"), ["gradient", "gradient", "qspline"])
+        (_, _), (_, same_depth), (qspline, deeper) = steps
+        assert not same_depth.requires_partial_reconfiguration
+        assert qspline.overlay.depth == 8
+        assert deeper.requires_partial_reconfiguration
+        assert deeper.pcap_time_s == pcap_configuration_time_s(V1, 8)
+
+    def test_rotation_overhead_is_much_smaller_on_fixed_overlay(self):
+        kernels = ["gradient", "qspline", "gradient"]
+        v1 = sum(s.total_time_s for _, s in _rotation(OverlaySpec("v1"), kernels))
+        v3 = sum(s.total_time_s for _, s in _rotation(OverlaySpec("v3", depth=8), kernels))
+        assert v1 > 1e-3  # three PCAP writes of the V1 region
+        assert v3 < v1 / 100
