@@ -236,33 +236,22 @@ class Toolchain:
     # ------------------------------------------------------------------
     # verify
     # ------------------------------------------------------------------
-    def verify(
-        self,
-        handle: CompiledHandle,
-        *,
-        passes: Optional[List[str]] = None,
-        use_cache: bool = True,
-    ) -> "VerifyReport":
+    def verify(self, handle: CompiledHandle) -> "VerifyReport":
         """Run the static verification passes over a compiled artifact.
 
         Returns the :class:`~repro.verify.VerifyReport` (never raises on
         diagnostics — callers decide; ``compile(check=True)`` is the raising
-        wrapper).  Full-suite verdicts (``passes=None``) are cached on the
-        artifact's cache key, so re-verifying a warm artifact is a
-        dictionary lookup; pass ``use_cache=False`` to force a re-run, or
-        ``passes=[...]`` to run a subset (never cached).
+        wrapper).  Verdicts are cached on the artifact's cache key, so
+        re-verifying a warm artifact is a dictionary lookup;
+        :func:`~repro.verify.run_passes` runs the suite afresh.
         """
         from .verify import VerifyContext, run_passes
 
         if not isinstance(handle, CompiledHandle):
             raise ConfigurationError("verify() takes a handle from compile()")
-        cacheable = passes is None and use_cache
-        if cacheable:
-            report = self.cache.get_verdict(handle.key)
-            if report is not None:
-                return report
-        report = run_passes(VerifyContext.from_handle(handle), passes=passes)
-        if cacheable:
+        report = self.cache.get_verdict(handle.key)
+        if report is None:
+            report = run_passes(VerifyContext.from_handle(handle))
             self.cache.store_verdict(handle.key, report)
         return report
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..dfg.analysis import dfg_depth
 from ..dfg.graph import DFG
 from ..metrics.performance import latency_ns, throughput_gops
-from ..overlay.fu import V1, FUVariant, get_variant
+from ..overlay.fu import V1
 from ..overlay.resources import overlay_fmax_mhz, overlay_slices
 
 
@@ -37,15 +37,15 @@ class SpatialOverlayEstimate:
     latency_ns: float
 
 
-def evaluate_spatial(dfg: DFG, variant: FUVariant = V1) -> SpatialOverlayEstimate:
+def evaluate_spatial(dfg: DFG) -> SpatialOverlayEstimate:
     """Estimate a spatially-configured implementation of a kernel.
 
     One FU per DFG operation, II of 1, pipeline latency of one FU stage per
-    DFG level.  The FU variant only sets the per-FU resource cost and clock
-    (the spatial FUs would not need instruction memories, so this
-    over-estimates area slightly — conservative in the TM overlay's favour).
+    DFG level.  The V1 FU sets the per-FU resource cost and clock (the
+    spatial FUs would not need instruction memories, so this over-estimates
+    area slightly — conservative in the TM overlay's favour).
     """
-    fu = get_variant(variant)
+    fu = V1
     num_fus = dfg.num_operations
     fmax = overlay_fmax_mhz(fu, max(1, num_fus))
     ii = 1.0

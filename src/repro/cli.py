@@ -297,7 +297,6 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
         schedulers = tuple(
             _parse_name_list(args.schedulers, scheduler_names(), "scheduler")
         )
-    retries = 0 if getattr(args, "no_retry", False) else getattr(args, "retries", 2)
     return SweepSpec(
         kernels=tuple(kernels),
         overlays=tuple(
@@ -308,7 +307,7 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
         sim=sim_spec_from_args(args),
         jobs=args.jobs,
         schedulers=schedulers,
-        retries=retries,
+        retries=getattr(args, "retries", 2),
         timeout_s=getattr(args, "timeout", None),
         store_dir=getattr(args, "store", None),
         resume=getattr(args, "resume", True),
@@ -692,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="per-point retry budget before a faulting point is quarantined "
         "as an error row (default: 2)",
-    )
-    p_sweep.add_argument(
-        "--no-retry",
-        action="store_true",
-        help="shorthand for --retries 0 (fail each faulting point immediately)",
     )
     p_sweep.add_argument(
         "--timeout",

@@ -30,7 +30,6 @@ from .transforms import (
     constant_folding,
     dead_code_elimination,
     optimize,
-    rebalance_reductions,
     strength_reduce_squares,
 )
 from .serialize import from_dict, from_json, load, save, to_dict, to_dot, to_json
@@ -55,7 +54,6 @@ __all__ = [
     "constant_folding",
     "common_subexpression_elimination",
     "strength_reduce_squares",
-    "rebalance_reductions",
     "optimize",
     "to_dict",
     "from_dict",

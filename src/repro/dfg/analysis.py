@@ -228,16 +228,14 @@ def _stage_analysis(
     return traffic, lifetimes
 
 
-def value_lifetimes(
-    dfg: DFG, assignment: Mapping[int, int], num_stages: Optional[int] = None
-) -> Dict[int, Tuple[int, int]]:
+def value_lifetimes(dfg: DFG, assignment: Mapping[int, int]) -> Dict[int, Tuple[int, int]]:
     """Return ``value id -> (producer stage, last stage needed)``.
 
     Primary inputs have producer stage ``-1``; values feeding primary outputs
-    have their last stage equal to ``num_stages`` (the output FIFO boundary).
+    are needed up to the output FIFO boundary, one stage past the deepest
+    assigned stage.
     """
-    if num_stages is None:
-        num_stages = (max(assignment.values()) + 1) if assignment else 1
+    num_stages = (max(assignment.values()) + 1) if assignment else 1
     return _lifetimes(_value_uses(dfg), assignment, num_stages)
 
 

@@ -1,8 +1,8 @@
 """Programmatic DFG construction.
 
 :class:`DFGBuilder` is the low-level API used by the frontends and the
-benchmark kernel library.  It provides one method per operation, keeps track
-of named values, and finishes with :meth:`build`, which validates the graph.
+benchmark kernel library.  It provides one method per operation and finishes
+with :meth:`build`, which validates the graph.
 
 Example
 -------
@@ -18,11 +18,9 @@ Example
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
 
 from ..errors import DFGValidationError
 from .graph import DFG
-from .node import DFGNode
 from .opcodes import OpCode
 from .validate import validate_dfg
 
@@ -36,7 +34,6 @@ class DFGBuilder:
 
     def __init__(self, name: str = "kernel"):
         self._dfg = DFG(name=name)
-        self._named: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # boundary nodes
@@ -45,26 +42,19 @@ class DFGBuilder:
         """Add a primary input and return its node id."""
         if not name:
             name = f"I{self._dfg.num_inputs}"
-        node = self._dfg.new_node(OpCode.INPUT, name=f"{name}_N{self._dfg._next_id}")
-        self._named[name] = node.node_id
-        return node.node_id
+        return self._dfg.new_node(OpCode.INPUT, name=f"{name}_N{self._dfg._next_id}").node_id
 
-    def const(self, value: int, name: str = "") -> int:
+    def const(self, value: int) -> int:
         """Add a compile-time constant and return its node id."""
-        node = self._dfg.new_node(OpCode.CONST, value=int(value), name=name)
-        if name:
-            self._named[name] = node.node_id
-        return node.node_id
+        return self._dfg.new_node(OpCode.CONST, value=int(value)).node_id
 
     def output(self, value: int, name: str = "") -> int:
         """Mark ``value`` as a primary output."""
         if not name:
             name = f"O{self._dfg.num_outputs}"
-        node = self._dfg.new_node(
+        return self._dfg.new_node(
             OpCode.OUTPUT, operands=(value,), name=f"{name}_N{self._dfg._next_id}"
-        )
-        self._named[name] = node.node_id
-        return node.node_id
+        ).node_id
 
     # ------------------------------------------------------------------
     # operations
@@ -75,10 +65,7 @@ class DFGBuilder:
             raise DFGValidationError(
                 f"DFGBuilder.op expects a compute opcode, got {opcode.name}"
             )
-        node = self._dfg.new_node(opcode, operands=tuple(operands), name=name)
-        if name:
-            self._named[name] = node.node_id
-        return node.node_id
+        return self._dfg.new_node(opcode, operands=tuple(operands), name=name).node_id
 
     def add(self, a: int, b: int, name: str = "") -> int:
         return self.op(OpCode.ADD, a, b, name=name)
@@ -129,40 +116,8 @@ class DFGBuilder:
         return self.op(OpCode.ABS, a, name=name)
 
     # ------------------------------------------------------------------
-    # helpers
+    # finishing
     # ------------------------------------------------------------------
-    def named(self, name: str) -> int:
-        """Look up a previously named value."""
-        return self._named[name]
-
-    def reduce(self, opcode: OpCode, values: Sequence[int], balanced: bool = True) -> int:
-        """Combine ``values`` with a binary opcode.
-
-        With ``balanced=True`` (default) the reduction forms a balanced tree,
-        minimizing DFG depth — this is what the paper's DFGs (e.g. the adder
-        tree of 'gradient') look like.  With ``balanced=False`` a left-leaning
-        chain is built instead, which maximizes depth and is useful for
-        stressing the fixed-depth scheduler.
-        """
-        if not values:
-            raise DFGValidationError("reduce requires at least one value")
-        work = list(values)
-        if len(work) == 1:
-            return work[0]
-        if balanced:
-            while len(work) > 1:
-                nxt = []
-                for i in range(0, len(work) - 1, 2):
-                    nxt.append(self.op(opcode, work[i], work[i + 1]))
-                if len(work) % 2:
-                    nxt.append(work[-1])
-                work = nxt
-            return work[0]
-        acc = work[0]
-        for value in work[1:]:
-            acc = self.op(opcode, acc, value)
-        return acc
-
     def build(self, validate: bool = True) -> DFG:
         """Finish construction and (optionally) validate the graph."""
         if validate:

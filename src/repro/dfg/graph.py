@@ -4,22 +4,15 @@ The DFG is the central IR of the tool flow: the frontend produces it, the
 schedulers consume it, and the reference evaluator executes it.  It is a DAG
 of :class:`~repro.dfg.node.DFGNode` objects; edges carry the operand position
 so that non-commutative operations (SUB, SHL, ...) keep their operand order.
-
-A `networkx.DiGraph` view is available through :meth:`DFG.to_networkx` for
-callers that want the networkx toolbox; the library itself never needs it
-(networkx is imported only when that view is built).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DFGValidationError, UnknownNodeError
 from .node import DFGEdge, DFGNode
 from .opcodes import OpCode
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class DerivedValues:
@@ -203,9 +196,6 @@ class DFG:
     def consumer_ids(self, node_id: int) -> List[int]:
         return [c for c, _ in self.consumers(node_id)]
 
-    def fanout(self, node_id: int) -> int:
-        return len(self.consumers(node_id))
-
     # ------------------------------------------------------------------
     # derived quantities used throughout the paper
     # ------------------------------------------------------------------
@@ -240,34 +230,13 @@ class DFG:
             derived = self._derived = DerivedValues()
         return derived
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a ``networkx.DiGraph`` view of the DFG.
-
-        Node attributes: ``opcode`` (name string), ``name``, ``value``.
-        Edge attributes: ``operand_index``.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for node in self.nodes():
-            graph.add_node(
-                node.node_id,
-                opcode=node.opcode.name,
-                name=node.name,
-                value=node.value,
-            )
-        for edge in self.edges():
-            graph.add_edge(edge.producer, edge.consumer, operand_index=edge.operand_index)
-        return graph
-
     def topological_order(self) -> List[int]:
         """Node ids in a deterministic topological order (smallest ready id first).
 
-        Matches networkx's lexicographical topological sort but runs
-        directly on the internal indices with a binary heap and memoises the
-        result in :meth:`derived`.  This sits on the hot compile path —
-        every ASAP/ALAP levelization and depth query calls it — so it must
-        not materialise a ``DiGraph`` per call.
+        Matches networkx's lexicographical topological sort, run directly
+        on the internal indices with a binary heap, and memoises the result
+        in :meth:`derived`: every ASAP/ALAP levelization and depth query on
+        the hot compile path calls it.
 
         Raises
         ------

@@ -111,9 +111,9 @@ def from_dict(data: Dict[str, Any], validate: bool = True) -> DFG:
     return dfg
 
 
-def to_json(dfg: DFG, indent: int = 2) -> str:
+def to_json(dfg: DFG) -> str:
     """Serialize a DFG to a JSON string."""
-    return json.dumps(to_dict(dfg), indent=indent)
+    return json.dumps(to_dict(dfg), indent=2)
 
 
 def from_json(text: Union[str, bytes], validate: bool = True) -> DFG:

@@ -12,9 +12,6 @@ parser in particular) benefits from them:
   operations (the paper's DFGs are SSA graphs, so this is a pure win).
 * :func:`strength_reduce_squares` — rewrite ``MUL(x, x)`` as ``SQR(x)``,
   matching the node naming used in the paper's figures.
-* :func:`rebalance_reductions` — re-associate chains of the same commutative
-  operator into balanced trees, reducing DFG depth (and therefore the number
-  of FUs a critical-path-depth overlay needs).
 
 All passes are functional: they return a new :class:`DFG` and leave the input
 untouched.  Node ids are re-numbered compactly in topological order.
@@ -170,81 +167,18 @@ def strength_reduce_squares(dfg: DFG) -> DFG:
     return new
 
 
-def rebalance_reductions(dfg: DFG) -> DFG:
-    """Re-associate single-use chains of a commutative operator into trees.
-
-    A chain ``(((a+b)+c)+d)`` of depth 3 becomes ``(a+b)+(c+d)`` of depth 2.
-    Only nodes whose intermediate results have a single consumer are touched,
-    so observable values are preserved.
-    """
-    consumers_count = {n.node_id: dfg.fanout(n.node_id) for n in dfg.nodes()}
-    new = DFG(name=dfg.name)
-    id_map: Dict[int, int] = {}
-    chain_absorbed: set = set()
-
-    def collect_chain(root: DFGNode) -> List[int]:
-        """Leaves (old ids) of the maximal single-use chain rooted at ``root``."""
-        leaves: List[int] = []
-        stack = [root.node_id]
-        while stack:
-            node_id = stack.pop()
-            node = dfg.node(node_id)
-            is_internal = (
-                node.is_operation
-                and node.opcode is root.opcode
-                and (node_id == root.node_id or consumers_count[node_id] == 1)
-            )
-            if is_internal:
-                if node_id != root.node_id:
-                    chain_absorbed.add(node_id)
-                stack.extend(reversed(node.operands))
-            else:
-                leaves.append(node_id)
-        return leaves
-
-    for old_id in dfg.topological_order():
-        if old_id in chain_absorbed:
-            continue
-        node = dfg.node(old_id)
-        if node.is_operation and node.opcode.is_commutative:
-            leaves = collect_chain(node)
-            if len(leaves) > 2:
-                work = [id_map[leaf] for leaf in leaves]
-                while len(work) > 1:
-                    nxt = []
-                    for i in range(0, len(work) - 1, 2):
-                        nxt.append(
-                            new.new_node(node.opcode, operands=(work[i], work[i + 1])).node_id
-                        )
-                    if len(work) % 2:
-                        nxt.append(work[-1])
-                    work = nxt
-                id_map[old_id] = work[0]
-                continue
-        operands = tuple(id_map[o] for o in node.operands)
-        new_node = new.new_node(
-            node.opcode, operands=operands, value=node.value, name=_port_name(node)
-        )
-        id_map[old_id] = new_node.node_id
-    return new
-
-
-def optimize(dfg: DFG, rebalance: bool = False) -> DFG:
+def optimize(dfg: DFG) -> DFG:
     """Run the standard pass pipeline used by the frontends.
 
     The result is, node for node, constant folding -> CSE -> square strength
-    reduction -> (optional) reduction rebalancing -> DCE of the passes
-    above, which stay its reference.  It is built in two walks instead of
-    five rebuilds: :func:`_fold_and_mark` folds constants and marks
-    liveness, then :func:`_emit_live` merges duplicates, reduces squares and
-    builds the graph once.  A final DCE of that compact, all-live graph
-    would be the identity, so only a rebalanced graph gets one.  The result
-    is validated before returning.
+    reduction -> DCE of the passes above, which stay its reference.  It is
+    built in two walks instead of four rebuilds: :func:`_fold_and_mark`
+    folds constants and marks liveness, then :func:`_emit_live` merges
+    duplicates, reduces squares and builds the graph once, compact and all
+    live.  The result is validated before returning.
     """
     rows, live = _fold_and_mark(dfg)
     result = _emit_live(dfg.name, rows, live)
-    if rebalance:
-        result = dead_code_elimination(rebalance_reductions(result))
     validate_dfg(result, require_live=False)
     return result
 

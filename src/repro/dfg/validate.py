@@ -117,8 +117,13 @@ def dfg_problems(dfg: DFG, require_live: bool = True) -> List[Problem]:
 
 
 def _cycle_members(dfg: DFG) -> Set[int]:
-    """Node ids left over after a Kahn toposort over ``node.operands``: the
-    members of some cycle and every node downstream of one."""
+    """Node ids on a dependence cycle over ``node.operands``: the members of
+    a strongly connected component of two or more nodes, or of a self-loop.
+
+    A Kahn toposort leaves over the members of every cycle and the nodes
+    downstream of one; of those, the members are the nodes that reach
+    themselves.  Only a cyclic graph leaves anything over.
+    """
     indegree: Dict[int, int] = {node.node_id: 0 for node in dfg.nodes()}
     consumers: Dict[int, List[int]] = {node_id: [] for node_id in indegree}
     for node in dfg.nodes():
@@ -132,7 +137,21 @@ def _cycle_members(dfg: DFG) -> Set[int]:
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
                 ready.append(consumer)
-    return {node_id for node_id, degree in indegree.items() if degree > 0}
+    left = {node_id for node_id, degree in indegree.items() if degree > 0}
+
+    def reaches_itself(start: int) -> bool:
+        seen: Set[int] = set()
+        stack = list(consumers[start])
+        while stack:
+            node_id = stack.pop()
+            if node_id == start:
+                return True
+            if node_id in left and node_id not in seen:
+                seen.add(node_id)
+                stack.extend(consumers[node_id])
+        return False
+
+    return {node_id for node_id in left if reaches_itself(node_id)}
 
 
 def _live_nodes(dfg: DFG) -> Set[int]:

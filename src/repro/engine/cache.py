@@ -608,10 +608,6 @@ class ShardedScheduleCache:
         """Aggregated statistics (the field-wise sum of the shards')."""
         return CacheStats.merged([shard.stats for shard in self._shards])
 
-    def shard_stats(self) -> "list[CacheStats]":
-        """Per-shard statistics (observability: spot a hot shard)."""
-        return [shard.stats for shard in self._shards]
-
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
 

@@ -399,9 +399,10 @@ def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
 
     A sufficiently long single-lane run must take its first fast-forward
     jump within this many cycles (the multilane wrapper applies it per
-    lane).  The bound is deliberately generous — it is a cross-check oracle
-    for the jump, which compiled kernels carry and the verifier checks, not
-    a performance model.
+    lane); the tests cross-check the jump against it.  Nothing stores it:
+    the ``warmup-aware`` model uses it as its warm-up window, and the
+    service's compile row reports it as ``warmup_bound_cycles``, each
+    computing it from the schedule when asked.
     """
     from ..schedule.ii import per_stage_ii
 

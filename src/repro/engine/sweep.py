@@ -628,9 +628,9 @@ def run_sweep_spec(
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-def results_to_json(results: Sequence[SweepResult], indent: int = 2) -> str:
+def results_to_json(results: Sequence[SweepResult]) -> str:
     """Serialize sweep results as a JSON array of flat row objects."""
-    return json.dumps([result.as_row() for result in results], indent=indent)
+    return json.dumps([result.as_row() for result in results], indent=2)
 
 
 def render_sweep_table(results: Sequence[SweepResult]) -> str:

@@ -193,8 +193,6 @@ def trace_kernel(
     func: Callable[..., Union[Operand, Sequence[Operand]]],
     num_inputs: Optional[int] = None,
     name: Optional[str] = None,
-    input_names: Optional[Sequence[str]] = None,
-    run_optimizer: bool = True,
 ) -> DFG:
     """Trace a Python kernel function into a DFG.
 
@@ -208,12 +206,11 @@ def trace_kernel(
         parameter count.
     name:
         Kernel name (defaults to ``func.__name__``).
-    input_names:
-        Optional port names; default ``I0, I1, ...`` in the paper's style.
-    run_optimizer:
-        Apply the standard pass pipeline (constant folding, CSE, SQR
-        strength reduction, DCE) to the traced graph.  Enabled by default so
-        traced kernels match what an HLS frontend would emit.
+
+    The inputs are named ``I0, I1, ...`` in the paper's style, and the traced
+    graph goes through the standard pass pipeline (constant folding, CSE,
+    SQR strength reduction, DCE), so traced kernels match what an HLS
+    frontend would emit.
     """
     if num_inputs is None:
         signature = inspect.signature(func)
@@ -226,11 +223,7 @@ def trace_kernel(
             ]
         )
     tracer = KernelTracer(name or func.__name__)
-    if input_names is None:
-        input_names = [f"I{i}" for i in range(num_inputs)]
-    if len(input_names) != num_inputs:
-        raise TraceError("input_names length does not match num_inputs")
-    inputs = [tracer.input(n) for n in input_names]
+    inputs = [tracer.input(f"I{i}") for i in range(num_inputs)]
     result = func(*inputs)
     outputs: List[Operand]
     if isinstance(result, (tuple, list)):
@@ -241,8 +234,4 @@ def trace_kernel(
         outputs = [result]
     for index, value in enumerate(outputs):
         tracer.output(value, f"O{index}")
-    dfg = tracer.finish(validate=not run_optimizer)
-    if run_optimizer:
-        dfg = optimize(dfg)
-        dfg.name = name or func.__name__
-    return dfg
+    return optimize(tracer.finish(validate=False))

@@ -27,12 +27,7 @@ from ..errors import KernelError
 _BINARY_OPCODES = (OpCode.MUL, OpCode.ADD, OpCode.SUB, OpCode.ADD)
 
 
-def dfg_from_level_profile(
-    profile: Sequence[int],
-    num_inputs: int,
-    name: str = "synthetic",
-    opcodes: Sequence[OpCode] = _BINARY_OPCODES,
-) -> DFG:
+def dfg_from_level_profile(profile: Sequence[int], num_inputs: int) -> DFG:
     """Build a DFG with ``profile[k]`` operations at depth level ``k + 1``.
 
     The wiring is deterministic:
@@ -58,11 +53,10 @@ def dfg_from_level_profile(
     if num_inputs < 1:
         raise KernelError("at least one primary input is required")
 
-    builder = DFGBuilder(name)
+    builder = DFGBuilder("synthetic")
     inputs = [builder.input(f"I{i}") for i in range(num_inputs)]
     previous_level: List[int] = list(inputs)
     earlier_pool: List[int] = list(inputs)  # values from levels strictly before L-1
-    opcode_cycle = list(opcodes)
 
     for level_index, count in enumerate(profile):
         width = len(previous_level)
@@ -90,7 +84,7 @@ def dfg_from_level_profile(
         for position in range(count):
             first = first_operands[position]
             second = second_operands[position]
-            opcode = opcode_cycle[(level_index + position) % len(opcode_cycle)]
+            opcode = _BINARY_OPCODES[(level_index + position) % len(_BINARY_OPCODES)]
             if first == second and opcode is OpCode.SUB:
                 # x - x would constant-fold to zero downstream; use ADD instead.
                 opcode = OpCode.ADD
@@ -108,7 +102,6 @@ def dfg_from_traffic_profile(
     skips: Sequence[int],
     num_inputs: int,
     name: str = "synthetic",
-    opcodes: Sequence[OpCode] = _BINARY_OPCODES,
 ) -> DFG:
     """Build a DFG with controlled per-stage *traffic*, not just op counts.
 
@@ -165,7 +158,6 @@ def dfg_from_traffic_profile(
 
     builder = DFGBuilder(name)
     inputs = [builder.input(f"I{i}") for i in range(num_inputs)]
-    opcode_cycle = list(opcodes)
 
     # skip_values[s] holds the node ids produced at level s that skip level s+1.
     skip_values: List[List[int]] = [[] for _ in range(depth + 1)]
@@ -201,7 +193,7 @@ def dfg_from_traffic_profile(
         for position in range(ops_count):
             first = first_operands[position]
             second = second_operands[position]
-            opcode = opcode_cycle[(level + position) % len(opcode_cycle)]
+            opcode = _BINARY_OPCODES[(level + position) % len(_BINARY_OPCODES)]
             if first == second and opcode is OpCode.SUB:
                 opcode = OpCode.ADD
             current.append(builder.op(opcode, first, second))
@@ -220,7 +212,6 @@ def random_dfg(
     num_operations: int,
     seed: int = 0,
     name: Optional[str] = None,
-    max_fanin_distance: int = 4,
 ) -> DFG:
     """Generate a seeded random straight-line kernel DFG.
 
@@ -242,7 +233,7 @@ def random_dfg(
 
     for _ in range(num_operations - 1):
         opcode = rng.choice(_BINARY_OPCODES)
-        window = values[-max_fanin_distance * num_inputs :]
+        window = values[-4 * num_inputs :]  # recent values, so the graph gains depth
         first = rng.choice(window)
         second = rng.choice(values)
         node = builder.op(opcode, first, second)

@@ -261,10 +261,9 @@ def get_kernel(name: str) -> DFG:
     return _CACHE[name].copy()
 
 
-def all_benchmarks(include_gradient: bool = True) -> Dict[str, DFG]:
+def all_benchmarks() -> Dict[str, DFG]:
     """Return every benchmark kernel as a name -> DFG mapping."""
-    names = BENCHMARK_NAMES if include_gradient else TABLE3_BENCHMARKS
-    return {name: get_kernel(name) for name in names}
+    return {name: get_kernel(name) for name in BENCHMARK_NAMES}
 
 
 def kernel_rows() -> List[Dict[str, object]]:

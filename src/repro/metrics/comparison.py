@@ -11,7 +11,7 @@ print them next to the paper's numbers.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 from ..errors import ConfigurationError
 
@@ -24,18 +24,12 @@ def reduction(reference: float, new: float) -> float:
 
 
 def average_reduction(
-    reference_values: Mapping[str, float],
-    new_values: Mapping[str, float],
-    keys: Optional[Sequence[str]] = None,
+    reference_values: Mapping[str, float], new_values: Mapping[str, float]
 ) -> float:
-    """Arithmetic mean of per-key reductions (the paper's aggregation).
-
-    ``keys`` restricts the aggregation (e.g. only the depth > 8 benchmarks
-    for the V3/V4 comparison); by default every key present in both mappings
-    is used.
-    """
-    if keys is None:
-        keys = [k for k in reference_values if k in new_values]
+    """Arithmetic mean of per-key reductions (the paper's aggregation) over
+    every key present in both mappings; restrict the mappings to aggregate
+    over fewer (e.g. only the depth > 8 benchmarks for V3/V4)."""
+    keys = [k for k in reference_values if k in new_values]
     if not keys:
         raise ConfigurationError("no common keys to aggregate over")
     values = [reduction(reference_values[k], new_values[k]) for k in keys]

@@ -19,7 +19,7 @@ functional correctness against the golden reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..dfg.analysis import dfg_depth
 from ..dfg.graph import DFG
@@ -138,16 +138,13 @@ EVALUATION_VARIANTS = ("baseline", "v1", "v2", "v3", "v4")
 
 
 def evaluate_kernel_all_overlays(
-    dfg: DFG,
-    variants: Sequence[str] = EVALUATION_VARIANTS,
-    fixed_depth: Optional[int] = None,
-    simulate: bool = False,
+    dfg: DFG, simulate: bool = False
 ) -> Dict[str, PerformanceResult]:
     """Evaluate one kernel on every overlay variant of the paper's comparison.
 
-    Each variant is ``Toolchain.evaluate(dfg, OverlaySpec(variant,
-    depth=fixed_depth))`` on the process-wide default session;
-    ``simulate=True`` adds a 12-block simulation (``SimSpec()``).
+    Each variant is ``Toolchain.evaluate(dfg, OverlaySpec(variant))`` on the
+    process-wide default session; ``simulate=True`` adds a 12-block
+    simulation (``SimSpec()``).
     """
     from ..api import default_toolchain
     from ..specs import OverlaySpec, SimSpec
@@ -155,8 +152,6 @@ def evaluate_kernel_all_overlays(
     toolchain = default_toolchain()
     sim = SimSpec() if simulate else None
     return {
-        str(variant): toolchain.evaluate(
-            dfg, OverlaySpec(variant=variant, depth=fixed_depth), sim=sim
-        )
-        for variant in variants
+        variant: toolchain.evaluate(dfg, OverlaySpec(variant=variant), sim=sim)
+        for variant in EVALUATION_VARIANTS
     }

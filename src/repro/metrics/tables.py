@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..kernels.characteristics import PAPER_CHARACTERISTICS
-from ..overlay.fu import FU_VARIANTS, FUVariant
+from ..overlay.fu import FU_VARIANTS
 from ..overlay.resources import OverlayResources
 
 
@@ -42,11 +42,10 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def render_table1(variants: Optional[Sequence[FUVariant]] = None) -> str:
+def render_table1() -> str:
     """Paper Table I: comparison of the FU designs."""
-    variants = list(variants) if variants is not None else list(FU_VARIANTS.values())
     rows = []
-    for fu in variants:
+    for fu in FU_VARIANTS.values():
         rows.append(
             [
                 fu.paper_label,
@@ -64,10 +63,7 @@ def render_table1(variants: Optional[Sequence[FUVariant]] = None) -> str:
     )
 
 
-def render_table3(
-    measured_ii: Mapping[str, Mapping[str, float]],
-    characteristics: Optional[Mapping[str, object]] = None,
-) -> str:
+def render_table3(measured_ii: Mapping[str, Mapping[str, float]]) -> str:
     """Paper Table III: DFG characteristics and II per overlay.
 
     ``measured_ii`` maps kernel -> overlay label ("baseline", "v1", ...) -> II.

@@ -119,16 +119,9 @@ def tile_grid(
     return tiles, aggregate
 
 
-def max_tiles_on_device(
-    tile: OverlayTile,
-    device_slices: int,
-    device_dsps: int,
-    utilisation_cap: float = 0.8,
-) -> int:
-    """How many tiles fit on a device within a utilisation cap."""
-    if not 0 < utilisation_cap <= 1:
-        raise ConfigurationError("utilisation_cap must be in (0, 1]")
+def max_tiles_on_device(tile: OverlayTile, device_slices: int, device_dsps: int) -> int:
+    """How many tiles fit on a device within 80% utilisation."""
     resources = tile.resources()
-    by_slices = math.floor(device_slices * utilisation_cap / resources.logic_slices)
-    by_dsps = math.floor(device_dsps * utilisation_cap / resources.dsp_blocks)
+    by_slices = math.floor(device_slices * 0.8 / resources.logic_slices)
+    by_dsps = math.floor(device_dsps * 0.8 / resources.dsp_blocks)
     return max(0, min(by_slices, by_dsps))

@@ -83,12 +83,15 @@ class ConfigurationImage:
         return bytes(payload)
 
     @classmethod
-    def from_bytes(cls, data: bytes, kernel_name: str = "", overlay_name: str = "") -> "ConfigurationImage":
-        """Parse a serialised image; raises ``EncodingError`` on bad data."""
+    def from_bytes(cls, data: bytes) -> "ConfigurationImage":
+        """Parse a serialised image; raises ``EncodingError`` on bad data.
+
+        The bytes carry no kernel or overlay name, so both come back empty.
+        """
         if len(data) < 4 or _WORD.unpack_from(data, 0)[0] != _MAGIC:
             raise EncodingError("not a valid overlay configuration image")
         offset = 4
-        image = cls(kernel_name=kernel_name, overlay_name=overlay_name)
+        image = cls(kernel_name="", overlay_name="")
         while offset < len(data):
             fu_index, num_words, num_consts = _HEADER.unpack_from(data, offset)
             offset += _HEADER.size + 2

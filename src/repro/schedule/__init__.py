@@ -39,7 +39,6 @@ from .modulo import (
     minimum_ii,
     modulo_schedule,
     modulo_stage_assignment,
-    recurrence_minimum_ii,
     resource_minimum_ii,
     schedule_modulo,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "schedule_modulo",
     "minimum_ii",
     "resource_minimum_ii",
-    "recurrence_minimum_ii",
     "DEFAULT_SCHEDULER",
     "Scheduler",
     "SchedulerStrategy",

@@ -41,12 +41,11 @@ from .linear import _build_stages, schedule_linear
 from .ordering import order_cluster
 from .types import OverlaySchedule, ScheduledOp, StageSchedule
 
+#: The most boundary moves :func:`refine_assignment` makes.
+_MAX_REFINEMENT_MOVES = 200
 
-def schedule_fixed_depth(
-    dfg: DFG,
-    overlay: LinearOverlay,
-    max_refinement_moves: int = 200,
-) -> OverlaySchedule:
+
+def schedule_fixed_depth(dfg: DFG, overlay: LinearOverlay) -> OverlaySchedule:
     """Map a kernel onto a fixed-depth overlay.
 
     Kernels no deeper than the overlay use ASAP scheduling (the paper's
@@ -63,7 +62,7 @@ def schedule_fixed_depth(
             "no write-back path to fold levels"
         )
     assignment = initial_cluster_assignment(dfg, overlay.depth)
-    assignment = refine_assignment(dfg, assignment, overlay, max_refinement_moves)
+    assignment = refine_assignment(dfg, assignment, overlay)
     stages = build_clustered_stages(dfg, assignment, overlay)
     return OverlaySchedule(
         dfg=dfg,
@@ -184,17 +183,15 @@ def _legal_moves(
 
 
 def refine_assignment(
-    dfg: DFG,
-    assignment: Dict[int, int],
-    overlay: LinearOverlay,
-    max_moves: int = 200,
+    dfg: DFG, assignment: Dict[int, int], overlay: LinearOverlay
 ) -> Dict[int, int]:
-    """Greedily move nodes across cluster boundaries to minimise the max II."""
+    """Greedily move nodes across cluster boundaries to minimise the max II,
+    at most :data:`_MAX_REFINEMENT_MOVES` moves."""
     assignment = dict(assignment)
     slot_counts: _SlotCounts = {}
     contributions = _stage_iis(dfg, assignment, overlay, slot_counts)
     best_cost = max(contributions)
-    for _ in range(max_moves):
+    for _ in range(_MAX_REFINEMENT_MOVES):
         bottleneck = max(range(len(contributions)), key=lambda i: contributions[i])
         bottleneck_nodes = [
             node_id for node_id, cluster in assignment.items() if cluster == bottleneck

@@ -60,21 +60,16 @@ def schedule_linear(dfg: DFG, overlay: LinearOverlay) -> OverlaySchedule:
 
 
 def build_stage_schedules(
-    dfg: DFG,
-    assignment: Dict[int, int],
-    num_stages: int,
-    slot_order: Optional[Dict[int, Sequence[ScheduledOp]]] = None,
+    dfg: DFG, assignment: Dict[int, int], num_stages: int
 ) -> List[StageSchedule]:
     """Construct per-stage programs (loads / slots) from a stage assignment.
 
-    ``slot_order`` optionally supplies a pre-ordered slot list per stage (the
-    fixed-depth scheduler uses this to inject its NOP-padded ordering); when
-    absent, computes are emitted in node-id order followed by the
-    pass-throughs in load order, which is sufficient for ASAP mappings where
-    no intra-stage dependences exist.
+    Computes are emitted in node-id order followed by the pass-throughs in
+    load order, which is sufficient for ASAP mappings where no intra-stage
+    dependences exist.
     """
     traffic, lifetimes = _stage_analysis(dfg, assignment, num_stages)
-    return _build_stages(dfg, traffic, lifetimes, slot_order)
+    return _build_stages(dfg, traffic, lifetimes)
 
 
 def _build_stages(
@@ -84,7 +79,9 @@ def _build_stages(
     slot_order: Optional[Dict[int, Sequence[ScheduledOp]]] = None,
 ) -> List[StageSchedule]:
     """:func:`build_stage_schedules` from an assignment's traffic and value
-    lifetimes, for builders that derived them already."""
+    lifetimes, for builders that derived them already.  ``slot_order``
+    optionally supplies a pre-ordered slot list per stage (the fixed-depth
+    scheduler injects its NOP-padded ordering this way)."""
     stages: List[StageSchedule] = []
     previous_emission: List[int] = _input_stream_order(dfg)
     for stage_index, entry in enumerate(traffic):

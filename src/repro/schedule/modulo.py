@@ -14,7 +14,8 @@ analytic comparison the paper makes and as a real, registered scheduling
 strategy:
 
 * :func:`resource_minimum_ii` — ResMII = ceil(#ops / #FUs);
-* :func:`recurrence_minimum_ii` — RecMII (1 for acyclic graphs);
+* :func:`minimum_ii` — MII = max(ResMII, RecMII), where RecMII is 1 for the
+  acyclic graphs the overlay streams;
 * :func:`modulo_schedule` — assigns every operation a start slot such that at
   most ``num_fus`` operations occupy the same slot modulo II, growing the II
   until a feasible schedule exists (the idealised comparison);
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..dfg.analysis import asap_levels, dfg_depth
 from ..dfg.graph import DFG
@@ -52,19 +53,13 @@ def resource_minimum_ii(dfg: DFG, num_fus: int) -> int:
     return max(1, math.ceil(dfg.num_operations / num_fus))
 
 
-def recurrence_minimum_ii(dfg: DFG) -> int:
-    """RecMII: 1 for the overlay's acyclic streaming kernels.
-
-    Kept as an explicit function so the comparison reads like the textbook
-    formulation (``MII = max(ResMII, RecMII)``) and so cyclic extensions have
-    an obvious place to plug in.
-    """
-    return 1
-
-
 def minimum_ii(dfg: DFG, num_fus: int) -> int:
-    """The classic modulo-scheduling lower bound MII = max(ResMII, RecMII)."""
-    return max(resource_minimum_ii(dfg, num_fus), recurrence_minimum_ii(dfg))
+    """The classic modulo-scheduling lower bound MII = max(ResMII, RecMII).
+
+    RecMII is 1 on the overlay's acyclic streaming kernels, and ResMII is at
+    least 1, so MII is ResMII.
+    """
+    return resource_minimum_ii(dfg, num_fus)
 
 
 @dataclass
@@ -123,12 +118,7 @@ def _operation_heights(dfg: DFG) -> Dict[int, int]:
     return height
 
 
-def modulo_schedule(
-    dfg: DFG,
-    num_fus: int,
-    initial_ii: Optional[int] = None,
-    max_ii: Optional[int] = None,
-) -> ModuloSchedule:
+def modulo_schedule(dfg: DFG, num_fus: int) -> ModuloSchedule:
     """Schedule an acyclic kernel under the idealised CGRA assumptions.
 
     Operations are visited in priority order (deepest first, i.e. longest
@@ -137,7 +127,7 @@ def modulo_schedule(
     constraint (at most ``num_fus`` operations per slot modulo II).  If no
     placement exists the II is incremented and scheduling restarts — the
     outer loop of iterative modulo scheduling, without the backtracking that
-    cyclic graphs would need.
+    cyclic graphs would need — from MII up to ``#ops + depth + 2``.
     """
     if num_fus < 1:
         raise ScheduleError("at least one FU is required")
@@ -150,8 +140,8 @@ def modulo_schedule(
         key=lambda n: (-height[n], levels[n], n),
     )
 
-    ii = initial_ii or minimum_ii(dfg, num_fus)
-    ceiling = max_ii or (dfg.num_operations + dfg_depth(dfg) + 2)
+    ii = minimum_ii(dfg, num_fus)
+    ceiling = dfg.num_operations + dfg_depth(dfg) + 2
     while ii <= ceiling:
         placement = _try_schedule(dfg, operations, num_fus, ii)
         if placement is not None:

@@ -81,16 +81,13 @@ class TenantSession:
 class OverlayService:
     """A multi-tenant compile/simulate server over one sharded cache.
 
+    Non-isolated tenants go through one shared
+    :class:`~repro.engine.cache.ShardedScheduleCache`, :attr:`cache`.
+
     Parameters
     ----------
-    cache:
-        The shared compile cache non-isolated tenants go through.  Defaults
-        to a fresh :class:`~repro.engine.cache.ShardedScheduleCache` sized
-        by ``capacity``/``shards``; inject any cache implementing the
-        :class:`~repro.engine.cache.ScheduleCache` interface to share one
-        with other in-process consumers.
     capacity / shards:
-        Sizing of the default sharded cache (total entries, shard count).
+        Sizing of the shared sharded cache (total entries, shard count).
     max_workers:
         Thread-pool width for CPU-bound request bodies (``None`` = the
         executor's CPU-based default).
@@ -100,7 +97,6 @@ class OverlayService:
 
     def __init__(
         self,
-        cache=None,
         *,
         capacity: int = 512,
         shards: int = 8,
@@ -108,11 +104,7 @@ class OverlayService:
         isolated_capacity: int = 128,
         disk_dir: Optional[str] = None,
     ):
-        self.cache = (
-            cache
-            if cache is not None
-            else ShardedScheduleCache(capacity=capacity, shards=shards, disk_dir=disk_dir)
-        )
+        self.cache = ShardedScheduleCache(capacity=capacity, shards=shards, disk_dir=disk_dir)
         self.isolated_capacity = isolated_capacity
         self.stats = ServiceStats()
         self._tenants: Dict[str, TenantSession] = {}
@@ -417,11 +409,11 @@ class BackgroundServer:
         with BackgroundServer(OverlayService()) as server:
             client = ServiceClient("127.0.0.1", server.port)
 
-    ``port=0`` (the default) binds an ephemeral port, published as
-    :attr:`port` once the server is accepting connections.
+    The server binds an ephemeral port, published as :attr:`port` once it
+    is accepting connections.
     """
 
-    def __init__(self, service: OverlayService, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, service: OverlayService, host: str = "127.0.0.1"):
         self.service = service
         self.host = host
         self.port: Optional[int] = None
@@ -445,7 +437,7 @@ class BackgroundServer:
         asyncio.set_event_loop(loop)
         try:
             server = loop.run_until_complete(
-                self.service.start(self.host, self.port or 0)
+                self.service.start(self.host, 0)
             )
             self._server = server
             if server.sockets:

@@ -90,7 +90,6 @@ class ServiceStats:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._endpoints: Dict[str, EndpointStats] = {}
-        self.coalesced_requests = 0
 
     def record(self, op: str, seconds: float, ok: bool) -> None:
         with self._lock:

@@ -96,15 +96,11 @@ class TraceRecorder:
 
 
 def render_schedule_table(
-    recorder: TraceRecorder,
-    num_stages: int,
-    first_cycle: int = 0,
-    num_cycles: int = 32,
-    column_width: int = 24,
+    recorder: TraceRecorder, num_stages: int, num_cycles: int = 32
 ) -> str:
     """Render the first ``num_cycles`` cycles as a Table II style text table."""
     header_cells = ["cyc"] + [f"FU{k}" for k in range(num_stages)]
-    widths = [5] + [column_width] * num_stages
+    widths = [5] + [24] * num_stages
     lines = [_format_row(header_cells, widths)]
     lines.append("-" * (sum(widths) + num_stages))
 
@@ -112,7 +108,7 @@ def render_schedule_table(
     for event in recorder.events:
         by_cycle_stage.setdefault((event.cycle, event.stage), []).append(event)
 
-    for cycle in range(first_cycle, first_cycle + num_cycles):
+    for cycle in range(num_cycles):
         cells = [str(cycle + 1)]  # the paper's Table II is 1-based
         for stage in range(num_stages):
             events = by_cycle_stage.get((cycle, stage), [])

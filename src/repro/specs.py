@@ -114,10 +114,21 @@ def _variant_name(variant) -> str:
     return get_variant(variant).name
 
 
-def _check_int(value: Any, minimum: int, what: str) -> None:
-    """Reject anything but an integer (``bool`` included) of at least ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _check_int(value: Any, minimum: Optional[int], what: str) -> None:
+    """Reject anything but an integer (``bool`` included), and one below
+    ``minimum`` unless that is ``None``."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def _check_bool(value: Any, what: str) -> None:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be true or false, got {value!r}")
 
 
 def _check_jobs(jobs: Optional[int]) -> None:
@@ -202,6 +213,7 @@ class OverlaySpec(Record):
                 f"FU variant {fu.paper_label} has no write-back path and "
                 "cannot implement a fixed-depth overlay (only V3-V5 can)"
             )
+        _check_int(self.fifo_depth, None, "FIFO depth")
         if self.fifo_depth < 2:
             raise ConfigurationError("FIFO depth must be at least 2")
 
@@ -286,8 +298,12 @@ class SimSpec(Record):
                 f"unknown simulation engine {self.engine!r}; "
                 f"available: {', '.join(ENGINES)}"
             )
+        _check_int(self.num_blocks, None, "num_blocks")
         if self.num_blocks < 0:
             raise ConfigurationError("num_blocks must be non-negative")
+        _check_int(self.seed, None, "seed")
+        _check_bool(self.trace, "trace")
+        _check_bool(self.verify, "verify")
 
 
 @dataclass(frozen=True)

@@ -114,16 +114,14 @@ def pass_names() -> Tuple[str, ...]:
 get_pass = PASSES.get
 
 
-def run_passes(
-    ctx: VerifyContext, passes: Optional[Sequence[str]] = None
-) -> VerifyReport:
-    """Run the (selected) passes over one artifact and report the verdict."""
-    selected = (
-        [get_pass(name) for name in passes] if passes is not None else PASSES.entries()
-    )
+def run_passes(ctx: VerifyContext) -> VerifyReport:
+    """Run every applicable pass over one artifact and report the verdict.
+
+    One pass alone is ``get_pass(name).func(ctx)``, its diagnostics.
+    """
     ran: List[str] = []
     diagnostics: List[Diagnostic] = []
-    for entry in selected:
+    for entry in PASSES.entries():
         if not entry.applicable(ctx):
             continue
         ran.append(entry.name)

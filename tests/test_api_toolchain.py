@@ -223,9 +223,9 @@ class TestScheduleOnlyHandles:
         exceeds the rotating register file (codegen fails)."""
         from repro.kernels.generators import dfg_from_level_profile
 
-        return dfg_from_level_profile(
-            [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
-        )
+        dfg = dfg_from_level_profile([24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8)
+        dfg.name = "fat"
+        return dfg
 
     def _instruction_overflow_kernel(self):
         """A chain that overflows a depth-2 V3 FU's instruction memory while

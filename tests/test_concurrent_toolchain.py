@@ -232,9 +232,7 @@ class TestCoalescingAtTheCacheLayer:
         handles = [None] * K
 
         def worker(index):
-            dfg = dfg_from_level_profile(
-                [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
-            )
+            dfg = dfg_from_level_profile([24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8)
             barrier.wait()
             handles[index] = Toolchain(cache=cache).compile(
                 dfg, OverlaySpec("v3"), allow_schedule_only=True
@@ -334,9 +332,6 @@ class TestShardedCacheMechanics:
         merged = cache.stats
         assert isinstance(merged, CacheStats)
         assert merged.misses == sum(s.stats.misses for s in cache._shards)
-        rows = cache.shard_stats()
-        assert len(rows) == 4
-        assert sum(row.misses for row in rows) == merged.misses
 
     def test_source_fast_path_routes_by_key(self):
         source = """

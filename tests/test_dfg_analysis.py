@@ -113,7 +113,7 @@ class TestStageTraffic:
 
     def test_output_feeding_value_needed_until_boundary(self, gradient):
         assignment = asap_stage_assignment(gradient)
-        lifetimes = value_lifetimes(gradient, assignment, num_stages=4)
+        lifetimes = value_lifetimes(gradient, assignment)  # stages 0-3
         final_value = gradient.outputs()[0].operands[0]
         assert lifetimes[final_value][1] == 4
 
@@ -162,9 +162,10 @@ def _assert_matches_plain(dfg, assignment, num_stages):
     traffic = stage_traffic(dfg, assignment, num_stages=num_stages)
     got = [(t.stage, t.loads, t.computes, t.passes, t.emits) for t in traffic]
     assert got == _plain_traffic(dfg, assignment, num_stages)
-    expected = _plain_lifetimes(dfg, assignment, num_stages)
-    assert value_lifetimes(dfg, assignment, num_stages=num_stages) == expected
-    assert list(value_lifetimes(dfg, assignment, num_stages=num_stages)) == list(expected)
+    # value_lifetimes puts the output boundary one past the deepest stage.
+    expected = _plain_lifetimes(dfg, assignment, max(assignment.values()) + 1)
+    assert value_lifetimes(dfg, assignment) == expected
+    assert list(value_lifetimes(dfg, assignment)) == list(expected)
 
 
 def _random_legal_assignment(dfg, rng, num_stages):

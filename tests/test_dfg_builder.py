@@ -5,22 +5,16 @@ import pytest
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.opcodes import OpCode
 from repro.errors import DFGValidationError
-from repro.kernels.reference import evaluate_dfg
 
 
 class TestBuilderBasics:
     def test_inputs_get_default_port_names(self):
         b = DFGBuilder("k")
-        b.input()
-        b.input()
-        b.output(b.add(b.named("I0"), b.named("I1")))
+        i0 = b.input()
+        i1 = b.input()
+        b.output(b.add(i0, i1))
         dfg = b.build()
         assert [n.name.split("_N")[0] for n in dfg.inputs()] == ["I0", "I1"]
-
-    def test_named_lookup(self):
-        b = DFGBuilder("k")
-        x = b.input("x")
-        assert b.named("x") == x
 
     def test_op_rejects_non_compute_opcodes(self):
         b = DFGBuilder("k")
@@ -68,43 +62,3 @@ class TestBuilderBasics:
         b.input("x")
         dfg = b.build(validate=False)
         assert dfg.num_outputs == 0
-
-
-class TestReduce:
-    def test_balanced_reduce_minimises_depth(self):
-        b = DFGBuilder("k")
-        values = [b.input(f"x{i}") for i in range(8)]
-        b.output(b.reduce(OpCode.ADD, values, balanced=True))
-        dfg = b.build()
-        from repro.dfg.analysis import dfg_depth
-
-        assert dfg.num_operations == 7
-        assert dfg_depth(dfg) == 3
-
-    def test_chain_reduce_maximises_depth(self):
-        b = DFGBuilder("k")
-        values = [b.input(f"x{i}") for i in range(8)]
-        b.output(b.reduce(OpCode.ADD, values, balanced=False))
-        dfg = b.build()
-        from repro.dfg.analysis import dfg_depth
-
-        assert dfg.num_operations == 7
-        assert dfg_depth(dfg) == 7
-
-    def test_reduce_single_value_is_identity(self):
-        b = DFGBuilder("k")
-        x = b.input("x")
-        assert b.reduce(OpCode.ADD, [x]) == x
-
-    def test_reduce_empty_raises(self):
-        b = DFGBuilder("k")
-        with pytest.raises(DFGValidationError):
-            b.reduce(OpCode.ADD, [])
-
-    def test_reductions_compute_the_same_value(self):
-        for balanced in (True, False):
-            b = DFGBuilder("k")
-            values = [b.input(f"x{i}") for i in range(5)]
-            b.output(b.reduce(OpCode.ADD, values, balanced=balanced))
-            dfg = b.build()
-            assert evaluate_dfg(dfg, [1, 2, 3, 4, 5]) == [15]

@@ -1,6 +1,6 @@
 """Unit tests for repro.dfg.transforms.
 
-``optimize`` runs in two walks and one build; the five passes it composes
+``optimize`` runs in two walks and one build; the four passes it composes
 stay its reference, and :class:`TestTwoWalkOptimizer` checks the two agree
 node for node.
 """
@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from minic_corpus import corpus
 
-from repro.dfg.analysis import dfg_depth
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.opcodes import COMPUTE_OPCODES, OpCode
 from repro.frontend.cparser import lower_c_kernel
@@ -24,7 +23,6 @@ from repro.dfg.transforms import (
     constant_folding,
     dead_code_elimination,
     optimize,
-    rebalance_reductions,
     strength_reduce_squares,
 )
 from repro.kernels.reference import evaluate_dfg
@@ -137,30 +135,6 @@ class TestStrengthReduction:
         assert evaluate_dfg(strength_reduce_squares(dfg), [-9]) == [81]
 
 
-class TestRebalance:
-    def test_chain_depth_reduced(self):
-        b = DFGBuilder("chain")
-        values = [b.input(f"x{i}") for i in range(8)]
-        b.output(b.reduce(OpCode.ADD, values, balanced=False), "out")
-        dfg = b.build()
-        rebalanced = dead_code_elimination(rebalance_reductions(dfg))
-        assert dfg_depth(dfg) == 7
-        assert dfg_depth(rebalanced) == 3
-
-    def test_preserves_semantics(self):
-        b = DFGBuilder("chain")
-        values = [b.input(f"x{i}") for i in range(6)]
-        b.output(b.reduce(OpCode.ADD, values, balanced=False), "out")
-        dfg = b.build()
-        rebalanced = dead_code_elimination(rebalance_reductions(dfg))
-        samples = list(range(1, 7))
-        assert evaluate_dfg(rebalanced, samples) == evaluate_dfg(dfg, samples)
-
-    def test_multi_use_intermediates_preserved(self, diamond_dfg):
-        rebalanced = rebalance_reductions(diamond_dfg)
-        assert evaluate_dfg(rebalanced, [7, 3]) == evaluate_dfg(diamond_dfg, [7, 3])
-
-
 class TestOptimizePipeline:
     def test_optimize_runs_all_passes(self):
         b = DFGBuilder("mix")
@@ -178,23 +152,21 @@ class TestOptimizePipeline:
         assert optimized.num_operations < dfg.num_operations  # CSE + DCE + folding
         assert evaluate_dfg(optimized, [5]) == evaluate_dfg(dfg, [5])
 
-    @pytest.mark.parametrize("rebalance", [False, True])
-    def test_optimize_preserves_kernel_semantics(self, benchmarks, rebalance):
+    def test_optimize_preserves_kernel_semantics(self, benchmarks):
         dfg = benchmarks["mibench"]
-        optimized = optimize(dfg, rebalance=rebalance)
+        optimized = optimize(dfg)
         assert evaluate_dfg(optimized, [3, -4, 5]) == evaluate_dfg(dfg, [3, -4, 5])
 
 
 
 # ---------------------------------------------------------------------------
-# the two-walk optimizer against the five-pass composition
+# the two-walk optimizer against the four-pass composition
 # ---------------------------------------------------------------------------
-def _composition(raw, rebalance=False):
+def _composition(raw):
     """The reference: the passes ``optimize`` used to run one by one."""
-    result = strength_reduce_squares(common_subexpression_elimination(constant_folding(raw)))
-    if rebalance:
-        result = rebalance_reductions(result)
-    return dead_code_elimination(result)
+    return dead_code_elimination(
+        strength_reduce_squares(common_subexpression_elimination(constant_folding(raw)))
+    )
 
 
 def _node_rows(dfg):
@@ -202,10 +174,7 @@ def _node_rows(dfg):
 
 
 def _assert_equals_composition(raw):
-    for rebalance in (False, True):
-        assert _node_rows(optimize(raw, rebalance=rebalance)) == _node_rows(
-            _composition(raw, rebalance=rebalance)
-        ), (raw.name, rebalance)
+    assert _node_rows(optimize(raw)) == _node_rows(_composition(raw)), raw.name
 
 
 def _e2e_generator():

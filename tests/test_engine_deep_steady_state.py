@@ -221,9 +221,9 @@ class TestDetectorRetired:
 def _fat_kernel():
     """A synthetic kernel whose schedule is fine but whose register pressure
     exceeds every variant's rotating register file (codegen fails)."""
-    return dfg_from_level_profile(
-        [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
-    )
+    dfg = dfg_from_level_profile([24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8)
+    dfg.name = "fat"
+    return dfg
 
 
 class TestScheduleOnlyMemoisation:

@@ -291,26 +291,13 @@ class TestSweepCLI:
             kernels="gradient", variants="v1", depths="", schedulers="",
             blocks=12, seed=0, engine="fast",
             no_verify=False, jobs=1, retries=5, timeout=30.0,
-            store=str(tmp_path), resume=False, no_retry=False,
+            store=str(tmp_path), resume=False,
         )
         spec = sweep_spec_from_args(parser_args)
         assert spec.retries == 5
         assert spec.timeout_s == 30.0
         assert spec.store_dir == str(tmp_path)
         assert spec.resume is False
-
-    def test_sweep_no_retry_flag_forces_zero_retries(self, tmp_path):
-        import argparse
-
-        from repro.cli import sweep_spec_from_args
-
-        parser_args = argparse.Namespace(
-            kernels="gradient", variants="v1", depths="", schedulers="",
-            blocks=12, seed=0, engine="fast",
-            no_verify=False, jobs=1, retries=4, timeout=None,
-            store=None, resume=True, no_retry=True,
-        )
-        assert sweep_spec_from_args(parser_args).retries == 0
 
 
 class TestRendering:

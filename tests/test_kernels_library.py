@@ -41,8 +41,8 @@ class TestRegistry:
         assert len(first) == len(second)
 
     def test_all_benchmarks_mapping(self):
-        mapping = all_benchmarks(include_gradient=False)
-        assert set(mapping) == set(TABLE3_BENCHMARKS)
+        mapping = all_benchmarks()
+        assert set(mapping) == set(TABLE3_BENCHMARKS) | {"gradient"}
 
 
 class TestCharacteristics:

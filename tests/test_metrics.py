@@ -80,16 +80,6 @@ class TestEvaluateKernel:
         for variant in EVALUATION_VARIANTS:
             assert results[variant] == toolchain.evaluate(qspline, OverlaySpec(variant))
 
-    def test_all_overlays_depth_override_is_honored(self, gradient):
-        results = evaluate_kernel_all_overlays(
-            gradient, variants=("v1", "v2", "v3"), fixed_depth=6
-        )
-        for variant, result in results.items():
-            assert result.overlay_depth == 6
-            assert result == default_toolchain().evaluate(
-                gradient, OverlaySpec(variant, depth=6)
-            )
-
     def test_as_row_is_flat_and_serialisable(self, gradient):
         row = default_toolchain().evaluate(gradient, OverlaySpec("v1")).as_row()
         assert row["kernel"] == "gradient"
@@ -119,10 +109,12 @@ class TestComparisons:
         new = {"a": 5, "b": 10}
         assert average_reduction(reference, new) == pytest.approx(0.5)
 
-    def test_average_reduction_with_key_subset(self):
+    def test_average_reduction_over_common_keys(self):
         reference = {"a": 10, "b": 20}
-        new = {"a": 5, "b": 20}
-        assert average_reduction(reference, new, keys=["a"]) == pytest.approx(0.5)
+        new = {"a": 5, "c": 1}
+        assert average_reduction(reference, new) == pytest.approx(0.5)
+        with pytest.raises(ConfigurationError):
+            average_reduction({"a": 10}, {"b": 5})
 
 
 class TestTables:
@@ -154,6 +146,6 @@ class TestTables:
         assert "slices" in text and "fmax_MHz" in text
 
     def test_render_fig6_series(self, gradient):
-        results = {"gradient": evaluate_kernel_all_overlays(gradient, variants=("v1",))}
+        results = {"gradient": evaluate_kernel_all_overlays(gradient)}
         text = render_fig6_series(results)
         assert "GOPS" in text and "gradient" in text

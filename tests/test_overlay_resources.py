@@ -84,7 +84,7 @@ class TestSpatialComparison:
     def test_spatial_overlay_needs_one_fu_per_operation(self, gradient):
         from repro.baseline.spatial import evaluate_spatial
 
-        spatial = evaluate_spatial(gradient, V1)
+        spatial = evaluate_spatial(gradient)
         tm = estimate_resources(LinearOverlay.for_kernel(V1, gradient))
         assert spatial.dsp_blocks == 11
         assert tm.dsp_blocks == 4

@@ -69,7 +69,3 @@ class TestTileGrid:
         # 16 DSP blocks per tile, 220 DSPs at 80% cap -> 11 tiles (slice bound is looser).
         assert count == 6 or count >= 5  # slice-bound on this device
         assert count * v3_tile.resources().logic_slices <= 0.8 * ZYNQ_XC7Z020_LOGIC_SLICES
-
-    def test_utilisation_cap_checked(self, v3_tile):
-        with pytest.raises(ConfigurationError):
-            max_tiles_on_device(v3_tile, 1000, 100, utilisation_cap=0.0)

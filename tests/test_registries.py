@@ -30,7 +30,7 @@ from repro.schedule.registry import (
     scheduler_names,
     unregister_scheduler,
 )
-from repro.verify.engine import PASSES, get_pass, pass_names, register_pass, run_passes
+from repro.verify.engine import PASSES, get_pass, pass_names, register_pass
 from repro.verify.mutate import (
     MUTATIONS,
     MutationSpec,
@@ -71,8 +71,7 @@ PLUGINS = {
         register=lambda name, replace=False: register_pass(
             name, lambda ctx: [], family="TEST", replace=replace
         ),
-        # An unknown selection fails before the context is looked at.
-        lookup=lambda name: run_passes(None, passes=[name]),
+        lookup=get_pass,
         unregister=PASSES.remove,
         names=pass_names,
         builtins=("dfg", "schedule", "regalloc", "binary", "spec"),

@@ -7,9 +7,11 @@ container this suite usually runs in does not ship ruff or mypy, so those
 tests skip cleanly when the tools are missing — but the AST-based
 import-hygiene check below always runs on the same scope plus
 ``HYGIENE_ONLY``, so a dead import cannot land even without the external
-tools.  ``TestUsedOutsideTests`` keeps definitions that only their own
-tests call from growing back, and ``TestExports`` checks that every name in
-a package's ``__all__`` exists.
+tools.  ``TestUsedOutsideTests`` keeps definitions and methods that only
+their own tests call from growing back, ``TestOptionsHaveCallers`` does the
+same for defaulted parameters, ``TestStandardLibraryOnly`` keeps ``src/``'s
+imports to the standard library, and ``TestExports`` checks that every name
+in a package's ``__all__`` exists.
 """
 
 import ast
@@ -164,7 +166,6 @@ ORACLES = (
     "constant_folding",
     "common_subexpression_elimination",
     "strength_reduce_squares",
-    "rebalance_reductions",
     "evaluate_dfg",
     "intermediate_values",
 )
@@ -193,6 +194,17 @@ def _outside_text_files():
     return files
 
 
+def _outside_text(path):
+    """A file's text as the checks read it: the table under docs/api.md's
+    "Removed entry points" names what is gone, not public surface, so its
+    rows are left out."""
+    text = _read(path)
+    head, heading, tail = text.partition("\n## Removed entry points\n")
+    section, next_heading, rest = tail.partition("\n## ")
+    kept = [line for line in section.splitlines() if not line.startswith("|")]
+    return head + heading + "\n".join(kept) + next_heading + rest
+
+
 def _module_definitions(path):
     """``(line, name)`` of each module-level ``def`` and ``class``.
 
@@ -213,7 +225,7 @@ def _uses():
     """``(names used outside src, name -> {(src path, line)})``."""
     outside = set()
     for path in _outside_text_files():
-        outside.update(_WORD_RE.findall(_read(path)))
+        outside.update(_WORD_RE.findall(_outside_text(path)))
     in_src = {}
     for path in _src_modules():
         for number, line in enumerate(_read(path).splitlines(), start=1):
@@ -243,6 +255,20 @@ class TestUsedOutsideTests:
         ]
         assert not unused, "defined but used only by tests:\n  " + "\n  ".join(unused)
 
+    @pytest.mark.parametrize(
+        "path", _src_modules(), ids=[os.path.relpath(p, SRC) for p in _src_modules()]
+    )
+    def test_every_public_method_is_named_outside_tests(self, path):
+        """Each public method is read as ``.name`` in the code of src/,
+        benchmarks/ or examples/, or in the docs; or it is kept, for one of
+        :data:`REASONS`, in :data:`KEPT_METHODS`."""
+        unnamed = [
+            f"{os.path.relpath(path, REPO_ROOT)}:{line}: {method}"
+            for method, line in _unnamed_methods(path)
+            if method not in KEPT_METHODS
+        ]
+        assert not unnamed, "methods only tests call:\n  " + "\n  ".join(unnamed)
+
     def test_oracles_are_defined_and_documented(self):
         section = _read(os.path.join(REPO_ROOT, "docs", "architecture.md")).split(
             "## Oracles", 1
@@ -255,6 +281,306 @@ class TestUsedOutsideTests:
         for name in ORACLES:
             assert name in defined, f"ORACLES names {name}, which src/repro does not define"
             assert f"`{name}`" in documented, f"{name} is missing from the Oracles section"
+
+
+# ---------------------------------------------------------------------------
+# methods and options with callers outside the tests
+# ---------------------------------------------------------------------------
+#: The reasons a method or option that nothing outside ``tests/`` reaches
+#: may stay; every keep-list entry gives one of them.
+PLUGIN = "plug-in registration"
+ORACLE_SWITCH = "the recurrence's oracle switch"
+SAFETY_BOUND = "the test hook of a safety bound"
+INJECTED = "an injected dependency"
+WIRE = "a wire field or an address"
+WRAP_EDGE = "the wrap-edge test streams"
+OPCODE_FAMILY = "DFGBuilder's one-method-per-opcode family"
+REASONS = (PLUGIN, ORACLE_SWITCH, SAFETY_BOUND, INJECTED, WIRE, WRAP_EDGE, OPCODE_FAMILY)
+
+#: ``DFGBuilder.<opcode>`` stands for each builder method named after a
+#: compute opcode (``and_`` for ``AND``).
+OPCODE_METHOD = "DFGBuilder.<opcode>"
+
+#: Public methods named nowhere outside ``tests/``, kept on purpose.
+KEPT_METHODS = {OPCODE_METHOD: OPCODE_FAMILY}
+
+#: Defaulted parameters no call outside ``tests/`` sets, kept on purpose.
+KEPT_OPTIONS = {
+    "register_scheduler(replace)": PLUGIN,
+    "register_model(replace)": PLUGIN,
+    "register_pass(replace)": PLUGIN,
+    "BatchSimulator.__init__(fast_forward)": ORACLE_SWITCH,
+    "BatchSimulator.__init__(max_cycles)": SAFETY_BOUND,
+    "FastSimulator.__init__(max_cycles)": SAFETY_BOUND,
+    "OverlaySimulator.__init__(max_cycles)": SAFETY_BOUND,
+    "FrontendCache.__init__(capacity)": SAFETY_BOUND,
+    "tune(toolchain)": INJECTED,
+    "tune(store)": INJECTED,
+    "InProcessClient.__init__(isolated)": WIRE,
+    "ServiceClient.__init__(isolated)": WIRE,
+    "BackgroundServer.__init__(host)": WIRE,
+    "random_input_blocks(low)": WRAP_EDGE,
+    "random_input_blocks(high)": WRAP_EDGE,
+    OPCODE_METHOD + "(name)": OPCODE_FAMILY,
+}
+
+
+def _outside_code_files():
+    """Every ``.py`` file of src/repro, benchmarks/ and examples/."""
+    files = []
+    for top in (SRC, os.path.join(REPO_ROOT, "benchmarks"), os.path.join(REPO_ROOT, "examples")):
+        for folder, _, names in os.walk(top):
+            files += [os.path.join(folder, n) for n in sorted(names) if n.endswith(".py")]
+    return files
+
+
+@functools.lru_cache(maxsize=1)
+def _opcode_methods():
+    from repro.dfg.builder import DFGBuilder
+    from repro.dfg.opcodes import OpCode
+
+    return frozenset(
+        name
+        for name in vars(DFGBuilder)
+        if name.rstrip("_").upper() in OpCode.__members__
+        and OpCode[name.rstrip("_").upper()].is_compute
+    )
+
+
+def _kept_name(qualified):
+    """``qualified`` as a keep-list names it."""
+    owner, _, method = qualified.partition(".")
+    return OPCODE_METHOD if owner == "DFGBuilder" and method in _opcode_methods() else qualified
+
+
+def _bound(function, in_class):
+    """1 where a call does not pass the first parameter (``self``/``cls``)."""
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in function.decorator_list
+    )
+    return 1 if in_class and not static else 0
+
+
+def _public_callables(path):
+    """``(qualified name, call name, def, bound)`` of each public function
+    of a module, and of each public method (``__init__`` included, called by
+    its class's name) of each public class."""
+    tree = ast.parse(_read(path), filename=path)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name == "__init__" or not item.name.startswith("_"):
+                    call = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", call, item, _bound(item, True)
+
+
+def _defaulted(function, bound):
+    """``(name, positional index or None)`` of each parameter with a default;
+    the index counts the arguments a call passes (after ``self``)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg.arg, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+class _CallIndex(ast.NodeVisitor):
+    """Every call by the name it calls (``f(...)`` and ``x.f(...)`` are both
+    calls of ``f``): ``(positional, keywords, caller)``.  Each argument is
+    ``None`` or, for a bare name of a parameter of the enclosing ``def``,
+    that parameter's name; ``positional`` stops at a ``*`` argument and
+    ``keywords`` skips ``**``.  ``caller`` is ``(def, call name, bound)``
+    of the enclosing ``def``, or ``None``."""
+
+    def __init__(self):
+        self.calls = {}
+        self._classes = [None]
+        self._callers = [None]
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node):
+        owner = self._classes[-1]
+        call = owner if owner is not None and node.name == "__init__" else node.name
+        self._callers.append((node, call, _bound(node, owner is not None)))
+        self._classes.append(None)
+        self.generic_visit(node)
+        self._classes.pop()
+        self._callers.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self._callers.append((node, None, 0))
+        self.generic_visit(node)
+        self._callers.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is not None:
+            caller = self._callers[-1]
+            params = set()
+            if caller is not None:
+                args = caller[0].args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+
+            def forwarded(value):
+                return value.id if isinstance(value, ast.Name) and value.id in params else None
+
+            positional = []
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional.append(forwarded(arg))
+            keywords = {k.arg: forwarded(k.value) for k in node.keywords if k.arg is not None}
+            self.calls.setdefault(name, []).append((positional, keywords, caller))
+        self.generic_visit(node)
+
+
+@functools.lru_cache(maxsize=1)
+def _calls():
+    index = _CallIndex()
+    for path in _outside_code_files():
+        index.visit(ast.parse(_read(path), filename=path))
+    return index.calls
+
+
+def _is_set(caller, param, seen):
+    """Whether the enclosing ``def``'s ``param``, forwarded unchanged, is
+    itself set: it has no default, or a call outside the tests sets it."""
+    function, call, bound = caller
+    if call is None:  # a lambda's parameters
+        return True
+    for name, index in _defaulted(function, bound):
+        if name == param:
+            return _has_caller(call, name, index, seen)
+    return True
+
+
+def _has_caller(call, name, index, seen=frozenset()):
+    """Whether some call of ``call`` outside the tests passes parameter
+    ``name`` (by keyword, or at positional ``index``).  A bare forward of a
+    parameter of the calling ``def`` counts only when that one is set."""
+    if (call, name) in seen:
+        return False
+    seen = seen | {(call, name)}
+    for positional, keywords, caller in _calls().get(call, ()):
+        if name in keywords:
+            passed = keywords[name]
+        elif index is not None and 0 <= index < len(positional):
+            passed = positional[index]
+        else:
+            continue
+        if passed is None or _is_set(caller, passed, seen):
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=1)
+def _attribute_names():
+    """Each ``.name`` outside the tests: attributes in the code of src/,
+    benchmarks/ and examples/, and ``.name`` in the docs."""
+    names = set()
+    for path in _outside_code_files():
+        for node in ast.walk(ast.parse(_read(path), filename=path)):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    for path in _outside_text_files():
+        if path.endswith(".md"):
+            names.update(re.findall(r"\.([A-Za-z_][A-Za-z0-9_]*)", _outside_text(path)))
+    return names
+
+
+def _unset_options(path):
+    for qualified, call, function, bound in _public_callables(path):
+        for name, index in _defaulted(function, bound):
+            if not _has_caller(call, name, index):
+                yield f"{_kept_name(qualified)}({name})", function.lineno
+
+
+def _unnamed_methods(path):
+    for qualified, _, function, bound in _public_callables(path):
+        method = qualified.partition(".")[2]
+        if method and method != "__init__" and method not in _attribute_names():
+            yield _kept_name(qualified), function.lineno
+
+
+class TestOptionsHaveCallers:
+    """Every defaulted parameter of a public function or method in
+    ``src/repro`` is passed, by keyword or by position, by some call in
+    ``src/``, ``benchmarks/`` or ``examples/``.  A bare ``p=p`` forward from
+    a function that itself takes ``p`` is no caller on its own: it counts
+    when that function's ``p`` has one.  An option only tests set becomes
+    the constant its default is, or, for one of :data:`REASONS`, an entry
+    of :data:`KEPT_OPTIONS`."""
+
+    @pytest.mark.parametrize(
+        "path", _src_modules(), ids=[os.path.relpath(p, SRC) for p in _src_modules()]
+    )
+    def test_every_option_has_a_caller_outside_tests(self, path):
+        unset = [
+            f"{os.path.relpath(path, REPO_ROOT)}:{line}: {option}"
+            for option, line in _unset_options(path)
+            if option not in KEPT_OPTIONS
+        ]
+        assert not unset, "options only tests set:\n  " + "\n  ".join(unset)
+
+    def test_keep_lists_hold_live_entries_with_a_listed_reason(self):
+        unset = {option for path in _src_modules() for option, _ in _unset_options(path)}
+        unnamed = {method for path in _src_modules() for method, _ in _unnamed_methods(path)}
+        for kept, live in ((KEPT_OPTIONS, unset), (KEPT_METHODS, unnamed)):
+            for entry, reason in kept.items():
+                assert reason in REASONS, f"{entry}: {reason!r} is not a listed reason"
+                assert entry in live, f"{entry} has a caller now; drop it from the keep-list"
+
+
+# ---------------------------------------------------------------------------
+# the standard library only
+# ---------------------------------------------------------------------------
+def _all_src_files():
+    return sorted(
+        os.path.join(folder, name)
+        for folder, _, names in os.walk(SRC)
+        for name in names
+        if name.endswith(".py")
+    )
+
+
+class TestStandardLibraryOnly:
+    """``src/repro`` imports ``repro`` and the standard library only, in
+    ``TYPE_CHECKING`` blocks too; numpy, the optional ``[batch]`` extra, is
+    reached through ``kernels.reference.import_numpy``."""
+
+    @pytest.mark.parametrize(
+        "path", _all_src_files(), ids=[os.path.relpath(p, SRC) for p in _all_src_files()]
+    )
+    def test_imports_name_repro_or_the_standard_library(self, path):
+        foreign = []
+        for node in ast.walk(ast.parse(_read(path), filename=path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}: {module}")
+        assert not foreign, "imports outside the standard library:\n  " + "\n  ".join(foreign)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.schedule.modulo import (
     ModuloSchedule,
     minimum_ii,
     modulo_schedule,
-    recurrence_minimum_ii,
     resource_minimum_ii,
 )
 
@@ -20,9 +19,6 @@ class TestLowerBounds:
         assert resource_minimum_ii(gradient, 4) == 3   # ceil(11 / 4)
         assert resource_minimum_ii(gradient, 11) == 1
         assert resource_minimum_ii(gradient, 1) == 11
-
-    def test_recurrence_minimum_is_one_for_acyclic_kernels(self, qspline):
-        assert recurrence_minimum_ii(qspline) == 1
 
     def test_minimum_ii_combines_bounds(self, qspline):
         assert minimum_ii(qspline, 8) == 4  # ceil(25 / 8)

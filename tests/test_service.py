@@ -247,6 +247,26 @@ class TestServiceOperations:
         assert excinfo.value.code == E_PARAMS
         assert "detector" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, data, named",
+        [
+            ("sim", {"num_blocks": "12"}, "num_blocks"),
+            ("sim", {"num_blocks": 2.5}, "num_blocks"),
+            ("sim", {"seed": [1]}, "seed"),
+            ("sim", {"trace": 1}, "trace"),
+            ("sim", {"verify": "false"}, "verify"),
+            ("overlay", {"fifo_depth": "8"}, "FIFO depth"),
+        ],
+        ids=["blocks-str", "blocks-float", "seed-list", "trace-int", "verify-str", "fifo-str"],
+    )
+    def test_mistyped_spec_fields_are_e_params(self, service, field, data, named):
+        params = {"kernel": "gradient", "overlay": {}, "sim": {"engine": "fast"}}
+        params[field] = {**params[field], **data}
+        response = service.handle({"op": "simulate", "params": params})
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_PARAMS
+        assert named in response["error"]["message"]
+
     def test_evaluate_matches_direct_call(self, client):
         spec = OverlaySpec(variant="v1")
         row = client.evaluate("gradient", spec)

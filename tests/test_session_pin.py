@@ -54,9 +54,9 @@ void mac(int a, int b, int c, int d, int *o0) {
 def _fat_kernel():
     """Schedules fine, but its register pressure overflows every variant's
     register file (the kernel of ``test_engine_deep_steady_state.py``)."""
-    return dfg_from_level_profile(
-        [24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8, name="fat"
-    )
+    dfg = dfg_from_level_profile([24, 20, 16, 12, 8, 4, 2, 1], num_inputs=8)
+    dfg.name = "fat"
+    return dfg
 
 
 def _requests():

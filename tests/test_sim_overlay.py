@@ -8,7 +8,15 @@ from repro.kernels.reference import evaluate_dfg, random_input_blocks
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import BASELINE, V1, V2, V3, V4, V5
 from repro.schedule import analytic_ii, schedule_kernel
-from repro.sim.overlay import OverlaySimulator, simulate_schedule
+from repro.sim.fu import FUStats
+from repro.sim.overlay import (
+    OverlaySimulator,
+    SimulationResult,
+    _steady_state_ii,
+    merge_lane_results,
+    simulate_schedule,
+    split_lane_blocks,
+)
 
 
 class TestFunctionalCorrectness:
@@ -142,3 +150,65 @@ class TestStructuralChecks:
         simulator = OverlaySimulator(schedule, max_cycles=3)
         with pytest.raises(SimulationError):
             simulator.run(random_input_blocks(gradient, 4))
+
+
+def _lane(outputs, completion, total, stats, fifo, rf, rf_block):
+    return SimulationResult(
+        kernel_name="k",
+        overlay_name="lane",
+        num_blocks=len(outputs),
+        outputs=outputs,
+        completion_cycles=completion,
+        total_cycles=total,
+        measured_ii=None,
+        latency_cycles=completion[0] + 1,
+        fu_stats=[FUStats(*row) for row in stats],
+        fifo_high_water=fifo,
+        rf_high_water=rf,
+        rf_per_block_high_water=rf_block,
+    )
+
+
+class TestLaneHelpers:
+    """The lane helpers every engine shares, on hand-built lane results:
+    no engine comparison can see a fault in them."""
+
+    def test_blocks_are_dealt_round_robin_at_an_odd_count(self):
+        blocks = [[0], [1], [2], [3], [4]]
+        assert split_lane_blocks(blocks, 2) == [[[0], [2], [4]], [[1], [3]]]
+        assert split_lane_blocks(blocks, 3) == [[[0], [3]], [[1], [4]], [[2]]]
+
+    def test_merge_restores_global_order_and_combines_the_counters(self, qspline):
+        schedule = schedule_kernel(qspline, LinearOverlay.for_kernel(V2, qspline))
+        assert schedule.variant.lanes == 2
+        blocks = [[b] for b in range(5)]
+        lane0 = _lane(
+            [[10], [12], [14]], [26, 40, 45], 48,
+            [(3, 4, 1, 2, 3, 4), (5, 6, 7, 8, 9, 10)], [1, 4, 2], [3, 1], [2, 7],
+        )
+        lane1 = _lane(
+            [[11], [13]], [24, 30], 50,
+            [(1, 1, 2, 3, 4, 5), (1, 1, 6, 5, 4, 3)], [3, 2, 2], [2, 6], [5, 1],
+        )
+        merged = merge_lane_results(schedule, blocks, [lane0, lane1])
+        assert merged.num_blocks == 5
+        assert merged.outputs == [[10], [11], [12], [13], [14]]
+        assert merged.completion_cycles == [26, 24, 40, 30, 45]
+        assert [
+            (s.nops_issued, s.exec_stall_cycles, s.load_stall_cycles, s.backpressure_stall_cycles)
+            for s in merged.fu_stats
+        ] == [(3, 5, 7, 9), (13, 13, 13, 13)]
+        assert merged.fifo_high_water == [3, 4, 2]
+        assert merged.rf_high_water == [3, 6]
+        assert merged.rf_per_block_high_water == [5, 7]
+        assert merged.total_cycles == 50
+        assert merged.latency_cycles == 27  # block 0's, not the earliest
+        # Completions sorted: 24 26 30 40 45; deltas 2 4 10 5; second half 10 5.
+        assert merged.measured_ii == 7.5
+
+    @pytest.mark.parametrize(
+        "completions, expected",
+        [([], None), ([7], None), ([3, 7], 4.0), ([0, 1, 3, 6], 2.5), ([0, 1, 3, 6, 10], 3.5)],
+    )
+    def test_steady_state_ii_is_the_mean_of_the_later_deltas(self, completions, expected):
+        assert _steady_state_ii(completions) == expected

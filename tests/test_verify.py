@@ -49,6 +49,7 @@ from repro.verify import (
     Severity,
     VerifyContext,
     VerifyReport,
+    get_pass,
     pass_names,
     run_passes,
 )
@@ -187,7 +188,7 @@ class TestSharedWork:
             assert report.ok
         assert len(calls) == 1
         # The schedule pass alone reads the verdict it gates on.
-        run_passes(VerifyContext.from_handle(handles[0]), passes=["schedule"])
+        get_pass("schedule").func(VerifyContext.from_handle(handles[0]))
         assert len(calls) == 1
 
     def test_a_copy_that_gains_a_node_gets_fresh_derived_values(self):
@@ -296,9 +297,10 @@ class TestSharedWork:
         # carries an unknown opcode code (31) and must still be flagged.
         words[0] = (words[0] & ~(0x1F << 2)) | (31 << 2)
         ctx = dataclasses.replace(VerifyContext.from_handle(handle), configuration=image)
-        report = run_passes(ctx, passes=["binary"])
         undecodable = [
-            d for d in report.diagnostics if d.code == "BIN001" and "does not decode" in d.message
+            d
+            for d in get_pass("binary").func(ctx)
+            if d.code == "BIN001" and "does not decode" in d.message
         ]
         assert [(d.stage, d.slot) for d in undecodable] == [(0, 0)]
 
@@ -372,13 +374,6 @@ class TestPassRegistry:
     def test_builtin_passes_registered_in_order(self):
         assert pass_names() == ("dfg", "schedule", "regalloc", "binary", "spec")
 
-    def test_pass_subset_runs_only_selected(self):
-        handle = next(_grid_points(("gradient",), ("v1",), ("linear",)))[1]
-        report = run_passes(
-            VerifyContext.from_handle(handle), passes=["dfg", "spec"]
-        )
-        assert report.passes == ("dfg", "spec")
-
 
 # ---------------------------------------------------------------------------
 # session wiring
@@ -401,14 +396,8 @@ class TestToolchainWiring:
         first = toolchain.verify(handle)
         assert first.ok
         assert toolchain.verify(handle) is first  # verdict cache hit
-        assert toolchain.verify(handle, use_cache=False) is not first
+        assert run_passes(VerifyContext.from_handle(handle)) == first  # a fresh run
         toolchain.cache.clear()
-        assert toolchain.cache.get_verdict(handle.key) is None
-
-    def test_pass_subset_verdicts_are_not_cached(self):
-        toolchain = Toolchain(ScheduleCache())
-        handle = toolchain.compile("gradient", OverlaySpec("v1"))
-        toolchain.verify(handle, passes=["dfg"])
         assert toolchain.cache.get_verdict(handle.key) is None
 
     def test_compile_check_accepts_clean_artifacts(self):

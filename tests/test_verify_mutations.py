@@ -12,8 +12,9 @@ must verify with zero diagnostics (asserted again here, per point used).
 import pytest
 
 from repro.api import Toolchain
+from repro.dfg.builder import DFGBuilder
 from repro.dfg.serialize import dfg_fingerprint
-from repro.dfg.validate import collect_validation_errors
+from repro.dfg.validate import collect_validation_errors, dfg_problems
 from repro.engine.cache import ScheduleCache
 from repro.errors import InfeasibleScheduleError
 from repro.specs import OverlaySpec
@@ -135,3 +136,34 @@ def test_dfg_validation_reports_each_dfg_mutant(name, grid_contexts):
         if mutant is not None:
             errors = collect_validation_errors(mutant.dfg)
             assert any(_VALIDATION_ERRORS[name] in error for error in errors), (point, errors)
+
+
+def test_dfg006_names_only_the_nodes_on_the_cycle():
+    # gradient/V1's mutant closes SUB_N6 <-> SQR_N10; ADD_N12, ADD_N16 and
+    # the output downstream of it are held up by the cycle but not on it.
+    handle = Toolchain(ScheduleCache()).compile(
+        "gradient", OverlaySpec("v1"), allow_schedule_only=True
+    )
+    mutant = apply_mutation(VerifyContext.from_handle(handle), "dfg-cycle")
+    report = run_passes(mutant)
+    assert [(d.code, d.node) for d in report.diagnostics] == [("DFG006", 6), ("DFG006", 10)]
+
+
+def test_dfg006_skips_a_node_between_two_cycles():
+    b = DFGBuilder("k")
+    x = b.input("x")
+    first = b.add(x, x)
+    second = b.sub(first, x)
+    between = b.mul(second, x)
+    third = b.add(between, x)
+    fourth = b.sub(third, x)
+    after = b.neg(fourth)
+    looped = b.abs(x)
+    b.output(after)
+    b.output(looped)
+    dfg = b.dfg
+    # add_node cannot close a cycle; dfg_problems reads only node.operands.
+    for node_id, operands in ((first, (x, second)), (third, (between, fourth)), (looped, (looped,))):
+        dfg._nodes[node_id] = dfg.node(node_id).with_operands(operands)
+    cyclic = [node for kind, _, node in dfg_problems(dfg) if kind == "cycle"]
+    assert cyclic == [first, second, third, fourth, looped]
