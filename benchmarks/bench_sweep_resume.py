@@ -10,13 +10,15 @@ whole grid from the store without simulating anything.
 acceptance gate (resume ≥ 5x faster than cold) and writes the raw
 cold/resumed seconds to ``results/sweep_resume.txt``.
 
-Both runs use ``jobs=1`` and a private in-memory compile cache so the gate
-measures the store, not process-pool startup or compile caching.
+Both runs use ``jobs=1`` and a private session with its own in-memory
+compile cache so the gate measures the store, not process-pool startup or
+compile caching.
 """
 
 import dataclasses
 import time
 
+from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache
 from repro.engine.fastsim import clear_timing_memo
 from repro.engine.store import ResultStore
@@ -44,7 +46,7 @@ def _grid():
 
 def _timed_sweep(store):
     start = time.perf_counter()
-    rows = run_sweep(_grid(), jobs=1, cache=ScheduleCache(), store=store)
+    rows = run_sweep(_grid(), jobs=1, toolchain=Toolchain(ScheduleCache()), store=store)
     return rows, time.perf_counter() - start
 
 

@@ -386,28 +386,39 @@ class Toolchain:
     def sweep(self, spec: SweepSpec, progress=None) -> List["SweepResult"]:
         """Run a (kernels x overlays) grid through this session.
 
-        Serial execution (``jobs=1`` or a single point) uses this session's
-        injected cache; parallel execution fans out over worker lanes, one
-        process each taking whole kernels (``jobs=None``: the CPUs this
-        process may run on), each warming its own process-wide cache
-        (share compilations across workers via the ``REPRO_CACHE_DIR`` disk
-        layer).  The lane timings the workers measure join this process's
-        timing memo, so a later sweep's workers do not time those shapes again.
+        Builds the spec's grid (:func:`~repro.engine.sweep.build_grid`) and
+        runs it on :func:`~repro.engine.sweep.run_sweep`, whose every point
+        compiles through :meth:`compile` (``allow_schedule_only=True``, so a
+        codegen overflow is measured from its schedule) and :meth:`simulate`.
+        Serial execution (``jobs=1`` or a single point) runs on this
+        session; parallel execution fans out over worker lanes, one process
+        each taking whole kernels (``jobs=None``: the CPUs this process may
+        run on), each on its own process-wide session (share compilations
+        across workers via the ``REPRO_CACHE_DIR`` disk layer).  The lane
+        timings the workers measure join this process's timing memo, so a
+        later sweep's workers do not time those shapes again.
 
-        The grid runs on the fault-tolerant runner: the spec's ``retries``
-        / ``timeout_s`` bound each point's fault budget (exhausted points
-        come back as quarantined error rows, never a lost grid), its
-        ``store_dir`` / ``resume`` make the sweep incremental through a
-        persistent :class:`~repro.engine.store.ResultStore`, and
-        ``progress`` (a callable taking one
-        :class:`~repro.engine.sweep.SweepProgress`) streams each row the
-        moment it settles.  See ``docs/sweeps.md``.
+        The spec's ``retries`` / ``timeout_s`` bound each point's fault
+        budget (exhausted points come back as quarantined error rows, never
+        a lost grid), its ``store_dir`` / ``resume`` make the sweep
+        incremental through a persistent
+        :class:`~repro.engine.store.ResultStore`, and ``progress`` (a
+        callable taking one :class:`~repro.engine.sweep.SweepProgress`)
+        streams each row the moment it settles.  See ``docs/sweeps.md``.
         """
-        from .engine.sweep import run_sweep_spec
+        from .engine.store import ResultStore
+        from .engine.sweep import build_grid, run_sweep
 
         if not isinstance(spec, SweepSpec):
             raise ConfigurationError("sweep() takes a repro.specs.SweepSpec")
-        return run_sweep_spec(spec, cache=self.cache, progress=progress)
+        points = build_grid(
+            spec.kernels, overlays=spec.overlays, sim=spec.sim, schedulers=spec.schedulers
+        )
+        store = ResultStore(spec.store_dir) if spec.store_dir else None
+        return run_sweep(
+            points, jobs=spec.jobs, toolchain=self, retries=spec.retries,
+            timeout_s=spec.timeout_s, store=store, resume=spec.resume, progress=progress,
+        )
 
     def tune(
         self,

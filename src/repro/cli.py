@@ -53,9 +53,9 @@ from .metrics.performance import evaluate_kernel_all_overlays
 from .metrics.tables import render_fig5_series, render_table1, render_table3
 from .overlay.fu import FU_VARIANTS
 from .overlay.resources import scalability_sweep
-from .schedule import analytic_ii, schedule_kernel
+from .schedule import analytic_ii
 from .sim.trace import render_schedule_table
-from .specs import ENGINES, OverlaySpec, SimSpec, SweepSpec
+from .specs import DEFAULT_RETRIES, ENGINES, OverlaySpec, SimSpec, SweepSpec
 from .visualize import clusters_to_dot, dfg_to_dot, schedule_listing
 
 
@@ -130,17 +130,19 @@ def sim_spec_from_args(args: argparse.Namespace) -> SimSpec:
     )
 
 
-def _compile_handle(toolchain: Toolchain, args: argparse.Namespace) -> CompiledHandle:
+def _compile_handle(
+    toolchain: Toolchain, args: argparse.Namespace, allow_schedule_only: bool = True
+) -> CompiledHandle:
     """Compile the kernel of a ``map``/``simulate`` invocation.
 
     ``--source FILE`` compiles a mini-C file through the full chain (the
     content-hashed frontend cache, then the session's source index);
     otherwise ``--kernel NAME`` picks a library kernel.  Kernels that
     schedule but exceed the register file / instruction memory come back as
-    schedule-only handles, so ``map`` and ``simulate`` keep working for
-    them.  The in-memory layer is empty in a one-shot CLI process, but the
-    disk layer (``REPRO_CACHE_DIR``) makes repeated shell invocations skip
-    the mapping flow entirely.
+    schedule-only handles (unless ``allow_schedule_only`` is off), so ``map``
+    and ``simulate`` keep working for them.  The in-memory layer is empty in
+    a one-shot CLI process, but the disk layer (``REPRO_CACHE_DIR``) makes
+    repeated shell invocations skip the mapping flow entirely.
     """
     spec = overlay_spec_from_args(args)
     source_path = getattr(args, "source", None)
@@ -152,10 +154,12 @@ def _compile_handle(toolchain: Toolchain, args: argparse.Namespace) -> CompiledH
                 source = handle.read()
         except OSError as error:
             raise ReproError(f"cannot read --source file: {error}")
-        return toolchain.compile(source=source, overlay=spec, allow_schedule_only=True)
+        return toolchain.compile(
+            source=source, overlay=spec, allow_schedule_only=allow_schedule_only
+        )
     if not args.kernel:
         raise ReproError("provide --kernel NAME or --source FILE")
-    return toolchain.compile(args.kernel, spec, allow_schedule_only=True)
+    return toolchain.compile(args.kernel, spec, allow_schedule_only=allow_schedule_only)
 
 
 def _print_json(rows) -> None:
@@ -186,22 +190,16 @@ def _cmd_variants(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    toolchain = default_toolchain()
-    handle = _compile_handle(toolchain, args)
-    program = handle.program
-    if args.program and program is None:
-        # Surface the real codegen error (register file / instruction
-        # memory overflow) instead of printing a schedule with no program.
-        from .program.codegen import generate_program
-
-        program = generate_program(handle.schedule)
+    # --program surfaces the codegen error (register file / instruction
+    # memory overflow) instead of printing a schedule with no program.
+    handle = _compile_handle(default_toolchain(), args, allow_schedule_only=not args.program)
     print(schedule_listing(handle.schedule))
     print()
     print(f"analytic II: {analytic_ii(handle.schedule)}")
     if args.program:
         print()
-        print(program.listing())
-        print(f"\ntotal instruction words: {program.total_instruction_words}")
+        print(handle.program.listing())
+        print(f"\ntotal instruction words: {handle.program.total_instruction_words}")
     return 0
 
 
@@ -307,7 +305,7 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
         sim=sim_spec_from_args(args),
         jobs=args.jobs,
         schedulers=schedulers,
-        retries=getattr(args, "retries", 2),
+        retries=getattr(args, "retries", DEFAULT_RETRIES),
         timeout_s=getattr(args, "timeout", None),
         store_dir=getattr(args, "store", None),
         resume=getattr(args, "resume", True),
@@ -600,10 +598,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
             fixed=True,
             scheduler=getattr(args, "scheduler", "auto"),
         )
-        schedule = schedule_kernel(
-            dfg, spec.build_overlay(dfg), scheduler=spec.scheduler
-        )
-        print(clusters_to_dot(dfg, schedule.assignment))
+        handle = default_toolchain().compile(dfg, spec, allow_schedule_only=True)
+        print(clusters_to_dot(dfg, handle.schedule.assignment))
     else:
         print(dfg_to_dot(dfg))
     return 0
@@ -687,10 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--retries",
         type=int,
-        default=2,
+        default=DEFAULT_RETRIES,
         metavar="N",
         help="per-point retry budget before a faulting point is quarantined "
-        "as an error row (default: 2)",
+        f"as an error row (default: {DEFAULT_RETRIES})",
     )
     p_sweep.add_argument(
         "--timeout",

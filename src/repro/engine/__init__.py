@@ -42,7 +42,6 @@ from .sweep import (
     build_grid,
     run_point,
     run_sweep,
-    run_sweep_spec,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "build_grid",
     "run_point",
     "run_sweep",
-    "run_sweep_spec",
 ]

@@ -339,15 +339,15 @@ class ScheduleCache:
                 self._verdicts.popitem(last=False)
 
     # ------------------------------------------------------------------
-    def get_or_compile(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
-    ) -> CompiledKernel:
-        """Return the compiled artifacts, running the mapping flow on a miss.
+    def get_or_compile(self, dfg: DFG, overlay: LinearOverlay) -> CompiledKernel:
+        """Return the compiled artifacts of the ``auto`` strategy, running
+        the mapping flow on a miss.
 
-        ``scheduler`` selects the registered scheduling strategy; every
-        strategy has its own cache entries (it is part of the key).
+        Benchmark harnesses call it directly; within the toolchain the
+        session (:meth:`repro.api.Toolchain.compile`) is the front door, and
+        selects other strategies through :meth:`get_or_compile_keyed`.
         """
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
+        key = CacheKey.for_mapping(dfg, overlay)
         return _artifact(self._get_or_compile_keyed(key, dfg, overlay))
 
     def get_or_compile_keyed(
@@ -620,12 +620,6 @@ class ShardedScheduleCache:
         return self._shards[hash(key) % self.num_shards]
 
     # ------------------------------------------------------------------
-    def get_or_compile(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
-    ) -> CompiledKernel:
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        return self._shard(key).get_or_compile_keyed(key, dfg, overlay)
-
     def get_or_compile_keyed(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
     ) -> CompiledKernel:

@@ -2,8 +2,8 @@
 
 Design-space exploration — Fig. 5 scalability, the tuner's frontiers,
 ad-hoc what-if grids — is embarrassingly parallel: every point compiles and
-simulates independently.  This module builds the grid, runs each point
-through the compiled-schedule cache and the fast simulation engine, and
+simulates independently.  This module builds the grid, compiles and
+simulates each point through a :class:`~repro.api.Toolchain` session, and
 optionally fans the points out over worker lanes: one single-worker
 :class:`concurrent.futures.ProcessPoolExecutor` per lane, each taking whole
 kernels and sending the lane timings it measures home to this process's
@@ -24,25 +24,24 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, InfeasibleScheduleError, VerificationError
 from ..kernels.library import get_kernel, kernel_names
 from ..metrics.performance import throughput_gops
+from ..overlay.architecture import LinearOverlay
 from ..overlay.resources import overlay_fmax_mhz
-from ..sim.overlay import simulate_schedule_with
-from ..specs import OverlaySpec, SimSpec, SweepSpec
+from ..specs import DEFAULT_RETRIES, OverlaySpec, SimSpec, SweepSpec
 from . import fastsim
-from .cache import ScheduleCache, default_cache
 from .store import ResultStore
-
-#: Default per-point retry budget of the fault-tolerant runner: retries
-#: *after* the first attempt, consumed only by faults (worker death, an
-#: exception out of the point function, a wall-clock timeout).
-DEFAULT_RETRIES = 2
 
 #: Base of the per-point exponential retry backoff (seconds).
 RETRY_BACKOFF_S = 0.05
+
+
+def _backoff_s(attempts: int) -> float:
+    """How long a point waits before its next run after ``attempts`` charged runs."""
+    return min(1.0, RETRY_BACKOFF_S * 2 ** (attempts - 1))
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,11 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    """Measurements of one sweep point."""
+    """Measurements of one sweep point.
+
+    A row without measurements (``error`` set) keeps the defaults of the
+    measured fields.
+    """
 
     kernel: str
     variant: str
@@ -68,21 +71,21 @@ class SweepResult:
     num_blocks: int
     engine: str
     scheduler: str
-    analytic_ii: float
+    analytic_ii: float = 0.0
     #: None when the run completed fewer than two blocks (no measurable II);
     #: ``throughput_gops`` then falls back to the analytic II.
-    measured_ii: Optional[float]
-    latency_cycles: int
-    total_cycles: int
-    fmax_mhz: float
-    throughput_gops: float
-    matches_reference: Optional[bool]
-    elapsed_s: float
-    #: Why this point has no measurements: an infeasible strategy/overlay
-    #: combination (e.g. ``linear`` on a kernel deeper than the overlay), or
-    #: — with ``quarantined`` set — a fault the resilient runner gave up
-    #: retrying; ``None`` for measured points.  Both are reported rather
-    #: than aborting the grid, so one bad point never loses a sweep.
+    measured_ii: Optional[float] = None
+    latency_cycles: int = 0
+    total_cycles: int = 0
+    fmax_mhz: float = 0.0
+    throughput_gops: float = 0.0
+    matches_reference: Optional[bool] = None
+    elapsed_s: float = 0.0
+    #: Why this point has no measurements: an infeasible point (see
+    #: :func:`run_point`), or — with ``quarantined`` set — a fault the
+    #: resilient runner gave up retrying; ``None`` for measured points.
+    #: Both are reported rather than aborting the grid, so one bad point
+    #: never loses a sweep.
     error: Optional[str] = None
     #: How many times this point ran (1 + fault retries that preceded the
     #: attempt that produced this row).
@@ -136,18 +139,12 @@ def build_grid(
     strategy (scheduler innermost), exactly like
     :attr:`~repro.specs.SweepSpec.schedulers`.
     """
-    return _grid(
-        SweepSpec(
-            kernels=tuple(kernels or kernel_names()),
-            overlays=tuple(overlays),
-            sim=sim,
-            schedulers=None if schedulers is None else tuple(schedulers),
-        )
+    spec = SweepSpec(
+        kernels=tuple(kernels or kernel_names()),
+        overlays=tuple(overlays),
+        sim=sim,
+        schedulers=None if schedulers is None else tuple(schedulers),
     )
-
-
-def _grid(spec: SweepSpec) -> List[SweepPoint]:
-    """A sweep spec's points: kernel-major, scheduler innermost."""
     return [
         SweepPoint(kernel, overlay, spec.sim)
         for kernel in spec.kernels
@@ -155,69 +152,52 @@ def _grid(spec: SweepSpec) -> List[SweepPoint]:
     ]
 
 
-def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> SweepResult:
-    """Compile (through the cache) and simulate one sweep point.
+def run_point(point: SweepPoint, toolchain: Optional["Toolchain"] = None) -> SweepResult:
+    """Compile and simulate one sweep point through a session.
 
-    ``cache`` defaults to the process-wide compiled-schedule cache; the
-    session API (:meth:`repro.api.Toolchain.sweep`) passes its injected
-    cache for serial execution.
+    ``toolchain`` defaults to the process-wide session
+    (:func:`~repro.api.default_toolchain`), which is what each worker lane
+    runs on; :meth:`repro.api.Toolchain.sweep` passes itself for serial
+    execution.  The point compiles with ``allow_schedule_only=True``, so a
+    kernel whose codegen overflows the register file or instruction memory
+    is measured from its schedule, as :meth:`~repro.api.Toolchain.evaluate`
+    measures it.  A compile that fails deterministically
+    (:class:`~repro.errors.InfeasibleScheduleError`,
+    :class:`~repro.errors.ConfigurationError`, or a third-party strategy's
+    :class:`~repro.errors.VerificationError`) is an infeasible row; any
+    other exception propagates, and the runner retries and quarantines it.
     """
-    from ..errors import InfeasibleScheduleError
-    from ..schedule import analytic_ii  # local import keeps worker start cheap
+    from ..api import default_toolchain  # local import: api imports the engine package
+    from ..schedule import analytic_ii
     from .faults import inject_faults
 
     started = time.perf_counter()
     inject_faults(point)  # no-op unless a fault plan is installed (tests)
-    sim = point.sim
-    dfg = get_kernel(point.kernel)
-    overlay = point.overlay.build_overlay(dfg)
-    # Everything that identifies the point, shared by both outcomes below.
-    identity = dict(
-        kernel=point.kernel,
-        variant=overlay.variant.name,
-        overlay_name=overlay.name,
-        overlay_depth=overlay.depth,
-        num_blocks=sim.num_blocks,
-        engine=sim.engine,
-        scheduler=point.overlay.scheduler,
-        fmax_mhz=float(overlay_fmax_mhz(overlay.variant, overlay.depth)),
-    )
+    session = toolchain if toolchain is not None else default_toolchain()
     try:
-        compiled = (cache if cache is not None else default_cache()).get_or_compile(
-            dfg, overlay, scheduler=point.overlay.scheduler
-        )
-    except (InfeasibleScheduleError, ConfigurationError) as error:
-        # An infeasible strategy/overlay pairing is a property of the grid
-        # point, not a sweep failure: report it so mixed-strategy grids
-        # (e.g. --schedulers all) keep running.  ConfigurationError covers
-        # a user-registered strategy that a spawn-started worker process
-        # never saw registered (register strategies at import time of a
-        # module the workers import to avoid it).
-        return SweepResult(
-            analytic_ii=0.0,
-            measured_ii=None,
-            latency_cycles=0,
-            total_cycles=0,
-            throughput_gops=0.0,
-            matches_reference=None,
-            elapsed_s=time.perf_counter() - started,
-            error=str(error),
-            **identity,
-        )
-    schedule = compiled.schedule
-    result = simulate_schedule_with(schedule, sim)
-    analytic = float(analytic_ii(schedule))
+        handle = session.compile(point.kernel, point.overlay, allow_schedule_only=True)
+    except (InfeasibleScheduleError, ConfigurationError, VerificationError) as error:
+        # A property of the grid point, not a sweep failure: report it so
+        # mixed-strategy grids (e.g. --schedulers all) keep running.
+        # ConfigurationError also covers a user-registered strategy that a
+        # spawn-started worker never saw registered (register strategies at
+        # import time of a module the workers import to avoid it).
+        return _unmeasured(point, str(error), elapsed_s=time.perf_counter() - started)
+    result = session.simulate(handle, point.sim)
+    analytic = float(analytic_ii(handle.schedule))
     # A run too short to complete two blocks has no measurable II; report it
     # as unmeasured and fall back to the analytic model for throughput.
     measured = None if result.measured_ii is None else float(result.measured_ii)
-    throughput_ii = analytic if measured is None else measured
+    identity = _identity(point, handle.overlay)
     return SweepResult(
         analytic_ii=analytic,
         measured_ii=measured,
         latency_cycles=int(result.latency_cycles),
         total_cycles=int(result.total_cycles),
         throughput_gops=throughput_gops(
-            schedule.dfg.num_operations, throughput_ii, identity["fmax_mhz"]
+            handle.dfg.num_operations,
+            analytic if measured is None else measured,
+            identity["fmax_mhz"],
         ),
         matches_reference=result.matches_reference,
         elapsed_s=time.perf_counter() - started,
@@ -225,45 +205,35 @@ def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> Sweep
     )
 
 
-def _error_result(point: SweepPoint, message: str, attempts: int) -> SweepResult:
-    """A quarantined row for a point the runner gave up on.
-
-    Identity fields are derived from the overlay when it still builds (the
-    usual case — the fault was environmental); a point whose overlay cannot
-    even be constructed falls back to the spec's own fields so the row is
-    still attributable.
-    """
-    try:
-        overlay = point.overlay.build_overlay(get_kernel(point.kernel))
-        variant = overlay.variant.name
-        overlay_name = overlay.name
-        overlay_depth = overlay.depth
-        fmax = float(overlay_fmax_mhz(overlay.variant, overlay.depth))
-    except Exception:  # identity is best-effort for a row that is all error
-        variant = point.overlay.variant
-        overlay_name = f"{point.overlay.variant}?"
-        overlay_depth = point.overlay.depth or 0
-        fmax = 0.0
-    return SweepResult(
+def _identity(point: SweepPoint, overlay: Optional[LinearOverlay]) -> Dict[str, Any]:
+    """The fields that identify a row of ``point`` on its built ``overlay``;
+    ``None`` (the overlay does not build) falls back to the spec's fields."""
+    if overlay is None:
+        variant, name = point.overlay.variant, f"{point.overlay.variant}?"
+        depth, fmax = point.overlay.depth or 0, 0.0
+    else:
+        variant, name, depth = overlay.variant.name, overlay.name, overlay.depth
+        fmax = float(overlay_fmax_mhz(overlay.variant, depth))
+    return dict(
         kernel=point.kernel,
         variant=variant,
-        overlay_name=overlay_name,
-        overlay_depth=overlay_depth,
+        overlay_name=name,
+        overlay_depth=depth,
         num_blocks=point.sim.num_blocks,
         engine=point.sim.engine,
         scheduler=point.overlay.scheduler,
-        analytic_ii=0.0,
-        measured_ii=None,
-        latency_cycles=0,
-        total_cycles=0,
         fmax_mhz=fmax,
-        throughput_gops=0.0,
-        matches_reference=None,
-        elapsed_s=0.0,
-        error=message,
-        attempts=attempts,
-        quarantined=True,
     )
+
+
+def _unmeasured(point: SweepPoint, error: str, **fields) -> SweepResult:
+    """A row without measurements: an infeasible point, or (``quarantined``)
+    one the runner gave up on after ``attempts`` runs."""
+    try:
+        overlay: Optional[LinearOverlay] = point.overlay.build_overlay(get_kernel(point.kernel))
+    except Exception:  # identity is best-effort for a row that is all error
+        overlay = None
+    return SweepResult(error=error, **fields, **_identity(point, overlay))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -466,13 +436,13 @@ class _Lanes:
         if attempts > self.retries:
             self.quarantine(index, message, attempts)
             return
-        lane.retry_at = time.monotonic() + min(1.0, RETRY_BACKOFF_S * (2 ** (attempts - 1)))
+        lane.retry_at = time.monotonic() + _backoff_s(attempts)
 
 
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: Optional[int] = None,
-    cache: Optional[ScheduleCache] = None,
+    toolchain: Optional["Toolchain"] = None,
     *,
     retries: int = DEFAULT_RETRIES,
     timeout_s: Optional[float] = None,
@@ -488,11 +458,15 @@ def run_sweep(
 
     Survivability (the behaviour the fault-injection suite pins down):
 
+    * a point that fails deterministically — its schedule is infeasible,
+      its configuration invalid, or a third-party strategy's artifact fails
+      verification — is an **infeasible** ``SweepResult(error=...)`` row
+      (see :func:`run_point`), stored like a measured one;
     * a point whose attempt *faults* — its worker dies, it raises, or it
       exceeds ``timeout_s`` — is retried up to ``retries`` times with
       exponential backoff, then **quarantined**: reported as a
-      ``SweepResult(error=..., quarantined=True)`` row, like infeasible
-      points, instead of aborting the grid;
+      ``SweepResult(error=..., quarantined=True)`` row instead of aborting
+      the grid;
     * ``jobs`` worker **lanes** run the points, each a single-worker
       process holding one point at a time, so a fault is charged to the
       point that caused it: a dead or stalled worker is replaced and the
@@ -513,13 +487,13 @@ def run_sweep(
     memo, so the lanes of a later sweep, forked from it, do not time those
     shapes again.
 
-    ``cache`` (a session-injected compiled-schedule cache) is honored on
-    every in-process path (serial jobs, single points, and the
-    pool-creation fallback), so an isolated session never leaks
-    compilations into the process-wide default cache; worker processes
-    always hold their own in-memory compile cache (warmed across the
-    points each handles) — set ``REPRO_CACHE_DIR`` to share compilations
-    between workers and across runs through the disk layer.
+    ``toolchain`` (the session that compiles and simulates each point,
+    default the process-wide one) runs every in-process point (serial jobs,
+    single points, and the pool-creation fallback), so an isolated session
+    never leaks compilations into the process-wide default cache; worker
+    processes always run on their own process-wide session (warmed across
+    the points each handles) — set ``REPRO_CACHE_DIR`` to share
+    compilations between workers and across runs through the disk layer.
     """
     points = list(points)
     if retries < 0:
@@ -561,16 +535,16 @@ def run_sweep(
     if not todo:
         return results  # every point came out of the store
 
-    serial_point = run_point if cache is None else (
-        lambda point: run_point(point, cache=cache)
-    )
-
     def record(index: int, result: SweepResult, attempts: int) -> None:
         result.attempts = attempts
         settle(index, result, cached=False)
 
     def quarantine(index: int, message: str, attempts: int) -> None:
-        settle(index, _error_result(points[index], message, attempts), cached=False)
+        settle(
+            index,
+            _unmeasured(points[index], message, attempts=attempts, quarantined=True),
+            cached=False,
+        )
 
     jobs = _resolve_jobs(jobs)
     ran_parallel = False
@@ -585,44 +559,16 @@ def run_sweep(
             while True:
                 attempts += 1
                 try:
-                    result = serial_point(points[index])
+                    result = run_point(points[index], toolchain)
                 except Exception as exc:  # noqa: BLE001 — retried, then reported
                     if attempts > retries:
                         quarantine(index, f"{type(exc).__name__}: {exc}", attempts)
                         break
-                    time.sleep(min(1.0, RETRY_BACKOFF_S * (2 ** (attempts - 1))))
+                    time.sleep(_backoff_s(attempts))
                 else:
                     record(index, result, attempts)
                     break
     return results
-
-
-def run_sweep_spec(
-    spec: SweepSpec,
-    cache: Optional[ScheduleCache] = None,
-    progress: Optional[Callable[[SweepProgress], None]] = None,
-) -> List[SweepResult]:
-    """Expand a :class:`~repro.specs.SweepSpec` into its grid and run it.
-
-    The grid is ``kernels x overlays`` in spec order (kernel-major), each
-    point sharing the spec's :class:`~repro.specs.SimSpec`; a
-    ``schedulers`` axis expands innermost (every overlay spec re-keyed per
-    strategy, via :meth:`~repro.specs.SweepSpec.grid_overlays`).  The
-    spec's robustness knobs (``retries``, ``timeout_s``, ``store_dir`` /
-    ``resume``) configure the fault-tolerant runner directly.
-    """
-    points = _grid(spec)
-    store = ResultStore(spec.store_dir) if spec.store_dir else None
-    return run_sweep(
-        points,
-        jobs=spec.jobs,
-        cache=cache,
-        retries=spec.retries,
-        timeout_s=spec.timeout_s,
-        store=store,
-        resume=spec.resume,
-        progress=progress,
-    )
 
 
 # ---------------------------------------------------------------------------

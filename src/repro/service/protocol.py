@@ -49,6 +49,12 @@ PROTOCOL_VERSION = 1
 #: cannot tell where the next frame starts.
 MAX_REQUEST_BYTES = 1 << 20
 
+#: Most blocks a request's ``sim`` spec may stream (an ``E_PARAMS`` error
+#: past it), 256 times the 256-block requests of the benchmark's service mix.
+#: The service draws every block's inputs up front, so the count bounds the
+#: memory and time one request can claim.  Library callers are not bounded.
+MAX_SIM_BLOCKS = 1 << 16
+
 #: Every operation the service understands.
 OPS = (
     "ping",

@@ -53,6 +53,7 @@ from .protocol import (
     E_PARAMS,
     E_PROTOCOL,
     MAX_REQUEST_BYTES,
+    MAX_SIM_BLOCKS,
     OPS,
     PROTOCOL_VERSION,
     ServiceError,
@@ -193,22 +194,28 @@ class OverlayService:
     @staticmethod
     def _spec_from(params: Dict[str, Any], field: str, kind: Type[R]) -> Optional[R]:
         """``params[field]`` as a ``kind`` spec (a wire envelope or a plain
-        field dict), or None when the field is absent."""
+        field dict), or None when the field is absent.  A sim spec may
+        stream at most :data:`MAX_SIM_BLOCKS` blocks."""
         payload = params.get(field)
         if payload is None:
             return None
-        if isinstance(payload, dict) and "type" in payload:
-            spec = spec_from_wire(payload)
-            if not isinstance(spec, kind):
+        if not isinstance(payload, dict):
+            raise ServiceError(E_PARAMS, f"'{field}' must be a spec object")
+        if "type" not in payload:
+            spec = kind.from_dict(payload)
+        else:
+            wired = spec_from_wire(payload)
+            if not isinstance(wired, kind):
                 article = "an" if field[0] in "aeiou" else "a"
                 raise ServiceError(
                     E_PARAMS,
                     f"'{field}' must be {article} {field} spec, got {payload.get('type')!r}",
                 )
-            return spec
-        if isinstance(payload, dict):
-            return kind.from_dict(payload)
-        raise ServiceError(E_PARAMS, f"'{field}' must be a spec object")
+            spec = wired
+        if isinstance(spec, SimSpec) and spec.num_blocks > MAX_SIM_BLOCKS:
+            message = f"'{field}' streams {spec.num_blocks} blocks, past {MAX_SIM_BLOCKS}"
+            raise ServiceError(E_PARAMS, message)
+        return spec
 
     def _compile_from(self, params: Dict[str, Any], session: TenantSession) -> CompiledHandle:
         kernel = params.get("kernel")

@@ -40,6 +40,11 @@ ENGINES = ("cycle", "fast", "batched")
 #: throughput, or pipeline latency.
 OBJECTIVES = ("ii", "gops", "latency")
 
+#: Default per-point retry budget of the sweep runner: retries *after* the
+#: first attempt, consumed only by faults (worker death, an exception out
+#: of the point function, a wall-clock timeout).
+DEFAULT_RETRIES = 2
+
 R = TypeVar("R", bound="Record")
 
 #: Field types that ``Record.to_dict`` copies as they are.
@@ -131,9 +136,13 @@ def _check_bool(value: Any, what: str) -> None:
         raise ConfigurationError(f"{what} must be true or false, got {value!r}")
 
 
-def _check_jobs(jobs: Optional[int]) -> None:
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError("jobs must be at least 1 (or None for auto)")
+def _check_runner(spec: Any) -> None:
+    """Check the runner fields :class:`SweepSpec` and :class:`TuneSpec` share."""
+    if spec.jobs is not None:
+        _check_int(spec.jobs, 1, "jobs")
+    if spec.store_dir is not None and not isinstance(spec.store_dir, str):
+        raise ConfigurationError(f"store_dir must be a path or None, got {spec.store_dir!r}")
+    _check_bool(spec.resume, "resume")
 
 
 def _strategy_axis(schedulers: Any) -> Optional[Tuple[str, ...]]:
@@ -348,7 +357,7 @@ class SweepSpec(Record):
     sim: Optional[SimSpec] = None
     jobs: Optional[int] = None
     schedulers: Optional[Tuple[str, ...]] = None
-    retries: int = 2
+    retries: int = DEFAULT_RETRIES
     timeout_s: Optional[float] = None
     store_dir: Optional[str] = None
     resume: bool = True
@@ -364,11 +373,12 @@ class SweepSpec(Record):
         object.__setattr__(self, "overlays", overlays)
         object.__setattr__(self, "sim", _sim_or_default(self.sim))
         object.__setattr__(self, "schedulers", _strategy_axis(self.schedulers))
-        _check_jobs(self.jobs)
+        _check_runner(self)
         _check_int(self.retries, 0, "retries")
-        if self.timeout_s is not None and not self.timeout_s > 0:
+        timeout = self.timeout_s
+        if timeout is not None and (type(timeout) not in (int, float) or not timeout > 0):
             raise ConfigurationError(
-                f"timeout_s must be positive (or None for unlimited), got {self.timeout_s!r}"
+                f"timeout_s must be a positive number (or None for unlimited), got {timeout!r}"
             )
 
     # ------------------------------------------------------------------
@@ -480,7 +490,7 @@ class TuneSpec(Record):
             )
         _check_int(self.budget, 1, "budget")
         object.__setattr__(self, "sim", _sim_or_default(self.sim))
-        _check_jobs(self.jobs)
+        _check_runner(self)
 
 
 @dataclass(frozen=True)

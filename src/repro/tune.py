@@ -130,12 +130,12 @@ def tune(
 ) -> TuneResult:
     """Run one auto-tune: triage analytically, simulate the frontier, choose.
 
-    ``toolchain`` scopes every compile and prediction to that session's
-    injected cache (default: the process-wide session); ``store`` overrides
-    the spec's ``store_dir`` with a ready :class:`ResultStore` instance
-    (tests inject probe stores this way).  ``progress`` streams the
-    frontier simulation's :class:`~repro.engine.sweep.SweepProgress`
-    events.
+    ``toolchain`` is the session every compile, prediction and serially
+    simulated frontier point runs on (default: the process-wide session);
+    ``store`` overrides the spec's ``store_dir`` with a ready
+    :class:`ResultStore` instance (tests inject probe stores this way).
+    ``progress`` streams the frontier simulation's
+    :class:`~repro.engine.sweep.SweepProgress` events.
     """
     if not isinstance(spec, TuneSpec):
         raise ConfigurationError("tune() takes a repro.specs.TuneSpec")
@@ -192,7 +192,7 @@ def tune(
         rows = run_sweep(
             points,
             jobs=spec.jobs,
-            cache=session.cache,
+            toolchain=session,
             store=store,
             resume=spec.resume,
             progress=progress,

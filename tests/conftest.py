@@ -57,6 +57,28 @@ def _fresh_timing_memo():
 
 
 @pytest.fixture
+def unverified_strategy():
+    """A registered third-party strategy whose schedules fail static
+    verification (``SCHED007``: the first two loads of its first stage that
+    has two are swapped); yields its name and unregisters it afterwards."""
+    from repro.schedule.registry import register_scheduler, schedule_with, unregister_scheduler
+
+    def swapped(dfg, overlay):
+        schedule = schedule_with("linear", dfg, overlay)
+        for stage in schedule.stages:
+            if stage.num_loads >= 2:
+                order = list(stage.load_order)
+                order[0], order[1] = order[1], order[0]
+                object.__setattr__(stage, "load_order", order)
+                return schedule
+        raise AssertionError("no stage with two loads")
+
+    register_scheduler("test-unverified", swapped)
+    yield "test-unverified"
+    unregister_scheduler("test-unverified")
+
+
+@pytest.fixture
 def gradient():
     """The paper's running example kernel (Fig. 2)."""
     return get_kernel("gradient")

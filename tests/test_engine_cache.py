@@ -234,6 +234,6 @@ class TestDiskFormat:
         disk.mkdir()
         (disk / key.filename()).write_bytes(b"not a pickle")
         cache = ShardedScheduleCache(capacity=8, shards=2, disk_dir=str(disk))
-        cache.get_or_compile(dfg, overlay)
+        cache.get_or_compile_keyed(key, dfg, overlay)
         assert cache.stats.disk_errors == 1
         assert CacheStats.merged([CacheStats(disk_errors=2), CacheStats(disk_errors=3)]).disk_errors == 5

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.api import Toolchain
 from repro.cli import main
 from repro.engine import fastsim, sweep
 from repro.engine.cache import ScheduleCache
@@ -18,12 +19,11 @@ from repro.engine.sweep import (
     results_to_json,
     run_point,
     run_sweep,
-    run_sweep_spec,
 )
 from repro.errors import ConfigurationError
 from repro.kernels import get_kernel, kernel_names
 from repro.metrics.performance import EVALUATION_VARIANTS, evaluate_kernel_all_overlays
-from repro.specs import OverlaySpec, SimSpec, SweepSpec
+from repro.specs import OverlaySpec, SimSpec, SweepSpec, TuneSpec
 
 V1 = [OverlaySpec("v1")]
 FAST8 = SimSpec(engine="fast", num_blocks=8)
@@ -61,7 +61,7 @@ class TestGridConstruction:
             for scheduler in ("clustered", "modulo")
         ]
 
-    def test_run_sweep_spec_runs_the_build_grid_points(self):
+    def test_toolchain_sweep_runs_the_build_grid_points(self):
         spec = SweepSpec(
             kernels=("gradient", "qspline"),
             overlays=(OverlaySpec("v3"),),
@@ -73,8 +73,8 @@ class TestGridConstruction:
             spec.kernels, overlays=spec.overlays, sim=spec.sim, schedulers=spec.schedulers
         )
         assert len(grid) == len(spec)
-        by_spec = run_sweep_spec(spec, cache=ScheduleCache())
-        by_grid = run_sweep(grid, jobs=1, cache=ScheduleCache())
+        by_spec = Toolchain(ScheduleCache()).sweep(spec)
+        by_grid = run_sweep(grid, jobs=1, toolchain=Toolchain(ScheduleCache()))
         strip = lambda r: {k: v for k, v in r.as_row().items() if k != "elapsed_s"}
         assert [strip(r) for r in by_spec] == [strip(r) for r in by_grid]
         assert [r.scheduler for r in by_spec] == [p.overlay.scheduler for p in grid]
@@ -143,6 +143,89 @@ class TestRunSweep:
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep([SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="warp"))])
+
+
+@pytest.fixture(scope="module")
+def refused_points():
+    """Every library point on V3-V5 at depths 2-5 whose codegen the compiler
+    refuses (the register file overflows): the session compiles each one to
+    a schedule-only handle."""
+    grid = build_grid(
+        overlays=[OverlaySpec(v, depth=d) for v in ("v3", "v4", "v5") for d in (2, 3, 4, 5)],
+        sim=FAST8,
+    )
+    toolchain = Toolchain(ScheduleCache(capacity=256))
+    points = [
+        point
+        for point in grid
+        if toolchain.compile(point.kernel, point.overlay, allow_schedule_only=True).schedule_only
+    ]
+    assert points
+    return points
+
+
+class TestOneCompilePath:
+    """A sweep point compiles and simulates through the session, so every
+    front door measures a point the same way."""
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "lanes"])
+    def test_codegen_refusals_are_measured_as_evaluate_measures_them(self, refused_points, jobs):
+        toolchain = Toolchain(ScheduleCache(capacity=256))
+        rows = run_sweep(refused_points, jobs=jobs, toolchain=toolchain)
+        for point, row in zip(refused_points, rows):
+            assert (row.error, row.quarantined, row.attempts) == (None, False, 1), point
+            evaluated = toolchain.evaluate(point.kernel, point.overlay, sim=point.sim)
+            assert row.measured_ii == evaluated.measured_ii, point
+            assert row.matches_reference is evaluated.reference_match is True, point
+
+    def test_a_store_serves_codegen_refusals_on_resume(self, refused_points, tmp_path):
+        toolchain = Toolchain(ScheduleCache(capacity=256))
+        first = run_sweep(
+            refused_points, jobs=1, toolchain=toolchain, store=ResultStore(str(tmp_path))
+        )
+        events = []
+        second = run_sweep(
+            refused_points,
+            jobs=1,
+            toolchain=toolchain,
+            store=ResultStore(str(tmp_path)),
+            progress=events.append,
+        )
+        assert len(events) == len(refused_points)
+        assert all(event.cached for event in events)
+        assert [_strip(row) for row in second] == [_strip(row) for row in first]
+
+    def test_a_tune_simulates_a_codegen_refusal_on_its_frontier(self):
+        toolchain = Toolchain(ScheduleCache(capacity=16))
+        overlay = OverlaySpec("v3", depth=2, scheduler="clustered")
+        assert toolchain.compile("qspline", overlay, allow_schedule_only=True).schedule_only
+        spec = TuneSpec(
+            kernel="qspline", variants=("v3",), depths=(2,), schedulers=("clustered",),
+            budget=1, jobs=1, sim=FAST8,
+        )
+        [candidate] = toolchain.tune(spec=spec).candidates
+        assert candidate.simulated and candidate.error is None
+        evaluated = toolchain.evaluate("qspline", overlay, sim=FAST8)
+        assert candidate.measured_ii == evaluated.measured_ii
+
+    def test_a_strategy_that_fails_verification_is_a_stored_infeasible_row(
+        self, unverified_strategy, tmp_path
+    ):
+        toolchain = Toolchain(ScheduleCache())
+        spec = SweepSpec(
+            kernels=("gradient",),
+            overlays=(OverlaySpec("v1", scheduler=unverified_strategy),),
+            sim=FAST8,
+            jobs=1,
+            store_dir=str(tmp_path),
+        )
+        [row] = toolchain.sweep(spec)
+        assert "failed static verification" in (row.error or "")
+        assert (row.infeasible, row.quarantined, row.attempts) == (True, False, 1)
+        events = []
+        toolchain.sweep(spec, progress=events.append)
+        assert [event.cached for event in events] == [True]
+        assert events[0].result.error == row.error
 
 
 def _refuse_to_tick(self, num_blocks, max_cycles):

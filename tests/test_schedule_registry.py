@@ -27,7 +27,7 @@ import pytest
 
 from repro.api import Toolchain
 from repro.engine.cache import CacheKey, ScheduleCache
-from repro.engine.sweep import build_grid, run_sweep_spec
+from repro.engine.sweep import build_grid
 from repro.errors import (
     CodegenError,
     ConfigurationError,
@@ -314,7 +314,7 @@ class TestSchedulerPlumbing:
         )
         assert len(spec) == 4
         assert SweepSpec.from_json(spec.to_json()) == spec
-        results = run_sweep_spec(spec, cache=ScheduleCache(capacity=16))
+        results = Toolchain(cache=ScheduleCache(capacity=16)).sweep(spec)
         assert [r.scheduler for r in results] == [
             "clustered", "modulo", "clustered", "modulo",
         ]
@@ -331,7 +331,7 @@ class TestSchedulerPlumbing:
             sim=SimSpec(engine="fast", num_blocks=4),
             jobs=1,
         )
-        results = run_sweep_spec(spec, cache=ScheduleCache(capacity=8))
+        results = Toolchain(cache=ScheduleCache(capacity=8)).sweep(spec)
         linear, clustered = results
         assert linear.infeasible and "sgfilter" in linear.error
         assert linear.measured_ii is None

@@ -59,6 +59,7 @@ from repro.service.protocol import (
     E_PROTOCOL,
     E_VERSION,
     MAX_REQUEST_BYTES,
+    MAX_SIM_BLOCKS,
     OPS,
     decode_line,
     decode_request,
@@ -266,6 +267,19 @@ class TestServiceOperations:
         assert response["ok"] is False
         assert response["error"]["code"] == E_PARAMS
         assert named in response["error"]["message"]
+
+    @pytest.mark.parametrize("op", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("num_blocks", [MAX_SIM_BLOCKS + 1, 10**12], ids=["past-bound", "1e12"])
+    @pytest.mark.parametrize("form", ["dict", "wire"])
+    def test_oversized_streams_are_e_params(self, service, op, num_blocks, form):
+        sim = {"engine": "fast", "num_blocks": num_blocks}
+        if form == "wire":
+            sim = spec_to_wire(SimSpec(**sim))
+        params = {"kernel": "gradient", "overlay": {}, "sim": sim}
+        response = service.handle({"op": op, "params": params})
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_PARAMS
+        assert str(MAX_SIM_BLOCKS) in response["error"]["message"]
 
     def test_evaluate_matches_direct_call(self, client):
         spec = OverlaySpec(variant="v1")

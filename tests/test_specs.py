@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.overlay.architecture import DEFAULT_FIXED_DEPTH
 from repro.overlay.fu import FU_VARIANTS, get_variant
-from repro.specs import ENGINES, OverlaySpec, SimSpec, SweepSpec
+from repro.specs import ENGINES, OverlaySpec, SimSpec, SweepSpec, TuneSpec
 
 
 class TestOverlaySpec:
@@ -210,3 +210,47 @@ class TestSweepSpec:
             self._spec(timeout_s=0.0)
         with pytest.raises(ConfigurationError):
             self._spec(timeout_s=-5.0)
+
+
+def _sweep_spec(**fields):
+    return SweepSpec(kernels=("gradient",), overlays=(OverlaySpec("v1"),), **fields)
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (_sweep_spec, "jobs", "2"),
+        (_sweep_spec, "jobs", True),
+        (_sweep_spec, "jobs", 2.5),
+        (_sweep_spec, "timeout_s", "3"),
+        (_sweep_spec, "timeout_s", True),
+        (_sweep_spec, "resume", "no"),
+        (_sweep_spec, "store_dir", 3),
+        (TuneSpec, "jobs", 2.5),
+        (TuneSpec, "jobs", "2"),
+        (TuneSpec, "resume", "no"),
+        (TuneSpec, "store_dir", ["runs"]),
+    ],
+    ids=[
+        "sweep-jobs-str",
+        "sweep-jobs-bool",
+        "sweep-jobs-float",
+        "sweep-timeout-str",
+        "sweep-timeout-bool",
+        "sweep-resume-str",
+        "sweep-store-int",
+        "tune-jobs-float",
+        "tune-jobs-str",
+        "tune-resume-str",
+        "tune-store-list",
+    ],
+)
+def test_runner_fields_are_type_checked(build, field, value):
+    """``jobs``, ``timeout_s``, ``resume`` and ``store_dir`` answer a value
+    of the wrong type, bools included, with a ``ConfigurationError`` that
+    names the field."""
+    kwargs = {field: value}
+    if build is TuneSpec:
+        kwargs["kernel"] = "gradient"
+    with pytest.raises(ConfigurationError, match=field):
+        build(**kwargs)

@@ -16,7 +16,7 @@ import pytest
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache, write_atomic
 from repro.engine.store import STORE_VERSION, ResultStore
-from repro.engine.sweep import SweepPoint, build_grid, run_sweep, run_sweep_spec
+from repro.engine.sweep import SweepPoint, build_grid, run_sweep
 from repro.metrics.models import CalibratedModel
 from repro.specs import OverlaySpec, SimSpec, SweepSpec, TuneSpec
 from repro.tune import tune
@@ -268,16 +268,16 @@ class TestSpecAndSessionPlumbing:
         clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
 
-    def test_run_sweep_spec_uses_the_store(self, tmp_path):
+    def test_toolchain_sweep_uses_the_store(self, tmp_path):
         spec = SweepSpec(
             kernels=("gradient",),
             overlays=(OverlaySpec("v1"),),
             jobs=1,
             store_dir=str(tmp_path),
         )
-        first = run_sweep_spec(spec)
+        first = Toolchain().sweep(spec)
         assert len(ResultStore(str(tmp_path))) == 1
-        second = run_sweep_spec(spec)
+        second = Toolchain().sweep(spec)
         assert _rows_equal(first, second)
 
     def test_toolchain_sweep_honors_store_and_progress(self, tmp_path):

@@ -378,17 +378,6 @@ class TestPassRegistry:
 # ---------------------------------------------------------------------------
 # session wiring
 # ---------------------------------------------------------------------------
-def _swap_first_loads(schedule):
-    """Corrupt a schedule's FIFO discipline in place (test defect)."""
-    for stage in schedule.stages:
-        if stage.num_loads >= 2:
-            order = list(stage.load_order)
-            order[0], order[1] = order[1], order[0]
-            object.__setattr__(stage, "load_order", order)
-            return schedule
-    raise AssertionError("no stage with two loads")
-
-
 class TestToolchainWiring:
     def test_verify_caches_full_suite_verdicts(self):
         toolchain = Toolchain(ScheduleCache())
@@ -438,21 +427,12 @@ class TestToolchainWiring:
         finally:
             unregister_scheduler("test-verify-good")
 
-    def test_broken_third_party_scheduler_raises_on_compile(self):
-        register_scheduler(
-            "test-verify-bad",
-            lambda dfg, overlay: _swap_first_loads(
-                schedule_with("linear", dfg, overlay)
-            ),
-        )
-        try:
-            toolchain = Toolchain(ScheduleCache())
-            spec = OverlaySpec("v1", scheduler="test-verify-bad")
-            with pytest.raises(VerificationError) as excinfo:
-                toolchain.compile("gradient", spec)
-            assert "SCHED007" in excinfo.value.report.codes
-        finally:
-            unregister_scheduler("test-verify-bad")
+    def test_broken_third_party_scheduler_raises_on_compile(self, unverified_strategy):
+        toolchain = Toolchain(ScheduleCache())
+        spec = OverlaySpec("v1", scheduler=unverified_strategy)
+        with pytest.raises(VerificationError) as excinfo:
+            toolchain.compile("gradient", spec)
+        assert "SCHED007" in excinfo.value.report.codes
 
     def test_verify_rejects_non_handles(self):
         with pytest.raises(ConfigurationError, match="handle"):
