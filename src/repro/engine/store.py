@@ -21,7 +21,9 @@ disk layer gives compilation:
   reader only ever sees complete files;
 * **resume is just re-running**: a grid executed against a store only
   simulates points whose key has no entry, so an interrupted sweep picks up
-  exactly where it died and an unchanged grid is pure lookups.
+  exactly where it died and an unchanged grid is pure lookups.  A process
+  derives each point's key once (library kernels and FU variants do not
+  change while it runs), so a repeated pass pays only for reading entries.
 
 Rows synthesised by the fault-tolerant runner (quarantined worker deaths,
 timeouts) are *never* stored — they describe the environment of one run, not
@@ -32,6 +34,7 @@ deterministic properties of the grid point and are stored like any other row.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,9 +43,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..kernels.library import get_kernel
 from .cache import dfg_content_hash, write_atomic
+from .sweep import SweepResult
 
 #: Bumped when the entry layout changes; mismatching entries read as misses.
 STORE_VERSION = 2
+
+#: Sweep points whose store key one process keeps (least recently used first).
+KEY_MEMO_POINTS = 1 << 14
 
 
 @dataclass
@@ -52,8 +59,9 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    #: Entries that existed but could not be used (truncated by an unclean
-    #: filesystem, wrong version, key mismatch) — counted inside ``misses``.
+    #: Entries that existed but could not be used (unreadable, truncated by
+    #: an unclean filesystem, wrong version, key mismatch, unknown or
+    #: mistyped row fields) — counted inside ``misses``.
     corrupt: int = 0
 
 
@@ -102,15 +110,10 @@ class ResultStore:
         Resolves the overlay spec against the kernel's DFG (auto-sized
         depth, variant-following ``fixed``), so specs that build the same
         overlay share the entry, and hashes the DFG content so a kernel
-        edit invalidates exactly that kernel's rows.
+        edit invalidates exactly that kernel's rows.  The key depends only
+        on the point, so each process derives it once per point.
         """
-        dfg = get_kernel(point.kernel)
-        return StoreKey(
-            kernel=point.kernel,
-            dfg_hash=dfg_content_hash(dfg),
-            overlay=point.overlay.resolve(dfg).to_dict(),
-            sim=point.sim.to_dict(),
-        ).digest()
+        return _point_key(point)
 
     # ------------------------------------------------------------------
     # lookup / insert
@@ -119,16 +122,17 @@ class ResultStore:
         """The stored :class:`~repro.engine.sweep.SweepResult`, or ``None``.
 
         ``point`` (the :class:`~repro.engine.sweep.SweepPoint` ``key`` was
-        computed for) names the entry file.  Anything unreadable — missing
-        file, truncated JSON, layout-version or key mismatch, unknown row
-        fields — is a miss, never an error: the point is simply re-simulated
-        and the entry rewritten.
+        computed for) names the entry file, which is opened once.  A missing
+        file is a miss; anything else unusable — an entry that cannot be
+        read, truncated JSON, layout-version or key mismatch, unknown or
+        mistyped row fields — is a corrupt miss, never an error: the point
+        is simply re-simulated and the entry rewritten.
         """
-        path = self._filename(key, point)
-        if not os.path.exists(path):
+        try:
+            entry = _read_entry(self._filename(key, point))
+        except (FileNotFoundError, NotADirectoryError):
             self.stats.misses += 1
             return None
-        entry = _read_entry(path)
         if entry is None or entry[0] != key:
             self.stats.misses += 1
             self.stats.corrupt += 1
@@ -184,7 +188,10 @@ class ResultStore:
         shrink the fit).  Lookup stats are untouched.
         """
         for path in self.entry_paths():
-            entry = _read_entry(path)
+            try:
+                entry = _read_entry(path)
+            except (FileNotFoundError, NotADirectoryError):
+                continue  # removed since the listing
             if entry is not None:
                 yield entry[1]
 
@@ -206,15 +213,30 @@ class ResultStore:
         )
 
 
-def _read_entry(path: str) -> Optional[Tuple[object, object]]:
+@functools.lru_cache(maxsize=KEY_MEMO_POINTS)
+def _point_key(point) -> str:
+    """The store key of ``point``, derived once per process (see
+    :meth:`ResultStore.key_for`)."""
+    dfg = get_kernel(point.kernel)
+    return StoreKey(
+        kernel=point.kernel,
+        dfg_hash=dfg_content_hash(dfg),
+        overlay=point.overlay.resolve(dfg).to_dict(),
+        sim=point.sim.to_dict(),
+    ).digest()
+
+
+def _read_entry(path: str) -> Optional[Tuple[object, SweepResult]]:
     """``(stored key, SweepResult)`` of one entry file, or ``None`` when the
     file is unreadable, truncated, of another layout version or carries
-    unknown row fields."""
-    from .sweep import SweepResult  # local: sweep imports this module
-
+    unknown, missing or mistyped row fields.  Raises
+    :class:`FileNotFoundError` (or :class:`NotADirectoryError`, for a root
+    that is a file) when there is no entry."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             entry = json.load(handle)
+    except (FileNotFoundError, NotADirectoryError):
+        raise
     except (OSError, ValueError):
         return None
     if (
@@ -223,7 +245,5 @@ def _read_entry(path: str) -> Optional[Tuple[object, object]]:
         or not isinstance(entry.get("result"), dict)
     ):
         return None
-    try:
-        return entry.get("key"), SweepResult(**entry["result"])
-    except TypeError:
-        return None
+    result = SweepResult.from_row(entry["result"])
+    return None if result is None else (entry.get("key"), result)

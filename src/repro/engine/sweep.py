@@ -24,7 +24,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, get_args, get_type_hints
 
 from ..errors import ConfigurationError, InfeasibleScheduleError, VerificationError
 from ..kernels.library import get_kernel, kernel_names
@@ -33,10 +33,14 @@ from ..overlay.architecture import LinearOverlay
 from ..overlay.resources import overlay_fmax_mhz
 from ..specs import DEFAULT_RETRIES, OverlaySpec, SimSpec, SweepSpec
 from . import fastsim
-from .store import ResultStore
 
 #: Base of the per-point exponential retry backoff (seconds).
 RETRY_BACKOFF_S = 0.05
+
+#: Compile failures that are properties of the point, not faults of a run:
+#: a sweep stores them as infeasible rows and a tune's triage as infeasible
+#: candidates.
+INFEASIBLE_ERRORS = (InfeasibleScheduleError, ConfigurationError, VerificationError)
 
 
 def _backoff_s(attempts: int) -> float:
@@ -104,6 +108,33 @@ class SweepResult:
     def as_row(self) -> Dict[str, object]:
         return asdict(self)
 
+    @classmethod
+    def from_row(cls, row: Dict[str, object]) -> Optional["SweepResult"]:
+        """The result whose :meth:`as_row` is ``row``, or ``None`` when a
+        field is unknown, missing or not of its declared type (a bool is
+        not an int, an int is a float, ``Optional`` fields take ``None``)."""
+        try:
+            for name, value in row.items():
+                if type(value) not in _ROW_TYPES[name]:
+                    return None
+            return cls(**row)
+        except (KeyError, TypeError):  # an unknown field, or a missing one without a default
+            return None
+
+
+def _json_types(hint: Any) -> frozenset:
+    """The JSON value types a field annotated ``hint`` accepts."""
+    types = set(get_args(hint) or (hint,))
+    if float in types:
+        types.add(int)
+    return frozenset(types)
+
+
+#: Field name -> the JSON value types :meth:`SweepResult.from_row` accepts.
+_ROW_TYPES: Dict[str, frozenset] = {
+    name: _json_types(hint) for name, hint in get_type_hints(SweepResult).items()
+}
+
 
 @dataclass(frozen=True)
 class SweepProgress:
@@ -145,10 +176,11 @@ def build_grid(
         sim=sim,
         schedulers=None if schedulers is None else tuple(schedulers),
     )
+    grid_overlays = spec.grid_overlays()
     return [
         SweepPoint(kernel, overlay, spec.sim)
         for kernel in spec.kernels
-        for overlay in spec.grid_overlays()
+        for overlay in grid_overlays
     ]
 
 
@@ -176,7 +208,7 @@ def run_point(point: SweepPoint, toolchain: Optional["Toolchain"] = None) -> Swe
     session = toolchain if toolchain is not None else default_toolchain()
     try:
         handle = session.compile(point.kernel, point.overlay, allow_schedule_only=True)
-    except (InfeasibleScheduleError, ConfigurationError, VerificationError) as error:
+    except INFEASIBLE_ERRORS as error:
         # A property of the grid point, not a sweep failure: report it so
         # mixed-strategy grids (e.g. --schedulers all) keep running.
         # ConfigurationError also covers a user-registered strategy that a
@@ -446,7 +478,7 @@ def run_sweep(
     *,
     retries: int = DEFAULT_RETRIES,
     timeout_s: Optional[float] = None,
-    store: Optional[ResultStore] = None,
+    store: Optional["ResultStore"] = None,
     resume: bool = True,
     progress: Optional[Callable[[SweepProgress], None]] = None,
 ) -> List[SweepResult]:

@@ -267,18 +267,19 @@ class OverlayService:
         return self._artifact_row(self._compile_from(request.params, session))
 
     def _op_evaluate(self, request: ServiceRequest, session: TenantSession) -> Dict[str, Any]:
+        # The sim spec is checked first, so a refused one costs no compile.
+        sim = self._spec_from(request.params, "sim", SimSpec)
         handle = self._compile_from(
             {**request.params, "allow_schedule_only": True}, session
         )
-        sim = self._spec_from(request.params, "sim", SimSpec)
         result = session.toolchain.evaluate(handle, sim=sim)
         return result.as_row()
 
     def _op_simulate(self, request: ServiceRequest, session: TenantSession) -> Dict[str, Any]:
+        sim = self._spec_from(request.params, "sim", SimSpec) or SimSpec(engine="fast")
         handle = self._compile_from(
             {**request.params, "allow_schedule_only": True}, session
         )
-        sim = self._spec_from(request.params, "sim", SimSpec) or SimSpec(engine="fast")
         result = session.toolchain.simulate(handle, sim)
         row: Dict[str, Any] = {
             "kernel": result.kernel_name,

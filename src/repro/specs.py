@@ -84,8 +84,9 @@ class Record:
     ``__post_init__`` coerces nested values back (see :meth:`coerce`).
 
     ``to_dict`` reads the instance ``__dict__``, which is several times
-    cheaper than :func:`dataclasses.fields` (``ResultStore.key_for`` calls
-    it twice per sweep point), so a record keeps nothing but its fields
+    cheaper than :func:`dataclasses.fields` (the result store calls it
+    twice for every row it writes, and twice for every point a process
+    keys for the first time), so a record keeps nothing but its fields
     there: no ``cached_property`` and no ``slots``.
     """
 

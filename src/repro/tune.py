@@ -38,8 +38,8 @@ from typing import Callable, List, Optional, Tuple
 
 from .api import Toolchain, default_toolchain
 from .engine.store import ResultStore
-from .engine.sweep import SweepPoint, SweepResult, run_sweep
-from .errors import ConfigurationError, InfeasibleScheduleError
+from .engine.sweep import INFEASIBLE_ERRORS, SweepPoint, SweepResult, run_sweep
+from .errors import ConfigurationError
 from .kernels.library import get_kernel
 from .metrics.models import resolve_model
 from .metrics.performance import latency_ns
@@ -156,7 +156,7 @@ def tune(
     for index, candidate in enumerate(enumerate_candidates(spec, dfg)):
         try:
             handle = session.compile(dfg, candidate, allow_schedule_only=True)
-        except (InfeasibleScheduleError, ConfigurationError) as error:
+        except INFEASIBLE_ERRORS as error:
             infeasible.append((candidate, f"{type(error).__name__}: {error}"))
             continue
         prediction = session.predict(handle, sim=spec.sim, model=model)

@@ -61,6 +61,19 @@ class TestGridConstruction:
             for scheduler in ("clustered", "modulo")
         ]
 
+    @pytest.mark.parametrize("schedulers", [None, ("linear", "clustered", "modulo", "auto")])
+    def test_grid_is_the_kernel_overlay_scheduler_cross_product(self, schedulers):
+        # Sweep-store's grid shape, against the cross product spelled out.
+        sim = SimSpec(engine="fast", num_blocks=64, seed=1)
+        overlays = [OverlaySpec(v, fifo_depth=8) for v in ("v1", "v2", "v3", "v4", "v5")]
+        expected = [
+            SweepPoint(kernel, OverlaySpec(overlay.variant, fifo_depth=8, scheduler=scheduler), sim)
+            for kernel in kernel_names()
+            for overlay in overlays
+            for scheduler in (schedulers or ("auto",))
+        ]
+        assert build_grid(overlays=overlays, sim=sim, schedulers=schedulers) == expected
+
     def test_toolchain_sweep_runs_the_build_grid_points(self):
         spec = SweepSpec(
             kernels=("gradient", "qspline"),
@@ -226,6 +239,19 @@ class TestOneCompilePath:
         toolchain.sweep(spec, progress=events.append)
         assert [event.cached for event in events] == [True]
         assert events[0].result.error == row.error
+
+    def test_a_strategy_that_fails_verification_is_an_infeasible_tune_candidate(
+        self, unverified_strategy
+    ):
+        spec = TuneSpec(
+            kernel="gradient", variants=("v1",), schedulers=("linear", unverified_strategy),
+            budget=2, jobs=1, sim=FAST8,
+        )
+        result = Toolchain(ScheduleCache()).tune(spec=spec)
+        [bad] = [c for c in result.candidates if c.overlay.scheduler == unverified_strategy]
+        assert "failed static verification" in (bad.error or "")
+        assert not bad.simulated
+        assert result.best.overlay.scheduler == "linear" and result.best.simulated
 
 
 def _refuse_to_tick(self, num_blocks, max_cycles):

@@ -281,6 +281,22 @@ class TestServiceOperations:
         assert response["error"]["code"] == E_PARAMS
         assert str(MAX_SIM_BLOCKS) in response["error"]["message"]
 
+    @pytest.mark.parametrize("op", ["simulate", "evaluate"])
+    @pytest.mark.parametrize(
+        "sim",
+        [{"engine": "fast", "num_blocks": 10**12}, {"engine": "fast", "num_blocks": "many"}],
+        ids=["oversized", "mistyped"],
+    )
+    def test_a_refused_sim_costs_no_compile(self, service, op, sim):
+        params = {"kernel": "poly7", "overlay": {"variant": "v2"}, "sim": sim}
+        response = service.handle({"op": op, "params": params})
+        assert response["error"]["code"] == E_PARAMS
+        assert service.cache.stats.misses == 0
+        # The sim is checked before the kernel, so its error wins.
+        params["kernel"] = "no-such-kernel"
+        response = service.handle({"op": op, "params": params})
+        assert response["error"]["code"] == E_PARAMS
+
     def test_evaluate_matches_direct_call(self, client):
         spec = OverlaySpec(variant="v1")
         row = client.evaluate("gradient", spec)

@@ -14,9 +14,11 @@ import os
 import pytest
 
 from repro.api import Toolchain
-from repro.engine.cache import ScheduleCache, write_atomic
-from repro.engine.store import STORE_VERSION, ResultStore
+from repro.engine import store as store_module
+from repro.engine.cache import ScheduleCache, dfg_content_hash, write_atomic
+from repro.engine.store import STORE_VERSION, ResultStore, StoreKey
 from repro.engine.sweep import SweepPoint, build_grid, run_sweep
+from repro.kernels.library import get_kernel, kernel_names
 from repro.metrics.models import CalibratedModel
 from repro.specs import OverlaySpec, SimSpec, SweepSpec, TuneSpec
 from repro.tune import tune
@@ -66,6 +68,100 @@ class TestKeying:
         b = SweepPoint("poly5", OverlaySpec("v1"), SimSpec())
         assert store.key_for(a) != store.key_for(b)
 
+    def test_memoised_keys_equal_keys_built_from_scratch(self, tmp_path):
+        # Sweep-store's grid shape, each point next to the same point with
+        # the explicit depth its depth=None resolves to.
+        sim = SimSpec(engine="fast", num_blocks=64, seed=3)
+        store = ResultStore(str(tmp_path))
+        points = []
+        for point in build_grid(
+            overlays=[
+                OverlaySpec(variant, fifo_depth=fifo)
+                for variant in ("v1", "v2", "v3", "v4", "v5")
+                for fifo in (8, 32)
+            ],
+            sim=sim,
+            schedulers=("linear", "clustered", "modulo", "auto"),
+        ):
+            depth = point.overlay.resolve(get_kernel(point.kernel)).depth
+            explicit = dataclasses.replace(point.overlay, depth=depth)
+            points += [point, SweepPoint(point.kernel, explicit, sim)]
+        assert len(points) == len(kernel_names()) * 5 * 2 * 4 * 2
+        for point in points:
+            dfg = get_kernel(point.kernel)
+            scratch = StoreKey(
+                kernel=point.kernel,
+                dfg_hash=dfg_content_hash(dfg),
+                overlay=point.overlay.resolve(dfg).to_dict(),
+                sim=point.sim.to_dict(),
+            ).digest()
+            assert store.key_for(point) == scratch, point
+            assert store.key_for(dataclasses.replace(point)) == scratch, point
+        for auto, explicit in zip(points[::2], points[1::2]):
+            assert store.key_for(auto) == store.key_for(explicit), auto
+
+    @pytest.mark.parametrize(
+        "point, key",
+        [
+            (
+                SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="fast")),
+                "559f958a66a6b2e38ad6901a537da222",
+            ),
+            (
+                SweepPoint(
+                    "poly7",
+                    OverlaySpec("v3", fifo_depth=8, scheduler="modulo"),
+                    SimSpec(engine="fast", num_blocks=64, seed=5),
+                ),
+                "b0739efd15ecd8c9b5a462f208ad8d22",
+            ),
+        ],
+        ids=["gradient-v1", "poly7-v3-modulo"],
+    )
+    def test_keys_are_pinned(self, tmp_path, point, key):
+        store = ResultStore(str(tmp_path))
+        assert store.key_for(point) == key
+        assert store.key_for(point) == key  # from the memo
+
+
+class TestWarmPasses:
+    def test_a_second_sweep_derives_no_key_and_reads_each_entry_once(
+        self, tmp_path, monkeypatch
+    ):
+        spec = SweepSpec(
+            kernels=("gradient", "poly5"),
+            overlays=(OverlaySpec("v1"), OverlaySpec("v3", fifo_depth=8)),
+            sim=SimSpec(engine="fast", num_blocks=8),
+            jobs=1,
+            schedulers=("linear", "clustered"),
+            store_dir=str(tmp_path),
+        )
+        toolchain = Toolchain(ScheduleCache())
+        first = toolchain.sweep(spec)
+        stores, opened = [], []
+
+        class Probe(ResultStore):
+            def __init__(self, root):
+                super().__init__(root)
+                stores.append(self)
+
+        def refuse(*args):
+            raise AssertionError("a warm pass derived a store key again")
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "ResultStore", Probe)
+        monkeypatch.setattr(store_module, "get_kernel", refuse)
+        monkeypatch.setattr(store_module, "dfg_content_hash", refuse)
+        monkeypatch.setattr(store_module, "open", counting_open, raising=False)
+        second = toolchain.sweep(spec)
+        [probe] = stores
+        assert (probe.stats.hits, probe.stats.misses) == (len(first), 0)
+        assert sorted(opened) == probe.entry_paths()
+        assert [row.as_row() for row in second] == [row.as_row() for row in first]
+
 
 class TestRoundTrip:
     def test_put_get_round_trips_a_result(self, tmp_path):
@@ -100,7 +196,18 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         point = _grid(["gradient"])[0]
         assert store.get(store.key_for(point), point) is None
-        assert store.stats.misses == 1
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
+
+    def test_a_directory_at_the_entry_path_is_a_corrupt_miss(self, tmp_path):
+        point = _grid(["gradient"])[0]
+        run_sweep([point], jobs=1, store=ResultStore(str(tmp_path)))
+        [path] = ResultStore(str(tmp_path)).entry_paths()
+        os.unlink(path)
+        os.mkdir(path)
+        probe = ResultStore(str(tmp_path))
+        assert probe.get(probe.key_for(point), point) is None
+        assert (probe.stats.misses, probe.stats.corrupt) == (1, 1)
+        assert list(probe.results()) == []
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -166,6 +273,73 @@ class TestRoundTrip:
         assert probe.stats.writes == 1
         assert probe.get(probe.key_for(point), point) is not None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("measured_ii", "garbage"),
+            ("overlay_depth", True),
+            ("latency_cycles", 1.5),
+            ("matches_reference", 1),
+            ("kernel", None),
+            ("error", 5),
+            ("quarantined", 0),
+        ],
+        ids=["str-for-float", "bool-for-int", "float-for-int", "int-for-bool",
+             "none-for-str", "int-for-optional-str", "int-for-bool-flag"],
+    )
+    def test_a_mistyped_row_field_is_a_corrupt_miss(self, tmp_path, field, value):
+        store = ResultStore(str(tmp_path))
+        [row] = run_sweep(_grid(["gradient"]), jobs=1, store=store)
+        [path] = store.entry_paths()
+        entry = _read_json(path)
+        entry["result"][field] = value
+        write_atomic(path, json.dumps(entry))
+        probe = ResultStore(str(tmp_path))
+        assert list(probe.results()) == []
+        [again] = run_sweep(_grid(["gradient"]), jobs=1, store=probe)
+        assert (probe.stats.hits, probe.stats.corrupt, probe.stats.writes) == (0, 1, 1)
+        assert _rows_equal([again], [row])
+        assert _read_json(path)["result"][field] == row.as_row()[field]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fmax_mhz", 250), ("measured_ii", None), ("matches_reference", None)],
+        ids=["int-for-float", "none-for-optional-float", "none-for-optional-bool"],
+    )
+    def test_declared_field_types_load(self, tmp_path, field, value):
+        store = ResultStore(str(tmp_path))
+        run_sweep(_grid(["gradient"]), jobs=1, store=store)
+        [path] = store.entry_paths()
+        entry = _read_json(path)
+        entry["result"][field] = value
+        write_atomic(path, json.dumps(entry))
+        probe = ResultStore(str(tmp_path))
+        [row] = run_sweep(_grid(["gradient"]), jobs=1, store=probe)
+        assert (probe.stats.hits, probe.stats.corrupt) == (1, 0)
+        assert getattr(row, field) == value
+
+    def test_a_tune_remeasures_mistyped_frontier_rows(self, tmp_path):
+        spec = TuneSpec(
+            kernel="gradient",
+            variants=("v1", "v3"),
+            schedulers=("linear",),
+            budget=2,
+            jobs=1,
+            sim=SimSpec(engine="fast", num_blocks=8),
+            store_dir=str(tmp_path),
+        )
+        toolchain = Toolchain(ScheduleCache())
+        first = toolchain.tune(spec=spec)
+        paths = ResultStore(str(tmp_path)).entry_paths()
+        assert len(paths) == 2
+        for path in paths:
+            entry = _read_json(path)
+            entry["result"]["measured_ii"] = "garbage"
+            write_atomic(path, json.dumps(entry))
+        probe = ResultStore(str(tmp_path))
+        assert tune(spec, toolchain=toolchain, store=probe) == first
+        assert (probe.stats.hits, probe.stats.corrupt, probe.stats.writes) == (0, 2, 2)
+
     def test_stored_key_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
@@ -189,6 +363,9 @@ class TestRoundTrip:
         [row] = run_sweep([point], jobs=1)
         store.put(store.key_for(point), point, row)
         assert store.stats.writes == 0
+        # Such a root holds no entries, so a lookup is a plain miss.
+        assert store.get(store.key_for(point), point) is None
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
 
     def test_clear_empties_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
