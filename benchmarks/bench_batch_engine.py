@@ -27,11 +27,25 @@ it builds a fresh ``VectorBlockEvaluator`` for every point of the
 end-to-end benchmark's sim-stream set-up grid (library x V1-V5 x FIFO
 depth {2, 32}) and records the median build time per plan as
 ``batch_plan_build_ms``.
+
+A third test gates the two planes of the ``verify=True`` check, which every
+engine runs on numpy once the process has loaded it: the numpy
+``VectorStreamEvaluator`` (the list to ``int64`` conversion included)
+against the scalar ``StreamEvaluator``, over the same 90 points at the
+end-to-end benchmark's stream lengths with full-range inputs drawn
+beforehand.  Each round checks every point on both planes in alternating
+order, each call from a collected heap, and yields the scalar total over
+the numpy total; the median of those ratios is gated
+(``MIN_CHECK_SPEEDUP``) and recorded as ``check_plane_speedup``.
 """
 
 import dataclasses
 import gc
+import importlib.util
+import os
+import random
 import statistics
+import sys
 import time
 
 import pytest
@@ -43,7 +57,7 @@ from repro.engine.batchsim import BatchSimulator, VectorBlockEvaluator, plan_for
 from repro.engine.cache import ScheduleCache, default_cache
 from repro.engine.fastsim import FastSimulator, clear_timing_memo
 from repro.kernels import get_kernel, kernel_names
-from repro.kernels.reference import random_input_blocks
+from repro.kernels.reference import random_input_blocks, reference_outputs
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import get_variant
 from repro.specs import OverlaySpec
@@ -71,6 +85,16 @@ ROUNDS = 5
 #: FIFO depth 2 and 32, default strategy).
 PLAN_VARIANTS = ("v1", "v2", "v3", "v4", "v5")
 PLAN_FIFO_DEPTHS = (2, 32)
+
+#: The check-plane gate: the median per-round ratio of scalar over numpy
+#: check time must reach this factor.  On a shared 2-vCPU Xeon VM (Python
+#: 3.11.7, numpy 2.4.6) one call read 5.9x at 256 blocks and 7.6-8.4x at
+#: 512 blocks and more; 3x leaves room below the short streams' ratios.
+MIN_CHECK_SPEEDUP = 3.0
+CHECK_ROUNDS = 5
+#: The end-to-end benchmark's stream lengths (blocks): a log-spaced ladder,
+#: rotated by one per kernel over its ten points, as sim-stream streams it.
+CHECK_LADDER = (10, 64, 4096)
 
 COMPARED_FIELDS = (
     "outputs",
@@ -180,3 +204,61 @@ def test_batch_plan_build_cost(save_result, record_metric):
         ]),
     )
     record_metric("batch_plan_build_ms", median_ms)
+
+
+def _e2e_gen():
+    """The end-to-end benchmark's input generator, ``benchmarks/e2e/gen.py``."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e", "gen.py")
+    spec = importlib.util.spec_from_file_location("e2e_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _timed_check(dfg, stream, vectorized):
+    gc.collect()
+    started = time.perf_counter()
+    rows = reference_outputs(dfg, stream, vectorized=vectorized)
+    return time.perf_counter() - started, rows
+
+
+def test_check_plane_speedup_gate(save_result, record_metric):
+    gen = _e2e_gen()
+    per_kernel = len(PLAN_VARIANTS) * len(PLAN_FIFO_DEPTHS)
+    dfgs = [get_kernel(name) for name in kernel_names() for _ in range(per_kernel)]
+    ladder = gen.length_ladder(*CHECK_LADDER)
+    lengths = [ladder[(i + i // len(ladder)) % len(ladder)] for i in range(len(dfgs))]
+    rng = random.Random("check-plane")
+    streams = [gen.input_stream(rng, dfg.num_inputs, length) for dfg, length in zip(dfgs, lengths)]
+    for dfg, stream in zip(dfgs, streams):
+        # Build both evaluators of each kernel before anything is timed.
+        reference_outputs(dfg, stream[:1])
+        reference_outputs(dfg, stream[:1], vectorized=True)
+    ratios = []
+    for round_index in range(CHECK_ROUNDS):
+        spent = {False: 0.0, True: 0.0}
+        for position, (dfg, stream) in enumerate(zip(dfgs, streams)):
+            order = (False, True) if (position + round_index) % 2 == 0 else (True, False)
+            rows = {}
+            for vectorized in order:
+                seconds, rows[vectorized] = _timed_check(dfg, stream, vectorized)
+                spent[vectorized] += seconds
+            assert rows[True] == rows[False], f"{dfg.name}: the check planes disagree"
+        ratios.append(spent[False] / spent[True])
+
+    speedup = statistics.median(ratios)
+    save_result(
+        "check_plane",
+        "\n".join([
+            f"verify=True check planes: {len(dfgs)} sim-stream points, "
+            f"{min(lengths)}-{max(lengths)} blocks, full-range inputs, {CHECK_ROUNDS} rounds",
+            "  per-round scalar/numpy: " + ", ".join(f"{r:.2f}x" for r in ratios),
+            f"  median speedup        : {speedup:8.2f}x (gate: >= {MIN_CHECK_SPEEDUP}x)",
+        ]),
+    )
+    record_metric("check_plane_speedup", speedup)
+    assert speedup >= MIN_CHECK_SPEEDUP, (
+        f"the numpy check is only {speedup:.2f}x faster than the scalar one "
+        f"(median of {CHECK_ROUNDS} rounds, gate {MIN_CHECK_SPEEDUP}x)"
+    )

@@ -26,17 +26,19 @@ it library-wide):
    32-bit two's-complement wrap, PASS words and write-backs rename, and the
    last FU's forwarded words are the outputs.  So the outputs come from the
    instruction words, not from the DFG, and the ``verify=True`` check, which
-   evaluates the DFG (on numpy too, ``reference_outputs(...,
-   vectorized=True)``), catches a codegen fault the other engines cannot
-   see.  When codegen refuses the schedule, or an input lies outside the
-   signed 32-bit range (where ``int64`` intermediates could overflow), the
-   engine falls back to the scalar plane
+   evaluates the DFG, catches a codegen fault the other engines cannot see.
+   When codegen refuses the schedule, or an input lies outside the signed
+   32-bit range (where ``int64`` intermediates could overflow), the engine
+   falls back to the scalar plane
    (:func:`~repro.engine.fastsim._functional_outputs`).
 
 numpy is an **optional** dependency (the ``[batch]`` extra) that only
-speeds up the value plane: without numpy the engine runs on the scalar
-value plane.  See ``docs/engine.md`` ("Batched execution") for the data
-layout and the correctness argument.
+speeds up the value plane and the check: without numpy the engine runs on
+the scalar value plane.  Importing this module loads numpy, and from then
+on every engine's check in the process runs on numpy
+(``reference_outputs(..., vectorized=True)``); a batched check reads the
+``int64`` array its value plane made of the stream.  See ``docs/engine.md``
+("Batched execution") for the data layout and the correctness argument.
 """
 
 from __future__ import annotations

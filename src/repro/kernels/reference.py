@@ -10,9 +10,9 @@ Streams of positional blocks go through :class:`StreamEvaluator` instead:
 one generated function per DFG that evaluates the whole stream.  The
 interpretive :func:`evaluate_dfg` stays as the independent oracle it is
 tested against.  :class:`VectorStreamEvaluator` is the same walk emitted as
-numpy column expressions, for the checks of runs whose engine executes the
-configuration image instead of the DFG (``reference_outputs(...,
-vectorized=True)``); numpy is imported only when one is built.
+numpy column expressions (``reference_outputs(..., vectorized=True)``),
+which every verified run's check uses once the process has loaded numpy
+(:func:`numpy_loaded`); numpy is imported only when one is built.
 
 An output is a 32-bit word, so every output value is wrapped to signed 32
 bits, also one that an input feeds straight through.
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import importlib
 import random
+import sys
+import types
 import weakref
 from typing import (
     Any,
@@ -173,6 +175,10 @@ def _derived_evaluator(dfg: DFG, field: str, build: Callable[[DFG], V]) -> V:
     return evaluator
 
 
+#: Exact signed 32-bit two's-complement wrap of a Python int expression.
+_WRAP = "(({0} + 2147483648) & 4294967295) - 2147483648"
+
+
 class StreamEvaluator:
     """One DFG compiled to a function that evaluates a whole input stream.
 
@@ -183,8 +189,8 @@ class StreamEvaluator:
     inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`).
     Every input goes through ``int()`` and every operation result, and
     every output an input or a constant feeds, through the 32-bit wrap: a
-    range test with the wrap itself out of line, since values almost always
-    stay in range.  So results equal :func:`evaluate_dfg`'s
+    range test, with the wrap inlined in the branch an out-of-range value
+    takes.  So results equal :func:`evaluate_dfg`'s
     (``tests/test_kernels_reference.py`` checks this on random graphs over
     every opcode and the wrap edges).
 
@@ -203,7 +209,8 @@ class StreamEvaluator:
         # input or a constant is wrapped where the row is built.
         boundary = {node.node_id for node in dfg.nodes() if node.is_input or node.is_const}
         outputs = [
-            f"v{source} if -2147483648 <= v{source} <= 2147483647 else wrap(v{source})"
+            f"v{source} if -2147483648 <= v{source} <= 2147483647 else "
+            + _WRAP.format(f"v{source}")
             if source in boundary
             else f"v{source}"
             for source in sources
@@ -221,7 +228,7 @@ class StreamEvaluator:
             body += [
                 f"        v{node_id} = {value}",
                 f"        if not -2147483648 <= v{node_id} <= 2147483647:",
-                f"            v{node_id} = wrap(v{node_id})",
+                f"            v{node_id} = " + _WRAP.format(f"v{node_id}"),
             ]
         width = len(inputs)
         lines = ["def _stream(blocks):", "    rows = []", "    append = rows.append"]
@@ -244,7 +251,6 @@ class StreamEvaluator:
             "    return rows",
         ]
         namespace: Dict[str, Any] = {
-            "wrap": _to_signed32,
             "_name": dfg.name,
             "KernelError": KernelError,
             "min": min,
@@ -274,6 +280,13 @@ def import_numpy() -> Any:
         return importlib.import_module("numpy")
     except ImportError:
         return None
+
+
+def numpy_loaded() -> bool:
+    """Whether this process has already imported numpy, asked without
+    importing it: a module object in ``sys.modules``, not a ``None`` stub
+    that blocks the import."""
+    return isinstance(sys.modules.get("numpy"), types.ModuleType)
 
 
 def compile_vector_plan(np: Any, source: Optional[str], filename: str) -> Any:
@@ -420,16 +433,21 @@ def reference_outputs(
     stream with any mapping block is evaluated block by block with
     :func:`evaluate_dfg`.  Every path gives the same rows.  ``inputs`` is
     the array :func:`int64_inputs` already made of ``blocks``, if any; the
-    vectorized path then reads it instead of converting the stream again.
+    vectorized path then runs on it as it is, without listing or scanning
+    ``blocks``.
     """
+    if vectorized and inputs is not None:
+        rows = vector_stream_evaluator(dfg).run(inputs)
+        if rows is not None:
+            return rows
     blocks = list(blocks)
     # One subclass check per distinct block type: an ``isinstance`` check
     # against the ``Mapping`` ABC per block costs about as much as
     # evaluating a small block.
     if blocks and not any(issubclass(kind, Mapping) for kind in set(map(type, blocks))):
         positional = cast(List[Sequence[int]], blocks)
-        if vectorized:
-            rows = vector_stream_evaluator(dfg).run(positional if inputs is None else inputs)
+        if vectorized and inputs is None:
+            rows = vector_stream_evaluator(dfg).run(positional)
             if rows is not None:
                 return rows
         return stream_evaluator(dfg).run(positional)

@@ -220,21 +220,27 @@ class OverlaySimulator:
 def check_input_blocks(
     schedule: OverlaySchedule, input_blocks: Sequence[Sequence[int]]
 ) -> List[List[int]]:
-    """The input stream as lists, each as wide as the kernel has inputs.
+    """The input stream as a list of lists, each as wide as the kernel has
+    inputs.
 
-    Every engine's ``run`` starts here, so all three reject a bad stream
-    with the same :class:`~repro.errors.SimulationError`.
+    A list block is passed through as it is, since no engine writes to a
+    block; any other block is copied into a list.  Every engine's ``run``
+    starts here, so all three reject a bad stream with the same
+    :class:`~repro.errors.SimulationError`, naming its first bad block.
     """
-    blocks = [list(block) for block in input_blocks]
+    blocks = list(input_blocks)
+    if set(map(type, blocks)) != {list}:
+        blocks = [block if type(block) is list else list(block) for block in blocks]
     if not blocks:
         raise SimulationError("at least one input block is required")
     width = schedule.dfg.num_inputs
-    for index, block in enumerate(blocks):
-        if len(block) != width:
-            raise SimulationError(
-                f"input block {index} has {len(block)} values, kernel "
-                f"{schedule.kernel_name!r} expects {width}"
-            )
+    lengths = list(map(len, blocks))
+    if lengths.count(width) != len(lengths):
+        index = next(i for i, length in enumerate(lengths) if length != width)
+        raise SimulationError(
+            f"input block {index} has {lengths[index]} values, kernel "
+            f"{schedule.kernel_name!r} expects {width}"
+        )
     return blocks
 
 
@@ -268,17 +274,21 @@ def merge_lane_results(
     """
     lanes = schedule.variant.lanes
     num_blocks = len(blocks)
-    outputs: List[List[int]] = [[] for _ in range(num_blocks)]
+    # Round-robin dealing gave lane ``lane`` every ``lanes``-th block from
+    # ``lane`` on, so each lane's rows fill exactly that slice.
+    outputs: List[List[int]] = [[]] * num_blocks
     completion: List[int] = [0] * num_blocks
     for lane, result in enumerate(lane_results):
-        if result is None:
-            continue
-        for local_index in range(result.num_blocks):
-            global_index = lane + local_index * lanes
-            outputs[global_index] = result.outputs[local_index]
-            completion[global_index] = result.completion_cycles[local_index]
+        if result is not None:
+            outputs[lane::lanes] = result.outputs
+            completion[lane::lanes] = result.completion_cycles
 
     active = [result for result in lane_results if result is not None]
+    # Each lane completes its blocks in order, so the sort merges sorted runs.
+    merged_sorted: List[int] = []
+    for result in active:
+        merged_sorted += result.completion_cycles
+    merged_sorted.sort()
     primary = lane_results[0]
     assert primary is not None
     fu_stats = [
@@ -294,7 +304,6 @@ def merge_lane_results(
         )
         for k in range(len(primary.fu_stats))
     ]
-    merged_sorted = sorted(completion)
     return SimulationResult(
         kernel_name=schedule.kernel_name,
         overlay_name=schedule.overlay.name,
@@ -328,16 +337,17 @@ def _steady_state_ii(completion_cycles: Sequence[int]) -> Optional[float]:
     so a run with fewer than two completed blocks has no measurable II and
     yields ``None`` (callers report it as unmeasured or fall back to the
     analytic model) rather than a number that is really the latency.
+
+    The pipeline-fill transient is skipped: the mean covers the second half
+    of the ``n - 1`` deltas, from delta ``m = (n - 1) // 2`` on.  Their sum
+    telescopes to ``c[-1] - c[m]``, the same int the deltas add up to, so
+    the result is the same float in O(1).
     """
-    if len(completion_cycles) < 2:
+    count = len(completion_cycles)
+    if count < 2:
         return None
-    deltas = [
-        completion_cycles[i + 1] - completion_cycles[i]
-        for i in range(len(completion_cycles) - 1)
-    ]
-    # Skip the pipeline-fill transient: use the second half of the deltas.
-    steady = deltas[len(deltas) // 2 :]
-    return sum(steady) / len(steady)
+    first = (count - 1) // 2
+    return (completion_cycles[-1] - completion_cycles[first]) / (count - 1 - first)
 
 
 def simulate_schedule_with(schedule: OverlaySchedule, sim) -> "SimulationResult":
@@ -386,17 +396,27 @@ def simulate_schedule(
     Trace recording needs per-cycle value-level events, so ``record_trace``
     always uses the cycle engine.
 
+    The check has one rule for every engine.  When the process has already
+    loaded numpy (:func:`~repro.kernels.reference.numpy_loaded`), it
+    evaluates the DFG on numpy (``reference_outputs(..., vectorized=True)``),
+    which falls back to the scalar ``StreamEvaluator`` where numpy is not
+    exact (an input outside int32); otherwise it runs the scalar evaluator.
+    The check never imports numpy, so a process that runs only ``cycle``
+    and ``fast`` never does.  A batched run hands the check the ``int64``
+    array its value plane made of the stream, so the stream is converted
+    once.
+
     What the ``matches_reference`` check can catch depends on the engine.
     ``cycle`` runs the schedule's slots on value ids and ``fast``
-    reconstructs its outputs from the same DFG evaluation the reference
-    uses, so neither can catch a codegen fault (a word that reads the wrong
-    register), and ``fast``'s check cannot catch a *timing* bug either;
-    the guarantee for ``fast`` is the exact-equivalence suite against
-    ``cycle`` (``tests/test_engine_equivalence.py``).  ``batched`` computes
-    its outputs from the instruction words, so its check, which evaluates
-    the DFG on numpy where that is exact, also catches a codegen fault that
-    changes a value.  A process that runs only ``cycle`` and ``fast``
-    never imports numpy.
+    reconstructs its outputs from a DFG evaluation, so neither can catch a
+    codegen fault (a word that reads the wrong register), and ``fast``'s
+    check cannot catch a *timing* bug either; the guarantee for ``fast``
+    is the exact-equivalence suite against ``cycle``
+    (``tests/test_engine_equivalence.py``).  On the numpy plane ``fast``'s
+    check compares two implementations of the DFG's semantics; on the
+    scalar plane it re-runs the evaluator its value plane ran.
+    ``batched`` computes its outputs from the instruction words, so its
+    check also catches a codegen fault that changes a value.
     """
     from ..kernels.reference import random_input_blocks
 
@@ -421,16 +441,9 @@ def simulate_schedule(
     else:
         result = OverlaySimulator(schedule, record_trace=record_trace).run(input_blocks)
     if verify:
-        from ..kernels.reference import reference_outputs
+        from ..kernels.reference import numpy_loaded, reference_outputs
 
-        # Only the batched engine runs on numpy, so only its check does: a
-        # process that runs ``cycle`` and ``fast`` alone never imports it.
-        # The check reads the int64 array the engine's value plane made of
-        # the stream, so the stream is converted once.
         result.reference_outputs = reference_outputs(
-            schedule.dfg,
-            input_blocks,
-            vectorized=engine == "batched" and not record_trace,
-            inputs=inputs,
+            schedule.dfg, input_blocks, vectorized=numpy_loaded(), inputs=inputs
         )
     return result

@@ -218,6 +218,8 @@ class OverlaySpec(Record):
                     "overlay depth must be at least 1 (use depth=None for "
                     "auto sizing; the legacy 0 sentinel is gone)"
                 )
+        if self.fixed is not None:
+            _check_bool(self.fixed, "fixed")
         if self.fixed is True and not fu.supports_fixed_depth:
             raise ConfigurationError(
                 f"FU variant {fu.paper_label} has no write-back path and "

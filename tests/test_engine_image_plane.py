@@ -1,10 +1,11 @@
-"""The batched engine runs the configuration image; its check runs on numpy.
+"""The batched engine runs the configuration image; checks run on numpy.
 
 ``engine="batched"`` computes its outputs from the instruction words and
-constant sections that codegen emits for the schedule, and its
-``verify=True`` check evaluates the DFG on numpy.  ``cycle`` and ``fast``
-compute from the schedule and the DFG and keep the scalar check.  This file
-pins what that changes:
+constant sections that codegen emits for the schedule.  ``cycle`` and
+``fast`` compute from the schedule and the DFG.  Every engine's
+``verify=True`` check evaluates the DFG on numpy once the process has
+loaded numpy, and on the scalar evaluator otherwise.  This file pins what
+that changes:
 
 * a codegen fault that swaps a SUB's registers, or points an operand at a
   register nothing wrote, reads ``matches_reference=False`` under
@@ -14,17 +15,20 @@ pins what that changes:
   library artifact;
 * an output is a 32-bit word on every engine and in the reference, also
   when an input feeds it straight through;
-* only a batched check builds the numpy reference, and a process that runs
-  ``fast`` alone never imports numpy;
+* on every engine the check runs on numpy exactly when numpy is loaded,
+  both check planes give equal rows on every library kernel, and a process
+  that runs ``fast`` alone never imports numpy;
 * a verified batched call converts its stream to ``int64`` once, and the
   engine's plane and the check read that one read-only array.
 """
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -52,6 +56,9 @@ needs_numpy = pytest.mark.skipif(numpy is None, reason="the image plane runs on 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 ENGINES = ("cycle", "fast", "batched")
+
+#: Values where signed 32-bit arithmetic wraps or changes sign.
+WRAP_EDGES = (-(2 ** 31), -(2 ** 31) + 1, -2, -1, 0, 1, 2 ** 31 - 2, 2 ** 31 - 1)
 
 
 def _schedule(dfg, variant):
@@ -137,8 +144,19 @@ def test_outputs_fed_by_wide_inputs_are_32_bit_words(engine):
     assert result.matches_reference is True
 
 
+def test_the_probe_reads_sys_modules_without_importing(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # a blocked import
+    assert reference.numpy_loaded() is False
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert reference.numpy_loaded() is False
+    assert "numpy" not in sys.modules
+    monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
+    assert reference.numpy_loaded() is True
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["numpy-loaded", "numpy-not-loaded"])
 @pytest.mark.parametrize("engine", ENGINES)
-def test_only_the_batched_check_runs_on_numpy(engine, monkeypatch):
+def test_the_check_runs_on_numpy_exactly_when_it_is_loaded(engine, loaded, monkeypatch):
     calls = []
     run = reference.VectorStreamEvaluator.run
 
@@ -146,11 +164,50 @@ def test_only_the_batched_check_runs_on_numpy(engine, monkeypatch):
         calls.append(len(blocks))
         return run(self, blocks)
 
+    monkeypatch.setattr(reference, "numpy_loaded", lambda: loaded)
     monkeypatch.setattr(reference.VectorStreamEvaluator, "run", spy)
     dfg = get_kernel("gradient")
     result = simulate_schedule(_schedule(dfg, V1), num_blocks=6, engine=engine)
     assert result.matches_reference
-    assert calls == ([6] if engine == "batched" else [])
+    assert calls == ([6] if loaded else [])
+
+
+def _check_streams(dfg):
+    """A full-range stream and one of the signed 32-bit wrap edges."""
+    rng = random.Random(dfg.name)
+    edges = [[rng.choice(WRAP_EDGES) for _ in range(dfg.num_inputs)] for _ in range(24)]
+    return {
+        "full-range": random_input_blocks(dfg, 24, seed=7, low=-(2 ** 31), high=2 ** 31 - 1),
+        "wrap-edge": edges,
+    }
+
+
+@needs_numpy
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_both_check_planes_give_equal_rows(name, engine, monkeypatch):
+    answered = []
+    run = reference.VectorStreamEvaluator.run
+
+    def spy(self, blocks):
+        rows = run(self, blocks)
+        answered.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(reference.VectorStreamEvaluator, "run", spy)
+    dfg = get_kernel(name)
+    for variant in (V1, V2):
+        schedule = _schedule(dfg, variant)
+        for stream_name, stream in _check_streams(dfg).items():
+            checks = {}
+            for loaded in (True, False):
+                monkeypatch.setattr(reference, "numpy_loaded", lambda loaded=loaded: loaded)
+                result = simulate_schedule(schedule, stream, engine=engine)
+                assert result.matches_reference, (variant.name, stream_name, loaded)
+                checks[loaded] = result.reference_outputs
+            assert checks[True] == checks[False], (variant.name, stream_name)
+    # The numpy plane answered every loaded check itself: no scalar fallback.
+    assert answered == [True] * 4
 
 
 @needs_numpy

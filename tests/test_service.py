@@ -227,6 +227,13 @@ class TestServiceOperations:
             client.request("compile", {"kernel": "gradient", "overlay": "v3"})
         assert excinfo.value.code == E_PARAMS
 
+    def test_compile_with_a_mistyped_fixed_flag_is_e_params(self, service):
+        params = {"kernel": "gradient", "overlay": {"variant": "v3", "fixed": "false"}}
+        response = service.handle({"op": "compile", "params": params})
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_PARAMS
+        assert "fixed" in response["error"]["message"]
+
     def test_compile_rejects_wrong_spec_tag(self, client):
         wire = spec_to_wire(SimSpec())
         with pytest.raises(ServiceError) as excinfo:

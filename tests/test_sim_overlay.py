@@ -1,9 +1,13 @@
 """End-to-end tests for the cycle-accurate overlay simulator."""
 
+import copy
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.kernels import BENCHMARK_NAMES, get_kernel
+from repro.kernels import BENCHMARK_NAMES, get_kernel, reference
 from repro.kernels.reference import evaluate_dfg, random_input_blocks
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import BASELINE, V1, V2, V3, V4, V5
@@ -13,6 +17,7 @@ from repro.sim.overlay import (
     OverlaySimulator,
     SimulationResult,
     _steady_state_ii,
+    check_input_blocks,
     merge_lane_results,
     simulate_schedule,
     split_lane_blocks,
@@ -212,3 +217,60 @@ class TestLaneHelpers:
     )
     def test_steady_state_ii_is_the_mean_of_the_later_deltas(self, completions, expected):
         assert _steady_state_ii(completions) == expected
+
+    @given(st.lists(st.integers(0, 2 ** 40), max_size=64).map(sorted))
+    def test_steady_state_ii_equals_the_delta_formula(self, completions):
+        """The oracle is the formula as first written: the mean of the
+        second half of the consecutive deltas."""
+        if len(completions) < 2:
+            expected = None
+        else:
+            deltas = [b - a for a, b in zip(completions, completions[1:])]
+            steady = deltas[len(deltas) // 2 :]
+            expected = sum(steady) / len(steady)
+        assert _steady_state_ii(completions) == expected
+
+
+class TestInputStream:
+    """``check_input_blocks``, where every engine's run starts, and what
+    the engines do with the caller's stream."""
+
+    @pytest.fixture()
+    def schedule(self, gradient):
+        return schedule_kernel(gradient, LinearOverlay.for_kernel(V1, gradient))
+
+    def test_list_blocks_are_passed_through(self, schedule):
+        blocks = random_input_blocks(schedule.dfg, 7, seed=2)
+        checked = check_input_blocks(schedule, blocks)
+        assert checked == blocks
+        assert all(mine is theirs for mine, theirs in zip(checked, blocks))
+
+    def test_other_blocks_are_copied_and_the_first_bad_one_is_named(self, schedule):
+        blocks = [tuple(block) for block in random_input_blocks(schedule.dfg, 4, seed=2)]
+        checked = check_input_blocks(schedule, blocks)
+        assert checked == [list(block) for block in blocks]
+        assert all(type(block) is list for block in checked)
+        ragged = [list(blocks[0]), blocks[1], (1, 2, 3), [1, 2]]
+        with pytest.raises(
+            SimulationError, match="input block 2 has 3 values, kernel 'gradient' expects 5"
+        ):
+            check_input_blocks(schedule, ragged)
+        with pytest.raises(SimulationError, match="input block 0 has 6 values"):
+            check_input_blocks(schedule, iter([range(6), [1, 2]]))
+        with pytest.raises(SimulationError, match="at least one input block"):
+            check_input_blocks(schedule, ())
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["numpy-loaded", "numpy-not-loaded"])
+    @pytest.mark.parametrize("variant", [V1, V2], ids=lambda v: v.name)
+    @pytest.mark.parametrize("engine", ["cycle", "fast", "batched"])
+    def test_no_engine_mutates_the_callers_stream(self, qspline, engine, variant, loaded, monkeypatch):
+        monkeypatch.setattr(reference, "numpy_loaded", lambda: loaded)
+        schedule = schedule_kernel(qspline, LinearOverlay.for_kernel(variant, qspline))
+        stream = random_input_blocks(qspline, 9, seed=6, low=-(2 ** 31), high=2 ** 31 - 1)
+        blocks = list(stream)
+        snapshot = copy.deepcopy(stream)
+        result = simulate_schedule(schedule, stream, engine=engine)
+        assert result.matches_reference
+        assert stream == snapshot
+        assert all(mine is theirs for mine, theirs in zip(stream, blocks))
+        assert all(row is not block for row in result.outputs for block in stream)

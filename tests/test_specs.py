@@ -34,6 +34,11 @@ class TestOverlaySpec:
         with pytest.raises(ConfigurationError):
             OverlaySpec(variant="v1", fixed=True)
 
+    @pytest.mark.parametrize("fixed", ["false", 1, 0], ids=["str", "one", "zero"])
+    def test_fixed_must_be_a_bool_or_none(self, fixed):
+        with pytest.raises(ConfigurationError, match="fixed must be true or false"):
+            OverlaySpec("v3", fixed=fixed)
+
     def test_is_fixed_follows_variant_nature(self):
         assert not OverlaySpec(variant="v1").is_fixed
         assert OverlaySpec(variant="v3").is_fixed
