@@ -228,9 +228,7 @@ def check_input_blocks(
     starts here, so all three reject a bad stream with the same
     :class:`~repro.errors.SimulationError`, naming its first bad block.
     """
-    blocks = list(input_blocks)
-    if set(map(type, blocks)) != {list}:
-        blocks = [block if type(block) is list else list(block) for block in blocks]
+    blocks = [block if type(block) is list else list(block) for block in input_blocks]
     if not blocks:
         raise SimulationError("at least one input block is required")
     width = schedule.dfg.num_inputs
@@ -284,11 +282,6 @@ def merge_lane_results(
             completion[lane::lanes] = result.completion_cycles
 
     active = [result for result in lane_results if result is not None]
-    # Each lane completes its blocks in order, so the sort merges sorted runs.
-    merged_sorted: List[int] = []
-    for result in active:
-        merged_sorted += result.completion_cycles
-    merged_sorted.sort()
     primary = lane_results[0]
     assert primary is not None
     fu_stats = [
@@ -304,6 +297,7 @@ def merge_lane_results(
         )
         for k in range(len(primary.fu_stats))
     ]
+    merged_sorted = sorted(completion)
     return SimulationResult(
         kernel_name=schedule.kernel_name,
         overlay_name=schedule.overlay.name,
