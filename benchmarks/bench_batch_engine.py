@@ -87,9 +87,10 @@ PLAN_VARIANTS = ("v1", "v2", "v3", "v4", "v5")
 PLAN_FIFO_DEPTHS = (2, 32)
 
 #: The check-plane gate: the median per-round ratio of scalar over numpy
-#: check time must reach this factor.  Two runs on a shared 2-vCPU Xeon VM
-#: (Python 3.11.7, numpy 2.4.6) gave medians of 4.70x and 4.92x (single
-#: rounds 4.40-5.03x); 3x leaves a third of margin below the lower median.
+#: check time must reach this factor.  Three runs on a shared 2-vCPU Xeon
+#: VM (Python 3.11.7, numpy 2.4.6) gave medians of 4.21x, 4.70x and 4.92x
+#: (single rounds 4.12-5.03x); 3x leaves over a quarter of margin below the
+#: lowest median.
 MIN_CHECK_SPEEDUP = 3.0
 CHECK_ROUNDS = 5
 #: The end-to-end benchmark's stream lengths (blocks): a log-spaced ladder,
