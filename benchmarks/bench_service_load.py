@@ -3,7 +3,7 @@
 The workload is the service's steady state: every library kernel compiled
 on a critical-path V1 overlay and a fixed-depth V3 overlay, requested
 through the full protocol path (``InProcessClient`` → envelope decode →
-tenant session → sharded cache → artifact row), by several client threads
+tenant session → shared cache → artifact row), by several client threads
 at once.  Cold means a fresh service whose shared cache is empty — every
 point runs the mapping pipeline; warm means the same requests against the
 populated cache — every point is a lookup plus protocol framing.
@@ -75,7 +75,7 @@ def _drive_pass(service):
 
 def _measure():
     """(cold_s, warm_s, requests_per_pass, stats_row) for one fresh service."""
-    service = OverlayService(capacity=256, shards=8, disk_dir=None)
+    service = OverlayService(capacity=256, disk_dir=None)
     try:
         cold = _drive_pass(service)
         warm = min(_drive_pass(service) for _ in range(WARM_ROUNDS))
@@ -89,7 +89,7 @@ def test_service_load_cold(benchmark):
     """One full request pass against a fresh (empty-cache) service."""
 
     def run():
-        service = OverlayService(capacity=256, shards=8, disk_dir=None)
+        service = OverlayService(capacity=256, disk_dir=None)
         try:
             _drive_pass(service)
         finally:
@@ -100,7 +100,7 @@ def test_service_load_cold(benchmark):
 
 def test_service_load_warm(benchmark):
     """Repeated request passes against a warm shared cache."""
-    service = OverlayService(capacity=256, shards=8, disk_dir=None)
+    service = OverlayService(capacity=256, disk_dir=None)
     try:
         _drive_pass(service)  # populate
         benchmark.pedantic(lambda: _drive_pass(service), rounds=5, iterations=1)

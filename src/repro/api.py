@@ -42,7 +42,7 @@ from .overlay.architecture import LinearOverlay
 from .program.binary import ConfigurationImage
 from .program.codegen import OverlayProgram
 from .schedule.types import OverlaySchedule
-from .sim.overlay import SimulationResult, simulate_schedule_with
+from .sim.overlay import SimulationResult, simulate_schedule
 from .specs import OverlaySpec, SimSpec, SweepSpec
 
 
@@ -374,11 +374,20 @@ class Toolchain:
         Schedule-only handles simulate too: the simulator runs from the
         schedule, so a kernel whose codegen overflows the overlay's memories
         can still be measured (exactly what the analytic sweeps and
-        ``evaluate(..., sim=SimSpec())`` rely on).
+        ``evaluate(..., sim=SimSpec())`` rely on).  This is the one place a
+        :class:`~repro.specs.SimSpec` expands into simulator keywords: the
+        sweep runner, the service and the CLI all simulate through it.
         """
         if not isinstance(handle, CompiledHandle):
             raise ConfigurationError("simulate() takes a handle from compile()")
-        return simulate_schedule_with(handle.schedule, sim)
+        return simulate_schedule(
+            handle.schedule,
+            num_blocks=sim.num_blocks,
+            seed=sim.seed,
+            record_trace=sim.trace,
+            verify=sim.verify,
+            engine=sim.engine,
+        )
 
     # ------------------------------------------------------------------
     # sweep / tune
@@ -465,11 +474,9 @@ class Toolchain:
     def cache_stats(self) -> Dict[str, object]:
         """Flat snapshot of this session's compile-cache statistics.
 
-        Works for any injected cache implementation — a plain
-        :class:`~repro.engine.cache.ScheduleCache` or the service's
-        :class:`~repro.engine.cache.ShardedScheduleCache` — which is what
-        lets the overlay service's ``stats`` endpoint report per-tenant
-        cache behaviour through one accessor.
+        The cache's ``stats`` plus its ``entries`` and ``capacity``: the
+        overlay service's ``stats`` endpoint reports its shared cache and
+        each tenant's cache through this one accessor.
         """
         snapshot = self.cache.stats.as_dict()
         snapshot["entries"] = len(self.cache)

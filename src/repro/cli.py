@@ -538,7 +538,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = OverlayService(
         capacity=args.capacity,
-        shards=args.shards,
         max_workers=args.workers,
         isolated_capacity=args.isolated_capacity,
         disk_dir=args.disk_dir,
@@ -843,10 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--capacity", type=int, default=512,
         help="shared compile-cache capacity in entries (default: 512)",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=8,
-        help="shared-cache shard count (default: 8)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=None,

@@ -3,8 +3,8 @@
 The service wraps the library's :class:`~repro.api.Toolchain` sessions in a
 newline-delimited JSON protocol (:mod:`repro.service.protocol`), runs
 CPU-bound request bodies on a thread pool behind an asyncio socket server
-(:mod:`repro.service.server`), and shares one sharded, coalescing compile
-cache across tenants while honouring per-tenant isolation.  Two clients
+(:mod:`repro.service.server`), and shares one coalescing compile cache
+across tenants while honouring per-tenant isolation.  Two clients
 ship in-repo (:mod:`repro.service.client`): a TCP client and an in-process
 client with the same surface, used by the tests and load benchmark.
 """

@@ -1,7 +1,7 @@
 """The overlay compile/simulate service: async front, thread-pool back.
 
-:class:`OverlayService` owns one shared, sharded, LRU-bounded compile cache
-(:class:`~repro.engine.cache.ShardedScheduleCache`) and one
+:class:`OverlayService` owns one shared, LRU-bounded compile cache
+(:class:`~repro.engine.cache.ScheduleCache`) and one
 :class:`~repro.api.Toolchain` session per tenant.  The asyncio layer only
 frames newline-delimited JSON; every request body runs on a thread pool,
 because compiling and simulating are CPU-bound and the toolchain stack is
@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, Optional, Type
 
 from ..api import CompiledHandle, Toolchain
 from ..engine import fastsim
-from ..engine.cache import ScheduleCache, ShardedScheduleCache
+from ..engine.cache import ScheduleCache
 from ..kernels.library import kernel_rows
 from ..schedule.ii import analytic_ii
 from ..specs import OverlaySpec, R, SimSpec, spec_from_wire
@@ -80,15 +80,15 @@ class TenantSession:
 
 
 class OverlayService:
-    """A multi-tenant compile/simulate server over one sharded cache.
+    """A multi-tenant compile/simulate server over one shared cache.
 
     Non-isolated tenants go through one shared
-    :class:`~repro.engine.cache.ShardedScheduleCache`, :attr:`cache`.
+    :class:`~repro.engine.cache.ScheduleCache`, :attr:`cache`.
 
     Parameters
     ----------
-    capacity / shards:
-        Sizing of the shared sharded cache (total entries, shard count).
+    capacity:
+        Entry bound of the shared cache.
     max_workers:
         Thread-pool width for CPU-bound request bodies (``None`` = the
         executor's CPU-based default).
@@ -100,12 +100,11 @@ class OverlayService:
         self,
         *,
         capacity: int = 512,
-        shards: int = 8,
         max_workers: Optional[int] = None,
         isolated_capacity: int = 128,
         disk_dir: Optional[str] = None,
     ):
-        self.cache = ShardedScheduleCache(capacity=capacity, shards=shards, disk_dir=disk_dir)
+        self.cache = ScheduleCache(capacity=capacity, disk_dir=disk_dir)
         self.isolated_capacity = isolated_capacity
         self.stats = ServiceStats()
         self._tenants: Dict[str, TenantSession] = {}

@@ -344,23 +344,6 @@ def _steady_state_ii(completion_cycles: Sequence[int]) -> Optional[float]:
     return (completion_cycles[-1] - completion_cycles[first]) / (count - 1 - first)
 
 
-def simulate_schedule_with(schedule: OverlaySchedule, sim) -> "SimulationResult":
-    """Spec-driven wrapper of :func:`simulate_schedule`.
-
-    The single place a :class:`repro.specs.SimSpec` expands into simulator
-    keywords — the session API, the sweep runner and the CLI all call this,
-    so a new simulation knob lands here once.
-    """
-    return simulate_schedule(
-        schedule,
-        num_blocks=sim.num_blocks,
-        seed=sim.seed,
-        record_trace=sim.trace,
-        verify=sim.verify,
-        engine=sim.engine,
-    )
-
-
 def simulate_schedule(
     schedule: OverlaySchedule,
     input_blocks: Optional[Sequence[Sequence[int]]] = None,
@@ -373,7 +356,9 @@ def simulate_schedule(
     """Convenience wrapper: simulate a schedule and verify against the reference.
 
     When ``input_blocks`` is omitted a deterministic random stream of
-    ``num_blocks`` blocks is generated.  With ``verify=True`` the golden
+    ``num_blocks`` blocks is generated; a stream that is not a list or a
+    tuple (an iterator, a generator) is listed once, so the engine and the
+    check read the same blocks.  With ``verify=True`` the golden
     reference outputs are attached to the result so
     :attr:`SimulationResult.matches_reference` is populated.
 
@@ -421,6 +406,8 @@ def simulate_schedule(
         )
     if input_blocks is None:
         input_blocks = random_input_blocks(schedule.dfg, num_blocks, seed=seed)
+    elif not isinstance(input_blocks, (list, tuple)):
+        input_blocks = list(input_blocks)
     inputs = None
     if engine == "batched" and not record_trace:
         from ..engine.batchsim import BatchSimulator

@@ -4,10 +4,9 @@ The overlay service hands one shared compile cache to many worker threads,
 so this file pins the guarantees that make that safe:
 
 * **shared cache, many threads** — N threads compiling a grid of
-  ``(kernel, variant)`` points through one :class:`ScheduleCache` (and one
-  :class:`ShardedScheduleCache`) produce bit-identical artifacts per point
-  and run the mapping pipeline exactly once per distinct key, never per
-  thread;
+  ``(kernel, variant)`` points through one :class:`ScheduleCache` produce
+  bit-identical artifacts per point and run the mapping pipeline exactly
+  once per distinct key, never per thread;
 * **coalescing** — concurrent identical compiles block on the in-flight
   leader instead of duplicating work, and a failing leader propagates its
   exception to every waiter without poisoning the key;
@@ -15,9 +14,7 @@ so this file pins the guarantees that make that safe:
   nothing (the ``tests/test_api_toolchain.py`` semantics, under threads);
 * **disk-layer discipline** — concurrent writers sharing one ``disk_dir``
   (the temp+rename pattern of ``engine/store.py``) never let a reader see
-  a truncated artifact;
-* **sharding mechanics** — every call routed by key (the source fast path
-  too), merged statistics, per-shard capacity.
+  a truncated artifact.
 """
 
 import collections
@@ -30,7 +27,7 @@ import weakref
 import pytest
 
 from repro.api import Toolchain
-from repro.engine.cache import CacheStats, ScheduleCache, ShardedScheduleCache
+from repro.engine.cache import ScheduleCache
 from repro.errors import CodegenError
 from repro.kernels import get_kernel
 from repro.kernels.generators import dfg_from_level_profile
@@ -77,11 +74,8 @@ def _compile_grid_concurrently(cache, threads_per_point=4):
 class TestSharedCacheConcurrency:
     @pytest.mark.parametrize(
         "make_cache",
-        [
-            lambda: ScheduleCache(capacity=64),
-            lambda: ShardedScheduleCache(capacity=64, shards=4),
-        ],
-        ids=["flat", "sharded"],
+        [lambda: ScheduleCache(capacity=64)],
+        ids=["flat"],
     )
     def test_grid_compiles_bit_identically_with_one_run_per_key(self, make_cache):
         cache = make_cache()
@@ -227,7 +221,7 @@ class TestCoalescingAtTheCacheLayer:
 
         for attr in ("schedule_kernel", "generate_program"):
             monkeypatch.setattr(cache_module, attr, counting(getattr(cache_module, attr)))
-        cache = ShardedScheduleCache(capacity=64, shards=4)
+        cache = ScheduleCache(capacity=64)
         barrier = threading.Barrier(K)
         handles = [None] * K
 
@@ -304,53 +298,3 @@ class TestDiskLayerRaces:
             Toolchain(cache=cold).compile(kernel, OverlaySpec(variant=variant))
         assert cold.stats.disk_hits == len(GRID)
         assert cold.stats.misses == 0
-
-
-class TestShardedCacheMechanics:
-    def test_keys_route_to_stable_shards(self):
-        cache = ShardedScheduleCache(capacity=32, shards=4)
-        for kernel, variant in GRID:
-            Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
-        assert len(cache) == len(GRID)
-        assert sum(len(shard) for shard in cache._shards) == len(GRID)
-        # A second pass is all hits: routing is deterministic.
-        for kernel, variant in GRID:
-            Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
-        assert cache.stats.hits == len(GRID)
-        assert cache.stats.misses == len(GRID)
-
-    def test_capacity_is_summed_across_shards(self):
-        cache = ShardedScheduleCache(capacity=30, shards=4)
-        assert cache.num_shards == 4
-        assert cache.capacity >= 30  # per-shard ceil rounding may add slack
-        assert cache.capacity == sum(s.capacity for s in cache._shards)
-
-    def test_stats_merge_across_shards(self):
-        cache = ShardedScheduleCache(capacity=32, shards=4)
-        for kernel, variant in GRID:
-            Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
-        merged = cache.stats
-        assert isinstance(merged, CacheStats)
-        assert merged.misses == sum(s.stats.misses for s in cache._shards)
-
-    def test_source_fast_path_routes_by_key(self):
-        source = """
-void grad(int a, int b, int c, int *out) {
-    *out = (b - a) + (c - b);
-}
-"""
-        cache = ShardedScheduleCache(capacity=32, shards=4)
-        toolchain = Toolchain(cache=cache)
-        first = toolchain.compile(source=source, overlay=OverlaySpec())
-        second = toolchain.compile(source=source, overlay=OverlaySpec())
-        assert first.schedule is second.schedule
-        assert cache.stats.source_hits == 1
-        assert cache.stats.misses == 1  # compiled once, in one shard only
-
-    def test_clear_empties_every_shard(self):
-        cache = ShardedScheduleCache(capacity=32, shards=4)
-        for kernel, variant in GRID:
-            Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
-        cache.clear()
-        assert len(cache) == 0
-        assert all(len(shard) == 0 for shard in cache._shards)

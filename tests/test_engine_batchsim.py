@@ -406,7 +406,7 @@ class TestServiceEngineSelection:
         from repro.service.client import InProcessClient
         from repro.service.server import OverlayService
 
-        return InProcessClient(OverlayService(capacity=64, shards=4))
+        return InProcessClient(OverlayService(capacity=64))
 
     @needs_numpy
     def test_batched_row_matches_fast_row(self, client):

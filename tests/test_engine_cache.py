@@ -11,10 +11,8 @@ import pytest
 from repro.engine.cache import (
     DISK_FORMAT,
     CacheKey,
-    CacheStats,
     CompiledKernel,
     ScheduleCache,
-    ShardedScheduleCache,
     dfg_content_hash,
 )
 from repro.errors import InfeasibleScheduleError
@@ -227,13 +225,3 @@ class TestDiskFormat:
         loaded = reader.get_or_compile(get_kernel("chebyshev"), overlay)
         assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.disk_errors) == (1, 0, 0)
         assert loaded.configuration.to_bytes() == written.configuration.to_bytes()
-
-    def test_sharded_stats_sum_disk_errors(self, tmp_path, point):
-        dfg, overlay, key = point
-        disk = tmp_path / "cache"
-        disk.mkdir()
-        (disk / key.filename()).write_bytes(b"not a pickle")
-        cache = ShardedScheduleCache(capacity=8, shards=2, disk_dir=str(disk))
-        cache.get_or_compile_keyed(key, dfg, overlay)
-        assert cache.stats.disk_errors == 1
-        assert CacheStats.merged([CacheStats(disk_errors=2), CacheStats(disk_errors=3)]).disk_errors == 5

@@ -588,46 +588,36 @@ class TestStandardLibraryOnly:
 # one compile path
 # ---------------------------------------------------------------------------
 #: The compile cache's entry points.  Only the session (``repro/api.py``)
-#: calls them, and the sharded cache, whose router hands each call to a
-#: shard.
+#: calls them.
 CACHE_ENTRY_POINTS = ("get_or_compile", "get_or_compile_keyed", "get_or_compile_source", "get_schedule")
 
 CACHE_MODULE = os.path.join("engine", "cache.py")
 
 
 def _located_calls(path):
-    """``(called name, attribute call, enclosing class, line)`` of each call
-    in a module; the class is ``None`` outside a class body."""
+    """``(called name, attribute call, line)`` of each call in a module."""
     found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                if isinstance(func, ast.Attribute):
-                    found.append((func.attr, True, owner, child.lineno))
-                elif isinstance(func, ast.Name):
-                    found.append((func.id, False, owner, child.lineno))
-            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
-
-    visit(ast.parse(_read(path), filename=path), None)
+    for node in ast.walk(ast.parse(_read(path), filename=path)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                found.append((func.attr, True, node.lineno))
+            elif isinstance(func, ast.Name):
+                found.append((func.id, False, node.lineno))
     return found
 
 
 class TestOneCompilePath:
     """``src/repro`` compiles through the :class:`~repro.api.Toolchain`
-    session: only ``repro/api.py`` (and the sharded cache's router) calls
-    the compile cache, and only the cache schedules a kernel, so a second
-    compile path cannot grow back."""
+    session: only ``repro/api.py`` calls the compile cache, and only the
+    cache schedules a kernel, so a second compile path cannot grow back."""
 
     def test_only_the_session_calls_the_compile_cache(self):
         stray = []
         for path in _all_src_files():
             module = os.path.relpath(path, SRC)
-            for name, attribute, owner, line in _located_calls(path):
+            for name, attribute, line in _located_calls(path):
                 if not attribute or name not in CACHE_ENTRY_POINTS or module == "api.py":
-                    continue
-                if module == CACHE_MODULE and owner == "ShardedScheduleCache":
                     continue
                 stray.append(f"{module}:{line}: .{name}()")
         assert not stray, "compile-cache calls outside the session:\n  " + "\n  ".join(stray)
@@ -636,7 +626,7 @@ class TestOneCompilePath:
         stray = [
             f"{os.path.relpath(path, SRC)}:{line}"
             for path in _all_src_files()
-            for name, _, _, line in _located_calls(path)
+            for name, _, line in _located_calls(path)
             if name == "schedule_kernel" and os.path.relpath(path, SRC) != CACHE_MODULE
         ]
         assert not stray, "schedule_kernel calls outside the compile cache:\n  " + "\n  ".join(stray)

@@ -11,10 +11,11 @@ Four layers of guarantees:
   digests the same configuration image, ``evaluate``/``simulate``/
   ``verify`` rows match direct calls, and the introspection endpoints
   speak the live registries;
-* **tenancy** — shared tenants hit one sharded cache (tenant B's warm
-  compile is tenant A's artifact), isolated tenants reproduce the
-  two-sessions-share-nothing semantics of ``tests/test_api_toolchain.py``,
-  and flipping a tenant's isolation mode after creation is refused;
+* **tenancy** — shared tenants hit one cache of the service's capacity
+  (tenant B's warm compile is tenant A's artifact), isolated tenants
+  reproduce the two-sessions-share-nothing semantics of
+  ``tests/test_api_toolchain.py``, and flipping a tenant's isolation mode
+  after creation is refused;
 * **coalescing (the acceptance test)** — K concurrent identical compile
   requests execute the mapping pipeline exactly once while all K receive
   the identical artifact;
@@ -32,7 +33,7 @@ import time
 import pytest
 
 from repro.api import Toolchain
-from repro.engine.cache import ScheduleCache, ShardedScheduleCache
+from repro.engine.cache import CacheStats, ScheduleCache
 from repro.engine.fastsim import steady_state_warmup_bound
 from repro.errors import (
     CodegenError,
@@ -77,7 +78,7 @@ void grad(int a, int b, int c, int *out) {
 
 @pytest.fixture()
 def service():
-    svc = OverlayService(capacity=64, shards=4)
+    svc = OverlayService(capacity=64)
     yield svc
     svc.close()
 
@@ -456,6 +457,30 @@ class TestTenancy:
         assert tenants["open"]["cache"]["capacity"] == service.cache.capacity
         assert tenants["sealed"]["cache"]["capacity"] == service.isolated_capacity
 
+    def test_shared_tenants_compile_through_one_lru_of_the_service_capacity(self):
+        """``capacity`` bounds one least-recently-used cache, whichever
+        shared tenant compiles: the fourth distinct kernel evicts the first."""
+        service = OverlayService(capacity=3)
+        try:
+            assert type(service.cache) is ScheduleCache
+            assert service.cache.capacity == 3
+            spec = OverlaySpec(variant="v1")
+            kernels = ["gradient", "chebyshev", "qspline", "poly6"]
+            for index, kernel in enumerate(kernels):
+                InProcessClient(service, tenant=f"team-{index % 2}").compile(kernel, spec)
+            stats = service.cache.stats
+            assert (stats.misses, stats.hits, stats.evictions) == (4, 0, 1)
+            for index, kernel in enumerate(kernels[1:]):
+                InProcessClient(service, tenant=f"team-{index % 2}").compile(kernel, spec)
+            assert (stats.misses, stats.hits, stats.evictions) == (4, 3, 1)
+            InProcessClient(service, tenant="team-1").compile(kernels[0], spec)
+            assert (stats.misses, stats.hits, stats.evictions) == (5, 3, 2)
+            row = InProcessClient(service).stats()["cache"]
+            assert set(row) == set(CacheStats().as_dict()) | {"entries", "capacity"}
+            assert (row["entries"], row["capacity"], row["misses"]) == (3, 3, 5)
+        finally:
+            service.close()
+
 
 # ---------------------------------------------------------------------------
 # coalescing: the acceptance test
@@ -473,7 +498,7 @@ class TestCoalescing:
             return original(self, key, dfg, overlay)
 
         monkeypatch.setattr(ScheduleCache, "_compile_miss", slow_compile)
-        service = OverlayService(capacity=32, shards=4)
+        service = OverlayService(capacity=32)
         spec = OverlaySpec(variant="v3")
         barrier = threading.Barrier(K)
         rows = [None] * K
@@ -511,7 +536,7 @@ class TestCoalescing:
             raise CodegenError("forced failure for every caller")
 
         monkeypatch.setattr(ScheduleCache, "_compile_miss", failing_compile)
-        service = OverlayService(capacity=32, shards=4)
+        service = OverlayService(capacity=32)
         barrier = threading.Barrier(K)
         codes = []
         lock = threading.Lock()
@@ -664,7 +689,9 @@ class TestServiceCLI:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--capacity", "16", "--shards", "2"]
+            ["serve", "--port", "0", "--capacity", "16"]
         )
         assert args.func.__name__ == "_cmd_serve"
         assert args.capacity == 16
+        with pytest.raises(SystemExit):  # one shared cache: nothing to shard
+            build_parser().parse_args(["serve", "--shards", "2"])

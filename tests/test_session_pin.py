@@ -15,7 +15,7 @@ built-in strategy, mini-C sources (the library's two, a comment-only edit,
 a name override, generated corpus kernels, a three-operand kernel), ``auto``
 next to the strategy it resolves to, a kernel whose codegen overflows (with
 and without ``allow_schedule_only``, cold and warm), ``check=True``, an
-infeasible pairing, and two tenants sharing one sharded cache.
+infeasible pairing, and two tenants sharing one cache.
 
 Cache statistics are left out on purpose: how a lookup is counted may
 change, what it returns may not.  A change to the session or the cache must
@@ -27,7 +27,7 @@ import hashlib
 from minic_corpus import corpus
 
 from repro.api import Toolchain
-from repro.engine.cache import ScheduleCache, ShardedScheduleCache
+from repro.engine.cache import ScheduleCache
 from repro.errors import ReproError
 from repro.kernels import get_kernel, kernel_names
 from repro.kernels.generators import dfg_from_level_profile
@@ -134,7 +134,7 @@ def _describe(handle, schedules):
 
 def run_script():
     """Run the script; return one pinned line per request."""
-    shared = ShardedScheduleCache(capacity=64, shards=4)
+    shared = ScheduleCache(capacity=64)
     sessions = {
         "main": Toolchain(cache=ScheduleCache(capacity=4096)),
         "tenant-a": Toolchain(cache=shared),

@@ -274,3 +274,18 @@ class TestInputStream:
         assert stream == snapshot
         assert all(mine is theirs for mine, theirs in zip(stream, blocks))
         assert all(row is not block for row in result.outputs for block in stream)
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["numpy-loaded", "numpy-not-loaded"])
+    @pytest.mark.parametrize("kind", ["iterator", "tuple-generator"])
+    @pytest.mark.parametrize("engine", ["cycle", "fast", "batched"])
+    def test_a_one_shot_stream_is_run_and_checked_on_the_same_blocks(
+        self, schedule, engine, kind, loaded, monkeypatch
+    ):
+        monkeypatch.setattr(reference, "numpy_loaded", lambda: loaded)
+        blocks = random_input_blocks(schedule.dfg, 5, seed=4)
+        stream = iter(blocks) if kind == "iterator" else (tuple(block) for block in blocks)
+        result = simulate_schedule(schedule, stream, engine=engine)
+        assert result.num_blocks == 5
+        assert result.reference_outputs == reference.reference_outputs(schedule.dfg, blocks)
+        assert result.matches_reference
+        assert result.outputs == simulate_schedule(schedule, blocks, engine="cycle").outputs
