@@ -536,6 +536,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import OverlayService
 
+    # Checked here, not when the first isolated tenant builds its cache.
+    capacities = (("--capacity", args.capacity), ("--isolated-capacity", args.isolated_capacity))
+    for flag, capacity in capacities:
+        if capacity < 1:
+            raise ReproError(f"{flag} must be at least 1, got {capacity}")
     service = OverlayService(
         capacity=args.capacity,
         max_workers=args.workers,

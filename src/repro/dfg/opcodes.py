@@ -21,7 +21,7 @@ tool flow needs:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 
 _MASK32 = 0xFFFFFFFF
@@ -202,10 +202,11 @@ OP_EXPRESSIONS.update({
 #: (``np`` must be bound in the evaluation namespace).  Used by the batched
 #: engine (:mod:`repro.engine.batchsim`) to evaluate every input block of a
 #: stream in one expression instead of one Python statement per block.  The
-#: templates stay exact for operands in the signed 32-bit range: every
-#: intermediate is bounded by ``2**62 + 2**31`` (worst case MULADD of two
-#: wrapped operands), which fits ``int64`` without overflow, and the caller
-#: re-wraps each result to signed 32 bits — identical to ``OpCode.evaluate``
+#: templates are exact wherever no ``int64`` intermediate overflows, which
+#: :class:`IntervalWalk` guarantees by wrapping operands first where an
+#: interval could leave ``int64`` (operands in the signed 32-bit range
+#: never can: the worst case, a MULADD, is ``2**62 + 2**31``); wrapped to 32
+#: bits, results are identical to ``OpCode.evaluate``
 #: (``tests/test_opcodes.py`` pins the two tables against each other).
 #: ``LOAD``/``NOP`` have no arithmetic meaning and are not listed; shift
 #: counts are masked to 5 bits exactly like the scalar table.
@@ -228,6 +229,236 @@ OP_VECTOR_EXPRESSIONS: Dict["OpCode", str] = {
     OpCode.MAX: "np.maximum({0}, {1})",
     OpCode.ABS: "np.abs({0})",
 }
+
+
+# ---------------------------------------------------------------------------
+# where generated value planes wrap to 32 bits
+# ---------------------------------------------------------------------------
+Interval = Tuple[int, int]
+
+#: The signed 32-bit word range.
+WORD_RANGE: Interval = (-(2 ** 31), 2 ** 31 - 1)
+_INT64_MIN = -(2 ** 63)
+_INT64_MAX = 2 ** 63 - 1
+#: The scalar plane wraps a result whose interval reaches this magnitude at
+#: once: a larger Python int costs more in every later operation.
+_SCALAR_BOUND = 2 ** 62
+
+#: Operations whose result modulo 2**32 depends only on their operands
+#: modulo 2**32, so a plane may compute them on unwrapped operands.
+RING_OPCODES = frozenset({
+    OpCode.PASS,
+    OpCode.ADD,
+    OpCode.SUB,
+    OpCode.MUL,
+    OpCode.SQR,
+    OpCode.MULADD,
+    OpCode.MULSUB,
+    OpCode.NEG,
+    OpCode.AND,
+    OpCode.OR,
+    OpCode.XOR,
+    OpCode.NOT,
+    OpCode.SHL,
+})
+
+#: The operands the other operations read as signed 32-bit words.  A shift
+#: count reads only its low five bits, so SHR's second operand is not one.
+SIGNED_OPERANDS: Dict[OpCode, Tuple[int, ...]] = {
+    OpCode.SHR: (0,),
+    OpCode.MIN: (0, 1),
+    OpCode.MAX: (0, 1),
+    OpCode.ABS: (0,),
+}
+
+
+def _hull(*values: int) -> Interval:
+    return min(values), max(values)
+
+
+def _mul(a: Interval, b: Interval) -> Interval:
+    return _hull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
+def _sqr(a: Interval) -> Interval:
+    low, high = a
+    if low >= 0:
+        return low * low, high * high
+    if high <= 0:
+        return high * high, low * low
+    return 0, max(low * low, high * high)
+
+
+def _bits(*intervals: Interval) -> int:
+    """The least ``m`` with every bound in ``[-2**m, 2**m - 1]``."""
+    return max((x if x >= 0 else ~x).bit_length() for interval in intervals for x in interval)
+
+
+def _and(a: Interval, b: Interval) -> Interval:
+    # A non-negative operand bounds the result by itself.
+    highs = [interval[1] for interval in (a, b) if interval[0] >= 0]
+    if highs:
+        return 0, min(highs)
+    m = _bits(a, b)
+    return -(1 << m), (1 << m) - 1
+
+
+def _or_xor(a: Interval, b: Interval) -> Interval:
+    m = _bits(a, b)
+    return (0 if a[0] >= 0 and b[0] >= 0 else -(1 << m)), (1 << m) - 1
+
+
+def _count(b: Interval) -> Interval:
+    """The shift counts ``b & 31`` can take."""
+    return b if 0 <= b[0] and b[1] <= 31 else (0, 31)
+
+
+def _abs(a: Interval) -> Interval:
+    low, high = a
+    if low >= 0:
+        return a
+    if high <= 0:
+        return -high, -low
+    return 0, max(-low, high)
+
+
+#: The interval of each operation's result (before any wrap) over operands
+#: in the given intervals; ``tests/test_opcodes.py`` samples every entry
+#: against :data:`OP_SEMANTICS`.
+OP_INTERVALS: Dict[OpCode, Callable[..., Interval]] = {
+    OpCode.PASS: lambda a: a,
+    OpCode.ADD: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    OpCode.SUB: lambda a, b: (a[0] - b[1], a[1] - b[0]),
+    OpCode.MUL: _mul,
+    OpCode.SQR: _sqr,
+    OpCode.MULADD: lambda a, b, c: (_mul(a, b)[0] + c[0], _mul(a, b)[1] + c[1]),
+    OpCode.MULSUB: lambda a, b, c: (_mul(a, b)[0] - c[1], _mul(a, b)[1] - c[0]),
+    OpCode.NEG: lambda a: (-a[1], -a[0]),
+    OpCode.AND: _and,
+    OpCode.OR: _or_xor,
+    OpCode.XOR: _or_xor,
+    OpCode.NOT: lambda a: (~a[1], ~a[0]),
+    # A shift is monotonic in its value and in its count, so the corners bound it.
+    OpCode.SHL: lambda a, b: _hull(*[x << s for x in a for s in _count(b)]),
+    OpCode.SHR: lambda a, b: _hull(*[x >> s for x in a for s in _count(b)]),
+    OpCode.MIN: lambda a, b: (min(a[0], b[0]), min(a[1], b[1])),
+    OpCode.MAX: lambda a, b: (max(a[0], b[0]), max(a[1], b[1])),
+    OpCode.ABS: _abs,
+}
+
+
+class IntervalWalk:
+    """Where one generated value plane wraps its values to signed 32 bits.
+
+    Every plane (the scalar and numpy DFG planes of
+    :mod:`repro.kernels.reference`, the batched engine's image plan) holds
+    each operation's result as an integer congruent modulo ``2**32`` to the
+    word :meth:`OpCode.evaluate` gives, and rests on one fact: the result of
+    a :data:`RING_OPCODES` operation modulo ``2**32`` depends only on its
+    operands modulo ``2**32``.  So a value is wrapped only
+
+    * at an output, since an output is a word;
+    * before an operand that SHR, MIN, MAX or ABS reads as a signed word
+      (:data:`SIGNED_OPERANDS`);
+    * before an operation whose result interval (:data:`OP_INTERVALS`)
+      could leave ``int64``, widest operand first, so no numpy ``int64``
+      intermediate ever overflows;
+    * on the scalar plane, as soon as its interval reaches ``2**62``, so
+      Python ints stay small.
+
+    Skipping a wrap needs the value's interval, which holds for any input
+    on a numpy plane (its inputs are checked to be words).  On the scalar
+    plane an input may lie outside int32, and an operation reads its raw
+    value as :func:`~repro.kernels.reference.evaluate_dfg` does, so there an
+    interval counts only where no input reaches the value unwrapped: such
+    a value is *exact*.  Any other output or signed-word operand gets the
+    conditional wrap, and an operation of the other four that reads a raw
+    input wraps its result at once.  Outputs therefore equal the oracle's
+    on both planes.
+
+    Declare the plane's inputs and constants, then feed each operation in
+    execution order: :meth:`op` and :meth:`outputs` return the statements to
+    emit.  ``wrap`` is the statement that wraps the variable ``{0}`` in
+    place; a wrapped variable is a word from there on, for every later
+    reader.  An input is never wrapped in place (a later operation may read
+    it raw), nor is a constant (constants are words).  ``operations``,
+    ``wraps`` and the extremes ``low``/``high`` of every emitted
+    operation's interval count what the walk emitted.
+    """
+
+    def __init__(self, wrap: str, scalar: bool):
+        self._wrap = wrap
+        self._scalar = scalar
+        self._ranges: Dict[str, Interval] = {}
+        self._exact: Set[str] = set()
+        self._inputs: Set[str] = set()
+        self.operations = 0
+        self.wraps = 0
+        self.low = 0
+        self.high = 0
+
+    def input(self, name: str) -> None:
+        self._ranges[name] = WORD_RANGE
+        self._inputs.add(name)
+        if not self._scalar:
+            self._exact.add(name)
+
+    def const(self, name: str, value: int) -> None:
+        self._ranges[name] = (value, value)
+        self._exact.add(name)
+
+    def _in_word_range(self, name: str) -> bool:
+        low, high = self._ranges[name]
+        return WORD_RANGE[0] <= low and high <= WORD_RANGE[1]
+
+    def _is_word(self, name: str) -> bool:
+        return name in self._exact and self._in_word_range(name)
+
+    def _wrap_in_place(self, name: str) -> str:
+        self._ranges[name] = WORD_RANGE
+        self._exact.add(name)
+        self.wraps += 1
+        return self._wrap.format(name)
+
+    def op(self, opcode: OpCode, result: str, operands: Sequence[str], template: str) -> List[str]:
+        """The statements that compute ``result = opcode(*operands)`` with
+        ``template`` (an :data:`OP_EXPRESSIONS`-style entry), with the wraps
+        it needs before and after."""
+        ranges = self._ranges
+        lines = []
+        for index in SIGNED_OPERANDS.get(opcode, ()):
+            name = operands[index]
+            if name not in self._inputs and not self._is_word(name):
+                lines.append(self._wrap_in_place(name))
+        interval = OP_INTERVALS[opcode]
+        low, high = interval(*[ranges[name] for name in operands])
+        while low < _INT64_MIN or high > _INT64_MAX:
+            # Operands inside int32 cannot overflow int64 in any operation.
+            widest = max(
+                (name for name in operands if not self._in_word_range(name)),
+                key=lambda name: max(-ranges[name][0], ranges[name][1]),
+            )
+            lines.append(self._wrap_in_place(widest))
+            low, high = interval(*[ranges[name] for name in operands])
+        lines.append(f"{result} = " + template.format(*operands))
+        ranges[result] = (low, high)
+        if self._exact.issuperset(operands):
+            self._exact.add(result)
+        self.operations += 1
+        self.low = min(self.low, low)
+        self.high = max(self.high, high)
+        if self._scalar and (
+            (opcode not in RING_OPCODES and result not in self._exact)
+            or max(-low, high) >= _SCALAR_BOUND
+        ):
+            lines.append(self._wrap_in_place(result))
+        return lines
+
+    def outputs(self, names: Sequence[str]) -> List[str]:
+        """The statements that make each output variable a word."""
+        return [
+            self._wrap_in_place(name) for name in dict.fromkeys(names) if not self._is_word(name)
+        ]
 
 
 _STRUCTURAL_OPCODES = (OpCode.INPUT, OpCode.OUTPUT, OpCode.CONST)

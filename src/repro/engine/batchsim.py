@@ -22,9 +22,14 @@ it library-wide):
    executes the configuration image that codegen emits for the schedule:
    FU0's arrivals are input columns in load-map order, each EXEC word is one
    numpy expression over a block axis
-   (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`) followed by an exact
-   32-bit two's-complement wrap, PASS words and write-backs rename, and the
-   last FU's forwarded words are the outputs.  So the outputs come from the
+   (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`), PASS words and
+   write-backs rename, and the last FU's forwarded words are the outputs.
+   Values are wrapped to 32 bits only where the
+   :class:`~repro.dfg.opcodes.IntervalWalk` puts a wrap: at an output,
+   before a signed-word read (SHR, MIN, MAX, ABS) and before an operation
+   whose result could leave ``int64``; every other value is congruent to
+   its word modulo ``2**32``, which the other operations need, so the
+   outputs are the words the ALU computes.  So the outputs come from the
    instruction words, not from the DFG, and the ``verify=True`` check, which
    evaluates the DFG, catches a codegen fault the other engines cannot see.
    When codegen refuses the schedule, or an input lies outside the signed
@@ -46,7 +51,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..dfg.opcodes import OP_VECTOR_EXPRESSIONS
+from ..dfg.opcodes import OP_VECTOR_EXPRESSIONS, IntervalWalk
 from ..errors import CodegenError, SimulationError
 from ..kernels.reference import (
     VECTOR_WRAP,
@@ -91,8 +96,10 @@ def image_plan_source(schedule: OverlaySchedule) -> Optional[str]:
     previous FU's forwarded words in issue order.  Arrivals fill registers
     0..n-1 on the load/execute-overlapping variants, and on the baseline
     each LOAD word writes the next one to its ``rd``.  An EXEC word applies
-    its opcode to ``ra``/``rb`` (one numpy expression, wrapped to 32 bits),
-    a PASS word forwards ``ra``; WB writes the result to ``rd`` and every
+    its opcode to ``ra``/``rb`` (one numpy expression, with the wraps the
+    :class:`~repro.dfg.opcodes.IntervalWalk` places before and after it:
+    every instruction word is executed, so a codegen fault still changes
+    the values), a PASS word forwards ``ra``; WB writes the result to ``rd`` and every
     word without NDF forwards it.  A read of a register nothing has written
     gives 0, the register file's contents at configuration.  The last FU's
     forwarded words are the output stream: each output takes the word at
@@ -107,10 +114,13 @@ def image_plan_source(schedule: OverlaySchedule) -> Optional[str]:
         return None
     dfg = schedule.dfg
     column = {node.node_id: index for index, node in enumerate(dfg.inputs())}
+    walk = IntervalWalk(VECTOR_WRAP, scalar=False)
+    walk.const("0", 0)
     lines = ["def _vplan(inputs):"]
     arrivals: List[str] = []
     for value_id, _register in program.fu_programs[0].load_map:
         arrivals.append(f"x{len(arrivals)}")
+        walk.input(arrivals[-1])
         lines.append(f"    {arrivals[-1]} = inputs[:, {column[value_id]}]")
     issued_loads = not schedule.variant.overlap_load_execute
     temps = 0
@@ -118,6 +128,7 @@ def image_plan_source(schedule: OverlaySchedule) -> Optional[str]:
         registers: Dict[int, str] = {}
         for register, value in image.fu_constants[k]:
             registers[register] = f"c{k}_{register}"
+            walk.const(registers[register], value)
             lines.append(f"    c{k}_{register} = {value}")
         if not issued_loads:
             registers.update(enumerate(arrivals))
@@ -134,14 +145,15 @@ def image_plan_source(schedule: OverlaySchedule) -> Optional[str]:
             if kind is _PASS:
                 result = registers.get(instruction.ra, "0")
             else:
-                template = OP_VECTOR_EXPRESSIONS.get(instruction.opcode)
+                opcode = instruction.opcode
+                template = OP_VECTOR_EXPRESSIONS.get(opcode)
                 if template is None:
                     return None
-                operands = (registers.get(instruction.ra, "0"), registers.get(instruction.rb, "0"))
+                reads = (instruction.ra, instruction.rb)[: opcode.arity]
                 result = f"t{temps}"
                 temps += 1
-                lines.append(f"    {result} = " + template.format(*operands))
-                lines.append(f"    {result} = " + VECTOR_WRAP.format(result))
+                operands = [registers.get(register, "0") for register in reads]
+                lines += [f"    {line}" for line in walk.op(opcode, result, operands, template)]
             if instruction.wb:
                 registers[instruction.rd] = result
             if not instruction.ndf:
@@ -162,6 +174,7 @@ def image_plan_source(schedule: OverlaySchedule) -> Optional[str]:
         outputs.append(arrivals[index] if index < len(arrivals) else "0")
     if not outputs:
         return None
+    lines += [f"    {line}" for line in walk.outputs(outputs)]
     lines.append("    return (" + ", ".join(outputs) + ",)")
     return "\n".join(lines)
 
@@ -173,8 +186,8 @@ class VectorBlockEvaluator:
     function of :func:`image_plan_source` on the whole input stream at once:
     every register value is an ``int64`` array over the block axis, and each
     EXEC word is one expression
-    (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`) followed by an exact
-    32-bit wrap.  :meth:`evaluate` returns ``None``
+    (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`), wrapped to 32 bits
+    where :func:`image_plan_source` says.  :meth:`evaluate` returns ``None``
     when numpy is absent, codegen refused the schedule or an input lies
     outside the signed 32-bit range (see
     :func:`~repro.kernels.reference.vector_rows`); the engine then falls

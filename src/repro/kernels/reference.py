@@ -15,7 +15,12 @@ which every verified run's check uses once the process has loaded numpy
 (:func:`numpy_loaded`); numpy is imported only when one is built.
 
 An output is a 32-bit word, so every output value is wrapped to signed 32
-bits, also one that an input feeds straight through.
+bits, also one that an input feeds straight through.  The generated planes
+wrap any other value only where :class:`~repro.dfg.opcodes.IntervalWalk`
+puts a wrap (before a signed-word read, before an operation that could
+leave ``int64``, and on the scalar plane past ``2**62``): every other value
+is congruent to its word modulo ``2**32``, which is all the other
+operations read, so the outputs stay exact.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import random
 import sys
 import types
 import weakref
+from itertools import chain
+from math import isqrt
 from typing import (
     Any,
     Callable,
@@ -42,13 +49,22 @@ from typing import (
 )
 
 from ..dfg.graph import DFG
-from ..dfg.opcodes import OP_EXPRESSIONS, OP_VECTOR_EXPRESSIONS, _to_signed32
+from ..dfg.opcodes import (
+    OP_EXPRESSIONS,
+    OP_VECTOR_EXPRESSIONS,
+    IntervalWalk,
+    OpCode,
+    _to_signed32,
+)
 from ..errors import KernelError
 
 InputBlock = Union[Sequence[int], Mapping[str, int]]
 
 K = TypeVar("K")
 V = TypeVar("V")
+
+# Bound once: ``OpCode.X`` goes through ``EnumType.__getattr__`` per lookup.
+_CONST = OpCode.CONST
 
 
 def _resolve_inputs(dfg: DFG, inputs: InputBlock) -> Dict[int, int]:
@@ -175,8 +191,62 @@ def _derived_evaluator(dfg: DFG, field: str, build: Callable[[DFG], V]) -> V:
     return evaluator
 
 
-#: Exact signed 32-bit two's-complement wrap of a Python int expression.
-_WRAP = "(({0} + 2147483648) & 4294967295) - 2147483648"
+#: The scalar plane's wrap of variable ``{0}`` in place: a range test, with
+#: the exact signed 32-bit two's-complement wrap in the branch an
+#: out-of-range value takes.
+_WRAP = (
+    "if not -2147483648 <= {0} <= 2147483647: "
+    "{0} = (({0} + 2147483648) & 4294967295) - 2147483648"
+)
+
+
+def _dfg_plane(
+    dfg: DFG, walk: IntervalWalk, templates: Mapping[OpCode, str]
+) -> Optional[Tuple[List[str], List[str], List[str], List[str]]]:
+    """The straight-line code of a DFG value plane: its input variables, its
+    constant assignments, its statements and its output variables, or
+    ``None`` when ``templates`` lacks an operation.
+
+    Node ``N``'s value is variable ``vN``.  Each distinct (opcode, operands)
+    pair is computed once, with a commutative operation's operands sorted,
+    and equal constants share one variable.  ``walk`` places the wraps
+    (:class:`~repro.dfg.opcodes.IntervalWalk`).
+    """
+    names: Dict[int, str] = {}
+    inputs: List[str] = []
+    for node in dfg.inputs():
+        names[node.node_id] = f"v{node.node_id}"
+        inputs.append(names[node.node_id])
+        walk.input(names[node.node_id])
+    constants: List[str] = []
+    body: List[str] = []
+    computed: Dict[Tuple[Any, ...], str] = {}
+    for node_id in dfg.topological_order():
+        node = dfg.node(node_id)
+        if node.is_input or node.is_output:
+            continue
+        if node.is_const:
+            value = int(cast(int, node.value))
+            key: Tuple[Any, ...] = (_CONST, value)
+            if key not in computed:
+                computed[key] = f"v{node_id}"
+                walk.const(computed[key], value)
+                constants.append(f"{computed[key]} = {value}")
+        else:
+            operands = [names[o] for o in node.operands]
+            if node.opcode.is_commutative:
+                operands.sort()
+            key = (node.opcode, *operands)
+            if key not in computed:
+                template = templates.get(node.opcode)
+                if template is None:
+                    return None
+                computed[key] = f"v{node_id}"
+                body += walk.op(node.opcode, computed[key], operands, template)
+        names[node_id] = computed[key]
+    outputs = [names[node.operands[0]] for node in dfg.outputs()]
+    body += walk.outputs(outputs)
+    return inputs, constants, body, outputs
 
 
 class StreamEvaluator:
@@ -186,11 +256,15 @@ class StreamEvaluator:
     every node through :meth:`OpCode.evaluate` on every block.  This class
     generates, once per DFG, one Python function that loops over the
     stream with every node value in a local variable and every operation
-    inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`).
-    Every input goes through ``int()`` and every operation result, and
-    every output an input or a constant feeds, through the 32-bit wrap: a
-    range test, with the wrap inlined in the branch an out-of-range value
-    takes.  So results equal :func:`evaluate_dfg`'s
+    inlined as an expression (:data:`repro.dfg.opcodes.OP_EXPRESSIONS`),
+    each distinct operation once (:func:`_dfg_plane`).  Every input goes
+    through ``int()``.  A result is wrapped to 32 bits only where the
+    :class:`~repro.dfg.opcodes.IntervalWalk` of the scalar plane puts a
+    wrap: at every output and every operand read as a signed word, unless
+    its value is a word whatever the inputs, and at a result whose interval
+    reaches ``2**62``.  The wrap is a range test, with the wrap inlined in
+    the branch an out-of-range value takes.  Every other value is congruent
+    to its word modulo ``2**32``, so results equal :func:`evaluate_dfg`'s
     (``tests/test_kernels_reference.py`` checks this on random graphs over
     every opcode and the wrap edges).
 
@@ -203,36 +277,13 @@ class StreamEvaluator:
     __slots__ = ("run",)
 
     def __init__(self, dfg: DFG):
-        inputs = [node.node_id for node in dfg.inputs()]
-        sources = [node.operands[0] for node in dfg.outputs()]
-        # Operation results are wrapped already; an output fed straight by an
-        # input or a constant is wrapped where the row is built.
-        boundary = {node.node_id for node in dfg.nodes() if node.is_input or node.is_const}
-        outputs = [
-            f"v{source} if -2147483648 <= v{source} <= 2147483647 else "
-            + _WRAP.format(f"v{source}")
-            if source in boundary
-            else f"v{source}"
-            for source in sources
-        ]
-        constants: List[str] = []
-        body: List[str] = []
-        for node_id in dfg.topological_order():
-            node = dfg.node(node_id)
-            if node.is_input or node.is_output:
-                continue
-            if node.is_const:
-                constants.append(f"    v{node_id} = {int(cast(int, node.value))}")
-                continue
-            value = OP_EXPRESSIONS[node.opcode].format(*(f"v{o}" for o in node.operands))
-            body += [
-                f"        v{node_id} = {value}",
-                f"        if not -2147483648 <= v{node_id} <= 2147483647:",
-                f"            v{node_id} = " + _WRAP.format(f"v{node_id}"),
-            ]
+        plane = _dfg_plane(dfg, IntervalWalk(_WRAP, scalar=True), OP_EXPRESSIONS)
+        if plane is None:
+            raise ValueError(f"kernel {dfg.name!r} has an operation with no arithmetic semantics")
+        inputs, constants, body, outputs = plane
         width = len(inputs)
         lines = ["def _stream(blocks):", "    rows = []", "    append = rows.append"]
-        lines += constants
+        lines += [f"    {line}" for line in constants]
         lines += [
             "    for block in blocks:",
             f"        if len(block) != {width}:",
@@ -242,10 +293,9 @@ class StreamEvaluator:
             "            )",
         ]
         if inputs:
-            targets = ", ".join(f"v{i}" for i in inputs) + ("," if width == 1 else "")
-            lines.append(f"        {targets} = block")
-            lines += [f"        v{i} = int(v{i})" for i in inputs]
-        lines += body
+            lines.append(f"        {', '.join(inputs)}{',' if width == 1 else ''} = block")
+            lines += [f"        {name} = int({name})" for name in inputs]
+        lines += [f"        {line}" for line in body]
         lines += [
             "        append([" + ", ".join(outputs) + "])",
             "    return rows",
@@ -270,8 +320,9 @@ def stream_evaluator(dfg: DFG) -> StreamEvaluator:
     return _derived_evaluator(dfg, "stream_evaluator", StreamEvaluator)
 
 
-#: Exact signed 32-bit two's-complement wrap of an ``int64`` numpy expression.
-VECTOR_WRAP = "(({0} & 4294967295) ^ 2147483648) - 2147483648"
+#: A numpy plane's wrap of variable ``{0}`` in place: the exact signed
+#: 32-bit two's-complement wrap of an ``int64`` array (or a plain int).
+VECTOR_WRAP = "{0} = (({0} & 4294967295) ^ 2147483648) - 2147483648"
 
 
 def import_numpy() -> Any:
@@ -305,31 +356,43 @@ def int64_inputs(
     """The stream as one read-only ``int64`` array of shape ``(blocks,
     width)``, or ``None`` when numpy cannot give exact answers on it.
 
-    Exactness needs every operand in signed 32-bit range: the worst ``int64``
-    intermediate of one operation on such operands is ``2**62 + 2**31`` (a
-    MULADD).  Plans wrap every result and constants are 32-bit words by
-    construction, so only the inputs need a check: ``None`` comes back when
-    numpy is missing, the stream is empty or not numeric, or an input lies
-    outside that range.  A block of the wrong width raises the scalar
+    Exactness needs every input in signed 32-bit range: plans wrap each
+    value before any operation whose result could leave ``int64`` (see
+    :class:`~repro.dfg.opcodes.IntervalWalk`), which they can tell only
+    for inputs in that range, and constants are 32-bit words by
+    construction.  So only the inputs need a check: ``None`` comes back
+    when numpy is missing, the stream is empty or not numeric, or an input
+    lies outside that range.  A block of the wrong width raises the scalar
     evaluator's :class:`~repro.errors.KernelError`.  The array is
     read-only, so one conversion can serve both the batched engine's value
     plane and its check (:func:`vector_rows` takes it as checked).
+
+    The widths are checked in one pass first, since ``np.fromiter`` over
+    the chained blocks, which converts a list stream in about half the
+    time ``np.array`` takes, cannot see a ragged block; a stream
+    ``fromiter`` refuses goes through ``np.array``.
     """
     if np is None:
         return None
-    try:
-        array = np.array(blocks, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        array = None
-    if array is None or array.ndim != 2 or array.shape[1] != width:
+    if set(map(len, blocks)) - {width}:
         for block in blocks:
             if len(block) != width:
                 raise KernelError(
                     f"kernel {name!r} has {width} inputs, got {len(block)} values"
                 )
+    count = len(blocks) * width
+    if not count:
         return None
-    if array.size == 0:
-        return None
+    try:
+        array = np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=count)
+        array = array.reshape(len(blocks), width)
+    except (OverflowError, TypeError, ValueError):
+        try:
+            array = np.array(blocks, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        if array.ndim != 2:
+            return None
     if int(array.min()) < -2147483648 or int(array.max()) > 2147483647:
         return None
     array.flags.writeable = False
@@ -364,26 +427,17 @@ def vector_rows(
 
 
 def _vector_source(dfg: DFG) -> Optional[str]:
-    """``_vplan`` for a DFG: one numpy expression per node, each wrapped."""
-    sources = [node.operands[0] for node in dfg.outputs()]
-    if not sources:
+    """``_vplan`` for a DFG: one numpy expression per distinct operation,
+    wrapped where the numpy plane's :class:`~repro.dfg.opcodes.IntervalWalk`
+    puts a wrap."""
+    plane = _dfg_plane(dfg, IntervalWalk(VECTOR_WRAP, scalar=False), OP_VECTOR_EXPRESSIONS)
+    if plane is None or not plane[3]:
         return None
+    inputs, constants, body, outputs = plane
     lines = ["def _vplan(inputs):"]
-    for index, node in enumerate(dfg.inputs()):
-        lines.append(f"    v{node.node_id} = inputs[:, {index}]")
-    for node_id in dfg.topological_order():
-        node = dfg.node(node_id)
-        if node.is_input or node.is_output:
-            continue
-        if node.is_const:
-            lines.append(f"    v{node_id} = {int(cast(int, node.value))}")
-            continue
-        template = OP_VECTOR_EXPRESSIONS.get(node.opcode)
-        if template is None:
-            return None
-        lines.append(f"    v{node_id} = " + template.format(*[f"v{o}" for o in node.operands]))
-        lines.append(f"    v{node_id} = " + VECTOR_WRAP.format(f"v{node_id}"))
-    lines.append("    return (" + ", ".join(f"v{source}" for source in sources) + ",)")
+    lines += [f"    {name} = inputs[:, {index}]" for index, name in enumerate(inputs)]
+    lines += [f"    {line}" for line in constants + body]
+    lines.append("    return (" + ", ".join(outputs) + ",)")
     return "\n".join(lines)
 
 
@@ -454,6 +508,65 @@ def reference_outputs(
     return [evaluate_dfg(dfg, block) for block in blocks]
 
 
+#: Whether the bulk draw (:func:`_draw_below`) returns what per-value
+#: ``random.Random._randbelow`` calls do on this interpreter: ``None`` until
+#: the first seeded draw asks (:func:`_bulk_draw_exact`).
+_BULK_DRAW: Optional[bool] = None
+
+
+def _draw_below(rng: Any, span: int, low: int, count: int) -> List[int]:
+    """``count`` values, each ``low`` plus what one ``rng._randbelow(span)``
+    call would return, in turn, for ``1 <= span <= 2**32``.
+
+    ``_randbelow`` draws ``k = span.bit_length()`` bits with
+    ``getrandbits(k)`` until they fall below ``span``.  For ``k <= 32`` that
+    is the top ``k`` bits of one 32-bit Mersenne Twister word per try, and
+    ``getrandbits(32 * n)`` returns the next ``n`` words, first word lowest.
+    So one ``getrandbits`` call per chunk gives every try at once, and a
+    word is kept when its top bits fall below ``span``.  For ``span ==
+    2**32`` (``k == 33``) a try is two words: the first is the value, kept
+    when the second's top bit is clear.
+    """
+    values: List[int] = []
+    bits = span.bit_length()
+    pairs = bits == 33
+    shift = 0 if pairs else 32 - bits
+    limit = span << shift
+    while len(values) < count:
+        need = count - len(values)
+        # A try succeeds with probability ``span / 2**bits``, at least one half.
+        tries = need * (1 << bits) // span + 2 * isqrt(need) + 8
+        size = 2 * tries if pairs else tries
+        words = memoryview(rng.getrandbits(32 * size).to_bytes(4 * size, "little")).cast("I")
+        if pairs:
+            values += [low + word for word, top in zip(words[::2], words[1::2]) if top < 1 << 31]
+        else:
+            values += [low + (word >> shift) for word in words if word < limit]
+    del values[count:]
+    return values
+
+
+def _bulk_draw_matches(span: int) -> bool:
+    """Whether :func:`_draw_below` gives 64 values of ``span`` as
+    ``_randbelow`` does, on one seed."""
+    below = random.Random(span)._randbelow
+    return _draw_below(random.Random(span), span, 0, 64) == [below(span) for _ in range(64)]
+
+
+def _bulk_draw_exact() -> bool:
+    """Whether :func:`_draw_below` matches per-value ``_randbelow`` calls
+    here, probed once on a few spans (kept and rejected words, both try
+    sizes); any difference (another ``random`` implementation, another
+    word size or byte order) keeps every draw on ``randint``."""
+    global _BULK_DRAW
+    if _BULK_DRAW is None:
+        try:
+            _BULK_DRAW = all(map(_bulk_draw_matches, (1, 3, 129, 3 << 30, 1 << 32)))
+        except (AttributeError, TypeError, ValueError):
+            _BULK_DRAW = False
+    return _BULK_DRAW
+
+
 def random_input_blocks(
     dfg: DFG,
     num_blocks: int,
@@ -467,19 +580,28 @@ def random_input_blocks(
     inside the 32-bit range most of the time; wrap-around is still exercised
     by the dedicated ALU tests.
 
-    Each value is ``low + rng._randbelow(high - low + 1)``, which is what
-    ``rng.randint(low, high)`` returns, in one call instead of three.
-    ``_randbelow`` is private to CPython's ``random``: where it is missing,
-    the bounds are not plain ints, or the range is empty (``randint``
-    raises ``ValueError``), every value goes through ``randint``.
+    Each value is what ``rng.randint(low, high)`` returns, in turn:
+    ``low + rng._randbelow(high - low + 1)``.  For a span of at most
+    ``2**32`` the whole stream comes from one ``getrandbits`` call per
+    chunk (:func:`_draw_below`), once a one-time probe has found that this
+    gives the same values as ``_randbelow`` (:func:`_bulk_draw_exact`).
+    Where the generator lacks ``getrandbits`` or ``_randbelow``, the bounds
+    are not plain ints, the range is empty (``randint`` raises
+    ``ValueError``) or wider, or the probe failed, every value goes through
+    ``randint``.
     """
     if num_blocks < 0:
         raise KernelError("num_blocks must be non-negative")
     rng = random.Random(seed)
     width = dfg.num_inputs
     span = high - low + 1
-    below = getattr(rng, "_randbelow", None)
-    if below is None or type(span) is not int or span < 1:
-        return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
-    return [[low + below(span) for _ in range(width)] for _ in range(num_blocks)]
-
+    if (
+        type(span) is int
+        and 1 <= span <= 1 << 32
+        and hasattr(rng, "getrandbits")
+        and hasattr(rng, "_randbelow")
+        and _bulk_draw_exact()
+    ):
+        values = _draw_below(rng, span, low, num_blocks * width)
+        return [values[i * width:(i + 1) * width] for i in range(num_blocks)]
+    return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]

@@ -26,11 +26,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dfg.builder import DFGBuilder
-from repro.dfg.opcodes import COMPUTE_OPCODES
+from repro.dfg.opcodes import COMPUTE_OPCODES, OP_VECTOR_EXPRESSIONS, IntervalWalk, OpCode
 from repro.engine import batchsim, fastsim
-from repro.errors import KernelError
+from repro.errors import CodegenError, InfeasibleScheduleError, KernelError
 from repro.frontend import cache as frontend_cache
 from repro.kernels import get_kernel, library, reference
+from repro.overlay.architecture import LinearOverlay
+from repro.overlay.fu import V1
+from repro.program.codegen import generate_program
+from repro.schedule import schedule_kernel
+from repro.sim.overlay import simulate_schedule
 from repro.kernels.reference import (
     StreamEvaluator,
     VectorStreamEvaluator,
@@ -66,6 +71,9 @@ EDGE_VALUES = (
     2 ** 31,
     2 ** 40,
 )
+#: The range a numpy plane computes in.
+INT64 = (-(2 ** 63), 2 ** 63 - 1)
+
 #: Edges plus small values, so shift counts and MIN/MAX vary too.
 values_strategy = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(-40, 40))
 #: The same inside the signed 32-bit range, where the numpy plane applies.
@@ -75,33 +83,84 @@ in_range_values = st.one_of(
 )
 
 
+#: The operations that read an operand as a signed word.
+NON_RING = (OpCode.SHR, OpCode.MIN, OpCode.MAX, OpCode.ABS)
+
+
 @st.composite
-def graphs(draw):
+def graphs(draw, encodable=False):
     """A random DFG using every compute opcode at least once.
 
-    Operands are drawn from inputs, constants and earlier results; besides
-    the last result and a few drawn values, one output is fed directly by
-    an input and one by a constant.
+    Operands are drawn from inputs, constants and earlier results.  Every
+    input feeds a SHR, MIN, MAX or ABS directly, and a few operations are
+    drawn again on the same operands, commuted where the opcode commutes.
+    Besides the last result and a few drawn values, one output is fed
+    directly by an input and one repeats an earlier output's source.
+
+    ``encodable`` graphs are ones codegen can encode: no three-operand
+    operation, and no output fed by a constant (the scheduler refuses
+    one); every result nothing reads is an output, so none is dead.
     """
     builder = DFGBuilder("prop")
-    values = [builder.input() for _ in range(draw(st.integers(1, 4)))]
+    inputs = [builder.input() for _ in range(draw(st.integers(1, 4)))]
     constants = [builder.const(v) for v in draw(st.lists(values_strategy, min_size=1, max_size=3))]
-    values += constants
-    opcodes = list(draw(st.permutations(COMPUTE_OPCODES)))
-    opcodes += draw(st.lists(st.sampled_from(COMPUTE_OPCODES), max_size=8))
+    values = inputs + constants
+    compute = [op for op in COMPUTE_OPCODES if op.arity < 3 or not encodable]
+    opcodes = list(draw(st.permutations(compute)))
+    opcodes += draw(st.lists(st.sampled_from(compute), max_size=8))
+    made = []
     for opcode in opcodes:
         operands = [draw(st.sampled_from(values)) for _ in range(opcode.arity)]
+        made.append((opcode, operands))
         values.append(builder.op(opcode, *operands))
-    builder.output(values[-1])
-    builder.output(values[0])
-    builder.output(constants[0])
-    for value in draw(st.lists(st.sampled_from(values), max_size=3)):
+    for value in inputs:
+        opcode = draw(st.sampled_from(NON_RING))
+        operands = [value] + [draw(st.sampled_from(values)) for _ in range(opcode.arity - 1)]
+        made.append((opcode, operands))
+        values.append(builder.op(opcode, *operands))
+    for opcode, operands in draw(st.lists(st.sampled_from(made), min_size=1, max_size=4)):
+        if opcode.is_commutative:
+            operands = operands[::-1]
+        made.append((opcode, operands))
+        values.append(builder.op(opcode, *operands))
+    read = {value for _, operands in made for value in operands}
+    results = values[len(inputs) + len(constants):]
+    sources = [values[-1], inputs[0]]
+    if encodable:
+        sources += [value for value in results if value not in read]
+    else:
+        sources.append(constants[0])
+    sources += draw(st.lists(st.sampled_from(inputs + results), max_size=3))
+    sources.append(draw(st.sampled_from(sources)))
+    for value in sources:
         builder.output(value)
     return builder.build(validate=False)
 
 
+def _graph_of_width(width):
+    """A kernel with ``width`` inputs."""
+    builder = DFGBuilder(f"width{width}")
+    value = builder.const(1)
+    for _ in range(width):
+        value = builder.add(value, builder.input())
+    builder.output(value)
+    return builder.build(validate=False)
+
+
+def _image_schedule(dfg):
+    """``dfg`` scheduled on a V1 overlay, or ``None`` when the scheduler or
+    codegen refuses it (register pressure)."""
+    try:
+        schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(V1, dfg))
+        generate_program(schedule)
+    except (CodegenError, InfeasibleScheduleError):
+        return None
+    return schedule
+
+
 def _check_value_planes(data):
-    dfg = data.draw(graphs())
+    encodable = data.draw(st.booleans())
+    dfg = data.draw(graphs(encodable=encodable))
     length = data.draw(st.sampled_from([1, 2, 17]))
     values = data.draw(st.sampled_from([values_strategy, in_range_values]))
     block = st.lists(values, min_size=dfg.num_inputs, max_size=dfg.num_inputs)
@@ -111,9 +170,22 @@ def _check_value_planes(data):
     assert reference_outputs(dfg, blocks) == expected
     assert vectorized_reference(dfg, blocks) == expected
     assert fastsim._functional_outputs(dfg, blocks) == expected
+    in_range = all(-(2 ** 31) <= v < 2 ** 31 for b in blocks for v in b)
     if numpy is not None:
         rows = VectorStreamEvaluator(dfg).run(blocks)
-        assert rows is None or rows == expected
+        assert rows == (expected if in_range else None)
+    walk = IntervalWalk(reference.VECTOR_WRAP, scalar=False)
+    reference._dfg_plane(dfg, walk, OP_VECTOR_EXPRESSIONS)
+    assert INT64[0] <= walk.low and walk.high <= INT64[1]
+    schedule = _image_schedule(dfg) if encodable else None
+    if schedule is not None:
+        # The batched engine's value plane executes the image; its check
+        # evaluates the DFG on numpy or on the scalar plane.
+        result = simulate_schedule(schedule, input_blocks=blocks, engine="batched", verify=True)
+        assert result.outputs == expected
+        assert result.matches_reference
+        if numpy is not None:
+            assert batchsim.plan_for(schedule).evaluate(blocks) == (expected if in_range else None)
 
 
 class TestEvaluation:
@@ -437,6 +509,148 @@ class TestStreamEvaluatorMemo:
         assert stream_evaluator(dfg).run(blocks) == expected
 
 
+class TestWrapPlacement:
+    """Where the value planes wrap (:class:`IntervalWalk`), and the shared
+    subexpressions of the DFG planes."""
+
+    @pytest.fixture
+    def image_walks(self, monkeypatch):
+        """The walk of every image plan built while the test runs."""
+        walks = []
+
+        class Recording(IntervalWalk):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                walks.append(self)
+
+        monkeypatch.setattr(batchsim, "IntervalWalk", Recording)
+        return walks
+
+    def test_library_plans_stay_in_int64_and_wrap_less_than_they_compute(
+        self, benchmarks, image_walks
+    ):
+        from repro.overlay.fu import FU_VARIANTS
+
+        walks = {}
+        for name, dfg in benchmarks.items():
+            for label, wrap, scalar, templates in (
+                ("scalar", reference._WRAP, True, reference.OP_EXPRESSIONS),
+                ("numpy", reference.VECTOR_WRAP, False, OP_VECTOR_EXPRESSIONS),
+            ):
+                walks[name, label] = IntervalWalk(wrap, scalar=scalar)
+                reference._dfg_plane(dfg, walks[name, label], templates)
+            for variant in ("v1", "v2", "v3", "v4", "v5"):
+                schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(FU_VARIANTS[variant], dfg))
+                assert batchsim.image_plan_source(schedule) is not None, (name, variant)
+                walks[name, variant] = image_walks[-1]
+        for key, walk in walks.items():
+            assert walk.wraps < walk.operations, key
+            if key[1] != "scalar":
+                assert INT64[0] <= walk.low and walk.high <= INT64[1], key
+
+    def test_every_numpy_operation_has_an_interval_inside_int64(self):
+        # A chain of squares would reach 2**(2**k) unwrapped.
+        builder = DFGBuilder("squares")
+        value = builder.input()
+        for opcode in (OpCode.SQR, OpCode.MUL, OpCode.SHL, OpCode.MULADD, OpCode.NEG) * 3:
+            value = builder.op(opcode, *[value] * opcode.arity)
+        builder.output(value)
+        dfg = builder.build()
+        walk = IntervalWalk(reference.VECTOR_WRAP, scalar=False)
+        reference._dfg_plane(dfg, walk, OP_VECTOR_EXPRESSIONS)
+        assert INT64[0] <= walk.low and walk.high <= INT64[1]
+        assert walk.wraps < walk.operations
+        blocks = [[v] for v in EDGE_VALUES if -(2 ** 31) <= v < 2 ** 31]
+        assert vectorized_reference(dfg, blocks) == [evaluate_dfg(dfg, b) for b in blocks]
+
+    @pytest.mark.parametrize("opcode", NON_RING, ids=lambda op: op.name)
+    def test_a_non_ring_op_on_a_raw_input_wraps_its_result(self, opcode):
+        """The scalar plane reads a raw input as the oracle does, so an
+        input outside int32 reaches SHR/MIN/MAX/ABS unwrapped, and the
+        result is wrapped before it reaches the output."""
+        builder = DFGBuilder("raw")
+        a, b = builder.input(), builder.input()
+        builder.output(builder.op(opcode, *[a, b][: opcode.arity]))
+        builder.output(builder.op(OpCode.ADD, a, b))
+        dfg = builder.build()
+        blocks = [[-(2 ** 40), 5], [2 ** 40 + 3, -7], [2 ** 31, 2 ** 31], [-(2 ** 31) - 1, 0]]
+        expected = [evaluate_dfg(dfg, b) for b in blocks]
+        assert reference_outputs(dfg, blocks) == expected
+        assert vectorized_reference(dfg, blocks) == expected
+
+    def test_each_distinct_operation_is_computed_once(self):
+        builder = DFGBuilder("shared")
+        a, b = builder.input(), builder.input()
+        two, again = builder.const(2), builder.const(2)
+        left = builder.add(a, b)
+        right = builder.add(b, a)  # commuted
+        low = builder.op(OpCode.MIN, a, b)
+        high = builder.op(OpCode.MIN, b, a)
+        scaled = builder.mul(left, two)
+        rescaled = builder.mul(again, right)
+        difference = builder.sub(a, b)
+        builder.output(builder.sub(scaled, rescaled))
+        builder.output(builder.xor(low, high))
+        builder.output(builder.add(difference, builder.sub(b, a)))  # SUB does not commute
+        builder.output(difference)
+        dfg = builder.build()
+        for wrap, scalar, templates in (
+            (reference._WRAP, True, reference.OP_EXPRESSIONS),
+            (reference.VECTOR_WRAP, False, OP_VECTOR_EXPRESSIONS),
+        ):
+            walk = IntervalWalk(wrap, scalar=scalar)
+            _, constants, _, _ = reference._dfg_plane(dfg, walk, templates)
+            # ADD, MIN, MUL and two SUBs feed the SUB, the XOR and the ADD.
+            assert walk.operations == 8
+            assert len(constants) == 1
+        blocks = [[3, 4], [-(2 ** 31), 2 ** 31 - 1], [2 ** 40, -1]]
+        expected = [evaluate_dfg(dfg, b) for b in blocks]
+        assert expected[0] == [0, 0, 0, -1]
+        assert reference_outputs(dfg, blocks) == expected
+        assert vectorized_reference(dfg, blocks) == expected
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy is not installed")
+class TestInt64Inputs:
+    """``int64_inputs`` converts with ``np.fromiter`` after one width pass,
+    with ``np.array``'s answers."""
+
+    def convert(self, blocks, width=2):
+        return reference.int64_inputs(numpy, blocks, width, "k")
+
+    def test_a_list_stream_converts_read_only(self):
+        blocks = [[1, -2], [2 ** 31 - 1, -(2 ** 31)], [2.7, True]]
+        array = self.convert(blocks)
+        assert array.dtype == numpy.int64 and array.shape == (3, 2)
+        assert array.tolist() == numpy.array(blocks, dtype=numpy.int64).tolist()
+        assert not array.flags.writeable
+        assert self.convert([(1, 2), numpy.array([3, 4])]).tolist() == [[1, 2], [3, 4]]
+
+    def test_a_ragged_block_names_its_width(self):
+        with pytest.raises(KernelError, match="'k' has 2 inputs, got 3 values"):
+            self.convert([[1, 2], [1, 2, 3], [1]])
+        with pytest.raises(KernelError, match="'k' has 2 inputs, got 1 values"):
+            self.convert([[1]] * 3)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [],
+            [[None, 1]],
+            [["x", 1]],
+            [[2 ** 31, 0]],
+            [[0, -(2 ** 31) - 1]],
+            [[2 ** 70, 0]],
+            [[[1], [2]]],  # fromiter refuses, np.array makes it 3-D
+        ],
+    )
+    def test_what_numpy_cannot_take_exactly_is_none(self, blocks):
+        assert self.convert(blocks) is None
+
+    def test_width_zero_is_none(self):
+        assert reference.int64_inputs(numpy, [[], []], 0, "k") is None
+
+
 class TestIntermediateValues:
     def test_every_node_gets_a_value(self, qspline):
         values = intermediate_values(qspline, [1, 2, 3, 4, 5, 6, 7])
@@ -485,6 +699,71 @@ class TestRandomBlocks:
         with pytest.raises(ValueError):
             random_input_blocks(qspline, 1, low=3, high=2)
         assert random_input_blocks(qspline, 0, low=3, high=2) == []
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["bulk", "randint"])
+    @pytest.mark.parametrize(
+        "span", [1, 2, 127, 128, 129, 255, 256, 257, 2 ** 16 + 1, 2 ** 31, 2 ** 32]
+    )
+    def test_the_draw_returns_what_randbelow_would(self, span, exact, monkeypatch):
+        """With the probe forced either way, each value is ``low`` plus one
+        ``_randbelow(span)`` call, in turn, at every width and count."""
+        monkeypatch.setattr(reference, "_BULK_DRAW", exact)
+        low = -(span // 2)
+        shapes = [(0, 3), (1, 4096), (2, 0), (3, 1), (4, 257), (5, 13), (6, 2), (7, 585)]
+        for seed, (width, num_blocks) in enumerate(shapes):
+            below = random.Random(seed)._randbelow
+            expected = [[low + below(span) for _ in range(width)] for _ in range(num_blocks)]
+            dfg = _graph_of_width(width)
+            assert random_input_blocks(dfg, num_blocks, seed, low, low + span - 1) == expected
+
+    @pytest.mark.parametrize("span, bulk", [(2 ** 32, True), (2 ** 32 + 1, False)])
+    def test_only_spans_up_to_2_32_draw_in_bulk(self, span, bulk, qspline, monkeypatch):
+        drawn = []
+        original = reference._draw_below
+
+        def spy(*args):
+            drawn.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(reference, "_BULK_DRAW", True)
+        monkeypatch.setattr(reference, "_draw_below", spy)
+        rng = random.Random(9)
+        expected = [[rng.randint(0, span - 1) for _ in range(7)] for _ in range(40)]
+        assert random_input_blocks(qspline, 40, seed=9, low=0, high=span - 1) == expected
+        assert drawn == ([span] if bulk else [])
+
+    def test_the_probe_runs_once_on_first_use(self, qspline, monkeypatch):
+        probed = []
+        original = reference._bulk_draw_matches
+
+        def spy(span):
+            probed.append(span)
+            return original(span)
+
+        monkeypatch.setattr(reference, "_BULK_DRAW", None)
+        monkeypatch.setattr(reference, "_bulk_draw_matches", spy)
+        first = random_input_blocks(qspline, 5, seed=1)
+        assert probed and reference._BULK_DRAW is True
+        count = len(probed)
+        assert random_input_blocks(qspline, 5, seed=1) == first
+        assert len(probed) == count
+
+    def test_a_failed_probe_keeps_randint(self, qspline, monkeypatch):
+        monkeypatch.setattr(reference, "_BULK_DRAW", None)
+        monkeypatch.setattr(reference, "_bulk_draw_matches", lambda span: False)
+        monkeypatch.setattr(reference, "_draw_below", None)  # never called
+        rng = random.Random(6)
+        expected = [[rng.randint(-64, 64) for _ in range(7)] for _ in range(30)]
+        assert random_input_blocks(qspline, 30, seed=6) == expected
+        assert reference._BULK_DRAW is False
+
+    def test_import_does_not_probe(self):
+        code = "import repro.kernels.reference as r; assert r._BULK_DRAW is None"
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert completed.returncode == 0, completed.stderr
 
     def test_without_randbelow_every_value_comes_from_randint(self, qspline, monkeypatch):
         class RandintOnly:

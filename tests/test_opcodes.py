@@ -3,12 +3,17 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dfg.opcodes import (
     COMPUTE_OPCODES,
     OP_ARITY,
     OP_EXPRESSIONS,
+    OP_INTERVALS,
     OP_SEMANTICS,
+    RING_OPCODES,
+    SIGNED_OPERANDS,
     OpCode,
     parse_opcode,
 )
@@ -156,7 +161,7 @@ class TestExpressionTable:
             via_expr = eval(  # noqa: S307 - fixed expression table under test
                 template.format(*[repr(o) for o in operands])
             )
-            # The compiled plan wraps after each step exactly like evaluate().
+            # Wrapped, the result is evaluate()'s word.
             wrapped = ((via_expr + 2 ** 31) % 2 ** 32) - 2 ** 31
             assert wrapped == opcode.evaluate(*operands), (opcode, operands)
 
@@ -183,8 +188,7 @@ class TestVectorExpressionTable:
             np.array([base + i for base in probes], dtype=np.int64)
             for i in range(arity)
         ]
-        # Operands entering a vector plan are already wrapped to int32 range,
-        # exactly like the values flowing between compiled-plan steps.
+        # Words, as a vector plan's inputs and its wrapped values are.
         columns = [((c & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000 for c in columns]
         via_expr = eval(  # noqa: S307 - fixed expression table under test
             template.format(*[f"columns[{i}]" for i in range(arity)]),
@@ -210,3 +214,47 @@ class TestParseOpcode:
     def test_parse_unknown_raises(self):
         with pytest.raises(ValueError):
             parse_opcode("divide")
+
+
+#: Interval bounds from tiny to past int64, both signs.
+_BOUNDS = st.one_of(
+    st.integers(-40, 40),
+    st.sampled_from([-(2 ** 63), -(2 ** 62), -(2 ** 31), 2 ** 31 - 1, 2 ** 32, 2 ** 62, 2 ** 63 - 1]),
+    st.integers(-(2 ** 70), 2 ** 70),
+)
+
+
+@st.composite
+def _operand(draw):
+    """An interval and a point in it (often a corner)."""
+    low, high = sorted((draw(_BOUNDS), draw(_BOUNDS)))
+    point = draw(st.one_of(st.sampled_from([low, high]), st.integers(low, high)))
+    return (low, high), point
+
+
+class TestIntervalTable:
+    """OP_INTERVALS bounds every operation's unwrapped result, and the ring
+    opcodes are exactly those whose result mod 2**32 ignores the operands'
+    higher bits."""
+
+    def test_every_semantic_opcode_has_an_interval(self):
+        assert set(OP_INTERVALS) == set(OP_SEMANTICS)
+        assert RING_OPCODES | set(SIGNED_OPERANDS) == set(OP_SEMANTICS)
+        assert not RING_OPCODES & set(SIGNED_OPERANDS)
+
+    @pytest.mark.parametrize("opcode", sorted(OP_SEMANTICS, key=lambda o: o.name))
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_the_interval_holds_the_result(self, opcode, data):
+        operands = [data.draw(_operand()) for _ in range(OP_ARITY[opcode])]
+        low, high = OP_INTERVALS[opcode](*(interval for interval, _ in operands))
+        result = OP_SEMANTICS[opcode](*(point for _, point in operands))
+        assert low <= result <= high
+
+    @pytest.mark.parametrize("opcode", sorted(RING_OPCODES, key=lambda o: o.name))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ring_results_ignore_high_operand_bits(self, opcode, data):
+        points = [data.draw(st.integers(-(2 ** 40), 2 ** 40)) for _ in range(OP_ARITY[opcode])]
+        shifted = [p + data.draw(st.integers(-3, 3)) * 2 ** 32 for p in points]
+        assert opcode.evaluate(*points) == opcode.evaluate(*shifted)

@@ -695,3 +695,17 @@ class TestServiceCLI:
         assert args.capacity == 16
         with pytest.raises(SystemExit):  # one shared cache: nothing to shard
             build_parser().parse_args(["serve", "--shards", "2"])
+
+    @pytest.mark.parametrize("flag", ["--capacity", "--isolated-capacity"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_serve_refuses_a_capacity_below_one(self, flag, value, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.service import OverlayService
+
+        def never(*args, **kwargs):
+            raise AssertionError("a refused capacity must not start a service")
+
+        monkeypatch.setattr(OverlayService, "__init__", never)
+        assert main(["serve", "--port", "0", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
