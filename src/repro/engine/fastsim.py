@@ -736,8 +736,8 @@ class FastSimulator:
 def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:
     """Output rows exactly as the cycle simulator's datapath produces them.
 
-    Operation results are wrapped by the opcode semantics, and the output
-    words an input feeds straight through are wrapped by the evaluator, as
-    the PASS slots that carry them to the output FIFO wrap them.
+    Every output is a 32-bit word: the evaluator wraps it, as the opcode
+    semantics wrap an operation result and the PASS slots that carry an
+    input to the output FIFO wrap it.
     """
     return stream_evaluator(dfg).run(blocks)

@@ -446,9 +446,11 @@ class VectorStreamEvaluator:
 
     The numpy counterpart of :class:`StreamEvaluator`: every node value is
     an ``int64`` array over the block axis, computed by its
-    :data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS` entry and wrapped to 32
-    bits, so a node costs one expression per stream, not one statement per
-    block.  :meth:`run` returns ``None`` whenever numpy cannot give the
+    :data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS` entry (each distinct
+    operation once) and wrapped to 32 bits where the numpy plane's
+    :class:`~repro.dfg.opcodes.IntervalWalk` says, so a node costs one
+    expression per stream, not one statement per block.  :meth:`run`
+    returns ``None`` whenever numpy cannot give the
     exact answer (see :func:`vector_rows`), and the caller falls back to the
     scalar evaluator.  Building one imports numpy; without it the evaluator
     always answers ``None``.  Like :class:`StreamEvaluator` it is built once
