@@ -525,9 +525,11 @@ def _draw_below(rng: Any, span: int, low: int, count: int) -> List[int]:
     is the top ``k`` bits of one 32-bit Mersenne Twister word per try, and
     ``getrandbits(32 * n)`` returns the next ``n`` words, first word lowest.
     So one ``getrandbits`` call per chunk gives every try at once, and a
-    word is kept when its top bits fall below ``span``.  For ``span ==
-    2**32`` (``k == 33``) a try is two words: the first is the value, kept
-    when the second's top bit is clear.
+    word is kept when its top bits fall below ``span``.  For ``k <= 8``
+    (the default range's 129 values) the top byte decides alone, and
+    ``bytes.translate`` drops the rejected bytes without a Python-level
+    test.  For ``span == 2**32`` (``k == 33``) a try is two words: the
+    first is the value, kept when the second's top bit is clear.
     """
     values: List[int] = []
     bits = span.bit_length()
@@ -539,11 +541,18 @@ def _draw_below(rng: Any, span: int, low: int, count: int) -> List[int]:
         # A try succeeds with probability ``span / 2**bits``, at least one half.
         tries = need * (1 << bits) // span + 2 * isqrt(need) + 8
         size = 2 * tries if pairs else tries
-        words = memoryview(rng.getrandbits(32 * size).to_bytes(4 * size, "little")).cast("I")
+        raw = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
         if pairs:
+            words = memoryview(raw).cast("I")
             values += [low + word for word, top in zip(words[::2], words[1::2]) if top < 1 << 31]
+        elif bits <= 8:
+            kept = raw[3::4].translate(None, bytes(range(limit >> 24, 256)))
+            if shift == 24:
+                values += [low + byte for byte in kept]
+            else:
+                values += [low + (byte >> (shift - 24)) for byte in kept]
         else:
-            values += [low + (word >> shift) for word in words if word < limit]
+            values += [low + (word >> shift) for word in memoryview(raw).cast("I") if word < limit]
     del values[count:]
     return values
 
@@ -557,13 +566,14 @@ def _bulk_draw_matches(span: int) -> bool:
 
 def _bulk_draw_exact() -> bool:
     """Whether :func:`_draw_below` matches per-value ``_randbelow`` calls
-    here, probed once on a few spans (kept and rejected words, both try
-    sizes); any difference (another ``random`` implementation, another
-    word size or byte order) keeps every draw on ``randint``."""
+    here, probed once on spans that take each of its three ways (top byte,
+    one word, two words a try); any difference (another ``random``
+    implementation, another word size or byte order) keeps every draw on
+    ``randint``."""
     global _BULK_DRAW
     if _BULK_DRAW is None:
         try:
-            _BULK_DRAW = all(map(_bulk_draw_matches, (1, 3, 129, 3 << 30, 1 << 32)))
+            _BULK_DRAW = all(map(_bulk_draw_matches, (1, 3, 129, 1000, 3 << 30, 1 << 32)))
         except (AttributeError, TypeError, ValueError):
             _BULK_DRAW = False
     return _BULK_DRAW
@@ -604,6 +614,8 @@ def random_input_blocks(
         and hasattr(rng, "_randbelow")
         and _bulk_draw_exact()
     ):
-        values = _draw_below(rng, span, low, num_blocks * width)
-        return [values[i * width:(i + 1) * width] for i in range(num_blocks)]
+        if not width:
+            return [[] for _ in range(num_blocks)]
+        values = iter(_draw_below(rng, span, low, num_blocks * width))
+        return list(map(list, zip(*[values] * width)))
     return [[rng.randint(low, high) for _ in range(width)] for _ in range(num_blocks)]
