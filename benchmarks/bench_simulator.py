@@ -68,10 +68,10 @@ DRAW_LENGTHS = (256, 4096)
 DRAW_ROUNDS = 9
 #: The draw gate: the median per-round ratio must reach this factor.  Three
 #: runs alone on a shared 2-vCPU Xeon VM (Python 3.11.7) gave medians of
-#: 2.25x, 2.27x and 2.28x (single rounds 2.16-2.48x), and one inside a full
-#: ``pytest benchmarks/bench_*.py`` run 2.05x; 1.7x leaves a sixth of
+#: 4.41x each (single rounds 4.03-5.00x), and one inside a full
+#: ``pytest benchmarks/bench_*.py`` run 3.51x; 2.9x leaves a sixth of
 #: margin below the lowest median.
-MIN_DRAW_SPEEDUP = 1.7
+MIN_DRAW_SPEEDUP = 2.9
 
 
 def _timed_draw(dfg, num_blocks, seed, bulk):
