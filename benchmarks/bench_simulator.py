@@ -5,20 +5,21 @@ full map-and-verify cycle takes per kernel, and how fast the cycle-accurate
 simulator runs.  pytest-benchmark reports wall-clock statistics for both.
 
 A last test gates the seeded input draw (``random_input_blocks``), which
-every simulate call without an input stream runs: the bulk draw (one
-``getrandbits`` call per chunk) against the ``randint`` path it replaces
-for a failed probe, forced by setting ``reference._BULK_DRAW``.  Each
-round draws every library kernel's stream at ``DRAW_LENGTHS`` on both
-paths, in alternating order, each call from a collected heap, and yields
-one ratio, the ``randint`` total over the bulk total; the median is gated
-(``MIN_DRAW_SPEEDUP``) and recorded as ``seeded_draw_speedup``.
+every simulate call without an input stream runs: its bulk draw (one
+``getrandbits`` call per chunk) against one ``randint`` call per value,
+which returns the same stream.  Each round draws every library kernel's
+stream at ``DRAW_LENGTHS`` both ways, in alternating order, each call
+from a collected heap, and yields one ratio, the ``randint`` total over
+the bulk total; the median is gated (``MIN_DRAW_SPEEDUP``) and recorded
+as ``seeded_draw_speedup``.
 """
 
 import gc
+import random
 import statistics
 import time
 
-from repro.kernels import get_kernel, kernel_names, reference
+from repro.kernels import get_kernel, kernel_names
 from repro.kernels.reference import random_input_blocks
 from repro.overlay.architecture import LinearOverlay
 from repro.schedule import schedule_kernel
@@ -68,36 +69,41 @@ DRAW_LENGTHS = (256, 4096)
 DRAW_ROUNDS = 9
 #: The draw gate: the median per-round ratio must reach this factor.  Three
 #: runs alone on a shared 2-vCPU Xeon VM (Python 3.11.7) gave medians of
-#: 4.41x each (single rounds 4.03-5.00x), and one inside a full
-#: ``pytest benchmarks/bench_*.py`` run 3.51x; 2.9x leaves a sixth of
-#: margin below the lowest median.
+#: 4.17x, 4.23x and 4.28x (single rounds 3.87-5.00x), and two inside full
+#: ``pytest benchmarks/bench_*.py`` runs 3.58x and 3.77x; 2.9x leaves a
+#: fifth of margin below the lowest median.
 MIN_DRAW_SPEEDUP = 2.9
 
 
-def _timed_draw(dfg, num_blocks, seed, bulk):
-    reference._BULK_DRAW = bulk
+def _randint_blocks(dfg, num_blocks, seed):
+    """The default-range stream with one ``randint`` call per value."""
+    rng = random.Random(seed)
+    width = dfg.num_inputs
+    return [[rng.randint(-64, 64) for _ in range(width)] for _ in range(num_blocks)]
+
+
+def _timed_draw(draw, dfg, num_blocks, seed):
     gc.collect()
     started = time.perf_counter()
-    blocks = random_input_blocks(dfg, num_blocks, seed=seed)
+    blocks = draw(dfg, num_blocks, seed)
     return time.perf_counter() - started, blocks
 
 
-def test_seeded_draw_speedup_gate(save_result, record_metric, monkeypatch):
-    monkeypatch.setattr(reference, "_BULK_DRAW", None)
-    assert reference._bulk_draw_exact(), "the bulk draw does not match _randbelow here"
+def test_seeded_draw_speedup_gate(save_result, record_metric):
     dfgs = [get_kernel(name) for name in kernel_names()]
+    draws = {"bulk": random_input_blocks, "randint": _randint_blocks}
     ratios = []
     for round_index in range(DRAW_ROUNDS):
-        spent = {True: 0.0, False: 0.0}
+        spent = dict.fromkeys(draws, 0.0)
         for position, dfg in enumerate(dfgs):
             for num_blocks in DRAW_LENGTHS:
-                order = (True, False) if (position + round_index) % 2 == 0 else (False, True)
+                order = list(draws) if (position + round_index) % 2 == 0 else list(draws)[::-1]
                 blocks = {}
-                for bulk in order:
-                    seconds, blocks[bulk] = _timed_draw(dfg, num_blocks, round_index, bulk)
-                    spent[bulk] += seconds
-                assert blocks[True] == blocks[False], f"{dfg.name}: the draws disagree"
-        ratios.append(spent[False] / spent[True])
+                for way in order:
+                    seconds, blocks[way] = _timed_draw(draws[way], dfg, num_blocks, round_index)
+                    spent[way] += seconds
+                assert blocks["bulk"] == blocks["randint"], f"{dfg.name}: the draws disagree"
+        ratios.append(spent["randint"] / spent["bulk"])
 
     speedup = statistics.median(ratios)
     save_result(

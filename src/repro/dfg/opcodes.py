@@ -381,9 +381,7 @@ class IntervalWalk:
     emit.  ``wrap`` is the statement that wraps the variable ``{0}`` in
     place; a wrapped variable is a word from there on, for every later
     reader.  An input is never wrapped in place (a later operation may read
-    it raw), nor is a constant (constants are words).  ``operations``,
-    ``wraps`` and the extremes ``low``/``high`` of every emitted
-    operation's interval count what the walk emitted.
+    it raw), nor is a constant (constants are words).
     """
 
     def __init__(self, wrap: str, scalar: bool):
@@ -392,10 +390,6 @@ class IntervalWalk:
         self._ranges: Dict[str, Interval] = {}
         self._exact: Set[str] = set()
         self._inputs: Set[str] = set()
-        self.operations = 0
-        self.wraps = 0
-        self.low = 0
-        self.high = 0
 
     def input(self, name: str) -> None:
         self._ranges[name] = WORD_RANGE
@@ -417,7 +411,6 @@ class IntervalWalk:
     def _wrap_in_place(self, name: str) -> str:
         self._ranges[name] = WORD_RANGE
         self._exact.add(name)
-        self.wraps += 1
         return self._wrap.format(name)
 
     def op(self, opcode: OpCode, result: str, operands: Sequence[str], template: str) -> List[str]:
@@ -444,9 +437,6 @@ class IntervalWalk:
         ranges[result] = (low, high)
         if self._exact.issuperset(operands):
             self._exact.add(result)
-        self.operations += 1
-        self.low = min(self.low, low)
-        self.high = max(self.high, high)
         if self._scalar and (
             (opcode not in RING_OPCODES and result not in self._exact)
             or max(-low, high) >= _SCALAR_BOUND

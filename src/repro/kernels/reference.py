@@ -510,73 +510,31 @@ def reference_outputs(
     return [evaluate_dfg(dfg, block) for block in blocks]
 
 
-#: Whether the bulk draw (:func:`_draw_below`) returns what per-value
-#: ``random.Random._randbelow`` calls do on this interpreter: ``None`` until
-#: the first seeded draw asks (:func:`_bulk_draw_exact`).
-_BULK_DRAW: Optional[bool] = None
-
-
 def _draw_below(rng: Any, span: int, low: int, count: int) -> List[int]:
     """``count`` values, each ``low`` plus what one ``rng._randbelow(span)``
-    call would return, in turn, for ``1 <= span <= 2**32``.
+    call would return, in turn, for ``1 <= span <= 255``.
 
     ``_randbelow`` draws ``k = span.bit_length()`` bits with
-    ``getrandbits(k)`` until they fall below ``span``.  For ``k <= 32`` that
-    is the top ``k`` bits of one 32-bit Mersenne Twister word per try, and
-    ``getrandbits(32 * n)`` returns the next ``n`` words, first word lowest.
-    So one ``getrandbits`` call per chunk gives every try at once, and a
-    word is kept when its top bits fall below ``span``.  For ``k <= 8``
-    (the default range's 129 values) the top byte decides alone, and
-    ``bytes.translate`` drops the rejected bytes without a Python-level
-    test.  For ``span == 2**32`` (``k == 33``) a try is two words: the
-    first is the value, kept when the second's top bit is clear.
+    ``getrandbits(k)`` until they fall below ``span``, and for ``k <= 8``
+    those are the top ``k`` bits of one 32-bit Mersenne Twister word per
+    try, all in its top byte.  ``getrandbits(32 * n)`` returns the next
+    ``n`` words, first word lowest, so one call per chunk gives every try
+    at once, and ``bytes.translate`` drops the top bytes that fall at or
+    past ``span`` and keeps the top ``k`` bits of the rest without a
+    Python-level test.
     """
+    shift = 8 - span.bit_length()
+    rejected = bytes(range(span << shift, 256))
+    table = bytes(byte >> shift for byte in range(256)) if shift else None
     values: List[int] = []
-    bits = span.bit_length()
-    pairs = bits == 33
-    shift = 0 if pairs else 32 - bits
-    limit = span << shift
     while len(values) < count:
         need = count - len(values)
-        # A try succeeds with probability ``span / 2**bits``, at least one half.
-        tries = need * (1 << bits) // span + 2 * isqrt(need) + 8
-        size = 2 * tries if pairs else tries
-        raw = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-        if pairs:
-            words = memoryview(raw).cast("I")
-            values += [low + word for word, top in zip(words[::2], words[1::2]) if top < 1 << 31]
-        elif bits <= 8:
-            kept = raw[3::4].translate(None, bytes(range(limit >> 24, 256)))
-            if shift == 24:
-                values += [low + byte for byte in kept]
-            else:
-                values += [low + (byte >> (shift - 24)) for byte in kept]
-        else:
-            values += [low + (word >> shift) for word in memoryview(raw).cast("I") if word < limit]
+        # A try succeeds with probability ``span / 2**k``, at least one half.
+        tries = (need << (8 - shift)) // span + 2 * isqrt(need) + 8
+        raw = rng.getrandbits(32 * tries).to_bytes(4 * tries, "little")
+        values += [low + byte for byte in raw[3::4].translate(table, rejected)]
     del values[count:]
     return values
-
-
-def _bulk_draw_matches(span: int) -> bool:
-    """Whether :func:`_draw_below` gives 64 values of ``span`` as
-    ``_randbelow`` does, on one seed."""
-    below = random.Random(span)._randbelow
-    return _draw_below(random.Random(span), span, 0, 64) == [below(span) for _ in range(64)]
-
-
-def _bulk_draw_exact() -> bool:
-    """Whether :func:`_draw_below` matches per-value ``_randbelow`` calls
-    here, probed once on spans that take each of its three ways (top byte,
-    one word, two words a try); any difference (another ``random``
-    implementation, another word size or byte order) keeps every draw on
-    ``randint``."""
-    global _BULK_DRAW
-    if _BULK_DRAW is None:
-        try:
-            _BULK_DRAW = all(map(_bulk_draw_matches, (1, 3, 129, 1000, 3 << 30, 1 << 32)))
-        except (AttributeError, TypeError, ValueError):
-            _BULK_DRAW = False
-    return _BULK_DRAW
 
 
 def random_input_blocks(
@@ -593,27 +551,18 @@ def random_input_blocks(
     by the dedicated ALU tests.
 
     Each value is what ``rng.randint(low, high)`` returns, in turn:
-    ``low + rng._randbelow(high - low + 1)``.  For a span of at most
-    ``2**32`` the whole stream comes from one ``getrandbits`` call per
-    chunk (:func:`_draw_below`), once a one-time probe has found that this
-    gives the same values as ``_randbelow`` (:func:`_bulk_draw_exact`).
-    Where the generator lacks ``getrandbits`` or ``_randbelow``, the bounds
-    are not plain ints, the range is empty (``randint`` raises
-    ``ValueError``) or wider, or the probe failed, every value goes through
-    ``randint``.
+    ``low + rng._randbelow(high - low + 1)``.  A span of at most 255 values
+    (the default range has 129) comes from one ``getrandbits`` call per
+    chunk (:func:`_draw_below`).  A wider span, bounds that are not plain
+    ints, an empty range (``randint`` raises ``ValueError``) or a generator
+    without ``getrandbits`` takes ``randint`` for every value.
     """
     if num_blocks < 0:
         raise KernelError("num_blocks must be non-negative")
     rng = random.Random(seed)
     width = dfg.num_inputs
     span = high - low + 1
-    if (
-        type(span) is int
-        and 1 <= span <= 1 << 32
-        and hasattr(rng, "getrandbits")
-        and hasattr(rng, "_randbelow")
-        and _bulk_draw_exact()
-    ):
+    if type(span) is int and 1 <= span <= 255 and hasattr(rng, "getrandbits"):
         if not width:
             return [[] for _ in range(num_blocks)]
         values = iter(_draw_below(rng, span, low, num_blocks * width))

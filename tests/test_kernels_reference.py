@@ -14,6 +14,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -71,9 +72,6 @@ EDGE_VALUES = (
     2 ** 31,
     2 ** 40,
 )
-#: The range a numpy plane computes in.
-INT64 = (-(2 ** 63), 2 ** 63 - 1)
-
 #: Edges plus small values, so shift counts and MIN/MAX vary too.
 values_strategy = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(-40, 40))
 #: The same inside the signed 32-bit range, where the numpy plane applies.
@@ -174,9 +172,6 @@ def _check_value_planes(data):
     if numpy is not None:
         rows = VectorStreamEvaluator(dfg).run(blocks)
         assert rows == (expected if in_range else None)
-    walk = IntervalWalk(reference.VECTOR_WRAP, scalar=False)
-    reference._dfg_plane(dfg, walk, OP_VECTOR_EXPRESSIONS)
-    assert INT64[0] <= walk.low and walk.high <= INT64[1]
     schedule = _image_schedule(dfg) if encodable else None
     if schedule is not None:
         # The batched engine's value plane executes the image; its check
@@ -516,59 +511,71 @@ class TestStreamEvaluatorMemo:
         assert stream_evaluator(dfg).run(blocks) == expected
 
 
+#: Each DFG plane: its wrap statement, whether it is the scalar plane, and
+#: its expression table.
+DFG_PLANES = {
+    "scalar": (reference._WRAP, True, reference.OP_EXPRESSIONS),
+    "numpy": (reference.VECTOR_WRAP, False, OP_VECTOR_EXPRESSIONS),
+}
+
+
+def _count_wraps(lines, wrap):
+    """How many of a plan's ``lines`` wrap one variable in place with the
+    ``wrap`` statement."""
+    hole = re.escape("{0}")
+    pattern = re.escape(wrap).replace(hole, r"(\w+)", 1).replace(hole, r"\1")
+    return sum(bool(re.fullmatch(pattern, line.strip())) for line in lines)
+
+
+def _dfg_plane_counts(dfg, plane):
+    """The wraps and the operations in ``dfg``'s body on ``plane``."""
+    wrap, scalar, templates = DFG_PLANES[plane]
+    _, _, body, _ = reference._dfg_plane(dfg, IntervalWalk(wrap, scalar=scalar), templates)
+    wraps = _count_wraps(body, wrap)
+    return wraps, len(body) - wraps
+
+
 class TestWrapPlacement:
     """Where the value planes wrap (:class:`IntervalWalk`), and the shared
     subexpressions of the DFG planes."""
 
-    @pytest.fixture
-    def image_walks(self, monkeypatch):
-        """The walk of every image plan built while the test runs."""
-        walks = []
-
-        class Recording(IntervalWalk):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                walks.append(self)
-
-        monkeypatch.setattr(batchsim, "IntervalWalk", Recording)
-        return walks
-
-    def test_library_plans_stay_in_int64_and_wrap_less_than_they_compute(
-        self, benchmarks, image_walks
-    ):
+    def test_library_plans_wrap_less_than_they_compute(self, benchmarks):
         from repro.overlay.fu import FU_VARIANTS
 
-        walks = {}
+        counts = {}
         for name, dfg in benchmarks.items():
-            for label, wrap, scalar, templates in (
-                ("scalar", reference._WRAP, True, reference.OP_EXPRESSIONS),
-                ("numpy", reference.VECTOR_WRAP, False, OP_VECTOR_EXPRESSIONS),
-            ):
-                walks[name, label] = IntervalWalk(wrap, scalar=scalar)
-                reference._dfg_plane(dfg, walks[name, label], templates)
+            for plane in DFG_PLANES:
+                counts[name, plane] = _dfg_plane_counts(dfg, plane)
             for variant in ("v1", "v2", "v3", "v4", "v5"):
                 schedule = schedule_kernel(dfg, LinearOverlay.for_kernel(FU_VARIANTS[variant], dfg))
-                assert batchsim.image_plan_source(schedule) is not None, (name, variant)
-                walks[name, variant] = image_walks[-1]
-        for key, walk in walks.items():
-            assert walk.wraps < walk.operations, key
-            if key[1] != "scalar":
-                assert INT64[0] <= walk.low and walk.high <= INT64[1], key
+                lines = batchsim.image_plan_source(schedule).splitlines()
+                # Each EXEC word assigns a ``tN``, and only those are wrapped.
+                wraps = _count_wraps(lines, reference.VECTOR_WRAP)
+                assigned = sum(bool(re.match(r"\s*t\d+ = ", line)) for line in lines)
+                counts[name, variant] = wraps, assigned - wraps
+        for key, (wraps, operations) in counts.items():
+            assert wraps < operations, key
+        for label in (*DFG_PLANES, "v1"):
+            assert sum(counts[name, label][0] for name in benchmarks), label
 
-    def test_every_numpy_operation_has_an_interval_inside_int64(self):
-        # A chain of squares would reach 2**(2**k) unwrapped.
+    def test_a_square_chain_stays_exact_on_numpy(self):
+        """A chain of squares would reach ``2**(2**k)`` unwrapped: on an
+        input column ``int64`` would overflow, and on a constant the
+        Python int could not meet the column at all."""
         builder = DFGBuilder("squares")
-        value = builder.input()
-        for opcode in (OpCode.SQR, OpCode.MUL, OpCode.SHL, OpCode.MULADD, OpCode.NEG) * 3:
-            value = builder.op(opcode, *[value] * opcode.arity)
-        builder.output(value)
+        column = builder.input()
+        for value in (column, builder.const(2 ** 31 - 1)):
+            for opcode in (OpCode.SQR, OpCode.MUL, OpCode.SHL, OpCode.MULADD, OpCode.NEG) * 3:
+                value = builder.op(opcode, *[value] * opcode.arity)
+            builder.output(builder.add(value, column))
         dfg = builder.build()
-        walk = IntervalWalk(reference.VECTOR_WRAP, scalar=False)
-        reference._dfg_plane(dfg, walk, OP_VECTOR_EXPRESSIONS)
-        assert INT64[0] <= walk.low and walk.high <= INT64[1]
-        assert walk.wraps < walk.operations
+        wraps, operations = _dfg_plane_counts(dfg, "numpy")
+        assert 0 < wraps < operations
         blocks = [[v] for v in EDGE_VALUES if -(2 ** 31) <= v < 2 ** 31]
-        assert vectorized_reference(dfg, blocks) == [evaluate_dfg(dfg, b) for b in blocks]
+        expected = [evaluate_dfg(dfg, b) for b in blocks]
+        if numpy is not None:
+            assert VectorStreamEvaluator(dfg).run(blocks) == expected
+        assert reference_outputs(dfg, blocks) == expected
 
     @pytest.mark.parametrize("opcode", NON_RING, ids=lambda op: op.name)
     def test_a_non_ring_op_on_a_raw_input_wraps_its_result(self, opcode):
@@ -601,15 +608,11 @@ class TestWrapPlacement:
         builder.output(builder.add(difference, builder.sub(b, a)))  # SUB does not commute
         builder.output(difference)
         dfg = builder.build()
-        for wrap, scalar, templates in (
-            (reference._WRAP, True, reference.OP_EXPRESSIONS),
-            (reference.VECTOR_WRAP, False, OP_VECTOR_EXPRESSIONS),
-        ):
+        for plane, (wrap, scalar, templates) in DFG_PLANES.items():
             walk = IntervalWalk(wrap, scalar=scalar)
-            _, constants, _, _ = reference._dfg_plane(dfg, walk, templates)
+            assert len(reference._dfg_plane(dfg, walk, templates)[1]) == 1, plane
             # ADD, MIN, MUL and two SUBs feed the SUB, the XOR and the ADD.
-            assert walk.operations == 8
-            assert len(constants) == 1
+            assert _dfg_plane_counts(dfg, plane)[1] == 8, plane
         blocks = [[3, 4], [-(2 ** 31), 2 ** 31 - 1], [2 ** 40, -1]]
         expected = [evaluate_dfg(dfg, b) for b in blocks]
         assert expected[0] == [0, 0, 0, -1]
@@ -707,14 +710,10 @@ class TestRandomBlocks:
             random_input_blocks(qspline, 1, low=3, high=2)
         assert random_input_blocks(qspline, 0, low=3, high=2) == []
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["bulk", "randint"])
-    @pytest.mark.parametrize(
-        "span", [1, 2, 127, 128, 129, 255, 256, 257, 2 ** 16 + 1, 2 ** 31, 2 ** 32]
-    )
-    def test_the_draw_returns_what_randbelow_would(self, span, exact, monkeypatch):
-        """With the probe forced either way, each value is ``low`` plus one
-        ``_randbelow(span)`` call, in turn, at every width and count."""
-        monkeypatch.setattr(reference, "_BULK_DRAW", exact)
+    @pytest.mark.parametrize("span", [1, 2, 127, 128, 129, 255, 256])
+    def test_the_draw_returns_what_randbelow_would(self, span):
+        """Each value is ``low`` plus one ``_randbelow(span)`` call, in turn,
+        at every width and count, on both sides of the bulk draw's bound."""
         low = -(span // 2)
         shapes = [(0, 3), (1, 4096), (2, 0), (3, 1), (4, 257), (5, 13), (6, 2), (7, 585)]
         for seed, (width, num_blocks) in enumerate(shapes):
@@ -723,8 +722,8 @@ class TestRandomBlocks:
             dfg = _graph_of_width(width)
             assert random_input_blocks(dfg, num_blocks, seed, low, low + span - 1) == expected
 
-    @pytest.mark.parametrize("span, bulk", [(2 ** 32, True), (2 ** 32 + 1, False)])
-    def test_only_spans_up_to_2_32_draw_in_bulk(self, span, bulk, qspline, monkeypatch):
+    @pytest.mark.parametrize("span, bulk", [(255, True), (256, False)])
+    def test_only_spans_below_256_draw_in_bulk(self, span, bulk, qspline, monkeypatch):
         drawn = []
         original = reference._draw_below
 
@@ -732,45 +731,11 @@ class TestRandomBlocks:
             drawn.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(reference, "_BULK_DRAW", True)
         monkeypatch.setattr(reference, "_draw_below", spy)
         rng = random.Random(9)
         expected = [[rng.randint(0, span - 1) for _ in range(7)] for _ in range(40)]
         assert random_input_blocks(qspline, 40, seed=9, low=0, high=span - 1) == expected
         assert drawn == ([span] if bulk else [])
-
-    def test_the_probe_runs_once_on_first_use(self, qspline, monkeypatch):
-        probed = []
-        original = reference._bulk_draw_matches
-
-        def spy(span):
-            probed.append(span)
-            return original(span)
-
-        monkeypatch.setattr(reference, "_BULK_DRAW", None)
-        monkeypatch.setattr(reference, "_bulk_draw_matches", spy)
-        first = random_input_blocks(qspline, 5, seed=1)
-        assert probed and reference._BULK_DRAW is True
-        count = len(probed)
-        assert random_input_blocks(qspline, 5, seed=1) == first
-        assert len(probed) == count
-
-    def test_a_failed_probe_keeps_randint(self, qspline, monkeypatch):
-        monkeypatch.setattr(reference, "_BULK_DRAW", None)
-        monkeypatch.setattr(reference, "_bulk_draw_matches", lambda span: False)
-        monkeypatch.setattr(reference, "_draw_below", None)  # never called
-        rng = random.Random(6)
-        expected = [[rng.randint(-64, 64) for _ in range(7)] for _ in range(30)]
-        assert random_input_blocks(qspline, 30, seed=6) == expected
-        assert reference._BULK_DRAW is False
-
-    def test_import_does_not_probe(self):
-        code = "import repro.kernels.reference as r; assert r._BULK_DRAW is None"
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        completed = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert completed.returncode == 0, completed.stderr
 
     def test_without_randbelow_every_value_comes_from_randint(self, qspline, monkeypatch):
         class RandintOnly:
