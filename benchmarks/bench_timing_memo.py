@@ -24,6 +24,13 @@ which the memo does not touch.  A second call must measure exactly what the
 first did (the memo changes no timing field) and still compute and check its
 own stream's outputs.
 
+A count gate pins how many blocks the recurrence evaluates over those
+points (``_BlockTemplate.evaluate`` runs, the memo cleared before each
+point's lanes): a steady lane jumps once two blocks repeat and the check
+proves the rest periodic, so only ramp lanes evaluate dozens.  The count
+is deterministic, so it is gated exactly (``RECURRENCE_BLOCKS``) and
+recorded as ``recurrence_blocks_evaluated``.
+
 The memo is keyed by what the block recurrence reads, not by schedule
 object, and each kernel's ``StreamEvaluator`` lives in its graph's
 ``DFG.derived()``, which every copy shares.  A second gate counts what that
@@ -69,13 +76,22 @@ VARIANTS = ("v1", "v2", "v3", "v4", "v5")
 NUM_BLOCKS = 256
 ROUNDS = 7
 #: The gate on lane timing, miss over hit: the median per-round ratio must
-#: reach this factor.  Six runs of the gate alone on a shared 2-vCPU Xeon VM
-#: (Python 3.11.7) gave medians of 44.5-69.1x (single rounds 29-98x), a full
-#: ``benchmarks/bench_*.py`` run 26.0x (rounds 21.6-29.8x); a hit is a few
-#: microseconds, so the ratio swings with the host and the heap.  10x is well under the lowest median
-#: and far over the ~1x of a memo that saves nothing.  The whole-call ratio
-#: read 2.81-3.01x in the same runs.
+#: reach this factor.  A steady lane now jumps after two periodic blocks, so
+#: a miss costs less: four runs of the gate alone on a shared 2-vCPU Xeon VM
+#: (Python 3.11.7) gave medians of 32.9-35.1x (single rounds 25.8-35.2x)
+#: against 51.6-53.6x for the recurrence that waited out its whole window,
+#: and two full ``benchmarks/bench_*.py`` runs 26.4x and 27.3x; a
+#: hit is a few microseconds, so the ratio swings with the host and the
+#: heap.  10x is well under the lowest median and far over the ~1x of a
+#: memo that saves nothing.  The whole-call ratio read 2.53-2.85x in the
+#: same runs.
 MIN_LANE_SPEEDUP = 10.0
+
+#: Blocks the recurrence evaluates over the points' lanes.  Waiting out
+#: each lane's whole look-back window before a steady jump, it evaluated
+#: 1,928; the rest are ramp lanes (sgfilter, poly5, poly6, poly8, and poly7
+#: on V3/V4).
+RECURRENCE_BLOCKS = 1099
 
 #: The end-to-end sweep-store workload's cold grid.
 COLD_GRID_STRATEGIES = ("linear", "clustered", "modulo", "alap")
@@ -172,6 +188,40 @@ def test_timing_memo_speedup_gate(save_result, record_metric):
     assert lane_speedup >= MIN_LANE_SPEEDUP, (
         f"a memo hit only {lane_speedup:.2f}x faster than timing the lanes "
         f"(median of {ROUNDS} rounds, gate {MIN_LANE_SPEEDUP}x)"
+    )
+
+
+def test_recurrence_blocks_evaluated_gate(monkeypatch, save_result, record_metric):
+    toolchain = Toolchain(cache=ScheduleCache(capacity=256))
+    evaluated = []
+    evaluate = fastsim._BlockTemplate.evaluate
+
+    def counting_evaluate(template, hist, stalls):
+        evaluated.append(1)
+        evaluate(template, hist, stalls)
+
+    monkeypatch.setattr(fastsim._BlockTemplate, "evaluate", counting_evaluate)
+    per_kernel = {}
+    for name in kernel_names():
+        before = len(evaluated)
+        for variant in VARIANTS:
+            simulator = FastSimulator(toolchain.compile(name, OverlaySpec(variant=variant)).schedule)
+            clear_timing_memo()
+            for lane in split_lane_blocks([[]] * NUM_BLOCKS, simulator.schedule.variant.lanes):
+                simulator._run_timing(len(lane))
+        per_kernel[name] = len(evaluated) - before
+    save_result(
+        "timing_memo_recurrence_blocks",
+        "\n".join(
+            [f"blocks evaluated: library x {'/'.join(VARIANTS)}, default FIFO depth, "
+             f"{NUM_BLOCKS} blocks, memo cleared per point"]
+            + [f"  {name:10s}: {count}" for name, count in per_kernel.items()]
+            + [f"  total     : {len(evaluated)} (gate: == {RECURRENCE_BLOCKS})"]
+        ),
+    )
+    record_metric("recurrence_blocks_evaluated", len(evaluated))
+    assert len(evaluated) == RECURRENCE_BLOCKS, (
+        f"the recurrence evaluated {len(evaluated)} blocks, not {RECURRENCE_BLOCKS}"
     )
 
 

@@ -23,12 +23,15 @@ measurements an order of magnitude faster, exploiting two observations:
    builds one block's template per lane (:class:`_BlockTemplate`) and
    evaluates it block after block.  Stall counters, completion cycles and
    FIFO/RF high-water marks are read off the same event times.  Once every
-   stage's events shift by a constant per block over the template's
-   look-back window, the rest repeats: the engine jumps to the end of the
-   stream when all stages share that shift, and, while a FIFO fills between
-   stages of different rates, as far as no reference between them can
-   bind.  Every field still equals the cycle simulator's (see
-   ``docs/engine.md`` for the argument).
+   stage's events shift by one constant per block for two blocks in a row,
+   a check of the few references that reach further back
+   (:meth:`_BlockTemplate.periodic`) can prove the rest periodic, and the
+   engine jumps to the end of the stream.  Where it cannot, the engine
+   waits until the shifts have held over the template's whole look-back
+   window: then it jumps to the end when all stages share one shift, and,
+   while a FIFO fills between stages of different rates, as far as no
+   reference between them can bind.  Every field still equals the cycle
+   simulator's (see ``docs/engine.md`` for the argument).
 
 Because timing is value-independent, a lane's timing is a function of what
 the recurrence reads of the schedule and of the lane length alone, so one
@@ -47,7 +50,6 @@ import hashlib
 import threading
 from array import array
 from collections import OrderedDict
-from graphlib import CycleError, TopologicalSorter
 from operator import sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -166,9 +168,9 @@ class _BlockTemplate:
             writes = [vid for vid in load_order if vid in last_read] + [
                 vid for nop, _ops, _emits, vid, wb in slots if wb and not nop and vid in last_read
             ]
-            for vid in writes:
-                if writes.count(vid) > 1:
-                    raise SimulationError(f"FU{k} writes N{vid} of each block more than once")
+            if len(set(writes)) < len(writes):
+                twice = next(vid for vid in writes if writes.count(vid) > 1)
+                raise SimulationError(f"FU{k} writes N{twice} of each block more than once")
             self.registers.append((
                 [(first + i, 0, last_read[vid])
                  for i, vid in enumerate(load_order) if vid in last_read]
@@ -213,26 +215,55 @@ class _BlockTemplate:
                 if emits and vid is not None:
                     emits_at[k].append(event)
 
-        graph = {}
+        # Order the events so each comes after those of its own block it
+        # references (Kahn's algorithm).
+        sources = []
         for event in range(self.size):
             links = refs[event] + ([cross[event]] if cross[event] else [])
-            graph[event] = {link[1] for link in links if not link[0]}
-        try:
-            order = TopologicalSorter(graph).static_order()
-            self.program = [(event, tuple(refs[event]), cross[event]) for event in order]
-        except CycleError as error:
-            event = error.args[1][0]
+            sources.append({link[1] for link in links if not link[0]})
+        pending = list(map(len, sources))
+        followers: List[List[int]] = [[] for _ in range(self.size)]
+        for event, before in enumerate(sources):
+            for source in before:
+                followers[source].append(event)
+        order = [event for event in range(self.size) if not pending[event]]
+        for event in order:
+            for follower in followers[event]:
+                pending[follower] -= 1
+                if not pending[follower]:
+                    order.append(follower)
+        if len(order) < self.size:
+            # Every event left waits on another one left, so walking back
+            # from any of them comes round to an event of a cycle.
+            event, seen = next(event for event in range(self.size) if pending[event]), set()
+            while event not in seen:
+                seen.add(event)
+                event = next(source for source in sources[event] if pending[source])
             k = self.stage_of[event]
             index = event - self.ranges[k][0]
             what = f"load {index}" if index < self.loads[k] else f"slot {index - self.loads[k]}"
             raise SimulationError(
                 f"FU{k} {what} waits on a later event of its own block; the schedule deadlocks"
-            ) from None
-        #: Per channel: the events that push its tokens, and those that pop them.
+            )
+        self.program = [(event, tuple(refs[event]), cross[event]) for event in order]
+        #: Per channel: the events that push its tokens, those that pop them,
+        #: and how many blocks back a push's occupancy reads pops.
         self.channels = [
-            (emits_at[k], range(self.ranges[k + 1][0], self.ranges[k + 1][0] + self.loads[k + 1]))
+            (
+                emits_at[k],
+                range(self.ranges[k + 1][0], self.ranges[k + 1][0] + self.loads[k + 1]),
+                -(-(fifo - 1) // len(emitted[k])),
+            )
             for k in range(last)
         ]
+        #: Each push whose free FIFO slot lies more than two blocks back, as
+        #: ``(event, references within its stage, blocks back, source,
+        #: cycles added)``, furthest first: what :meth:`periodic` checks.
+        self.far = sorted(
+            ((event, refs, cross[0], cross[1], cross[2])
+             for event, refs, cross in self.program if cross and cross[0] > 2),
+            key=lambda far: -far[2],
+        )
         #: The event whose result completes a block, and the tokens a block emits.
         self.completes, self.emitted = emits_at[last][-1], len(emits_at[last])
 
@@ -267,28 +298,48 @@ class _BlockTemplate:
             runs[k] += step is not None
             shifts[k] = step
 
-    def fill_fifos(self, hist: List[List[int]], block: int, heads: List[int],
-                   peaks: List[int]) -> None:
+    def fill_fifos(self, hist: List[List[int]], block: int, heads: List[int], peaks: List[int],
+                   shifts: Optional[List[Optional[int]]] = None,
+                   runs: Optional[List[int]] = None) -> None:
         """Raise each channel's high water to its occupancy after each push
         of the block ``hist[0]``.  ``heads[k]`` is channel ``k``'s oldest
-        token not yet popped at its last push; a token pushed and popped in
-        one cycle is pushed first."""
-        times = hist[0]
-        for k, (pushes, pops) in enumerate(self.channels):
+        token not yet popped at its last push, or earlier; a token pushed
+        and popped in one cycle is pushed first.
+
+        Given the stages' :meth:`track_shifts`, a channel is skipped when
+        its occupancies repeat the block before's: its pushes moved on by
+        the downstream stage's shift, and its pops by that shift over every
+        block a push reads and the one before.
+        """
+        times, previous = hist[0], hist[1]
+        for k, (pushes, pops, reads) in enumerate(self.channels):
+            if runs is not None and runs[k + 1] > reads:
+                shift = shifts[k + 1]
+                if all(times[push] - previous[push] == shift for push in pushes):
+                    continue
             width = len(pops)
             token = block * width
-            head = heads[k]
+            # Each push's free slot was popped before it arrives, so from
+            # here on the head never falls more than fifo_depth tokens back.
+            head = max(heads[k], token - self.fifo + 1)
+            back, index = divmod(head, width)
+            back = block - back
+            row = hist[back]
+            peak = peaks[k]
             for push in pushes:
                 arrival = times[push] + self.alu
-                head = max(head, token - self.fifo + 1)
-                while True:
-                    head_block, index = divmod(head, width)
-                    if hist[block - head_block][pops[index]] >= arrival:
-                        break
-                    head += 1
-                peaks[k] = max(peaks[k], token - head + 1)
+                while row[pops[index]] < arrival:
+                    index += 1
+                    if index == width:
+                        index = 0
+                        back -= 1
+                        row = hist[back]
+                waiting = token - (block - back) * width - index + 1
+                if waiting > peak:
+                    peak = waiting
                 token += 1
-            heads[k] = head
+            peaks[k] = peak
+            heads[k] = (block - back) * width + index
 
     def rf_peaks(self, k: int, blocks: Sequence[List[int]], limit: int) -> Tuple[int, int]:
         """Stage ``k``'s register-file high water, and one block's, over the
@@ -336,6 +387,40 @@ class _BlockTemplate:
                     limit = min(limit, slack // gain)
         return limit
 
+    def periodic(self, hist: List[List[int]], period: int, run: int) -> bool:
+        """Whether every block after ``hist[0]`` is it moved on by ``period``,
+        given that each of the last ``run`` blocks (at least 2) moved on by
+        ``period`` from the one before.
+
+        References within a stage reach two blocks back and token arrivals
+        none, so only a push whose free FIFO slot lies ``d > run`` blocks
+        back reads a block from before the run.  It never binds later if
+        its cycle comes from its other references, not its free slot or the
+        floor of 0 (a), and no later free slot lies past the cycle the run
+        gives it: one inside the run (b) or one before it (c).  By induction
+        over blocks and the events of each, every later block then repeats
+        ``hist[0]``.  Every later push also finds as many tokens waiting as
+        in ``hist[0]`` when each channel's tokens waiting there were all
+        pushed within the run: its first push arrives after the run's first
+        token is popped (d).
+        """
+        times = hist[0]
+        for event, refs, back, source, delay in self.far:
+            if back <= run:
+                break
+            cycle = times[event]
+            if max([hist[b][s] + d for b, s, d in refs]) != cycle:  # (a)
+                return False
+            if times[source] - back * period + delay > cycle:  # (b)
+                return False
+            for i in range(run + 1, back):  # (c)
+                if hist[i][source] + delay > cycle + (back - i) * period:
+                    return False
+        return all(  # (d)
+            times[pops[0]] - run * period < times[pushes[0]] + self.alu
+            for pushes, pops, _reads in self.channels
+        )
+
     def counters(self, hist: List[List[int]], stalls: List[int], num_blocks: int,
                  done: int) -> Tuple[Tuple[int, ...], ...]:
         """Each stage's :class:`FUStats` fields, given the lane's last two
@@ -368,11 +453,19 @@ class _BlockTemplate:
             )
         return tuple(counters)
 
-    def shift(self, hist: List[List[int]], shifts: List[int], blocks: int) -> None:
-        """Move every window block ``blocks`` blocks on, each stage by its shift."""
-        for times in hist:
+    def shift(self, hist: List[List[int]], shifts: List[int], blocks: int, run: int) -> None:
+        """Move the window ``blocks`` blocks on, given that each of its last
+        ``run`` blocks, and every block after them, is the one before moved
+        on by each stage's shift: a row the jump moves past the run repeats
+        ``hist[0]``, and a row it does not reach keeps its block."""
+        latest = hist[0]
+        for back in range(len(hist) - 1, -1, -1):
+            if back - blocks > run:
+                hist[back][:] = hist[back - blocks]
+                continue
             for (lo, hi), shift in zip(self.ranges, shifts):
-                times[lo:hi] = [cycle + shift * blocks for cycle in times[lo:hi]]
+                moved = shift * (blocks - back)
+                hist[back][lo:hi] = [cycle + moved for cycle in latest[lo:hi]]
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +730,17 @@ class FastSimulator:
 
         Blocks are evaluated in order from the schedule's
         :class:`_BlockTemplate`, keeping the last ``window + 1``.  With
-        ``fast_forward``, once every stage's events have moved on by one
-        shift per block for ``window`` blocks in a row, the lane jumps: to
-        its last block if every stage has the same shift (``steady``), else
-        as far as :meth:`_BlockTemplate.ramp_limit` allows (``ramp``: a
-        FIFO fills or drains between stages of different rates).
+        ``fast_forward``, the lane jumps to its last block (``steady``) as
+        soon as every stage's events have moved on by one shift ``P`` for
+        two blocks in a row and :meth:`_BlockTemplate.periodic` proves every
+        later block the last one moved on by ``P``.  Otherwise it waits
+        until the stages' shifts have held for ``window`` blocks in a row,
+        then jumps to its last block if every stage has the same shift
+        (``steady``), else as far as :meth:`_BlockTemplate.ramp_limit`
+        allows (``ramp``: a FIFO fills or drains between stages of
+        different rates).  A channel whose occupancies repeat the block
+        before's is not measured again.  Without ``fast_forward`` no shift
+        is tracked, so every block is evaluated and measured.
         """
         schedule = self.schedule
         template = _BlockTemplate(schedule)
@@ -663,9 +762,9 @@ class FastSimulator:
             before = stalls[:]
             template.evaluate(hist, stalls)
             done = completion[block] = hist[0][template.completes] + template.alu
-            template.fill_fifos(hist, block, heads, fifo_peaks)
             if self.fast_forward and block:
                 template.track_shifts(hist, shifts, runs)
+            template.fill_fifos(hist, block, heads, fifo_peaks, shifts, runs)
             # Two blocks in a row of one shift make the pair's peaks repeat;
             # writes after the last completion never happen.
             limit = done if block == last_block else _FOREVER
@@ -675,8 +774,9 @@ class FastSimulator:
                     rf_peaks[k] = max(rf_peaks[k][0], peaks[0]), max(rf_peaks[k][1], peaks[1])
             if block == last_block:
                 break
-            if min(runs) >= window:
-                steady = len(set(shifts)) == 1
+            run = min(runs)
+            steady = run >= 2 and len(set(shifts)) == 1
+            if run >= window or steady and template.periodic(hist, shifts[0], run):
                 blocks = last_block - block
                 if not steady:
                     blocks = min(blocks, template.ramp_limit(hist, shifts))
@@ -686,7 +786,7 @@ class FastSimulator:
                         "q", range(done + period, done + (blocks + 1) * period, period)
                     )
                     stalls = [now + blocks * (now - then) for now, then in zip(stalls, before)]
-                    template.shift(hist, shifts, blocks)
+                    template.shift(hist, shifts, blocks, run)
                     log.append({
                         "kind": "steady" if steady else "ramp",
                         "cycle": done + 1,

@@ -32,6 +32,11 @@ def pytest_configure(config):
     # raised in a finalizer, so it reaches pytest only as an unraisable-
     # exception warning: a ResourceWarning-only filter would let it pass.
     config.addinivalue_line("filterwarnings", "error")
+    # The hypothesis plugin touches this deprecated name while it reports a
+    # failing property; as an error it would hide the falsifying example.
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
 
 
 def pytest_collection_modifyitems(config, items):

@@ -14,6 +14,9 @@ rate.  This suite pins down the block recurrence's jumps there:
   repeats with a constant shift of its own (a ramp jump), and within the
   analytic warm-up bound ``W(depth, fifo_depth, II)``, the cross-check
   oracle;
+* a steady lane whose few far references provably cannot bind jumps after
+  two periodic blocks (``_BlockTemplate.periodic``), and a lane where one
+  could keeps the full look-back window;
 * the jumps are the only fast-forward: no simulator entry point, CLI flag
   or sweep row takes or reports a ``detector``;
 * the satellite fixes: the schedule-only compile-cache path is memoised and
@@ -22,13 +25,16 @@ rate.  This suite pins down the block recurrence's jumps there:
 """
 
 import inspect
+from functools import lru_cache
 
 import pytest
 
+from repro.api import Toolchain
 from repro.engine.batchsim import BatchSimulator
 from repro.engine.cache import CacheKey, ScheduleCache
 from repro.engine.fastsim import (
     FastSimulator,
+    _BlockTemplate,
     steady_state_warmup_bound,
     warmup_bound_blocks,
 )
@@ -182,6 +188,97 @@ class TestEarlySteadyStateSkip:
         first = simulator.fast_forward_events[0]
         assert first["completed"] <= bound_blocks
         assert first["cycle"] <= bound_cycles
+
+
+@lru_cache(maxsize=None)
+def _default_schedule(name, variant, fifo_depth=32):
+    """The schedule the session compiles for ``name`` on ``variant``."""
+    overlay = OverlaySpec(variant=variant, fifo_depth=fifo_depth)
+    return Toolchain(cache=ScheduleCache()).compile(name, overlay).schedule
+
+
+def _checked_windows(monkeypatch):
+    """Record each :meth:`_BlockTemplate.periodic` call as ``(template,
+    window copy, period, run, answer)``."""
+    calls = []
+    check = _BlockTemplate.periodic
+
+    def recording(template, hist, period, run):
+        answer = check(template, hist, period, run)
+        calls.append((template, [row[:] for row in hist], period, run, answer))
+        return answer
+
+    monkeypatch.setattr(_BlockTemplate, "periodic", recording)
+    return calls
+
+
+def _assert_jumps_agree(schedule, num_blocks, seed=3):
+    blocks = random_input_blocks(schedule.dfg, num_blocks, seed=seed)
+    simulator = FastSimulator(schedule)
+    jumped = simulator.run(blocks)
+    off = FastSimulator(schedule, fast_forward=False).run(blocks)
+    for field in COMPARED_FIELDS:
+        assert getattr(jumped, field) == getattr(off, field), field
+    return simulator.fast_forward_events
+
+
+class TestTwoBlockProof:
+    """A steady lane jumps once two blocks repeat and the check proves the rest."""
+
+    @pytest.mark.parametrize("variant", ["v1", "v2", "v3", "v4", "v5"])
+    @pytest.mark.parametrize("name", ["gradient", "chebyshev", "mibench", "qspline"])
+    def test_simple_kernels_jump_within_six_blocks(self, name, variant):
+        # Their look-back windows are 16-32 blocks at FIFO depth 32.
+        schedule = _default_schedule(name, variant)
+        events = _assert_jumps_agree(schedule, 256)
+        assert events and all(e["kind"] == "steady" and e["completed"] <= 6 for e in events)
+
+    @pytest.mark.parametrize("fifo_depth", [8, 16, 32])
+    def test_a_refused_lane_waits_the_full_window(self, monkeypatch, fifo_depth):
+        calls = _checked_windows(monkeypatch)
+        schedule = _default_schedule("chebyshev", "baseline", fifo_depth)
+        events = _assert_jumps_agree(schedule, 256)
+        window = _BlockTemplate(schedule).window
+        # The check runs at every block whose run is 2 to window - 1 long,
+        # and refuses each time; the first jump comes after the window.
+        assert [run for _t, _h, _p, run, _a in calls] == list(range(2, window))
+        assert not any(answer for *_rest, answer in calls)
+        assert events[0]["completed"] > window
+
+    def test_the_check_refuses_a_far_free_slot_that_could_bind(self, monkeypatch):
+        calls = _checked_windows(monkeypatch)
+        FastSimulator(_default_schedule("chebyshev", "baseline", 8))._run_timing(64)
+        template, hist, period, run, answer = calls[0]
+        assert not answer and not template.periodic(hist, period, run)
+
+    def test_a_pre_run_free_slot_moved_later_breaks_the_proof(self, monkeypatch):
+        calls = _checked_windows(monkeypatch)
+        FastSimulator(_default_schedule("gradient", "v3"))._run_timing(64)
+        template, hist, period, run, answer = calls[0]
+        assert answer and template.periodic(hist, period, run)
+        event, _refs, back, source, delay = template.far[0]
+        # The furthest push's free slot one block before the run, popped
+        # just too late for the cycle the run gives the push a block later.
+        i = run + 1
+        assert i < back
+        hist[i][source] = hist[0][event] + (back - i) * period - delay + 1
+        assert not template.periodic(hist, period, run)
+
+    def test_tokens_waiting_from_before_the_run_break_the_proof(self, monkeypatch):
+        calls = _checked_windows(monkeypatch)
+        FastSimulator(_default_schedule("gradient", "v3"))._run_timing(64)
+        template, hist, period, run, answer = calls[0]
+        assert answer
+        pushes, pops, _reads = template.channels[0]
+        lo, hi = template.ranges[1]
+        # Stage 1, moved later within the run, pops the run's first token
+        # only as the block's first push arrives: that token still waits.
+        margin = hist[0][pushes[0]] + template.alu - (hist[0][pops[0]] - run * period)
+        for late, expected in ((margin - 1, True), (margin, False)):
+            moved = [row[:] for row in hist]
+            for row in moved[:run + 1]:
+                row[lo:hi] = [cycle + late for cycle in row[lo:hi]]
+            assert template.periodic(moved, period, run) is expected
 
 
 class TestDetectorRetired:

@@ -22,9 +22,10 @@ examples.
 Both engines time lanes with one max-plus block recurrence, which jumps
 ahead once every stage's events move on by a constant per block.  A second
 property checks the jumps themselves: on random kernels over the baseline
-and V1-V5 at FIFO depths {2, 8, 32}, lanes of 96 and 257 blocks, long
-enough that nearly every one jumps, equal the same lanes evaluated block by
-block (``fast_forward=False``), field for field.  And the recurrence refuses a malformed schedule when it builds its
+and V1-V5 at FIFO depths {2, 3, 5, 8, 16, 32, 33}, lanes of 5, 12 and 40
+blocks (which can end inside the window an early steady jump rebuilds) and
+of 96 and 257 (long enough that nearly every one jumps) equal the same
+lanes evaluated block by block (``fast_forward=False``), field for field.  And the recurrence refuses a malformed schedule when it builds its
 block template, where the cycle engine fails too: a stage whose load order
 is not its upstream's emission order, an operand nothing writes, a block
 that waits on itself, a last stage that emits a value twice, and a
@@ -185,8 +186,12 @@ jump_cases = st.fixed_dictionaries(
         "strategy": st.sampled_from(STRATEGIES),
         "variant": st.sampled_from((BASELINE, V1, V2, V3, V4, V5)),
         "fixed_depth": st.sampled_from((4, 8)),
-        "fifo_depth": st.sampled_from((2, 8, 32)),
-        "num_blocks": st.sampled_from((96, 257)),
+        # Depths where the free slot's look-back (ceil(fifo / tokens)) and a
+        # push's read of pops (ceil((fifo - 1) / tokens)) round apart and the
+        # window is odd, and lanes that end inside the window an early
+        # steady jump rebuilds.
+        "fifo_depth": st.sampled_from((2, 3, 5, 8, 16, 32, 33)),
+        "num_blocks": st.sampled_from((5, 12, 40, 96, 257)),
     }
 )
 
